@@ -12,10 +12,8 @@ from .eigensolve import (
     compare_spectra,
     counting_function,
     richardson,
-    solve,
     solve_below,
     solve_dense,
-    solve_lanczos,
     verify_nesting,
 )
 from .fiber import (

@@ -71,17 +71,6 @@ def _load_spec(path: str) -> dict:
     return doc
 
 
-def _limit_threads(n: int | None):
-    if n is None:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        pass
-
-
 def _run_meta(args, spec_doc: dict) -> dict:
     return {
         "command": args.command,
@@ -121,11 +110,13 @@ def cmd_laakso(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     analytic = laakso.laakso_analytic_spectrum(spec, lam_max)
-    numeric = laakso.laakso_numeric_spectrum(spec, lam_max)
+    per_level = [laakso.laakso_numeric_spectrum(spec, lam_max, level=i, seed=args.seed)
+                 for i in range(spec.depth + 1)]
+    numeric = per_level[-1]
     coarse = None
     if spec.refine % 2 == 0 and spec.refine >= 4:
         coarse_spec = laakso.LaaksoSpec(j=list(spec.j), refine=spec.refine // 2, boundary=boundary)
-        coarse = laakso.laakso_numeric_spectrum(coarse_spec, lam_max)
+        coarse = laakso.laakso_numeric_spectrum(coarse_spec, lam_max, seed=args.seed)
     compare = compare_spectra(
         numeric,
         analytic,
@@ -134,7 +125,6 @@ def cmd_laakso(args) -> int:
         numeric_coarse=coarse,
     )
     nest = []
-    per_level = [laakso.laakso_numeric_spectrum(spec, lam_max, level=i) for i in range(spec.depth + 1)]
     for i in range(spec.depth):
         rep = verify_nesting(per_level[i], per_level[i + 1], tol=args.tol or 1e-9)
         nest.append({"lower_level": i, "upper_level": i + 1, **rep.to_dict()})
@@ -222,12 +212,12 @@ def cmd_string(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     analytic = strings.string_analytic_spectrum(spec, lam_max)
-    numeric = strings.stitched_numeric_spectrum(spec, lam_max)
+    per_level = [strings.stitched_numeric_spectrum(spec, lam_max, level=i, seed=args.seed)
+                 for i in range(spec.depth + 1)]
+    numeric = per_level[-1]
     iso = strings.isospectrality_report(numeric, analytic, FDModel(pitch=spec.pitch), lam_max)
     iso["length_perturbation"] = perturbation
     nest = []
-    per_level = [strings.stitched_numeric_spectrum(spec, lam_max, level=i)
-                 for i in range(spec.depth + 1)]
     for i in range(len(per_level) - 1):
         rep = verify_nesting(per_level[i], per_level[i + 1], tol=args.tol or 1e-9)
         nest.append({"lower_level": i, "upper_level": i + 1, **rep.to_dict()})
@@ -341,14 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--boundary", choices=("neumann", "dirichlet"), default=None)
         sp.add_argument("--seed", type=int, default=eigensolve.DEFAULT_SEED)
         sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--threads", type=int, default=None)
         sp.set_defaults(func=fn)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _limit_threads(args.threads)
     try:
         return args.func(args)
     except NoCommonPitch as exc:

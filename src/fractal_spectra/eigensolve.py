@@ -2,10 +2,13 @@
 
 The lumped mass matrix is diagonal, so the pencil A v = lambda M v reduces
 exactly to the standard symmetric problem S y = lambda y with
-S = M^{-1/2} A M^{-1/2}, y = M^{1/2} v.  The dense path hands S to LAPACK;
-the Krylov path is a Lanczos iteration with full reorthogonalization and
-deflation restarts (so repeated eigenvalues are found), optionally in
-shift-inverted form for large problems.
+S = M^{-1/2} A M^{-1/2}, y = M^{1/2} v.  ``solve_dense`` hands all of S to
+LAPACK.  ``solve_below`` returns the part of the spectrum below a cutoff and
+proves it complete: it first counts the eigenvalues below the cutoff exactly,
+from the Sylvester inertia of S - lambda_max I, then computes them with
+LAPACK's subset solver for small problems or with shift-invert ARPACK
+(``eigsh`` about a negative shift, started from a seeded vector) for large
+ones, and refuses any result whose length differs from the count.
 """
 
 from __future__ import annotations
@@ -31,6 +34,18 @@ from .metric_graph import DiscreteOperator
 
 DENSE_THRESHOLD = 4000
 DEFAULT_SEED = 20260826
+#: solve_below takes LAPACK's subset solver up to this many unknowns and
+#: shift-invert ARPACK above it; on Laakso and string pencils the two break
+#: even between n = 250 and 500, and ARPACK is 2-8x faster from n = 1000 on
+EIGSH_THRESHOLD = 500
+#: eigenpairs asked of ARPACK beyond the inertia count, so that its run
+#: reaches past the cut
+EIGSH_MARGIN = 4
+#: the shift sits this fraction of the cut below zero.  ARPACK can miss a
+#: copy of a highly repeated eigenvalue (the 18-fold ones of Laakso level
+#: 3); over 210 such solves a shift of 0.1 cut missed one once, 0.01 and
+#: 1.0 cut missed 13 and 37 times
+EIGSH_SHIFT = 0.1
 
 
 @dataclass
@@ -40,6 +55,7 @@ class EigenPairs:
     values: np.ndarray
     vectors: np.ndarray  # shape (n, k)
     M: np.ndarray
+    inertia_count: int | None = None  # N(lam_max) from the inertia, when solve_below ran
 
     def residuals(self, op: DiscreteOperator) -> np.ndarray:
         R = op.A @ self.vectors - (op.M[:, None] * self.vectors) * self.values[None, :]
@@ -149,176 +165,86 @@ def solve_dense(d: DiscreteOperator, k: int | None = None, threshold: int = DENS
     return EigenPairs(values=w, vectors=vecs, M=d.M)
 
 
-def solve_lanczos(
-    d: DiscreteOperator,
-    k: int,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-    seed: int = DEFAULT_SEED,
-    shift_invert: bool | None = None,
-    sigma: float = 1.0,
-) -> EigenPairs:
-    """k smallest eigenpairs by Lanczos with full reorthogonalization.
+def _count_below(S, cut: float) -> int:
+    """Number of eigenvalues of the symmetric matrix S below ``cut``.
 
-    Multiplicities are recovered by deflation restarts: after a batch of Ritz
-    pairs converges, the iteration restarts with a fresh vector orthogonal to
-    everything already found.  Shift-invert (default for n > 1500) factors
-    S + sigma*I once and runs Lanczos on its inverse.
+    By Sylvester's law of inertia this is the number of negative pivots of
+    an LDL^T factorization of S - cut*I.  SuperLU in symmetric mode with
+    diagonal pivoting only gives one (U = D L^T, the same permutation on
+    rows and columns); if it had to pivot off the diagonal the pivots no
+    longer carry the inertia and the count is refused.
+    """
+    shifted = (S - cut * sp.identity(S.shape[0], format="csr")).tocsc()
+    try:
+        lu = spla.splu(
+            shifted,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # exactly singular: an eigenvalue sits on the cut
+        raise NoConvergence(0, f"inertia count at {cut!r}: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NoConvergence(0, f"inertia count at {cut!r}: factorization pivoted off the diagonal")
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
+def solve_below(
+    d: DiscreteOperator,
+    lam_max: float,
+    threshold: int = EIGSH_THRESHOLD,
+    seed: int = DEFAULT_SEED,
+) -> EigenPairs:
+    """All eigenpairs with eigenvalue <= lam_max, proven complete.
+
+    The exact count N(lam_max) comes first, from the inertia of S - cut*I.
+    Pencils of at most ``threshold`` unknowns then take LAPACK's subset
+    solver; larger ones take ARPACK in shift-invert mode about a negative
+    shift, started from a seeded vector and with k grown until exactly the
+    counted number of values lie below the cut (pencils too small for that
+    margin also go to LAPACK).  A result whose length differs from the count
+    (for instance one copy short of a repeated eigenvalue) raises
+    NoConvergence instead of being returned.
     """
     n = d.n
-    if k > n:
-        raise ValueError("k exceeds problem size")
     S, ms = _standard_form(d)
-    if shift_invert is None:
-        shift_invert = n > 1500
-    if shift_invert:
-        lu = spla.splu((S + sigma * sp.identity(n, format="csr")).tocsc())
-        matvec = lu.solve
+    cut = lam_max * (1 + 1e-12)
+    count = _count_below(S, cut)
+    if n <= threshold or count + EIGSH_MARGIN >= n:
+        w, Y = scipy.linalg.eigh(S.toarray(), subset_by_value=(-np.inf, cut))
     else:
-        matvec = lambda x: S @ x
-
-    rng = np.random.default_rng(seed)
-    if max_iter is None:
-        max_iter = max(60 * k + 300, 12 * n, 2000)
-    conv_vals: list[float] = []
-    conv_vecs: list[np.ndarray] = []
-    m_per_round = min(n, max(2 * k + 20, 40))
-    total_iter = 0
-
-    confirmed = False
-    restart = None
-    empty_rounds = 0
-    while len(conv_vals) < k or not confirmed:
-        if total_iter >= max_iter:
-            raise NoConvergence(total_iter)
-        Qc = np.column_stack(conv_vecs) if conv_vecs else np.zeros((n, 0))
-        v = restart if restart is not None else rng.standard_normal(n)
-        restart = None
-        basis = []
-        alphas, betas = [], []
-
-        def orth(x):
-            if Qc.shape[1]:
-                x = x - Qc @ (Qc.T @ x)
-            for b in basis:
-                x = x - b * (b @ x)
-            # second pass for numerical safety
-            if Qc.shape[1]:
-                x = x - Qc @ (Qc.T @ x)
-            for b in basis:
-                x = x - b * (b @ x)
-            return x
-
-        v = orth(v)
-        nv = np.linalg.norm(v)
-        if nv < 1e-13:
-            continue
-        v /= nv
-        basis.append(v)
-        steps = min(m_per_round, n - len(conv_vals))
-        for _ in range(steps):
-            total_iter += 1
-            w = matvec(basis[-1])
-            a = basis[-1] @ w
-            alphas.append(a)
-            w = orth(w)
-            b = np.linalg.norm(w)
-            if b < 1e-13:
-                break
-            betas.append(b)
-            basis.append(w / b)
-        mloc = len(alphas)
-        T = np.diag(alphas)
-        if betas:
-            T += np.diag(betas[:mloc - 1], 1) + np.diag(betas[:mloc - 1], -1)
-        theta, U = np.linalg.eigh(T)
-        V = np.column_stack(basis[:mloc])
-        # convert Ritz values back to pencil eigenvalues
-        if shift_invert:
-            order = np.argsort(-theta)  # largest theta = smallest lambda
-        else:
-            order = np.argsort(theta)
-        # a restart may still carry an unfound copy of a repeated eigenvalue,
-        # so once k values are in hand keep deflating until a fresh round
-        # converges nothing below the current k-th value
-        cutoff = (
-            np.inf
-            if len(conv_vals) < k
-            else sorted(conv_vals)[k - 1] * (1 + 1e-8) + 1e-12
-        )
-        # deflation leakage puts a residual floor under the last copy of a
-        # repeated eigenvalue; after two empty rounds accept looser candidates
-        # and let the final Rayleigh-Ritz refinement polish them
-        tol_eff = tol if empty_rounds < 2 else max(tol, 1e-6)
-        got_any = False
-        min_ritz = np.inf
-        for idx in order:
-            lam = 1.0 / theta[idx] - sigma if shift_invert else theta[idx]
-            min_ritz = min(min_ritz, lam)
-            if lam > cutoff:
-                break
-            y = V @ U[:, idx]
-            res = np.linalg.norm(S @ y - lam * y)
-            if res <= tol_eff * max(1.0, abs(lam)):
-                y = orth_against(y, conv_vecs)
-                ny = np.linalg.norm(y)
-                if ny < 1e-8:
-                    continue
-                conv_vals.append(lam)
-                conv_vecs.append(y / ny)
-                got_any = True
-                if len(conv_vals) >= k and not np.isfinite(cutoff):
-                    break
-        # even an unconverged Ritz value below the cutoff means the deflated
-        # operator still has spectrum we need; only an empty round whose
-        # smallest Ritz value clears the cutoff certifies completeness
-        confirmed = len(conv_vals) >= k and not got_any and min_ritz > cutoff
-        if not got_any and not confirmed:
-            # nothing accepted but spectrum remains below the cutoff: warm
-            # restart from the best Ritz vector and lengthen the next round
-            restart = V @ U[:, order[0]]
-            m_per_round = min(n, 2 * m_per_round)
-        empty_rounds = 0 if got_any else empty_rounds + 1
-
-    # final Rayleigh-Ritz pass over the collected block: restores mutual
-    # orthogonality and gives Rayleigh-quotient accuracy (residual squared)
-    # even for candidates accepted under the relaxed threshold
-    Q, _ = np.linalg.qr(np.column_stack(conv_vecs))
-    H = Q.T @ (S @ Q)
-    w_all, Z = np.linalg.eigh(0.5 * (H + H.T))
-    Y = Q @ Z[:, :k]
-    vecs = ms[:, None] * Y
-    return EigenPairs(values=w_all[:k], vectors=vecs, M=d.M)
+        w, Y = _eigsh_below(S, cut, count, seed)
+    if len(w) != count:
+        raise NoConvergence(0, f"{len(w)} eigenvalues <= {lam_max!r} found, inertia counts {count}")
+    return EigenPairs(values=w, vectors=ms[:, None] * Y, M=d.M, inertia_count=count)
 
 
-def orth_against(y: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    for b in basis:
-        y = y - b * (b @ y)
-    return y
+def _eigsh_below(S, cut: float, count: int, seed: int):
+    """Shift-invert ARPACK for the ``count`` eigenvalues of S below ``cut``.
 
-
-def solve(d: DiscreteOperator, k: int | None = None, threshold: int = DENSE_THRESHOLD, **kw) -> EigenPairs:
-    """Dense below the size threshold, shift-invert Lanczos above."""
-    if d.n <= threshold:
-        return solve_dense(d, k, threshold=threshold)
-    if k is None:
-        raise TooLargeForDense("full spectrum of a large pencil; pass k")
-    return solve_lanczos(d, k, shift_invert=True, **kw)
-
-
-def solve_below(d: DiscreteOperator, lam_max: float, threshold: int = DENSE_THRESHOLD, **kw) -> EigenPairs:
-    """All eigenpairs with eigenvalue <= lam_max."""
-    if d.n <= threshold:
-        pairs = solve_dense(d, threshold=threshold)
-        keep = pairs.values <= lam_max * (1 + 1e-12)
-        return EigenPairs(pairs.values[keep], pairs.vectors[:, keep], d.M)
-    k = 8
+    The Krylov space grows with k, so a copy of a repeated eigenvalue that
+    one run missed (its count below the cut falls short) is sought again
+    with k doubled.  The result is accepted only when exactly ``count``
+    values lie below the cut and at least one above it, which shows that
+    the run reached past the cut.
+    """
+    n = S.shape[0]
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    sigma = -max(abs(cut), 1.0) * EIGSH_SHIFT
+    k = count + EIGSH_MARGIN
     while True:
-        k = min(2 * k, d.n)
-        pairs = solve_lanczos(d, k, **kw)
-        if pairs.values[-1] > lam_max or k == d.n:
-            keep = pairs.values <= lam_max * (1 + 1e-12)
-            return EigenPairs(pairs.values[keep], pairs.vectors[:, keep], d.M)
+        try:
+            w, Y = spla.eigsh(S, k, sigma=sigma, which="LM", v0=v0)
+        except spla.ArpackNoConvergence:
+            pass
+        else:
+            order = np.argsort(w)
+            w, Y = w[order], Y[:, order]
+            if np.count_nonzero(w <= cut) == count and w[-1] > cut:
+                return w[:count], Y[:, :count]
+        if k == n - 1:
+            raise NoConvergence(k, f"eigsh did not find the {count} eigenvalues below {cut!r}")
+        k = min(2 * k, n - 1)
 
 
 # -- bookkeeping --------------------------------------------------------------

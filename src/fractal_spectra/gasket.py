@@ -256,6 +256,6 @@ def choux_numeric_spectrum(spec: ChouxSpec, level: int | None = None) -> Spectru
     return out
 
 
-def hausdorff_dimension(spec: ChouxSpec | None = None) -> float:
+def hausdorff_dimension() -> float:
     """Hausdorff dimension of the limit space: 1 + dim(SG) = log(6)/log(2)."""
     return math.log(6.0) / math.log(2.0)

@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .errors import InvalidSequence
-from .eigensolve import SpectrumEntry, SpectrumList, cluster, solve_below
+from .eigensolve import DEFAULT_SEED, SpectrumEntry, SpectrumList, cluster, solve_below
 from .fiber import LevelFamily, LevelLink, classify_levels, discretize_levels
 from .metric_graph import DIRICHLET, NEUMANN, MetricGraph, Vertex, assemble
 
@@ -195,29 +195,34 @@ def laakso_analytic_spectrum(
     )
 
 
-def laakso_level_solutions(spec: LaaksoSpec, lam_max: float, level: int | None = None):
+def laakso_level_solutions(
+    spec: LaaksoSpec, lam_max: float, level: int | None = None, seed: int = DEFAULT_SEED
+):
     """Solve the pencil of the requested level (default: deepest).
 
     Returns (pairs, origins, ops, fibers) where origins tags each eigenvector
-    with the level at which it first appears.
+    with the level at which it first appears.  ``seed`` draws the start
+    vector of the Krylov solver.
     """
     family = build_laakso(spec)
     meshes, fibers = discretize_levels(family, spec.pitch)
     ops = [assemble(m) for m in meshes]
     if level is None:
         level = spec.depth
-    pairs = solve_below(ops[level], lam_max)
+    pairs = solve_below(ops[level], lam_max, seed=seed)
     origins = classify_levels(pairs.values, pairs.vectors, ops[: level + 1], fibers[:level])
     return pairs, origins, ops, fibers
 
 
-def laakso_numeric_spectrum(spec: LaaksoSpec, lam_max: float, level: int | None = None) -> SpectrumList:
+def laakso_numeric_spectrum(
+    spec: LaaksoSpec, lam_max: float, level: int | None = None, seed: int = DEFAULT_SEED
+) -> SpectrumList:
     """Numeric spectrum of the level Laplacian with origin tags.
 
     Eigenvectors are classified into pullbacks (tag "base") and new-at-level
     vectors (tag "new@i"); multiplicities come from gap clustering.
     """
-    pairs, origins, _, _ = laakso_level_solutions(spec, lam_max, level)
+    pairs, origins, _, _ = laakso_level_solutions(spec, lam_max, level, seed)
     tags = ["base" if o == 0 else f"new@{o}" for o in origins]
     out = cluster(
         pairs.values,
@@ -227,5 +232,6 @@ def laakso_numeric_spectrum(spec: LaaksoSpec, lam_max: float, level: int | None 
         tags=tags,
     )
     out.meta = {"j": spec.j, "refine": spec.refine, "boundary": spec.boundary,
-                "zero_mode": "included, outside the analytic family listing"}
+                "zero_mode": "included, outside the analytic family listing",
+                "inertia_count": pairs.inertia_count}
     return out

@@ -17,6 +17,7 @@ from itertools import product
 
 from .errors import DivergentRange, InfeasibleNesting, NoCommonPitch
 from .eigensolve import (
+    DEFAULT_SEED,
     FDModel,
     SpectrumEntry,
     SpectrumList,
@@ -210,21 +211,26 @@ def build_stitched(spec: StringSpec) -> LevelFamily:
     return LevelFamily(graphs=graphs, links=links)
 
 
-def stitched_level_solutions(spec: StringSpec, lam_max: float, level: int | None = None):
-    """Solve the stitched pencil at the requested truncation level."""
+def stitched_level_solutions(
+    spec: StringSpec, lam_max: float, level: int | None = None, seed: int = DEFAULT_SEED
+):
+    """Solve the stitched pencil at the requested truncation level; ``seed``
+    draws the start vector of the Krylov solver."""
     family = build_stitched(spec)
     meshes, fibers = discretize_levels(family, spec.pitch)
     ops = [assemble(m) for m in meshes]
     if level is None:
         level = spec.depth
-    pairs = solve_below(ops[level], lam_max)
+    pairs = solve_below(ops[level], lam_max, seed=seed)
     origins = classify_levels(pairs.values, pairs.vectors, ops[: level + 1], fibers[:level])
     return pairs, origins, ops, fibers
 
 
-def stitched_numeric_spectrum(spec: StringSpec, lam_max: float, level: int | None = None) -> SpectrumList:
+def stitched_numeric_spectrum(
+    spec: StringSpec, lam_max: float, level: int | None = None, seed: int = DEFAULT_SEED
+) -> SpectrumList:
     """Numeric spectrum of the stitched space, tagged by origin level."""
-    pairs, origins, _, _ = stitched_level_solutions(spec, lam_max, level)
+    pairs, origins, _, _ = stitched_level_solutions(spec, lam_max, level, seed)
     tags = ["base" if o == 0 else f"new@{o}" for o in origins]
     out = cluster(
         pairs.values,
@@ -234,7 +240,7 @@ def stitched_numeric_spectrum(spec: StringSpec, lam_max: float, level: int | Non
         tags=tags,
     )
     out.meta = {"lengths": [str(l) for l in spec.lengths], "mults": spec.mults,
-                "refine": spec.refine}
+                "refine": spec.refine, "inertia_count": pairs.inertia_count}
     return out
 
 

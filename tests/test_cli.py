@@ -78,6 +78,11 @@ class TestLaakso:
         assert cli.main(["laakso", "--spec", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "o")]) == 2
 
+    def test_threads_flag_is_gone(self, laakso_run, tmp_path):
+        spec, _ = laakso_run
+        with pytest.raises(SystemExit):
+            cli.main(["laakso", "--spec", spec, "--out", str(tmp_path / "o"), "--threads", "2"])
+
 
 class TestChoux:
     def test_run_and_verify(self, tmp_path):

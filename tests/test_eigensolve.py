@@ -1,8 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fractal_spectra.eigensolve import (
     FDModel,
@@ -11,19 +14,21 @@ from fractal_spectra.eigensolve import (
     cluster,
     compare_spectra,
     counting_function,
+    _count_below,
+    _standard_form,
     richardson,
-    solve,
     solve_below,
     solve_dense,
-    solve_lanczos,
     verify_nesting,
 )
 from fractal_spectra.errors import (
     BeyondTruncation,
     MisalignedMeshes,
+    NoConvergence,
     NotPositiveMass,
     TooLargeForDense,
 )
+from fractal_spectra.laakso import LaaksoSpec, build_laakso
 from fractal_spectra.metric_graph import (
     DIRICHLET,
     NEUMANN,
@@ -33,6 +38,7 @@ from fractal_spectra.metric_graph import (
     assemble,
     discretize,
 )
+from fractal_spectra.strings import StringSpec, build_stitched
 
 
 def interval_pencil(h, boundary):
@@ -96,42 +102,95 @@ class TestDense:
 
 
 class TestLanczos:
+    """solve_below against the dense route; threshold=0 forces shift-invert eigsh."""
+
     def test_matches_dense_on_interval(self):
         d = interval_pencil(1 / 64, DIRICHLET)
-        dense = solve_dense(d, 12)
-        lz = solve_lanczos(d, 12)
-        assert lz.values == pytest.approx(dense.values, rel=1e-8)
+        dense = solve_dense(d, 13)
+        cut = 0.5 * (dense.values[11] + dense.values[12])
+        lz = solve_below(d, cut, threshold=0)
+        assert lz.values == pytest.approx(dense.values[:12], rel=1e-8)
 
     def test_k1_neumann_zero(self):
-        pairs = solve_lanczos(interval_pencil(1 / 16, NEUMANN), 1)
+        pairs = solve_below(interval_pencil(1 / 16, NEUMANN), 1.0, threshold=0)
+        assert len(pairs.values) == 1
         assert abs(pairs.values[0]) < 1e-10
 
     @pytest.mark.parametrize("seed", range(50))
     def test_random_pencils_fifty_seeds(self, seed):
         d, _ = random_pencil(100, seed)
         dense = solve_dense(d, 10)
-        lz = solve_lanczos(d, 10, seed=1000 + seed)
+        lz = solve_below(d, 10.5, threshold=0, seed=1000 + seed)
         assert lz.values == pytest.approx(dense.values, rel=1e-8)
 
-    @pytest.mark.parametrize("shift_invert", [False, True])
-    def test_multiplicities_recovered(self, shift_invert):
+    @pytest.mark.parametrize("dense_route", [False, True])
+    def test_multiplicities_recovered(self, dense_route):
         d, vals = random_pencil(200, 42, mult=4)
-        dense = solve_dense(d, 17)
-        lz = solve_lanczos(d, 17, shift_invert=shift_invert)
+        dense = solve_dense(d, 16)
+        lz = solve_below(d, 4.5, threshold=10**6 if dense_route else 0)
         assert lz.values == pytest.approx(dense.values, rel=1e-8)
-        assert lz.values == pytest.approx(np.sort(vals)[:17], rel=1e-9)
+        assert lz.values == pytest.approx(np.sort(vals)[:16], rel=1e-9)
 
     def test_solve_dispatcher_routes_by_size(self):
         d, _ = random_pencil(60, 3)
-        via_dense = solve(d, 5)
-        via_lz = solve(d, 5, threshold=10)
-        assert via_lz.values == pytest.approx(via_dense.values, rel=1e-8)
+        via_dense = solve_below(d, 5.5)
+        via_eigsh = solve_below(d, 5.5, threshold=10)
+        assert via_eigsh.values == pytest.approx(via_dense.values, rel=1e-8)
 
     def test_solve_below_collects_all(self):
         d = interval_pencil(1 / 64, DIRICHLET)
         pairs = solve_below(d, 30 * math.pi**2)
         n_expected = sum(1 for lam in fd_dirichlet(1 / 64) if lam <= 30 * math.pi**2)
         assert len(pairs.values) == n_expected
+        assert pairs.inertia_count == n_expected
+
+    @pytest.mark.parametrize("cut", [0.5, 2.5, 10.5, 37.5, 7.0 + 1e-9, 7.0 - 1e-9, 50.0 + 1e-9])
+    def test_inertia_count_matches_dense(self, cut):
+        d, _ = random_pencil(200, 42, mult=4)
+        S, _ = _standard_form(d)
+        dense = solve_dense(d).values
+        assert _count_below(S, cut) == np.count_nonzero(dense <= cut)
+
+    @pytest.mark.parametrize("family", ["laakso", "string"])
+    def test_eigsh_matches_dense_subset_on_family_pencils(self, family):
+        if family == "laakso":
+            spec = LaaksoSpec(j=[2, 2], refine=16)
+            fam, lam_max = build_laakso(spec), 230.0
+        else:
+            spec = StringSpec([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)], [1, 2, 1], refine=16)
+            fam, lam_max = build_stitched(spec), 2000.0
+        d = assemble(discretize(fam.graphs[-1], spec.pitch))
+        dense = solve_below(d, lam_max, threshold=10**6)
+        krylov = solve_below(d, lam_max, threshold=0)
+        assert krylov.inertia_count == dense.inertia_count == len(dense.values) == len(krylov.values)
+        assert np.all(np.abs(krylov.values - dense.values) <= 1e-9 * np.maximum(1.0, dense.values))
+        assert krylov.residuals(d).max() <= 1e-8 * lam_max
+
+    def test_same_seed_is_bit_identical(self):
+        d, _ = random_pencil(200, 42, mult=4)
+        a = solve_below(d, 6.5, threshold=0, seed=7)
+        b = solve_below(d, 6.5, threshold=0, seed=7)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.vectors, b.vectors)
+
+    @pytest.mark.parametrize(
+        "module, name, threshold",
+        [(spla, "eigsh", 0), (scipy.linalg, "eigh", 10**6)],
+        ids=["eigsh", "dense"],
+    )
+    def test_missing_copy_is_refused(self, monkeypatch, module, name, threshold):
+        """A result one copy short of a repeated eigenvalue is never returned."""
+        d, _ = random_pencil(200, 42, mult=4)
+        solver = getattr(module, name)
+
+        def drop_a_copy(*args, **kwargs):
+            w, Y = solver(*args, **kwargs)
+            j = int(np.argmin(np.abs(w - 2.0)))
+            return np.delete(w, j), np.delete(Y, j, axis=1)
+
+        monkeypatch.setattr(module, name, drop_a_copy)
+        with pytest.raises(NoConvergence):
+            solve_below(d, 4.5, threshold=threshold)
 
 
 class TestCluster:

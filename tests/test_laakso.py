@@ -160,6 +160,10 @@ class TestNumericSpectrum:
         vals = [e.value / PI2 for e in numeric.entries if e.value > 1e-9][:4]
         assert vals == pytest.approx([1, 4, 9, 16], rel=1e-3)
 
+    def test_multiplicities_add_up_to_inertia_count(self, run):
+        _, _, numeric = run
+        assert numeric.meta["inertia_count"] == numeric.total_multiplicity()
+
     def test_zero_mode_multiplicity_one(self, run):
         _, _, numeric = run
         assert numeric.entries[0].value == pytest.approx(0.0, abs=1e-10)
