@@ -34,6 +34,7 @@ from .gasket import (
     GasketGraph,
     build_choux,
     build_gasket,
+    choux_numeric_spectra,
     choux_numeric_spectrum,
     decimation_branch,
     decimation_check,
@@ -44,6 +45,7 @@ from .laakso import (
     LaaksoSpec,
     build_laakso,
     laakso_analytic_spectrum,
+    laakso_numeric_spectra,
     laakso_numeric_spectrum,
     wormhole_table,
 )
@@ -64,6 +66,7 @@ from .strings import (
     isospectrality_report,
     rationalize,
     string_analytic_spectrum,
+    stitched_numeric_spectra,
     stitched_numeric_spectrum,
     zeta_partial,
 )

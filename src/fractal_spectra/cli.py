@@ -71,16 +71,28 @@ def _load_spec(path: str) -> dict:
     return doc
 
 
-def _run_meta(args, spec_doc: dict) -> dict:
-    return {
-        "command": args.command,
-        "spec": spec_doc,
-        "refine": getattr(args, "refine", None),
-        "lambda_max": getattr(args, "lambda_max", None),
-        "boundary": getattr(args, "boundary", None),
-        "seed": args.seed,
-        "tol": args.tol,
-    }
+def _run_meta(args, spec_doc: dict, **in_effect) -> dict:
+    """run.json: the command, its spec and the settings the run used."""
+    return {"command": args.command, "spec": spec_doc, **in_effect}
+
+
+def _lambda_max(args, doc: dict, default: float) -> float:
+    lam_max = float(doc.get("lambda_max", default)) if args.lambda_max is None else args.lambda_max
+    if not lam_max > 0:
+        raise InvalidSpaceSpec(f"lambda_max must be positive, got {lam_max}")
+    return lam_max
+
+
+def _nesting(out: Path, per_level: list[SpectrumList], tol: float) -> bool:
+    """Check that each level's spectrum nests in the next one's; write
+    nesting.json and return whether every check passed."""
+    reports = [
+        {"lower_level": i, "upper_level": i + 1, **verify_nesting(lo, hi, tol=tol).to_dict()}
+        for i, (lo, hi) in enumerate(zip(per_level, per_level[1:]))
+    ]
+    ok = all(r["pass"] for r in reports)
+    _dump_json(out / "nesting.json", {"reports": reports, "pass": ok})
+    return ok
 
 
 # -- laakso ------------------------------------------------------------------
@@ -93,8 +105,8 @@ def cmd_laakso(args) -> int:
     j = doc["j"]
     if "depth" in doc and int(doc["depth"]) != len(j):
         raise InvalidSpaceSpec(f'depth {doc["depth"]} does not match len(j)={len(j)}')
-    refine = args.refine or int(doc.get("refine", 8))
-    boundary = args.boundary or doc.get("boundary", "neumann")
+    refine = int(doc.get("refine", 8)) if args.refine is None else args.refine
+    boundary = doc.get("boundary", "neumann") if args.boundary is None else args.boundary
     spec = laakso.LaaksoSpec(j=j, refine=refine, boundary=boundary)
     if args.pitch is not None:
         d_n = spec.d[spec.depth]
@@ -104,14 +116,13 @@ def cmd_laakso(args) -> int:
                 f"pitch {args.pitch} is not 1/(r*{d_n}) for an integer refinement r >= 2"
             )
         spec = laakso.LaaksoSpec(j=j, refine=int(round(r)), boundary=boundary)
-    lam_max = args.lambda_max or float(doc.get("lambda_max", 200.0))
+    lam_max = _lambda_max(args, doc, 200.0)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     analytic = laakso.laakso_analytic_spectrum(spec, lam_max)
-    per_level = [laakso.laakso_numeric_spectrum(spec, lam_max, level=i, seed=args.seed)
-                 for i in range(spec.depth + 1)]
+    per_level = laakso.laakso_numeric_spectra(spec, lam_max, seed=args.seed)
     numeric = per_level[-1]
     coarse = None
     if spec.refine % 2 == 0 and spec.refine >= 4:
@@ -124,20 +135,16 @@ def cmd_laakso(args) -> int:
         coverage_max=0.75 * lam_max,
         numeric_coarse=coarse,
     )
-    nest = []
-    for i in range(spec.depth):
-        rep = verify_nesting(per_level[i], per_level[i + 1], tol=args.tol or 1e-9)
-        nest.append({"lower_level": i, "upper_level": i + 1, **rep.to_dict()})
+    nested = _nesting(out, per_level, args.tol)
 
     (out / "analytic.csv").write_text(analytic.to_csv())
     (out / "numeric.csv").write_text(numeric.to_csv())
     _dump_json(out / "compare.json", compare.to_dict())
-    _dump_json(out / "nesting.json", {"reports": nest, "pass": all(r["pass"] for r in nest)})
-    _dump_json(out / "run.json", _run_meta(args, doc))
-    ok = compare.ok and all(r["pass"] for r in nest)
+    _dump_json(out / "run.json", _run_meta(args, doc, refine=spec.refine, lambda_max=lam_max,
+                                           boundary=spec.boundary, seed=args.seed, tol=args.tol))
     print(f"laakso: compare {'pass' if compare.ok else 'FAIL'}, "
-          f"nesting {'pass' if all(r['pass'] for r in nest) else 'FAIL'} -> {out}")
-    return EXIT_OK if ok else EXIT_SOLVER
+          f"nesting {'pass' if nested else 'FAIL'} -> {out}")
+    return EXIT_OK if compare.ok and nested else EXIT_SOLVER
 
 
 # -- choux -------------------------------------------------------------------
@@ -150,19 +157,15 @@ def cmd_choux(args) -> int:
     spec = gasket.ChouxSpec(
         fiber_depth=int(doc["fiber_depth"]),
         gasket_level=int(doc["gasket_level"]),
-        boundary=args.boundary or doc.get("boundary"),
+        boundary=doc.get("boundary") if args.boundary is None else args.boundary,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    per_level = [gasket.choux_numeric_spectrum(spec, level=i) for i in range(spec.fiber_depth + 1)]
+    per_level = gasket.choux_numeric_spectra(spec)
     for i, s in enumerate(per_level):
         (out / f"numeric_depth{i}.csv").write_text(s.to_csv())
-    nest = []
-    for i in range(spec.fiber_depth):
-        rep = verify_nesting(per_level[i], per_level[i + 1], tol=args.tol or 1e-9)
-        nest.append({"lower_level": i, "upper_level": i + 1, **rep.to_dict()})
-    _dump_json(out / "nesting.json", {"reports": nest, "pass": all(r["pass"] for r in nest)})
+    nested = _nesting(out, per_level, args.tol)
 
     # gasket Dirichlet decimation chain up to the requested gasket level
     dirichlet = [
@@ -181,11 +184,11 @@ def cmd_choux(args) -> int:
         "hausdorff_dimension": gasket.hausdorff_dimension(),
         "pass": all(c["pass"] for c in checks),
     })
-    _dump_json(out / "run.json", _run_meta(args, doc))
-    ok = all(r["pass"] for r in nest) and all(c["pass"] for c in checks)
-    print(f"choux: nesting {'pass' if all(r['pass'] for r in nest) else 'FAIL'}, "
-          f"decimation {'pass' if all(c['pass'] for c in checks) else 'FAIL'} -> {out}")
-    return EXIT_OK if ok else EXIT_SOLVER
+    _dump_json(out / "run.json", _run_meta(args, doc, boundary=spec.boundary, tol=args.tol))
+    decimated = all(c["pass"] for c in checks)
+    print(f"choux: nesting {'pass' if nested else 'FAIL'}, "
+          f"decimation {'pass' if decimated else 'FAIL'} -> {out}")
+    return EXIT_OK if nested and decimated else EXIT_SOLVER
 
 
 # -- string ------------------------------------------------------------------
@@ -202,25 +205,21 @@ def cmd_string(args) -> int:
             f"lengths have no common pitch at denominator bound {bound} "
             f"(relative perturbation {perturbation:.3e})"
         )
-    refine = args.refine or int(doc.get("refine", 8))
+    refine = int(doc.get("refine", 8)) if args.refine is None else args.refine
     spec = strings.StringSpec(lengths=rational, mults=[int(m) for m in doc["mults"]], refine=refine)
     if "depth" in doc:
         spec = spec.truncate(int(doc["depth"]))
-    lam_max = args.lambda_max or float(doc.get("lambda_max", 700.0))
+    lam_max = _lambda_max(args, doc, 700.0)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     analytic = strings.string_analytic_spectrum(spec, lam_max)
-    per_level = [strings.stitched_numeric_spectrum(spec, lam_max, level=i, seed=args.seed)
-                 for i in range(spec.depth + 1)]
+    per_level = strings.stitched_numeric_spectra(spec, lam_max, seed=args.seed)
     numeric = per_level[-1]
     iso = strings.isospectrality_report(numeric, analytic, FDModel(pitch=spec.pitch), lam_max)
     iso["length_perturbation"] = perturbation
-    nest = []
-    for i in range(len(per_level) - 1):
-        rep = verify_nesting(per_level[i], per_level[i + 1], tol=args.tol or 1e-9)
-        nest.append({"lower_level": i, "upper_level": i + 1, **rep.to_dict()})
+    nested = _nesting(out, per_level, args.tol)
 
     # zeta table over the analytic spectrum, about zeta_terms terms deep
     n_terms = int(doc.get("zeta_terms", 10**4))
@@ -234,13 +233,11 @@ def cmd_string(args) -> int:
     (out / "analytic.csv").write_text(analytic.to_csv())
     (out / "numeric.csv").write_text(numeric.to_csv())
     _dump_json(out / "isospectrality.json", iso)
-    if nest:
-        _dump_json(out / "nesting.json", {"reports": nest, "pass": all(r["pass"] for r in nest)})
     (out / "zeta.csv").write_text("\n".join(rows) + "\n")
-    _dump_json(out / "run.json", _run_meta(args, doc))
-    ok = iso["pass"] and all(r["pass"] for r in nest)
+    _dump_json(out / "run.json", _run_meta(args, doc, refine=spec.refine, lambda_max=lam_max,
+                                           seed=args.seed, tol=args.tol))
     print(f"string: isospectrality {'pass' if iso['pass'] else 'FAIL'} -> {out}")
-    return EXIT_OK if ok else EXIT_SOLVER
+    return EXIT_OK if iso["pass"] and nested else EXIT_SOLVER
 
 
 # -- verify ------------------------------------------------------------------
@@ -265,7 +262,7 @@ def cmd_verify(args) -> int:
     for csv_path in sorted(out.glob("*.csv")):
         if csv_path.name == "zeta.csv":
             lines = csv_path.read_text().strip().splitlines()
-            if lines[0] != "s,partial_sum,lambda_max":
+            if lines[:1] != ["s,partial_sum,lambda_max"]:
                 failures.append(f"{csv_path.name}: bad header")
             continue
         try:
@@ -315,23 +312,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-level fractal Laplacian spectra: build, solve, verify.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, fn, needs_spec in (
-        ("laakso", cmd_laakso, True),
-        ("choux", cmd_choux, True),
-        ("string", cmd_string, True),
-        ("verify", cmd_verify, False),
-    ):
-        sp = sub.add_parser(name)
-        if needs_spec:
-            sp.add_argument("--spec", required=True, help="path to JSON spec")
+    laakso_p, choux_p, string_p, verify_p = (
+        sub.add_parser(name) for name in ("laakso", "choux", "string", "verify")
+    )
+    for sp, fn in ((laakso_p, cmd_laakso), (choux_p, cmd_choux), (string_p, cmd_string),
+                   (verify_p, cmd_verify)):
+        sp.set_defaults(func=fn)
         sp.add_argument("--out", required=True, help="output directory")
+    verify_p.add_argument("--tol", type=float, default=None,
+                          help="re-check numeric against analytic values at this tolerance")
+    for sp in (laakso_p, choux_p, string_p):
+        sp.add_argument("--spec", required=True, help="path to JSON spec")
+        sp.add_argument("--tol", type=float, default=1e-9, help="nesting tolerance")
+        # choux solves densely and draws no start vector; it keeps the flag
+        # so that one command line serves every solving subcommand
+        sp.add_argument("--seed", type=int, default=eigensolve.DEFAULT_SEED)
+    for sp in (laakso_p, string_p):
         sp.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
         sp.add_argument("--refine", type=int, default=None)
-        sp.add_argument("--pitch", type=float, default=None)
+    for sp in (laakso_p, choux_p):
         sp.add_argument("--boundary", choices=("neumann", "dirichlet"), default=None)
-        sp.add_argument("--seed", type=int, default=eigensolve.DEFAULT_SEED)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.set_defaults(func=fn)
+    laakso_p.add_argument("--pitch", type=float, default=None)
     return p
 
 

@@ -5,6 +5,7 @@ grid, plus LevelLinks recording which level-i vertex/edge covers which
 level-(i-1) vertex/edge.  From a link and two aligned meshes we derive a
 FiberStructure at the node level, which powers the pullback (lift), the
 fiber-averaging projector and the eigenvector origin classification.
+``level_spectra`` is the solve-classify-cluster pipeline every family uses.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .eigensolve import SpectrumList, cluster
 from .errors import IncompatibleMesh, UnclassifiableVector
 from .metric_graph import DiscreteOperator, MetricGraph, Mesh, discretize, graph_operator
 
@@ -204,11 +206,14 @@ def new_subspace_split(
     cluster_rtol: float = 1e-6,
 ):
     """Rotate a whole eigenbasis cluster by cluster and tag each vector as
-    pullback (True) or new at this level (False)."""
+    pullback (True) or new at this level (False).
+
+    The rotation is written into ``vectors`` (no copy of the basis is made)
+    and returned with the flags.
+    """
     values = np.asarray(values, dtype=float)
     vectors = np.asarray(vectors)
     k = len(values)
-    rotated = vectors.copy()
     flags = np.zeros(k, dtype=bool)
     start = 0
     while start < k:
@@ -216,10 +221,10 @@ def new_subspace_split(
         while stop < k and values[stop] - values[stop - 1] <= cluster_rtol * max(1.0, abs(values[stop])):
             stop += 1
         block, bf = split_projector_eigenspaces(vectors[:, start:stop], M, fs, tol)
-        rotated[:, start:stop] = block
+        vectors[:, start:stop] = block
         flags[start:stop] = bf
         start = stop
-    return rotated, flags
+    return vectors, flags
 
 
 def classify_levels(
@@ -237,38 +242,38 @@ def classify_levels(
     Degenerate clusters are rotated in place so every top-level vector is
     classifiable against its own level's projector.
     """
-    k = len(values)
-    origins = np.zeros(k, dtype=int)
-    if not fibers:
-        return origins
-
-    def recurse(level, vals, vecs, idxs):
-        if level == 0:
-            origins[idxs] = 0
-            return
+    origins = np.zeros(len(values), dtype=int)
+    vals, vecs, idxs = np.asarray(values, dtype=float), np.asarray(vectors), np.arange(len(values))
+    for level in range(len(fibers), 0, -1):
         fs = fibers[level - 1]
-        M = ops[level].M
-        # group indices into clusters of (numerically) equal eigenvalues
-        start = 0
-        m = len(vals)
-        while start < m:
-            stop = start + 1
-            while stop < m and vals[stop] - vals[stop - 1] <= cluster_rtol * max(1.0, abs(vals[stop])):
-                stop += 1
-            block = vecs[:, start:stop]
-            rotated, flags = split_projector_eigenspaces(block, M, fs, tol)
-            vecs[:, start:stop] = rotated  # hand the classifiable basis back
-            pull_cols = [j for j, f in enumerate(flags) if f]
-            new_cols = [j for j, f in enumerate(flags) if not f]
-            sub_idx = idxs[start:stop]
-            if new_cols:
-                origins[sub_idx[new_cols]] = level
-            if pull_cols:
-                down = np.column_stack(
-                    [project_down(fs, rotated[:, j]) for j in pull_cols]
-                )
-                recurse(level - 1, vals[start:stop][pull_cols], down, sub_idx[pull_cols])
-            start = stop
-
-    recurse(len(fibers), np.asarray(values, dtype=float), np.asarray(vectors), np.arange(k))
+        # rotates vecs in place, so the caller's basis becomes classifiable
+        _, pulled = new_subspace_split(vals, vecs, ops[level].M, fs, tol, cluster_rtol)
+        origins[idxs[~pulled]] = level
+        if not pulled.any():
+            break
+        vals, idxs = vals[pulled], idxs[pulled]
+        vecs = np.column_stack([project_down(fs, vecs[:, j]) for j in np.flatnonzero(pulled)])
     return origins
+
+
+def level_spectra(
+    ops, fibers, solve, origin: str, meta: dict, levels=None, **cluster_kw
+) -> list[SpectrumList]:
+    """Spectrum of each requested level (default: all) with origin tags.
+
+    ``solve(op)`` returns the EigenPairs of one level's pencil.  Each
+    eigenvector is tagged "base" (pulled back from level 0) or "new@i"
+    (first appearing at level i) before gap clustering; ``origin`` is
+    formatted with the level, ``cluster_kw`` go to ``cluster`` and ``meta``
+    is stored with the inertia count of the solve.
+    """
+    out = []
+    for level in range(len(ops)) if levels is None else levels:
+        pairs = solve(ops[level])
+        origins = classify_levels(pairs.values, pairs.vectors, ops[: level + 1], fibers[:level])
+        tags = ["base" if o == 0 else f"new@{o}" for o in origins]
+        spectrum = cluster(pairs.values, origin=origin.format(level), tags=tags, **cluster_kw)
+        spectrum.meta = {**meta, "inertia_count": pairs.inertia_count}
+        out.append(spectrum)
+        del pairs  # free this level's eigenvectors before the next solve
+    return out

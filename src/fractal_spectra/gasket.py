@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ResolutionTooCoarse
 from .eigensolve import SpectrumList, cluster, solve_dense
-from .fiber import LevelFamily, LevelLink, classify_levels, graph_levels
+from .fiber import LevelFamily, LevelLink, graph_levels, level_spectra
 from .metric_graph import MetricGraph, Vertex, graph_operator
 
 # corners of the gasket; y coordinates are stored as rational multiples of
@@ -227,33 +227,25 @@ def build_choux(spec: ChouxSpec) -> LevelFamily:
     return LevelFamily(graphs=graphs, links=links)
 
 
-def choux_level_solutions(spec: ChouxSpec, level: int | None = None):
-    """Solve the graph-Laplacian pencil of the requested fiber level."""
-    family = build_choux(spec)
-    ops, fibers = graph_levels(family, spec.boundary)
-    if level is None:
-        level = spec.fiber_depth
-    pairs = solve_dense(ops[level])
-    origins = classify_levels(pairs.values, pairs.vectors, ops[: level + 1], fibers[:level])
-    return pairs, origins, ops, fibers
+def choux_levels(spec: ChouxSpec):
+    """Graph-Laplacian pencils of fiber levels 0..i from one build, plus the
+    fiber structures between them."""
+    return graph_levels(build_choux(spec), spec.boundary)
+
+
+def choux_numeric_spectra(spec: ChouxSpec, levels=None) -> list[SpectrumList]:
+    """Probabilistic Laplacian spectra of the glued space's fiber levels
+    (default: all) with origin tags."""
+    ops, fibers = choux_levels(spec)
+    meta = {"fiber_depth": spec.fiber_depth, "gasket_level": spec.gasket_level,
+            "boundary": spec.boundary}
+    return level_spectra(ops, fibers, solve_dense, "numeric(choux,i={})", meta, levels,
+                         truncation=np.inf)
 
 
 def choux_numeric_spectrum(spec: ChouxSpec, level: int | None = None) -> SpectrumList:
-    """Probabilistic Laplacian spectrum of the glued space with origin tags."""
-    pairs, origins, _, _ = choux_level_solutions(spec, level)
-    tags = ["base" if o == 0 else f"new@{o}" for o in origins]
-    out = cluster(
-        pairs.values,
-        origin=f"numeric(choux,i={level if level is not None else spec.fiber_depth})",
-        truncation=np.inf,
-        tags=tags,
-    )
-    out.meta = {
-        "fiber_depth": spec.fiber_depth,
-        "gasket_level": spec.gasket_level,
-        "boundary": spec.boundary,
-    }
-    return out
+    """Spectrum of one fiber level (default: deepest); see choux_numeric_spectra."""
+    return choux_numeric_spectra(spec, [spec.fiber_depth if level is None else level])[0]
 
 
 def hausdorff_dimension() -> float:

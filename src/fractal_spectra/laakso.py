@@ -16,8 +16,8 @@ from itertools import product
 import numpy as np
 
 from .errors import InvalidSequence
-from .eigensolve import DEFAULT_SEED, SpectrumEntry, SpectrumList, cluster, solve_below
-from .fiber import LevelFamily, LevelLink, classify_levels, discretize_levels
+from .eigensolve import DEFAULT_SEED, SpectrumEntry, SpectrumList, solve_below
+from .fiber import LevelFamily, LevelLink, discretize_levels, level_spectra
 from .metric_graph import DIRICHLET, NEUMANN, MetricGraph, Vertex, assemble
 
 
@@ -195,43 +195,32 @@ def laakso_analytic_spectrum(
     )
 
 
-def laakso_level_solutions(
-    spec: LaaksoSpec, lam_max: float, level: int | None = None, seed: int = DEFAULT_SEED
-):
-    """Solve the pencil of the requested level (default: deepest).
+def laakso_levels(spec: LaaksoSpec):
+    """Pencils of levels 0..n at the spec's pitch from one build, plus the
+    fiber structures between them (fibers[i] connects level i+1 to i)."""
+    meshes, fibers = discretize_levels(build_laakso(spec), spec.pitch)
+    return [assemble(m) for m in meshes], fibers
 
-    Returns (pairs, origins, ops, fibers) where origins tags each eigenvector
-    with the level at which it first appears.  ``seed`` draws the start
-    vector of the Krylov solver.
+
+def laakso_numeric_spectra(
+    spec: LaaksoSpec, lam_max: float, levels=None, seed: int = DEFAULT_SEED
+) -> list[SpectrumList]:
+    """Numeric spectra of the requested levels (default: all) with origin tags.
+
+    Eigenvectors are classified into pullbacks (tag "base") and new-at-level
+    vectors (tag "new@i"); multiplicities come from gap clustering.
+    ``seed`` draws the start vector of the Krylov solver.
     """
-    family = build_laakso(spec)
-    meshes, fibers = discretize_levels(family, spec.pitch)
-    ops = [assemble(m) for m in meshes]
-    if level is None:
-        level = spec.depth
-    pairs = solve_below(ops[level], lam_max, seed=seed)
-    origins = classify_levels(pairs.values, pairs.vectors, ops[: level + 1], fibers[:level])
-    return pairs, origins, ops, fibers
+    ops, fibers = laakso_levels(spec)
+    meta = {"j": spec.j, "refine": spec.refine, "boundary": spec.boundary,
+            "zero_mode": "included, outside the analytic family listing"}
+    return level_spectra(ops, fibers, lambda op: solve_below(op, lam_max, seed=seed),
+                         "numeric(laakso,level={})", meta, levels,
+                         truncation=lam_max, pitch=spec.pitch)
 
 
 def laakso_numeric_spectrum(
     spec: LaaksoSpec, lam_max: float, level: int | None = None, seed: int = DEFAULT_SEED
 ) -> SpectrumList:
-    """Numeric spectrum of the level Laplacian with origin tags.
-
-    Eigenvectors are classified into pullbacks (tag "base") and new-at-level
-    vectors (tag "new@i"); multiplicities come from gap clustering.
-    """
-    pairs, origins, _, _ = laakso_level_solutions(spec, lam_max, level, seed)
-    tags = ["base" if o == 0 else f"new@{o}" for o in origins]
-    out = cluster(
-        pairs.values,
-        origin=f"numeric(laakso,level={level if level is not None else spec.depth})",
-        truncation=lam_max,
-        pitch=spec.pitch,
-        tags=tags,
-    )
-    out.meta = {"j": spec.j, "refine": spec.refine, "boundary": spec.boundary,
-                "zero_mode": "included, outside the analytic family listing",
-                "inertia_count": pairs.inertia_count}
-    return out
+    """Numeric spectrum of one level (default: deepest); see laakso_numeric_spectra."""
+    return laakso_numeric_spectra(spec, lam_max, [spec.depth if level is None else level], seed)[0]

@@ -144,7 +144,8 @@ class Mesh:
 
     ``chains[e]`` lists the node indices along edge e from u to v, with -1
     standing for an eliminated Dirichlet vertex.  ``node_keys[i]`` is either
-    ("v", vertex_index) or ("e", edge_index, step).
+    ("v", vertex_index) or ("e", edge_index, step); ``vertex_nodes[vi]`` is
+    the node of vertex vi, or -1.
     """
 
     graph: MetricGraph
@@ -152,13 +153,14 @@ class Mesh:
     node_keys: list
     masses: np.ndarray
     chains: list = field(repr=False, default_factory=list)
+    vertex_nodes: dict = field(repr=False, default_factory=dict)
 
     @property
     def n_nodes(self) -> int:
         return len(self.node_keys)
 
     def vertex_node(self, vi: int) -> int:
-        return self._vertex_nodes[vi]
+        return self.vertex_nodes[vi]
 
 
 def discretize(g: MetricGraph, h: float) -> Mesh:
@@ -209,9 +211,8 @@ def discretize(g: MetricGraph, h: float) -> Mesh:
             if idx >= 0:
                 masses[idx] += cell / 2
 
-    mesh = Mesh(graph=g, pitch=h, node_keys=node_keys, masses=masses, chains=chains)
-    mesh._vertex_nodes = vertex_nodes
-    return mesh
+    return Mesh(graph=g, pitch=h, node_keys=node_keys, masses=masses, chains=chains,
+                vertex_nodes=vertex_nodes)
 
 
 @dataclass
@@ -220,6 +221,7 @@ class DiscreteOperator:
 
     A: sp.csr_matrix
     M: np.ndarray  # diagonal of the mass matrix
+    kept_vertices: list | None = None  # graph vertex of each row (graph_operator only)
 
     @property
     def n(self) -> int:
@@ -294,9 +296,7 @@ def graph_operator(g: MetricGraph, boundary: str | None = None) -> DiscreteOpera
             cols.extend((b, a))
             vals.extend((-e.weight, -e.weight))
     A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr() + sp.diags(diag)
-    op = DiscreteOperator(A=A.tocsr(), M=deg)
-    op.kept_vertices = keep
-    return op
+    return DiscreteOperator(A=A.tocsr(), M=deg, kept_vertices=keep)
 
 
 def dirichlet_energy(d: DiscreteOperator, v: np.ndarray) -> float:

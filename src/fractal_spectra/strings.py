@@ -21,10 +21,9 @@ from .eigensolve import (
     FDModel,
     SpectrumEntry,
     SpectrumList,
-    cluster,
     solve_below,
 )
-from .fiber import LevelFamily, LevelLink, classify_levels, discretize_levels
+from .fiber import LevelFamily, LevelLink, discretize_levels, level_spectra
 from .metric_graph import DIRICHLET, MetricGraph, Vertex, assemble
 
 
@@ -211,37 +210,31 @@ def build_stitched(spec: StringSpec) -> LevelFamily:
     return LevelFamily(graphs=graphs, links=links)
 
 
-def stitched_level_solutions(
-    spec: StringSpec, lam_max: float, level: int | None = None, seed: int = DEFAULT_SEED
-):
-    """Solve the stitched pencil at the requested truncation level; ``seed``
-    draws the start vector of the Krylov solver."""
-    family = build_stitched(spec)
-    meshes, fibers = discretize_levels(family, spec.pitch)
-    ops = [assemble(m) for m in meshes]
-    if level is None:
-        level = spec.depth
-    pairs = solve_below(ops[level], lam_max, seed=seed)
-    origins = classify_levels(pairs.values, pairs.vectors, ops[: level + 1], fibers[:level])
-    return pairs, origins, ops, fibers
+def stitched_levels(spec: StringSpec):
+    """Pencils of levels 0..N at the spec's pitch from one build, plus the
+    fiber structures between them (fibers[i] connects level i+1 to i)."""
+    meshes, fibers = discretize_levels(build_stitched(spec), spec.pitch)
+    return [assemble(m) for m in meshes], fibers
+
+
+def stitched_numeric_spectra(
+    spec: StringSpec, lam_max: float, levels=None, seed: int = DEFAULT_SEED
+) -> list[SpectrumList]:
+    """Numeric spectra of the stitched levels (default: all), tagged by
+    origin level; ``seed`` draws the start vector of the Krylov solver."""
+    ops, fibers = stitched_levels(spec)
+    meta = {"lengths": [str(l) for l in spec.lengths], "mults": spec.mults, "refine": spec.refine}
+    return level_spectra(ops, fibers, lambda op: solve_below(op, lam_max, seed=seed),
+                         "numeric(string,level={})", meta, levels,
+                         truncation=lam_max, pitch=spec.pitch)
 
 
 def stitched_numeric_spectrum(
     spec: StringSpec, lam_max: float, level: int | None = None, seed: int = DEFAULT_SEED
 ) -> SpectrumList:
-    """Numeric spectrum of the stitched space, tagged by origin level."""
-    pairs, origins, _, _ = stitched_level_solutions(spec, lam_max, level, seed)
-    tags = ["base" if o == 0 else f"new@{o}" for o in origins]
-    out = cluster(
-        pairs.values,
-        origin=f"numeric(string,level={level if level is not None else spec.depth})",
-        truncation=lam_max,
-        pitch=spec.pitch,
-        tags=tags,
-    )
-    out.meta = {"lengths": [str(l) for l in spec.lengths], "mults": spec.mults,
-                "refine": spec.refine, "inertia_count": pairs.inertia_count}
-    return out
+    """Numeric spectrum of one level (default: deepest); see stitched_numeric_spectra."""
+    level = spec.depth if level is None else level
+    return stitched_numeric_spectra(spec, lam_max, [level], seed)[0]
 
 
 def isospectrality_report(

@@ -117,19 +117,17 @@ def test_criterion_3_exact_nesting():
 def test_criterion_4_fiber_decomposition():
     with criterion(4, "fiber projector classification and commutator"):
         cases = []
-        pairs, _, ops, fibers = laakso.laakso_level_solutions(
-            laakso.LaaksoSpec(j=[2, 2], refine=8), 200.0
-        )
-        cases.append((pairs, ops[-1], fibers[-1]))
-        pairs, _, ops, fibers = gasket.choux_level_solutions(
-            gasket.ChouxSpec(fiber_depth=2, gasket_level=2)
-        )
-        cases.append((pairs, ops[-1], fibers[-1]))
-        pairs, _, ops, fibers = strings.stitched_level_solutions(
-            strings.StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 1], refine=8),
-            700.0,
-        )
-        cases.append((pairs, ops[-1], fibers[-1]))
+        for (ops, fibers), solve in (
+            (laakso.laakso_levels(laakso.LaaksoSpec(j=[2, 2], refine=8)),
+             lambda op: solve_below(op, 200.0)),
+            (gasket.choux_levels(gasket.ChouxSpec(fiber_depth=2, gasket_level=2)), solve_dense),
+            (strings.stitched_levels(
+                strings.StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 1], refine=8)),
+             lambda op: solve_below(op, 700.0)),
+        ):
+            pairs = solve(ops[-1])
+            fiber.classify_levels(pairs.values, pairs.vectors, ops, fibers)
+            cases.append((pairs, ops[-1], fibers[-1]))
 
         rng = np.random.default_rng(0)
         for pairs, op, fs in cases:

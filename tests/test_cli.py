@@ -1,11 +1,12 @@
 """End-to-end command-line tests: artifacts, determinism, exit codes."""
 
+import collections
 import filecmp
 import json
 
 import pytest
 
-from fractal_spectra import cli
+from fractal_spectra import cli, eigensolve, gasket, laakso, strings
 
 
 def write_spec(tmp_path, name, doc):
@@ -83,6 +84,42 @@ class TestLaakso:
         with pytest.raises(SystemExit):
             cli.main(["laakso", "--spec", spec, "--out", str(tmp_path / "o"), "--threads", "2"])
 
+    def test_run_json_records_values_in_effect(self, laakso_run):
+        _, out = laakso_run
+        run = json.loads((out / "run.json").read_text())
+        assert run["refine"] == 32 and run["lambda_max"] == 120.0
+        assert run["boundary"] == "neumann" and run["tol"] == 1e-9
+        assert run["seed"] == eigensolve.DEFAULT_SEED
+
+    def test_explicit_zero_refine_is_not_replaced(self, laakso_run, tmp_path):
+        spec, _ = laakso_run
+        # refinement 0 is invalid; it must not fall back to the spec's 32
+        code = cli.main(["laakso", "--spec", spec, "--out", str(tmp_path / "o"), "--refine", "0"])
+        assert code == 2
+
+    def test_explicit_zero_tol_is_not_replaced(self, laakso_run, tmp_path, monkeypatch):
+        spec, _ = laakso_run
+        tols = []
+
+        def spy(lower, upper, tol):
+            tols.append(tol)
+            return eigensolve.verify_nesting(lower, upper, tol=tol)
+
+        monkeypatch.setattr(cli, "verify_nesting", spy)
+        cli.main(["laakso", "--spec", spec, "--out", str(tmp_path / "o"), "--tol", "0"])
+        assert tols == [0.0]
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_lambda_max_flag_rejected(self, laakso_run, tmp_path, value):
+        spec, _ = laakso_run
+        code = cli.main(["laakso", "--spec", spec, "--out", str(tmp_path / "o"),
+                         "--lambda-max", value])
+        assert code == 2
+
+    def test_nonpositive_lambda_max_in_spec_rejected(self, tmp_path):
+        spec = write_spec(tmp_path, "bad.json", {"j": [2], "lambda_max": -5})
+        assert cli.main(["laakso", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
+
 
 class TestChoux:
     def test_run_and_verify(self, tmp_path):
@@ -100,6 +137,14 @@ class TestChoux:
     def test_missing_key_rejected(self, tmp_path):
         spec = write_spec(tmp_path, "bad.json", {"fiber_depth": 1})
         assert cli.main(["choux", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
+
+    def test_seed_is_accepted_and_has_no_effect(self, tmp_path):
+        spec = write_spec(tmp_path, "spec.json", {"fiber_depth": 1, "gasket_level": 2})
+        outs = [tmp_path / "seed1", tmp_path / "seed2"]
+        for seed, out in zip(("1", "2"), outs):
+            assert cli.main(["choux", "--spec", spec, "--out", str(out), "--seed", seed]) == 0
+        for f in sorted(outs[0].iterdir()):
+            assert filecmp.cmp(f, outs[1] / f.name, shallow=False), f.name
 
 
 class TestString:
@@ -129,6 +174,12 @@ class TestString:
         spec = write_spec(tmp_path, "bad.json", {"lengths": [0.25, 0.5], "mults": [1, 1]})
         assert cli.main(["string", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
 
+    def test_nonpositive_lambda_max_rejected(self, tmp_path):
+        spec = write_spec(tmp_path, "spec.json", {"lengths": [0.5], "mults": [1]})
+        code = cli.main(["string", "--spec", spec, "--out", str(tmp_path / "o"),
+                         "--lambda-max", "-5"])
+        assert code == 2
+
 
 class TestVerify:
     def test_missing_run_json(self, tmp_path):
@@ -149,3 +200,52 @@ class TestVerify:
         (tmp_path / "run.json").write_text("{}")
         (tmp_path / "report.json").write_text('{"pass": false}')
         assert cli.main(["verify", "--out", str(tmp_path)]) == 1
+
+    def test_empty_zeta_csv_fails(self, tmp_path, capsys):
+        (tmp_path / "run.json").write_text("{}")
+        (tmp_path / "zeta.csv").write_text("")
+        assert cli.main(["verify", "--out", str(tmp_path)]) == 1
+        assert "verify: FAIL zeta.csv: bad header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("choux", "--pitch", "0.1"),
+    ("choux", "--refine", "4"),
+    ("choux", "--lambda-max", "10"),
+    ("string", "--pitch", "0.1"),
+    ("string", "--boundary", "neumann"),
+    ("verify", "--lambda-max", "10"),
+    ("verify", "--refine", "4"),
+    ("verify", "--pitch", "0.1"),
+    ("verify", "--boundary", "neumann"),
+    ("verify", "--seed", "1"),
+])
+def test_flag_without_effect_is_rejected(tmp_path, command, flag, value):
+    argv = [command, "--out", str(tmp_path / "o"), flag, value]
+    if command != "verify":
+        argv += ["--spec", write_spec(tmp_path, "spec.json", {})]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+def test_each_run_builds_its_family_once(tmp_path, monkeypatch):
+    calls = collections.Counter()
+    for module, name in ((laakso, "build_laakso"), (strings, "build_stitched"),
+                         (gasket, "build_choux")):
+        def counted(*args, _build=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    runs = {
+        "laakso": {"j": [2, 2], "refine": 8, "lambda_max": 200.0},
+        "string": {"lengths": [0.5, 0.25], "mults": [1, 2], "refine": 8,
+                   "lambda_max": 700.0, "zeta_terms": 100},
+        "choux": {"fiber_depth": 2, "gasket_level": 2},
+    }
+    for command, doc in runs.items():
+        spec = write_spec(tmp_path, f"{command}.json", doc)
+        assert cli.main([command, "--spec", spec, "--out", str(tmp_path / command)]) == 0
+    # laakso also builds the family at half the refinement for its error estimate
+    assert dict(calls) == {"build_laakso": 2, "build_stitched": 1, "build_choux": 1}

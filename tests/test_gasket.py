@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from fractal_spectra.eigensolve import verify_nesting
+from fractal_spectra.eigensolve import solve_dense, verify_nesting
 from fractal_spectra.errors import ResolutionTooCoarse
+from fractal_spectra.fiber import classify_levels
 from fractal_spectra.gasket import (
     ChouxSpec,
     build_choux,
     build_gasket,
-    choux_level_solutions,
+    choux_levels,
     choux_numeric_spectrum,
     decimation_branch,
     decimation_check,
@@ -121,7 +122,9 @@ class TestChoux:
 
     def test_new_vectors_vanish_at_glued_vertices(self):
         spec = ChouxSpec(fiber_depth=1, gasket_level=2)
-        pairs, origins, ops, fibers = choux_level_solutions(spec)
+        ops, fibers = choux_levels(spec)
+        pairs = solve_dense(ops[-1])
+        origins = classify_levels(pairs.values, pairs.vectors, ops, fibers)
         # collapsed vertices are exactly the fixed points of the fiber swap;
         # mean-zero (new) vectors must vanish there
         fixed = np.where(np.bincount(fibers[0].parent) == 1)[0]

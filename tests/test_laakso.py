@@ -7,12 +7,12 @@ import pytest
 
 from fractal_spectra.eigensolve import FDModel, compare_spectra, solve_below, verify_nesting
 from fractal_spectra.errors import InvalidSequence
-from fractal_spectra.fiber import fiber_project
+from fractal_spectra.fiber import classify_levels, fiber_project
 from fractal_spectra.laakso import (
     LaaksoSpec,
     build_laakso,
     laakso_analytic_spectrum,
-    laakso_level_solutions,
+    laakso_levels,
     laakso_numeric_spectrum,
     wormhole_table,
 )
@@ -171,7 +171,9 @@ class TestNumericSpectrum:
 
     def test_new_vectors_killed_by_projection(self):
         spec = LaaksoSpec(j=[2], refine=8)
-        pairs, origins, ops, fibers = laakso_level_solutions(spec, 30 * PI2, level=1)
+        ops, fibers = laakso_levels(spec)
+        pairs = solve_below(ops[1], 30 * PI2)
+        origins = classify_levels(pairs.values, pairs.vectors, ops[:2], fibers[:1])
         assert np.any(origins == 1)
         for idx in np.where(origins == 1)[0]:
             v = pairs.vectors[:, idx]
@@ -180,7 +182,9 @@ class TestNumericSpectrum:
     def test_pullback_count_matches_lower_level(self):
         spec = LaaksoSpec(j=[2, 2], refine=4)
         lam_max = 40 * PI2
-        pairs, origins, ops, _ = laakso_level_solutions(spec, lam_max, level=2)
+        ops, fibers = laakso_levels(spec)
+        pairs = solve_below(ops[2], lam_max)
+        origins = classify_levels(pairs.values, pairs.vectors, ops[:3], fibers[:2])
         lower = solve_below(ops[1], lam_max)
         assert int(np.sum(origins <= 1)) == len(lower.values)
 

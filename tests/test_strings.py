@@ -4,14 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fractal_spectra.eigensolve import FDModel, counting_function, verify_nesting
+from fractal_spectra.eigensolve import FDModel, counting_function, solve_below, verify_nesting
 from fractal_spectra.errors import DivergentRange, InfeasibleNesting
+from fractal_spectra.fiber import classify_levels
 from fractal_spectra.strings import (
     StringSpec,
     build_stitched,
     isospectrality_report,
     rationalize,
-    stitched_level_solutions,
+    stitched_levels,
     stitched_numeric_spectrum,
     string_analytic_spectrum,
     zeta_partial,
@@ -141,7 +142,9 @@ class TestNumericSpectrum:
 
     def test_new_vectors_vanish_at_attachments(self):
         spec = StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 1], refine=8)
-        pairs, origins, ops, fibers = stitched_level_solutions(spec, 700.0)
+        ops, fibers = stitched_levels(spec)
+        pairs = solve_below(ops[-1], 700.0)
+        origins = classify_levels(pairs.values, pairs.vectors, ops, fibers)
         fs = fibers[-1]
         fixed = np.where(np.bincount(fs.parent) == 1)[0]
         for idx in np.where(origins == len(fibers))[0]:
