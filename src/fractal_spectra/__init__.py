@@ -13,7 +13,6 @@ from .eigensolve import (
     counting_function,
     richardson,
     solve_below,
-    solve_dense,
     verify_nesting,
 )
 from .fiber import (

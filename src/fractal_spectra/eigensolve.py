@@ -1,14 +1,15 @@
-"""Generalized symmetric eigensolvers and spectrum bookkeeping.
+"""Generalized symmetric eigensolver and spectrum bookkeeping.
 
 The lumped mass matrix is diagonal, so the pencil A v = lambda M v reduces
 exactly to the standard symmetric problem S y = lambda y with
-S = M^{-1/2} A M^{-1/2}, y = M^{1/2} v.  ``solve_dense`` hands all of S to
-LAPACK.  ``solve_below`` returns the part of the spectrum below a cutoff and
+S = M^{-1/2} A M^{-1/2}, y = M^{1/2} v.  Every eigenproblem goes through
+``solve_below``, which returns the part of the spectrum below a cutoff and
 proves it complete: it first counts the eigenvalues below the cutoff exactly,
 from the Sylvester inertia of S - lambda_max I, then computes them with
-LAPACK's subset solver for small problems or with shift-invert ARPACK
-(``eigsh`` about a negative shift, started from a seeded vector) for large
-ones, and refuses any result whose length differs from the count.
+LAPACK (the whole spectrum when the count is n, the subset solver for other
+small problems) or with shift-invert ARPACK (``eigsh`` about a negative
+shift, started from a seeded vector) for large ones, and refuses any result
+whose length differs from the count.
 """
 
 from __future__ import annotations
@@ -23,16 +24,9 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (
-    BeyondTruncation,
-    MisalignedMeshes,
-    NoConvergence,
-    NotPositiveMass,
-    TooLargeForDense,
-)
+from .errors import BeyondTruncation, MisalignedMeshes, NoConvergence, NotPositiveMass
 from .metric_graph import DiscreteOperator
 
-DENSE_THRESHOLD = 4000
 DEFAULT_SEED = 20260826
 #: solve_below takes LAPACK's subset solver up to this many unknowns and
 #: shift-invert ARPACK above it; on Laakso and string pencils the two break
@@ -54,8 +48,7 @@ class EigenPairs:
 
     values: np.ndarray
     vectors: np.ndarray  # shape (n, k)
-    M: np.ndarray
-    inertia_count: int | None = None  # N(lam_max) from the inertia, when solve_below ran
+    inertia_count: int  # N(lam_max) from the inertia of S - lam_max I
 
     def residuals(self, op: DiscreteOperator) -> np.ndarray:
         R = op.A @ self.vectors - (op.M[:, None] * self.vectors) * self.values[None, :]
@@ -103,12 +96,17 @@ class SpectrumList:
         return buf.getvalue()
 
     @classmethod
-    def from_csv(cls, text: str, truncation: float = np.inf, pitch=None) -> "SpectrumList":
+    def from_csv(cls, text: str, truncation: float | None = None, pitch=None) -> "SpectrumList":
+        """Read a spectrum CSV.  The file does not store the truncation, so
+        without an explicit one the largest listed eigenvalue stands in: the
+        list is known to be complete only up to there."""
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or rows[0] != ["eigenvalue", "multiplicity", "tag", "source"]:
             raise ValueError("bad spectrum CSV header")
         entries = [SpectrumEntry(float(r[0]), int(r[1]), r[2]) for r in rows[1:]]
         origin = rows[1][3] if len(rows) > 1 else "unknown"
+        if truncation is None:
+            truncation = entries[-1].value if entries else -np.inf
         return cls(entries=entries, origin=origin, truncation=truncation, pitch=pitch)
 
     def to_json(self) -> str:
@@ -152,19 +150,6 @@ def _standard_form(d: DiscreteOperator):
     return S, ms
 
 
-def solve_dense(d: DiscreteOperator, k: int | None = None, threshold: int = DENSE_THRESHOLD) -> EigenPairs:
-    """All (or k smallest) eigenpairs via LAPACK on M^{-1/2} A M^{-1/2}."""
-    n = d.n
-    if n > threshold:
-        raise TooLargeForDense(f"{n} nodes exceeds dense threshold {threshold}")
-    S, ms = _standard_form(d)
-    w, Q = scipy.linalg.eigh(S.toarray())
-    if k is not None:
-        w, Q = w[:k], Q[:, :k]
-    vecs = ms[:, None] * Q
-    return EigenPairs(values=w, vectors=vecs, M=d.M)
-
-
 def _count_below(S, cut: float) -> int:
     """Number of eigenvalues of the symmetric matrix S below ``cut``.
 
@@ -189,34 +174,34 @@ def _count_below(S, cut: float) -> int:
     return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
-def solve_below(
-    d: DiscreteOperator,
-    lam_max: float,
-    threshold: int = EIGSH_THRESHOLD,
-    seed: int = DEFAULT_SEED,
-) -> EigenPairs:
+def solve_below(d: DiscreteOperator, lam_max: float, seed: int = DEFAULT_SEED) -> EigenPairs:
     """All eigenpairs with eigenvalue <= lam_max, proven complete.
 
     The exact count N(lam_max) comes first, from the inertia of S - cut*I.
-    Pencils of at most ``threshold`` unknowns then take LAPACK's subset
-    solver; larger ones take ARPACK in shift-invert mode about a negative
-    shift, started from a seeded vector and with k grown until exactly the
-    counted number of values lie below the cut (pencils too small for that
-    margin also go to LAPACK).  A result whose length differs from the count
-    (for instance one copy short of a repeated eigenvalue) raises
-    NoConvergence instead of being returned.
+    When it is n (lam_max bounds the spectrum) LAPACK returns the whole
+    spectrum; otherwise pencils of at most EIGSH_THRESHOLD unknowns take
+    LAPACK's subset solver and larger ones take ARPACK in shift-invert mode
+    about a negative shift, started from a seeded vector and with k grown
+    until exactly the counted number of values lie below the cut (pencils
+    too small for that margin also go to LAPACK).  A result whose length
+    differs from the count (for instance one copy short of a repeated
+    eigenvalue) raises NoConvergence instead of being returned.
     """
     n = d.n
     S, ms = _standard_form(d)
     cut = lam_max * (1 + 1e-12)
     count = _count_below(S, cut)
-    if n <= threshold or count + EIGSH_MARGIN >= n:
+    if count == n:
+        # no value range: a range sends LAPACK through bisection, which
+        # moves the last bits of a full spectrum
+        w, Y = scipy.linalg.eigh(S.toarray())
+    elif n <= EIGSH_THRESHOLD or count + EIGSH_MARGIN >= n:
         w, Y = scipy.linalg.eigh(S.toarray(), subset_by_value=(-np.inf, cut))
     else:
         w, Y = _eigsh_below(S, cut, count, seed)
     if len(w) != count:
         raise NoConvergence(0, f"{len(w)} eigenvalues <= {lam_max!r} found, inertia counts {count}")
-    return EigenPairs(values=w, vectors=ms[:, None] * Y, M=d.M, inertia_count=count)
+    return EigenPairs(values=w, vectors=ms[:, None] * Y, inertia_count=count)
 
 
 def _eigsh_below(S, cut: float, count: int, seed: int):
@@ -250,6 +235,17 @@ def _eigsh_below(S, cut: float, count: int, seed: int):
 # -- bookkeeping --------------------------------------------------------------
 
 
+def gap_runs(values, rtol: float) -> list[tuple[int, int]]:
+    """(start, stop) index runs of a sorted array: a value joins the run of
+    its predecessor when v[j] - v[j-1] <= rtol * max(1, |v[j]|)."""
+    v = np.asarray(values, dtype=float)
+    if not len(v):
+        return []
+    joins = np.diff(v) <= rtol * np.maximum(1.0, np.abs(v[1:]))
+    bounds = [0, *(np.flatnonzero(~joins) + 1).tolist(), len(v)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def cluster(
     eigs,
     rel_tol: float = 1e-7,
@@ -267,12 +263,7 @@ def cluster(
     if np.any(np.diff(eigs) < 0):
         raise ValueError("input eigenvalues must be sorted")
     entries = []
-    i = 0
-    n = len(eigs)
-    while i < n:
-        j = i + 1
-        while j < n and eigs[j] - eigs[j - 1] <= rel_tol * max(1.0, abs(eigs[j])):
-            j += 1
+    for i, j in gap_runs(eigs, rel_tol):
         val = float(np.mean(eigs[i:j]))
         if tags is not None:
             labels = {}
@@ -282,7 +273,6 @@ def cluster(
         else:
             tag = ""
         entries.append(SpectrumEntry(val, j - i, tag))
-        i = j
     return SpectrumList(entries=entries, origin=origin, truncation=truncation, pitch=pitch)
 
 

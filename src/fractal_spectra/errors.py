@@ -45,10 +45,6 @@ class MisalignedMeshes(FractalSpectraError):
     """Spectra were computed at different pitches and cannot be nested."""
 
 
-class TooLargeForDense(FractalSpectraError):
-    """Problem size exceeds the dense-solver threshold."""
-
-
 class NotPositiveMass(FractalSpectraError):
     """Mass matrix has a non-positive diagonal entry."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolve import SpectrumList, cluster
+from .eigensolve import DEFAULT_SEED, SpectrumList, cluster, gap_runs, solve_below
 from .errors import IncompatibleMesh, UnclassifiableVector
 from .metric_graph import DiscreteOperator, MetricGraph, Mesh, discretize, graph_operator
 
@@ -213,17 +213,11 @@ def new_subspace_split(
     """
     values = np.asarray(values, dtype=float)
     vectors = np.asarray(vectors)
-    k = len(values)
-    flags = np.zeros(k, dtype=bool)
-    start = 0
-    while start < k:
-        stop = start + 1
-        while stop < k and values[stop] - values[stop - 1] <= cluster_rtol * max(1.0, abs(values[stop])):
-            stop += 1
+    flags = np.zeros(len(values), dtype=bool)
+    for start, stop in gap_runs(values, cluster_rtol):
         block, bf = split_projector_eigenspaces(vectors[:, start:stop], M, fs, tol)
         vectors[:, start:stop] = block
         flags[start:stop] = bf
-        start = stop
     return vectors, flags
 
 
@@ -257,19 +251,21 @@ def classify_levels(
 
 
 def level_spectra(
-    ops, fibers, solve, origin: str, meta: dict, levels=None, **cluster_kw
+    ops, fibers, lam_max: float, origin: str, meta: dict, levels=None,
+    seed: int = DEFAULT_SEED, **cluster_kw
 ) -> list[SpectrumList]:
-    """Spectrum of each requested level (default: all) with origin tags.
+    """Spectrum below ``lam_max`` of each requested level (default: all)
+    with origin tags.
 
-    ``solve(op)`` returns the EigenPairs of one level's pencil.  Each
-    eigenvector is tagged "base" (pulled back from level 0) or "new@i"
+    Each level's pencil goes through ``solve_below(op, lam_max, seed)``.
+    Each eigenvector is tagged "base" (pulled back from level 0) or "new@i"
     (first appearing at level i) before gap clustering; ``origin`` is
     formatted with the level, ``cluster_kw`` go to ``cluster`` and ``meta``
     is stored with the inertia count of the solve.
     """
     out = []
     for level in range(len(ops)) if levels is None else levels:
-        pairs = solve(ops[level])
+        pairs = solve_below(ops[level], lam_max, seed)
         origins = classify_levels(pairs.values, pairs.vectors, ops[: level + 1], fibers[:level])
         tags = ["base" if o == 0 else f"new@{o}" for o in origins]
         spectrum = cluster(pairs.values, origin=origin.format(level), tags=tags, **cluster_kw)

@@ -18,9 +18,14 @@ from itertools import product
 import numpy as np
 
 from .errors import ResolutionTooCoarse
-from .eigensolve import SpectrumList, cluster, solve_dense
+from .eigensolve import SpectrumList, cluster, solve_below
 from .fiber import LevelFamily, LevelLink, graph_levels, level_spectra
 from .metric_graph import MetricGraph, Vertex, graph_operator
+
+#: the probabilistic Laplacian I - D^{-1} W of any graph has its spectrum in
+#: [0, 2], so solving below this bound returns every eigenpair, with the
+#: inertia count proving the list complete
+SPECTRAL_BOUND = 2.0
 
 # corners of the gasket; y coordinates are stored as rational multiples of
 # sqrt(3) so midpoint subdivision stays exact
@@ -135,7 +140,7 @@ def gasket_graph_spectrum(g: GasketGraph, boundary: str | None = None) -> Spectr
     """
     mg, _, _, _ = _gasket_metric_graph(g, 0, boundary)
     op = graph_operator(mg, boundary)
-    pairs = solve_dense(op)
+    pairs = solve_below(op, SPECTRAL_BOUND)
     out = cluster(pairs.values, origin=f"numeric(gasket,m={g.level})", truncation=np.inf)
     out.meta = {"gasket_level": g.level, "boundary": boundary, "normalization": "probabilistic"}
     return out
@@ -239,7 +244,7 @@ def choux_numeric_spectra(spec: ChouxSpec, levels=None) -> list[SpectrumList]:
     ops, fibers = choux_levels(spec)
     meta = {"fiber_depth": spec.fiber_depth, "gasket_level": spec.gasket_level,
             "boundary": spec.boundary}
-    return level_spectra(ops, fibers, solve_dense, "numeric(choux,i={})", meta, levels,
+    return level_spectra(ops, fibers, SPECTRAL_BOUND, "numeric(choux,i={})", meta, levels,
                          truncation=np.inf)
 
 

@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .errors import InvalidSequence
-from .eigensolve import DEFAULT_SEED, SpectrumEntry, SpectrumList, solve_below
+from .eigensolve import DEFAULT_SEED, SpectrumEntry, SpectrumList
 from .fiber import LevelFamily, LevelLink, discretize_levels, level_spectra
 from .metric_graph import DIRICHLET, NEUMANN, MetricGraph, Vertex, assemble
 
@@ -214,8 +214,7 @@ def laakso_numeric_spectra(
     ops, fibers = laakso_levels(spec)
     meta = {"j": spec.j, "refine": spec.refine, "boundary": spec.boundary,
             "zero_mode": "included, outside the analytic family listing"}
-    return level_spectra(ops, fibers, lambda op: solve_below(op, lam_max, seed=seed),
-                         "numeric(laakso,level={})", meta, levels,
+    return level_spectra(ops, fibers, lam_max, "numeric(laakso,level={})", meta, levels, seed,
                          truncation=lam_max, pitch=spec.pitch)
 
 

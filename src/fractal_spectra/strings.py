@@ -16,13 +16,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import DivergentRange, InfeasibleNesting, NoCommonPitch
-from .eigensolve import (
-    DEFAULT_SEED,
-    FDModel,
-    SpectrumEntry,
-    SpectrumList,
-    solve_below,
-)
+from .eigensolve import DEFAULT_SEED, FDModel, SpectrumEntry, SpectrumList
 from .fiber import LevelFamily, LevelLink, discretize_levels, level_spectra
 from .metric_graph import DIRICHLET, MetricGraph, Vertex, assemble
 
@@ -224,8 +218,7 @@ def stitched_numeric_spectra(
     origin level; ``seed`` draws the start vector of the Krylov solver."""
     ops, fibers = stitched_levels(spec)
     meta = {"lengths": [str(l) for l in spec.lengths], "mults": spec.mults, "refine": spec.refine}
-    return level_spectra(ops, fibers, lambda op: solve_below(op, lam_max, seed=seed),
-                         "numeric(string,level={})", meta, levels,
+    return level_spectra(ops, fibers, lam_max, "numeric(string,level={})", meta, levels, seed,
                          truncation=lam_max, pitch=spec.pitch)
 
 

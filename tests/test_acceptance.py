@@ -21,7 +21,6 @@ from fractal_spectra.eigensolve import (
     compare_spectra,
     richardson,
     solve_below,
-    solve_dense,
     verify_nesting,
 )
 from fractal_spectra.metric_graph import Edge, MetricGraph, Vertex, assemble, discretize
@@ -53,13 +52,14 @@ def test_criterion_1_interval_oracle():
     with criterion(1, "interval FD oracle, order-2 convergence"):
         t0 = time.perf_counter()
         h = 1.0 / 128
-        vals = solve_dense(interval_operator(h)).values
+        # the FD eigenvalues (2/h^2)(1 - cos(k pi h)) all lie below 4/h^2
+        vals = solve_below(interval_operator(h), 4 / h**2).values
         k = np.arange(1, len(vals) + 1)
         exact_fd = (2.0 / h**2) * (1.0 - np.cos(k * math.pi * h))
         assert np.max(np.abs(vals[:20] / exact_fd[:20] - 1.0)) <= 1e-10
         continuum = (k[:20] * math.pi) ** 2
         err_h = np.abs(vals[:20] - continuum)
-        vals2 = solve_dense(interval_operator(h / 2)).values[:20]
+        vals2 = solve_below(interval_operator(h / 2), 4 / (h / 2) ** 2).values[:20]
         err_h2 = np.abs(vals2 - continuum)
         ratio = err_h / err_h2
         assert np.all(ratio >= 3.6) and np.all(ratio <= 4.4)
@@ -120,7 +120,8 @@ def test_criterion_4_fiber_decomposition():
         for (ops, fibers), solve in (
             (laakso.laakso_levels(laakso.LaaksoSpec(j=[2, 2], refine=8)),
              lambda op: solve_below(op, 200.0)),
-            (gasket.choux_levels(gasket.ChouxSpec(fiber_depth=2, gasket_level=2)), solve_dense),
+            (gasket.choux_levels(gasket.ChouxSpec(fiber_depth=2, gasket_level=2)),
+             lambda op: solve_below(op, gasket.SPECTRAL_BOUND)),
             (strings.stitched_levels(
                 strings.StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 1], refine=8)),
              lambda op: solve_below(op, 700.0)),

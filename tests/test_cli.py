@@ -232,7 +232,7 @@ def test_flag_without_effect_is_rejected(tmp_path, command, flag, value):
 def test_each_run_builds_its_family_once(tmp_path, monkeypatch):
     calls = collections.Counter()
     for module, name in ((laakso, "build_laakso"), (strings, "build_stitched"),
-                         (gasket, "build_choux")):
+                         (gasket, "build_choux"), (strings, "string_analytic_spectrum")):
         def counted(*args, _build=getattr(module, name), _name=name):
             calls[_name] += 1
             return _build(*args)
@@ -247,5 +247,8 @@ def test_each_run_builds_its_family_once(tmp_path, monkeypatch):
     for command, doc in runs.items():
         spec = write_spec(tmp_path, f"{command}.json", doc)
         assert cli.main([command, "--spec", spec, "--out", str(tmp_path / command)]) == 0
-    # laakso also builds the family at half the refinement for its error estimate
-    assert dict(calls) == {"build_laakso": 2, "build_stitched": 1, "build_choux": 1}
+    # laakso also builds the family at half the refinement for its error
+    # estimate; string lists the analytic spectrum once to lambda_max and
+    # once to the depth of the zeta table
+    assert dict(calls) == {"build_laakso": 2, "build_stitched": 1, "build_choux": 1,
+                           "string_analytic_spectrum": 2}

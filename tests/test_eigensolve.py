@@ -7,6 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from fractal_spectra import eigensolve
 from fractal_spectra.eigensolve import (
     FDModel,
     SpectrumEntry,
@@ -14,11 +15,11 @@ from fractal_spectra.eigensolve import (
     cluster,
     compare_spectra,
     counting_function,
+    gap_runs,
     _count_below,
     _standard_form,
     richardson,
     solve_below,
-    solve_dense,
     verify_nesting,
 )
 from fractal_spectra.errors import (
@@ -26,8 +27,8 @@ from fractal_spectra.errors import (
     MisalignedMeshes,
     NoConvergence,
     NotPositiveMass,
-    TooLargeForDense,
 )
+from fractal_spectra.gasket import SPECTRAL_BOUND, ChouxSpec, choux_levels
 from fractal_spectra.laakso import LaaksoSpec, build_laakso
 from fractal_spectra.metric_graph import (
     DIRICHLET,
@@ -39,6 +40,7 @@ from fractal_spectra.metric_graph import (
     discretize,
 )
 from fractal_spectra.strings import StringSpec, build_stitched
+from lapack_reference import generalized_eigh
 
 
 def interval_pencil(h, boundary):
@@ -65,76 +67,104 @@ def random_pencil(n, seed, mult=1):
     return DiscreteOperator(A=A, M=M), vals
 
 
+def whole_spectrum(d):
+    """solve_below with a cut above the spectrum: the Gershgorin bound of
+    M^{-1} A, whose eigenvalues are those of the pencil."""
+    return solve_below(d, float(np.max(np.ravel(abs(d.A).sum(axis=1)) / d.M)))
+
+
+@pytest.fixture
+def eigsh_threshold(monkeypatch):
+    """Set the size above which solve_below takes eigsh (0: always)."""
+    return lambda n: monkeypatch.setattr(eigensolve, "EIGSH_THRESHOLD", n)
+
+
 class TestDense:
+    """solve_below with a cut above the spectrum returns every eigenpair."""
+
     def test_three_node_dirichlet_path(self):
         d = interval_pencil(0.25, DIRICHLET)
-        pairs = solve_dense(d)
+        pairs = whole_spectrum(d)
         expect = [9.372583002030481, 32.0, 54.62741699796952]
         assert pairs.values == pytest.approx(expect, rel=1e-12)
         assert pairs.values == pytest.approx(fd_dirichlet(0.25), rel=1e-12)
 
     def test_one_by_one(self):
         d = DiscreteOperator(A=sp.csr_matrix(np.array([[2.0]])), M=np.array([1.0]))
-        assert solve_dense(d).values == pytest.approx([2.0])
+        assert whole_spectrum(d).values == pytest.approx([2.0])
 
     def test_neumann_zero_ground_state(self):
-        pairs = solve_dense(interval_pencil(0.125, NEUMANN))
+        pairs = whole_spectrum(interval_pencil(0.125, NEUMANN))
         assert abs(pairs.values[0]) < 1e-12
         v0 = pairs.vectors[:, 0]
         assert np.ptp(v0 / v0[0]) < 1e-10  # constant eigenvector
 
     def test_residuals_and_m_orthogonality(self):
         d = interval_pencil(1 / 32, NEUMANN)
-        pairs = solve_dense(d)
+        pairs = whole_spectrum(d)
+        assert len(pairs.values) == pairs.inertia_count == d.n
         assert pairs.residuals(d).max() < 1e-8
         G = pairs.vectors.T @ (d.M[:, None] * pairs.vectors)
         assert np.abs(G - np.eye(G.shape[0])).max() < 1e-10
 
-    def test_threshold_enforced(self):
-        d, _ = random_pencil(30, 0)
-        with pytest.raises(TooLargeForDense):
-            solve_dense(d, threshold=10)
-
     def test_nonpositive_mass_rejected(self):
         d = DiscreteOperator(A=sp.identity(3, format="csr"), M=np.array([1.0, 0.0, 1.0]))
         with pytest.raises(NotPositiveMass):
-            solve_dense(d)
+            solve_below(d, 2.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_full_spectrum_is_lapacks_full_solve(self, m):
+        """A cut above the spectrum returns all n pairs bit for bit as LAPACK's
+        full solver gives them (a value range would take bisection)."""
+        d = choux_levels(ChouxSpec(fiber_depth=0, gasket_level=m, boundary="dirichlet"))[0][0]
+        S, ms = _standard_form(d)
+        w, Y = scipy.linalg.eigh(S.toarray())
+        pairs = solve_below(d, SPECTRAL_BOUND)
+        assert pairs.inertia_count == len(pairs.values) == d.n
+        assert np.array_equal(pairs.values, w)
+        assert np.array_equal(pairs.vectors, ms[:, None] * Y)
 
 
 class TestLanczos:
-    """solve_below against the dense route; threshold=0 forces shift-invert eigsh."""
+    """solve_below against LAPACK's generalized solver; an EIGSH_THRESHOLD of
+    0 forces shift-invert eigsh."""
 
-    def test_matches_dense_on_interval(self):
+    def test_matches_dense_on_interval(self, eigsh_threshold):
         d = interval_pencil(1 / 64, DIRICHLET)
-        dense = solve_dense(d, 13)
-        cut = 0.5 * (dense.values[11] + dense.values[12])
-        lz = solve_below(d, cut, threshold=0)
-        assert lz.values == pytest.approx(dense.values[:12], rel=1e-8)
+        dense, _ = generalized_eigh(d)
+        cut = 0.5 * (dense[11] + dense[12])
+        eigsh_threshold(0)
+        lz = solve_below(d, cut)
+        assert lz.values == pytest.approx(dense[:12], rel=1e-8)
 
-    def test_k1_neumann_zero(self):
-        pairs = solve_below(interval_pencil(1 / 16, NEUMANN), 1.0, threshold=0)
+    def test_k1_neumann_zero(self, eigsh_threshold):
+        eigsh_threshold(0)
+        pairs = solve_below(interval_pencil(1 / 16, NEUMANN), 1.0)
         assert len(pairs.values) == 1
         assert abs(pairs.values[0]) < 1e-10
 
     @pytest.mark.parametrize("seed", range(50))
-    def test_random_pencils_fifty_seeds(self, seed):
+    def test_random_pencils_fifty_seeds(self, seed, eigsh_threshold):
         d, _ = random_pencil(100, seed)
-        dense = solve_dense(d, 10)
-        lz = solve_below(d, 10.5, threshold=0, seed=1000 + seed)
-        assert lz.values == pytest.approx(dense.values, rel=1e-8)
+        dense, _ = generalized_eigh(d)
+        eigsh_threshold(0)
+        lz = solve_below(d, 10.5, seed=1000 + seed)
+        assert lz.values == pytest.approx(dense[:10], rel=1e-8)
 
     @pytest.mark.parametrize("dense_route", [False, True])
-    def test_multiplicities_recovered(self, dense_route):
+    def test_multiplicities_recovered(self, dense_route, eigsh_threshold):
         d, vals = random_pencil(200, 42, mult=4)
-        dense = solve_dense(d, 16)
-        lz = solve_below(d, 4.5, threshold=10**6 if dense_route else 0)
-        assert lz.values == pytest.approx(dense.values, rel=1e-8)
+        dense, _ = generalized_eigh(d)
+        eigsh_threshold(10**6 if dense_route else 0)
+        lz = solve_below(d, 4.5)
+        assert lz.values == pytest.approx(dense[:16], rel=1e-8)
         assert lz.values == pytest.approx(np.sort(vals)[:16], rel=1e-9)
 
-    def test_solve_dispatcher_routes_by_size(self):
+    def test_solve_dispatcher_routes_by_size(self, eigsh_threshold):
         d, _ = random_pencil(60, 3)
         via_dense = solve_below(d, 5.5)
-        via_eigsh = solve_below(d, 5.5, threshold=10)
+        eigsh_threshold(10)
+        via_eigsh = solve_below(d, 5.5)
         assert via_eigsh.values == pytest.approx(via_dense.values, rel=1e-8)
 
     def test_solve_below_collects_all(self):
@@ -148,11 +178,11 @@ class TestLanczos:
     def test_inertia_count_matches_dense(self, cut):
         d, _ = random_pencil(200, 42, mult=4)
         S, _ = _standard_form(d)
-        dense = solve_dense(d).values
+        dense, _ = generalized_eigh(d)
         assert _count_below(S, cut) == np.count_nonzero(dense <= cut)
 
     @pytest.mark.parametrize("family", ["laakso", "string"])
-    def test_eigsh_matches_dense_subset_on_family_pencils(self, family):
+    def test_eigsh_matches_dense_subset_on_family_pencils(self, family, eigsh_threshold):
         if family == "laakso":
             spec = LaaksoSpec(j=[2, 2], refine=16)
             fam, lam_max = build_laakso(spec), 230.0
@@ -160,16 +190,19 @@ class TestLanczos:
             spec = StringSpec([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)], [1, 2, 1], refine=16)
             fam, lam_max = build_stitched(spec), 2000.0
         d = assemble(discretize(fam.graphs[-1], spec.pitch))
-        dense = solve_below(d, lam_max, threshold=10**6)
-        krylov = solve_below(d, lam_max, threshold=0)
+        eigsh_threshold(10**6)
+        dense = solve_below(d, lam_max)
+        eigsh_threshold(0)
+        krylov = solve_below(d, lam_max)
         assert krylov.inertia_count == dense.inertia_count == len(dense.values) == len(krylov.values)
         assert np.all(np.abs(krylov.values - dense.values) <= 1e-9 * np.maximum(1.0, dense.values))
         assert krylov.residuals(d).max() <= 1e-8 * lam_max
 
-    def test_same_seed_is_bit_identical(self):
+    def test_same_seed_is_bit_identical(self, eigsh_threshold):
         d, _ = random_pencil(200, 42, mult=4)
-        a = solve_below(d, 6.5, threshold=0, seed=7)
-        b = solve_below(d, 6.5, threshold=0, seed=7)
+        eigsh_threshold(0)
+        a = solve_below(d, 6.5, seed=7)
+        b = solve_below(d, 6.5, seed=7)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.vectors, b.vectors)
 
@@ -178,7 +211,7 @@ class TestLanczos:
         [(spla, "eigsh", 0), (scipy.linalg, "eigh", 10**6)],
         ids=["eigsh", "dense"],
     )
-    def test_missing_copy_is_refused(self, monkeypatch, module, name, threshold):
+    def test_missing_copy_is_refused(self, monkeypatch, eigsh_threshold, module, name, threshold):
         """A result one copy short of a repeated eigenvalue is never returned."""
         d, _ = random_pencil(200, 42, mult=4)
         solver = getattr(module, name)
@@ -189,8 +222,9 @@ class TestLanczos:
             return np.delete(w, j), np.delete(Y, j, axis=1)
 
         monkeypatch.setattr(module, name, drop_a_copy)
+        eigsh_threshold(threshold)
         with pytest.raises(NoConvergence):
-            solve_below(d, 4.5, threshold=threshold)
+            solve_below(d, 4.5)
 
 
 class TestCluster:
@@ -205,6 +239,11 @@ class TestCluster:
     def test_tag_counts(self):
         s = cluster(np.array([4.0, 4.0, 9.0]), tags=["base", "new@1", "base"])
         assert s.entries[0].tag == "basex1;new@1x1"
+
+    def test_gap_runs(self):
+        v = [0.0, 1e-9, 1.0, 1.0 + 5e-8, 1.0 + 1e-7, 3.0, 300.0, 300.0 + 2e-5]
+        assert gap_runs(v, 1e-7) == [(0, 2), (2, 5), (5, 6), (6, 8)]
+        assert gap_runs([], 1e-7) == []
 
 
 class TestNesting:
@@ -310,6 +349,13 @@ class TestSerialization:
         s2 = SpectrumList.from_json(s.to_json())
         assert [e.value for e in s2.entries] == [e.value for e in s.entries]
         assert s2.pitch == s.pitch
+
+    def test_reread_csv_counts_only_up_to_its_last_value(self):
+        s2 = SpectrumList.from_csv(self._spectrum().to_csv())
+        assert s2.truncation == 9.0
+        assert counting_function(s2, 9.0) == 3
+        with pytest.raises(BeyondTruncation):
+            counting_function(s2, 9.5)
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):

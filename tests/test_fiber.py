@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fractal_spectra.eigensolve import solve_dense
 from fractal_spectra.fiber import (
     classify_levels,
     discretize_levels,
@@ -13,6 +12,7 @@ from fractal_spectra.fiber import (
 )
 from fractal_spectra.laakso import LaaksoSpec, build_laakso
 from fractal_spectra.metric_graph import assemble, dirichlet_energy
+from lapack_reference import generalized_eigh
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +55,8 @@ class TestLiftProject:
 
     def test_lift_intertwines_eigenpairs(self, level_pair):
         ops, fs = level_pair
-        pairs = solve_dense(ops[0])
-        for lam, u in zip(pairs.values, pairs.vectors.T):
+        values, vectors = generalized_eigh(ops[0])
+        for lam, u in zip(values, vectors.T):
             v = lift(fs, u)
             res = np.linalg.norm(ops[1].A @ v - lam * ops[1].M * v)
             assert res <= 1e-10 * max(1.0, np.linalg.norm(v))
@@ -140,8 +140,8 @@ class TestFiberProjection:
 class TestClassification:
     def test_split_flags_lifted_and_new(self, level_pair):
         ops, fs = level_pair
-        pairs = solve_dense(ops[1])
-        rotated, flags = new_subspace_split(pairs.values, pairs.vectors, ops[1].M, fs)
+        values, vectors = generalized_eigh(ops[1])
+        rotated, flags = new_subspace_split(values, vectors, ops[1].M, fs)
         # pullback count equals the level-0 problem size
         assert int(np.sum(flags == 1)) == ops[0].n
         for j, flag in enumerate(flags):
@@ -154,7 +154,7 @@ class TestClassification:
 
     def test_classify_levels_origins(self, level_pair):
         ops, fs = level_pair
-        pairs = solve_dense(ops[1])
-        origins = classify_levels(pairs.values, pairs.vectors, ops, [fs])
+        values, vectors = generalized_eigh(ops[1])
+        origins = classify_levels(values, vectors, ops, [fs])
         assert sorted(set(origins)) == [0, 1]
         assert int(np.sum(origins == 0)) == ops[0].n

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from fractal_spectra.eigensolve import solve_dense, verify_nesting
+from fractal_spectra.eigensolve import solve_below, verify_nesting
 from fractal_spectra.errors import ResolutionTooCoarse
 from fractal_spectra.fiber import classify_levels
 from fractal_spectra.gasket import (
+    SPECTRAL_BOUND,
     ChouxSpec,
     build_choux,
     build_gasket,
@@ -123,7 +124,7 @@ class TestChoux:
     def test_new_vectors_vanish_at_glued_vertices(self):
         spec = ChouxSpec(fiber_depth=1, gasket_level=2)
         ops, fibers = choux_levels(spec)
-        pairs = solve_dense(ops[-1])
+        pairs = solve_below(ops[-1], SPECTRAL_BOUND)
         origins = classify_levels(pairs.values, pairs.vectors, ops, fibers)
         # collapsed vertices are exactly the fixed points of the fiber swap;
         # mean-zero (new) vectors must vanish there

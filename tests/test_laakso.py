@@ -8,14 +8,17 @@ import pytest
 from fractal_spectra.eigensolve import FDModel, compare_spectra, solve_below, verify_nesting
 from fractal_spectra.errors import InvalidSequence
 from fractal_spectra.fiber import classify_levels, fiber_project
+from fractal_spectra.gasket import ChouxSpec, choux_numeric_spectra
 from fractal_spectra.laakso import (
     LaaksoSpec,
     build_laakso,
     laakso_analytic_spectrum,
     laakso_levels,
+    laakso_numeric_spectra,
     laakso_numeric_spectrum,
     wormhole_table,
 )
+from fractal_spectra.strings import StringSpec, stitched_numeric_spectra
 
 PI2 = math.pi**2
 
@@ -160,9 +163,17 @@ class TestNumericSpectrum:
         vals = [e.value / PI2 for e in numeric.entries if e.value > 1e-9][:4]
         assert vals == pytest.approx([1, 4, 9, 16], rel=1e-3)
 
-    def test_multiplicities_add_up_to_inertia_count(self, run):
-        _, _, numeric = run
-        assert numeric.meta["inertia_count"] == numeric.total_multiplicity()
+    @pytest.mark.parametrize("family", ["laakso", "string", "choux"])
+    def test_multiplicities_add_up_to_inertia_count(self, family):
+        if family == "laakso":
+            per_level = laakso_numeric_spectra(LaaksoSpec(j=[2], refine=64), 20 * PI2)
+        elif family == "string":
+            spec = StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 2], refine=8)
+            per_level = stitched_numeric_spectra(spec, 700.0)
+        else:
+            per_level = choux_numeric_spectra(ChouxSpec(fiber_depth=2, gasket_level=3))
+        for numeric in per_level:
+            assert numeric.meta["inertia_count"] == numeric.total_multiplicity()
 
     def test_zero_mode_multiplicity_one(self, run):
         _, _, numeric = run
