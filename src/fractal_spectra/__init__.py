@@ -20,11 +20,13 @@ from .fiber import (
     LevelFamily,
     LevelLink,
     classify_levels,
+    contrast_basis,
     discretize_levels,
     fiber_complement,
     fiber_project,
     graph_levels,
     lift,
+    new_blocks,
     new_subspace_split,
     project_down,
 )

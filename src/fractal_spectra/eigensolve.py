@@ -191,17 +191,21 @@ def solve_below(d: DiscreteOperator, lam_max: float, seed: int = DEFAULT_SEED) -
     S, ms = _standard_form(d)
     cut = lam_max * (1 + 1e-12)
     count = _count_below(S, cut)
+    # the dense branches hand LAPACK a Fortran-ordered array that it may
+    # overwrite (a C-ordered one it would copy first) and Y is scaled in
+    # place, so a whole spectrum holds two n x n arrays, not three
     if count == n:
         # no value range: a range sends LAPACK through bisection, which
         # moves the last bits of a full spectrum
-        w, Y = scipy.linalg.eigh(S.toarray())
+        w, Y = scipy.linalg.eigh(S.toarray(order="F"), overwrite_a=True)
     elif n <= EIGSH_THRESHOLD or count + EIGSH_MARGIN >= n:
-        w, Y = scipy.linalg.eigh(S.toarray(), subset_by_value=(-np.inf, cut))
+        w, Y = scipy.linalg.eigh(S.toarray(order="F"), overwrite_a=True, subset_by_value=(-np.inf, cut))
     else:
         w, Y = _eigsh_below(S, cut, count, seed)
     if len(w) != count:
         raise NoConvergence(0, f"{len(w)} eigenvalues <= {lam_max!r} found, inertia counts {count}")
-    return EigenPairs(values=w, vectors=ms[:, None] * Y, inertia_count=count)
+    Y *= ms[:, None]
+    return EigenPairs(values=w, vectors=Y, inertia_count=count)
 
 
 def _eigsh_below(S, cut: float, count: int, seed: int):

@@ -5,7 +5,14 @@ grid, plus LevelLinks recording which level-i vertex/edge covers which
 level-(i-1) vertex/edge.  From a link and two aligned meshes we derive a
 FiberStructure at the node level, which powers the pullback (lift), the
 fiber-averaging projector and the eigenvector origin classification.
-``level_spectra`` is the solve-classify-cluster pipeline every family uses.
+
+``level_spectra`` is the pipeline every family uses.  The fiber projector P
+splits the level-i space into range(P), which carries the level-(i-1)
+spectrum unchanged, and ker(P), which carries the eigenvalues new at level
+i; so it solves level 0 once and then only the ker(P) block of each level
+(``new_blocks``), and each eigenvalue's origin is known from where it was
+solved.  The full-pencil solve followed by ``classify_levels`` finds the
+same origins independently and is kept as the reference that checks it.
 """
 
 from __future__ import annotations
@@ -13,10 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .eigensolve import DEFAULT_SEED, SpectrumList, cluster, gap_runs, solve_below
 from .errors import IncompatibleMesh, UnclassifiableVector
 from .metric_graph import DiscreteOperator, MetricGraph, Mesh, discretize, graph_operator
+
+#: relative tolerance of the two checks that make the split of a level
+#: pencil by the fiber projector exact (see ``new_blocks``)
+SPLIT_RTOL = 1e-12
 
 
 @dataclass
@@ -62,9 +75,13 @@ class FiberStructure:
 
 def _check(fs: FiberStructure, v: np.ndarray, n: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.shape != (n,):
-        raise IncompatibleMesh(f"vector of length {v.shape} does not fit {n} nodes")
+    if v.ndim not in (1, 2) or v.shape[0] != n:
+        raise IncompatibleMesh(f"array of shape {v.shape} does not fit {n} nodes")
     return v
+
+
+# The four maps below take one node vector (n,) or a block of them (n, m),
+# one vector per column.
 
 
 def lift(fs: FiberStructure, u: np.ndarray) -> np.ndarray:
@@ -76,9 +93,10 @@ def lift(fs: FiberStructure, u: np.ndarray) -> np.ndarray:
 def project_down(fs: FiberStructure, v: np.ndarray) -> np.ndarray:
     """Average a level-i node vector over the fiber, landing at level i-1."""
     v = _check(fs, v, fs.n_high)
-    out = np.zeros(fs.n_low)
-    np.add.at(out, fs.parent, fs.copy_weight * v)
-    return out
+    average = sp.csr_matrix(
+        (fs.copy_weight, (fs.parent, np.arange(fs.n_high))), shape=(fs.n_low, fs.n_high)
+    )
+    return average @ v
 
 
 def fiber_project(fs: FiberStructure, v: np.ndarray) -> np.ndarray:
@@ -90,6 +108,38 @@ def fiber_project(fs: FiberStructure, v: np.ndarray) -> np.ndarray:
 def fiber_complement(fs: FiberStructure, v: np.ndarray) -> np.ndarray:
     """Mean-zero component v - P v; kernel of the fiber projector."""
     return _check(fs, v, fs.n_high) - fiber_project(fs, v)
+
+
+def contrast_basis(fs: FiberStructure) -> sp.csr_matrix:
+    """Euclidean-orthonormal basis of the fiber-mean-zero vectors: Helmert
+    contrasts on each fiber, ``n_high - n_low`` columns in all.
+
+    A fiber of copies c_0..c_{s-1} (ascending node order) gets s - 1 columns;
+    column k has 1/sqrt(k(k+1)) on c_0..c_{k-1} and -k/sqrt(k(k+1)) on c_k,
+    so two copies give (e_a - e_b)/sqrt(2).  Collapsed nodes get no column.
+    Columns run fiber by fiber in the order of the lower-level nodes.
+    """
+    counts = np.bincount(fs.parent, minlength=fs.n_low)
+    members = np.argsort(fs.parent, kind="stable")  # fiber by fiber, ascending
+    first = np.cumsum(counts) - counts
+    first_col = np.cumsum(counts - 1) - (counts - 1)
+    rows, cols, vals = [], [], []
+    for s in np.unique(counts[counts > 1]):
+        fibers = np.flatnonzero(counts == s)
+        nodes = members[first[fibers, None] + np.arange(s)]  # (fibers, s)
+        k = np.arange(1, s)
+        helmert = np.triu(np.ones((s, s - 1))) * (1.0 / np.sqrt(k * (k + 1)))
+        helmert[k, k - 1] = -k / np.sqrt(k * (k + 1))
+        r, c = np.nonzero(helmert)
+        rows.append(nodes[:, r].ravel())
+        cols.append((first_col[fibers, None] + c).ravel())
+        vals.append(np.tile(helmert[r, c], len(fibers)))
+    shape = (fs.n_high, fs.n_high - fs.n_low)
+    if not rows:
+        return sp.csr_matrix(shape)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
+    )
 
 
 def mesh_fiber_structure(mesh_hi: Mesh, mesh_lo: Mesh, link: LevelLink) -> FiberStructure:
@@ -178,8 +228,8 @@ def split_projector_eigenspaces(vectors: np.ndarray, M: np.ndarray, fs: FiberStr
     invariant subspace of the pencil.  Returns (rotated vectors, flags) where
     flags[j] is True for pullback (P v = v) and False for new (P v = 0).
     """
-    n, m = vectors.shape
-    PV = np.column_stack([fiber_project(fs, vectors[:, j]) for j in range(m)])
+    m = vectors.shape[1]
+    PV = fiber_project(fs, vectors)
     G = vectors.T @ (M[:, None] * PV)
     G = 0.5 * (G + G.T)
     mu, Q = np.linalg.eigh(G)
@@ -246,8 +296,43 @@ def classify_levels(
         if not pulled.any():
             break
         vals, idxs = vals[pulled], idxs[pulled]
-        vecs = np.column_stack([project_down(fs, vecs[:, j]) for j in np.flatnonzero(pulled)])
+        vecs = project_down(fs, vecs[:, pulled])
     return origins
+
+
+def new_blocks(op_hi: DiscreteOperator, op_lo: DiscreteOperator, fs: FiberStructure):
+    """The ker(P) block of the level pencil ``op_hi``, split into connected
+    components: the pencils whose eigenvalues are new at this level.
+
+    With Q = contrast_basis(fs) the block is (Q^T A Q, diag(Q^T M Q)).  The
+    split is exact when two things hold, and both are checked first:
+    the lift U intertwines the pencils, A_hi U = M_hi U M_lo^{-1} A_lo (so
+    range(U) is invariant and carries the spectrum of ``op_lo``), and all
+    copies in a fiber have equal mass (so Q^T M Q is diagonal and range(U)
+    is M-orthogonal to range(Q)).  Then S_hi is orthogonally similar to
+    S_lo plus the blocks, and their inertia counts add up.  Either check
+    failing raises IncompatibleMesh.
+    """
+    n_hi = fs.n_high
+    U = sp.csr_matrix((np.ones(n_hi), (np.arange(n_hi), fs.parent)), shape=(n_hi, fs.n_low))
+    lhs = op_hi.A @ U
+    rhs = sp.diags(op_hi.M) @ U @ sp.diags(1.0 / op_lo.M) @ op_lo.A
+    scale = abs(lhs).max() if lhs.nnz else 0.0
+    if abs(lhs - rhs).max() > SPLIT_RTOL * scale:
+        raise IncompatibleMesh(f"level {fs.level}: the lift does not intertwine the level pencils")
+    if np.max(np.abs(op_hi.M - lift(fs, project_down(fs, op_hi.M))) / op_hi.M) > SPLIT_RTOL:
+        raise IncompatibleMesh(f"level {fs.level}: copies in a fiber have unequal mass")
+    Q = contrast_basis(fs)
+    if not Q.shape[1]:
+        return []
+    A = Q.T @ op_hi.A @ Q
+    A = (0.5 * (A + A.T)).tocsr()  # the two triangles may differ in their last bits
+    A.eliminate_zeros()
+    M = Q.multiply(Q).T @ op_hi.M
+    n_comp, labels = connected_components(A, directed=False)
+    order = np.argsort(labels, kind="stable")
+    parts = np.split(order, np.cumsum(np.bincount(labels, minlength=n_comp))[:-1])
+    return [DiscreteOperator(A=A[idx][:, idx], M=M[idx]) for idx in parts]
 
 
 def level_spectra(
@@ -257,19 +342,29 @@ def level_spectra(
     """Spectrum below ``lam_max`` of each requested level (default: all)
     with origin tags.
 
-    Each level's pencil goes through ``solve_below(op, lam_max, seed)``.
-    Each eigenvector is tagged "base" (pulled back from level 0) or "new@i"
-    (first appearing at level i) before gap clustering; ``origin`` is
-    formatted with the level, ``cluster_kw`` go to ``cluster`` and ``meta``
-    is stored with the inertia count of the solve.
+    Level 0 is solved whole and each level i >= 1 only through its
+    ``new_blocks``, each component by ``solve_below(block, lam_max, seed)``;
+    levels above the highest requested one are not touched.  Level i's
+    spectrum is the union of the level-0 values (tag "base") and the block
+    values of levels 1..i (tag "new@k"), gap-clustered by ``cluster`` with
+    ``cluster_kw``; its ``meta`` is ``meta`` plus the summed inertia count.
+    ``origin`` is formatted with the level.
     """
+    levels = range(len(ops)) if levels is None else list(levels)
+    values, tags, counts = [], [], []
+    for level in range(max(levels, default=-1) + 1):
+        blocks = [ops[0]] if level == 0 else new_blocks(ops[level], ops[level - 1], fibers[level - 1])
+        pairs = [solve_below(block, lam_max, seed) for block in blocks]
+        values.append(np.concatenate([p.values for p in pairs] or [np.zeros(0)]))
+        tags.append("base" if level == 0 else f"new@{level}")
+        counts.append(sum(p.inertia_count for p in pairs))
     out = []
-    for level in range(len(ops)) if levels is None else levels:
-        pairs = solve_below(ops[level], lam_max, seed)
-        origins = classify_levels(pairs.values, pairs.vectors, ops[: level + 1], fibers[:level])
-        tags = ["base" if o == 0 else f"new@{o}" for o in origins]
-        spectrum = cluster(pairs.values, origin=origin.format(level), tags=tags, **cluster_kw)
-        spectrum.meta = {**meta, "inertia_count": pairs.inertia_count}
+    for level in levels:
+        vals = np.concatenate(values[: level + 1])
+        labels = np.repeat(tags[: level + 1], [len(v) for v in values[: level + 1]])
+        order = np.argsort(vals, kind="stable")
+        spectrum = cluster(vals[order], origin=origin.format(level), tags=labels[order].tolist(),
+                           **cluster_kw)
+        spectrum.meta = {**meta, "inertia_count": sum(counts[: level + 1])}
         out.append(spectrum)
-        del pairs  # free this level's eigenvectors before the next solve
     return out

@@ -24,6 +24,7 @@ from fractal_spectra.eigensolve import (
     verify_nesting,
 )
 from fractal_spectra.metric_graph import Edge, MetricGraph, Vertex, assemble, discretize
+from level_reference import assert_matches_reference
 
 
 @contextlib.contextmanager
@@ -93,25 +94,29 @@ def test_criterion_2_laakso_reproduction():
 
 
 def test_criterion_3_exact_nesting():
+    """The package builds each level's spectrum from the level below, so
+    nesting holds by construction; every level is therefore also held to
+    the independent route (full-pencil solve, classify_levels, cluster)."""
     with criterion(3, "exact spectral nesting at aligned pitch"):
         chains = []
         lspec = laakso.LaaksoSpec(j=[2, 2, 2], refine=8)
-        chains.append([laakso.laakso_numeric_spectrum(lspec, 200.0, level=i)
-                       for i in range(4)])
+        chains.append(([laakso.laakso_numeric_spectrum(lspec, 200.0, level=i)
+                        for i in range(4)], laakso.laakso_levels(lspec), 200.0))
         cspec = gasket.ChouxSpec(fiber_depth=2, gasket_level=2)
-        chains.append([gasket.choux_numeric_spectrum(cspec, level=i)
-                       for i in range(3)])
+        chains.append(([gasket.choux_numeric_spectrum(cspec, level=i)
+                        for i in range(3)], gasket.choux_levels(cspec), gasket.SPECTRAL_BOUND))
         sspec = strings.StringSpec(
             [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)], [1, 1, 1], refine=8
         )
-        chains.append([strings.stitched_numeric_spectrum(sspec, 700.0, level=i)
-                       for i in range(4)])
-        for chain in chains:
+        chains.append(([strings.stitched_numeric_spectrum(sspec, 700.0, level=i)
+                        for i in range(4)], strings.stitched_levels(sspec), 700.0))
+        for chain, (ops, fibers), lam_max in chains:
             for lo, hi in zip(chain, chain[1:]):
                 rep = verify_nesting(lo, hi, tol=1e-9)
                 assert rep.ok, rep.to_dict()
                 assert rep.unmatched_lower == []
                 assert rep.max_deviation <= 1e-9
+            assert_matches_reference(chain, ops, fibers, lam_max)
 
 
 def test_criterion_4_fiber_decomposition():

@@ -1,18 +1,29 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from fractal_spectra import gasket, laakso, strings
+from fractal_spectra.errors import IncompatibleMesh
 from fractal_spectra.fiber import (
+    FiberStructure,
     classify_levels,
+    contrast_basis,
     discretize_levels,
     fiber_complement,
     fiber_project,
+    level_spectra,
     lift,
+    new_blocks,
     new_subspace_split,
     project_down,
 )
 from fractal_spectra.laakso import LaaksoSpec, build_laakso
-from fractal_spectra.metric_graph import assemble, dirichlet_energy
+from fractal_spectra.metric_graph import DiscreteOperator, assemble, dirichlet_energy
 from lapack_reference import generalized_eigh
+from level_reference import assert_matches_reference
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +77,23 @@ class TestLiftProject:
         v = rand(ops[1].n, 5)
         w = fiber_complement(fs, v)
         assert project_down(fs, w) == pytest.approx(np.zeros(ops[0].n), abs=1e-14)
+
+
+    def test_blocks_of_vectors_map_column_by_column(self, level_pair):
+        ops, fs = level_pair
+        rng = np.random.default_rng(3)
+        V, U = rng.standard_normal((ops[1].n, 5)), rng.standard_normal((ops[0].n, 5))
+        for fn, block in ((project_down, V), (fiber_project, V), (fiber_complement, V), (lift, U)):
+            whole = fn(fs, block)
+            assert whole.shape[1] == 5
+            for j in range(5):
+                assert np.array_equal(whole[:, j], fn(fs, block[:, j]))
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2), (1, 1, 1)])
+    def test_wrong_shape_rejected(self, level_pair, shape):
+        _, fs = level_pair
+        with pytest.raises(IncompatibleMesh):
+            project_down(fs, np.zeros(shape))
 
 
 class TestFiberProjection:
@@ -158,3 +186,92 @@ class TestClassification:
         origins = classify_levels(values, vectors, ops, [fs])
         assert sorted(set(origins)) == [0, 1]
         assert int(np.sum(origins == 0)) == ops[0].n
+
+
+STRINGS_213 = strings.StringSpec([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)], [2, 1, 3], refine=8)
+THETA = strings.StringSpec([Fraction(1, 2)], [3], refine=8)  # three copies of one segment
+CHOUX_24D = gasket.ChouxSpec(fiber_depth=2, gasket_level=4, boundary="dirichlet")
+
+
+class TestContrastBasis:
+    @pytest.mark.parametrize("case, copies", [("laakso", 2), ("theta", 3), ("strings_213", 4)])
+    def test_orthonormal_mean_zero_and_counted(self, case, copies):
+        """Laakso fibers have two copies; the theta string has three and
+        strings [1/2, 1/4, 1/8] x [2, 1, 3] four at its top level."""
+        fibers = {
+            "laakso": lambda: laakso.laakso_levels(LaaksoSpec(j=[3, 2], refine=4))[1],
+            "theta": lambda: strings.stitched_levels(THETA)[1],
+            "strings_213": lambda: strings.stitched_levels(STRINGS_213)[1],
+        }[case]()
+        sizes = set()
+        for fs in fibers:
+            Q = contrast_basis(fs)
+            assert Q.shape == (fs.n_high, fs.n_high - fs.n_low)
+            dense = Q.toarray()
+            assert np.abs(dense.T @ dense - np.eye(Q.shape[1])).max() <= 1e-14
+            assert np.abs(fiber_project(fs, dense)).max() <= 1e-14
+            assert not dense[fs.collapsed].any()  # collapsed nodes: no column
+            sizes |= set(np.bincount(fs.parent).tolist())
+        assert max(sizes) == copies
+
+    def test_two_copies_give_normalized_difference(self):
+        fs = FiberStructure(1, 2, 1, 2, np.array([0, 0]), np.array([0.5, 0.5]))
+        assert contrast_basis(fs).toarray() == pytest.approx(np.array([[1], [-1]]) / np.sqrt(2))
+
+    def test_helmert_columns_of_three_copies(self):
+        fs = FiberStructure(1, 3, 2, 4, np.array([1, 0, 1, 1]), np.array([1 / 3, 1, 1 / 3, 1 / 3]))
+        expect = np.zeros((4, 2))
+        expect[[0, 2], 0] = [1 / np.sqrt(2), -1 / np.sqrt(2)]
+        expect[[0, 2, 3], 1] = np.array([1, 1, -2]) / np.sqrt(6)
+        assert contrast_basis(fs).toarray() == pytest.approx(expect, abs=1e-16)
+
+
+class TestBlockRoute:
+    @pytest.mark.parametrize("case", ["laakso_j23", "strings_213", "theta", "choux_24_dirichlet"])
+    def test_matches_full_pencil_route_on_every_level(self, case):
+        if case == "laakso_j23":
+            spec, lam_max = LaaksoSpec(j=[2, 3], refine=8), 200.0
+            (ops, fibers), numeric = laakso.laakso_levels(spec), laakso.laakso_numeric_spectra(spec, lam_max)
+        elif case == "choux_24_dirichlet":
+            lam_max = gasket.SPECTRAL_BOUND
+            (ops, fibers), numeric = gasket.choux_levels(CHOUX_24D), gasket.choux_numeric_spectra(CHOUX_24D)
+        else:
+            spec, lam_max = {"strings_213": STRINGS_213, "theta": THETA}[case], 700.0
+            (ops, fibers), numeric = strings.stitched_levels(spec), strings.stitched_numeric_spectra(spec, lam_max)
+        assert_matches_reference(numeric, ops, fibers, lam_max)
+
+    def test_perturbed_stiffness_is_refused(self):
+        ops, fibers = laakso.laakso_levels(LaaksoSpec(j=[2, 2], refine=4))
+        A = ops[2].A.tolil()
+        i = 7
+        j = A.rows[i][0] if A.rows[i][0] != i else A.rows[i][-1]
+        A[i, j] *= 1 + 1e-9
+        A[j, i] = A[i, j]
+        broken = ops[:2] + [replace(ops[2], A=A.tocsr())]
+        level_spectra(ops, fibers, 200.0, "{}", {})  # the unbroken levels pass
+        with pytest.raises(IncompatibleMesh, match="intertwine"):
+            level_spectra(broken, fibers, 200.0, "{}", {})
+        with pytest.raises(IncompatibleMesh, match="intertwine"):
+            new_blocks(broken[2], broken[1], fibers[1])
+
+    def test_unequal_copy_masses_are_refused(self):
+        """Two copies over one node: the lift intertwines whatever the copy
+        masses are, but only equal ones let the contrast block carry the new
+        eigenvalue (with masses 1, 2 it is 1.5 w, the block would say 4/3 w)."""
+        fs = FiberStructure(1, 2, 1, 2, np.array([0, 0]), np.array([0.5, 0.5]))
+        low = DiscreteOperator(A=sp.csr_matrix((1, 1)), M=np.array([2.0]))
+        w = 3.0
+        A = sp.csr_matrix(np.array([[w, -w], [-w, w]]))
+        (block,) = new_blocks(DiscreteOperator(A=A, M=np.array([1.0, 1.0])), low, fs)
+        assert block.n == 1 and block.A[0, 0] / block.M[0] == pytest.approx(2 * w)
+        with pytest.raises(IncompatibleMesh, match="unequal mass"):
+            new_blocks(DiscreteOperator(A=A, M=np.array([1.0, 2.0])), low, fs)
+
+    def test_blocks_are_connected_components(self):
+        ops, fibers = laakso.laakso_levels(LaaksoSpec(j=[2, 2, 2], refine=8))
+        for level in (1, 2, 3):
+            blocks = new_blocks(ops[level], ops[level - 1], fibers[level - 1])
+            assert sum(b.n for b in blocks) == ops[level].n - ops[level - 1].n
+            assert len(blocks) > 1
+            for b in blocks:
+                assert sp.csgraph.connected_components(b.A, directed=False)[0] == 1

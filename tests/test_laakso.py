@@ -175,6 +175,16 @@ class TestNumericSpectrum:
         for numeric in per_level:
             assert numeric.meta["inertia_count"] == numeric.total_multiplicity()
 
+    def test_requested_levels_match_all_levels(self):
+        """Levels below the highest requested one are solved only as blocks;
+        the spectra come out as in the all-levels call, in the asked order."""
+        spec = LaaksoSpec(j=[2, 2, 2], refine=8)
+        every = laakso_numeric_spectra(spec, 200.0)
+        some = laakso_numeric_spectra(spec, 200.0, levels=[3, 1])
+        assert [s.origin for s in some] == [every[3].origin, every[1].origin]
+        for got, want in zip(some, [every[3], every[1]]):
+            assert got.to_json() == want.to_json()
+
     def test_zero_mode_multiplicity_one(self, run):
         _, _, numeric = run
         assert numeric.entries[0].value == pytest.approx(0.0, abs=1e-10)
