@@ -13,7 +13,7 @@ from fractal_spectra.eigensolve import verify_nesting
 from fractal_spectra.gasket import (
     ChouxSpec,
     build_gasket,
-    choux_numeric_spectrum,
+    choux_numeric_spectra,
     decimation_branch,
     decimation_check,
     gasket_graph_spectrum,
@@ -39,7 +39,7 @@ print(f"hausdorff dimension of the tower: {hausdorff_dimension():.12f} "
       f"(log 6 / log 2 = {math.log(6) / math.log(2):.12f})")
 
 spec = ChouxSpec(fiber_depth=2, gasket_level=2)
-levels = [choux_numeric_spectrum(spec, level=i) for i in range(3)]
+levels = choux_numeric_spectra(spec)
 print("\nPate a Choux fiber tower over the gasket, spectra nest exactly:")
 for i, (lo, hi) in enumerate(zip(levels, levels[1:])):
     rep = verify_nesting(lo, hi)

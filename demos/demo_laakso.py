@@ -14,7 +14,7 @@ from fractal_spectra.laakso import (
     LaaksoSpec,
     build_laakso,
     laakso_analytic_spectrum,
-    laakso_numeric_spectrum,
+    laakso_numeric_spectra,
     wormhole_table,
 )
 
@@ -32,7 +32,7 @@ for level, points in wormhole_table(spec).items():
 
 lam_max = 200.0
 analytic = laakso_analytic_spectrum(spec, lam_max)
-numeric = laakso_numeric_spectrum(spec, lam_max)
+_, lower, numeric = laakso_numeric_spectra(spec, lam_max)
 print(f"\nanalytic entries <= {lam_max:g} (units of pi^2):")
 for e in analytic.entries:
     print(f"  {e.value / math.pi**2:8.3f}  x{e.multiplicity}  [{e.tag}]")
@@ -43,7 +43,6 @@ print(f"\nnumeric vs analytic: {len(report.matched)} matched, "
       f"max relative deviation {report.max_rel_deviation:.2e}, "
       f"pass = {report.ok}")
 
-lower = laakso_numeric_spectrum(spec, lam_max, level=1)
 nest = verify_nesting(lower, numeric)
 print(f"level-1 spectrum nested in level-2: pass = {nest.ok}, "
       f"max deviation {nest.max_deviation:.2e}")

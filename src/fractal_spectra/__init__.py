@@ -19,7 +19,6 @@ from .fiber import (
     FiberStructure,
     LevelFamily,
     LevelLink,
-    classify_levels,
     contrast_basis,
     discretize_levels,
     fiber_complement,
@@ -27,7 +26,6 @@ from .fiber import (
     graph_levels,
     lift,
     new_blocks,
-    new_subspace_split,
     project_down,
 )
 from .gasket import (

@@ -289,7 +289,8 @@ def cmd_verify(args) -> int:
         for e in numeric.entries:
             if abs(e.value) <= 1e-9 and (not len(avals) or avals[0] > 1e-12):
                 continue
-            dev = float(np.min(np.abs(avals - e.value))) / max(1.0, abs(e.value))
+            # a value with no analytic value at all is off the set by inf
+            dev = float(np.min(np.abs(avals - e.value), initial=np.inf)) / max(1.0, abs(e.value))
             if dev > args.tol:
                 failures.append(
                     f"numeric {e.value!r} off the analytic set by {dev:.3e} > tol {args.tol}"

@@ -178,7 +178,8 @@ def solve_below(d: DiscreteOperator, lam_max: float, seed: int = DEFAULT_SEED) -
     """All eigenpairs with eigenvalue <= lam_max, proven complete.
 
     The exact count N(lam_max) comes first, from the inertia of S - cut*I.
-    When it is n (lam_max bounds the spectrum) LAPACK returns the whole
+    When it is 0 the empty result is returned without an eigensolver call;
+    when it is n (lam_max bounds the spectrum) LAPACK returns the whole
     spectrum; otherwise pencils of at most EIGSH_THRESHOLD unknowns take
     LAPACK's subset solver and larger ones take ARPACK in shift-invert mode
     about a negative shift, started from a seeded vector and with k grown
@@ -191,6 +192,8 @@ def solve_below(d: DiscreteOperator, lam_max: float, seed: int = DEFAULT_SEED) -
     S, ms = _standard_form(d)
     cut = lam_max * (1 + 1e-12)
     count = _count_below(S, cut)
+    if count == 0:
+        return EigenPairs(values=np.zeros(0), vectors=np.zeros((n, 0)), inertia_count=0)
     # the dense branches hand LAPACK a Fortran-ordered array that it may
     # overwrite (a C-ordered one it would copy first) and Y is scaled in
     # place, so a whole spectrum holds two n x n arrays, not three
@@ -200,6 +203,12 @@ def solve_below(d: DiscreteOperator, lam_max: float, seed: int = DEFAULT_SEED) -
         w, Y = scipy.linalg.eigh(S.toarray(order="F"), overwrite_a=True)
     elif n <= EIGSH_THRESHOLD or count + EIGSH_MARGIN >= n:
         w, Y = scipy.linalg.eigh(S.toarray(order="F"), overwrite_a=True, subset_by_value=(-np.inf, cut))
+        if np.abs(Y.T @ Y - np.eye(len(w))).max(initial=0.0) > 1e-8:
+            # the subset solver (MRRR, syevr) can return non-orthogonal
+            # vectors for an exactly repeated eigenvalue while its values
+            # stay right (Dhillon, Parlett & Voemel, SISC 2005); keep the
+            # values and take the vectors from inverse iteration (syevx)
+            Y = scipy.linalg.eigh(S.toarray(), subset_by_index=(0, len(w) - 1), driver="evx")[1]
     else:
         w, Y = _eigsh_below(S, cut, count, seed)
     if len(w) != count:
@@ -382,16 +391,15 @@ def compare_spectra(
     model: FDModel,
     coverage_max: float | None = None,
     numeric_coarse: SpectrumList | None = None,
-    skip_zero: bool = True,
 ) -> CompareReport:
     """Match numeric eigenvalues against an analytic list with FD-aware
     tolerance.
 
     Every numeric value must be within model.rel_tol of some analytic value;
-    every analytic value <= coverage_max must be hit.  A numeric zero mode is
-    skipped when the analytic list omits it.  When a coarser-pitch list is
-    given, the observed convergence order (median over matched values) is
-    reported.
+    every nonzero analytic value <= coverage_max must be hit.  A numeric zero
+    mode is skipped when the analytic list omits it.  When a coarser-pitch
+    list is given, the observed convergence order (median over matched
+    values) is reported.
     """
     avals = analytic.values()
     has_zero = len(avals) and abs(avals[0]) < 1e-12
@@ -399,7 +407,7 @@ def compare_spectra(
     max_dev = 0.0
     hit = np.zeros(len(avals), dtype=bool)
     for e in numeric.entries:
-        if skip_zero and not has_zero and abs(e.value) <= 1e-9:
+        if not has_zero and abs(e.value) <= 1e-9:
             continue
         if len(avals) == 0:
             unmatched_numeric.append(e.value)
@@ -415,7 +423,7 @@ def compare_spectra(
     unmatched_analytic = []
     if coverage_max is not None:
         for j, a in enumerate(avals):
-            if a <= coverage_max and not hit[j] and (a > 1e-12 or not skip_zero):
+            if a <= coverage_max and not hit[j] and a > 1e-12:
                 unmatched_analytic.append(float(a))
     order = None
     if numeric_coarse is not None:

@@ -61,10 +61,6 @@ class BeyondTruncation(FractalSpectraError):
     """Query point lies beyond the truncation of a spectrum list."""
 
 
-class UnclassifiableVector(FractalSpectraError):
-    """Eigenvector is neither fiber-constant nor fiber-mean-zero after rotation."""
-
-
 class DivergentRange(FractalSpectraError):
     """Zeta partial sum requested in a range where convergence was demanded
     but the exponent is at or below the estimated abscissa."""

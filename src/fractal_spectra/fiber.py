@@ -3,28 +3,29 @@
 Every builder outputs a LevelFamily: the graphs of levels 0..n on a common
 grid, plus LevelLinks recording which level-i vertex/edge covers which
 level-(i-1) vertex/edge.  From a link and two aligned meshes we derive a
-FiberStructure at the node level, which powers the pullback (lift), the
-fiber-averaging projector and the eigenvector origin classification.
+FiberStructure at the node level, which powers the pullback (lift) and the
+fiber-averaging projector.
 
 ``level_spectra`` is the pipeline every family uses.  The fiber projector P
 splits the level-i space into range(P), which carries the level-(i-1)
 spectrum unchanged, and ker(P), which carries the eigenvalues new at level
 i; so it solves level 0 once and then only the ker(P) block of each level
 (``new_blocks``), and each eigenvalue's origin is known from where it was
-solved.  The full-pencil solve followed by ``classify_levels`` finds the
-same origins independently and is kept as the reference that checks it.
+solved.  The tests check it against an independent route
+(``tests/level_reference.py``): solve the whole level pencil and classify
+every eigenvector by the projectors of the levels below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .eigensolve import DEFAULT_SEED, SpectrumList, cluster, gap_runs, solve_below
-from .errors import IncompatibleMesh, UnclassifiableVector
+from .eigensolve import DEFAULT_SEED, SpectrumList, cluster, solve_below
+from .errors import IncompatibleMesh
 from .metric_graph import DiscreteOperator, MetricGraph, Mesh, discretize, graph_operator
 
 #: relative tolerance of the two checks that make the split of a level
@@ -37,9 +38,26 @@ class LevelLink:
     """Graph-level covering data from level ``level`` down to ``level - 1``."""
 
     level: int
-    fiber_size: int
     vertex_parent: list[int]
     edge_parent: list[int]
+
+
+def link_levels(vertex_index, edge_index, vertex_parent, edge_parent) -> list[LevelLink]:
+    """Links between consecutive levels of a family.
+
+    ``vertex_index[i]`` / ``edge_index[i]`` map level i's vertex / edge keys
+    to their indices and iterate in index order; ``vertex_parent(key)`` /
+    ``edge_parent(key)`` give the key of the level-(i-1) vertex / edge that a
+    level-i key covers.
+    """
+    return [
+        LevelLink(
+            level=lvl,
+            vertex_parent=[vertex_index[lvl - 1][vertex_parent(key)] for key in vertex_index[lvl]],
+            edge_parent=[edge_index[lvl - 1][edge_parent(key)] for key in edge_index[lvl]],
+        )
+        for lvl in range(1, len(vertex_index))
+    ]
 
 
 @dataclass
@@ -48,10 +66,6 @@ class LevelFamily:
 
     graphs: list[MetricGraph]
     links: list[LevelLink]
-
-    @property
-    def depth(self) -> int:
-        return len(self.graphs) - 1
 
 
 @dataclass
@@ -65,12 +79,10 @@ class FiberStructure:
     """
 
     level: int
-    fiber_size: int
     n_low: int
     n_high: int
     parent: np.ndarray
     copy_weight: np.ndarray
-    collapsed: np.ndarray = field(repr=False, default=None)
 
 
 def _check(fs: FiberStructure, v: np.ndarray, n: int) -> np.ndarray:
@@ -153,12 +165,9 @@ def mesh_fiber_structure(mesh_hi: Mesh, mesh_lo: Mesh, link: LevelLink) -> Fiber
     parent = np.empty(mesh_hi.n_nodes, dtype=np.int64)
     for j, key in enumerate(mesh_hi.node_keys):
         if key[0] == "v":
-            p = link.vertex_parent[key[1]]
-            parent[j] = mesh_lo.vertex_node(p)
-        else:
-            _, ei, t = key
-            pe = link.edge_parent[ei]
-            parent[j] = mesh_lo.chains[pe][t]
+            parent[j] = mesh_lo.vertex_nodes[link.vertex_parent[key[1]]]
+        else:  # ("e", edge, step): the same step along the parent edge
+            parent[j] = mesh_lo.chains[link.edge_parent[key[1]]][key[2]]
     if np.any(parent < 0):
         raise IncompatibleMesh("node maps onto an eliminated Dirichlet node")
     return _finish(parent, mesh_lo.n_nodes, link)
@@ -185,15 +194,9 @@ def _finish(parent: np.ndarray, n_low: int, link: LevelLink) -> FiberStructure:
     counts = np.bincount(parent, minlength=n_low)
     if np.any(counts == 0):
         raise IncompatibleMesh("some lower-level nodes are not covered")
-    weight = 1.0 / counts[parent]
     return FiberStructure(
-        level=link.level,
-        fiber_size=link.fiber_size,
-        n_low=n_low,
-        n_high=len(parent),
-        parent=parent,
-        copy_weight=weight,
-        collapsed=(counts[parent] == 1),
+        level=link.level, n_low=n_low, n_high=len(parent), parent=parent,
+        copy_weight=1.0 / counts[parent],
     )
 
 
@@ -218,86 +221,6 @@ def graph_levels(family: LevelFamily, boundary: str | None = None):
         for i in range(len(family.links))
     ]
     return ops, fibers
-
-
-def split_projector_eigenspaces(vectors: np.ndarray, M: np.ndarray, fs: FiberStructure, tol: float = 1e-8):
-    """Rotate a degenerate eigenspace so each column is either fiber-constant
-    or fiber-mean-zero, and report which.
-
-    ``vectors`` is an (n, m) block of M-orthonormal eigenvectors spanning an
-    invariant subspace of the pencil.  Returns (rotated vectors, flags) where
-    flags[j] is True for pullback (P v = v) and False for new (P v = 0).
-    """
-    m = vectors.shape[1]
-    PV = fiber_project(fs, vectors)
-    G = vectors.T @ (M[:, None] * PV)
-    G = 0.5 * (G + G.T)
-    mu, Q = np.linalg.eigh(G)
-    rotated = vectors @ Q
-    flags = []
-    for j in range(m):
-        if abs(mu[j] - 1.0) <= tol:
-            flags.append(True)
-        elif abs(mu[j]) <= tol:
-            flags.append(False)
-        else:
-            raise UnclassifiableVector(
-                f"projector eigenvalue {mu[j]} not within {tol} of 0 or 1"
-            )
-    return rotated, flags
-
-
-def new_subspace_split(
-    values: np.ndarray,
-    vectors: np.ndarray,
-    M: np.ndarray,
-    fs: FiberStructure,
-    tol: float = 1e-8,
-    cluster_rtol: float = 1e-6,
-):
-    """Rotate a whole eigenbasis cluster by cluster and tag each vector as
-    pullback (True) or new at this level (False).
-
-    The rotation is written into ``vectors`` (no copy of the basis is made)
-    and returned with the flags.
-    """
-    values = np.asarray(values, dtype=float)
-    vectors = np.asarray(vectors)
-    flags = np.zeros(len(values), dtype=bool)
-    for start, stop in gap_runs(values, cluster_rtol):
-        block, bf = split_projector_eigenspaces(vectors[:, start:stop], M, fs, tol)
-        vectors[:, start:stop] = block
-        flags[start:stop] = bf
-    return vectors, flags
-
-
-def classify_levels(
-    values: np.ndarray,
-    vectors: np.ndarray,
-    ops: list[DiscreteOperator],
-    fibers: list[FiberStructure],
-    tol: float = 1e-8,
-    cluster_rtol: float = 1e-6,
-):
-    """Tag each eigenvector of the top-level pencil with its origin level.
-
-    Returns an integer array: 0 for vectors pulled back from the base space,
-    i for vectors first appearing at level i (fiber-mean-zero there).
-    Degenerate clusters are rotated in place so every top-level vector is
-    classifiable against its own level's projector.
-    """
-    origins = np.zeros(len(values), dtype=int)
-    vals, vecs, idxs = np.asarray(values, dtype=float), np.asarray(vectors), np.arange(len(values))
-    for level in range(len(fibers), 0, -1):
-        fs = fibers[level - 1]
-        # rotates vecs in place, so the caller's basis becomes classifiable
-        _, pulled = new_subspace_split(vals, vecs, ops[level].M, fs, tol, cluster_rtol)
-        origins[idxs[~pulled]] = level
-        if not pulled.any():
-            break
-        vals, idxs = vals[pulled], idxs[pulled]
-        vecs = project_down(fs, vecs[:, pulled])
-    return origins
 
 
 def new_blocks(op_hi: DiscreteOperator, op_lo: DiscreteOperator, fs: FiberStructure):
@@ -336,35 +259,28 @@ def new_blocks(op_hi: DiscreteOperator, op_lo: DiscreteOperator, fs: FiberStruct
 
 
 def level_spectra(
-    ops, fibers, lam_max: float, origin: str, meta: dict, levels=None,
-    seed: int = DEFAULT_SEED, **cluster_kw
+    ops, fibers, lam_max: float, origin: str, meta: dict, seed: int = DEFAULT_SEED, **cluster_kw
 ) -> list[SpectrumList]:
-    """Spectrum below ``lam_max`` of each requested level (default: all)
-    with origin tags.
+    """Spectrum below ``lam_max`` of every level 0..n with origin tags.
 
     Level 0 is solved whole and each level i >= 1 only through its
-    ``new_blocks``, each component by ``solve_below(block, lam_max, seed)``;
-    levels above the highest requested one are not touched.  Level i's
-    spectrum is the union of the level-0 values (tag "base") and the block
-    values of levels 1..i (tag "new@k"), gap-clustered by ``cluster`` with
-    ``cluster_kw``; its ``meta`` is ``meta`` plus the summed inertia count.
-    ``origin`` is formatted with the level.
+    ``new_blocks``, each component by ``solve_below(block, lam_max, seed)``.
+    Level i's spectrum is the union of the level-0 values (tag "base") and
+    the block values of levels 1..i (tag "new@k"), gap-clustered by
+    ``cluster`` with ``cluster_kw``; its ``meta`` is ``meta`` plus the summed
+    inertia count.  ``origin`` is formatted with the level.
     """
-    levels = range(len(ops)) if levels is None else list(levels)
-    values, tags, counts = [], [], []
-    for level in range(max(levels, default=-1) + 1):
-        blocks = [ops[0]] if level == 0 else new_blocks(ops[level], ops[level - 1], fibers[level - 1])
+    values, tags, count, out = np.zeros(0), [], 0, []
+    for level, op in enumerate(ops):
+        blocks = [op] if level == 0 else new_blocks(op, ops[level - 1], fibers[level - 1])
         pairs = [solve_below(block, lam_max, seed) for block in blocks]
-        values.append(np.concatenate([p.values for p in pairs] or [np.zeros(0)]))
-        tags.append("base" if level == 0 else f"new@{level}")
-        counts.append(sum(p.inertia_count for p in pairs))
-    out = []
-    for level in levels:
-        vals = np.concatenate(values[: level + 1])
-        labels = np.repeat(tags[: level + 1], [len(v) for v in values[: level + 1]])
-        order = np.argsort(vals, kind="stable")
-        spectrum = cluster(vals[order], origin=origin.format(level), tags=labels[order].tolist(),
-                           **cluster_kw)
-        spectrum.meta = {**meta, "inertia_count": sum(counts[: level + 1])}
+        new = np.concatenate([p.values for p in pairs] or [np.zeros(0)])
+        values = np.concatenate([values, new])
+        tags += ["base" if level == 0 else f"new@{level}"] * len(new)
+        count += sum(p.inertia_count for p in pairs)
+        order = np.argsort(values, kind="stable")
+        spectrum = cluster(values[order], origin=origin.format(level),
+                           tags=[tags[k] for k in order], **cluster_kw)
+        spectrum.meta = {**meta, "inertia_count": count}
         out.append(spectrum)
     return out

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ResolutionTooCoarse
 from .eigensolve import SpectrumList, cluster, solve_below
-from .fiber import LevelFamily, LevelLink, graph_levels, level_spectra
+from .fiber import LevelFamily, graph_levels, level_spectra, link_levels
 from .metric_graph import MetricGraph, Vertex, graph_operator
 
 #: the probabilistic Laplacian I - D^{-1} W of any graph has its spectrum in
@@ -52,13 +52,6 @@ class GasketGraph:
     @property
     def n_vertices(self) -> int:
         return len(self.points)
-
-    def vertex_count_formula(self) -> int:
-        return (3 ** (self.level + 1) + 3) // 2
-
-    def coords(self) -> np.ndarray:
-        s3 = math.sqrt(3.0)
-        return np.array([[float(p[0]), float(p[1]) * s3] for p in self.points])
 
 
 def build_gasket(m: int) -> GasketGraph:
@@ -103,15 +96,17 @@ def _gasket_metric_graph(g: GasketGraph, fiber_depth: int = 0, boundary: str | N
     """MetricGraph of the gasket with 2^i binary fiber copies glued at
     V_k \\ V_{k-1} in coordinate k."""
 
-    def canon(vi, w, lvl):
+    def canon(vi, w):
+        """Collapse coordinate b of a word at a vertex born at level
+        1 <= b <= len(w), the word's level."""
         b = g.birth[vi]
-        if 1 <= b <= lvl:
+        if 1 <= b <= len(w):
             w = w[: b - 1] + (0,) + w[b:]
         return w
 
     lvl = fiber_depth
     words = list(product((0, 1), repeat=lvl))
-    keys = sorted({(vi, canon(vi, w, lvl)) for vi in range(g.n_vertices) for w in words})
+    keys = sorted({(vi, canon(vi, w)) for vi in range(g.n_vertices) for w in words})
     idx = {key: i for i, key in enumerate(keys)}
     weight = 0.5**lvl
     verts = [
@@ -128,7 +123,7 @@ def _gasket_metric_graph(g: GasketGraph, fiber_depth: int = 0, boundary: str | N
     for w in words:
         for ei, (a, b) in enumerate(g.edges):
             eidx[(ei, w)] = len(edges)
-            edges.append((idx[(a, canon(a, w, lvl))], idx[(b, canon(b, w, lvl))], 1.0, weight))
+            edges.append((idx[(a, canon(a, w))], idx[(b, canon(b, w))], 1.0, weight))
     mg = MetricGraph(verts, edges)
     return mg, idx, eidx, canon
 
@@ -213,23 +208,13 @@ class ChouxSpec:
 def build_choux(spec: ChouxSpec) -> LevelFamily:
     """Fiber levels 0..i over the level-m gasket, with links."""
     g = build_gasket(spec.gasket_level)
-    graphs, indices, edge_indices = [], [], []
-    canon = None
-    for lvl in range(spec.fiber_depth + 1):
-        mg, idx, eidx, canon = _gasket_metric_graph(g, lvl, spec.boundary)
-        graphs.append(mg)
-        indices.append(idx)
-        edge_indices.append(eidx)
-    links = []
-    for lvl in range(1, spec.fiber_depth + 1):
-        vparent = [0] * len(indices[lvl])
-        for (vi, w), i in indices[lvl].items():
-            vparent[i] = indices[lvl - 1][(vi, canon(vi, w[: lvl - 1], lvl - 1))]
-        eparent = [0] * len(edge_indices[lvl])
-        for (ei, w), i in edge_indices[lvl].items():
-            eparent[i] = edge_indices[lvl - 1][(ei, w[: lvl - 1])]
-        links.append(LevelLink(level=lvl, fiber_size=2, vertex_parent=vparent, edge_parent=eparent))
-    return LevelFamily(graphs=graphs, links=links)
+    graphs, indices, edge_indices, canons = zip(
+        *(_gasket_metric_graph(g, lvl, spec.boundary) for lvl in range(spec.fiber_depth + 1))
+    )
+    canon = canons[0]
+    links = link_levels(indices, edge_indices, lambda key: (key[0], canon(key[0], key[1][:-1])),
+                        lambda key: (key[0], key[1][:-1]))
+    return LevelFamily(graphs=list(graphs), links=links)
 
 
 def choux_levels(spec: ChouxSpec):
@@ -238,19 +223,18 @@ def choux_levels(spec: ChouxSpec):
     return graph_levels(build_choux(spec), spec.boundary)
 
 
-def choux_numeric_spectra(spec: ChouxSpec, levels=None) -> list[SpectrumList]:
+def choux_numeric_spectra(spec: ChouxSpec) -> list[SpectrumList]:
     """Probabilistic Laplacian spectra of the glued space's fiber levels
-    (default: all) with origin tags."""
+    0..i with origin tags."""
     ops, fibers = choux_levels(spec)
     meta = {"fiber_depth": spec.fiber_depth, "gasket_level": spec.gasket_level,
             "boundary": spec.boundary}
-    return level_spectra(ops, fibers, SPECTRAL_BOUND, "numeric(choux,i={})", meta, levels,
-                         truncation=np.inf)
+    return level_spectra(ops, fibers, SPECTRAL_BOUND, "numeric(choux,i={})", meta, truncation=np.inf)
 
 
-def choux_numeric_spectrum(spec: ChouxSpec, level: int | None = None) -> SpectrumList:
-    """Spectrum of one fiber level (default: deepest); see choux_numeric_spectra."""
-    return choux_numeric_spectra(spec, [spec.fiber_depth if level is None else level])[0]
+def choux_numeric_spectrum(spec: ChouxSpec) -> SpectrumList:
+    """Spectrum of the deepest fiber level; see choux_numeric_spectra."""
+    return choux_numeric_spectra(spec)[-1]
 
 
 def hausdorff_dimension() -> float:

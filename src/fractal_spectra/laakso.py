@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidSequence
 from .eigensolve import DEFAULT_SEED, SpectrumEntry, SpectrumList
-from .fiber import LevelFamily, LevelLink, discretize_levels, level_spectra
+from .fiber import LevelFamily, discretize_levels, level_spectra, link_levels
 from .metric_graph import DIRICHLET, NEUMANN, MetricGraph, Vertex, assemble
 
 
@@ -97,9 +97,11 @@ def build_laakso(spec: LaaksoSpec) -> LevelFamily:
     length = 1.0 / D
     birth = [_birth_level(k, d, n) for k in range(D + 1)]
 
-    def canon(k: int, w: tuple, level: int) -> tuple:
+    def canon(k: int, w: tuple) -> tuple:
+        """Collapse coordinate m of a word at a wormhole born at level
+        m <= len(w), the word's level."""
         m = birth[k]
-        if m is not None and m <= level:
+        if m is not None and m <= len(w):
             w = w[: m - 1] + (0,) + w[m:]
         return w
 
@@ -108,7 +110,7 @@ def build_laakso(spec: LaaksoSpec) -> LevelFamily:
     edge_indices: list[dict] = []
     for lvl in range(n + 1):
         words = list(product((0, 1), repeat=lvl))
-        keys = sorted({(k, canon(k, w, lvl)) for k in range(D + 1) for w in words})
+        keys = sorted({(k, canon(k, w)) for k in range(D + 1) for w in words})
         idx = {key: i for i, key in enumerate(keys)}
         verts = [
             Vertex(
@@ -125,38 +127,27 @@ def build_laakso(spec: LaaksoSpec) -> LevelFamily:
             for c in range(D):
                 eidx[(c, w)] = len(edges)
                 edges.append(
-                    (idx[(c, canon(c, w, lvl))], idx[(c + 1, canon(c + 1, w, lvl))], length, weight)
+                    (idx[(c, canon(c, w))], idx[(c + 1, canon(c + 1, w))], length, weight)
                 )
         graphs.append(MetricGraph(verts, edges, total_mass=1.0))
         indices.append(idx)
         edge_indices.append(eidx)
 
-    links = []
-    for lvl in range(1, n + 1):
-        vparent = [0] * len(indices[lvl])
-        for (k, w), i in indices[lvl].items():
-            pw = canon(k, w[: lvl - 1], lvl - 1)
-            vparent[i] = indices[lvl - 1][(k, pw)]
-        eparent = [0] * len(edge_indices[lvl])
-        for (c, w), i in edge_indices[lvl].items():
-            eparent[i] = edge_indices[lvl - 1][(c, w[: lvl - 1])]
-        links.append(LevelLink(level=lvl, fiber_size=2, vertex_parent=vparent, edge_parent=eparent))
+    links = link_levels(indices, edge_indices, lambda key: (key[0], canon(key[0], key[1][:-1])),
+                        lambda key: (key[0], key[1][:-1]))
     return LevelFamily(graphs=graphs, links=links)
 
 
-def laakso_analytic_spectrum(
-    spec: LaaksoSpec, lam_max: float, max_level: int | None = None
-) -> SpectrumList:
+def laakso_analytic_spectrum(spec: LaaksoSpec, lam_max: float) -> SpectrumList:
     """Eigenvalue set of the limit Laplacian, truncated at lam_max.
 
     Three generating families, each contributing integer multiples of pi^2:
     k^2 d_n^2 (n >= 0), 4 k^2 d_n^2 (n >= 2) and 4 (2k+1)^2 d_n^2 (n >= 1).
     Entries are de-duplicated exactly on the integer coefficient; the tag
     lists every (family, n, k) source.  Multiplicities are not claimed: each
-    entry carries multiplicity 1 and its source count.
+    entry carries multiplicity 1 and its source count.  Levels n run up to
+    the spec's depth.
     """
-    if max_level is None:
-        max_level = spec.depth
     d = spec.d
     pi2 = np.pi**2
     cmax = lam_max / pi2
@@ -165,7 +156,7 @@ def laakso_analytic_spectrum(
     def add(c: int, tag: str):
         sources.setdefault(c, []).append(tag)
 
-    for nn in range(0, max_level + 1):
+    for nn in range(spec.depth + 1):
         dn2 = d[nn] ** 2
         k = 1
         while k * k * dn2 <= cmax:
@@ -191,7 +182,7 @@ def laakso_analytic_spectrum(
         entries=entries,
         origin="analytic(laakso)",
         truncation=lam_max,
-        meta={"j": spec.j, "max_level": max_level, "boundary": spec.boundary},
+        meta={"j": spec.j, "max_level": spec.depth, "boundary": spec.boundary},
     )
 
 
@@ -202,24 +193,21 @@ def laakso_levels(spec: LaaksoSpec):
     return [assemble(m) for m in meshes], fibers
 
 
-def laakso_numeric_spectra(
-    spec: LaaksoSpec, lam_max: float, levels=None, seed: int = DEFAULT_SEED
-) -> list[SpectrumList]:
-    """Numeric spectra of the requested levels (default: all) with origin tags.
+def laakso_numeric_spectra(spec: LaaksoSpec, lam_max: float, seed: int = DEFAULT_SEED) -> list[SpectrumList]:
+    """Numeric spectra of levels 0..n with origin tags.
 
-    Eigenvectors are classified into pullbacks (tag "base") and new-at-level
-    vectors (tag "new@i"); multiplicities come from gap clustering.
-    ``seed`` draws the start vector of the Krylov solver.
+    Level-0 eigenvalues are tagged "base" and those new at level i, solved
+    in the fiber-mean-zero block of that level, "new@i"; multiplicities come
+    from gap clustering.  ``seed`` draws the start vector of the Krylov
+    solver.
     """
     ops, fibers = laakso_levels(spec)
     meta = {"j": spec.j, "refine": spec.refine, "boundary": spec.boundary,
             "zero_mode": "included, outside the analytic family listing"}
-    return level_spectra(ops, fibers, lam_max, "numeric(laakso,level={})", meta, levels, seed,
+    return level_spectra(ops, fibers, lam_max, "numeric(laakso,level={})", meta, seed,
                          truncation=lam_max, pitch=spec.pitch)
 
 
-def laakso_numeric_spectrum(
-    spec: LaaksoSpec, lam_max: float, level: int | None = None, seed: int = DEFAULT_SEED
-) -> SpectrumList:
-    """Numeric spectrum of one level (default: deepest); see laakso_numeric_spectra."""
-    return laakso_numeric_spectra(spec, lam_max, [spec.depth if level is None else level], seed)[0]
+def laakso_numeric_spectrum(spec: LaaksoSpec, lam_max: float, seed: int = DEFAULT_SEED) -> SpectrumList:
+    """Numeric spectrum of the deepest level; see laakso_numeric_spectra."""
+    return laakso_numeric_spectra(spec, lam_max, seed)[-1]

@@ -159,9 +159,6 @@ class Mesh:
     def n_nodes(self) -> int:
         return len(self.node_keys)
 
-    def vertex_node(self, vi: int) -> int:
-        return self.vertex_nodes[vi]
-
 
 def discretize(g: MetricGraph, h: float) -> Mesh:
     """Subdivide every edge at pitch h and lump the measure into node masses.

@@ -17,7 +17,7 @@ from itertools import product
 
 from .errors import DivergentRange, InfeasibleNesting, NoCommonPitch
 from .eigensolve import DEFAULT_SEED, FDModel, SpectrumEntry, SpectrumList
-from .fiber import LevelFamily, LevelLink, discretize_levels, level_spectra
+from .fiber import LevelFamily, discretize_levels, level_spectra, link_levels
 from .metric_graph import DIRICHLET, MetricGraph, Vertex, assemble
 
 
@@ -185,22 +185,11 @@ def build_stitched(spec: StringSpec) -> LevelFamily:
         indices.append(idx)
         edge_indices.append(eidx)
 
-    links = []
-    for lvl in range(1, spec.depth + 1):
-        vparent = [0] * len(indices[lvl])
-        for (p, w), i in indices[lvl].items():
-            vparent[i] = indices[lvl - 1][(p, canon_vertex(p, w[: lvl - 1]))]
-        eparent = [0] * len(edge_indices[lvl])
-        for (c, w), i in edge_indices[lvl].items():
-            eparent[i] = edge_indices[lvl - 1][(c, canon_cell(c, w[: lvl - 1]))]
-        links.append(
-            LevelLink(
-                level=lvl,
-                fiber_size=len(fibers[lvl - 1]),
-                vertex_parent=vparent,
-                edge_parent=eparent,
-            )
-        )
+    links = link_levels(
+        indices, edge_indices,
+        lambda key: (key[0], canon_vertex(key[0], key[1][:-1])),
+        lambda key: (key[0], canon_cell(key[0], key[1][:-1])),
+    )
     return LevelFamily(graphs=graphs, links=links)
 
 
@@ -211,23 +200,19 @@ def stitched_levels(spec: StringSpec):
     return [assemble(m) for m in meshes], fibers
 
 
-def stitched_numeric_spectra(
-    spec: StringSpec, lam_max: float, levels=None, seed: int = DEFAULT_SEED
-) -> list[SpectrumList]:
-    """Numeric spectra of the stitched levels (default: all), tagged by
-    origin level; ``seed`` draws the start vector of the Krylov solver."""
+def stitched_numeric_spectra(spec: StringSpec, lam_max: float, seed: int = DEFAULT_SEED) -> list[SpectrumList]:
+    """Numeric spectra of the stitched levels 0..N, each value tagged with
+    the level it is new at (see ``fiber.level_spectra``); ``seed`` draws the
+    start vector of the Krylov solver."""
     ops, fibers = stitched_levels(spec)
     meta = {"lengths": [str(l) for l in spec.lengths], "mults": spec.mults, "refine": spec.refine}
-    return level_spectra(ops, fibers, lam_max, "numeric(string,level={})", meta, levels, seed,
+    return level_spectra(ops, fibers, lam_max, "numeric(string,level={})", meta, seed,
                          truncation=lam_max, pitch=spec.pitch)
 
 
-def stitched_numeric_spectrum(
-    spec: StringSpec, lam_max: float, level: int | None = None, seed: int = DEFAULT_SEED
-) -> SpectrumList:
-    """Numeric spectrum of one level (default: deepest); see stitched_numeric_spectra."""
-    level = spec.depth if level is None else level
-    return stitched_numeric_spectra(spec, lam_max, [level], seed)[0]
+def stitched_numeric_spectrum(spec: StringSpec, lam_max: float, seed: int = DEFAULT_SEED) -> SpectrumList:
+    """Numeric spectrum of the deepest level; see stitched_numeric_spectra."""
+    return stitched_numeric_spectra(spec, lam_max, seed)[-1]
 
 
 def isospectrality_report(

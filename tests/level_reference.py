@@ -1,12 +1,77 @@
 """The independent route to a level spectrum: solve the whole level pencil,
-classify every eigenvector with ``classify_levels`` and cluster.  The
-package solves only the new block of each level (``fiber.level_spectra``);
-the tests hold it to this route."""
+classify every eigenvector by the fiber projectors of the levels below
+(``classify_levels``) and cluster.  The package solves only the new block
+of each level (``fiber.level_spectra``); the tests hold it to this route,
+which uses neither ``level_spectra`` nor ``new_blocks``."""
 
 import numpy as np
 
-from fractal_spectra.eigensolve import cluster, solve_below
-from fractal_spectra.fiber import classify_levels
+from fractal_spectra.eigensolve import cluster, gap_runs, solve_below
+from fractal_spectra.fiber import fiber_project, project_down
+
+
+def split_projector_eigenspaces(vectors, M, fs, tol=1e-8):
+    """Rotate a degenerate eigenspace so each column is either fiber-constant
+    or fiber-mean-zero, and report which.
+
+    ``vectors`` is an (n, m) block of M-orthonormal eigenvectors spanning an
+    invariant subspace of the pencil.  Returns (rotated vectors, flags) where
+    flags[j] is True for pullback (P v = v) and False for new (P v = 0).
+    """
+    m = vectors.shape[1]
+    PV = fiber_project(fs, vectors)
+    G = vectors.T @ (M[:, None] * PV)
+    G = 0.5 * (G + G.T)
+    mu, Q = np.linalg.eigh(G)
+    rotated = vectors @ Q
+    flags = []
+    for j in range(m):
+        if abs(mu[j] - 1.0) <= tol:
+            flags.append(True)
+        elif abs(mu[j]) <= tol:
+            flags.append(False)
+        else:
+            raise AssertionError(f"projector eigenvalue {mu[j]} not within {tol} of 0 or 1")
+    return rotated, flags
+
+
+def new_subspace_split(values, vectors, M, fs, tol=1e-8, cluster_rtol=1e-6):
+    """Rotate a whole eigenbasis cluster by cluster and tag each vector as
+    pullback (True) or new at this level (False).
+
+    The rotation is written into ``vectors`` (no copy of the basis is made)
+    and returned with the flags.
+    """
+    values = np.asarray(values, dtype=float)
+    vectors = np.asarray(vectors)
+    flags = np.zeros(len(values), dtype=bool)
+    for start, stop in gap_runs(values, cluster_rtol):
+        block, bf = split_projector_eigenspaces(vectors[:, start:stop], M, fs, tol)
+        vectors[:, start:stop] = block
+        flags[start:stop] = bf
+    return vectors, flags
+
+
+def classify_levels(values, vectors, ops, fibers, tol=1e-8, cluster_rtol=1e-6):
+    """Tag each eigenvector of the top-level pencil with its origin level.
+
+    Returns an integer array: 0 for vectors pulled back from the base space,
+    i for vectors first appearing at level i (fiber-mean-zero there).
+    Degenerate clusters are rotated in place so every top-level vector is
+    classifiable against its own level's projector.
+    """
+    origins = np.zeros(len(values), dtype=int)
+    vals, vecs, idxs = np.asarray(values, dtype=float), np.asarray(vectors), np.arange(len(values))
+    for level in range(len(fibers), 0, -1):
+        fs = fibers[level - 1]
+        # rotates vecs in place, so the caller's basis becomes classifiable
+        _, pulled = new_subspace_split(vals, vecs, ops[level].M, fs, tol, cluster_rtol)
+        origins[idxs[~pulled]] = level
+        if not pulled.any():
+            break
+        vals, idxs = vals[pulled], idxs[pulled]
+        vecs = project_down(fs, vecs[:, pulled])
+    return origins
 
 
 def reference_spectrum(ops, fibers, level, lam_max, **cluster_kw):
@@ -18,11 +83,11 @@ def reference_spectrum(ops, fibers, level, lam_max, **cluster_kw):
     return cluster(pairs.values, tags=tags, **cluster_kw), pairs.inertia_count
 
 
-def assert_matches_reference(per_level, ops, fibers, lam_max, rtol=1e-10, levels=None):
-    """Every spectrum of ``per_level`` (levels ``levels``, default 0, 1, ...)
-    agrees with the independent route: values to ``rtol`` relative (floored
-    at 1), multiplicities, tags and inertia counts exactly."""
-    for level, got in zip(range(len(per_level)) if levels is None else levels, per_level):
+def assert_matches_reference(per_level, ops, fibers, lam_max, rtol=1e-10):
+    """Every spectrum of ``per_level`` (levels 0, 1, ...) agrees with the
+    independent route: values to ``rtol`` relative (floored at 1),
+    multiplicities, tags and inertia counts exactly."""
+    for level, got in enumerate(per_level):
         ref, count = reference_spectrum(ops, fibers, level, lam_max)
         assert got.meta["inertia_count"] == count == got.total_multiplicity(), level
         assert [(e.multiplicity, e.tag) for e in got.entries] == [

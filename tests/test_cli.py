@@ -207,6 +207,20 @@ class TestVerify:
         assert cli.main(["verify", "--out", str(tmp_path)]) == 1
         assert "verify: FAIL zeta.csv: bad header" in capsys.readouterr().err
 
+    def test_tol_recheck_without_analytic_values_fails(self, tmp_path, capsys):
+        """Below pi^2 the Dirichlet interval has no analytic value but its FD
+        ground state (9.8379) lies there: --tol reports that value as
+        unmatched instead of failing on the empty analytic.csv."""
+        spec = write_spec(tmp_path, "spec.json",
+                          {"j": [2], "refine": 8, "lambda_max": 9.85, "boundary": "dirichlet"})
+        out = tmp_path / "out"
+        assert cli.main(["laakso", "--spec", spec, "--out", str(out)]) == cli.EXIT_SOLVER
+        assert (out / "analytic.csv").read_text().count("\n") == 1  # header only
+        capsys.readouterr()
+        assert cli.main(["verify", "--out", str(out), "--tol", "1e-3"]) == 1
+        fails = [line for line in capsys.readouterr().err.splitlines() if "off the analytic set" in line]
+        assert len(fails) == 1 and fails[0].startswith("verify: FAIL numeric 9.83")
+
 
 @pytest.mark.parametrize("command, flag, value", [
     ("choux", "--pitch", "0.1"),

@@ -39,7 +39,7 @@ from fractal_spectra.metric_graph import (
     assemble,
     discretize,
 )
-from fractal_spectra.strings import StringSpec, build_stitched
+from fractal_spectra.strings import StringSpec, build_stitched, stitched_levels
 from lapack_reference import generalized_eigh
 
 
@@ -173,6 +173,33 @@ class TestLanczos:
         n_expected = sum(1 for lam in fd_dirichlet(1 / 64) if lam <= 30 * math.pi**2)
         assert len(pairs.values) == n_expected
         assert pairs.inertia_count == n_expected
+
+    def test_subset_vectors_of_a_repeated_value_are_orthonormal(self):
+        """On this stitched level LAPACK's subset solver gets the double
+        value near 16 pi^2 right but returns a third vector far from
+        orthogonal; solve_below keeps its values and recomputes the vectors."""
+        spec = StringSpec([Fraction(3, 8), Fraction(1, 4), Fraction(3, 16)], [1, 2, 1], refine=4)
+        d = stitched_levels(spec)[0][2]
+        S, _ = _standard_form(d)
+        w = scipy.linalg.eigh(S.toarray(), subset_by_value=(-np.inf, 200.0 * (1 + 1e-12)))[0]
+        pairs = solve_below(d, 200.0)
+        assert np.array_equal(pairs.values, w) and len(w) == 3 and w[2] - w[1] < 1e-10
+        G = pairs.vectors.T @ (d.M[:, None] * pairs.vectors)
+        assert np.abs(G - np.eye(3)).max() < 1e-10
+        assert pairs.residuals(d).max() < 1e-9
+
+    def test_nothing_below_the_cut_calls_no_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called with nothing below the cut")
+
+        monkeypatch.setattr(eigensolve.scipy.linalg, "eigh", refuse)
+        monkeypatch.setattr(eigensolve.spla, "eigsh", refuse)
+        d = interval_pencil(1 / 64, DIRICHLET)  # lowest value just below pi^2
+        pairs = solve_below(d, 9.0)
+        assert pairs.values.shape == (0,) and pairs.vectors.shape == (d.n, 0)
+        assert pairs.inertia_count == 0
+        with pytest.raises(NotPositiveMass):
+            solve_below(DiscreteOperator(A=d.A, M=np.concatenate([[0.0], d.M[1:]])), 9.0)
 
     @pytest.mark.parametrize("cut", [0.5, 2.5, 10.5, 37.5, 7.0 + 1e-9, 7.0 - 1e-9, 50.0 + 1e-9])
     def test_inertia_count_matches_dense(self, cut):

@@ -9,7 +9,6 @@ from fractal_spectra import gasket, laakso, strings
 from fractal_spectra.errors import IncompatibleMesh
 from fractal_spectra.fiber import (
     FiberStructure,
-    classify_levels,
     contrast_basis,
     discretize_levels,
     fiber_complement,
@@ -17,13 +16,12 @@ from fractal_spectra.fiber import (
     level_spectra,
     lift,
     new_blocks,
-    new_subspace_split,
     project_down,
 )
 from fractal_spectra.laakso import LaaksoSpec, build_laakso
 from fractal_spectra.metric_graph import DiscreteOperator, assemble, dirichlet_energy
 from lapack_reference import generalized_eigh
-from level_reference import assert_matches_reference
+from level_reference import assert_matches_reference, classify_levels, new_subspace_split
 
 
 @pytest.fixture(scope="module")
@@ -210,16 +208,17 @@ class TestContrastBasis:
             dense = Q.toarray()
             assert np.abs(dense.T @ dense - np.eye(Q.shape[1])).max() <= 1e-14
             assert np.abs(fiber_project(fs, dense)).max() <= 1e-14
-            assert not dense[fs.collapsed].any()  # collapsed nodes: no column
+            collapsed = np.bincount(fs.parent)[fs.parent] == 1
+            assert not dense[collapsed].any()  # collapsed nodes: no column
             sizes |= set(np.bincount(fs.parent).tolist())
         assert max(sizes) == copies
 
     def test_two_copies_give_normalized_difference(self):
-        fs = FiberStructure(1, 2, 1, 2, np.array([0, 0]), np.array([0.5, 0.5]))
+        fs = FiberStructure(1, 1, 2, np.array([0, 0]), np.array([0.5, 0.5]))
         assert contrast_basis(fs).toarray() == pytest.approx(np.array([[1], [-1]]) / np.sqrt(2))
 
     def test_helmert_columns_of_three_copies(self):
-        fs = FiberStructure(1, 3, 2, 4, np.array([1, 0, 1, 1]), np.array([1 / 3, 1, 1 / 3, 1 / 3]))
+        fs = FiberStructure(1, 2, 4, np.array([1, 0, 1, 1]), np.array([1 / 3, 1, 1 / 3, 1 / 3]))
         expect = np.zeros((4, 2))
         expect[[0, 2], 0] = [1 / np.sqrt(2), -1 / np.sqrt(2)]
         expect[[0, 2, 3], 1] = np.array([1, 1, -2]) / np.sqrt(6)
@@ -258,7 +257,7 @@ class TestBlockRoute:
         """Two copies over one node: the lift intertwines whatever the copy
         masses are, but only equal ones let the contrast block carry the new
         eigenvalue (with masses 1, 2 it is 1.5 w, the block would say 4/3 w)."""
-        fs = FiberStructure(1, 2, 1, 2, np.array([0, 0]), np.array([0.5, 0.5]))
+        fs = FiberStructure(1, 1, 2, np.array([0, 0]), np.array([0.5, 0.5]))
         low = DiscreteOperator(A=sp.csr_matrix((1, 1)), M=np.array([2.0]))
         w = 3.0
         A = sp.csr_matrix(np.array([[w, -w], [-w, w]]))

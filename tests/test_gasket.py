@@ -6,19 +6,20 @@ import pytest
 
 from fractal_spectra.eigensolve import solve_below, verify_nesting
 from fractal_spectra.errors import ResolutionTooCoarse
-from fractal_spectra.fiber import classify_levels
 from fractal_spectra.gasket import (
     SPECTRAL_BOUND,
     ChouxSpec,
     build_choux,
     build_gasket,
     choux_levels,
+    choux_numeric_spectra,
     choux_numeric_spectrum,
     decimation_branch,
     decimation_check,
     gasket_graph_spectrum,
     hausdorff_dimension,
 )
+from level_reference import classify_levels
 
 
 class TestGasketGraph:
@@ -111,8 +112,7 @@ class TestChoux:
 
     def test_nesting_zero_unmatched(self):
         spec = ChouxSpec(fiber_depth=1, gasket_level=2)
-        s0 = choux_numeric_spectrum(spec, level=0)
-        s1 = choux_numeric_spectrum(spec, level=1)
+        s0, s1 = choux_numeric_spectra(spec)
         rep = verify_nesting(s0, s1)
         assert rep.ok and rep.max_deviation <= 1e-9
 

@@ -6,17 +6,18 @@ import pytest
 
 from fractal_spectra.eigensolve import FDModel, counting_function, solve_below, verify_nesting
 from fractal_spectra.errors import DivergentRange, InfeasibleNesting
-from fractal_spectra.fiber import classify_levels
 from fractal_spectra.strings import (
     StringSpec,
     build_stitched,
     isospectrality_report,
     rationalize,
     stitched_levels,
+    stitched_numeric_spectra,
     stitched_numeric_spectrum,
     string_analytic_spectrum,
     zeta_partial,
 )
+from level_reference import classify_levels
 
 PI2 = math.pi**2
 
@@ -87,10 +88,8 @@ class TestBuilder:
 
     def test_single_strand_is_plain_interval(self):
         fam = build_stitched(StringSpec([Fraction(1, 2)], [1]))
-        assert verify_nesting(
-            stitched_numeric_spectrum(StringSpec([Fraction(1, 2)], [1]), 500.0, level=0),
-            stitched_numeric_spectrum(StringSpec([Fraction(1, 2)], [1]), 500.0, level=1),
-        ).surplus == []
+        lower, upper = stitched_numeric_spectra(StringSpec([Fraction(1, 2)], [1]), 500.0)
+        assert verify_nesting(lower, upper).surplus == []
         assert fam.graphs[1].total_measure() == pytest.approx(0.5)
 
     def test_increasing_lengths_rejected(self):
@@ -135,7 +134,7 @@ class TestNumericSpectrum:
         spec = StringSpec(
             [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)], [2, 1, 2], refine=4
         )
-        levels = [stitched_numeric_spectrum(spec, 900.0, level=i) for i in range(4)]
+        levels = stitched_numeric_spectra(spec, 900.0)
         for lo, hi in zip(levels, levels[1:]):
             rep = verify_nesting(lo, hi)
             assert rep.ok and rep.max_deviation <= 1e-9
