@@ -38,6 +38,7 @@ from .gasket import (
     decimation_branch,
     decimation_check,
     gasket_graph_spectrum,
+    gasket_levels,
     hausdorff_dimension,
 )
 from .laakso import (

@@ -168,8 +168,8 @@ def cmd_choux(args) -> int:
 
     # gasket Dirichlet decimation chain up to the requested gasket level
     dirichlet = [
-        gasket.gasket_graph_spectrum(gasket.build_gasket(m), boundary="dirichlet")
-        for m in range(1, spec.gasket_level + 1)
+        gasket.gasket_graph_spectrum(g, boundary="dirichlet")
+        for g in gasket.gasket_levels(spec.gasket_level)[1:]
     ]
     checks = [
         {"from_level": m + 1, "to_level": m + 2,

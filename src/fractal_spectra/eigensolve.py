@@ -156,10 +156,19 @@ def _count_below(S, cut: float) -> int:
     By Sylvester's law of inertia this is the number of negative pivots of
     an LDL^T factorization of S - cut*I.  SuperLU in symmetric mode with
     diagonal pivoting only gives one (U = D L^T, the same permutation on
-    rows and columns); if it had to pivot off the diagonal the pivots no
-    longer carry the inertia and the count is refused.
+    rows and columns).  Without off-diagonal pivoting the factorization of
+    an indefinite matrix is not backward stable: a pivot near zero can flip
+    the signs of later ones.  So the pivots are trusted only when the
+    permutation stayed symmetric and the smallest |pivot| is at least
+    n*eps*||S - cut*I||_inf.  Otherwise matrices of at most EIGSH_THRESHOLD
+    rows are recounted from the dense Bunch-Kaufman factorization
+    (``scipy.linalg.ldl``), whose 1x1 and 2x2 diagonal blocks carry the
+    inertia stably, and larger ones are refused.
     """
-    shifted = (S - cut * sp.identity(S.shape[0], format="csr")).tocsc()
+    n = S.shape[0]
+    if n == 0:
+        return 0
+    shifted = (S - cut * sp.identity(n, format="csr")).tocsc()
     try:
         lu = spla.splu(
             shifted,
@@ -167,11 +176,17 @@ def _count_below(S, cut: float) -> int:
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
-    except RuntimeError as exc:  # exactly singular: an eigenvalue sits on the cut
-        raise NoConvergence(0, f"inertia count at {cut!r}: {exc}") from exc
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise NoConvergence(0, f"inertia count at {cut!r}: factorization pivoted off the diagonal")
-    return int(np.count_nonzero(lu.U.diagonal() < 0))
+    except RuntimeError:  # a zero pivot: the cut is on an eigenvalue, or the order is bad
+        lu = None
+    if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
+        pivots = lu.U.diagonal()
+        if np.abs(pivots).min() >= n * np.finfo(float).eps * spla.norm(shifted, np.inf):
+            return int(np.count_nonzero(pivots < 0))
+    if n > EIGSH_THRESHOLD:
+        raise NoConvergence(0, f"inertia count at {cut!r}: the sparse factorization is not "
+                               f"trusted and {n} rows are too many for a dense recount")
+    _, D, _ = scipy.linalg.ldl(shifted.toarray())
+    return int(np.count_nonzero(np.linalg.eigvalsh(D) < 0))
 
 
 def solve_below(d: DiscreteOperator, lam_max: float, seed: int = DEFAULT_SEED) -> EigenPairs:

@@ -162,12 +162,18 @@ def mesh_fiber_structure(mesh_hi: Mesh, mesh_lo: Mesh, link: LevelLink) -> Fiber
     """
     if abs(mesh_hi.pitch - mesh_lo.pitch) > 1e-12 * mesh_lo.pitch:
         raise IncompatibleMesh("meshes have different pitches")
+    vertex_parent = np.asarray(link.vertex_parent, dtype=np.int64)
+    edge_parent = np.asarray(link.edge_parent, dtype=np.int64)
+    if np.any(mesh_hi.segments != mesh_lo.segments[edge_parent]):
+        raise IncompatibleMesh("an edge and its parent edge have different lengths")
     parent = np.empty(mesh_hi.n_nodes, dtype=np.int64)
-    for j, key in enumerate(mesh_hi.node_keys):
-        if key[0] == "v":
-            parent[j] = mesh_lo.vertex_nodes[link.vertex_parent[key[1]]]
-        else:  # ("e", edge, step): the same step along the parent edge
-            parent[j] = mesh_lo.chains[link.edge_parent[key[1]]][key[2]]
+    kept = mesh_hi.vertex_nodes >= 0
+    parent[mesh_hi.vertex_nodes[kept]] = mesh_lo.vertex_nodes[vertex_parent[kept]]
+    # an interior node of an edge covers the same step along the parent edge
+    inner = mesh_hi.segments - 1
+    edge = np.repeat(np.arange(len(inner)), inner)
+    nodes = np.arange(mesh_hi.n_nodes - len(edge), mesh_hi.n_nodes)
+    parent[nodes] = mesh_lo.edge_start[edge_parent[edge]] + nodes - mesh_hi.edge_start[edge]
     if np.any(parent < 0):
         raise IncompatibleMesh("node maps onto an eliminated Dirichlet node")
     return _finish(parent, mesh_lo.n_nodes, link)
@@ -253,9 +259,20 @@ def new_blocks(op_hi: DiscreteOperator, op_lo: DiscreteOperator, fs: FiberStruct
     A.eliminate_zeros()
     M = Q.multiply(Q).T @ op_hi.M
     n_comp, labels = connected_components(A, directed=False)
+    # ordered component by component, each component's rows are a contiguous
+    # run whose columns stay inside the run, so a block is a slice of the CSR
+    # arrays; within a component the order is ascending, so every row keeps
+    # the column order of A and the slices equal A[idx][:, idx] bit for bit
     order = np.argsort(labels, kind="stable")
-    parts = np.split(order, np.cumsum(np.bincount(labels, minlength=n_comp))[:-1])
-    return [DiscreteOperator(A=A[idx][:, idx], M=M[idx]) for idx in parts]
+    A, M = A[order][:, order], M[order]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=n_comp))])
+    blocks = []
+    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        lo, hi = A.indptr[start], A.indptr[stop]
+        block = sp.csr_matrix((A.data[lo:hi], A.indices[lo:hi] - start,
+                               A.indptr[start:stop + 1] - lo), shape=(stop - start,) * 2)
+        blocks.append(DiscreteOperator(A=block, M=M[start:stop]))
+    return blocks
 
 
 def level_spectra(
@@ -264,20 +281,36 @@ def level_spectra(
     """Spectrum below ``lam_max`` of every level 0..n with origin tags.
 
     Level 0 is solved whole and each level i >= 1 only through its
-    ``new_blocks``, each component by ``solve_below(block, lam_max, seed)``.
+    ``new_blocks``, each distinct component once by
+    ``solve_below(block, lam_max, seed)`` (a component equal bit for bit to
+    one solved before reuses its values and inertia count).
     Level i's spectrum is the union of the level-0 values (tag "base") and
     the block values of levels 1..i (tag "new@k"), gap-clustered by
     ``cluster`` with ``cluster_kw``; its ``meta`` is ``meta`` plus the summed
     inertia count.  ``origin`` is formatted with the level.
     """
+    # one solve per distinct piece: on self-similar spaces most blocks repeat
+    # bit for bit, and the same input to the same seeded LAPACK or ARPACK
+    # call gives the same bits, so a repeat reuses the values and count
+    solved: dict[tuple, tuple[np.ndarray, int]] = {}
+
+    def solve(block: DiscreteOperator) -> tuple[np.ndarray, int]:
+        A = block.A
+        key = (A.shape, A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes(),
+               block.M.tobytes())
+        if key not in solved:
+            pairs = solve_below(block, lam_max, seed)
+            solved[key] = (pairs.values, pairs.inertia_count)
+        return solved[key]
+
     values, tags, count, out = np.zeros(0), [], 0, []
     for level, op in enumerate(ops):
         blocks = [op] if level == 0 else new_blocks(op, ops[level - 1], fibers[level - 1])
-        pairs = [solve_below(block, lam_max, seed) for block in blocks]
-        new = np.concatenate([p.values for p in pairs] or [np.zeros(0)])
+        pieces = [solve(block) for block in blocks]
+        new = np.concatenate([v for v, _ in pieces] or [np.zeros(0)])
         values = np.concatenate([values, new])
         tags += ["base" if level == 0 else f"new@{level}"] * len(new)
-        count += sum(p.inertia_count for p in pairs)
+        count += sum(c for _, c in pieces)
         order = np.argsort(values, kind="stable")
         spectrum = cluster(values[order], origin=origin.format(level),
                            tags=[tags[k] for k in order], **cluster_kw)

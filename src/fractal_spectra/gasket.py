@@ -54,21 +54,19 @@ class GasketGraph:
         return len(self.points)
 
 
-def build_gasket(m: int) -> GasketGraph:
-    """Vertices and edges of the level-m gasket via midpoint subdivision."""
+def gasket_levels(m: int) -> list[GasketGraph]:
+    """Gaskets of levels 0..m from one midpoint-subdivision pass; level k's
+    points and births are the first entries of level m's."""
     if m < 0:
         raise ValueError("gasket level must be >= 0")
-    index: dict = {}
-    birth: list[int] = []
+    index = {p: i for i, p in enumerate(_CORNERS)}
+    points, birth, cells = list(_CORNERS), [0, 0, 0], [(0, 1, 2)]
 
-    def vid(p, lvl):
-        if p not in index:
-            index[p] = len(index)
-            birth.append(lvl)
-        return index[p]
+    def graph(lvl):
+        edges = sorted(edge for (a, b, c) in cells for edge in ((a, b), (b, c), (c, a)))
+        return GasketGraph(level=lvl, points=list(points), birth=list(birth), edges=edges)
 
-    cells = [tuple(vid(c, 0) for c in _CORNERS)]
-    points = list(_CORNERS)
+    out = [graph(0)]
     for lvl in range(1, m + 1):
         new_cells = []
         for (a, b, c) in cells:
@@ -86,10 +84,13 @@ def build_gasket(m: int) -> GasketGraph:
             iab, ibc, ica = ids
             new_cells.extend([(a, iab, ica), (iab, b, ibc), (ica, ibc, c)])
         cells = new_cells
-    edges = []
-    for (a, b, c) in cells:
-        edges.extend([(a, b), (b, c), (c, a)])
-    return GasketGraph(level=m, points=points, birth=birth, edges=sorted(edges))
+        out.append(graph(lvl))
+    return out
+
+
+def build_gasket(m: int) -> GasketGraph:
+    """Vertices and edges of the level-m gasket via midpoint subdivision."""
+    return gasket_levels(m)[-1]
 
 
 def _gasket_metric_graph(g: GasketGraph, fiber_depth: int = 0, boundary: str | None = None):

@@ -142,74 +142,93 @@ class MetricGraph:
 class Mesh:
     """Discretization of a MetricGraph at a common pitch.
 
-    ``chains[e]`` lists the node indices along edge e from u to v, with -1
-    standing for an eliminated Dirichlet vertex.  ``node_keys[i]`` is either
-    ("v", vertex_index) or ("e", edge_index, step); ``vertex_nodes[vi]`` is
-    the node of vertex vi, or -1.
+    Nodes are numbered vertices first, then the interior nodes of every edge,
+    edge after edge.  ``vertex_nodes[vi]`` is the node of vertex vi, or -1
+    for an eliminated Dirichlet vertex; edge e is cut into ``segments[e]``
+    cells, and its interior nodes, from u towards v, are ``edge_start[e]``
+    onward.
     """
 
     graph: MetricGraph
     pitch: float
-    node_keys: list
     masses: np.ndarray
-    chains: list = field(repr=False, default_factory=list)
-    vertex_nodes: dict = field(repr=False, default_factory=dict)
+    vertex_nodes: np.ndarray = field(repr=False)
+    segments: np.ndarray = field(repr=False)
+    edge_start: np.ndarray = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.node_keys)
+        return len(self.masses)
+
+
+def _edge_table(g: MetricGraph):
+    """Endpoints (an (edges, 2) array), lengths and weights of g's edges."""
+    ends = np.array([(e.u, e.v) for e in g.edges], dtype=np.int64).reshape(-1, 2)
+    length = np.array([e.length for e in g.edges], dtype=float)
+    weight = np.array([e.weight for e in g.edges], dtype=float)
+    return ends, length, weight
+
+
+def _node_numbers(drop: np.ndarray) -> np.ndarray:
+    """Consecutive numbers for the entries not dropped, -1 for dropped ones."""
+    return np.where(drop, -1, np.cumsum(~drop) - 1)
+
+
+def _laplacian(n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Weighted Laplacian of the node pairs (a[k], b[k]) with conductances
+    c[k], where -1 marks an eliminated node whose couplings reach only the
+    diagonal.  Returns (A as CSR, its diagonal).
+
+    ``np.add.at`` sums in index order, pair by pair and a before b, so the
+    bits are those of a loop over the pairs; the off-diagonal entries enter
+    the COO matrix in that order too.
+    """
+    tips = np.stack([a, b], axis=1).ravel()
+    conductance = np.repeat(c, 2)
+    live = tips >= 0
+    diag = np.zeros(n)
+    np.add.at(diag, tips[live], conductance[live])
+    both = (a >= 0) & (b >= 0)
+    rows = np.stack([a[both], b[both]], axis=1).ravel()
+    cols = np.stack([b[both], a[both]], axis=1).ravel()
+    off = sp.coo_matrix((-np.repeat(c[both], 2), (rows, cols)), shape=(n, n))
+    return (off.tocsr() + sp.diags(diag)).tocsr(), diag
 
 
 def discretize(g: MetricGraph, h: float) -> Mesh:
     """Subdivide every edge at pitch h and lump the measure into node masses.
 
     Interior nodes on edge e get mass h*weight(e); a surviving vertex gets the
-    half-cell mass (h/2)*weight(e) from each incident edge end.  Dirichlet
-    vertices carry no node.
+    half-cell mass (h/2)*weight(e) from each incident edge end, summed in
+    edge order.  Dirichlet vertices carry no node.
     """
     if h <= 0:
         raise NonDividingPitch("pitch must be positive")
-    segs = []
-    for e in g.edges:
-        r = e.length / h
-        n = int(round(r))
-        if n < 1 or abs(r - n) > REL_TOL * max(1.0, r):
-            raise NonDividingPitch(
-                f"pitch {h} does not divide edge length {e.length} (ratio {r})"
-            )
-        segs.append(n)
+    ends, length, weight = _edge_table(g)
+    r = length / h
+    segments = np.rint(r).astype(np.int64)
+    bad = np.flatnonzero((segments < 1) | (np.abs(r - segments) > REL_TOL * np.maximum(1.0, r)))
+    if len(bad):
+        e = bad[0]
+        raise NonDividingPitch(
+            f"pitch {h} does not divide edge length {length[e]} (ratio {r[e]})"
+        )
 
-    dirichlet = g.dirichlet_vertices
-    node_keys = []
-    vertex_nodes = {}
-    for vi in range(len(g.vertices)):
-        if vi in dirichlet:
-            vertex_nodes[vi] = -1
-        else:
-            vertex_nodes[vi] = len(node_keys)
-            node_keys.append(("v", vi))
+    dirichlet = np.array([v.boundary == DIRICHLET for v in g.vertices], dtype=bool)
+    vertex_nodes = _node_numbers(dirichlet)
+    n_vertex_nodes = int(np.count_nonzero(~dirichlet))
+    inner = segments - 1
+    edge_start = n_vertex_nodes + np.cumsum(inner) - inner
 
-    chains = []
-    for ei, e in enumerate(g.edges):
-        chain = [vertex_nodes[e.u]]
-        for t in range(1, segs[ei]):
-            chain.append(len(node_keys))
-            node_keys.append(("e", ei, t))
-        chain.append(vertex_nodes[e.v])
-        chains.append(chain)
+    cell = h * weight
+    masses = np.zeros(n_vertex_nodes + int(inner.sum()))
+    masses[n_vertex_nodes:] = np.repeat(cell, inner)
+    tips = vertex_nodes[ends].ravel()  # u, v of edge 0, then of edge 1, ...
+    half = np.repeat(cell / 2, 2)
+    np.add.at(masses, tips[tips >= 0], half[tips >= 0])
 
-    masses = np.zeros(len(node_keys))
-    for ei, e in enumerate(g.edges):
-        cell = h * e.weight
-        chain = chains[ei]
-        for idx in chain[1:-1]:
-            masses[idx] += cell
-        for idx in (chain[0], chain[-1]):
-            if idx >= 0:
-                masses[idx] += cell / 2
-
-    return Mesh(graph=g, pitch=h, node_keys=node_keys, masses=masses, chains=chains,
-                vertex_nodes=vertex_nodes)
+    return Mesh(graph=g, pitch=h, masses=masses, vertex_nodes=vertex_nodes,
+                segments=segments, edge_start=edge_start)
 
 
 @dataclass
@@ -240,24 +259,16 @@ def assemble(m: Mesh) -> DiscreteOperator:
     diagonal only.  Accumulation order is fixed by edge index, so results are
     bit-identical across runs.
     """
-    n = m.n_nodes
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n)
-    for ei, e in enumerate(m.graph.edges):
-        c = e.weight / m.pitch
-        chain = m.chains[ei]
-        for a, b in zip(chain[:-1], chain[1:]):
-            if a >= 0:
-                diag[a] += c
-            if b >= 0:
-                diag[b] += c
-            if a >= 0 and b >= 0:
-                rows.extend((a, b))
-                cols.extend((b, a))
-                vals.extend((-c, -c))
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    A = A + sp.diags(diag)
-    return DiscreteOperator(A=A.tocsr(), M=m.masses.copy())
+    ends, _, weight = _edge_table(m.graph)
+    # the cells of each edge in order from u to v: cell `step` runs from
+    # node a to node b, the first from u's node and the last to v's
+    edge = np.repeat(np.arange(len(m.segments)), m.segments)
+    step = np.arange(len(edge)) - np.repeat(np.cumsum(m.segments) - m.segments, m.segments)
+    a = np.where(step == 0, m.vertex_nodes[ends[edge, 0]], m.edge_start[edge] + step - 1)
+    b = np.where(step == m.segments[edge] - 1, m.vertex_nodes[ends[edge, 1]],
+                 m.edge_start[edge] + step)
+    A, _ = _laplacian(m.n_nodes, a, b, (weight / m.pitch)[edge])
+    return DiscreteOperator(A=A, M=m.masses.copy())
 
 
 def graph_operator(g: MetricGraph, boundary: str | None = None) -> DiscreteOperator:
@@ -271,29 +282,12 @@ def graph_operator(g: MetricGraph, boundary: str | None = None) -> DiscreteOpera
     ``boundary`` overrides vertex markings: "dirichlet" eliminates all marked
     vertices, None keeps everything (Neumann).
     """
-    nv = len(g.vertices)
-    drop = g.dirichlet_vertices if boundary == DIRICHLET else set()
-    keep = [i for i in range(nv) if i not in drop]
-    pos = {vi: k for k, vi in enumerate(keep)}
-    n = len(keep)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n)
-    deg = np.zeros(n)
-    for e in g.edges:
-        a = pos.get(e.u, -1)
-        b = pos.get(e.v, -1)
-        if a >= 0:
-            diag[a] += e.weight
-            deg[a] += e.weight
-        if b >= 0:
-            diag[b] += e.weight
-            deg[b] += e.weight
-        if a >= 0 and b >= 0:
-            rows.extend((a, b))
-            cols.extend((b, a))
-            vals.extend((-e.weight, -e.weight))
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr() + sp.diags(diag)
-    return DiscreteOperator(A=A.tocsr(), M=deg, kept_vertices=keep)
+    drop = np.array([boundary == DIRICHLET and v.boundary == DIRICHLET for v in g.vertices],
+                    dtype=bool)
+    pos = _node_numbers(drop)
+    ends, _, weight = _edge_table(g)
+    A, deg = _laplacian(int(np.count_nonzero(~drop)), pos[ends[:, 0]], pos[ends[:, 1]], weight)
+    return DiscreteOperator(A=A, M=deg, kept_vertices=np.flatnonzero(~drop).tolist())
 
 
 def dirichlet_energy(d: DiscreteOperator, v: np.ndarray) -> float:

@@ -1,0 +1,158 @@
+"""The loop versions of ``discretize``, ``assemble`` and ``graph_operator``,
+kept as an independent reference for the NumPy versions in
+``fractal_spectra.metric_graph``: each walks the edges one at a time and
+accumulates in edge order, so the package's masses and CSR arrays must
+match these bit for bit (``tests/test_properties.py``)."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+import scipy.sparse as sp
+
+from fractal_spectra.errors import NonDividingPitch
+from fractal_spectra.metric_graph import (
+    DIRICHLET,
+    REL_TOL,
+    DiscreteOperator,
+    MetricGraph,
+)
+
+
+@dataclass
+class Mesh:
+    """Discretization of a MetricGraph at a common pitch.
+
+    ``chains[e]`` lists the node indices along edge e from u to v, with -1
+    standing for an eliminated Dirichlet vertex.  ``node_keys[i]`` is either
+    ("v", vertex_index) or ("e", edge_index, step); ``vertex_nodes[vi]`` is
+    the node of vertex vi, or -1.
+    """
+
+    graph: MetricGraph
+    pitch: float
+    node_keys: list
+    masses: np.ndarray
+    chains: list = field(repr=False, default_factory=list)
+    vertex_nodes: dict = field(repr=False, default_factory=dict)
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.node_keys)
+
+
+def discretize(g: MetricGraph, h: float) -> Mesh:
+    """Subdivide every edge at pitch h and lump the measure into node masses.
+
+    Interior nodes on edge e get mass h*weight(e); a surviving vertex gets the
+    half-cell mass (h/2)*weight(e) from each incident edge end.  Dirichlet
+    vertices carry no node.
+    """
+    if h <= 0:
+        raise NonDividingPitch("pitch must be positive")
+    segs = []
+    for e in g.edges:
+        r = e.length / h
+        n = int(round(r))
+        if n < 1 or abs(r - n) > REL_TOL * max(1.0, r):
+            raise NonDividingPitch(
+                f"pitch {h} does not divide edge length {e.length} (ratio {r})"
+            )
+        segs.append(n)
+
+    dirichlet = g.dirichlet_vertices
+    node_keys = []
+    vertex_nodes = {}
+    for vi in range(len(g.vertices)):
+        if vi in dirichlet:
+            vertex_nodes[vi] = -1
+        else:
+            vertex_nodes[vi] = len(node_keys)
+            node_keys.append(("v", vi))
+
+    chains = []
+    for ei, e in enumerate(g.edges):
+        chain = [vertex_nodes[e.u]]
+        for t in range(1, segs[ei]):
+            chain.append(len(node_keys))
+            node_keys.append(("e", ei, t))
+        chain.append(vertex_nodes[e.v])
+        chains.append(chain)
+
+    masses = np.zeros(len(node_keys))
+    for ei, e in enumerate(g.edges):
+        cell = h * e.weight
+        chain = chains[ei]
+        for idx in chain[1:-1]:
+            masses[idx] += cell
+        for idx in (chain[0], chain[-1]):
+            if idx >= 0:
+                masses[idx] += cell / 2
+
+    return Mesh(graph=g, pitch=h, node_keys=node_keys, masses=masses, chains=chains,
+                vertex_nodes=vertex_nodes)
+
+
+def assemble(m: Mesh) -> DiscreteOperator:
+    """Assemble the generalized pencil from a mesh.
+
+    Each pair of consecutive nodes along an edge couples with conductance
+    weight(e)/h.  Couplings to eliminated Dirichlet nodes contribute to the
+    diagonal only.  Accumulation order is fixed by edge index, so results are
+    bit-identical across runs.
+    """
+    n = m.n_nodes
+    rows, cols, vals = [], [], []
+    diag = np.zeros(n)
+    for ei, e in enumerate(m.graph.edges):
+        c = e.weight / m.pitch
+        chain = m.chains[ei]
+        for a, b in zip(chain[:-1], chain[1:]):
+            if a >= 0:
+                diag[a] += c
+            if b >= 0:
+                diag[b] += c
+            if a >= 0 and b >= 0:
+                rows.extend((a, b))
+                cols.extend((b, a))
+                vals.extend((-c, -c))
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    A = A + sp.diags(diag)
+    return DiscreteOperator(A=A.tocsr(), M=m.masses.copy())
+
+
+def graph_operator(g: MetricGraph, boundary: str | None = None) -> DiscreteOperator:
+    """Weighted graph-Laplacian pencil on the vertices of g.
+
+    A is the weighted combinatorial Laplacian (edge lengths ignored), M the
+    weighted degree, so the pencil eigenvalues are those of the probabilistic
+    Laplacian I - D^{-1}W.  Used for the gasket-based spaces, whose continuum
+    Laplacian is defined by decimation limits rather than edge-wise FD.
+
+    ``boundary`` overrides vertex markings: "dirichlet" eliminates all marked
+    vertices, None keeps everything (Neumann).
+    """
+    nv = len(g.vertices)
+    drop = g.dirichlet_vertices if boundary == DIRICHLET else set()
+    keep = [i for i in range(nv) if i not in drop]
+    pos = {vi: k for k, vi in enumerate(keep)}
+    n = len(keep)
+    rows, cols, vals = [], [], []
+    diag = np.zeros(n)
+    deg = np.zeros(n)
+    for e in g.edges:
+        a = pos.get(e.u, -1)
+        b = pos.get(e.v, -1)
+        if a >= 0:
+            diag[a] += e.weight
+            deg[a] += e.weight
+        if b >= 0:
+            diag[b] += e.weight
+            deg[b] += e.weight
+        if a >= 0 and b >= 0:
+            rows.extend((a, b))
+            cols.extend((b, a))
+            vals.extend((-e.weight, -e.weight))
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr() + sp.diags(diag)
+    return DiscreteOperator(A=A.tocsr(), M=deg, kept_vertices=keep)

@@ -254,6 +254,47 @@ class TestLanczos:
             solve_below(d, 4.5)
 
 
+def choux_24_level(boundary, level):
+    """Standard form of one fiber level of choux 2/4 and its dense spectrum."""
+    S, _ = _standard_form(choux_levels(ChouxSpec(2, 4, boundary))[0][level])
+    return S, np.linalg.eigvalsh(S.toarray())
+
+
+class TestInertiaGuard:
+    """Gasket pencils sit at cuts where SuperLU's diagonal-pivot LDL^T goes
+    wrong: its permutation leaves the diagonal, or a pivot falls near zero
+    and flips the signs after it.  Such counts are redone densely."""
+
+    def test_tiny_pivot_count_is_redone(self):
+        """At the double just below 1/2 the sparse pivots of choux 2/4 level
+        1 count 56, with the smallest |pivot| about 1.7e-16; the spectrum
+        has 54 values there and none within 0.15 of the cut."""
+        S, dense = choux_24_level(None, 1)
+        cut = 0.49999999999999994
+        assert np.abs(dense - cut).min() > 0.15
+        assert _count_below(S, cut) == np.count_nonzero(dense < cut) == 54
+
+    @pytest.mark.parametrize("boundary, level, cut",
+                             [(None, 0, 0.5), ("dirichlet", 1, 0.25), (None, 2, 0.5)])
+    def test_off_diagonal_pivoting_is_recounted(self, boundary, level, cut):
+        S, dense = choux_24_level(boundary, level)
+        assert np.abs(dense - cut).min() > 5e-3
+        assert _count_below(S, cut) == np.count_nonzero(dense < cut)
+
+    @pytest.mark.parametrize("boundary", [None, "dirichlet"])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_cuts_off_the_spectrum_count_exactly(self, boundary, level):
+        S, dense = choux_24_level(boundary, level)
+        cuts = [c for c in np.arange(0.05, 2.0, 0.05) if np.abs(dense - c).min() > 1e-6]
+        assert [_count_below(S, c) for c in cuts] == [np.count_nonzero(dense < c) for c in cuts]
+
+    def test_untrusted_count_too_large_to_redo_is_refused(self, eigsh_threshold):
+        S, _ = choux_24_level(None, 0)  # 123 rows
+        eigsh_threshold(100)
+        with pytest.raises(NoConvergence, match="not trusted"):
+            _count_below(S, 0.5)
+
+
 class TestCluster:
     def test_near_duplicates_merge(self):
         s = cluster(np.array([4.0, 4.0 + 1e-12, 9.0]))

@@ -4,8 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
-from fractal_spectra import gasket, laakso, strings
+from fractal_spectra import fiber, gasket, laakso, strings
+from fractal_spectra.eigensolve import solve_below
 from fractal_spectra.errors import IncompatibleMesh
 from fractal_spectra.fiber import (
     FiberStructure,
@@ -274,3 +276,62 @@ class TestBlockRoute:
             assert len(blocks) > 1
             for b in blocks:
                 assert sp.csgraph.connected_components(b.A, directed=False)[0] == 1
+
+    @pytest.mark.parametrize("case", ["laakso_j222", "strings_213", "choux_24_dirichlet"])
+    def test_blocks_are_the_fancy_indexed_components(self, case):
+        """Each block equals A[idx][:, idx] and M[idx] of its component,
+        the construction the slices replace, bit for bit."""
+        ops, fibers = {
+            "laakso_j222": lambda: laakso.laakso_levels(LaaksoSpec(j=[2, 2, 2], refine=8)),
+            "strings_213": lambda: strings.stitched_levels(STRINGS_213),
+            "choux_24_dirichlet": lambda: gasket.choux_levels(CHOUX_24D),
+        }[case]()
+        for level in range(1, len(ops)):
+            Q = contrast_basis(fibers[level - 1])
+            A = Q.T @ ops[level].A @ Q
+            A = (0.5 * (A + A.T)).tocsr()
+            A.eliminate_zeros()
+            M = Q.multiply(Q).T @ ops[level].M
+            n_comp, labels = connected_components(A, directed=False)
+            blocks = new_blocks(ops[level], ops[level - 1], fibers[level - 1])
+            assert len(blocks) == n_comp
+            for k, block in enumerate(blocks):
+                idx = np.flatnonzero(labels == k)
+                expect = A[idx][:, idx]
+                for name in ("indptr", "indices", "data"):
+                    got, want = getattr(block.A, name), getattr(expect, name)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), name
+                assert block.A.shape == expect.shape
+                assert np.array_equal(block.M, M[idx])
+
+
+class TestSolveOnce:
+    """level_spectra solves each distinct piece once; identical blocks reuse
+    the values and inertia count of the first."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def counted(block, lam_max, seed):
+            calls.append(block.n)
+            return solve_below(block, lam_max, seed)
+
+        monkeypatch.setattr(fiber, "solve_below", counted)
+        return calls
+
+    def test_laakso_krylov_spec(self, solves):
+        """j = [2]*5 at refine 8 has 217 blocks above level 0, 14 distinct."""
+        per_level = laakso.laakso_numeric_spectra(LaaksoSpec(j=[2] * 5, refine=8), 400.0)
+        assert len(solves) <= 15
+        assert [s.meta["inertia_count"] for s in per_level] == [7, 13, 26, 40, 40, 40]
+
+    def test_laakso_cli_spec(self, solves):
+        """j = [2, 2, 2] at refine 32: level 0 plus 8 distinct of 21 blocks."""
+        spec = LaaksoSpec(j=[2, 2, 2], refine=32)
+        per_level = laakso.laakso_numeric_spectra(spec, 230.0)
+        assert len(solves) == 9
+        ops, fibers = laakso.laakso_levels(spec)
+        assert sum(len(new_blocks(ops[i], ops[i - 1], fibers[i - 1])) for i in (1, 2, 3)) == 21
+        for spectrum in per_level:
+            assert spectrum.total_multiplicity() == spectrum.meta["inertia_count"]
