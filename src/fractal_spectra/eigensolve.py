@@ -18,6 +18,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -88,12 +89,17 @@ class SpectrumList:
     # -- serialization -------------------------------------------------------
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
+        # csv quotes a field for the characters of its line terminator, not
+        # for every line break, so a "\n" terminator leaves a "\r" in a tag
+        # bare and the reader ends the row there.  Rows are written with
+        # "\r\n" (the writer hands over one row per write) and each row's
+        # terminator is cut back to "\n".
+        rows: list[str] = []
+        w = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n")
         w.writerow(["eigenvalue", "multiplicity", "tag", "source"])
         for e in self.entries:
             w.writerow([repr(e.value), e.multiplicity, e.tag, self.origin])
-        return buf.getvalue()
+        return "".join(row[:-2] + "\n" for row in rows)
 
     @classmethod
     def from_csv(cls, text: str, truncation: float | None = None, pitch=None) -> "SpectrumList":
@@ -285,13 +291,19 @@ def cluster(
     """Gap-based multiplicity clustering of a sorted eigenvalue array.
 
     ``tags`` optionally assigns a label per raw eigenvalue; a cluster's tag
-    lists the distinct labels with their counts.
+    lists the distinct labels with their counts.  Gaps of at most
+    ``rel_tol`` chain, so a run is also held to a width of at most
+    ``rel_tol * max(1, |last value|)``; a wider run is a string of distinct
+    close values, not copies of one, and raises ``NoConvergence``.
     """
     eigs = np.asarray(eigs, dtype=float)
     if np.any(np.diff(eigs) < 0):
         raise ValueError("input eigenvalues must be sorted")
     entries = []
     for i, j in gap_runs(eigs, rel_tol):
+        if eigs[j - 1] - eigs[i] > rel_tol * max(1.0, abs(eigs[j - 1])):
+            raise NoConvergence(0, f"{j - i} eigenvalues from {eigs[i]!r} to {eigs[j - 1]!r} "
+                                   f"chain into one cluster wider than rel_tol {rel_tol!r}")
         val = float(np.mean(eigs[i:j]))
         if tags is not None:
             labels = {}

@@ -5,7 +5,10 @@ Dirichlet spectrum is pi^2 k^2 / l_i^2 with multiplicity m_i.  The stitched
 space starts from [0, l_1], first turns it into m_1 parallel strands glued at
 both ends, then at each level i >= 2 duplicates the open segment of length
 l_i at the right end of the all-ones sheet into m_i + 1 copies.  Lengths are
-kept as exact rationals so a common mesh pitch exists.
+kept as exact rationals so a common mesh pitch exists.  The analytic
+spectrum is merged on integers: every length is a whole number of grid units,
+so every k^2 / l_i^2 is an integer square over one common denominator, and
+one correctly rounded int/int division gives the float of each value.
 """
 
 from __future__ import annotations
@@ -80,24 +83,36 @@ class StringSpec:
 
 def string_analytic_spectrum(spec: StringSpec, lam_max: float) -> SpectrumList:
     """Dirichlet spectrum pi^2 k^2 / l_i^2 with multiplicity m_i, merged
-    exactly on the rational coefficient k^2 / l_i^2."""
+    exactly on integer keys.
+
+    With g the grid unit, each length is l_i = n_i g for an integer n_i, and
+    with L = lcm(n_i) the coefficient is k^2 / l_i^2 = q^2 / (L^2 g^2) for the
+    integer q = k L / n_i.  Equal coefficients are equal q, and integer order
+    is value order, so the merge and its source order are those of the exact
+    rationals.  Each coefficient is converted by one int/int true division,
+    which CPython rounds correctly, as ``float(Fraction)`` does; so every
+    value and every stop at ``lam_max`` is bit-identical to the rational
+    computation.
+    """
     pi2 = math.pi**2
     coeff_max = lam_max / pi2
-    merged: dict[Fraction, list] = {}
-    for i, (l, m) in enumerate(zip(spec.lengths, spec.mults), start=1):
+    g = spec.grid_unit
+    n = [int(l / g) for l in spec.lengths]
+    L = math.lcm(*n)
+    num, den = g.denominator**2, L * L * g.numerator**2
+    merged: dict[int, list] = {}
+    for i, (n_i, m) in enumerate(zip(n, spec.mults), start=1):
+        step = L // n_i
         k = 1
-        while True:
-            c = Fraction(k * k, 1) / (l * l)
-            if float(c) > coeff_max:
-                break
-            merged.setdefault(c, []).append((i, k, m))
+        while (k * step) ** 2 * num / den <= coeff_max:
+            merged.setdefault(k * step, []).append((i, k, m))
             k += 1
     entries = []
-    for c in sorted(merged):
-        sources = merged[c]
+    for q in sorted(merged):
+        sources = merged[q]
         mult = sum(m for (_, _, m) in sources)
         tag = ";".join(f"i={i},k={k},m={m}" for (i, k, m) in sources)
-        entries.append(SpectrumEntry(float(c) * pi2, mult, tag))
+        entries.append(SpectrumEntry(q * q * num / den * pi2, mult, tag))
     return SpectrumList(
         entries=entries,
         origin="analytic(string)",

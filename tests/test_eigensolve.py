@@ -308,6 +308,18 @@ class TestCluster:
         s = cluster(np.array([4.0, 4.0, 9.0]), tags=["base", "new@1", "base"])
         assert s.entries[0].tag == "basex1;new@1x1"
 
+    def test_wide_chain_of_close_values_is_refused(self):
+        rel_tol = 1e-7
+        chain = 1.0 + 0.9 * rel_tol * np.arange(20)
+        assert gap_runs(chain, rel_tol) == [(0, 20)]
+        with pytest.raises(NoConvergence, match="wider than rel_tol"):
+            cluster(chain, rel_tol=rel_tol)
+
+    def test_copies_a_few_ulps_apart_still_merge(self):
+        copies = 4.0 + np.spacing(4.0) * np.arange(6)
+        s = cluster(np.array([1.0, *copies, 9.0]))
+        assert [e.multiplicity for e in s.entries] == [1, 6, 1]
+
     def test_gap_runs(self):
         v = [0.0, 1e-9, 1.0, 1.0 + 5e-8, 1.0 + 1e-7, 3.0, 300.0, 300.0 + 2e-5]
         assert gap_runs(v, 1e-7) == [(0, 2), (2, 5), (5, 6), (6, 8)]

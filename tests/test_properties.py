@@ -1,23 +1,32 @@
 """Property tests over random Laakso, pâte à choux and fractal-string specs,
-and over random small metric graphs.
+over random small metric graphs, random symmetric matrices and random
+spectrum lists.
 
 On every level the multiplicities must add up to the inertia count, and the
 block route must agree with the independent full-pencil route.  On every
 graph the NumPy mesh and pencil builders must give the bits of the loop
 versions in ``tests/mesh_reference.py``, and relabelling the vertices must
-leave the spectrum alone.  The example counts and the deadline keep the file
-to a few seconds; ``derandomize`` makes every run draw the same examples.
+leave the spectrum alone.  The integer-keyed analytic string spectrum must
+give the bits of the rational one in ``tests/strings_reference.py``; the
+inertia count must equal the dense count at every cut clear of an
+eigenvalue; and spectrum lists must survive their CSV and JSON round trips.
+The example counts and the deadline keep the file to a few seconds;
+``derandomize`` makes every run draw the same examples.
 """
 
+import math
 from datetime import timedelta
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mesh_reference
+import strings_reference
 from fractal_spectra import gasket, laakso, strings
+from fractal_spectra.eigensolve import SpectrumEntry, SpectrumList, _count_below
 from fractal_spectra.metric_graph import (
     DIRICHLET,
     MetricGraph,
@@ -156,3 +165,95 @@ def test_spectrum_is_unchanged_by_relabelling_the_vertices(case):
             continue
         values, relabelled = generalized_eigh(op)[0], generalized_eigh(op_relabelled)[0]
         assert np.abs(values - relabelled).max() <= 1e-12 * np.abs(values).max()
+
+
+@st.composite
+def analytic_string_cases(draw):
+    """A string of 1-5 lengths rationalized from random floats (so some
+    denominators come near the 10^6 bound and the lcm of the lengths in grid
+    units is large), mults 1-4, and a cut that is random, equal to an
+    eigenvalue float pi^2 k^2 / l_i^2 or one of that float's neighbours."""
+    floats = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5))
+    lengths = sorted(set(strings.rationalize(floats)[0]), reverse=True)
+    mults = draw(st.lists(st.integers(1, 4), min_size=len(lengths), max_size=len(lengths)))
+    l, k = draw(st.sampled_from(lengths)), draw(st.integers(1, 20))
+    on = float(Fraction(k * k) / (l * l)) * math.pi**2
+    cut = draw(st.one_of(st.floats(10.0, 1e5),
+                         st.sampled_from([on, math.nextafter(on, 0.0), math.nextafter(on, math.inf)])))
+    return strings.StringSpec(lengths, mults), cut
+
+
+@SETTINGS
+@given(case=analytic_string_cases())
+def test_analytic_string_spectrum_has_the_bits_of_the_rational_reference(case):
+    spec, cut = case
+    s, ref = strings.string_analytic_spectrum(spec, cut), strings_reference.string_analytic_spectrum(spec, cut)
+    rows = [(e.value, e.multiplicity, e.tag) for e in s.entries]
+    assert rows == [(e.value, e.multiplicity, e.tag) for e in ref.entries]
+    assert s.to_csv() == ref.to_csv()
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A random symmetric matrix of at most 80 rows: Q diag(d) Q^T with d
+    drawn from a few values, so eigenvalues repeat, or a random tridiagonal,
+    whose zero off-diagonal entries split it into blocks."""
+    n = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        levels = rng.normal(scale=10.0, size=draw(st.integers(1, 6)))
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        S = (q * rng.choice(levels, size=n)) @ q.T
+        S = (S + S.T) / 2
+    else:
+        off = rng.normal(size=n - 1) * (rng.random(n - 1) > 0.2)
+        S = np.diag(rng.normal(size=n)) + np.diag(off, 1) + np.diag(off, -1)
+    return S
+
+
+@SETTINGS
+@given(S=symmetric_matrices())
+def test_inertia_count_matches_dense_count_at_every_cut_clear_of_the_spectrum(S):
+    """Cuts halfway between distinct eigenvalues and 1e-9 of the spectral
+    scale off each side of every eigenvalue.  A cut within 1e-10 of the
+    scale of an eigenvalue is dropped: there the dense count itself depends
+    on rounding (near-equal copies of one eigenvalue straddle it)."""
+    w = np.linalg.eigvalsh(S)
+    scale = max(1.0, np.abs(w).max())
+    distinct = np.unique(w)
+    cuts = np.concatenate([(distinct[:-1] + distinct[1:]) / 2,
+                           w - 1e-9 * scale, w + 1e-9 * scale])
+    cuts = [c for c in cuts if np.abs(w - c).min() > 1e-10 * scale]
+    A = sp.csr_matrix(S)
+    for cut in cuts:
+        assert _count_below(A, cut) == np.count_nonzero(w < cut), cut
+
+
+@st.composite
+def spectrum_lists(draw):
+    """A spectrum list of up to 8 strictly increasing finite values (some
+    drawn from subnormal and near-overflow ones), mults >= 1, tags and an
+    origin with commas, semicolons, quotes and line breaks, a finite or
+    infinite truncation, an optional pitch and a small JSON meta."""
+    text = st.text(st.sampled_from('ab1 ,;"\n\r\t=@x'), max_size=12)
+    values = draw(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.sampled_from([5e-324, 1e-310, 2.2e-308, 1e300,
+                                                      1.7976931348623157e308])),
+                           max_size=8, unique=True))
+    entries = [SpectrumEntry(v, draw(st.integers(1, 10**6)), draw(text)) for v in sorted(values)]
+    meta = st.dictionaries(st.text(max_size=5), st.one_of(st.integers(), st.text(max_size=5),
+                                                          st.lists(st.integers(), max_size=3)),
+                           max_size=3)
+    return SpectrumList(entries, draw(text),
+                        draw(st.one_of(st.floats(allow_nan=False), st.just(math.inf))),
+                        draw(st.one_of(st.none(), st.floats(1e-6, 1.0))), draw(meta))
+
+
+@SETTINGS
+@given(s=spectrum_lists())
+def test_spectrum_lists_survive_csv_and_json_round_trips(s):
+    text = s.to_csv()
+    assert SpectrumList.from_csv(text).to_csv() == text
+    back = SpectrumList.from_json(s.to_json())
+    assert back.entries == s.entries
+    assert (back.origin, back.truncation, back.pitch, back.meta) == (s.origin, s.truncation, s.pitch, s.meta)

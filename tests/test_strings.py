@@ -18,6 +18,7 @@ from fractal_spectra.strings import (
     zeta_partial,
 )
 from level_reference import classify_levels
+import strings_reference
 
 PI2 = math.pi**2
 
@@ -51,6 +52,17 @@ class TestAnalyticSpectrum:
             for l, m in zip(spec.lengths, spec.mults)
         )
         assert counting_function(s, lam) == expect
+
+    def test_zeta_cut_of_the_string_workload_matches_the_rational_reference(self):
+        """The zeta spectrum the CLI lists for the benchmark's string spec:
+        10 000 entries, each equal to the Fraction-merged reference."""
+        lengths, _ = rationalize([0.5, 0.25, 0.125, 0.0625])
+        spec = StringSpec(lengths, [1, 2, 1, 3], refine=16)
+        lam = (math.pi * 10**4 / float(lengths[0])) ** 2
+        s, ref = string_analytic_spectrum(spec, lam), strings_reference.string_analytic_spectrum(spec, lam)
+        assert len(s.entries) == 10_000
+        assert s.entries == ref.entries
+        assert s.to_csv() == ref.to_csv()
 
     def test_truncation_below_first(self):
         s = string_analytic_spectrum(StringSpec([Fraction(1, 2)], [1]), PI2)
