@@ -109,8 +109,8 @@ def cmd_laakso(args) -> int:
     spec = laakso.LaaksoSpec(j=j, refine=refine, boundary=boundary)
     if args.pitch is not None:
         d_n = spec.d[spec.depth]
-        r = 1.0 / (args.pitch * d_n)
-        if abs(r - round(r)) > 1e-9 or round(r) < 2:
+        r = 1.0 / (args.pitch * d_n) if args.pitch > 0 else 0.0
+        if not math.isfinite(r) or abs(r - round(r)) > 1e-9 or round(r) < 2:
             raise InvalidSpaceSpec(
                 f"pitch {args.pitch} is not 1/(r*{d_n}) for an integer refinement r >= 2"
             )
@@ -341,6 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # NaN compares false both ways, so a NaN tolerance would pass or fail
+        # every check; only finite values >= 0 are tolerances
+        if args.tol is not None and not 0 <= args.tol < math.inf:
+            raise InvalidSpaceSpec(f"--tol must be a finite number >= 0, got {args.tol}")
         return args.func(args)
     except NoCommonPitch as exc:
         print(f"error: {exc}", file=sys.stderr)

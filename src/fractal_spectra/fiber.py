@@ -282,8 +282,9 @@ def level_spectra(
 
     Level 0 is solved whole and each level i >= 1 only through its
     ``new_blocks``, each distinct component once by
-    ``solve_below(block, lam_max, seed)`` (a component equal bit for bit to
-    one solved before reuses its values and inertia count).
+    ``solve_below(block, lam_max, seed, vectors=False)`` (a component equal
+    bit for bit to one solved before reuses its values and inertia count).
+    No eigenvector is formed: the spectra need only the values.
     Level i's spectrum is the union of the level-0 values (tag "base") and
     the block values of levels 1..i (tag "new@k"), gap-clustered by
     ``cluster`` with ``cluster_kw``; its ``meta`` is ``meta`` plus the summed
@@ -299,7 +300,7 @@ def level_spectra(
         key = (A.shape, A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes(),
                block.M.tobytes())
         if key not in solved:
-            pairs = solve_below(block, lam_max, seed)
+            pairs = solve_below(block, lam_max, seed, vectors=False)
             solved[key] = (pairs.values, pairs.inertia_count)
         return solved[key]
 

@@ -132,11 +132,12 @@ def _gasket_metric_graph(g: GasketGraph, fiber_depth: int = 0, boundary: str | N
 def gasket_graph_spectrum(g: GasketGraph, boundary: str | None = None) -> SpectrumList:
     """Probabilistic graph-Laplacian spectrum of the level-m gasket.
 
-    ``boundary="dirichlet"`` removes the three corner points.
+    ``boundary="dirichlet"`` removes the three corner points.  The whole
+    spectrum is solved for values only.
     """
     mg, _, _, _ = _gasket_metric_graph(g, 0, boundary)
     op = graph_operator(mg, boundary)
-    pairs = solve_below(op, SPECTRAL_BOUND)
+    pairs = solve_below(op, SPECTRAL_BOUND, vectors=False)
     out = cluster(pairs.values, origin=f"numeric(gasket,m={g.level})", truncation=np.inf)
     out.meta = {"gasket_level": g.level, "boundary": boundary, "normalization": "probabilistic"}
     return out

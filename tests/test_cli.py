@@ -67,6 +67,15 @@ class TestLaakso:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["0", "1e-320"])
+    def test_pitch_without_a_finite_refinement_rejected(self, laakso_run, tmp_path, capsys, value):
+        """Pitch 0 divided by zero and a subnormal pitch made an infinite
+        refinement; both are reported like any other invalid pitch."""
+        spec, _ = laakso_run
+        code = cli.main(["laakso", "--spec", spec, "--out", str(tmp_path / "x"), "--pitch", value])
+        assert code == 2
+        assert "for an integer refinement r >= 2" in capsys.readouterr().err
+
     def test_depth_mismatch_rejected(self, tmp_path):
         spec = write_spec(tmp_path, "bad.json", {"j": [2, 2], "depth": 3})
         assert cli.main(["laakso", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
@@ -241,6 +250,24 @@ def test_flag_without_effect_is_rejected(tmp_path, command, flag, value):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["laakso", "choux", "string", "verify"])
+def test_tol_that_is_not_a_finite_nonnegative_number_is_rejected(laakso_run, tmp_path, command):
+    """NaN compares false both ways: verify passed every value at --tol nan
+    and the nesting check failed every one.  NaN, infinite and negative
+    tolerances are bad flags (exit 2) on every subcommand."""
+    docs = {"laakso": {"j": [2], "refine": 8, "lambda_max": 60.0},
+            "choux": {"fiber_depth": 1, "gasket_level": 2},
+            "string": {"lengths": [0.5, 0.25], "mults": [1, 1], "refine": 8,
+                       "lambda_max": 400.0, "zeta_terms": 100}}
+    for value in ("nan", "inf", "-1e-9"):
+        if command == "verify":
+            argv = ["verify", "--out", str(laakso_run[1])]
+        else:
+            argv = [command, "--spec", write_spec(tmp_path, "spec.json", docs[command]),
+                    "--out", str(tmp_path / "o")]
+        assert cli.main(argv + [f"--tol={value}"]) == cli.EXIT_BAD_SPEC, value
 
 
 def test_each_run_builds_its_family_once(tmp_path, monkeypatch):

@@ -28,8 +28,15 @@ from fractal_spectra.errors import (
     NoConvergence,
     NotPositiveMass,
 )
-from fractal_spectra.gasket import SPECTRAL_BOUND, ChouxSpec, choux_levels
-from fractal_spectra.laakso import LaaksoSpec, build_laakso
+from fractal_spectra.gasket import (
+    SPECTRAL_BOUND,
+    ChouxSpec,
+    build_gasket,
+    choux_levels,
+    choux_numeric_spectra,
+    gasket_graph_spectrum,
+)
+from fractal_spectra.laakso import LaaksoSpec, build_laakso, laakso_numeric_spectra
 from fractal_spectra.metric_graph import (
     DIRICHLET,
     NEUMANN,
@@ -39,7 +46,12 @@ from fractal_spectra.metric_graph import (
     assemble,
     discretize,
 )
-from fractal_spectra.strings import StringSpec, build_stitched, stitched_levels
+from fractal_spectra.strings import (
+    StringSpec,
+    build_stitched,
+    stitched_levels,
+    stitched_numeric_spectra,
+)
 from lapack_reference import generalized_eigh
 
 
@@ -244,14 +256,45 @@ class TestLanczos:
         solver = getattr(module, name)
 
         def drop_a_copy(*args, **kwargs):
-            w, Y = solver(*args, **kwargs)
+            result = solver(*args, **kwargs)
+            if not isinstance(result, tuple):  # a values-only call
+                return np.delete(result, int(np.argmin(np.abs(result - 2.0))))
+            w, Y = result
             j = int(np.argmin(np.abs(w - 2.0)))
             return np.delete(w, j), np.delete(Y, j, axis=1)
 
         monkeypatch.setattr(module, name, drop_a_copy)
         eigsh_threshold(threshold)
-        with pytest.raises(NoConvergence):
-            solve_below(d, 4.5)
+        for vectors in (True, False):
+            with pytest.raises(NoConvergence):
+                solve_below(d, 4.5, vectors=vectors)
+
+    def test_pipeline_asks_for_no_eigenvector(self, monkeypatch, eigsh_threshold):
+        """The level pipeline and the gasket spectrum solve for values only:
+        every LAPACK call passes eigvals_only=True and every ARPACK call
+        return_eigenvectors=False, on the whole, subset and ARPACK routes."""
+        calls = []
+        for module, name in ((eigensolve.scipy.linalg, "eigh"), (eigensolve.spla, "eigsh")):
+            def spy(*args, _solver=getattr(module, name), _name=name, **kwargs):
+                calls.append((_name, kwargs))
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        laakso_spec = LaaksoSpec(j=[2, 2], refine=8)
+        string_spec = StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 2], refine=16)
+        laakso_numeric_spectra(laakso_spec, 200.0)
+        stitched_numeric_spectra(string_spec, 700.0)
+        choux_numeric_spectra(ChouxSpec(fiber_depth=1, gasket_level=2))
+        gasket_graph_spectrum(build_gasket(2), "dirichlet")
+        eigsh_threshold(0)
+        laakso_numeric_spectra(laakso_spec, 200.0)
+        stitched_numeric_spectra(string_spec, 700.0)
+        assert {name for name, _ in calls} == {"eigh", "eigsh"}
+        for name, kwargs in calls:
+            if name == "eigh":
+                assert kwargs.get("eigvals_only") is True, kwargs
+            else:
+                assert kwargs.get("return_eigenvectors") is False, kwargs
 
 
 def choux_24_level(boundary, level):

@@ -313,9 +313,9 @@ class TestSolveOnce:
     def solves(self, monkeypatch):
         calls = []
 
-        def counted(block, lam_max, seed):
+        def counted(block, *args, **kwargs):
             calls.append(block.n)
-            return solve_below(block, lam_max, seed)
+            return solve_below(block, *args, **kwargs)
 
         monkeypatch.setattr(fiber, "solve_below", counted)
         return calls

@@ -7,6 +7,7 @@ import pytest
 from fractal_spectra.eigensolve import solve_below, verify_nesting
 from fractal_spectra.errors import ResolutionTooCoarse
 from fractal_spectra.gasket import (
+    DECIMATION_SCALE,
     SPECTRAL_BOUND,
     ChouxSpec,
     build_choux,
@@ -78,6 +79,44 @@ class TestDecimation:
     def test_branch_limits_stabilize(self, dirichlet_spectra):
         branch = decimation_branch(dirichlet_spectra, [1, 2, 3])
         assert abs(branch[2] - branch[1]) / branch[1] < 0.02
+
+
+def decimation_spectrum(m: int) -> list[tuple[float, int]]:
+    """Exact Dirichlet spectrum of -Delta_m = 4 I - W on the interior of the
+    level-m gasket, as sorted (eigenvalue, multiplicity) pairs, from spectral
+    decimation (Fukushima & Shima 1992; Strichartz 2006, ch. 3).
+
+    Level 1 is {2: 1, 5: 2}.  Each eigenvalue x of level m - 1 continues to
+    the preimages psi_-(x) and psi_+(x) of phi(y) = y (5 - y) with its
+    multiplicity, except that 6 continues only to psi_+(6) = 3, because
+    psi_-(6) = 2 is forbidden.  Level m >= 2 adds the 5-series, 5 with
+    multiplicity (3^(m-1) + 3) / 2, and the 6-series, 6 with multiplicity
+    (3^m - 3) / 2; the multiplicities then add up to the (3^(m+1) - 3) / 2
+    interior vertices.  No two chains meet, so no value repeats.
+    """
+    spectrum = {2.0: 1, 5.0: 2}
+    for level in range(2, m + 1):
+        nxt = {5.0: (3 ** (level - 1) + 3) // 2, 6.0: (3**level - 3) // 2}
+        for x, mult in spectrum.items():
+            root = math.sqrt(25.0 - 4.0 * x)
+            nxt[(5.0 + root) / 2] = mult  # psi_+
+            if x != 6.0:
+                nxt[2.0 * x / (5.0 + root)] = mult  # psi_-, free of cancellation
+        spectrum = nxt
+    return sorted(spectrum.items())
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_dirichlet_gasket_spectrum_is_the_decimation_spectrum(m):
+    """The values-only whole-spectrum solve against the exact spectrum:
+    values to 1e-10 relative, multiplicities exactly."""
+    exact = decimation_spectrum(m)
+    got = gasket_graph_spectrum(build_gasket(m), "dirichlet")
+    assert sum(mult for _, mult in exact) == got.total_multiplicity() == (3 ** (m + 1) - 3) // 2
+    assert [e.multiplicity for e in got.entries] == [mult for _, mult in exact]
+    values = DECIMATION_SCALE * got.values()
+    want = np.array([x for x, _ in exact])
+    assert np.all(np.abs(values - want) <= 1e-10 * want)
 
 
 class TestChoux:

@@ -17,6 +17,7 @@ The example counts and the deadline keep the file to a few seconds;
 import math
 from datetime import timedelta
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,10 +26,17 @@ from hypothesis import strategies as st
 
 import mesh_reference
 import strings_reference
-from fractal_spectra import gasket, laakso, strings
-from fractal_spectra.eigensolve import SpectrumEntry, SpectrumList, _count_below
+from fractal_spectra import eigensolve, gasket, laakso, strings
+from fractal_spectra.eigensolve import (
+    SpectrumEntry,
+    SpectrumList,
+    _count_below,
+    gap_runs,
+    solve_below,
+)
 from fractal_spectra.metric_graph import (
     DIRICHLET,
+    DiscreteOperator,
     MetricGraph,
     Vertex,
     assemble,
@@ -227,6 +235,42 @@ def test_inertia_count_matches_dense_count_at_every_cut_clear_of_the_spectrum(S)
     A = sp.csr_matrix(S)
     for cut in cuts:
         assert _count_below(A, cut) == np.count_nonzero(w < cut), cut
+
+
+@st.composite
+def repeated_pencils(draw):
+    """A pencil of 1-4 identical copies of a random weighted path Laplacian
+    with a nonnegative potential and random masses, so that its eigenvalues
+    repeat, and a cut halfway between two distinct eigenvalues or above
+    them all (the whole-spectrum route)."""
+    t, copies = draw(st.integers(2, 15)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(0.5, 2.0, t - 1)
+    potential = rng.uniform(0.0, 1.0, t) * (rng.random(t) < 0.5)
+    T = sp.diags([-w, np.r_[w, 0.0] + np.r_[0.0, w] + potential, -w], [-1, 0, 1])
+    op = DiscreteOperator(A=sp.kron(sp.identity(copies), T, format="csr"),
+                          M=np.tile(rng.uniform(0.5, 2.0, t), copies))
+    values = generalized_eigh(op)[0]
+    distinct = values[[start for start, _ in gap_runs(values, 1e-9)]]
+    cuts = [*((distinct[:-1] + distinct[1:]) / 2), 2.0 * values[-1] + 1.0]
+    return op, draw(st.sampled_from(cuts))
+
+
+@SETTINGS
+@given(case=repeated_pencils(), arpack=st.booleans())
+def test_values_only_solve_matches_the_eigenpair_solve(case, arpack):
+    """vectors=False changes only what LAPACK or ARPACK is asked for: the
+    inertia count and the length are those of the eigenpair solve, and the
+    values agree to 1e-13 relative (floored at 1)."""
+    op, cut = case
+    threshold = 0 if arpack else eigensolve.EIGSH_THRESHOLD
+    with mock.patch.object(eigensolve, "EIGSH_THRESHOLD", threshold):
+        pairs, values_only = solve_below(op, cut), solve_below(op, cut, vectors=False)
+    assert values_only.vectors is None
+    assert values_only.inertia_count == pairs.inertia_count
+    assert len(values_only.values) == len(pairs.values) == pairs.inertia_count
+    bound = 1e-13 * np.maximum(1.0, np.abs(pairs.values))
+    assert np.all(np.abs(values_only.values - pairs.values) <= bound)
 
 
 @st.composite
