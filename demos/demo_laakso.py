@@ -23,7 +23,7 @@ print(f"Laakso space with fiber sequence j = {spec.j}, pitch = {spec.pitch}")
 
 family = build_laakso(spec)
 for i, g in enumerate(family.graphs):
-    print(f"  level {i}: {len(g.vertices)} vertices, {len(g.edges)} edges, "
+    print(f"  level {i}: {g.n_vertices} vertices, {len(g.ends)} edges, "
           f"measure {g.total_measure():.6f}")
 
 print("wormhole positions by level:")

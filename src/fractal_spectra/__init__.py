@@ -51,10 +51,8 @@ from .laakso import (
 )
 from .metric_graph import (
     DiscreteOperator,
-    Edge,
     MetricGraph,
     Mesh,
-    Vertex,
     assemble,
     dirichlet_energy,
     discretize,

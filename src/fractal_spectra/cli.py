@@ -209,6 +209,10 @@ def cmd_string(args) -> int:
     if "depth" in doc:
         spec = spec.truncate(int(doc["depth"]))
     lam_max = _lambda_max(args, doc, 700.0)
+    # the zeta table runs about zeta_terms terms deep
+    n_terms = doc.get("zeta_terms", 10**4)
+    if type(n_terms) is not int or n_terms < 1:
+        raise InvalidSpaceSpec(f"zeta_terms must be a positive integer, got {n_terms!r}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -220,8 +224,7 @@ def cmd_string(args) -> int:
     iso["length_perturbation"] = perturbation
     nested = _nesting(out, per_level, args.tol)
 
-    # zeta table over the analytic spectrum, about zeta_terms terms deep
-    n_terms = int(doc.get("zeta_terms", 10**4))
+    # zeta table over the analytic spectrum
     l1 = float(spec.lengths[0])
     zeta_lam = (math.pi * n_terms / l1) ** 2
     zeta_spectrum = strings.string_analytic_spectrum(spec, zeta_lam)

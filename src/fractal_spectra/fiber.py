@@ -2,7 +2,10 @@
 
 Every builder outputs a LevelFamily: the graphs of levels 0..n on a common
 grid, plus LevelLinks recording which level-i vertex/edge covers which
-level-(i-1) vertex/edge.  From a link and two aligned meshes we derive a
+level-(i-1) vertex/edge.  The Laakso space and the pâte à choux are both a
+base graph times binary fibers, glued at base vertices by birth level, and
+share one array builder (``_binary_fiber_family``); the stitched strings
+keep their own rule.  From a link and two aligned meshes we derive a
 FiberStructure at the node level, which powers the pullback (lift) and the
 fiber-averaging projector.
 
@@ -35,29 +38,12 @@ SPLIT_RTOL = 1e-12
 
 @dataclass
 class LevelLink:
-    """Graph-level covering data from level ``level`` down to ``level - 1``."""
+    """Graph-level covering data from level ``level`` down to ``level - 1``:
+    the level-(i-1) vertex and edge that each level-i vertex and edge covers."""
 
     level: int
-    vertex_parent: list[int]
-    edge_parent: list[int]
-
-
-def link_levels(vertex_index, edge_index, vertex_parent, edge_parent) -> list[LevelLink]:
-    """Links between consecutive levels of a family.
-
-    ``vertex_index[i]`` / ``edge_index[i]`` map level i's vertex / edge keys
-    to their indices and iterate in index order; ``vertex_parent(key)`` /
-    ``edge_parent(key)`` give the key of the level-(i-1) vertex / edge that a
-    level-i key covers.
-    """
-    return [
-        LevelLink(
-            level=lvl,
-            vertex_parent=[vertex_index[lvl - 1][vertex_parent(key)] for key in vertex_index[lvl]],
-            edge_parent=[edge_index[lvl - 1][edge_parent(key)] for key in edge_index[lvl]],
-        )
-        for lvl in range(1, len(vertex_index))
-    ]
+    vertex_parent: np.ndarray
+    edge_parent: np.ndarray
 
 
 @dataclass
@@ -66,6 +52,48 @@ class LevelFamily:
 
     graphs: list[MetricGraph]
     links: list[LevelLink]
+
+
+def _binary_fiber_family(base_ends, birth, depth: int, length: float, dirichlet,
+                         total_mass: float | None = None) -> LevelFamily:
+    """Levels 0..depth of a base graph times the binary fibers {0,1}^l, with
+    fiber coordinate b collapsed at the base vertices born at level b.
+
+    ``base_ends`` are the base graph's edges as (u, v) rows, ``birth[v]`` is
+    the level at which base vertex v is born (0 for a vertex that is never
+    collapsed), and ``dirichlet`` marks base vertices whose copies are
+    Dirichlet vertices.  At level l a vertex is the code ``v * 2^l + word``,
+    the word's first coordinate being its most significant bit, with bit
+    l - b cleared when 1 <= b = birth[v] <= l; so integer order is the order
+    of (base vertex, word) pairs.  Edges run word by word and, within a
+    word, base edge by base edge; each has ``length`` and the fiber measure
+    2^-l.  A vertex covers the vertex one level down that drops its last
+    coordinate, ``code >> 1`` (its word is canonical already), and an edge
+    covers its base edge under the shortened word.
+    """
+    base_ends = np.asarray(base_ends, dtype=np.int64).reshape(-1, 2)
+    birth = np.asarray(birth, dtype=np.int64)
+    dirichlet = np.asarray(dirichlet, dtype=bool)
+    n_edges = len(base_ends)
+    graphs, links = [], []
+    for lvl in range(depth + 1):
+        words = np.arange(2**lvl, dtype=np.int64)[:, None]
+        # the word bit that each base vertex clears (0: none)
+        clear = np.where((birth >= 1) & (birth <= lvl), 1 << np.maximum(lvl - birth, 0), 0)
+
+        def code(v):  # one row per word
+            return (v << lvl) | (words & ~clear[v])
+
+        codes = np.unique(code(np.arange(len(birth))))
+        ends = np.searchsorted(codes, code(base_ends.ravel())).reshape(-1, 2)
+        graphs.append(MetricGraph(codes, ends, length, 0.5**lvl, dirichlet[codes >> lvl],
+                                  total_mass))
+        if lvl:
+            edge_parent = (words >> 1) * n_edges + np.arange(n_edges)
+            links.append(LevelLink(level=lvl,
+                                   vertex_parent=np.searchsorted(graphs[-2].labels, codes >> 1),
+                                   edge_parent=edge_parent.ravel()))
+    return LevelFamily(graphs=graphs, links=links)
 
 
 @dataclass
@@ -162,8 +190,7 @@ def mesh_fiber_structure(mesh_hi: Mesh, mesh_lo: Mesh, link: LevelLink) -> Fiber
     """
     if abs(mesh_hi.pitch - mesh_lo.pitch) > 1e-12 * mesh_lo.pitch:
         raise IncompatibleMesh("meshes have different pitches")
-    vertex_parent = np.asarray(link.vertex_parent, dtype=np.int64)
-    edge_parent = np.asarray(link.edge_parent, dtype=np.int64)
+    vertex_parent, edge_parent = link.vertex_parent, link.edge_parent
     if np.any(mesh_hi.segments != mesh_lo.segments[edge_parent]):
         raise IncompatibleMesh("an edge and its parent edge have different lengths")
     parent = np.empty(mesh_hi.n_nodes, dtype=np.int64)
@@ -180,19 +207,19 @@ def mesh_fiber_structure(mesh_hi: Mesh, mesh_lo: Mesh, link: LevelLink) -> Fiber
 
 
 def vertex_fiber_structure(
-    op_hi_keep: list[int], op_lo_keep: list[int], link: LevelLink
+    op_hi_keep: np.ndarray, op_lo_keep: np.ndarray, link: LevelLink
 ) -> FiberStructure:
     """Fiber structure on graph-Laplacian operators (vertex nodes only).
 
-    ``op_*_keep`` are the vertex indices retained by graph_operator.
+    ``op_*_keep`` are the vertex indices retained by graph_operator, in
+    ascending order.
     """
-    lo_pos = {vi: k for k, vi in enumerate(op_lo_keep)}
-    parent = np.empty(len(op_hi_keep), dtype=np.int64)
-    for j, vi in enumerate(op_hi_keep):
-        p = link.vertex_parent[vi]
-        if p not in lo_pos:
-            raise IncompatibleMesh("vertex maps onto an eliminated Dirichlet vertex")
-        parent[j] = lo_pos[p]
+    p = link.vertex_parent[op_hi_keep]
+    parent = np.searchsorted(op_lo_keep, p)
+    kept = parent < len(op_lo_keep)
+    kept[kept] = op_lo_keep[parent[kept]] == p[kept]
+    if not np.all(kept):
+        raise IncompatibleMesh("vertex maps onto an eliminated Dirichlet vertex")
     return _finish(parent, len(op_lo_keep), link)
 
 

@@ -12,42 +12,36 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
-from .errors import ResolutionTooCoarse
+from .errors import InvalidSpaceSpec, ResolutionTooCoarse
 from .eigensolve import SpectrumList, cluster, solve_below
-from .fiber import LevelFamily, graph_levels, level_spectra, link_levels
-from .metric_graph import MetricGraph, Vertex, graph_operator
+from .fiber import LevelFamily, _binary_fiber_family, graph_levels, level_spectra
+from .metric_graph import DIRICHLET, NEUMANN, graph_operator
 
 #: the probabilistic Laplacian I - D^{-1} W of any graph has its spectrum in
 #: [0, 2], so solving below this bound returns every eigenpair, with the
 #: inertia count proving the list complete
 SPECTRAL_BOUND = 2.0
 
-# corners of the gasket; y coordinates are stored as rational multiples of
-# sqrt(3) so midpoint subdivision stays exact
-_CORNERS = [
-    (Fraction(0), Fraction(0)),
-    (Fraction(1), Fraction(0)),
-    (Fraction(1, 2), Fraction(1, 2)),
-]
+# corners of the gasket as (x, y / sqrt(3)) times 2, the scale of level 0
+_CORNERS = [(0, 0), (2, 0), (1, 1)]
 
 
 @dataclass
 class GasketGraph:
     """Level-m cell graph of the Sierpinski gasket.
 
-    ``points[i]`` is (x, y/sqrt(3)) as exact rationals, ``birth[i]`` the
-    level at which the vertex first appears (corners have birth 0).
+    ``points[i]`` is (x, y/sqrt(3)) times 2^(m+1), exact integers;
+    ``birth[i]`` is the level at which the vertex first appears (corners
+    have birth 0); ``edges`` are (u, v) index rows in sorted order.
     """
 
     level: int
-    points: list
-    birth: list
-    edges: list  # (u, v) index pairs
+    points: np.ndarray
+    birth: np.ndarray
+    edges: np.ndarray
 
     @property
     def n_vertices(self) -> int:
@@ -56,34 +50,36 @@ class GasketGraph:
 
 def gasket_levels(m: int) -> list[GasketGraph]:
     """Gaskets of levels 0..m from one midpoint-subdivision pass; level k's
-    points and births are the first entries of level m's."""
+    points (at its own scale) and births are the first entries of level m's.
+
+    Every cell (a, b, c) gives the midpoints of ab, bc and ca and the cells
+    (a, ab, ca), (ab, b, bc), (ca, bc, c); a midpoint is numbered where it
+    first appears in that cell order."""
     if m < 0:
         raise ValueError("gasket level must be >= 0")
-    index = {p: i for i, p in enumerate(_CORNERS)}
-    points, birth, cells = list(_CORNERS), [0, 0, 0], [(0, 1, 2)]
+    points = np.array(_CORNERS, dtype=np.int64)
+    birth = np.zeros(3, dtype=np.int64)
+    cells = np.array([[0, 1, 2]], dtype=np.int64)
 
     def graph(lvl):
-        edges = sorted(edge for (a, b, c) in cells for edge in ((a, b), (b, c), (c, a)))
-        return GasketGraph(level=lvl, points=list(points), birth=list(birth), edges=edges)
+        edges = np.stack([cells, np.roll(cells, -1, axis=1)], axis=2).reshape(-1, 2)
+        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        return GasketGraph(level=lvl, points=points, birth=birth, edges=edges)
 
     out = [graph(0)]
     for lvl in range(1, m + 1):
-        new_cells = []
-        for (a, b, c) in cells:
-            pa, pb, pc = points[a], points[b], points[c]
-            mab = ((pa[0] + pb[0]) / 2, (pa[1] + pb[1]) / 2)
-            mbc = ((pb[0] + pc[0]) / 2, (pb[1] + pc[1]) / 2)
-            mca = ((pc[0] + pa[0]) / 2, (pc[1] + pa[1]) / 2)
-            ids = []
-            for p in (mab, mbc, mca):
-                if p not in index:
-                    index[p] = len(index)
-                    points.append(p)
-                    birth.append(lvl)
-                ids.append(index[p])
-            iab, ibc, ica = ids
-            new_cells.extend([(a, iab, ica), (iab, b, ibc), (ica, ibc, c)])
-        cells = new_cells
+        points = 2 * points  # the scale of level lvl, where every midpoint is whole
+        corner = points[cells]
+        mids = ((corner + np.roll(corner, -1, axis=1)) // 2).reshape(-1, 2)
+        key = mids[:, 0] * (2 ** (lvl + 1) + 1) + mids[:, 1]
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        ab, bc, ca = (len(points) + rank[inverse.ravel()]).reshape(-1, 3).T
+        a, b, c = cells.T
+        cells = np.stack([a, ab, ca, ab, b, bc, ca, bc, c], axis=1).reshape(-1, 3)
+        points = np.concatenate([points, mids[np.sort(first)]])
+        birth = np.concatenate([birth, np.full(len(first), lvl)])
         out.append(graph(lvl))
     return out
 
@@ -93,40 +89,12 @@ def build_gasket(m: int) -> GasketGraph:
     return gasket_levels(m)[-1]
 
 
-def _gasket_metric_graph(g: GasketGraph, fiber_depth: int = 0, boundary: str | None = None):
-    """MetricGraph of the gasket with 2^i binary fiber copies glued at
-    V_k \\ V_{k-1} in coordinate k."""
-
-    def canon(vi, w):
-        """Collapse coordinate b of a word at a vertex born at level
-        1 <= b <= len(w), the word's level."""
-        b = g.birth[vi]
-        if 1 <= b <= len(w):
-            w = w[: b - 1] + (0,) + w[b:]
-        return w
-
-    lvl = fiber_depth
-    words = list(product((0, 1), repeat=lvl))
-    keys = sorted({(vi, canon(vi, w)) for vi in range(g.n_vertices) for w in words})
-    idx = {key: i for i, key in enumerate(keys)}
-    weight = 0.5**lvl
-    verts = [
-        Vertex(
-            x=(float(p[0]), float(p[1]) * math.sqrt(3.0)),
-            word=(vi,) + w,
-            boundary=boundary if g.birth[vi] == 0 else None,
-        )
-        for (vi, w) in keys
-        for p in (g.points[vi],)
-    ]
-    edges = []
-    eidx = {}
-    for w in words:
-        for ei, (a, b) in enumerate(g.edges):
-            eidx[(ei, w)] = len(edges)
-            edges.append((idx[(a, canon(a, w))], idx[(b, canon(b, w))], 1.0, weight))
-    mg = MetricGraph(verts, edges)
-    return mg, idx, eidx, canon
+def _fibered(g: GasketGraph, fiber_depth: int, boundary: str | None) -> LevelFamily:
+    """Fiber levels 0..fiber_depth over g: 2^i binary fiber copies glued at
+    V_k \\ V_{k-1} in coordinate k, the corners marked Dirichlet when
+    ``boundary`` is "dirichlet"."""
+    return _binary_fiber_family(g.edges, g.birth, fiber_depth, 1.0,
+                                (g.birth == 0) & (boundary == DIRICHLET))
 
 
 def gasket_graph_spectrum(g: GasketGraph, boundary: str | None = None) -> SpectrumList:
@@ -135,8 +103,7 @@ def gasket_graph_spectrum(g: GasketGraph, boundary: str | None = None) -> Spectr
     ``boundary="dirichlet"`` removes the three corner points.  The whole
     spectrum is solved for values only.
     """
-    mg, _, _, _ = _gasket_metric_graph(g, 0, boundary)
-    op = graph_operator(mg, boundary)
+    op = graph_operator(_fibered(g, 0, boundary).graphs[0], boundary)
     pairs = solve_below(op, SPECTRAL_BOUND, vectors=False)
     out = cluster(pairs.values, origin=f"numeric(gasket,m={g.level})", truncation=np.inf)
     out.meta = {"gasket_level": g.level, "boundary": boundary, "normalization": "probabilistic"}
@@ -205,18 +172,13 @@ class ChouxSpec:
             raise ResolutionTooCoarse(
                 f"gasket level {self.gasket_level} < fiber depth {self.fiber_depth}"
             )
+        if self.boundary not in (None, NEUMANN, DIRICHLET):
+            raise InvalidSpaceSpec(f"unknown boundary mode {self.boundary!r}")
 
 
 def build_choux(spec: ChouxSpec) -> LevelFamily:
     """Fiber levels 0..i over the level-m gasket, with links."""
-    g = build_gasket(spec.gasket_level)
-    graphs, indices, edge_indices, canons = zip(
-        *(_gasket_metric_graph(g, lvl, spec.boundary) for lvl in range(spec.fiber_depth + 1))
-    )
-    canon = canons[0]
-    links = link_levels(indices, edge_indices, lambda key: (key[0], canon(key[0], key[1][:-1])),
-                        lambda key: (key[0], key[1][:-1]))
-    return LevelFamily(graphs=list(graphs), links=links)
+    return _fibered(build_gasket(spec.gasket_level), spec.fiber_depth, spec.boundary)
 
 
 def choux_levels(spec: ChouxSpec):

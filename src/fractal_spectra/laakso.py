@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
 from .errors import InvalidSequence
 from .eigensolve import DEFAULT_SEED, SpectrumEntry, SpectrumList
-from .fiber import LevelFamily, discretize_levels, level_spectra, link_levels
-from .metric_graph import DIRICHLET, NEUMANN, MetricGraph, Vertex, assemble
+from .fiber import LevelFamily, _binary_fiber_family, discretize_levels, level_spectra
+from .metric_graph import DIRICHLET, NEUMANN, assemble
 
 
 @dataclass
@@ -77,65 +76,24 @@ def wormhole_table(spec: LaaksoSpec) -> dict[int, list[Fraction]]:
     return table
 
 
-def _birth_level(k: int, d: list[int], depth: int) -> int | None:
-    """Level m at which grid index k (over d_n) becomes a wormhole; None for
-    endpoints."""
-    D = d[depth]
-    if k == 0 or k == D:
-        return None
-    for m in range(1, depth + 1):
-        if (k * d[m]) % D == 0:
-            return m
-    raise AssertionError("grid point has no level")  # unreachable
-
-
 def build_laakso(spec: LaaksoSpec) -> LevelFamily:
-    """All level graphs 0..n on the common grid, plus fiber links."""
+    """All level graphs 0..n on the common grid, plus fiber links.
+
+    The base graph is the path through the grid points k / d_n; grid point k
+    is born at the first level m with k a multiple of d_n / d_m, where fiber
+    coordinate m is collapsed, and the endpoints are never collapsed."""
     n = spec.depth
     d = spec.d
     D = d[n]
-    length = 1.0 / D
-    birth = [_birth_level(k, d, n) for k in range(D + 1)]
-
-    def canon(k: int, w: tuple) -> tuple:
-        """Collapse coordinate m of a word at a wormhole born at level
-        m <= len(w), the word's level."""
-        m = birth[k]
-        if m is not None and m <= len(w):
-            w = w[: m - 1] + (0,) + w[m:]
-        return w
-
-    graphs: list[MetricGraph] = []
-    indices: list[dict] = []  # vertex key -> index per level
-    edge_indices: list[dict] = []
-    for lvl in range(n + 1):
-        words = list(product((0, 1), repeat=lvl))
-        keys = sorted({(k, canon(k, w)) for k in range(D + 1) for w in words})
-        idx = {key: i for i, key in enumerate(keys)}
-        verts = [
-            Vertex(
-                x=k / D,
-                word=w,
-                boundary=spec.boundary if k in (0, D) else None,
-            )
-            for (k, w) in keys
-        ]
-        weight = 0.5**lvl
-        edges = []
-        eidx = {}
-        for w in words:
-            for c in range(D):
-                eidx[(c, w)] = len(edges)
-                edges.append(
-                    (idx[(c, canon(c, w))], idx[(c + 1, canon(c + 1, w))], length, weight)
-                )
-        graphs.append(MetricGraph(verts, edges, total_mass=1.0))
-        indices.append(idx)
-        edge_indices.append(eidx)
-
-    links = link_levels(indices, edge_indices, lambda key: (key[0], canon(key[0], key[1][:-1])),
-                        lambda key: (key[0], key[1][:-1]))
-    return LevelFamily(graphs=graphs, links=links)
+    k = np.arange(D + 1)
+    birth = np.zeros(D + 1, dtype=np.int64)
+    for m in range(n, 0, -1):
+        birth[k % (D // d[m]) == 0] = m
+    birth[[0, D]] = 0
+    ends = np.stack([k[:-1], k[1:]], axis=1)
+    endpoint = (k == 0) | (k == D)
+    return _binary_fiber_family(ends, birth, n, 1.0 / D,
+                                endpoint & (spec.boundary == DIRICHLET), total_mass=1.0)
 
 
 def laakso_analytic_spectrum(spec: LaaksoSpec, lam_max: float) -> SpectrumList:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DimensionMismatch,
@@ -31,111 +32,65 @@ NEUMANN = "neumann"
 REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """Graph vertex with its coordinate label.
+class MetricGraph:
+    """Connected weighted metric graph (multigraph; parallel edges allowed),
+    held as arrays.
 
-    ``x`` is the base-point position (a float for interval-based spaces, a
-    coordinate tuple for the gasket) and ``word`` the fiber word after
-    collapsing glued coordinates.  ``boundary`` is None, "dirichlet" or
-    "neumann".
+    Edge k joins vertices ``ends[k, 0]`` and ``ends[k, 1]``; it has length
+    ``length[k]`` and measure density ``weight[k]`` (a scalar length or
+    weight applies to every edge).  ``labels`` names the vertices, one
+    distinct entry (or row) each; ``dirichlet`` marks the Dirichlet vertices.
     """
 
-    x: object
-    word: tuple = ()
-    boundary: str | None = None
-
-
-@dataclass(frozen=True)
-class Edge:
-    u: int
-    v: int
-    length: float
-    weight: float
-
-
-class MetricGraph:
-    """Connected weighted metric graph (multigraph; parallel edges allowed)."""
-
-    def __init__(self, vertices, edges, total_mass=None):
-        self.vertices: list[Vertex] = list(vertices)
-        self.edges: list[Edge] = [Edge(*e) if not isinstance(e, Edge) else e for e in edges]
+    def __init__(self, labels, ends, length, weight, dirichlet=None, total_mass=None):
+        self.labels = np.asarray(labels)
+        self.ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
+        n_edges = len(self.ends)
+        self.length = np.broadcast_to(np.asarray(length, dtype=float), (n_edges,))
+        self.weight = np.broadcast_to(np.asarray(weight, dtype=float), (n_edges,))
+        n = len(self.labels)
+        self.dirichlet = (np.zeros(n, dtype=bool) if dirichlet is None
+                          else np.asarray(dirichlet, dtype=bool).reshape(n))
         self._validate(total_mass)
 
     def _validate(self, total_mass):
-        n = len(self.vertices)
-        seen = set()
-        for v in self.vertices:
-            key = (v.x, v.word)
-            if key in seen:
-                raise ValueError(f"duplicate vertex label {key}")
-            seen.add(key)
-        for e in self.edges:
-            if e.length <= 0 or e.weight <= 0:
-                raise ValueError("edge lengths and weights must be positive")
-            if not (0 <= e.u < n and 0 <= e.v < n):
-                raise ValueError("edge endpoint out of range")
-        # connectivity via union-find
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for e in self.edges:
-            ra, rb = find(e.u), find(e.v)
-            if ra != rb:
-                parent[ra] = rb
-        if n > 0 and len({find(i) for i in range(n)}) != 1:
+        n = self.n_vertices
+        rows = self.labels if self.labels.ndim == 2 else self.labels[:, None]
+        ordered = rows[np.lexsort(rows.T)]
+        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
+            raise ValueError("duplicate vertex label")
+        if not (np.all(self.length > 0) and np.all(self.weight > 0)):
+            raise ValueError("edge lengths and weights must be positive")
+        if np.any((self.ends < 0) | (self.ends >= n)):
+            raise ValueError("edge endpoint out of range")
+        u, v = self.ends.T
+        adjacency = sp.coo_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
+        if n > 0 and connected_components(adjacency, directed=False)[0] != 1:
             raise DisconnectedGraph("metric graph is not connected")
         if total_mass is not None:
             m = self.total_measure()
             if abs(m - total_mass) > REL_TOL * max(1.0, abs(total_mass)):
                 raise ValueError(f"total measure {m} != declared mass {total_mass}")
 
-    def total_measure(self) -> float:
-        return float(sum(e.length * e.weight for e in self.edges))
-
     @property
-    def dirichlet_vertices(self):
-        return {i for i, v in enumerate(self.vertices) if v.boundary == DIRICHLET}
+    def n_vertices(self) -> int:
+        return len(self.labels)
+
+    def total_measure(self) -> float:
+        return float(np.sum(self.length * self.weight))
 
     # -- JSON round trip ---------------------------------------------------
 
     def to_json(self) -> str:
-        doc = {
-            "vertices": [
-                {
-                    "id": i,
-                    "x": list(v.x) if isinstance(v.x, tuple) else v.x,
-                    "word": list(v.word),
-                    "boundary": v.boundary,
-                }
-                for i, v in enumerate(self.vertices)
-            ],
-            "edges": [
-                {"u": e.u, "v": e.v, "length": e.length, "weight": e.weight}
-                for e in self.edges
-            ],
-        }
+        doc = {"labels": self.labels.tolist(), "dirichlet": self.dirichlet.tolist(),
+               "ends": self.ends.tolist(), "length": self.length.tolist(),
+               "weight": self.weight.tolist()}
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "MetricGraph":
         doc = json.loads(text)
-        verts = sorted(doc["vertices"], key=lambda d: d["id"])
-        vertices = [
-            Vertex(
-                x=tuple(d["x"]) if isinstance(d["x"], list) else d["x"],
-                word=tuple(d["word"]),
-                boundary=d["boundary"],
-            )
-            for d in verts
-        ]
-        edges = [(d["u"], d["v"], d["length"], d["weight"]) for d in doc["edges"]]
-        return cls(vertices, edges)
+        return cls(doc["labels"], doc["ends"], doc["length"], doc["weight"], doc["dirichlet"])
 
 
 @dataclass
@@ -159,14 +114,6 @@ class Mesh:
     @property
     def n_nodes(self) -> int:
         return len(self.masses)
-
-
-def _edge_table(g: MetricGraph):
-    """Endpoints (an (edges, 2) array), lengths and weights of g's edges."""
-    ends = np.array([(e.u, e.v) for e in g.edges], dtype=np.int64).reshape(-1, 2)
-    length = np.array([e.length for e in g.edges], dtype=float)
-    weight = np.array([e.weight for e in g.edges], dtype=float)
-    return ends, length, weight
 
 
 def _node_numbers(drop: np.ndarray) -> np.ndarray:
@@ -204,7 +151,7 @@ def discretize(g: MetricGraph, h: float) -> Mesh:
     """
     if h <= 0:
         raise NonDividingPitch("pitch must be positive")
-    ends, length, weight = _edge_table(g)
+    length = g.length
     r = length / h
     segments = np.rint(r).astype(np.int64)
     bad = np.flatnonzero((segments < 1) | (np.abs(r - segments) > REL_TOL * np.maximum(1.0, r)))
@@ -214,16 +161,15 @@ def discretize(g: MetricGraph, h: float) -> Mesh:
             f"pitch {h} does not divide edge length {length[e]} (ratio {r[e]})"
         )
 
-    dirichlet = np.array([v.boundary == DIRICHLET for v in g.vertices], dtype=bool)
-    vertex_nodes = _node_numbers(dirichlet)
-    n_vertex_nodes = int(np.count_nonzero(~dirichlet))
+    vertex_nodes = _node_numbers(g.dirichlet)
+    n_vertex_nodes = int(np.count_nonzero(~g.dirichlet))
     inner = segments - 1
     edge_start = n_vertex_nodes + np.cumsum(inner) - inner
 
-    cell = h * weight
+    cell = h * g.weight
     masses = np.zeros(n_vertex_nodes + int(inner.sum()))
     masses[n_vertex_nodes:] = np.repeat(cell, inner)
-    tips = vertex_nodes[ends].ravel()  # u, v of edge 0, then of edge 1, ...
+    tips = vertex_nodes[g.ends].ravel()  # u, v of edge 0, then of edge 1, ...
     half = np.repeat(cell / 2, 2)
     np.add.at(masses, tips[tips >= 0], half[tips >= 0])
 
@@ -237,7 +183,7 @@ class DiscreteOperator:
 
     A: sp.csr_matrix
     M: np.ndarray  # diagonal of the mass matrix
-    kept_vertices: list | None = None  # graph vertex of each row (graph_operator only)
+    kept_vertices: np.ndarray | None = None  # graph vertex of each row (graph_operator only)
 
     @property
     def n(self) -> int:
@@ -259,7 +205,7 @@ def assemble(m: Mesh) -> DiscreteOperator:
     diagonal only.  Accumulation order is fixed by edge index, so results are
     bit-identical across runs.
     """
-    ends, _, weight = _edge_table(m.graph)
+    ends = m.graph.ends
     # the cells of each edge in order from u to v: cell `step` runs from
     # node a to node b, the first from u's node and the last to v's
     edge = np.repeat(np.arange(len(m.segments)), m.segments)
@@ -267,7 +213,7 @@ def assemble(m: Mesh) -> DiscreteOperator:
     a = np.where(step == 0, m.vertex_nodes[ends[edge, 0]], m.edge_start[edge] + step - 1)
     b = np.where(step == m.segments[edge] - 1, m.vertex_nodes[ends[edge, 1]],
                  m.edge_start[edge] + step)
-    A, _ = _laplacian(m.n_nodes, a, b, (weight / m.pitch)[edge])
+    A, _ = _laplacian(m.n_nodes, a, b, (m.graph.weight / m.pitch)[edge])
     return DiscreteOperator(A=A, M=m.masses.copy())
 
 
@@ -282,12 +228,11 @@ def graph_operator(g: MetricGraph, boundary: str | None = None) -> DiscreteOpera
     ``boundary`` overrides vertex markings: "dirichlet" eliminates all marked
     vertices, None keeps everything (Neumann).
     """
-    drop = np.array([boundary == DIRICHLET and v.boundary == DIRICHLET for v in g.vertices],
-                    dtype=bool)
+    drop = g.dirichlet & (boundary == DIRICHLET)
     pos = _node_numbers(drop)
-    ends, _, weight = _edge_table(g)
-    A, deg = _laplacian(int(np.count_nonzero(~drop)), pos[ends[:, 0]], pos[ends[:, 1]], weight)
-    return DiscreteOperator(A=A, M=deg, kept_vertices=np.flatnonzero(~drop).tolist())
+    A, deg = _laplacian(int(np.count_nonzero(~drop)), pos[g.ends[:, 0]], pos[g.ends[:, 1]],
+                        g.weight)
+    return DiscreteOperator(A=A, M=deg, kept_vertices=np.flatnonzero(~drop))
 
 
 def dirichlet_energy(d: DiscreteOperator, v: np.ndarray) -> float:

@@ -18,10 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from .errors import DivergentRange, InfeasibleNesting, NoCommonPitch
 from .eigensolve import DEFAULT_SEED, FDModel, SpectrumEntry, SpectrumList
-from .fiber import LevelFamily, discretize_levels, level_spectra, link_levels
-from .metric_graph import DIRICHLET, MetricGraph, Vertex, assemble
+from .fiber import LevelFamily, LevelLink, discretize_levels, level_spectra
+from .metric_graph import MetricGraph, assemble
 
 
 def rationalize(lengths, denominator_bound: int = 10**6):
@@ -173,17 +175,9 @@ def build_stitched(spec: StringSpec) -> LevelFamily:
         words = list(product(*fibers[:lvl])) if lvl else [()]
         vkeys = sorted({(p, canon_vertex(p, w)) for p in range(K + 1) for w in words})
         idx = {key: i for i, key in enumerate(vkeys)}
-        verts = [
-            Vertex(
-                x=float(p * g),
-                word=w,
-                boundary=DIRICHLET if p in (0, K) else None,
-            )
-            for (p, w) in vkeys
-        ]
         ekeys = sorted({(c, canon_cell(c, w)) for c in range(K) for w in words})
         eidx = {key: i for i, key in enumerate(ekeys)}
-        edges = []
+        ends, weights = [], []
         for (c, w) in ekeys:
             weight = 1.0
             distinguished = True
@@ -193,18 +187,26 @@ def build_stitched(spec: StringSpec) -> LevelFamily:
                     weight /= len(fibers[k - 1])
                 if k >= 1 and w[k - 1] != 1:
                     distinguished = False
-            edges.append(
-                (idx[(c, canon_vertex(c, w))], idx[(c + 1, canon_vertex(c + 1, w))], float(g), weight)
-            )
-        graphs.append(MetricGraph(verts, edges, total_mass=float(l1)))
+            ends.append((idx[(c, canon_vertex(c, w))], idx[(c + 1, canon_vertex(c + 1, w))]))
+            weights.append(weight)
+        labels = np.array([(p, *w) for (p, w) in vkeys])
+        graphs.append(MetricGraph(labels, ends, float(g), weights,
+                                  dirichlet=(labels[:, 0] == 0) | (labels[:, 0] == K),
+                                  total_mass=float(l1)))
         indices.append(idx)
         edge_indices.append(eidx)
 
-    links = link_levels(
-        indices, edge_indices,
-        lambda key: (key[0], canon_vertex(key[0], key[1][:-1])),
-        lambda key: (key[0], canon_cell(key[0], key[1][:-1])),
-    )
+    # a level-i vertex or edge covers the one that drops its last coordinate
+    links = [
+        LevelLink(
+            level=lvl,
+            vertex_parent=np.array([indices[lvl - 1][(p, canon_vertex(p, w[:-1]))]
+                                    for (p, w) in indices[lvl]], dtype=np.int64),
+            edge_parent=np.array([edge_indices[lvl - 1][(c, canon_cell(c, w[:-1]))]
+                                  for (c, w) in edge_indices[lvl]], dtype=np.int64),
+        )
+        for lvl in range(1, spec.depth + 1)
+    ]
     return LevelFamily(graphs=graphs, links=links)
 
 

@@ -1,0 +1,199 @@
+"""The loop builders of the Laakso space and the pâte à choux, kept as an
+independent reference for ``fiber._binary_fiber_family`` and the integer
+``gasket.gasket_levels``.
+
+Each level is built key by key: a Python ``canon`` closure collapses the
+fiber coordinate of a (vertex, word) key, the keys are sorted, the edges are
+walked word by word, the gasket is subdivided in ``Fraction`` arithmetic and
+the graph is checked one vertex and edge at a time, connectivity by a
+union-find.  The package's families must match these bit for bit
+(``tests/test_properties.py``).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+
+import numpy as np
+
+from fractal_spectra.errors import DisconnectedGraph
+from fractal_spectra.fiber import LevelFamily, LevelLink
+from fractal_spectra.metric_graph import DIRICHLET, REL_TOL, MetricGraph
+
+
+def validate(labels: list, edges: list[tuple], total_mass: float | None = None) -> None:
+    """The checks of ``MetricGraph`` on hashable vertex labels and
+    (u, v, length, weight) edges, with the errors it raises."""
+    n = len(labels)
+    if len(set(labels)) != n:
+        raise ValueError("duplicate vertex label")
+    for u, v, length, weight in edges:
+        if not (length > 0 and weight > 0):
+            raise ValueError("edge lengths and weights must be positive")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError("edge endpoint out of range")
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for u, v, _, _ in edges:
+        ra, rb = find(u), find(v)
+        if ra != rb:
+            parent[ra] = rb
+    if n > 0 and len({find(i) for i in range(n)}) != 1:
+        raise DisconnectedGraph("metric graph is not connected")
+    if total_mass is not None:
+        m = float(sum(length * weight for _, _, length, weight in edges))
+        if abs(m - total_mass) > REL_TOL * max(1.0, abs(total_mass)):
+            raise ValueError(f"total measure {m} != declared mass {total_mass}")
+
+
+def _family(keys_of_level, edges_of_level, n_levels, length, marked, canon, total_mass=None):
+    """Levels 0..n_levels - 1 from per-level vertex keys (base vertex, word)
+    and edges (base edge, word, u key, v key), validated by ``validate``."""
+    graphs, indices, edge_indices = [], [], []
+    for lvl in range(n_levels):
+        keys = sorted(keys_of_level(lvl))
+        idx = {key: i for i, key in enumerate(keys)}
+        weight = 0.5**lvl
+        eidx, edges = {}, []
+        for ekey, a, b in edges_of_level(lvl):
+            eidx[ekey] = len(edges)
+            edges.append((idx[a], idx[b], length, weight))
+        validate(keys, edges, total_mass)
+        graphs.append(MetricGraph(
+            np.array([(v, *w) for v, w in keys]).reshape(len(keys), -1),
+            [(u, v) for u, v, _, _ in edges], length, weight,
+            dirichlet=[marked(v) for v, _ in keys], total_mass=total_mass,
+        ))
+        indices.append(idx)
+        edge_indices.append(eidx)
+    links = [
+        LevelLink(
+            level=lvl,
+            vertex_parent=np.array([indices[lvl - 1][(v, canon(v, w[:-1]))]
+                                    for (v, w) in indices[lvl]], dtype=np.int64),
+            edge_parent=np.array([edge_indices[lvl - 1][(e, w[:-1])]
+                                  for (e, w) in edge_indices[lvl]], dtype=np.int64),
+        )
+        for lvl in range(1, n_levels)
+    ]
+    return LevelFamily(graphs=graphs, links=links)
+
+
+def build_laakso(spec) -> LevelFamily:
+    """All level graphs 0..n of a ``LaaksoSpec`` on the common grid."""
+    n = spec.depth
+    d = spec.d
+    D = d[n]
+
+    def birth_level(k):
+        if k == 0 or k == D:
+            return None
+        for m in range(1, n + 1):
+            if (k * d[m]) % D == 0:
+                return m
+        raise AssertionError("grid point has no level")
+
+    birth = [birth_level(k) for k in range(D + 1)]
+
+    def canon(k, w):
+        """Collapse coordinate m of a word at a wormhole born at level
+        m <= len(w), the word's level."""
+        m = birth[k]
+        if m is not None and m <= len(w):
+            w = w[: m - 1] + (0,) + w[m:]
+        return w
+
+    def words(lvl):
+        return list(product((0, 1), repeat=lvl))
+
+    return _family(
+        lambda lvl: {(k, canon(k, w)) for k in range(D + 1) for w in words(lvl)},
+        lambda lvl: [((c, w), (c, canon(c, w)), (c + 1, canon(c + 1, w)))
+                     for w in words(lvl) for c in range(D)],
+        n + 1, 1.0 / D,
+        lambda k: spec.boundary == DIRICHLET and k in (0, D),
+        canon, total_mass=1.0,
+    )
+
+
+_CORNERS = [
+    (Fraction(0), Fraction(0)),
+    (Fraction(1), Fraction(0)),
+    (Fraction(1, 2), Fraction(1, 2)),
+]
+
+
+@dataclass
+class GasketGraph:
+    """Level-m gasket: ``points[i]`` is (x, y/sqrt(3)) as exact rationals,
+    ``birth[i]`` the level at which the vertex first appears."""
+
+    level: int
+    points: list
+    birth: list
+    edges: list  # (u, v) index pairs, sorted
+
+
+def gasket_levels(m: int) -> list[GasketGraph]:
+    """Gaskets of levels 0..m from one midpoint-subdivision pass."""
+    index = {p: i for i, p in enumerate(_CORNERS)}
+    points, birth, cells = list(_CORNERS), [0, 0, 0], [(0, 1, 2)]
+
+    def graph(lvl):
+        edges = sorted(edge for (a, b, c) in cells for edge in ((a, b), (b, c), (c, a)))
+        return GasketGraph(level=lvl, points=list(points), birth=list(birth), edges=edges)
+
+    out = [graph(0)]
+    for lvl in range(1, m + 1):
+        new_cells = []
+        for (a, b, c) in cells:
+            pa, pb, pc = points[a], points[b], points[c]
+            mab = ((pa[0] + pb[0]) / 2, (pa[1] + pb[1]) / 2)
+            mbc = ((pb[0] + pc[0]) / 2, (pb[1] + pc[1]) / 2)
+            mca = ((pc[0] + pa[0]) / 2, (pc[1] + pa[1]) / 2)
+            ids = []
+            for p in (mab, mbc, mca):
+                if p not in index:
+                    index[p] = len(index)
+                    points.append(p)
+                    birth.append(lvl)
+                ids.append(index[p])
+            iab, ibc, ica = ids
+            new_cells.extend([(a, iab, ica), (iab, b, ibc), (ica, ibc, c)])
+        cells = new_cells
+        out.append(graph(lvl))
+    return out
+
+
+def build_choux(spec) -> LevelFamily:
+    """Fiber levels 0..i of a ``ChouxSpec`` over the level-m gasket, with
+    2^i binary fiber copies glued at V_k \\ V_{k-1} in coordinate k."""
+    g = gasket_levels(spec.gasket_level)[-1]
+
+    def canon(vi, w):
+        """Collapse coordinate b of a word at a vertex born at level
+        1 <= b <= len(w), the word's level."""
+        b = g.birth[vi]
+        if 1 <= b <= len(w):
+            w = w[: b - 1] + (0,) + w[b:]
+        return w
+
+    def words(lvl):
+        return list(product((0, 1), repeat=lvl))
+
+    return _family(
+        lambda lvl: {(vi, canon(vi, w)) for vi in range(len(g.points)) for w in words(lvl)},
+        lambda lvl: [((ei, w), (a, canon(a, w)), (b, canon(b, w)))
+                     for w in words(lvl) for ei, (a, b) in enumerate(g.edges)],
+        spec.fiber_depth + 1, 1.0,
+        lambda vi: spec.boundary == DIRICHLET and g.birth[vi] == 0,
+        canon,
+    )

@@ -20,6 +20,16 @@ from fractal_spectra.metric_graph import (
 )
 
 
+def edges(g: MetricGraph) -> list[tuple]:
+    """(u, v, length, weight) of every edge of g, in edge order."""
+    return list(zip(g.ends[:, 0].tolist(), g.ends[:, 1].tolist(), g.length.tolist(),
+                    g.weight.tolist()))
+
+
+def dirichlet_vertices(g: MetricGraph) -> set[int]:
+    return {vi for vi, marked in enumerate(g.dirichlet.tolist()) if marked}
+
+
 @dataclass
 class Mesh:
     """Discretization of a MetricGraph at a common pitch.
@@ -52,19 +62,19 @@ def discretize(g: MetricGraph, h: float) -> Mesh:
     if h <= 0:
         raise NonDividingPitch("pitch must be positive")
     segs = []
-    for e in g.edges:
-        r = e.length / h
+    for _, _, length, _ in edges(g):
+        r = length / h
         n = int(round(r))
         if n < 1 or abs(r - n) > REL_TOL * max(1.0, r):
             raise NonDividingPitch(
-                f"pitch {h} does not divide edge length {e.length} (ratio {r})"
+                f"pitch {h} does not divide edge length {length} (ratio {r})"
             )
         segs.append(n)
 
-    dirichlet = g.dirichlet_vertices
+    dirichlet = dirichlet_vertices(g)
     node_keys = []
     vertex_nodes = {}
-    for vi in range(len(g.vertices)):
+    for vi in range(g.n_vertices):
         if vi in dirichlet:
             vertex_nodes[vi] = -1
         else:
@@ -72,17 +82,17 @@ def discretize(g: MetricGraph, h: float) -> Mesh:
             node_keys.append(("v", vi))
 
     chains = []
-    for ei, e in enumerate(g.edges):
-        chain = [vertex_nodes[e.u]]
+    for ei, (u, v, _, _) in enumerate(edges(g)):
+        chain = [vertex_nodes[u]]
         for t in range(1, segs[ei]):
             chain.append(len(node_keys))
             node_keys.append(("e", ei, t))
-        chain.append(vertex_nodes[e.v])
+        chain.append(vertex_nodes[v])
         chains.append(chain)
 
     masses = np.zeros(len(node_keys))
-    for ei, e in enumerate(g.edges):
-        cell = h * e.weight
+    for ei, (_, _, _, weight) in enumerate(edges(g)):
+        cell = h * weight
         chain = chains[ei]
         for idx in chain[1:-1]:
             masses[idx] += cell
@@ -105,8 +115,8 @@ def assemble(m: Mesh) -> DiscreteOperator:
     n = m.n_nodes
     rows, cols, vals = [], [], []
     diag = np.zeros(n)
-    for ei, e in enumerate(m.graph.edges):
-        c = e.weight / m.pitch
+    for ei, (_, _, _, weight) in enumerate(edges(m.graph)):
+        c = weight / m.pitch
         chain = m.chains[ei]
         for a, b in zip(chain[:-1], chain[1:]):
             if a >= 0:
@@ -133,26 +143,26 @@ def graph_operator(g: MetricGraph, boundary: str | None = None) -> DiscreteOpera
     ``boundary`` overrides vertex markings: "dirichlet" eliminates all marked
     vertices, None keeps everything (Neumann).
     """
-    nv = len(g.vertices)
-    drop = g.dirichlet_vertices if boundary == DIRICHLET else set()
+    nv = g.n_vertices
+    drop = dirichlet_vertices(g) if boundary == DIRICHLET else set()
     keep = [i for i in range(nv) if i not in drop]
     pos = {vi: k for k, vi in enumerate(keep)}
     n = len(keep)
     rows, cols, vals = [], [], []
     diag = np.zeros(n)
     deg = np.zeros(n)
-    for e in g.edges:
-        a = pos.get(e.u, -1)
-        b = pos.get(e.v, -1)
+    for u, v, _, weight in edges(g):
+        a = pos.get(u, -1)
+        b = pos.get(v, -1)
         if a >= 0:
-            diag[a] += e.weight
-            deg[a] += e.weight
+            diag[a] += weight
+            deg[a] += weight
         if b >= 0:
-            diag[b] += e.weight
-            deg[b] += e.weight
+            diag[b] += weight
+            deg[b] += weight
         if a >= 0 and b >= 0:
             rows.extend((a, b))
             cols.extend((b, a))
-            vals.extend((-e.weight, -e.weight))
+            vals.extend((-weight, -weight))
     A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr() + sp.diags(diag)
     return DiscreteOperator(A=A.tocsr(), M=deg, kept_vertices=keep)

@@ -23,7 +23,7 @@ from fractal_spectra.eigensolve import (
     solve_below,
     verify_nesting,
 )
-from fractal_spectra.metric_graph import Edge, MetricGraph, Vertex, assemble, discretize
+from fractal_spectra.metric_graph import MetricGraph, assemble, discretize
 from level_reference import assert_matches_reference, classify_levels, new_subspace_split
 
 
@@ -42,10 +42,7 @@ def mnorm(M, v):
 
 
 def interval_operator(h):
-    g = MetricGraph(
-        [Vertex(0.0, (), "dirichlet"), Vertex(1.0, (), "dirichlet")],
-        [Edge(0, 1, 1.0, 1.0)],
-    )
+    g = MetricGraph([0.0, 1.0], [(0, 1)], 1.0, 1.0, dirichlet=[True, True])
     return assemble(discretize(g, h))
 
 

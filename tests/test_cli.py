@@ -155,6 +155,14 @@ class TestChoux:
         for f in sorted(outs[0].iterdir()):
             assert filecmp.cmp(f, outs[1] / f.name, shallow=False), f.name
 
+    def test_unknown_boundary_in_spec_rejected(self, tmp_path):
+        """A misspelt mode ran as Neumann and was written into run.json."""
+        spec = write_spec(tmp_path, "spec.json",
+                          {"fiber_depth": 1, "gasket_level": 2, "boundary": "dirichet"})
+        out = tmp_path / "o"
+        assert cli.main(["choux", "--spec", spec, "--out", str(out)]) == cli.EXIT_BAD_SPEC
+        assert not (out / "run.json").exists()
+
 
 class TestString:
     def test_run_and_verify(self, tmp_path):
@@ -182,6 +190,16 @@ class TestString:
     def test_increasing_lengths_rejected(self, tmp_path):
         spec = write_spec(tmp_path, "bad.json", {"lengths": [0.25, 0.5], "mults": [1, 1]})
         assert cli.main(["string", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("terms", [-100, 0, 2.5, "100", True])
+    def test_zeta_terms_that_are_not_a_positive_integer_are_rejected(self, tmp_path, terms):
+        """The cut squared zeta_terms, so -100 acted as 100 and 0 wrote a
+        table of zeros."""
+        spec = write_spec(tmp_path, "spec.json", {"lengths": [0.5, 0.25], "mults": [1, 1],
+                                                  "zeta_terms": terms})
+        out = tmp_path / "o"
+        assert cli.main(["string", "--spec", spec, "--out", str(out)]) == cli.EXIT_BAD_SPEC
+        assert not (out / "zeta.csv").exists()
 
     def test_nonpositive_lambda_max_rejected(self, tmp_path):
         spec = write_spec(tmp_path, "spec.json", {"lengths": [0.5], "mults": [1]})

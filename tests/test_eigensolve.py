@@ -42,7 +42,6 @@ from fractal_spectra.metric_graph import (
     NEUMANN,
     DiscreteOperator,
     MetricGraph,
-    Vertex,
     assemble,
     discretize,
 )
@@ -56,10 +55,7 @@ from lapack_reference import generalized_eigh
 
 
 def interval_pencil(h, boundary):
-    g = MetricGraph(
-        [Vertex(0.0, boundary=boundary), Vertex(1.0, boundary=boundary)],
-        [(0, 1, 1.0, 1.0)],
-    )
+    g = MetricGraph([0.0, 1.0], [(0, 1)], 1.0, 1.0, dirichlet=[boundary == DIRICHLET] * 2)
     return assemble(discretize(g, h))
 
 
@@ -83,12 +79,6 @@ def whole_spectrum(d):
     """solve_below with a cut above the spectrum: the Gershgorin bound of
     M^{-1} A, whose eigenvalues are those of the pencil."""
     return solve_below(d, float(np.max(np.ravel(abs(d.A).sum(axis=1)) / d.M)))
-
-
-@pytest.fixture
-def eigsh_threshold(monkeypatch):
-    """Set the size above which solve_below takes eigsh (0: always)."""
-    return lambda n: monkeypatch.setattr(eigensolve, "EIGSH_THRESHOLD", n)
 
 
 class TestDense:

@@ -21,7 +21,12 @@ from fractal_spectra.fiber import (
     project_down,
 )
 from fractal_spectra.laakso import LaaksoSpec, build_laakso
-from fractal_spectra.metric_graph import DiscreteOperator, assemble, dirichlet_energy
+from fractal_spectra.metric_graph import (
+    DiscreteOperator,
+    assemble,
+    dirichlet_energy,
+    graph_operator,
+)
 from lapack_reference import generalized_eigh
 from level_reference import assert_matches_reference, classify_levels, new_subspace_split
 
@@ -94,6 +99,13 @@ class TestLiftProject:
         _, fs = level_pair
         with pytest.raises(IncompatibleMesh):
             project_down(fs, np.zeros(shape))
+
+    def test_vertex_onto_an_eliminated_dirichlet_vertex_rejected(self):
+        family = gasket.build_choux(gasket.ChouxSpec(1, 2, "dirichlet"))
+        lo = graph_operator(family.graphs[0], "dirichlet")
+        hi = graph_operator(family.graphs[1])  # keeps the corners that lo drops
+        with pytest.raises(IncompatibleMesh, match="eliminated"):
+            fiber.vertex_fiber_structure(hi.kept_vertices, lo.kept_vertices, family.links[0])
 
 
 class TestFiberProjection:

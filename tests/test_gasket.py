@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fractal_spectra.eigensolve import solve_below, verify_nesting
-from fractal_spectra.errors import ResolutionTooCoarse
+from fractal_spectra.errors import InvalidSpaceSpec, ResolutionTooCoarse
 from fractal_spectra.gasket import (
     DECIMATION_SCALE,
     SPECTRAL_BOUND,
@@ -45,10 +45,9 @@ class TestGasketGraph:
         ]
 
     def test_constant_in_kernel(self):
-        from fractal_spectra.gasket import _gasket_metric_graph
         from fractal_spectra.metric_graph import graph_operator
 
-        mg, _, _, _ = _gasket_metric_graph(build_gasket(2))
+        mg = build_choux(ChouxSpec(fiber_depth=0, gasket_level=2)).graphs[0]
         d = graph_operator(mg)
         assert np.abs(d.A @ np.ones(d.n)).max() < 1e-12
 
@@ -123,12 +122,12 @@ class TestChoux:
     def test_fiber_depth_zero_is_plain_gasket(self):
         fam = build_choux(ChouxSpec(fiber_depth=0, gasket_level=2))
         assert len(fam.graphs) == 1
-        assert len(fam.graphs[0].vertices) == 15
+        assert fam.graphs[0].n_vertices == 15
 
     def test_depth_one_hand_count(self):
         fam = build_choux(ChouxSpec(fiber_depth=1, gasket_level=1))
         # two level-1 gasket sheets glued along the 3 midpoints
-        assert len(fam.graphs[1].vertices) == 2 * 6 - 3
+        assert fam.graphs[1].n_vertices == 2 * 6 - 3
 
     def test_depth_two_matches_quotient_enumeration(self):
         spec = ChouxSpec(fiber_depth=2, gasket_level=2)
@@ -143,11 +142,15 @@ class TestChoux:
                 if 1 <= b <= 2:
                     w[b - 1] = 0
                 classes.add((vi, tuple(w)))
-        assert len(fam.graphs[2].vertices) == len(classes)
+        assert fam.graphs[2].n_vertices == len(classes)
 
     def test_resolution_too_coarse(self):
         with pytest.raises(ResolutionTooCoarse):
             ChouxSpec(fiber_depth=3, gasket_level=1)
+
+    def test_unknown_boundary_rejected(self):
+        with pytest.raises(InvalidSpaceSpec):
+            ChouxSpec(fiber_depth=1, gasket_level=2, boundary="dirichet")
 
     def test_nesting_zero_unmatched(self):
         spec = ChouxSpec(fiber_depth=1, gasket_level=2)

@@ -70,30 +70,30 @@ class TestBuild:
     def test_depth_one_hand_count(self):
         fam = build_laakso(LaaksoSpec(j=[2]))
         g = fam.graphs[1]
-        assert len(g.vertices) == 5
-        assert len(g.edges) == 4
-        assert all(e.length == 0.5 and e.weight == 0.5 for e in g.edges)
+        assert g.n_vertices == 5
+        assert len(g.ends) == 4
+        assert np.all((g.length == 0.5) & (g.weight == 0.5))
 
     def test_depth_two_counts_and_measure(self):
         fam = build_laakso(LaaksoSpec(j=[2, 2]))
         g = fam.graphs[2]
         # wormholes at 1/2 (level 1) and 1/4, 3/4 (level 2); total measure 1
         # forces 16 edges of length 1/4 and weight 1/4
-        assert len(g.vertices) == 14
-        assert len(g.edges) == 16
+        assert g.n_vertices == 14
+        assert len(g.ends) == 16
         assert g.total_measure() == pytest.approx(1.0, abs=1e-15)
 
     def test_depth_zero_is_unit_interval(self):
         fam = build_laakso(LaaksoSpec(j=[]))
         g = fam.graphs[0]
-        assert len(g.vertices) == 2
+        assert g.n_vertices == 2
         assert g.total_measure() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("j", [[2], [2, 2], [2, 3], [3, 3], [3, 4, 4], [2, 2, 3]])
     def test_counts_match_brute_force_quotient(self, j):
         fam = build_laakso(LaaksoSpec(j=j))
         g = fam.graphs[len(j)]
-        assert (len(g.vertices), len(g.edges)) == quotient_counts(j)
+        assert (g.n_vertices, len(g.ends)) == quotient_counts(j)
         assert g.total_measure() == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_sequences_rejected(self):

@@ -11,7 +11,6 @@ from fractal_spectra.metric_graph import (
     DIRICHLET,
     NEUMANN,
     MetricGraph,
-    Vertex,
     assemble,
     dirichlet_energy,
     discretize,
@@ -20,10 +19,7 @@ from fractal_spectra.metric_graph import (
 
 
 def interval(boundary=None):
-    return MetricGraph(
-        [Vertex(0.0, boundary=boundary), Vertex(1.0, boundary=boundary)],
-        [(0, 1, 1.0, 1.0)],
-    )
+    return MetricGraph([0.0, 1.0], [(0, 1)], 1.0, 1.0, dirichlet=[boundary == DIRICHLET] * 2)
 
 
 def pencil_eigs(d):
@@ -50,19 +46,14 @@ class TestDiscretize:
         assert list(m.masses) == pytest.approx([0.25, 0.25, 0.25])
 
     def test_two_strand_dirichlet(self):
-        g = MetricGraph(
-            [Vertex(0.0, boundary=DIRICHLET), Vertex(1.0, boundary=DIRICHLET)],
-            [(0, 1, 1.0, 0.5), (0, 1, 1.0, 0.5)],
-        )
+        g = MetricGraph([0.0, 1.0], [(0, 1), (0, 1)], 1.0, 0.5, dirichlet=[True, True])
         m = discretize(g, 0.5)
         assert m.n_nodes == 2
         assert list(m.masses) == pytest.approx([0.25, 0.25])
 
     def test_node_count_formula(self):
-        g = MetricGraph(
-            [Vertex(0.0, boundary=DIRICHLET), Vertex(0.5), Vertex(1.0)],
-            [(0, 1, 0.5, 1.0), (1, 2, 0.5, 1.0)],
-        )
+        g = MetricGraph([0.0, 0.5, 1.0], [(0, 1), (1, 2)], 0.5, 1.0,
+                        dirichlet=[True, False, False])
         m = discretize(g, 0.125)
         # sum over edges of (length/h - 1) + surviving vertices
         assert m.n_nodes == (4 - 1) + (4 - 1) + 2
@@ -74,10 +65,8 @@ class TestDiscretize:
             discretize(interval(), -0.25)
 
     def test_mass_conservation(self):
-        g = MetricGraph(
-            [Vertex(0.0), Vertex(0.5), Vertex(1.0)],
-            [(0, 1, 0.5, 0.25), (1, 2, 0.5, 0.75), (0, 2, 1.0, 0.5)],
-        )
+        g = MetricGraph([0.0, 0.5, 1.0], [(0, 1), (1, 2), (0, 2)], [0.5, 0.5, 1.0],
+                        [0.25, 0.75, 0.5])
         m = discretize(g, 0.125)
         assert m.masses.sum() == pytest.approx(g.total_measure(), rel=1e-12)
 
@@ -96,10 +85,8 @@ class TestAssemble:
         assert np.linalg.norm(d.A @ ones) < 1e-12
 
     def test_row_sums_vanish_without_dirichlet(self):
-        g = MetricGraph(
-            [Vertex(0.0), Vertex(0.5), Vertex(1.0)],
-            [(0, 1, 0.5, 1.0), (1, 2, 0.5, 2.0), (0, 2, 1.0, 0.5)],
-        )
+        g = MetricGraph([0.0, 0.5, 1.0], [(0, 1), (1, 2), (0, 2)], [0.5, 0.5, 1.0],
+                        [1.0, 2.0, 0.5])
         d = assemble(discretize(g, 0.25))
         assert np.abs(d.A @ np.ones(d.n)).max() < 1e-13
 
@@ -120,10 +107,8 @@ class TestEnergy:
         assert dirichlet_energy(d, np.array([1.0])) == pytest.approx(4.0)
 
     def test_clipping_never_increases_energy(self):
-        g = MetricGraph(
-            [Vertex(0.0), Vertex(0.5), Vertex(1.0)],
-            [(0, 1, 0.5, 1.0), (1, 2, 0.5, 2.0), (0, 2, 1.0, 0.5)],
-        )
+        g = MetricGraph([0.0, 0.5, 1.0], [(0, 1), (1, 2), (0, 2)], [0.5, 0.5, 1.0],
+                        [1.0, 2.0, 0.5])
         d = assemble(discretize(g, 0.125))
         rng = np.random.default_rng(7)
         for _ in range(100):
@@ -139,44 +124,35 @@ class TestEnergy:
 class TestGraphValidation:
     def test_duplicate_label_rejected(self):
         with pytest.raises(ValueError):
-            MetricGraph([Vertex(0.0), Vertex(0.0)], [(0, 1, 1.0, 1.0)])
+            MetricGraph([0.0, 0.0], [(0, 1)], 1.0, 1.0)
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):
-            MetricGraph(
-                [Vertex(0.0), Vertex(1.0), Vertex(2.0), Vertex(3.0)],
-                [(0, 1, 1.0, 1.0), (2, 3, 1.0, 1.0)],
-            )
+            MetricGraph([0.0, 1.0, 2.0, 3.0], [(0, 1), (2, 3)], 1.0, 1.0)
 
     def test_declared_mass_checked(self):
         with pytest.raises(ValueError):
-            MetricGraph([Vertex(0.0), Vertex(1.0)], [(0, 1, 1.0, 1.0)], total_mass=2.0)
+            MetricGraph([0.0, 1.0], [(0, 1)], 1.0, 1.0, total_mass=2.0)
 
     def test_json_round_trip(self):
-        g = MetricGraph(
-            [Vertex(0.0, (0,), NEUMANN), Vertex(0.5, (0,)), Vertex(1.0, (1,), DIRICHLET)],
-            [(0, 1, 0.5, 0.5), (1, 2, 0.5, 0.5)],
-        )
+        # labels are (x, word) rows
+        g = MetricGraph([(0.0, 0), (0.5, 0), (1.0, 1)], [(0, 1), (1, 2)], 0.5, 0.5,
+                        dirichlet=[False, False, True])
         g2 = MetricGraph.from_json(g.to_json())
         assert g2.to_json() == g.to_json()
-        assert [v.x for v in g2.vertices] == [0.0, 0.5, 1.0]
-        assert g2.vertices[2].boundary == DIRICHLET
+        assert g2.labels[:, 0].tolist() == [0.0, 0.5, 1.0]
+        assert g2.dirichlet.tolist() == [False, False, True]
 
 
 class TestGraphOperator:
     def test_triangle_probabilistic_spectrum(self):
-        g = MetricGraph(
-            [Vertex((0, 0)), Vertex((1, 0)), Vertex((0, 1))],
-            [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (0, 2, 1.0, 1.0)],
-        )
+        g = MetricGraph([(0, 0), (1, 0), (0, 1)], [(0, 1), (1, 2), (0, 2)], 1.0, 1.0)
         d = graph_operator(g)
         assert pencil_eigs(d) == pytest.approx([0.0, 1.5, 1.5], abs=1e-12)
 
     def test_dirichlet_drops_marked_vertices(self):
-        g = MetricGraph(
-            [Vertex((0, 0), boundary=DIRICHLET), Vertex((1, 0)), Vertex((0, 1))],
-            [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (0, 2, 1.0, 1.0)],
-        )
+        g = MetricGraph([(0, 0), (1, 0), (0, 1)], [(0, 1), (1, 2), (0, 2)], 1.0, 1.0,
+                        dirichlet=[True, False, False])
         d = graph_operator(g, boundary=DIRICHLET)
         assert d.n == 2
-        assert d.kept_vertices == [1, 2]
+        assert d.kept_vertices.tolist() == [1, 2]

@@ -3,18 +3,27 @@ over random small metric graphs, random symmetric matrices and random
 spectrum lists.
 
 On every level the multiplicities must add up to the inertia count, and the
-block route must agree with the independent full-pencil route.  On every
-graph the NumPy mesh and pencil builders must give the bits of the loop
-versions in ``tests/mesh_reference.py``, and relabelling the vertices must
-leave the spectrum alone.  The integer-keyed analytic string spectrum must
-give the bits of the rational one in ``tests/strings_reference.py``; the
-inertia count must equal the dense count at every cut clear of an
-eigenvalue; and spectrum lists must survive their CSV and JSON round trips.
+block route must agree with the independent full-pencil route.  The array
+builders of the Laakso and choux families must give the graphs, links,
+pencils and fiber maps of the loop builders in ``tests/family_reference.py``
+bit for bit, and every CLI subcommand run twice must write the same bytes.
+On every graph the NumPy mesh and pencil builders must give the bits of the
+loop versions in ``tests/mesh_reference.py``, the array checks of
+``MetricGraph`` must agree with the union-find ones, and relabelling the
+vertices must leave the spectrum alone.  The integer-keyed analytic string
+spectrum must give the bits of the rational one in
+``tests/strings_reference.py``; the inertia count must equal the dense count
+at every cut clear of an eigenvalue; and spectrum lists must survive their
+CSV and JSON round trips.
 The example counts and the deadline keep the file to a few seconds;
 ``derandomize`` makes every run draw the same examples.
 """
 
+import filecmp
+import json
 import math
+import os
+import tempfile
 from datetime import timedelta
 from fractions import Fraction
 from unittest import mock
@@ -24,9 +33,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import family_reference
 import mesh_reference
 import strings_reference
-from fractal_spectra import eigensolve, gasket, laakso, strings
+from fractal_spectra import cli, eigensolve, fiber, gasket, laakso, strings
 from fractal_spectra.eigensolve import (
     SpectrumEntry,
     SpectrumList,
@@ -34,11 +44,11 @@ from fractal_spectra.eigensolve import (
     gap_runs,
     solve_below,
 )
+from fractal_spectra.errors import DisconnectedGraph
 from fractal_spectra.metric_graph import (
     DIRICHLET,
     DiscreteOperator,
     MetricGraph,
-    Vertex,
     assemble,
     discretize,
     graph_operator,
@@ -107,6 +117,73 @@ def test_string_levels_add_up_and_match_reference(spec, lam_max):
     check_levels(strings.stitched_numeric_spectra(spec, lam_max), ops, fibers, lam_max)
 
 
+family_laakso_specs = st.builds(
+    laakso.LaaksoSpec,
+    j=st.lists(st.sampled_from([2, 3]), min_size=0, max_size=4),
+    refine=st.sampled_from([2, 4]),
+    boundary=st.sampled_from(["neumann", "dirichlet"]),
+)
+
+family_choux_specs = st.integers(0, 3).flatmap(
+    lambda i: st.builds(
+        gasket.ChouxSpec,
+        fiber_depth=st.just(i),
+        gasket_level=st.integers(i, 5),
+        boundary=st.sampled_from([None, "neumann", "dirichlet"]),
+    )
+)
+
+
+def assert_same_family(family, ref):
+    """Same vertex and edge counts, edges, marks and links."""
+    assert len(family.graphs) == len(ref.graphs)
+    for g, r in zip(family.graphs, ref.graphs):
+        assert g.n_vertices == r.n_vertices
+        for name in ("ends", "length", "weight", "dirichlet"):
+            assert np.array_equal(getattr(g, name), getattr(r, name)), name
+    for link, ref_link in zip(family.links, ref.links, strict=True):
+        assert link.level == ref_link.level
+        assert np.array_equal(link.vertex_parent, ref_link.vertex_parent)
+        assert np.array_equal(link.edge_parent, ref_link.edge_parent)
+
+
+def assert_same_levels(ops, fibers, ref_ops, ref_fibers):
+    """Bit-identical pencils, kept vertices and fiber maps."""
+    assert len(ops) == len(ref_ops) and len(fibers) == len(ref_fibers)
+    for op, ref in zip(ops, ref_ops):
+        assert_same_bits(op, ref)
+        assert np.array_equal(op.kept_vertices, ref.kept_vertices)
+    for fs, ref in zip(fibers, ref_fibers):
+        assert (fs.n_low, fs.n_high) == (ref.n_low, ref.n_high)
+        assert np.array_equal(fs.parent, ref.parent)
+        assert np.array_equal(fs.copy_weight, ref.copy_weight)
+
+
+@SETTINGS
+@given(spec=family_laakso_specs)
+def test_laakso_family_has_the_bits_of_the_loop_reference(spec):
+    ref = family_reference.build_laakso(spec)
+    assert_same_family(laakso.build_laakso(spec), ref)
+    meshes, ref_fibers = fiber.discretize_levels(ref, spec.pitch)
+    assert_same_levels(*laakso.laakso_levels(spec), [assemble(m) for m in meshes], ref_fibers)
+
+
+@SETTINGS
+@given(spec=family_choux_specs)
+def test_choux_family_has_the_bits_of_the_loop_reference(spec):
+    ref = family_reference.build_choux(spec)
+    assert_same_family(gasket.build_choux(spec), ref)
+    assert_same_levels(*gasket.choux_levels(spec), *fiber.graph_levels(ref, spec.boundary))
+    levels = gasket.gasket_levels(spec.gasket_level)
+    ref_levels = family_reference.gasket_levels(spec.gasket_level)
+    for g, r in zip(levels, ref_levels, strict=True):
+        scale = 2 ** (g.level + 1)
+        assert [(Fraction(int(x)), Fraction(int(y))) for x, y in g.points] == [
+            (x * scale, y * scale) for x, y in r.points]
+        assert g.birth.tolist() == r.birth
+        assert [tuple(e) for e in g.edges.tolist()] == r.edges
+
+
 @st.composite
 def metric_graphs(draw):
     """A connected metric graph on 2-12 vertices, a pitch that divides every
@@ -128,16 +205,18 @@ def metric_graphs(draw):
         for u, v in draw(st.permutations(tree + extra + repeated))
     ]
     marks = draw(st.lists(st.booleans(), min_size=nv, max_size=nv))
-    vertices = [Vertex(float(i), boundary=DIRICHLET if m else None) for i, m in enumerate(marks)]
-    return MetricGraph(vertices, edges), pitch, draw(st.permutations(range(nv)))
+    u, v, length, weight = zip(*edges)
+    return (MetricGraph(np.arange(nv, dtype=float), np.stack([u, v], axis=1), length, weight,
+                        dirichlet=marks),
+            pitch, draw(st.permutations(range(nv))))
 
 
 def relabel(g, perm):
     """g with vertex i renamed perm[i]."""
-    vertices = [None] * len(perm)
-    for i, v in enumerate(g.vertices):
-        vertices[perm[i]] = v
-    return MetricGraph(vertices, [(perm[e.u], perm[e.v], e.length, e.weight) for e in g.edges])
+    perm = np.asarray(perm)
+    labels, dirichlet = np.empty_like(g.labels), np.empty_like(g.dirichlet)
+    labels[perm], dirichlet[perm] = g.labels, g.dirichlet
+    return MetricGraph(labels, perm[g.ends], g.length, g.weight, dirichlet)
 
 
 def assert_same_bits(op, ref):
@@ -158,7 +237,40 @@ def test_pencils_have_the_bits_of_the_loop_reference(case):
     for boundary in (None, DIRICHLET):
         op, ref_op = graph_operator(g, boundary), mesh_reference.graph_operator(g, boundary)
         assert_same_bits(op, ref_op)
-        assert op.kept_vertices == ref_op.kept_vertices
+        assert op.kept_vertices.tolist() == ref_op.kept_vertices
+
+
+@st.composite
+def graph_inputs(draw):
+    """Vertex labels (sometimes repeated), (u, v, length, weight) edges
+    (sometimes out of range, of zero or negative length or weight, or
+    leaving the graph disconnected) and sometimes a declared total mass."""
+    nv = draw(st.integers(1, 8))
+    labels = draw(st.lists(st.integers(0, 3 * nv), min_size=nv, max_size=nv))
+    ends = st.integers(-1 if draw(st.booleans()) else 0, nv)
+    edges = draw(st.lists(st.tuples(ends, ends, st.sampled_from([1.0, 0.5, 0.25, 0.0, -0.5]),
+                                    st.sampled_from([1.0, 0.5, -1.0])), max_size=2 * nv))
+    total = draw(st.one_of(st.none(), st.just(sum(l * w for *_, l, w in edges)),
+                           st.floats(0.0, 4.0)))
+    return labels, edges, total
+
+
+def error_of(check):
+    try:
+        check()
+    except (ValueError, DisconnectedGraph) as exc:
+        return type(exc)
+    return None
+
+
+@SETTINGS
+@given(case=graph_inputs())
+def test_graph_checks_agree_with_the_union_find_reference(case):
+    labels, edges, total = case
+    ends = [(u, v) for u, v, _, _ in edges]
+    length, weight = [l for *_, l, _ in edges], [w for *_, w in edges]
+    assert error_of(lambda: MetricGraph(labels, ends, length, weight, total_mass=total)) is \
+        error_of(lambda: family_reference.validate(labels, edges, total))
 
 
 @SETTINGS
@@ -301,3 +413,51 @@ def test_spectrum_lists_survive_csv_and_json_round_trips(s):
     back = SpectrumList.from_json(s.to_json())
     assert back.entries == s.entries
     assert (back.origin, back.truncation, back.pitch, back.meta) == (s.origin, s.truncation, s.pitch, s.meta)
+
+
+cli_runs = st.one_of(
+    st.builds(lambda j, refine, lam, boundary: ("laakso", {"j": j, "refine": refine,
+                                                           "lambda_max": lam,
+                                                           "boundary": boundary}),
+              st.lists(st.sampled_from([2, 3]), min_size=0, max_size=2),
+              st.sampled_from([4, 8]), st.sampled_from([60.0, 200.0]),
+              st.sampled_from(["neumann", "dirichlet"])),
+    string_specs.flatmap(lambda spec: st.builds(
+        lambda lam, terms: ("string", {"lengths": [float(l) for l in spec.lengths],
+                                       "mults": spec.mults, "refine": spec.refine,
+                                       "lambda_max": lam, "zeta_terms": terms}),
+        st.sampled_from([200.0, 700.0]), st.integers(1, 50))),
+    choux_specs.map(lambda spec: ("choux", {"fiber_depth": spec.fiber_depth,
+                                            "gasket_level": spec.gasket_level,
+                                            "boundary": spec.boundary})),
+)
+
+
+@settings(SETTINGS, max_examples=9)
+@given(run=cli_runs)
+def check_cli_reruns_are_byte_identical(run):
+    """Two runs of one spec into two directories write the same files, with
+    the same bytes, run.json included."""
+    command, doc = run
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = f"{tmp}/spec.json"
+        with open(spec, "w") as f:
+            json.dump(doc, f)
+        outs = [f"{tmp}/a", f"{tmp}/b"]
+        codes = [cli.main([command, "--spec", spec, "--out", out]) for out in outs]
+        assert codes[0] == codes[1] and codes[0] in (cli.EXIT_OK, cli.EXIT_SOLVER)
+        same, differ, missing = filecmp.cmpfiles(*outs, sorted(os.listdir(outs[0])),
+                                                 shallow=False)
+        assert "run.json" in same and not differ and not missing
+        assert sorted(os.listdir(outs[0])) == sorted(os.listdir(outs[1]))
+
+
+def test_cli_reruns_are_byte_identical():
+    check_cli_reruns_are_byte_identical()
+
+
+def test_cli_reruns_are_byte_identical_on_the_arpack_route(eigsh_threshold):
+    """Every pencil that has something to solve goes through the seeded
+    shift-invert eigsh."""
+    eigsh_threshold(0)
+    check_cli_reruns_are_byte_identical()

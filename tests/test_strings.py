@@ -72,31 +72,29 @@ class TestAnalyticSpectrum:
 class TestBuilder:
     def test_theta_graph(self):
         g = build_stitched(StringSpec([Fraction(1, 2)], [3])).graphs[1]
-        assert len(g.vertices) == 2
-        assert len(g.edges) == 3
-        assert all(e.length == pytest.approx(0.5) for e in g.edges)
-        assert all(v.boundary == "dirichlet" for v in g.vertices)
+        assert g.n_vertices == 2
+        assert len(g.ends) == 3
+        assert all(length == pytest.approx(0.5) for length in g.length)
+        assert all(g.dirichlet)
 
     def test_two_length_attachment(self):
         spec = StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 1])
         g = build_stitched(spec).graphs[2]
         # fiber measures are probabilities, so the total measure stays l_1
         assert g.total_measure() == pytest.approx(0.5)
-        xs = sorted({v.x for v in g.vertices})
+        # a label row starts with the grid index of the vertex's position
+        x = (g.labels[:, 0] * float(spec.grid_unit)).tolist()
+        xs = sorted(set(x))
         assert 0.25 in xs  # the attachment point l_1 - l_2
         # the duplicated right-end strand shows as a parallel edge over the
         # cell (1/4, 1/2), each copy carrying half the density
-        ends = {
-            frozenset((g.vertices[e.u].x, g.vertices[e.v].x)): 0 for e in g.edges
-        }
-        for e in g.edges:
-            ends[frozenset((g.vertices[e.u].x, g.vertices[e.v].x))] += 1
+        ends = {frozenset((x[u], x[v])): 0 for u, v in g.ends}
+        for u, v in g.ends:
+            ends[frozenset((x[u], x[v]))] += 1
         assert ends[frozenset((0.0, 0.25))] == 1
         assert ends[frozenset((0.25, 0.5))] == 2
-        parallel = [
-            e for e in g.edges if {g.vertices[e.u].x, g.vertices[e.v].x} == {0.25, 0.5}
-        ]
-        assert [e.weight for e in parallel] == [pytest.approx(0.5)] * 2
+        parallel = [w for (u, v), w in zip(g.ends, g.weight) if {x[u], x[v]} == {0.25, 0.5}]
+        assert parallel == [pytest.approx(0.5)] * 2
 
     def test_single_strand_is_plain_interval(self):
         fam = build_stitched(StringSpec([Fraction(1, 2)], [1]))
