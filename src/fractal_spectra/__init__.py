@@ -10,7 +10,6 @@ from .eigensolve import (
     SpectrumList,
     cluster,
     compare_spectra,
-    counting_function,
     richardson,
     solve_below,
     verify_nesting,
@@ -20,8 +19,6 @@ from .fiber import (
     LevelFamily,
     LevelLink,
     contrast_basis,
-    discretize_levels,
-    fiber_complement,
     fiber_project,
     graph_levels,
     lift,
@@ -34,7 +31,6 @@ from .gasket import (
     build_choux,
     build_gasket,
     choux_numeric_spectra,
-    choux_numeric_spectrum,
     decimation_branch,
     decimation_check,
     gasket_graph_spectrum,
@@ -47,15 +43,12 @@ from .laakso import (
     laakso_analytic_spectrum,
     laakso_numeric_spectra,
     laakso_numeric_spectrum,
+    laakso_refinement_spectra,
     wormhole_table,
 )
 from .metric_graph import (
     DiscreteOperator,
     MetricGraph,
-    Mesh,
-    assemble,
-    dirichlet_energy,
-    discretize,
     graph_operator,
 )
 from .strings import (

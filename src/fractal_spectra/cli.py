@@ -121,18 +121,18 @@ def cmd_laakso(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     analytic = laakso.laakso_analytic_spectrum(spec, lam_max)
-    per_level = laakso.laakso_numeric_spectra(spec, lam_max, seed=args.seed)
-    numeric = per_level[-1]
-    coarse = None
+    refines = [spec.refine]
     if spec.refine % 2 == 0 and spec.refine >= 4:
-        coarse_spec = laakso.LaaksoSpec(j=list(spec.j), refine=spec.refine // 2, boundary=boundary)
-        coarse = laakso.laakso_numeric_spectrum(coarse_spec, lam_max, seed=args.seed)
+        refines.append(spec.refine // 2)  # the coarse pitch gives the convergence order
+    # one vertex solve serves both pitches
+    per_level, *coarse = laakso.laakso_refinement_spectra(spec, lam_max, refines, seed=args.seed)
+    numeric = per_level[-1]
     compare = compare_spectra(
         numeric,
         analytic,
         FDModel(pitch=spec.pitch),
         coverage_max=0.75 * lam_max,
-        numeric_coarse=coarse,
+        numeric_coarse=coarse[0][-1] if coarse else None,
     )
     nested = _nesting(out, per_level, args.tol)
 

@@ -26,7 +26,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import BeyondTruncation, MisalignedMeshes, NoConvergence, NotPositiveMass
+from .errors import MisalignedMeshes, NoConvergence, NotPositiveMass
 from .metric_graph import DiscreteOperator
 
 DEFAULT_SEED = 20260826
@@ -52,10 +52,6 @@ class EigenPairs:
     values: np.ndarray
     vectors: np.ndarray | None  # shape (n, k); None on a values-only solve
     inertia_count: int  # N(lam_max) from the inertia of S - lam_max I
-
-    def residuals(self, op: DiscreteOperator) -> np.ndarray:
-        R = op.A @ self.vectors - (op.M[:, None] * self.vectors) * self.values[None, :]
-        return np.linalg.norm(R, axis=0)
 
 
 @dataclass(frozen=True)
@@ -387,13 +383,6 @@ def verify_nesting(lower: SpectrumList, upper: SpectrumList, tol: float = 1e-9) 
         if not used[j]:
             surplus.append(ue.value)
     return NestingReport(unmatched, surplus, mult_ok, max_dev)
-
-
-def counting_function(s: SpectrumList, lam: float) -> int:
-    """Eigenvalue counting function N(lambda), multiplicities included."""
-    if lam > s.truncation * (1 + 1e-12):
-        raise BeyondTruncation(f"lambda={lam} beyond truncation {s.truncation}")
-    return int(sum(e.multiplicity for e in s.entries if e.value <= lam * (1 + 1e-12)))
 
 
 @dataclass

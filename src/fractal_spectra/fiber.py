@@ -5,16 +5,19 @@ grid, plus LevelLinks recording which level-i vertex/edge covers which
 level-(i-1) vertex/edge.  The Laakso space and the pâte à choux are both a
 base graph times binary fibers, glued at base vertices by birth level, and
 share one array builder (``_binary_fiber_family``); the stitched strings
-keep their own rule.  From a link and two aligned meshes we derive a
-FiberStructure at the node level, which powers the pullback (lift) and the
-fiber-averaging projector.
+keep their own rule.  From a link and two levels' vertex pencils we derive a
+FiberStructure, which powers the pullback (lift) and the fiber-averaging
+projector.
 
 ``level_spectra`` is the pipeline every family uses.  The fiber projector P
 splits the level-i space into range(P), which carries the level-(i-1)
 spectrum unchanged, and ker(P), which carries the eigenvalues new at level
 i; so it solves level 0 once and then only the ker(P) block of each level
 (``new_blocks``), and each eigenvalue's origin is known from where it was
-solved.  The tests check it against an independent route
+solved.  The Laakso and string levels, whose edges have one length, run it
+on their vertex pencils and map the values to the mesh by the Chebyshev
+rule (``equilateral_spectra``).  The tests check both against the mesh
+pencils of ``tests/mesh_reference.py`` and an independent route
 (``tests/level_reference.py``): solve the whole level pencil and classify
 every eigenvector by the projectors of the levels below.
 """
@@ -29,7 +32,15 @@ from scipy.sparse.csgraph import connected_components
 
 from .eigensolve import DEFAULT_SEED, SpectrumList, cluster, solve_below
 from .errors import IncompatibleMesh
-from .metric_graph import DiscreteOperator, MetricGraph, Mesh, discretize, graph_operator
+from .metric_graph import (
+    DIRICHLET,
+    SPECTRAL_BOUND,
+    DiscreteOperator,
+    EquilateralMesh,
+    MetricGraph,
+    graph_operator,
+    walk_kernels,
+)
 
 #: relative tolerance of the two checks that make the split of a level
 #: pencil by the fiber projector exact (see ``new_blocks``)
@@ -84,7 +95,8 @@ def _binary_fiber_family(base_ends, birth, depth: int, length: float, dirichlet,
         def code(v):  # one row per word
             return (v << lvl) | (words & ~clear[v])
 
-        codes = np.unique(code(np.arange(len(birth))))
+        codes = np.sort(code(np.arange(len(birth))), axis=None)
+        codes = codes[np.r_[True, codes[1:] != codes[:-1]]]  # np.unique, without its hash table
         ends = np.searchsorted(codes, code(base_ends.ravel())).reshape(-1, 2)
         graphs.append(MetricGraph(codes, ends, length, 0.5**lvl, dirichlet[codes >> lvl],
                                   total_mass))
@@ -145,11 +157,6 @@ def fiber_project(fs: FiberStructure, v: np.ndarray) -> np.ndarray:
     return lift(fs, project_down(fs, v))
 
 
-def fiber_complement(fs: FiberStructure, v: np.ndarray) -> np.ndarray:
-    """Mean-zero component v - P v; kernel of the fiber projector."""
-    return _check(fs, v, fs.n_high) - fiber_project(fs, v)
-
-
 def contrast_basis(fs: FiberStructure) -> sp.csr_matrix:
     """Euclidean-orthonormal basis of the fiber-mean-zero vectors: Helmert
     contrasts on each fiber, ``n_high - n_low`` columns in all.
@@ -182,30 +189,6 @@ def contrast_basis(fs: FiberStructure) -> sp.csr_matrix:
     )
 
 
-def mesh_fiber_structure(mesh_hi: Mesh, mesh_lo: Mesh, link: LevelLink) -> FiberStructure:
-    """Node-level fiber structure from a graph link and two aligned meshes.
-
-    Requires both meshes to share the pitch; edge chains then correspond step
-    for step (builders orient child edges like their parents).
-    """
-    if abs(mesh_hi.pitch - mesh_lo.pitch) > 1e-12 * mesh_lo.pitch:
-        raise IncompatibleMesh("meshes have different pitches")
-    vertex_parent, edge_parent = link.vertex_parent, link.edge_parent
-    if np.any(mesh_hi.segments != mesh_lo.segments[edge_parent]):
-        raise IncompatibleMesh("an edge and its parent edge have different lengths")
-    parent = np.empty(mesh_hi.n_nodes, dtype=np.int64)
-    kept = mesh_hi.vertex_nodes >= 0
-    parent[mesh_hi.vertex_nodes[kept]] = mesh_lo.vertex_nodes[vertex_parent[kept]]
-    # an interior node of an edge covers the same step along the parent edge
-    inner = mesh_hi.segments - 1
-    edge = np.repeat(np.arange(len(inner)), inner)
-    nodes = np.arange(mesh_hi.n_nodes - len(edge), mesh_hi.n_nodes)
-    parent[nodes] = mesh_lo.edge_start[edge_parent[edge]] + nodes - mesh_hi.edge_start[edge]
-    if np.any(parent < 0):
-        raise IncompatibleMesh("node maps onto an eliminated Dirichlet node")
-    return _finish(parent, mesh_lo.n_nodes, link)
-
-
 def vertex_fiber_structure(
     op_hi_keep: np.ndarray, op_lo_keep: np.ndarray, link: LevelLink
 ) -> FiberStructure:
@@ -233,19 +216,6 @@ def _finish(parent: np.ndarray, n_low: int, link: LevelLink) -> FiberStructure:
     )
 
 
-def discretize_levels(family: LevelFamily, pitch: float):
-    """Discretize every level at a common pitch.
-
-    Returns (meshes, fiber structures); fibers[i] connects mesh i+1 to mesh i.
-    """
-    meshes = [discretize(g, pitch) for g in family.graphs]
-    fibers = [
-        mesh_fiber_structure(meshes[i + 1], meshes[i], family.links[i])
-        for i in range(len(family.links))
-    ]
-    return meshes, fibers
-
-
 def graph_levels(family: LevelFamily, boundary: str | None = None):
     """Graph-Laplacian pencils for every level plus vertex fiber structures."""
     ops = [graph_operator(g, boundary) for g in family.graphs]
@@ -254,6 +224,45 @@ def graph_levels(family: LevelFamily, boundary: str | None = None):
         for i in range(len(family.links))
     ]
     return ops, fibers
+
+
+def _components(op_hi: DiscreteOperator, op_lo: DiscreteOperator, fs: FiberStructure):
+    """Yield the connected components of the ker(P) block of ``op_hi`` as
+    ((data, indices, indptr) of the CSR block, mass diagonal); see
+    ``new_blocks``."""
+    n_hi = fs.n_high
+    if not n_hi:  # every vertex eliminated: nothing to split
+        return
+    U = sp.csr_matrix((np.ones(n_hi), (np.arange(n_hi), fs.parent)), shape=(n_hi, fs.n_low))
+    lhs = op_hi.A @ U
+    rhs = sp.diags(op_hi.M) @ U @ sp.diags(1.0 / op_lo.M) @ op_lo.A
+    scale = abs(lhs).max() if lhs.nnz else 0.0
+    if abs(lhs - rhs).max() > SPLIT_RTOL * scale:
+        raise IncompatibleMesh(f"level {fs.level}: the lift does not intertwine the level pencils")
+    if np.max(np.abs(op_hi.M - lift(fs, project_down(fs, op_hi.M))) / op_hi.M) > SPLIT_RTOL:
+        raise IncompatibleMesh(f"level {fs.level}: copies in a fiber have unequal mass")
+    Q = contrast_basis(fs)
+    if not Q.shape[1]:
+        return
+    A = Q.T @ op_hi.A @ Q
+    A = (0.5 * (A + A.T)).tocsr()  # the two triangles may differ in their last bits
+    A.eliminate_zeros()
+    M = Q.multiply(Q).T @ op_hi.M
+    n_comp, labels = connected_components(A, directed=False)
+    # ordered component by component, each component's rows are a contiguous
+    # run whose columns stay inside the run, so a block is a slice of the CSR
+    # arrays; within a component the order is ascending, so every row keeps
+    # the column order of A and the slices equal A[idx][:, idx] bit for bit
+    order = np.argsort(labels, kind="stable")
+    A, M = A[order][:, order], M[order]
+    bounds = np.cumsum(np.bincount(labels, minlength=n_comp)).tolist()
+    for start, stop in zip([0, *bounds], bounds):
+        lo, hi = A.indptr[start], A.indptr[stop]
+        yield (A.data[lo:hi], A.indices[lo:hi] - start, A.indptr[start:stop + 1] - lo), M[start:stop]
+
+
+def _block(arrays, M: np.ndarray) -> DiscreteOperator:
+    return DiscreteOperator(A=sp.csr_matrix(arrays, shape=(len(M), len(M))), M=M)
 
 
 def new_blocks(op_hi: DiscreteOperator, op_lo: DiscreteOperator, fs: FiberStructure):
@@ -269,37 +278,48 @@ def new_blocks(op_hi: DiscreteOperator, op_lo: DiscreteOperator, fs: FiberStruct
     S_lo plus the blocks, and their inertia counts add up.  Either check
     failing raises IncompatibleMesh.
     """
-    n_hi = fs.n_high
-    U = sp.csr_matrix((np.ones(n_hi), (np.arange(n_hi), fs.parent)), shape=(n_hi, fs.n_low))
-    lhs = op_hi.A @ U
-    rhs = sp.diags(op_hi.M) @ U @ sp.diags(1.0 / op_lo.M) @ op_lo.A
-    scale = abs(lhs).max() if lhs.nnz else 0.0
-    if abs(lhs - rhs).max() > SPLIT_RTOL * scale:
-        raise IncompatibleMesh(f"level {fs.level}: the lift does not intertwine the level pencils")
-    if np.max(np.abs(op_hi.M - lift(fs, project_down(fs, op_hi.M))) / op_hi.M) > SPLIT_RTOL:
-        raise IncompatibleMesh(f"level {fs.level}: copies in a fiber have unequal mass")
-    Q = contrast_basis(fs)
-    if not Q.shape[1]:
-        return []
-    A = Q.T @ op_hi.A @ Q
-    A = (0.5 * (A + A.T)).tocsr()  # the two triangles may differ in their last bits
-    A.eliminate_zeros()
-    M = Q.multiply(Q).T @ op_hi.M
-    n_comp, labels = connected_components(A, directed=False)
-    # ordered component by component, each component's rows are a contiguous
-    # run whose columns stay inside the run, so a block is a slice of the CSR
-    # arrays; within a component the order is ascending, so every row keeps
-    # the column order of A and the slices equal A[idx][:, idx] bit for bit
-    order = np.argsort(labels, kind="stable")
-    A, M = A[order][:, order], M[order]
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=n_comp))])
-    blocks = []
-    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        lo, hi = A.indptr[start], A.indptr[stop]
-        block = sp.csr_matrix((A.data[lo:hi], A.indices[lo:hi] - start,
-                               A.indptr[start:stop + 1] - lo), shape=(stop - start,) * 2)
-        blocks.append(DiscreteOperator(A=block, M=M[start:stop]))
-    return blocks
+    return [_block(*piece) for piece in _components(op_hi, op_lo, fs)]
+
+
+def _level_values(ops, fibers, cut: float, seed: int) -> list[np.ndarray]:
+    """Eigenvalues <= ``cut`` of level 0 and of the new blocks of each level
+    above it, by ``solve_below(..., vectors=False)``, whose length is its
+    inertia count.
+
+    A component is keyed on its CSR arrays and masses, and only a key not
+    seen before becomes a block and a solve: on self-similar spaces most
+    components repeat bit for bit, and the same input to the same seeded
+    LAPACK or ARPACK call gives the same bits.
+    """
+    solved: dict[tuple, np.ndarray] = {}
+    out = [solve_below(ops[0], cut, seed, vectors=False).values]
+    for level in range(1, len(ops)):
+        pieces = []
+        for arrays, M in _components(ops[level], ops[level - 1], fibers[level - 1]):
+            key = (*(a.tobytes() for a in arrays), M.tobytes())
+            if key not in solved:
+                solved[key] = solve_below(_block(arrays, M), cut, seed, vectors=False).values
+            pieces.append(solved[key])
+        out.append(np.concatenate(pieces or [np.zeros(0)]))
+    return out
+
+
+def _cluster_levels(new: list[np.ndarray], origin: str, meta: dict,
+                    **cluster_kw) -> list[SpectrumList]:
+    """Level i's spectrum from the values ``new[0..i]``, new[0] tagged "base"
+    and new[k] "new@k", gap-clustered by ``cluster`` with ``cluster_kw``; its
+    ``meta`` is ``meta`` plus the count of the values, ``inertia_count``.
+    ``origin`` is formatted with the level."""
+    values, tags, out = np.zeros(0), [], []
+    for level, fresh in enumerate(new):
+        values = np.concatenate([values, fresh])
+        tags += ["base" if level == 0 else f"new@{level}"] * len(fresh)
+        order = np.argsort(values, kind="stable")
+        spectrum = cluster(values[order], origin=origin.format(level),
+                           tags=[tags[k] for k in order], **cluster_kw)
+        spectrum.meta = {**meta, "inertia_count": len(values)}
+        out.append(spectrum)
+    return out
 
 
 def level_spectra(
@@ -308,40 +328,49 @@ def level_spectra(
     """Spectrum below ``lam_max`` of every level 0..n with origin tags.
 
     Level 0 is solved whole and each level i >= 1 only through its
-    ``new_blocks``, each distinct component once by
-    ``solve_below(block, lam_max, seed, vectors=False)`` (a component equal
-    bit for bit to one solved before reuses its values and inertia count).
-    No eigenvector is formed: the spectra need only the values.
-    Level i's spectrum is the union of the level-0 values (tag "base") and
-    the block values of levels 1..i (tag "new@k"), gap-clustered by
-    ``cluster`` with ``cluster_kw``; its ``meta`` is ``meta`` plus the summed
-    inertia count.  ``origin`` is formatted with the level.
+    ``new_blocks``, each distinct component once (``_level_values``).  No
+    eigenvector is formed: the spectra need only the values.  Level i's
+    spectrum is the union of the level-0 values (tag "base") and the block
+    values of levels 1..i (tag "new@k"), clustered (``_cluster_levels``).
     """
-    # one solve per distinct piece: on self-similar spaces most blocks repeat
-    # bit for bit, and the same input to the same seeded LAPACK or ARPACK
-    # call gives the same bits, so a repeat reuses the values and count
-    solved: dict[tuple, tuple[np.ndarray, int]] = {}
+    return _cluster_levels(_level_values(ops, fibers, lam_max, seed), origin, meta, **cluster_kw)
 
-    def solve(block: DiscreteOperator) -> tuple[np.ndarray, int]:
-        A = block.A
-        key = (A.shape, A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes(),
-               block.M.tobytes())
-        if key not in solved:
-            pairs = solve_below(block, lam_max, seed, vectors=False)
-            solved[key] = (pairs.values, pairs.inertia_count)
-        return solved[key]
 
-    values, tags, count, out = np.zeros(0), [], 0, []
-    for level, op in enumerate(ops):
-        blocks = [op] if level == 0 else new_blocks(op, ops[level - 1], fibers[level - 1])
-        pieces = [solve(block) for block in blocks]
-        new = np.concatenate([v for v, _ in pieces] or [np.zeros(0)])
-        values = np.concatenate([values, new])
-        tags += ["base" if level == 0 else f"new@{level}"] * len(new)
-        count += sum(c for _, c in pieces)
-        order = np.argsort(values, kind="stable")
-        spectrum = cluster(values[order], origin=origin.format(level),
-                           tags=[tags[k] for k in order], **cluster_kw)
-        spectrum.meta = {**meta, "inertia_count": count}
-        out.append(spectrum)
+def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float, origin: str,
+                        meta: dict, seed: int = DEFAULT_SEED) -> list[list[SpectrumList]]:
+    """Finite-difference spectra below ``lam_max`` of every level of a family
+    whose edges all have one length, cut into each of ``refines`` cells
+    (``EquilateralMesh``), from one solve of the vertex pencils
+    ``graph_levels(family, DIRICHLET)`` as in ``level_spectra``, at the
+    largest ``EquilateralMesh.vertex_cut``.
+
+    At each refinement the vertex values new at level i, less the
+    walk-kernel values 0 and 2 new there, map to their branch values, and
+    the edge modes join with the growth of their multiplicity at level i;
+    the levels are clustered as in ``level_spectra``, with ``meta`` plus the
+    refinement.  So each level's count is the mesh's inertia count at
+    lam_max.
+    """
+    ops, fibers = graph_levels(family, DIRICHLET)
+    meshes = [EquilateralMesh.of(family.graphs, refine) for refine in refines]
+    cut = max(mesh.vertex_cut(lam_max) for mesh in meshes)
+    kernels = [walk_kernels(g, op) for g, op in zip(family.graphs, ops)]
+    whole = cut == SPECTRAL_BOUND  # only a whole spectrum holds the vertex value 2
+    nu, low = [], (0, 0)
+    for values, (z, t) in zip(_level_values(ops, fibers, cut, seed), kernels):
+        # the walk-kernel values new at this level, 0 and 2, are the
+        # smallest and the largest ones
+        values = np.sort(values)
+        nu.append(values[z - low[0]:len(values) - (t - low[1]) * whole])
+        low = (z, t)
+    out = []
+    for mesh in meshes:
+        new, low = [], 0
+        for values, g, op, kernel in zip(nu, family.graphs, ops, kernels):
+            modes, mult = mesh.edge_modes(len(g.ends), op.n, kernel, lam_max)
+            new.append(np.concatenate([mesh.branch_values(values, lam_max),
+                                       np.repeat(modes, mult - low)]))
+            low = mult
+        out.append(_cluster_levels(new, origin, {**meta, "refine": mesh.refine},
+                                   truncation=lam_max, pitch=mesh.pitch))
     return out

@@ -18,12 +18,7 @@ import numpy as np
 from .errors import InvalidSpaceSpec, ResolutionTooCoarse
 from .eigensolve import SpectrumList, cluster, solve_below
 from .fiber import LevelFamily, _binary_fiber_family, graph_levels, level_spectra
-from .metric_graph import DIRICHLET, NEUMANN, graph_operator
-
-#: the probabilistic Laplacian I - D^{-1} W of any graph has its spectrum in
-#: [0, 2], so solving below this bound returns every eigenpair, with the
-#: inertia count proving the list complete
-SPECTRAL_BOUND = 2.0
+from .metric_graph import DIRICHLET, NEUMANN, SPECTRAL_BOUND, graph_operator
 
 # corners of the gasket as (x, y / sqrt(3)) times 2, the scale of level 0
 _CORNERS = [(0, 0), (2, 0), (1, 1)]
@@ -194,11 +189,6 @@ def choux_numeric_spectra(spec: ChouxSpec) -> list[SpectrumList]:
     meta = {"fiber_depth": spec.fiber_depth, "gasket_level": spec.gasket_level,
             "boundary": spec.boundary}
     return level_spectra(ops, fibers, SPECTRAL_BOUND, "numeric(choux,i={})", meta, truncation=np.inf)
-
-
-def choux_numeric_spectrum(spec: ChouxSpec) -> SpectrumList:
-    """Spectrum of the deepest fiber level; see choux_numeric_spectra."""
-    return choux_numeric_spectra(spec)[-1]
 
 
 def hausdorff_dimension() -> float:

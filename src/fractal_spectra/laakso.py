@@ -3,8 +3,8 @@
 Level n is the quotient of [0,1] x {0,1}^n by wormhole identifications: at a
 point of L_m \\ L_{m-1} (multiples of 1/d_m that are not multiples of any
 coarser d) the m-th fiber coordinate is collapsed.  All levels are built on
-the common grid of multiples of 1/d_n so that meshes align exactly and the
-discrete nesting holds to machine precision.
+the common grid of multiples of 1/d_n, so every edge has the length 1/d_n,
+meshes align exactly and the discrete nesting holds to machine precision.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import InvalidSequence
 from .eigensolve import DEFAULT_SEED, SpectrumEntry, SpectrumList
-from .fiber import LevelFamily, _binary_fiber_family, discretize_levels, level_spectra
-from .metric_graph import DIRICHLET, NEUMANN, assemble
+from .fiber import LevelFamily, _binary_fiber_family, equilateral_spectra
+from .metric_graph import DIRICHLET, NEUMANN
 
 
 @dataclass
@@ -144,26 +144,24 @@ def laakso_analytic_spectrum(spec: LaaksoSpec, lam_max: float) -> SpectrumList:
     )
 
 
-def laakso_levels(spec: LaaksoSpec):
-    """Pencils of levels 0..n at the spec's pitch from one build, plus the
-    fiber structures between them (fibers[i] connects level i+1 to i)."""
-    meshes, fibers = discretize_levels(build_laakso(spec), spec.pitch)
-    return [assemble(m) for m in meshes], fibers
+def laakso_refinement_spectra(spec: LaaksoSpec, lam_max: float, refines: list[int],
+                              seed: int = DEFAULT_SEED) -> list[list[SpectrumList]]:
+    """Numeric spectra of levels 0..n at each refinement of ``refines``, from
+    one build and one solve of the vertex pencils (``fiber.equilateral_spectra``).
+
+    Level-0 eigenvalues are tagged "base" and those new at level i, from the
+    fiber-mean-zero block of that level, "new@i"; multiplicities come from
+    gap clustering.  ``seed`` draws the start vector of the Krylov solver.
+    """
+    meta = {"j": spec.j, "boundary": spec.boundary,
+            "zero_mode": "included, outside the analytic family listing"}
+    return equilateral_spectra(build_laakso(spec), refines, lam_max, "numeric(laakso,level={})",
+                               meta, seed)
 
 
 def laakso_numeric_spectra(spec: LaaksoSpec, lam_max: float, seed: int = DEFAULT_SEED) -> list[SpectrumList]:
-    """Numeric spectra of levels 0..n with origin tags.
-
-    Level-0 eigenvalues are tagged "base" and those new at level i, solved
-    in the fiber-mean-zero block of that level, "new@i"; multiplicities come
-    from gap clustering.  ``seed`` draws the start vector of the Krylov
-    solver.
-    """
-    ops, fibers = laakso_levels(spec)
-    meta = {"j": spec.j, "refine": spec.refine, "boundary": spec.boundary,
-            "zero_mode": "included, outside the analytic family listing"}
-    return level_spectra(ops, fibers, lam_max, "numeric(laakso,level={})", meta, seed,
-                         truncation=lam_max, pitch=spec.pitch)
+    """Numeric spectra of levels 0..n at the spec's refinement."""
+    return laakso_refinement_spectra(spec, lam_max, [spec.refine], seed)[0]
 
 
 def laakso_numeric_spectrum(spec: LaaksoSpec, lam_max: float, seed: int = DEFAULT_SEED) -> SpectrumList:

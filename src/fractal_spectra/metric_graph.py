@@ -1,28 +1,26 @@
-"""Weighted metric graphs and their finite-difference discretization.
+"""Weighted metric graphs, their vertex pencils and the finite-difference
+spectrum of graphs whose edges all have one length.
 
 A finite-level approximation of a projective-limit fractal is represented as
 a weighted metric graph: edges carry a length and a measure density (the
-weight of the sheet they belong to).  Discretizing every edge at a common
-pitch h yields a lumped-mass generalized eigenproblem A v = lambda M v with
-Kirchhoff (natural) conditions at unmarked vertices and eliminated rows at
-Dirichlet vertices.
+weight of the sheet they belong to).  ``graph_operator`` gives its vertex
+pencil I - P for the walk P.  The finite-difference pencil A v = lambda M v
+of an equal-edge graph, with Kirchhoff (natural) conditions at unmarked
+vertices and eliminated rows at Dirichlet vertices, is a Chebyshev image of
+that pencil (``EquilateralMesh``), so the mesh itself is never built.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import (
-    DimensionMismatch,
-    DisconnectedGraph,
-    NonDividingPitch,
-    NotPositiveMass,
-)
+from .errors import DisconnectedGraph, NonDividingPitch
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -30,6 +28,11 @@ NEUMANN = "neumann"
 #: relative tolerance for the rational-pitch divisibility rule and for
 #: mass-conservation checks
 REL_TOL = 1e-12
+
+#: the walk Laplacian I - D^{-1} W of any graph has its spectrum in [0, 2],
+#: so solving below this bound returns every eigenvalue, with the inertia
+#: count proving the list complete
+SPECTRAL_BOUND = 2.0
 
 
 class MetricGraph:
@@ -93,29 +96,6 @@ class MetricGraph:
         return cls(doc["labels"], doc["ends"], doc["length"], doc["weight"], doc["dirichlet"])
 
 
-@dataclass
-class Mesh:
-    """Discretization of a MetricGraph at a common pitch.
-
-    Nodes are numbered vertices first, then the interior nodes of every edge,
-    edge after edge.  ``vertex_nodes[vi]`` is the node of vertex vi, or -1
-    for an eliminated Dirichlet vertex; edge e is cut into ``segments[e]``
-    cells, and its interior nodes, from u towards v, are ``edge_start[e]``
-    onward.
-    """
-
-    graph: MetricGraph
-    pitch: float
-    masses: np.ndarray
-    vertex_nodes: np.ndarray = field(repr=False)
-    segments: np.ndarray = field(repr=False)
-    edge_start: np.ndarray = field(repr=False)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.masses)
-
-
 def _node_numbers(drop: np.ndarray) -> np.ndarray:
     """Consecutive numbers for the entries not dropped, -1 for dropped ones."""
     return np.where(drop, -1, np.cumsum(~drop) - 1)
@@ -142,41 +122,6 @@ def _laplacian(n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     return (off.tocsr() + sp.diags(diag)).tocsr(), diag
 
 
-def discretize(g: MetricGraph, h: float) -> Mesh:
-    """Subdivide every edge at pitch h and lump the measure into node masses.
-
-    Interior nodes on edge e get mass h*weight(e); a surviving vertex gets the
-    half-cell mass (h/2)*weight(e) from each incident edge end, summed in
-    edge order.  Dirichlet vertices carry no node.
-    """
-    if h <= 0:
-        raise NonDividingPitch("pitch must be positive")
-    length = g.length
-    r = length / h
-    segments = np.rint(r).astype(np.int64)
-    bad = np.flatnonzero((segments < 1) | (np.abs(r - segments) > REL_TOL * np.maximum(1.0, r)))
-    if len(bad):
-        e = bad[0]
-        raise NonDividingPitch(
-            f"pitch {h} does not divide edge length {length[e]} (ratio {r[e]})"
-        )
-
-    vertex_nodes = _node_numbers(g.dirichlet)
-    n_vertex_nodes = int(np.count_nonzero(~g.dirichlet))
-    inner = segments - 1
-    edge_start = n_vertex_nodes + np.cumsum(inner) - inner
-
-    cell = h * g.weight
-    masses = np.zeros(n_vertex_nodes + int(inner.sum()))
-    masses[n_vertex_nodes:] = np.repeat(cell, inner)
-    tips = vertex_nodes[g.ends].ravel()  # u, v of edge 0, then of edge 1, ...
-    half = np.repeat(cell / 2, 2)
-    np.add.at(masses, tips[tips >= 0], half[tips >= 0])
-
-    return Mesh(graph=g, pitch=h, masses=masses, vertex_nodes=vertex_nodes,
-                segments=segments, edge_start=edge_start)
-
-
 @dataclass
 class DiscreteOperator:
     """Stiffness/lumped-mass pencil (A, M) for A v = lambda M v."""
@@ -188,33 +133,6 @@ class DiscreteOperator:
     @property
     def n(self) -> int:
         return self.A.shape[0]
-
-    def validate(self):
-        if np.any(self.M <= 0):
-            raise NotPositiveMass("mass matrix has non-positive entries")
-        d = (self.A - self.A.T).tocoo()
-        if len(d.data) and np.max(np.abs(d.data)) > 0:
-            raise ValueError("stiffness matrix is not symmetric")
-
-
-def assemble(m: Mesh) -> DiscreteOperator:
-    """Assemble the generalized pencil from a mesh.
-
-    Each pair of consecutive nodes along an edge couples with conductance
-    weight(e)/h.  Couplings to eliminated Dirichlet nodes contribute to the
-    diagonal only.  Accumulation order is fixed by edge index, so results are
-    bit-identical across runs.
-    """
-    ends = m.graph.ends
-    # the cells of each edge in order from u to v: cell `step` runs from
-    # node a to node b, the first from u's node and the last to v's
-    edge = np.repeat(np.arange(len(m.segments)), m.segments)
-    step = np.arange(len(edge)) - np.repeat(np.cumsum(m.segments) - m.segments, m.segments)
-    a = np.where(step == 0, m.vertex_nodes[ends[edge, 0]], m.edge_start[edge] + step - 1)
-    b = np.where(step == m.segments[edge] - 1, m.vertex_nodes[ends[edge, 1]],
-                 m.edge_start[edge] + step)
-    A, _ = _laplacian(m.n_nodes, a, b, (m.graph.weight / m.pitch)[edge])
-    return DiscreteOperator(A=A, M=m.masses.copy())
 
 
 def graph_operator(g: MetricGraph, boundary: str | None = None) -> DiscreteOperator:
@@ -235,9 +153,94 @@ def graph_operator(g: MetricGraph, boundary: str | None = None) -> DiscreteOpera
     return DiscreteOperator(A=A, M=deg, kept_vertices=np.flatnonzero(~drop))
 
 
-def dirichlet_energy(d: DiscreteOperator, v: np.ndarray) -> float:
-    """Quadratic energy v^T A v of a mesh vector."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (d.n,):
-        raise DimensionMismatch(f"vector of length {v.shape} vs {d.n} nodes")
-    return float(v @ (d.A @ v))
+def walk_kernels(g: MetricGraph, op: DiscreteOperator) -> tuple[int, int]:
+    """dim ker(P - I) and dim ker(P + I) for the walk P = I - M^{-1} A of
+    ``op``, the vertex pencil of the connected graph g.
+
+    A vector in either kernel has one |x| over g and vanishes next to an
+    eliminated vertex, so with one eliminated both are 0.  Otherwise they
+    hold the constants and the +-1 colourings, which exist when g is
+    bipartite: when its double cover (u, v'), (u', v) has two components.
+    """
+    n = g.n_vertices
+    if op.n < n:
+        return 0, 0
+    u, v = g.ends.T
+    cover = sp.coo_matrix((np.ones(2 * len(u)), (np.r_[u, u + n], np.r_[v + n, v])),
+                          shape=(2 * n, 2 * n))
+    return 1, int(connected_components(cover, directed=False)[0] == 2)
+
+
+@dataclass(frozen=True)
+class EquilateralMesh:
+    """Finite differences at ``pitch`` on a graph whose edges all have the
+    length ``refine * pitch``: r cells per edge, measure lumped into the
+    nodes, Dirichlet vertices eliminated.
+
+    Then M^{-1} A = (2/h^2)(I - P_r) for the walk P_r on the r-fold
+    subdivision, and each mesh eigenvalue is (4/h^2) sin^2(theta/2) with
+    theta in [0, pi] (von Below, Linear Algebra Appl. 1985).  Where
+    sin(r theta) != 0 the vertex values of an eigenvector are an
+    eigenvector of the vertex pencil (``graph_operator``) for
+    nu = 1 - cos(r theta): each vertex eigenvalue nu in (0, 2) gives one
+    mesh eigenvalue, of its multiplicity, on each branch
+    r theta in (b pi, (b + 1) pi), b = 0..r-1.  The rest are the edge modes
+    theta = k pi / r, of multiplicity |E| - |V| + 2 dim ker(P - (-1)^k I)
+    for 0 < k < r and dim ker(P - (-1)^k I) at k = 0 and r, |V| counting
+    the kept vertices; so the vertex values 0 and 2 are not mapped.
+    """
+
+    pitch: float
+    refine: int
+
+    @classmethod
+    def of(cls, graphs: list[MetricGraph], refine: int) -> "EquilateralMesh":
+        """``refine`` cells per edge on graphs whose edges all have one length."""
+        length = graphs[0].length[0]
+        if any(np.any(np.abs(g.length - length) > REL_TOL * length) for g in graphs):
+            raise NonDividingPitch("edges of unequal length have no common mesh")
+        return cls(length / refine, refine)
+
+    def _values(self, theta):
+        return (2 / self.pitch * np.sin(theta / 2)) ** 2
+
+    def theta(self, lam: float) -> float:
+        """theta of the mesh value lam; pi for any lam above the spectrum."""
+        x = self.pitch * math.sqrt(lam) / 2
+        return math.pi if x >= 1 else 2 * math.asin(x)
+
+    def vertex_cut(self, lam_max: float) -> float:
+        """The vertex cut whose eigenvalues map onto every branch value
+        <= lam_max: 1 - cos(r theta_c) on branch 0, the whole spectrum from
+        branch 1 on, whose smaller mesh values come from larger vertex ones.
+        A cut within 1e-9 of 2 takes the whole spectrum too, so that a
+        vertex value 2 is solved for only when it is known to be there."""
+        phase = self.refine * self.theta(lam_max)
+        cut = 2 * math.sin(phase / 2) ** 2
+        return SPECTRAL_BOUND if phase >= math.pi or cut > SPECTRAL_BOUND - 1e-9 else cut
+
+    def branch_values(self, nu: np.ndarray, lam_max: float) -> np.ndarray:
+        """The mesh eigenvalues <= lam_max (with solve_below's slack) of the
+        vertex eigenvalues ``nu`` in (0, 2): theta = (b pi + theta0) / r on
+        even branches b and ((b + 1) pi - theta0) / r on odd ones, where
+        theta0 = 2 atan2(sqrt(nu), sqrt(2 - nu)) = arccos(1 - nu) stays
+        accurate at both ends."""
+        r = self.refine
+        nu = np.clip(nu, 0.0, SPECTRAL_BOUND)[:, None]
+        theta0 = 2 * np.arctan2(np.sqrt(nu), np.sqrt(SPECTRAL_BOUND - nu))
+        b = np.arange(min(r, int(r * self.theta(lam_max) / math.pi) + 1))
+        lam = self._values(np.where(b % 2 == 0, b * math.pi + theta0, (b + 1) * math.pi - theta0) / r)
+        return lam[lam <= lam_max * (1 + 1e-12)]
+
+    def edge_modes(self, n_edges: int, n_kept: int, kernels: tuple[int, int],
+                   lam_max: float) -> tuple[np.ndarray, np.ndarray]:
+        """Values (4/h^2) sin^2(k pi / 2r), k = 0..r, of the edge modes of a
+        graph of ``n_edges`` edges, ``n_kept`` kept vertices and
+        ``walk_kernels`` ``kernels``, and their multiplicities, 0 above
+        lam_max (with solve_below's slack)."""
+        r = self.refine
+        k = np.arange(r + 1)
+        values = self._values(k * math.pi / r)
+        kernel = np.where(k % 2 == 0, *kernels)
+        mult = np.where((k > 0) & (k < r), n_edges - n_kept + 2 * kernel, kernel)
+        return values, np.where(values <= lam_max * (1 + 1e-12), mult, 0)

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DivergentRange, InfeasibleNesting, NoCommonPitch
 from .eigensolve import DEFAULT_SEED, FDModel, SpectrumEntry, SpectrumList
-from .fiber import LevelFamily, LevelLink, discretize_levels, level_spectra
-from .metric_graph import MetricGraph, assemble
+from .fiber import LevelFamily, LevelLink, equilateral_spectra
+from .metric_graph import MetricGraph
 
 
 def rationalize(lengths, denominator_bound: int = 10**6):
@@ -210,21 +210,14 @@ def build_stitched(spec: StringSpec) -> LevelFamily:
     return LevelFamily(graphs=graphs, links=links)
 
 
-def stitched_levels(spec: StringSpec):
-    """Pencils of levels 0..N at the spec's pitch from one build, plus the
-    fiber structures between them (fibers[i] connects level i+1 to i)."""
-    meshes, fibers = discretize_levels(build_stitched(spec), spec.pitch)
-    return [assemble(m) for m in meshes], fibers
-
-
 def stitched_numeric_spectra(spec: StringSpec, lam_max: float, seed: int = DEFAULT_SEED) -> list[SpectrumList]:
-    """Numeric spectra of the stitched levels 0..N, each value tagged with
-    the level it is new at (see ``fiber.level_spectra``); ``seed`` draws the
-    start vector of the Krylov solver."""
-    ops, fibers = stitched_levels(spec)
-    meta = {"lengths": [str(l) for l in spec.lengths], "mults": spec.mults, "refine": spec.refine}
-    return level_spectra(ops, fibers, lam_max, "numeric(string,level={})", meta, seed,
-                         truncation=lam_max, pitch=spec.pitch)
+    """Numeric spectra of the stitched levels 0..N at the spec's pitch, each
+    value tagged with the level it is new at (see
+    ``fiber.equilateral_spectra``: every edge is one grid unit long);
+    ``seed`` draws the start vector of the Krylov solver."""
+    meta = {"lengths": [str(l) for l in spec.lengths], "mults": spec.mults}
+    return equilateral_spectra(build_stitched(spec), [spec.refine], lam_max,
+                               "numeric(string,level={})", meta, seed)[0]
 
 
 def stitched_numeric_spectrum(spec: StringSpec, lam_max: float, seed: int = DEFAULT_SEED) -> SpectrumList:

@@ -2,12 +2,35 @@
 classify every eigenvector by the fiber projectors of the levels below
 (``classify_levels``) and cluster.  The package solves only the new block
 of each level (``fiber.level_spectra``); the tests hold it to this route,
-which uses neither ``level_spectra`` nor ``new_blocks``."""
+which uses neither ``level_spectra`` nor ``new_blocks``.
+
+It also keeps the small helpers only the tests call: the complement of the
+fiber projector, the counting function of a spectrum list and the deepest
+choux level's spectrum."""
 
 import numpy as np
 
-from fractal_spectra.eigensolve import cluster, gap_runs, solve_below
-from fractal_spectra.fiber import fiber_project, project_down
+from fractal_spectra.eigensolve import SpectrumList, cluster, gap_runs, solve_below
+from fractal_spectra.errors import BeyondTruncation
+from fractal_spectra.fiber import FiberStructure, fiber_project, project_down
+from fractal_spectra.gasket import ChouxSpec, choux_numeric_spectra
+
+
+def fiber_complement(fs: FiberStructure, v: np.ndarray) -> np.ndarray:
+    """Mean-zero component v - P v; kernel of the fiber projector."""
+    return np.asarray(v, dtype=float) - fiber_project(fs, v)
+
+
+def counting_function(s: SpectrumList, lam: float) -> int:
+    """Eigenvalue counting function N(lambda), multiplicities included."""
+    if lam > s.truncation * (1 + 1e-12):
+        raise BeyondTruncation(f"lambda={lam} beyond truncation {s.truncation}")
+    return int(sum(e.multiplicity for e in s.entries if e.value <= lam * (1 + 1e-12)))
+
+
+def choux_numeric_spectrum(spec: ChouxSpec) -> SpectrumList:
+    """Spectrum of the deepest fiber level; see choux_numeric_spectra."""
+    return choux_numeric_spectra(spec)[-1]
 
 
 def split_projector_eigenspaces(vectors, M, fs, tol=1e-8):

@@ -1,8 +1,16 @@
-"""The loop versions of ``discretize``, ``assemble`` and ``graph_operator``,
-kept as an independent reference for the NumPy versions in
-``fractal_spectra.metric_graph``: each walks the edges one at a time and
-accumulates in edge order, so the package's masses and CSR arrays must
-match these bit for bit (``tests/test_properties.py``)."""
+"""The finite-difference mesh of a metric graph, kept as the reference that
+the package's Chebyshev route (``fiber.equilateral_spectra``) is held to.
+
+``discretize`` cuts every edge at a common pitch and lumps the measure into
+node masses, ``assemble`` builds the pencil A v = lambda M v, and
+``discretize_levels`` / ``laakso_levels`` / ``stitched_levels`` give the
+mesh pencils of every level of a family with their node-level fiber
+structures, on which ``fiber.level_spectra`` and the classifier of
+``tests/level_reference.py`` run.  Each walks the edges one at a time and
+accumulates in edge order.  ``graph_operator`` is the loop version of the
+package's vertex pencil, which must match it bit for bit
+(``tests/test_properties.py``).
+"""
 
 from __future__ import annotations
 
@@ -11,13 +19,21 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from fractal_spectra.errors import NonDividingPitch
+from fractal_spectra.errors import (
+    DimensionMismatch,
+    IncompatibleMesh,
+    NonDividingPitch,
+    NotPositiveMass,
+)
+from fractal_spectra.fiber import FiberStructure, LevelFamily, LevelLink
+from fractal_spectra.laakso import LaaksoSpec, build_laakso
 from fractal_spectra.metric_graph import (
     DIRICHLET,
     REL_TOL,
     DiscreteOperator,
     MetricGraph,
 )
+from fractal_spectra.strings import StringSpec, build_stitched
 
 
 def edges(g: MetricGraph) -> list[tuple]:
@@ -166,3 +182,65 @@ def graph_operator(g: MetricGraph, boundary: str | None = None) -> DiscreteOpera
             vals.extend((-weight, -weight))
     A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr() + sp.diags(diag)
     return DiscreteOperator(A=A.tocsr(), M=deg, kept_vertices=keep)
+
+
+def validate(d: DiscreteOperator) -> None:
+    """Refuse a pencil with a non-positive mass or an unsymmetric stiffness."""
+    if np.any(d.M <= 0):
+        raise NotPositiveMass("mass matrix has non-positive entries")
+    asym = (d.A - d.A.T).tocoo()
+    if len(asym.data) and np.max(np.abs(asym.data)) > 0:
+        raise ValueError("stiffness matrix is not symmetric")
+
+
+def dirichlet_energy(d: DiscreteOperator, v: np.ndarray) -> float:
+    """Quadratic energy v^T A v of a mesh vector."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (d.n,):
+        raise DimensionMismatch(f"vector of length {v.shape} vs {d.n} nodes")
+    return float(v @ (d.A @ v))
+
+
+def mesh_fiber_structure(mesh_hi: Mesh, mesh_lo: Mesh, link: LevelLink) -> FiberStructure:
+    """Node-level fiber structure from a graph link and two meshes at one
+    pitch: a vertex node covers the node of the vertex its vertex covers,
+    and step t along an edge covers step t along the parent edge (builders
+    orient child edges like their parents)."""
+    if abs(mesh_hi.pitch - mesh_lo.pitch) > 1e-12 * mesh_lo.pitch:
+        raise IncompatibleMesh("meshes have different pitches")
+    parent = np.full(mesh_hi.n_nodes, -1, dtype=np.int64)
+    for vi, node in mesh_hi.vertex_nodes.items():
+        if node >= 0:
+            parent[node] = mesh_lo.vertex_nodes[int(link.vertex_parent[vi])]
+    for e, chain in enumerate(mesh_hi.chains):
+        low = mesh_lo.chains[int(link.edge_parent[e])]
+        if len(low) != len(chain):
+            raise IncompatibleMesh("an edge and its parent edge have different lengths")
+        for node, p in zip(chain[1:-1], low[1:-1]):
+            parent[node] = p
+    if np.any(parent < 0):
+        raise IncompatibleMesh("node maps onto an eliminated Dirichlet node")
+    counts = np.bincount(parent, minlength=mesh_lo.n_nodes)
+    if np.any(counts == 0):
+        raise IncompatibleMesh("some lower-level nodes are not covered")
+    return FiberStructure(level=link.level, n_low=mesh_lo.n_nodes, n_high=mesh_hi.n_nodes,
+                          parent=parent, copy_weight=1.0 / counts[parent])
+
+
+def discretize_levels(family: LevelFamily, pitch: float):
+    """Mesh pencils of every level at a common pitch, plus the fiber
+    structures between them (fibers[i] connects level i+1 to level i)."""
+    meshes = [discretize(g, pitch) for g in family.graphs]
+    fibers = [mesh_fiber_structure(meshes[i + 1], meshes[i], link)
+              for i, link in enumerate(family.links)]
+    return [assemble(m) for m in meshes], fibers
+
+
+def laakso_levels(spec: LaaksoSpec):
+    """Mesh pencils and fiber structures of Laakso levels 0..n at the spec's pitch."""
+    return discretize_levels(build_laakso(spec), spec.pitch)
+
+
+def stitched_levels(spec: StringSpec):
+    """Mesh pencils and fiber structures of stitched levels 0..N at the spec's pitch."""
+    return discretize_levels(build_stitched(spec), spec.pitch)

@@ -23,8 +23,9 @@ from fractal_spectra.eigensolve import (
     solve_below,
     verify_nesting,
 )
-from fractal_spectra.metric_graph import MetricGraph, assemble, discretize
+from fractal_spectra.metric_graph import MetricGraph
 from level_reference import assert_matches_reference, classify_levels, new_subspace_split
+from mesh_reference import assemble, discretize, laakso_levels, stitched_levels
 
 
 @contextlib.contextmanager
@@ -97,14 +98,14 @@ def test_criterion_3_exact_nesting():
     with criterion(3, "exact spectral nesting at aligned pitch"):
         chains = []
         lspec = laakso.LaaksoSpec(j=[2, 2, 2], refine=8)
-        chains.append((laakso.laakso_numeric_spectra(lspec, 200.0), laakso.laakso_levels(lspec), 200.0))
+        chains.append((laakso.laakso_numeric_spectra(lspec, 200.0), laakso_levels(lspec), 200.0))
         cspec = gasket.ChouxSpec(fiber_depth=2, gasket_level=2)
         chains.append((gasket.choux_numeric_spectra(cspec), gasket.choux_levels(cspec),
                        gasket.SPECTRAL_BOUND))
         sspec = strings.StringSpec(
             [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)], [1, 1, 1], refine=8
         )
-        chains.append((strings.stitched_numeric_spectra(sspec, 700.0), strings.stitched_levels(sspec),
+        chains.append((strings.stitched_numeric_spectra(sspec, 700.0), stitched_levels(sspec),
                        700.0))
         for chain, (ops, fibers), lam_max in chains:
             for lo, hi in zip(chain, chain[1:]):
@@ -119,11 +120,11 @@ def test_criterion_4_fiber_decomposition():
     with criterion(4, "fiber projector classification and commutator"):
         cases = []
         for (ops, fibers), solve in (
-            (laakso.laakso_levels(laakso.LaaksoSpec(j=[2, 2], refine=8)),
+            (laakso_levels(laakso.LaaksoSpec(j=[2, 2], refine=8)),
              lambda op: solve_below(op, 200.0)),
             (gasket.choux_levels(gasket.ChouxSpec(fiber_depth=2, gasket_level=2)),
              lambda op: solve_below(op, gasket.SPECTRAL_BOUND)),
-            (strings.stitched_levels(
+            (stitched_levels(
                 strings.StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 1], refine=8)),
              lambda op: solve_below(op, 700.0)),
         ):

@@ -307,9 +307,9 @@ def test_each_run_builds_its_family_once(tmp_path, monkeypatch):
     for command, doc in runs.items():
         spec = write_spec(tmp_path, f"{command}.json", doc)
         assert cli.main([command, "--spec", spec, "--out", str(tmp_path / command)]) == 0
-    # laakso also builds the family at half the refinement for its error
+    # laakso maps one solve of its family to both pitches of its error
     # estimate; string lists the analytic spectrum once to lambda_max and
     # once to the depth of the zeta table; choux subdivides the gasket once
     # inside build_choux and once for the whole decimation chain
-    assert dict(calls) == {"build_laakso": 2, "build_stitched": 1, "build_choux": 1,
+    assert dict(calls) == {"build_laakso": 1, "build_stitched": 1, "build_choux": 1,
                            "gasket_levels": 2, "string_analytic_spectrum": 2}

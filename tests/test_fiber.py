@@ -12,8 +12,6 @@ from fractal_spectra.errors import IncompatibleMesh
 from fractal_spectra.fiber import (
     FiberStructure,
     contrast_basis,
-    discretize_levels,
-    fiber_complement,
     fiber_project,
     level_spectra,
     lift,
@@ -21,23 +19,22 @@ from fractal_spectra.fiber import (
     project_down,
 )
 from fractal_spectra.laakso import LaaksoSpec, build_laakso
-from fractal_spectra.metric_graph import (
-    DiscreteOperator,
-    assemble,
-    dirichlet_energy,
-    graph_operator,
-)
+from fractal_spectra.metric_graph import DiscreteOperator, graph_operator
 from lapack_reference import generalized_eigh
-from level_reference import assert_matches_reference, classify_levels, new_subspace_split
+from level_reference import (
+    assert_matches_reference,
+    classify_levels,
+    fiber_complement,
+    new_subspace_split,
+)
+from mesh_reference import dirichlet_energy, discretize_levels, laakso_levels, stitched_levels
 
 
 @pytest.fixture(scope="module")
 def level_pair():
     """Two-level family: interval and two sheets glued at x = 1/2."""
     spec = LaaksoSpec(j=[2], refine=4)
-    family = build_laakso(spec)
-    meshes, fibers = discretize_levels(family, spec.pitch)
-    ops = [assemble(m) for m in meshes]
+    ops, fibers = discretize_levels(build_laakso(spec), spec.pitch)
     return ops, fibers[0]
 
 
@@ -211,9 +208,9 @@ class TestContrastBasis:
         """Laakso fibers have two copies; the theta string has three and
         strings [1/2, 1/4, 1/8] x [2, 1, 3] four at its top level."""
         fibers = {
-            "laakso": lambda: laakso.laakso_levels(LaaksoSpec(j=[3, 2], refine=4))[1],
-            "theta": lambda: strings.stitched_levels(THETA)[1],
-            "strings_213": lambda: strings.stitched_levels(STRINGS_213)[1],
+            "laakso": lambda: laakso_levels(LaaksoSpec(j=[3, 2], refine=4))[1],
+            "theta": lambda: stitched_levels(THETA)[1],
+            "strings_213": lambda: stitched_levels(STRINGS_213)[1],
         }[case]()
         sizes = set()
         for fs in fibers:
@@ -244,17 +241,17 @@ class TestBlockRoute:
     def test_matches_full_pencil_route_on_every_level(self, case):
         if case == "laakso_j23":
             spec, lam_max = LaaksoSpec(j=[2, 3], refine=8), 200.0
-            (ops, fibers), numeric = laakso.laakso_levels(spec), laakso.laakso_numeric_spectra(spec, lam_max)
+            (ops, fibers), numeric = laakso_levels(spec), laakso.laakso_numeric_spectra(spec, lam_max)
         elif case == "choux_24_dirichlet":
             lam_max = gasket.SPECTRAL_BOUND
             (ops, fibers), numeric = gasket.choux_levels(CHOUX_24D), gasket.choux_numeric_spectra(CHOUX_24D)
         else:
             spec, lam_max = {"strings_213": STRINGS_213, "theta": THETA}[case], 700.0
-            (ops, fibers), numeric = strings.stitched_levels(spec), strings.stitched_numeric_spectra(spec, lam_max)
+            (ops, fibers), numeric = stitched_levels(spec), strings.stitched_numeric_spectra(spec, lam_max)
         assert_matches_reference(numeric, ops, fibers, lam_max)
 
     def test_perturbed_stiffness_is_refused(self):
-        ops, fibers = laakso.laakso_levels(LaaksoSpec(j=[2, 2], refine=4))
+        ops, fibers = laakso_levels(LaaksoSpec(j=[2, 2], refine=4))
         A = ops[2].A.tolil()
         i = 7
         j = A.rows[i][0] if A.rows[i][0] != i else A.rows[i][-1]
@@ -281,7 +278,7 @@ class TestBlockRoute:
             new_blocks(DiscreteOperator(A=A, M=np.array([1.0, 2.0])), low, fs)
 
     def test_blocks_are_connected_components(self):
-        ops, fibers = laakso.laakso_levels(LaaksoSpec(j=[2, 2, 2], refine=8))
+        ops, fibers = laakso_levels(LaaksoSpec(j=[2, 2, 2], refine=8))
         for level in (1, 2, 3):
             blocks = new_blocks(ops[level], ops[level - 1], fibers[level - 1])
             assert sum(b.n for b in blocks) == ops[level].n - ops[level - 1].n
@@ -294,8 +291,8 @@ class TestBlockRoute:
         """Each block equals A[idx][:, idx] and M[idx] of its component,
         the construction the slices replace, bit for bit."""
         ops, fibers = {
-            "laakso_j222": lambda: laakso.laakso_levels(LaaksoSpec(j=[2, 2, 2], refine=8)),
-            "strings_213": lambda: strings.stitched_levels(STRINGS_213),
+            "laakso_j222": lambda: laakso_levels(LaaksoSpec(j=[2, 2, 2], refine=8)),
+            "strings_213": lambda: stitched_levels(STRINGS_213),
             "choux_24_dirichlet": lambda: gasket.choux_levels(CHOUX_24D),
         }[case]()
         for level in range(1, len(ops)):
@@ -339,11 +336,12 @@ class TestSolveOnce:
         assert [s.meta["inertia_count"] for s in per_level] == [7, 13, 26, 40, 40, 40]
 
     def test_laakso_cli_spec(self, solves):
-        """j = [2, 2, 2] at refine 32: level 0 plus 8 distinct of 21 blocks."""
+        """j = [2, 2, 2] at refine 32, solved on the vertex pencils: level 0
+        plus 7 distinct of 21 blocks (on the mesh pencils 8 of the 21 were)."""
         spec = LaaksoSpec(j=[2, 2, 2], refine=32)
         per_level = laakso.laakso_numeric_spectra(spec, 230.0)
-        assert len(solves) == 9
-        ops, fibers = laakso.laakso_levels(spec)
+        assert len(solves) == 8
+        ops, fibers = fiber.graph_levels(build_laakso(spec), "dirichlet")
         assert sum(len(new_blocks(ops[i], ops[i - 1], fibers[i - 1])) for i in (1, 2, 3)) == 21
         for spectrum in per_level:
             assert spectrum.total_multiplicity() == spectrum.meta["inertia_count"]

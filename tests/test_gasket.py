@@ -14,13 +14,12 @@ from fractal_spectra.gasket import (
     build_gasket,
     choux_levels,
     choux_numeric_spectra,
-    choux_numeric_spectrum,
     decimation_branch,
     decimation_check,
     gasket_graph_spectrum,
     hausdorff_dimension,
 )
-from level_reference import classify_levels
+from level_reference import choux_numeric_spectrum, classify_levels
 
 
 class TestGasketGraph:

@@ -13,13 +13,13 @@ from fractal_spectra.laakso import (
     LaaksoSpec,
     build_laakso,
     laakso_analytic_spectrum,
-    laakso_levels,
     laakso_numeric_spectra,
     laakso_numeric_spectrum,
     wormhole_table,
 )
 from fractal_spectra.strings import StringSpec, stitched_numeric_spectra
-from level_reference import classify_levels
+from level_reference import assert_matches_reference, classify_levels
+from mesh_reference import laakso_levels
 
 PI2 = math.pi**2
 
@@ -206,3 +206,16 @@ class TestNumericSpectrum:
         for lo, hi in zip(levels, levels[1:]):
             rep = verify_nesting(lo, hi)
             assert rep.ok and rep.max_deviation <= 1e-9
+
+
+def test_dirichlet_j23_cut_past_the_first_edge_mode():
+    """At refine 8 the cut 400 lies past the first edge mode
+    (4/h^2) sin^2(pi/16) = 350.76...: its cluster joins the edge modes of
+    all three levels, x14, and the vertex values of the branches above the
+    first are mapped from the whole vertex spectrum."""
+    spec = LaaksoSpec(j=[2, 3], refine=8, boundary="dirichlet")
+    per_level = laakso_numeric_spectra(spec, 400.0)
+    top = per_level[-1].entries[-1]
+    assert top.value == pytest.approx(350.7631141879912, rel=1e-10)
+    assert (top.multiplicity, top.tag) == (14, "basex1;new@1x2;new@2x11")
+    assert_matches_reference(per_level, *laakso_levels(spec), 400.0)

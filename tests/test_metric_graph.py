@@ -10,12 +10,12 @@ from fractal_spectra.errors import (
 from fractal_spectra.metric_graph import (
     DIRICHLET,
     NEUMANN,
+    EquilateralMesh,
     MetricGraph,
-    assemble,
-    dirichlet_energy,
-    discretize,
     graph_operator,
+    walk_kernels,
 )
+from mesh_reference import assemble, dirichlet_energy, discretize, validate
 
 
 def interval(boundary=None):
@@ -92,7 +92,7 @@ class TestAssemble:
 
     def test_symmetry_and_validation(self):
         d = assemble(discretize(interval(NEUMANN), 0.25))
-        d.validate()
+        validate(d)
         assert (d.A != d.A.T).nnz == 0
 
 
@@ -156,3 +156,49 @@ class TestGraphOperator:
         d = graph_operator(g, boundary=DIRICHLET)
         assert d.n == 2
         assert d.kept_vertices.tolist() == [1, 2]
+
+
+class TestEquilateralMesh:
+    @pytest.mark.parametrize("boundary", [NEUMANN, DIRICHLET])
+    @pytest.mark.parametrize("refine", [1, 2, 5, 8])
+    def test_interval_is_edge_modes_only(self, boundary, refine):
+        """One edge has no vertex value in (0, 2), so its mesh spectrum
+        (2/h^2)(1 - cos(k pi / r)) is edge modes alone: k = 1..r-1 once each,
+        and k = 0 and k = r once more when the ends are kept."""
+        g, h = interval(boundary), 1.0 / refine
+        op = graph_operator(g, DIRICHLET)
+        values, mult = EquilateralMesh.of([g], refine).edge_modes(len(g.ends), op.n,
+                                                             walk_kernels(g, op), 4 / h**2)
+        k = np.arange(refine + 1)
+        assert values == pytest.approx((2 / h**2) * (1 - np.cos(k * np.pi / refine)), rel=1e-13)
+        ends = 1 if boundary == NEUMANN else 0
+        assert mult.tolist() == [ends] + [1] * (refine - 1) + [ends]
+        mesh = assemble(discretize(g, h))
+        assert mult.sum() == mesh.n
+        if mesh.n:
+            assert np.sort(np.repeat(values, mult)) == pytest.approx(pencil_eigs(mesh), rel=1e-12,
+                                                                     abs=1e-9)
+
+    def test_walk_kernels(self):
+        square = MetricGraph(np.arange(4.0), [(0, 1), (1, 2), (2, 3), (3, 0)], 1.0, 1.0)
+        triangle = MetricGraph(np.arange(3.0), [(0, 1), (1, 2), (2, 0)], 1.0, 1.0,
+                               dirichlet=[True, False, False])
+        assert walk_kernels(square, graph_operator(square)) == (1, 1)  # bipartite
+        assert walk_kernels(triangle, graph_operator(triangle)) == (1, 0)
+        assert walk_kernels(triangle, graph_operator(triangle, DIRICHLET)) == (0, 0)
+
+    def test_vertex_cut(self):
+        mesh = EquilateralMesh(pitch=1 / 8, refine=4)
+
+        def value(theta):
+            return (2 / mesh.pitch * np.sin(theta / 2)) ** 2
+
+        assert mesh.theta(value(0.3)) == pytest.approx(0.3, rel=1e-14)
+        assert mesh.vertex_cut(value(0.3)) == pytest.approx(1 - np.cos(1.2), rel=1e-12)
+        assert mesh.vertex_cut(value(0.9)) == 2.0  # r theta > pi: all of branch 0
+        assert mesh.vertex_cut(1e9) == 2.0  # above the spectrum
+
+    def test_edges_must_have_one_length(self):
+        g = MetricGraph([0.0, 0.5, 1.5], [(0, 1), (1, 2)], [0.5, 1.0], 1.0)
+        with pytest.raises(NonDividingPitch):
+            EquilateralMesh.of([g], 4)

@@ -3,12 +3,15 @@ over random small metric graphs, random symmetric matrices and random
 spectrum lists.
 
 On every level the multiplicities must add up to the inertia count, and the
-block route must agree with the independent full-pencil route.  The array
+block route must agree with the independent full-pencil route; the Chebyshev
+map of the vertex spectra must give the spectra of the mesh pencils in
+``tests/mesh_reference.py``, level by level and on any graph whose edges all
+have one length.  The array
 builders of the Laakso and choux families must give the graphs, links,
 pencils and fiber maps of the loop builders in ``tests/family_reference.py``
 bit for bit, and every CLI subcommand run twice must write the same bytes.
-On every graph the NumPy mesh and pencil builders must give the bits of the
-loop versions in ``tests/mesh_reference.py``, the array checks of
+On every graph the NumPy vertex pencil must give the bits of the loop
+version in ``tests/mesh_reference.py``, the array checks of
 ``MetricGraph`` must agree with the union-find ones, and relabelling the
 vertices must leave the spectrum alone.  The integer-keyed analytic string
 spectrum must give the bits of the rational one in
@@ -49,8 +52,6 @@ from fractal_spectra.metric_graph import (
     DIRICHLET,
     DiscreteOperator,
     MetricGraph,
-    assemble,
-    discretize,
     graph_operator,
 )
 from lapack_reference import generalized_eigh
@@ -99,7 +100,7 @@ def check_levels(per_level, ops, fibers, lam_max):
 @SETTINGS
 @given(spec=laakso_specs, lam_max=st.sampled_from([40.0, 200.0]))
 def test_laakso_levels_add_up_and_match_reference(spec, lam_max):
-    ops, fibers = laakso.laakso_levels(spec)
+    ops, fibers = mesh_reference.laakso_levels(spec)
     check_levels(laakso.laakso_numeric_spectra(spec, lam_max), ops, fibers, lam_max)
 
 
@@ -113,8 +114,57 @@ def test_choux_levels_add_up_and_match_reference(spec):
 @SETTINGS
 @given(spec=string_specs, lam_max=st.sampled_from([200.0, 700.0]))
 def test_string_levels_add_up_and_match_reference(spec, lam_max):
-    ops, fibers = strings.stitched_levels(spec)
+    ops, fibers = mesh_reference.stitched_levels(spec)
     check_levels(strings.stitched_numeric_spectra(spec, lam_max), ops, fibers, lam_max)
+
+
+def first_edge_mode(pitch, refine):
+    """(4/h^2) sin^2(pi / 2r): the smallest mesh eigenvalue that is not
+    mapped from a vertex eigenvalue."""
+    return (2 / pitch * math.sin(math.pi / (2 * refine))) ** 2
+
+
+def assert_same_spectra(got, ref):
+    """Values to 1e-10 relative (floored at 1), multiplicities, tags and
+    inertia counts exactly."""
+    assert len(got) == len(ref)
+    for level, (g, r) in enumerate(zip(got, ref)):
+        assert g.meta["inertia_count"] == r.meta["inertia_count"] == g.total_multiplicity(), level
+        assert [(e.multiplicity, e.tag) for e in g.entries] == [
+            (e.multiplicity, e.tag) for e in r.entries], level
+        theirs = r.values()
+        assert np.all(np.abs(g.values() - theirs) <= 1e-10 * np.maximum(1.0, np.abs(theirs))), level
+
+
+# cuts from below the first edge mode to past the top of the spectrum
+# (3.3 times the first edge mode is above 4/h^2 at refine 2)
+edge_mode_factors = st.sampled_from([0.4, 0.95, 1.6, 3.3])
+
+equilateral_laakso_specs = st.builds(
+    lambda base, steps, refine, boundary: laakso.LaaksoSpec([base + s for s in steps], refine,
+                                                            boundary),
+    st.sampled_from([2, 3]), st.lists(st.sampled_from([0, 1]), max_size=3),
+    st.sampled_from([2, 4, 8]), st.sampled_from(["neumann", "dirichlet"]),
+)
+
+
+@SETTINGS
+@given(spec=equilateral_laakso_specs, factor=edge_mode_factors)
+def test_laakso_vertex_route_matches_the_mesh_route(spec, factor):
+    """The Chebyshev map of the vertex spectra gives every level's mesh
+    spectrum: that of the mesh pencils of ``tests/mesh_reference.py``
+    solved block by block, as the package did before."""
+    lam_max = factor * first_edge_mode(spec.pitch, spec.refine)
+    ref = fiber.level_spectra(*mesh_reference.laakso_levels(spec), lam_max, "{}", {})
+    assert_same_spectra(laakso.laakso_numeric_spectra(spec, lam_max), ref)
+
+
+@SETTINGS
+@given(spec=string_specs, factor=edge_mode_factors)
+def test_string_vertex_route_matches_the_mesh_route(spec, factor):
+    lam_max = factor * first_edge_mode(spec.pitch, spec.refine)
+    ref = fiber.level_spectra(*mesh_reference.stitched_levels(spec), lam_max, "{}", {})
+    assert_same_spectra(strings.stitched_numeric_spectra(spec, lam_max), ref)
 
 
 family_laakso_specs = st.builds(
@@ -164,8 +214,8 @@ def assert_same_levels(ops, fibers, ref_ops, ref_fibers):
 def test_laakso_family_has_the_bits_of_the_loop_reference(spec):
     ref = family_reference.build_laakso(spec)
     assert_same_family(laakso.build_laakso(spec), ref)
-    meshes, ref_fibers = fiber.discretize_levels(ref, spec.pitch)
-    assert_same_levels(*laakso.laakso_levels(spec), [assemble(m) for m in meshes], ref_fibers)
+    ops, ref_fibers = mesh_reference.discretize_levels(ref, spec.pitch)
+    assert_same_levels(*mesh_reference.laakso_levels(spec), ops, ref_fibers)
 
 
 @SETTINGS
@@ -230,14 +280,32 @@ def assert_same_bits(op, ref):
 @SETTINGS
 @given(case=metric_graphs())
 def test_pencils_have_the_bits_of_the_loop_reference(case):
-    g, pitch, _ = case
-    mesh, ref = discretize(g, pitch), mesh_reference.discretize(g, pitch)
-    assert np.array_equal(mesh.masses, ref.masses)
-    assert_same_bits(assemble(mesh), mesh_reference.assemble(ref))
+    g, _, _ = case
     for boundary in (None, DIRICHLET):
         op, ref_op = graph_operator(g, boundary), mesh_reference.graph_operator(g, boundary)
         assert_same_bits(op, ref_op)
         assert op.kept_vertices.tolist() == ref_op.kept_vertices
+
+
+@SETTINGS
+@given(case=metric_graphs(), refine=st.integers(1, 4), data=st.data())
+def test_chebyshev_map_gives_the_mesh_spectrum_of_any_equal_edge_graph(case, refine, data):
+    """Any connected graph, with odd and even cycles, parallel edges and
+    Dirichlet vertices anywhere or nowhere, whose edges all have the length
+    ``refine`` pitches: the branch values and edge modes are the mesh
+    pencil's spectrum up to a cut halfway between two of its distinct
+    eigenvalues or above them all."""
+    g, pitch, _ = case
+    dirichlet = g.dirichlet & data.draw(st.booleans())
+    g = MetricGraph(g.labels, g.ends, refine * pitch, g.weight, dirichlet)
+    op = mesh_reference.assemble(mesh_reference.discretize(g, pitch))
+    values = generalized_eigh(op)[0] if op.n else np.zeros(0)
+    distinct = values[[start for start, _ in gap_runs(values, 1e-9)]]
+    cut = data.draw(st.sampled_from([*((distinct[:-1] + distinct[1:]) / 2), 5.0 / pitch**2]))
+    ref = eigensolve.cluster(values[values <= cut], tags=["base"] * np.count_nonzero(values <= cut))
+    ref.meta = {"inertia_count": ref.total_multiplicity()}
+    got = fiber.equilateral_spectra(fiber.LevelFamily([g], []), [refine], cut, "{}", {})[0]
+    assert_same_spectra(got, [ref])
 
 
 @st.composite
@@ -278,7 +346,7 @@ def test_graph_checks_agree_with_the_union_find_reference(case):
 def test_spectrum_is_unchanged_by_relabelling_the_vertices(case):
     g, pitch, perm = case
     h = relabel(g, perm)
-    for build in (lambda x: assemble(discretize(x, pitch)),
+    for build in (lambda x: mesh_reference.assemble(mesh_reference.discretize(x, pitch)),
                   lambda x: graph_operator(x, DIRICHLET)):
         op, op_relabelled = build(g), build(h)
         if not op.n:  # every node was a Dirichlet vertex

@@ -4,20 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fractal_spectra.eigensolve import FDModel, counting_function, solve_below, verify_nesting
+from fractal_spectra.eigensolve import FDModel, solve_below, verify_nesting
 from fractal_spectra.errors import DivergentRange, InfeasibleNesting
 from fractal_spectra.strings import (
     StringSpec,
     build_stitched,
     isospectrality_report,
     rationalize,
-    stitched_levels,
     stitched_numeric_spectra,
     stitched_numeric_spectrum,
     string_analytic_spectrum,
     zeta_partial,
 )
-from level_reference import classify_levels
+from level_reference import classify_levels, counting_function
+from mesh_reference import stitched_levels
 import strings_reference
 
 PI2 = math.pi**2
