@@ -15,7 +15,7 @@ from fractal_spectra.eigensolve import FDModel
 from fractal_spectra.strings import (
     StringSpec,
     isospectrality_report,
-    stitched_numeric_spectrum,
+    stitched_numeric_spectra,
     string_analytic_spectrum,
     zeta_partial,
 )
@@ -25,7 +25,7 @@ lam_max = 700.0
 
 spec = StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 1], refine=16)
 analytic = string_analytic_spectrum(spec, lam_max)
-numeric = stitched_numeric_spectrum(spec, lam_max)
+numeric = stitched_numeric_spectra(spec, lam_max)[-1]
 print(f"lengths (1/2, 1/4), analytic spectrum <= {lam_max:g} (units of pi^2):")
 for e in analytic.entries:
     merged = "  <-- merged branches" if e.multiplicity > 1 else ""
@@ -36,7 +36,7 @@ print(f"numeric matches with exact multiplicities: pass = {iso['pass']} "
       f"({len(iso['matched'])} entries)")
 
 theta = StringSpec([Fraction(1, 2)], [3], refine=16)
-t_numeric = stitched_numeric_spectrum(theta, lam_max)
+t_numeric = stitched_numeric_spectra(theta, lam_max)[-1]
 print("\ntheta graph (three copies of length 1/2), numeric spectrum:")
 for e in t_numeric.entries:
     if e.value > 1e-12:

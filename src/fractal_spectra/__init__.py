@@ -58,7 +58,6 @@ from .strings import (
     rationalize,
     string_analytic_spectrum,
     stitched_numeric_spectra,
-    stitched_numeric_spectrum,
     zeta_partial,
 )
 

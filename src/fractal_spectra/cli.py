@@ -209,7 +209,8 @@ def cmd_string(args) -> int:
     if "depth" in doc:
         spec = spec.truncate(int(doc["depth"]))
     lam_max = _lambda_max(args, doc, 700.0)
-    # the zeta table runs about zeta_terms terms deep
+    # the zeta table sums every value up to the zeta_terms-th value of the
+    # longest string
     n_terms = doc.get("zeta_terms", 10**4)
     if type(n_terms) is not int or n_terms < 1:
         raise InvalidSpaceSpec(f"zeta_terms must be a positive integer, got {n_terms!r}")
@@ -224,13 +225,11 @@ def cmd_string(args) -> int:
     iso["length_perturbation"] = perturbation
     nested = _nesting(out, per_level, args.tol)
 
-    # zeta table over the analytic spectrum
-    l1 = float(spec.lengths[0])
-    zeta_lam = (math.pi * n_terms / l1) ** 2
-    zeta_spectrum = strings.string_analytic_spectrum(spec, zeta_lam)
+    # zeta table, summed string by string
+    zeta_lam = (math.pi * n_terms / float(spec.lengths[0])) ** 2
     rows = ["s,partial_sum,lambda_max"]
     for s_val in ZETA_S_GRID:
-        z = strings.zeta_partial(zeta_spectrum, s_val, zeta_lam)
+        z = strings.zeta_partial(spec, s_val, zeta_lam)
         rows.append(f"{repr(float(s_val))},{repr(z)},{repr(zeta_lam)}")
 
     (out / "analytic.csv").write_text(analytic.to_csv())

@@ -60,7 +60,3 @@ class NoConvergence(FractalSpectraError):
 class BeyondTruncation(FractalSpectraError):
     """Query point lies beyond the truncation of a spectrum list."""
 
-
-class DivergentRange(FractalSpectraError):
-    """Zeta partial sum requested in a range where convergence was demanded
-    but the exponent is at or below the estimated abscissa."""

@@ -9,6 +9,9 @@ kept as exact rationals so a common mesh pitch exists.  The analytic
 spectrum is merged on integers: every length is a whole number of grid units,
 so every k^2 / l_i^2 is an integer square over one common denominator, and
 one correctly rounded int/int division gives the float of each value.
+The partial sums of the spectral zeta function need no merge: they are
+summed string by string, m_i sum_k (pi k / l_i)^{-2s}, whose limit is the
+geometric zeta function sum_i m_i l_i^{2s} times pi^{-2s} zeta(2s).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DivergentRange, InfeasibleNesting, NoCommonPitch
+from .errors import InfeasibleNesting, NoCommonPitch
 from .eigensolve import DEFAULT_SEED, FDModel, SpectrumEntry, SpectrumList
 from .fiber import LevelFamily, LevelLink, equilateral_spectra
 from .metric_graph import MetricGraph
@@ -220,11 +223,6 @@ def stitched_numeric_spectra(spec: StringSpec, lam_max: float, seed: int = DEFAU
                                "numeric(string,level={})", meta, seed)[0]
 
 
-def stitched_numeric_spectrum(spec: StringSpec, lam_max: float, seed: int = DEFAULT_SEED) -> SpectrumList:
-    """Numeric spectrum of the deepest level; see stitched_numeric_spectra."""
-    return stitched_numeric_spectra(spec, lam_max, seed)[-1]
-
-
 def isospectrality_report(
     numeric: SpectrumList, analytic: SpectrumList, model: FDModel, lam_max_check: float
 ) -> dict:
@@ -250,28 +248,17 @@ def isospectrality_report(
     return report
 
 
-def zeta_partial(
-    spectrum: SpectrumList | StringSpec,
-    s_val: float,
-    lam_max: float,
-    require_convergence: bool = False,
-) -> float:
-    """Partial sum of lambda^{-s} over eigenvalues <= lam_max, with
-    multiplicity; the zero mode is excluded."""
+def zeta_partial(spec: StringSpec, s_val: float, lam_max: float) -> float:
+    """Partial sum of lambda^{-s} over the Dirichlet spectrum up to lam_max,
+    with multiplicity, summed string by string: m_i sum_k (pi k / l_i)^{-2s}
+    over the k with (pi k / l_i)^2 <= lam_max (1 + 1e-12), so that rounding
+    drops no value that lies on the cut."""
     if s_val <= 0:
         raise ValueError("exponent must be positive")
-    if isinstance(spectrum, StringSpec):
-        spectrum = string_analytic_spectrum(spectrum, lam_max)
-    entries = [e for e in spectrum.entries if 1e-12 < e.value <= lam_max * (1 + 1e-12)]
-    if require_convergence and len(entries) >= 8:
-        # growth exponent of N(lambda); the sum converges only for s above it
-        n_full = sum(e.multiplicity for e in entries)
-        lam_hi = entries[-1].value
-        n_quarter = sum(e.multiplicity for e in entries if e.value <= lam_hi / 4)
-        if n_quarter > 0:
-            abscissa = math.log(n_full / n_quarter) / math.log(4.0)
-            if s_val <= abscissa:
-                raise DivergentRange(
-                    f"s={s_val} at or below estimated abscissa {abscissa:.3f}"
-                )
-    return float(sum(e.multiplicity * e.value ** (-s_val) for e in entries))
+    cut = lam_max * (1 + 1e-12)
+    total = 0.0
+    for l, m in zip(spec.lengths, spec.mults):
+        n = int(float(l) * math.sqrt(cut) / math.pi) + 1
+        sqrt_lam = np.pi * np.arange(1, n + 1) / float(l)
+        total += m * float(np.sum(sqrt_lam[sqrt_lam * sqrt_lam <= cut] ** (-2 * s_val)))
+    return total

@@ -3,12 +3,16 @@ independent reference for the integer-keyed merge in
 ``fractal_spectra.strings``: it merges on the exact ``Fraction``
 k^2 / l_i^2 and converts with ``float(Fraction)``, so the package's values,
 multiplicities and tags must match it exactly (``tests/test_properties.py``,
-``tests/test_strings.py``)."""
+``tests/test_strings.py``).  The closed-form limit of the string's spectral
+zeta function and the integral bounds on the tail of a partial sum check
+``zeta_partial``."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import scipy.special
 
 from fractal_spectra.eigensolve import SpectrumEntry, SpectrumList
 from fractal_spectra.strings import StringSpec
@@ -40,3 +44,24 @@ def string_analytic_spectrum(spec: StringSpec, lam_max: float) -> SpectrumList:
         truncation=lam_max,
         meta={"lengths": [str(l) for l in spec.lengths], "mults": spec.mults},
     )
+
+
+def zeta_limit(spec: StringSpec, s_val: float) -> float:
+    """pi^{-2s} zeta(2s) sum_i m_i l_i^{2s} for s > 1/2: the string's
+    geometric zeta function times Riemann's, the limit of the partial sums
+    of its spectral zeta function."""
+    geometric = sum(m * float(l) ** (2 * s_val) for l, m in zip(spec.lengths, spec.mults))
+    return math.pi ** (-2 * s_val) * float(scipy.special.zeta(2 * s_val)) * geometric
+
+
+def zeta_tail_bounds(spec: StringSpec, s_val: float, terms: list[int]) -> tuple[float, float]:
+    """Bounds on the tail sum_i m_i sum_{k > K_i} (pi k / l_i)^{-2s} left
+    out of a partial sum over the first K_i = terms[i] values of each
+    string, for s > 1/2: the integrals of x^{-2s} from K_i + 1 and from K_i
+    to infinity (the upper bound is infinite for a string with no term)."""
+    lower = upper = 0.0
+    for l, m, K in zip(spec.lengths, spec.mults, terms):
+        scale = m * (float(l) / math.pi) ** (2 * s_val) / (2 * s_val - 1)
+        lower += scale * (K + 1) ** (1 - 2 * s_val)
+        upper += scale * K ** (1 - 2 * s_val) if K else math.inf
+    return lower, upper

@@ -3,6 +3,7 @@
 import collections
 import filecmp
 import json
+import math
 
 import pytest
 
@@ -308,8 +309,26 @@ def test_each_run_builds_its_family_once(tmp_path, monkeypatch):
         spec = write_spec(tmp_path, f"{command}.json", doc)
         assert cli.main([command, "--spec", spec, "--out", str(tmp_path / command)]) == 0
     # laakso maps one solve of its family to both pitches of its error
-    # estimate; string lists the analytic spectrum once to lambda_max and
-    # once to the depth of the zeta table; choux subdivides the gasket once
-    # inside build_choux and once for the whole decimation chain
+    # estimate; string lists the analytic spectrum once, to lambda_max (its
+    # zeta table is summed string by string); choux subdivides the gasket
+    # once inside build_choux and once for the whole decimation chain
     assert dict(calls) == {"build_laakso": 1, "build_stitched": 1, "build_choux": 1,
-                           "gasket_levels": 2, "string_analytic_spectrum": 2}
+                           "gasket_levels": 2, "string_analytic_spectrum": 1}
+
+
+def test_zeta_table_keeps_the_values_on_its_cut(tmp_path):
+    """At 1000 terms the cut of lengths (1/2, 1/4) is the 1000th value of the
+    first string and the 500th of the second; (pi n / l_1)^2 / pi^2 rounds
+    below n^2 / l_1^2 there, and the table must still sum all 1500 terms."""
+    doc = {"lengths": [0.5, 0.25], "mults": [1, 1], "refine": 8, "lambda_max": 400.0,
+           "zeta_terms": 1000}
+    out = tmp_path / "out"
+    assert cli.main(["string", "--spec", write_spec(tmp_path, "spec.json", doc),
+                     "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "zeta.csv").read_text().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == list(cli.ZETA_S_GRID)
+    for s_text, partial, _ in rows:
+        s_val = float(s_text)
+        explicit = math.fsum((math.pi * k / l) ** (-2 * s_val)
+                             for l, n in ((0.5, 1000), (0.25, 500)) for k in range(1, n + 1))
+        assert float(partial) == pytest.approx(explicit, rel=1e-13, abs=0.0)

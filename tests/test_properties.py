@@ -15,9 +15,11 @@ version in ``tests/mesh_reference.py``, the array checks of
 ``MetricGraph`` must agree with the union-find ones, and relabelling the
 vertices must leave the spectrum alone.  The integer-keyed analytic string
 spectrum must give the bits of the rational one in
-``tests/strings_reference.py``; the inertia count must equal the dense count
-at every cut clear of an eigenvalue; and spectrum lists must survive their
-CSV and JSON round trips.
+``tests/strings_reference.py``; the per-string zeta sums must equal the
+sums over that rational spectrum and, with the integral bounds on their
+tails, bracket the closed-form limit pi^{-2s} zeta(2s) sum_i m_i l_i^{2s};
+the inertia count must equal the dense count at every cut clear of an
+eigenvalue; and spectrum lists must survive their CSV and JSON round trips.
 The example counts and the deadline keep the file to a few seconds;
 ``derandomize`` makes every run draw the same examples.
 """
@@ -33,7 +35,7 @@ from unittest import mock
 
 import numpy as np
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import family_reference
@@ -356,19 +358,39 @@ def test_spectrum_is_unchanged_by_relabelling_the_vertices(case):
 
 
 @st.composite
-def analytic_string_cases(draw):
+def rationalized_string_specs(draw):
     """A string of 1-5 lengths rationalized from random floats (so some
     denominators come near the 10^6 bound and the lcm of the lengths in grid
-    units is large), mults 1-4, and a cut that is random, equal to an
-    eigenvalue float pi^2 k^2 / l_i^2 or one of that float's neighbours."""
+    units is large) and mults 1-4."""
     floats = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5))
     lengths = sorted(set(strings.rationalize(floats)[0]), reverse=True)
     mults = draw(st.lists(st.integers(1, 4), min_size=len(lengths), max_size=len(lengths)))
-    l, k = draw(st.sampled_from(lengths)), draw(st.integers(1, 20))
+    return strings.StringSpec(lengths, mults)
+
+
+@st.composite
+def analytic_string_cases(draw):
+    """A random string and a cut that is random, equal to an eigenvalue
+    float pi^2 k^2 / l_i^2 or one of that float's neighbours."""
+    spec = draw(rationalized_string_specs())
+    l, k = draw(st.sampled_from(spec.lengths)), draw(st.integers(1, 20))
     on = float(Fraction(k * k) / (l * l)) * math.pi**2
     cut = draw(st.one_of(st.floats(10.0, 1e5),
                          st.sampled_from([on, math.nextafter(on, 0.0), math.nextafter(on, math.inf)])))
-    return strings.StringSpec(lengths, mults), cut
+    return spec, cut
+
+
+@st.composite
+def zeta_cases(draw):
+    """A random string and a cut up to 10^7 clear of every eigenvalue: each
+    l_i sqrt(cut) / pi lies more than 1e-9 of itself away from an integer,
+    so string i has K_i = floor(l_i sqrt(cut) / pi) values below the cut
+    whichever way they round."""
+    spec = draw(rationalized_string_specs())
+    cut = draw(st.floats(10.0, 1e7))
+    ratios = [float(l) * math.sqrt(cut) / math.pi for l in spec.lengths]
+    assume(all(abs(r - round(r)) > 1e-9 * r for r in ratios))
+    return spec, cut, [math.floor(r) for r in ratios]
 
 
 @SETTINGS
@@ -379,6 +401,27 @@ def test_analytic_string_spectrum_has_the_bits_of_the_rational_reference(case):
     rows = [(e.value, e.multiplicity, e.tag) for e in s.entries]
     assert rows == [(e.value, e.multiplicity, e.tag) for e in ref.entries]
     assert s.to_csv() == ref.to_csv()
+
+
+@SETTINGS
+@given(case=zeta_cases())
+def test_zeta_partial_sums_the_rational_reference_spectrum(case):
+    spec, cut, _ = case
+    ref = strings_reference.string_analytic_spectrum(spec, cut)
+    for s_val in cli.ZETA_S_GRID:
+        merged = math.fsum(e.multiplicity * e.value ** -s_val for e in ref.entries)
+        assert abs(strings.zeta_partial(spec, s_val, cut) - merged) <= 1e-13 * merged
+
+
+@SETTINGS
+@given(case=zeta_cases())
+def test_zeta_partial_sum_and_its_tail_bracket_the_closed_form_limit(case):
+    spec, cut, terms = case
+    for s_val in (s for s in cli.ZETA_S_GRID if s > 0.5):
+        partial = strings.zeta_partial(spec, s_val, cut)
+        lower, upper = strings_reference.zeta_tail_bounds(spec, s_val, terms)
+        limit = strings_reference.zeta_limit(spec, s_val)
+        assert (partial + lower) * (1 - 1e-13) <= limit <= (partial + upper) * (1 + 1e-13)
 
 
 @st.composite

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from fractal_spectra.eigensolve import FDModel, solve_below, verify_nesting
-from fractal_spectra.errors import DivergentRange, InfeasibleNesting
+from fractal_spectra.cli import ZETA_S_GRID
+from fractal_spectra.errors import InfeasibleNesting
 from fractal_spectra.strings import (
     StringSpec,
     build_stitched,
     isospectrality_report,
     rationalize,
     stitched_numeric_spectra,
-    stitched_numeric_spectrum,
     string_analytic_spectrum,
     zeta_partial,
 )
@@ -28,6 +28,12 @@ def cantor_spec(depth):
         lengths=[Fraction(1, 3**i) for i in range(1, depth + 1)],
         mults=[2 ** (i - 1) for i in range(1, depth + 1)],
     )
+
+
+def string_workload_zeta_cut():
+    """The benchmark's string spec and the cut of its default zeta table."""
+    lengths, _ = rationalize([0.5, 0.25, 0.125, 0.0625])
+    return StringSpec(lengths, [1, 2, 1, 3], refine=16), (math.pi * 10**4 / 0.5) ** 2
 
 
 class TestAnalyticSpectrum:
@@ -54,11 +60,9 @@ class TestAnalyticSpectrum:
         assert counting_function(s, lam) == expect
 
     def test_zeta_cut_of_the_string_workload_matches_the_rational_reference(self):
-        """The zeta spectrum the CLI lists for the benchmark's string spec:
+        """The spectrum up to the zeta cut of the benchmark's string spec:
         10 000 entries, each equal to the Fraction-merged reference."""
-        lengths, _ = rationalize([0.5, 0.25, 0.125, 0.0625])
-        spec = StringSpec(lengths, [1, 2, 1, 3], refine=16)
-        lam = (math.pi * 10**4 / float(lengths[0])) ** 2
+        spec, lam = string_workload_zeta_cut()
         s, ref = string_analytic_spectrum(spec, lam), strings_reference.string_analytic_spectrum(spec, lam)
         assert len(s.entries) == 10_000
         assert s.entries == ref.entries
@@ -121,21 +125,21 @@ class TestNumericSpectrum:
             StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 1], refine=16),
             StringSpec([Fraction(1, 2)], [3], refine=16),
         ):
-            numeric = stitched_numeric_spectrum(spec, lam)
+            numeric = stitched_numeric_spectra(spec, lam)[-1]
             analytic = string_analytic_spectrum(spec, lam)
             rep = isospectrality_report(numeric, analytic, FDModel(pitch=spec.pitch), lam)
             assert rep["pass"], rep["mismatched"]
 
     def test_merged_multiplicities(self):
         spec = StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 1], refine=16)
-        numeric = stitched_numeric_spectrum(spec, 700.0)
+        numeric = stitched_numeric_spectra(spec, 700.0)[-1]
         # continuum values 4, 16, 36, 64 (in pi^2 units); the collisions at
         # 16 and 64 stay exactly degenerate in FD because both families
         # discretize to the same cosine argument
         assert [e.multiplicity for e in numeric.entries[:4]] == [1, 2, 1, 2]
 
     def test_theta_multiplicity_three(self):
-        numeric = stitched_numeric_spectrum(StringSpec([Fraction(1, 2)], [3], refine=16), 700.0)
+        numeric = stitched_numeric_spectra(StringSpec([Fraction(1, 2)], [3], refine=16), 700.0)[-1]
         assert all(e.multiplicity == 3 for e in numeric.entries)
         # one pullback plus two mean-zero vectors per eigenvalue
         assert all(e.tag == "basex1;new@1x2" for e in numeric.entries)
@@ -165,7 +169,7 @@ class TestNumericSpectrum:
     def test_new_level_values_are_interval_spectrum(self):
         # new-at-level-2 eigenvalues = Dirichlet spectrum of an l_2 interval
         spec = StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 1], refine=16)
-        numeric = stitched_numeric_spectrum(spec, 900.0)
+        numeric = stitched_numeric_spectra(spec, 900.0)[-1]
         new_vals = [e.value for e in numeric.entries if "new@2" in e.tag]
         h = spec.pitch
         fd = [(2 / h**2) * (1 - math.cos(k * math.pi * h / 0.25)) for k in (1, 2)]
@@ -190,7 +194,32 @@ class TestZeta:
         b = zeta_partial(scaled, s_val, lam / 4.0)
         assert b == pytest.approx(2 ** (2 * s_val) * a, rel=1e-12)
 
-    def test_divergent_range_flagged(self):
-        spec = cantor_spec(6)
-        with pytest.raises(DivergentRange):
-            zeta_partial(spec, 0.2, 10**5, require_convergence=True)
+    def test_unit_string_keeps_the_value_on_its_cut(self):
+        """(pi n)^2 / pi^2 rounds below n^2 for n = 1000, so a stop on the
+        rounded coefficient would drop the last of the 1000 terms."""
+        for s_val in ZETA_S_GRID:
+            explicit = math.fsum((math.pi * k) ** (-2 * s_val) for k in range(1, 1001))
+            z = zeta_partial(StringSpec([Fraction(1)], [1]), s_val, (math.pi * 1000) ** 2)
+            assert z == pytest.approx(explicit, rel=1e-13, abs=0.0)
+
+    def test_string_workload_matches_the_rational_reference(self):
+        """At the zeta cut of the benchmark's string spec the per-string sums
+        equal the sum over the Fraction-merged spectrum."""
+        spec, lam = string_workload_zeta_cut()
+        ref = strings_reference.string_analytic_spectrum(spec, lam)
+        for s_val in ZETA_S_GRID:
+            merged = math.fsum(e.multiplicity * e.value ** -s_val for e in ref.entries)
+            assert zeta_partial(spec, s_val, lam) == pytest.approx(merged, rel=1e-13, abs=0.0)
+
+    def test_string_workload_brackets_the_closed_form_limit(self):
+        """Partial sum plus the integral bounds on its tail bracket
+        pi^{-2s} zeta(2s) sum_i m_i l_i^{2s}; the cut is the 10 000th value
+        of the longest string, so string i keeps 10 000 l_i / l_1 terms."""
+        spec, lam = string_workload_zeta_cut()
+        terms = [int(10**4 * l / spec.lengths[0]) for l in spec.lengths]
+        assert terms == [10_000, 5_000, 2_500, 1_250]
+        for s_val in (s for s in ZETA_S_GRID if s > 0.5):
+            partial = zeta_partial(spec, s_val, lam)
+            lower, upper = strings_reference.zeta_tail_bounds(spec, s_val, terms)
+            limit = strings_reference.zeta_limit(spec, s_val)
+            assert (partial + lower) * (1 - 1e-13) <= limit <= (partial + upper) * (1 + 1e-13)
