@@ -10,7 +10,6 @@ from .eigensolve import (
     SpectrumList,
     cluster,
     compare_spectra,
-    richardson,
     solve_below,
     verify_nesting,
 )
@@ -19,11 +18,8 @@ from .fiber import (
     LevelFamily,
     LevelLink,
     contrast_basis,
-    fiber_project,
     graph_levels,
-    lift,
     new_blocks,
-    project_down,
 )
 from .gasket import (
     ChouxSpec,

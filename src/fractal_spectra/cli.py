@@ -77,8 +77,8 @@ def _run_meta(args, spec_doc: dict, **in_effect) -> dict:
 
 def _lambda_max(args, doc: dict, default: float) -> float:
     lam_max = float(doc.get("lambda_max", default)) if args.lambda_max is None else args.lambda_max
-    if not lam_max > 0:
-        raise InvalidSpaceSpec(f"lambda_max must be positive, got {lam_max}")
+    if not 0 < lam_max < math.inf:  # an infinite cut never ends the analytic listing
+        raise InvalidSpaceSpec(f"lambda_max must be positive and finite, got {lam_max}")
     return lam_max
 
 

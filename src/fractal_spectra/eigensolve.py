@@ -9,8 +9,8 @@ from the Sylvester inertia of S - lambda_max I, then computes them with
 LAPACK (the whole spectrum when the count is n, the subset solver for other
 small problems) or with shift-invert ARPACK (``eigsh`` about a negative
 shift, started from a seeded vector) for large ones, and refuses any result
-whose length differs from the count.  Eigenvectors come only on request: the
-pipeline writes eigenvalues and multiplicities, so it asks for values only.
+whose length differs from the count.  No eigenvector is formed: the pipeline
+writes eigenvalues and multiplicities only.
 """
 
 from __future__ import annotations
@@ -46,11 +46,9 @@ EIGSH_SHIFT = 0.1
 
 @dataclass
 class EigenPairs:
-    """Eigenvalues sorted ascending, with M-orthonormal eigenvectors when
-    they were asked for."""
+    """Eigenvalues sorted ascending and their proven count."""
 
     values: np.ndarray
-    vectors: np.ndarray | None  # shape (n, k); None on a values-only solve
     inertia_count: int  # N(lam_max) from the inertia of S - lam_max I
 
 
@@ -150,8 +148,7 @@ def _standard_form(d: DiscreteOperator):
     if np.any(d.M <= 0):
         raise NotPositiveMass("mass diagonal must be positive")
     ms = 1.0 / np.sqrt(d.M)
-    S = d.A.multiply(ms[:, None]).multiply(ms[None, :]).tocsr()
-    return S, ms
+    return d.A.multiply(ms[:, None]).multiply(ms[None, :]).tocsr()
 
 
 def _count_below(S, cut: float) -> int:
@@ -193,11 +190,8 @@ def _count_below(S, cut: float) -> int:
     return int(np.count_nonzero(np.linalg.eigvalsh(D) < 0))
 
 
-def solve_below(
-    d: DiscreteOperator, lam_max: float, seed: int = DEFAULT_SEED, vectors: bool = True
-) -> EigenPairs:
-    """All eigenvalues <= lam_max, proven complete, and their eigenvectors
-    when ``vectors`` is true.
+def solve_below(d: DiscreteOperator, lam_max: float, seed: int = DEFAULT_SEED) -> EigenPairs:
+    """All eigenvalues <= lam_max, proven complete.
 
     The exact count N(lam_max) comes first, from the inertia of S - cut*I.
     When it is 0 the empty result is returned without an eigensolver call;
@@ -209,51 +203,31 @@ def solve_below(
     too small for that margin also go to LAPACK).  A result whose length
     differs from the count (for instance one copy short of a repeated
     eigenvalue) raises NoConvergence instead of being returned.
-
-    ``vectors`` goes straight to LAPACK's ``eigvals_only`` and ARPACK's
-    ``return_eigenvectors``; without vectors ``EigenPairs.vectors`` is None.
-    The count, its guard and the length check are the same on both routes.
     """
     n = d.n
-    S, ms = _standard_form(d)
+    S = _standard_form(d)
     cut = lam_max * (1 + 1e-12)
     count = _count_below(S, cut)
     if count == 0:
-        return EigenPairs(values=np.zeros(0), vectors=np.zeros((n, 0)) if vectors else None,
-                          inertia_count=0)
+        return EigenPairs(values=np.zeros(0), inertia_count=0)
     # the dense branches hand LAPACK a Fortran-ordered array that it may
-    # overwrite (a C-ordered one it would copy first) and Y is scaled in
-    # place, so a whole spectrum holds two n x n arrays, not three
+    # overwrite (a C-ordered one it would copy first)
     if count == n:
         # no value range: a range sends LAPACK through bisection, which
         # moves the last bits of a full spectrum
-        result = scipy.linalg.eigh(S.toarray(order="F"), overwrite_a=True,
-                                   eigvals_only=not vectors)
+        w = scipy.linalg.eigh(S.toarray(order="F"), overwrite_a=True, eigvals_only=True)
     elif n <= EIGSH_THRESHOLD or count + EIGSH_MARGIN >= n:
-        result = scipy.linalg.eigh(S.toarray(order="F"), overwrite_a=True,
-                                   eigvals_only=not vectors, subset_by_value=(-np.inf, cut))
-        if vectors:
-            w, Y = result
-            if np.abs(Y.T @ Y - np.eye(len(w))).max(initial=0.0) > 1e-8:
-                # the subset solver (MRRR, syevr) can return non-orthogonal
-                # vectors for an exactly repeated eigenvalue while its values
-                # stay right (Dhillon, Parlett & Voemel, SISC 2005); keep the
-                # values and take the vectors from inverse iteration (syevx)
-                Y = scipy.linalg.eigh(S.toarray(), subset_by_index=(0, len(w) - 1), driver="evx")[1]
-                result = w, Y
+        w = scipy.linalg.eigh(S.toarray(order="F"), overwrite_a=True, eigvals_only=True,
+                              subset_by_value=(-np.inf, cut))
     else:
-        result = _eigsh_below(S, cut, count, seed, vectors)
-    w, Y = result if vectors else (result, None)
+        w = _eigsh_below(S, cut, count, seed)
     if len(w) != count:
         raise NoConvergence(0, f"{len(w)} eigenvalues <= {lam_max!r} found, inertia counts {count}")
-    if vectors:
-        Y *= ms[:, None]
-    return EigenPairs(values=w, vectors=Y, inertia_count=count)
+    return EigenPairs(values=w, inertia_count=count)
 
 
-def _eigsh_below(S, cut: float, count: int, seed: int, vectors: bool):
-    """Shift-invert ARPACK for the ``count`` eigenvalues of S below ``cut``,
-    returned as values, or as (values, vectors) when ``vectors`` is true.
+def _eigsh_below(S, cut: float, count: int, seed: int) -> np.ndarray:
+    """Shift-invert ARPACK for the ``count`` eigenvalues of S below ``cut``.
 
     The Krylov space grows with k, so a copy of a repeated eigenvalue that
     one run missed (its count below the cut falls short) is sought again
@@ -267,16 +241,13 @@ def _eigsh_below(S, cut: float, count: int, seed: int, vectors: bool):
     k = count + EIGSH_MARGIN
     while True:
         try:
-            result = spla.eigsh(S, k, sigma=sigma, which="LM", v0=v0,
-                                return_eigenvectors=vectors)
+            w = spla.eigsh(S, k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False)
         except spla.ArpackNoConvergence:
             pass
         else:
-            w = result[0] if vectors else result
-            order = np.argsort(w)
-            w = w[order]
+            w = np.sort(w)
             if np.count_nonzero(w <= cut) == count and w[-1] > cut:
-                return (w[:count], result[1][:, order[:count]]) if vectors else w[:count]
+                return w[:count]
         if k == n - 1:
             raise NoConvergence(k, f"eigsh did not find the {count} eigenvalues below {cut!r}")
         k = min(2 * k, n - 1)
@@ -477,12 +448,3 @@ def compare_spectra(
         if orders:
             order = float(np.median(orders))
     return CompareReport(matched, unmatched_numeric, unmatched_analytic, max_dev, order)
-
-
-def richardson(fine: np.ndarray, coarse: np.ndarray, order: int = 2) -> np.ndarray:
-    """Richardson extrapolation of index-matched eigenvalue lists computed at
-    pitches h (coarse) and h/2 (fine)."""
-    m = min(len(fine), len(coarse))
-    f, c = np.asarray(fine[:m]), np.asarray(coarse[:m])
-    w = 2.0**order
-    return (w * f - c) / (w - 1.0)

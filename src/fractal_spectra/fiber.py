@@ -6,8 +6,8 @@ level-(i-1) vertex/edge.  The Laakso space and the pâte à choux are both a
 base graph times binary fibers, glued at base vertices by birth level, and
 share one array builder (``_binary_fiber_family``); the stitched strings
 keep their own rule.  From a link and two levels' vertex pencils we derive a
-FiberStructure, which powers the pullback (lift) and the fiber-averaging
-projector.
+FiberStructure, the node that each level-i node covers at level i-1, and
+from it the contrast basis of the fiber-mean-zero vectors.
 
 ``level_spectra`` is the pipeline every family uses.  The fiber projector P
 splits the level-i space into range(P), which carries the level-(i-1)
@@ -16,10 +16,11 @@ i; so it solves level 0 once and then only the ker(P) block of each level
 (``new_blocks``), and each eigenvalue's origin is known from where it was
 solved.  The Laakso and string levels, whose edges have one length, run it
 on their vertex pencils and map the values to the mesh by the Chebyshev
-rule (``equilateral_spectra``).  The tests check both against the mesh
-pencils of ``tests/mesh_reference.py`` and an independent route
-(``tests/level_reference.py``): solve the whole level pencil and classify
-every eigenvector by the projectors of the levels below.
+rule (``equilateral_spectra``).  No eigenvector is formed.  The tests
+check both against the mesh pencils of ``tests/mesh_reference.py`` and an
+independent route (``tests/level_reference.py``): solve the whole level
+pencil with LAPACK's generalized driver and classify every eigenvector by
+the projectors of the levels below.
 """
 
 from __future__ import annotations
@@ -110,51 +111,14 @@ def _binary_fiber_family(base_ends, birth, depth: int, length: float, dirichlet,
 
 @dataclass
 class FiberStructure:
-    """Node-level covering map from a level-i space to level i-1.
-
-    ``parent[j]`` is the lower-level node covered by node j; ``copy_weight``
-    is the fiber-measure weight of the copy (1/#copies, uniform measure), so
-    the weights over the copies of any parent node sum to one.  Nodes over
-    the glued set are their own single copy (weight 1).
-    """
+    """Node-level covering map from a level-i space to level i-1:
+    ``parent[j]`` is the lower-level node covered by node j.  Nodes over the
+    glued set are their own single copy."""
 
     level: int
     n_low: int
     n_high: int
     parent: np.ndarray
-    copy_weight: np.ndarray
-
-
-def _check(fs: FiberStructure, v: np.ndarray, n: int) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.ndim not in (1, 2) or v.shape[0] != n:
-        raise IncompatibleMesh(f"array of shape {v.shape} does not fit {n} nodes")
-    return v
-
-
-# The four maps below take one node vector (n,) or a block of them (n, m),
-# one vector per column.
-
-
-def lift(fs: FiberStructure, u: np.ndarray) -> np.ndarray:
-    """Pull a level-(i-1) node vector back to level i (constant on fibers)."""
-    u = _check(fs, u, fs.n_low)
-    return u[fs.parent]
-
-
-def project_down(fs: FiberStructure, v: np.ndarray) -> np.ndarray:
-    """Average a level-i node vector over the fiber, landing at level i-1."""
-    v = _check(fs, v, fs.n_high)
-    average = sp.csr_matrix(
-        (fs.copy_weight, (fs.parent, np.arange(fs.n_high))), shape=(fs.n_low, fs.n_high)
-    )
-    return average @ v
-
-
-def fiber_project(fs: FiberStructure, v: np.ndarray) -> np.ndarray:
-    """Fiber-averaging projector at level i: constant across each fiber,
-    identity on glued nodes."""
-    return lift(fs, project_down(fs, v))
 
 
 def contrast_basis(fs: FiberStructure) -> sp.csr_matrix:
@@ -210,10 +174,7 @@ def _finish(parent: np.ndarray, n_low: int, link: LevelLink) -> FiberStructure:
     counts = np.bincount(parent, minlength=n_low)
     if np.any(counts == 0):
         raise IncompatibleMesh("some lower-level nodes are not covered")
-    return FiberStructure(
-        level=link.level, n_low=n_low, n_high=len(parent), parent=parent,
-        copy_weight=1.0 / counts[parent],
-    )
+    return FiberStructure(level=link.level, n_low=n_low, n_high=len(parent), parent=parent)
 
 
 def graph_levels(family: LevelFamily, boundary: str | None = None):
@@ -239,7 +200,9 @@ def _components(op_hi: DiscreteOperator, op_lo: DiscreteOperator, fs: FiberStruc
     scale = abs(lhs).max() if lhs.nnz else 0.0
     if abs(lhs - rhs).max() > SPLIT_RTOL * scale:
         raise IncompatibleMesh(f"level {fs.level}: the lift does not intertwine the level pencils")
-    if np.max(np.abs(op_hi.M - lift(fs, project_down(fs, op_hi.M))) / op_hi.M) > SPLIT_RTOL:
+    counts = np.bincount(fs.parent, minlength=fs.n_low)
+    mean_mass = np.bincount(fs.parent, op_hi.M, fs.n_low) / counts
+    if np.max(np.abs(op_hi.M - mean_mass[fs.parent]) / op_hi.M) > SPLIT_RTOL:
         raise IncompatibleMesh(f"level {fs.level}: copies in a fiber have unequal mass")
     Q = contrast_basis(fs)
     if not Q.shape[1]:
@@ -283,8 +246,7 @@ def new_blocks(op_hi: DiscreteOperator, op_lo: DiscreteOperator, fs: FiberStruct
 
 def _level_values(ops, fibers, cut: float, seed: int) -> list[np.ndarray]:
     """Eigenvalues <= ``cut`` of level 0 and of the new blocks of each level
-    above it, by ``solve_below(..., vectors=False)``, whose length is its
-    inertia count.
+    above it, by ``solve_below``, whose length is its inertia count.
 
     A component is keyed on its CSR arrays and masses, and only a key not
     seen before becomes a block and a solve: on self-similar spaces most
@@ -292,13 +254,13 @@ def _level_values(ops, fibers, cut: float, seed: int) -> list[np.ndarray]:
     LAPACK or ARPACK call gives the same bits.
     """
     solved: dict[tuple, np.ndarray] = {}
-    out = [solve_below(ops[0], cut, seed, vectors=False).values]
+    out = [solve_below(ops[0], cut, seed).values]
     for level in range(1, len(ops)):
         pieces = []
         for arrays, M in _components(ops[level], ops[level - 1], fibers[level - 1]):
             key = (*(a.tobytes() for a in arrays), M.tobytes())
             if key not in solved:
-                solved[key] = solve_below(_block(arrays, M), cut, seed, vectors=False).values
+                solved[key] = solve_below(_block(arrays, M), cut, seed).values
             pieces.append(solved[key])
         out.append(np.concatenate(pieces or [np.zeros(0)]))
     return out

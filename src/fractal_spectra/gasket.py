@@ -96,10 +96,10 @@ def gasket_graph_spectrum(g: GasketGraph, boundary: str | None = None) -> Spectr
     """Probabilistic graph-Laplacian spectrum of the level-m gasket.
 
     ``boundary="dirichlet"`` removes the three corner points.  The whole
-    spectrum is solved for values only.
+    spectrum is solved.
     """
     op = graph_operator(_fibered(g, 0, boundary).graphs[0], boundary)
-    pairs = solve_below(op, SPECTRAL_BOUND, vectors=False)
+    pairs = solve_below(op, SPECTRAL_BOUND)
     out = cluster(pairs.values, origin=f"numeric(gasket,m={g.level})", truncation=np.inf)
     out.meta = {"gasket_level": g.level, "boundary": boundary, "normalization": "probabilistic"}
     return out

@@ -11,7 +11,16 @@ def generalized_eigh(op):
     return scipy.linalg.eigh(op.A.toarray(), np.diag(op.M))
 
 
-def residuals(pairs, op) -> np.ndarray:
-    """Residual norm |A v - lambda M v| of each eigenpair of ``pairs``."""
-    R = op.A @ pairs.vectors - (op.M[:, None] * pairs.vectors) * pairs.values[None, :]
+def eigenpairs_below(op, lam_max):
+    """The eigenpairs of ``generalized_eigh`` with values <= lam_max, at the
+    package's cut lam_max * (1 + 1e-12); their number is a count of the
+    pencil's eigenvalues that does not come from the package."""
+    values, vectors = generalized_eigh(op) if op.n else (np.zeros(0), np.zeros((0, 0)))
+    keep = values <= lam_max * (1 + 1e-12)
+    return values[keep], vectors[:, keep]
+
+
+def residuals(values, vectors, op) -> np.ndarray:
+    """Residual norm |A v - lambda M v| of each pair (values[j], vectors[:, j])."""
+    R = op.A @ vectors - (op.M[:, None] * vectors) * values[None, :]
     return np.linalg.norm(R, axis=0)

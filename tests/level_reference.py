@@ -1,19 +1,56 @@
-"""The independent route to a level spectrum: solve the whole level pencil,
-classify every eigenvector by the fiber projectors of the levels below
-(``classify_levels``) and cluster.  The package solves only the new block
-of each level (``fiber.level_spectra``); the tests hold it to this route,
-which uses neither ``level_spectra`` nor ``new_blocks``.
+"""The independent route to a level spectrum: solve the whole level pencil
+with LAPACK's generalized driver, classify every eigenvector by the fiber
+projectors of the levels below (``classify_levels``) and cluster.  The
+package solves only the new block of each level for its values
+(``fiber.level_spectra``); the tests hold it to this route, which uses
+neither ``level_spectra``, ``new_blocks`` nor ``solve_below``.
 
-It also keeps the small helpers only the tests call: the complement of the
-fiber projector, the counting function of a spectrum list and the deepest
-choux level's spectrum."""
+It also keeps the node-vector maps of a fiber structure (``lift``,
+``project_down``, ``fiber_project``) and the small helpers only the tests
+call: the complement of the fiber projector, the counting function of a
+spectrum list and the deepest choux level's spectrum."""
 
 import numpy as np
+import scipy.sparse as sp
 
-from fractal_spectra.eigensolve import SpectrumList, cluster, gap_runs, solve_below
-from fractal_spectra.errors import BeyondTruncation
-from fractal_spectra.fiber import FiberStructure, fiber_project, project_down
+from fractal_spectra.eigensolve import SpectrumList, cluster, gap_runs
+from fractal_spectra.errors import BeyondTruncation, IncompatibleMesh
+from fractal_spectra.fiber import FiberStructure
 from fractal_spectra.gasket import ChouxSpec, choux_numeric_spectra
+from lapack_reference import eigenpairs_below
+
+
+# The maps below take one node vector (n,) or a block of them (n, m), one
+# vector per column.
+
+
+def _check(v: np.ndarray, n: int) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[0] != n:
+        raise IncompatibleMesh(f"array of shape {v.shape} does not fit {n} nodes")
+    return v
+
+
+def lift(fs: FiberStructure, u: np.ndarray) -> np.ndarray:
+    """Pull a level-(i-1) node vector back to level i (constant on fibers)."""
+    return _check(u, fs.n_low)[fs.parent]
+
+
+def project_down(fs: FiberStructure, v: np.ndarray) -> np.ndarray:
+    """Average a level-i node vector over the fiber, landing at level i-1:
+    each copy weighs 1/#copies, so the weights over a fiber sum to one."""
+    v = _check(v, fs.n_high)
+    counts = np.bincount(fs.parent, minlength=fs.n_low)
+    average = sp.csr_matrix(
+        (1.0 / counts[fs.parent], (fs.parent, np.arange(fs.n_high))), shape=(fs.n_low, fs.n_high)
+    )
+    return average @ v
+
+
+def fiber_project(fs: FiberStructure, v: np.ndarray) -> np.ndarray:
+    """Fiber-averaging projector at level i: constant across each fiber,
+    identity on glued nodes."""
+    return lift(fs, project_down(fs, v))
 
 
 def fiber_complement(fs: FiberStructure, v: np.ndarray) -> np.ndarray:
@@ -99,17 +136,17 @@ def classify_levels(values, vectors, ops, fibers, tol=1e-8, cluster_rtol=1e-6):
 
 def reference_spectrum(ops, fibers, level, lam_max, **cluster_kw):
     """Clustered, origin-tagged spectrum of ``ops[level]`` below ``lam_max``,
-    and the inertia count of its full-pencil solve."""
-    pairs = solve_below(ops[level], lam_max)
-    origins = classify_levels(pairs.values, pairs.vectors, ops[: level + 1], fibers[:level])
+    and the number of its values, from the full-pencil solve."""
+    values, vectors = eigenpairs_below(ops[level], lam_max)
+    origins = classify_levels(values, vectors, ops[: level + 1], fibers[:level])
     tags = ["base" if o == 0 else f"new@{o}" for o in origins]
-    return cluster(pairs.values, tags=tags, **cluster_kw), pairs.inertia_count
+    return cluster(values, tags=tags, **cluster_kw), len(values)
 
 
 def assert_matches_reference(per_level, ops, fibers, lam_max, rtol=1e-10):
     """Every spectrum of ``per_level`` (levels 0, 1, ...) agrees with the
     independent route: values to ``rtol`` relative (floored at 1),
-    multiplicities, tags and inertia counts exactly."""
+    multiplicities, tags and counts exactly."""
     for level, got in enumerate(per_level):
         ref, count = reference_spectrum(ops, fibers, level, lam_max)
         assert got.meta["inertia_count"] == count == got.total_multiplicity(), level

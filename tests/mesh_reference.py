@@ -220,11 +220,10 @@ def mesh_fiber_structure(mesh_hi: Mesh, mesh_lo: Mesh, link: LevelLink) -> Fiber
             parent[node] = p
     if np.any(parent < 0):
         raise IncompatibleMesh("node maps onto an eliminated Dirichlet node")
-    counts = np.bincount(parent, minlength=mesh_lo.n_nodes)
-    if np.any(counts == 0):
+    if np.any(np.bincount(parent, minlength=mesh_lo.n_nodes) == 0):
         raise IncompatibleMesh("some lower-level nodes are not covered")
     return FiberStructure(level=link.level, n_low=mesh_lo.n_nodes, n_high=mesh_hi.n_nodes,
-                          parent=parent, copy_weight=1.0 / counts[parent])
+                          parent=parent)
 
 
 def discretize_levels(family: LevelFamily, pitch: float):

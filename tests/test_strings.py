@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fractal_spectra.eigensolve import FDModel, solve_below, verify_nesting
+from fractal_spectra.eigensolve import FDModel, verify_nesting
 from fractal_spectra.cli import ZETA_S_GRID
 from fractal_spectra.errors import InfeasibleNesting
 from fractal_spectra.strings import (
@@ -16,6 +16,7 @@ from fractal_spectra.strings import (
     string_analytic_spectrum,
     zeta_partial,
 )
+from lapack_reference import eigenpairs_below
 from level_reference import classify_levels, counting_function
 from mesh_reference import stitched_levels
 import strings_reference
@@ -156,12 +157,12 @@ class TestNumericSpectrum:
     def test_new_vectors_vanish_at_attachments(self):
         spec = StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 1], refine=8)
         ops, fibers = stitched_levels(spec)
-        pairs = solve_below(ops[-1], 700.0)
-        origins = classify_levels(pairs.values, pairs.vectors, ops, fibers)
+        values, vectors = eigenpairs_below(ops[-1], 700.0)
+        origins = classify_levels(values, vectors, ops, fibers)
         fs = fibers[-1]
         fixed = np.where(np.bincount(fs.parent) == 1)[0]
         for idx in np.where(origins == len(fibers))[0]:
-            v = pairs.vectors[:, idx]
+            v = vectors[:, idx]
             for p in fixed:
                 node = np.where(fs.parent == p)[0][0]
                 assert abs(v[node]) <= 1e-8
