@@ -70,6 +70,14 @@ def _load_spec(path: str) -> dict:
     return doc
 
 
+def _integer(value, name: str, low: float = -math.inf, high: float = math.inf) -> int:
+    """A spec field that must be a JSON integer in [low, high]: ``int()``
+    would truncate a float and accept a bool or a numeric string."""
+    if type(value) is not int or not low <= value <= high:
+        raise InvalidSpaceSpec(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return value
+
+
 def _run_meta(args, spec_doc: dict, **in_effect) -> dict:
     """run.json: the command, its spec and the settings the run used."""
     return {"command": args.command, "spec": spec_doc, **in_effect}
@@ -101,10 +109,10 @@ def cmd_laakso(args) -> int:
     doc = _load_spec(args.spec)
     if "j" not in doc:
         raise InvalidSpaceSpec('laakso spec needs a "j" list')
-    j = doc["j"]
-    if "depth" in doc and int(doc["depth"]) != len(j):
+    j = [_integer(x, "j") for x in doc["j"]]
+    if "depth" in doc and _integer(doc["depth"], "depth") != len(j):
         raise InvalidSpaceSpec(f'depth {doc["depth"]} does not match len(j)={len(j)}')
-    refine = int(doc.get("refine", 8)) if args.refine is None else args.refine
+    refine = _integer(doc.get("refine", 8), "refine") if args.refine is None else args.refine
     boundary = doc.get("boundary", "neumann") if args.boundary is None else args.boundary
     spec = laakso.LaaksoSpec(j=j, refine=refine, boundary=boundary)
     if args.pitch is not None:
@@ -154,8 +162,8 @@ def cmd_choux(args) -> int:
     if "fiber_depth" not in doc or "gasket_level" not in doc:
         raise InvalidSpaceSpec('choux spec needs "fiber_depth" and "gasket_level"')
     spec = gasket.ChouxSpec(
-        fiber_depth=int(doc["fiber_depth"]),
-        gasket_level=int(doc["gasket_level"]),
+        fiber_depth=_integer(doc["fiber_depth"], "fiber_depth"),
+        gasket_level=_integer(doc["gasket_level"], "gasket_level"),
         boundary=doc.get("boundary") if args.boundary is None else args.boundary,
     )
     out = Path(args.out)
@@ -197,23 +205,22 @@ def cmd_string(args) -> int:
     doc = _load_spec(args.spec)
     if "lengths" not in doc or "mults" not in doc:
         raise InvalidSpaceSpec('string spec needs "lengths" and "mults"')
-    bound = int(doc.get("denominator_bound", 10**6))
+    bound = _integer(doc.get("denominator_bound", 10**6), "denominator_bound")
     rational, perturbation = strings.rationalize(doc["lengths"], bound)
     if perturbation > 1e-9:
         raise NoCommonPitch(
             f"lengths have no common pitch at denominator bound {bound} "
             f"(relative perturbation {perturbation:.3e})"
         )
-    refine = int(doc.get("refine", 8)) if args.refine is None else args.refine
-    spec = strings.StringSpec(lengths=rational, mults=[int(m) for m in doc["mults"]], refine=refine)
+    refine = _integer(doc.get("refine", 8), "refine") if args.refine is None else args.refine
+    spec = strings.StringSpec(lengths=rational, mults=[_integer(m, "mults") for m in doc["mults"]],
+                              refine=refine)
     if "depth" in doc:
-        spec = spec.truncate(int(doc["depth"]))
+        spec = spec.truncate(_integer(doc["depth"], "depth", 1, spec.depth))
     lam_max = _lambda_max(args, doc, 700.0)
     # the zeta table sums every value up to the zeta_terms-th value of the
     # longest string
-    n_terms = doc.get("zeta_terms", 10**4)
-    if type(n_terms) is not int or n_terms < 1:
-        raise InvalidSpaceSpec(f"zeta_terms must be a positive integer, got {n_terms!r}")
+    n_terms = _integer(doc.get("zeta_terms", 10**4), "zeta_terms", 1)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -274,11 +274,13 @@ def cluster(
     truncation: float = np.inf,
     pitch: float | None = None,
     tags=None,
+    meta: dict | None = None,
 ) -> SpectrumList:
     """Gap-based multiplicity clustering of a sorted eigenvalue array.
 
     ``tags`` optionally assigns a label per raw eigenvalue; a cluster's tag
-    lists the distinct labels with their counts.  Gaps of at most
+    lists the distinct labels with their counts.  ``meta`` becomes the
+    list's ``meta``.  Gaps of at most
     ``rel_tol`` chain, so a run is also held to a width of at most
     ``rel_tol * max(1, |last value|)``; a wider run is a string of distinct
     close values, not copies of one, and raises ``NoConvergence``.
@@ -300,7 +302,8 @@ def cluster(
         else:
             tag = ""
         entries.append(SpectrumEntry(val, j - i, tag))
-    return SpectrumList(entries=entries, origin=origin, truncation=truncation, pitch=pitch)
+    return SpectrumList(entries=entries, origin=origin, truncation=truncation, pitch=pitch,
+                        meta={} if meta is None else meta)
 
 
 @dataclass

@@ -4,8 +4,10 @@ Every builder outputs a LevelFamily: the graphs of levels 0..n on a common
 grid, plus LevelLinks recording which level-i vertex/edge covers which
 level-(i-1) vertex/edge.  The Laakso space and the pâte à choux are both a
 base graph times binary fibers, glued at base vertices by birth level, and
-share one array builder (``_binary_fiber_family``); the stitched strings
-keep their own rule.  From a link and two levels' vertex pencils we derive a
+share one array builder (``_binary_fiber_family``); the stitched strings,
+whose fibers are not binary and whose coordinates are free only on one
+sheet, copy each level from the one below (``strings.build_stitched``).
+From a link and two levels' vertex pencils we derive a
 FiberStructure, the node that each level-i node covers at level i-1, and
 from it the contrast basis of the fiber-mean-zero vectors.
 
@@ -277,10 +279,9 @@ def _cluster_levels(new: list[np.ndarray], origin: str, meta: dict,
         values = np.concatenate([values, fresh])
         tags += ["base" if level == 0 else f"new@{level}"] * len(fresh)
         order = np.argsort(values, kind="stable")
-        spectrum = cluster(values[order], origin=origin.format(level),
-                           tags=[tags[k] for k in order], **cluster_kw)
-        spectrum.meta = {**meta, "inertia_count": len(values)}
-        out.append(spectrum)
+        out.append(cluster(values[order], origin=origin.format(level),
+                           tags=[tags[k] for k in order],
+                           meta={**meta, "inertia_count": len(values)}, **cluster_kw))
     return out
 
 

@@ -100,9 +100,9 @@ def gasket_graph_spectrum(g: GasketGraph, boundary: str | None = None) -> Spectr
     """
     op = graph_operator(_fibered(g, 0, boundary).graphs[0], boundary)
     pairs = solve_below(op, SPECTRAL_BOUND)
-    out = cluster(pairs.values, origin=f"numeric(gasket,m={g.level})", truncation=np.inf)
-    out.meta = {"gasket_level": g.level, "boundary": boundary, "normalization": "probabilistic"}
-    return out
+    return cluster(pairs.values, origin=f"numeric(gasket,m={g.level})", truncation=np.inf,
+                   meta={"gasket_level": g.level, "boundary": boundary,
+                         "normalization": "probabilistic"})
 
 
 #: eigenvalues of the degree-normalized-times-4 Laplacian that have no

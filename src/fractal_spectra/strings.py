@@ -5,10 +5,12 @@ Dirichlet spectrum is pi^2 k^2 / l_i^2 with multiplicity m_i.  The stitched
 space starts from [0, l_1], first turns it into m_1 parallel strands glued at
 both ends, then at each level i >= 2 duplicates the open segment of length
 l_i at the right end of the all-ones sheet into m_i + 1 copies.  Lengths are
-kept as exact rationals so a common mesh pitch exists.  The analytic
-spectrum is merged on integers: every length is a whole number of grid units,
-so every k^2 / l_i^2 is an integer square over one common denominator, and
-one correctly rounded int/int division gives the float of each value.
+kept as exact rationals so a common mesh pitch exists, and each level is
+built from the one below with integer arrays (``build_stitched``).  The
+analytic spectrum is merged on integers: every length is a whole number of
+grid units, so every k^2 / l_i^2 is an integer square over one common
+denominator, and one correctly rounded int/int division gives the float of
+each value.
 The partial sums of the spectral zeta function need no merge: they are
 summed string by string, m_i sum_k (pi k / l_i)^{-2s}, whose limit is the
 geometric zeta function sum_i m_i l_i^{2s} times pi^{-2s} zeta(2s).
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -126,90 +127,64 @@ def string_analytic_spectrum(spec: StringSpec, lam_max: float) -> SpectrumList:
     )
 
 
-def _fiber_sets(spec: StringSpec):
-    """G_1 = {1..m_1}; G_i = {1..m_i + 1} for i >= 2."""
-    out = [tuple(range(1, spec.mults[0] + 1))]
-    for m in spec.mults[1:]:
-        out.append(tuple(range(1, m + 2)))
-    return out
+def _copies(free: np.ndarray, size: int):
+    """Copy each row ``size`` times where ``free`` holds and once elsewhere:
+    the row each copy comes from, its digit 1..size (1 on a single copy) and
+    the index of each row's first copy."""
+    counts = np.where(free, size, 1)
+    first = np.cumsum(counts) - counts
+    parent = np.repeat(np.arange(len(free)), counts)
+    return parent, np.arange(len(parent)) - first[parent] + 1, first
 
 
 def build_stitched(spec: StringSpec) -> LevelFamily:
     """Levels 0..N of the stitched space on the common grid.
 
-    Coordinate 1 is free on the whole open base interval; coordinate k >= 2
-    is free only on the open right-end segment of length l_k of the sheet
-    whose earlier coordinates are all 1.  Collapsed coordinates are
-    canonicalized to 1.  Dirichlet conditions sit at the two original
-    endpoints.
+    With g the grid unit and K = l_1 / g, level 0 is the path of the points
+    p = 0..K, cell c joining p = c and c + 1.  A level-k row (vertex or
+    cell) is a level-(k-1) row plus a digit for coordinate k, which takes
+    m_1 values for k = 1 and m_k + 1 values for k >= 2.  The coordinate is
+    free where every earlier digit is 1 and the row lies at a point
+    a_k < p < K or in a cell c >= a_k, with a_k = (l_1 - l_k) / g the start
+    of the right-end segment of length l_k; elsewhere it is collapsed to
+    the one digit 1.  So level k copies each free row once per digit and
+    every other row once, and the copies of a row are numbered by their
+    digit: rows stay in (position, word) order, a row's label is its
+    position followed by its digits, and each row covers the row it was
+    copied from.  Copy j of a cell ends at copy j of a free endpoint or at
+    the single copy of a collapsed one, and a free cell's fiber measure is
+    divided by the number of digits.  Dirichlet conditions sit at p = 0
+    and p = K.
     """
     g = spec.grid_unit
     l1 = spec.lengths[0]
     K = int(l1 / g)
-    fibers = _fiber_sets(spec)
-    # cell c covers (c*g, (c+1)*g); attach_cell[k] = first cell inside the
-    # level-(k+1) duplicated region
-    attach_cell = [int((l1 - l) / g) for l in spec.lengths]
+    sizes = [spec.mults[0], *(m + 1 for m in spec.mults[1:])]
+    starts = [int((l1 - l) / g) for l in spec.lengths]
+    points = np.arange(K + 1)
+    labels, ends, weight = points[:, None], np.stack([points[:-1], points[1:]], axis=1), np.ones(K)
+    v_ones, e_ones = np.ones(K + 1, dtype=bool), np.ones(K, dtype=bool)
 
-    def canon_cell(c: int, w: tuple) -> tuple:
-        out = list(w)
-        distinguished = len(out) == 0 or out[0] == 1
-        for k in range(2, len(w) + 1):
-            if not (distinguished and c >= attach_cell[k - 1]):
-                out[k - 1] = 1
-            if out[k - 1] != 1:
-                distinguished = False
-        return tuple(out)
+    def graph():
+        p = labels[:, 0]
+        return MetricGraph(labels, ends, float(g), weight, dirichlet=(p == 0) | (p == K),
+                           total_mass=float(l1))
 
-    def canon_vertex(p: int, w: tuple) -> tuple:
-        out = list(w)
-        if len(w) >= 1 and not (0 < p < K):
-            out[0] = 1
-        distinguished = all(x == 1 for x in out[:1])
-        for k in range(2, len(w) + 1):
-            if not (distinguished and attach_cell[k - 1] < p < K):
-                out[k - 1] = 1
-            if out[k - 1] != 1:
-                distinguished = False
-        return tuple(out)
-
-    graphs, indices, edge_indices = [], [], []
-    for lvl in range(spec.depth + 1):
-        words = list(product(*fibers[:lvl])) if lvl else [()]
-        vkeys = sorted({(p, canon_vertex(p, w)) for p in range(K + 1) for w in words})
-        idx = {key: i for i, key in enumerate(vkeys)}
-        ekeys = sorted({(c, canon_cell(c, w)) for c in range(K) for w in words})
-        eidx = {key: i for i, key in enumerate(ekeys)}
-        ends, weights = [], []
-        for (c, w) in ekeys:
-            weight = 1.0
-            distinguished = True
-            for k in range(1, lvl + 1):
-                free = (k == 1) or (distinguished and c >= attach_cell[k - 1])
-                if free:
-                    weight /= len(fibers[k - 1])
-                if k >= 1 and w[k - 1] != 1:
-                    distinguished = False
-            ends.append((idx[(c, canon_vertex(c, w))], idx[(c + 1, canon_vertex(c + 1, w))]))
-            weights.append(weight)
-        labels = np.array([(p, *w) for (p, w) in vkeys])
-        graphs.append(MetricGraph(labels, ends, float(g), weights,
-                                  dirichlet=(labels[:, 0] == 0) | (labels[:, 0] == K),
-                                  total_mass=float(l1)))
-        indices.append(idx)
-        edge_indices.append(eidx)
-
-    # a level-i vertex or edge covers the one that drops its last coordinate
-    links = [
-        LevelLink(
-            level=lvl,
-            vertex_parent=np.array([indices[lvl - 1][(p, canon_vertex(p, w[:-1]))]
-                                    for (p, w) in indices[lvl]], dtype=np.int64),
-            edge_parent=np.array([edge_indices[lvl - 1][(c, canon_cell(c, w[:-1]))]
-                                  for (c, w) in edge_indices[lvl]], dtype=np.int64),
-        )
-        for lvl in range(1, spec.depth + 1)
-    ]
+    graphs, links = [graph()], []
+    for lvl, (size, a) in enumerate(zip(sizes, starts), start=1):
+        p = labels[:, 0]
+        v_free = v_ones & (a < p) & (p < K)
+        e_free = e_ones & (p[ends[:, 0]] >= a)
+        vertex_parent, v_digit, v_first = _copies(v_free, size)
+        edge_parent, e_digit, _ = _copies(e_free, size)
+        tips = ends[edge_parent]
+        ends = v_first[tips] + (e_digit[:, None] - 1) * v_free[tips]
+        weight = np.where(e_free, weight / size, weight)[edge_parent]
+        labels = np.column_stack([labels[vertex_parent], v_digit])
+        v_ones = v_ones[vertex_parent] & (v_digit == 1)
+        e_ones = e_ones[edge_parent] & (e_digit == 1)
+        graphs.append(graph())
+        links.append(LevelLink(level=lvl, vertex_parent=vertex_parent, edge_parent=edge_parent))
     return LevelFamily(graphs=graphs, links=links)
 
 

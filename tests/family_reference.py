@@ -1,12 +1,14 @@
-"""The loop builders of the Laakso space and the pâte à choux, kept as an
-independent reference for ``fiber._binary_fiber_family`` and the integer
-``gasket.gasket_levels``.
+"""The loop builders of the Laakso space, the pâte à choux and the stitched
+strings, kept as an independent reference for ``fiber._binary_fiber_family``,
+the integer ``gasket.gasket_levels`` and the array
+``strings.build_stitched``.
 
-Each level is built key by key: a Python ``canon`` closure collapses the
-fiber coordinate of a (vertex, word) key, the keys are sorted, the edges are
-walked word by word, the gasket is subdivided in ``Fraction`` arithmetic and
-the graph is checked one vertex and edge at a time, connectivity by a
-union-find.  The package's families must match these bit for bit
+Each level is built key by key: every (position, word) pair of the full
+product of fiber sets is enumerated, a Python ``canon`` closure collapses
+its fiber coordinates, the keys are sorted, the edges are walked word by
+word, the gasket is subdivided in ``Fraction`` arithmetic and the graph is
+checked one vertex and edge at a time, connectivity by a union-find.  The
+package's families must match these bit for bit
 (``tests/test_properties.py``).
 """
 
@@ -21,6 +23,7 @@ import numpy as np
 from fractal_spectra.errors import DisconnectedGraph
 from fractal_spectra.fiber import LevelFamily, LevelLink
 from fractal_spectra.metric_graph import DIRICHLET, REL_TOL, MetricGraph
+from fractal_spectra.strings import StringSpec
 
 
 def validate(labels: list, edges: list[tuple], total_mass: float | None = None) -> None:
@@ -197,3 +200,90 @@ def build_choux(spec) -> LevelFamily:
         lambda vi: spec.boundary == DIRICHLET and g.birth[vi] == 0,
         canon,
     )
+
+
+def _fiber_sets(spec: StringSpec):
+    """G_1 = {1..m_1}; G_i = {1..m_i + 1} for i >= 2."""
+    out = [tuple(range(1, spec.mults[0] + 1))]
+    for m in spec.mults[1:]:
+        out.append(tuple(range(1, m + 2)))
+    return out
+
+
+def build_stitched(spec: StringSpec) -> LevelFamily:
+    """Levels 0..N of the stitched space on the common grid.
+
+    Coordinate 1 is free on the whole open base interval; coordinate k >= 2
+    is free only on the open right-end segment of length l_k of the sheet
+    whose earlier coordinates are all 1.  Collapsed coordinates are
+    canonicalized to 1.  Dirichlet conditions sit at the two original
+    endpoints.
+    """
+    g = spec.grid_unit
+    l1 = spec.lengths[0]
+    K = int(l1 / g)
+    fibers = _fiber_sets(spec)
+    # cell c covers (c*g, (c+1)*g); attach_cell[k] = first cell inside the
+    # level-(k+1) duplicated region
+    attach_cell = [int((l1 - l) / g) for l in spec.lengths]
+
+    def canon_cell(c: int, w: tuple) -> tuple:
+        out = list(w)
+        distinguished = len(out) == 0 or out[0] == 1
+        for k in range(2, len(w) + 1):
+            if not (distinguished and c >= attach_cell[k - 1]):
+                out[k - 1] = 1
+            if out[k - 1] != 1:
+                distinguished = False
+        return tuple(out)
+
+    def canon_vertex(p: int, w: tuple) -> tuple:
+        out = list(w)
+        if len(w) >= 1 and not (0 < p < K):
+            out[0] = 1
+        distinguished = all(x == 1 for x in out[:1])
+        for k in range(2, len(w) + 1):
+            if not (distinguished and attach_cell[k - 1] < p < K):
+                out[k - 1] = 1
+            if out[k - 1] != 1:
+                distinguished = False
+        return tuple(out)
+
+    graphs, indices, edge_indices = [], [], []
+    for lvl in range(spec.depth + 1):
+        words = list(product(*fibers[:lvl])) if lvl else [()]
+        vkeys = sorted({(p, canon_vertex(p, w)) for p in range(K + 1) for w in words})
+        idx = {key: i for i, key in enumerate(vkeys)}
+        ekeys = sorted({(c, canon_cell(c, w)) for c in range(K) for w in words})
+        eidx = {key: i for i, key in enumerate(ekeys)}
+        ends, weights = [], []
+        for (c, w) in ekeys:
+            weight = 1.0
+            distinguished = True
+            for k in range(1, lvl + 1):
+                free = (k == 1) or (distinguished and c >= attach_cell[k - 1])
+                if free:
+                    weight /= len(fibers[k - 1])
+                if k >= 1 and w[k - 1] != 1:
+                    distinguished = False
+            ends.append((idx[(c, canon_vertex(c, w))], idx[(c + 1, canon_vertex(c + 1, w))]))
+            weights.append(weight)
+        labels = np.array([(p, *w) for (p, w) in vkeys])
+        graphs.append(MetricGraph(labels, ends, float(g), weights,
+                                  dirichlet=(labels[:, 0] == 0) | (labels[:, 0] == K),
+                                  total_mass=float(l1)))
+        indices.append(idx)
+        edge_indices.append(eidx)
+
+    # a level-i vertex or edge covers the one that drops its last coordinate
+    links = [
+        LevelLink(
+            level=lvl,
+            vertex_parent=np.array([indices[lvl - 1][(p, canon_vertex(p, w[:-1]))]
+                                    for (p, w) in indices[lvl]], dtype=np.int64),
+            edge_parent=np.array([edge_indices[lvl - 1][(c, canon_cell(c, w[:-1]))]
+                                  for (c, w) in edge_indices[lvl]], dtype=np.int64),
+        )
+        for lvl in range(1, spec.depth + 1)
+    ]
+    return LevelFamily(graphs=graphs, links=links)

@@ -192,15 +192,37 @@ class TestString:
         spec = write_spec(tmp_path, "bad.json", {"lengths": [0.25, 0.5], "mults": [1, 1]})
         assert cli.main(["string", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("terms", [-100, 0, 2.5, "100", True])
-    def test_zeta_terms_that_are_not_a_positive_integer_are_rejected(self, tmp_path, terms):
-        """The cut squared zeta_terms, so -100 acted as 100 and 0 wrote a
-        table of zeros."""
-        spec = write_spec(tmp_path, "spec.json", {"lengths": [0.5, 0.25], "mults": [1, 1],
-                                                  "zeta_terms": terms})
+    @pytest.mark.parametrize("command, field, value", [
+        *(pytest.param("string", "zeta_terms", terms, id=str(terms))
+          for terms in (-100, 0, 2.5, "100", True)),
+        pytest.param("string", "mults", [1.7, 1], id="string-mults-1.7"),
+        pytest.param("string", "refine", 8.9, id="string-refine-8.9"),
+        pytest.param("string", "depth", -1, id="string-depth--1"),
+        pytest.param("string", "depth", 0, id="string-depth-0"),
+        pytest.param("string", "depth", 7, id="string-depth-7"),
+        pytest.param("string", "depth", 2.0, id="string-depth-2.0"),
+        pytest.param("string", "denominator_bound", 1e6, id="string-denominator_bound-1e6"),
+        pytest.param("laakso", "j", [2.5], id="laakso-j-2.5"),
+        pytest.param("laakso", "refine", 8.9, id="laakso-refine-8.9"),
+        pytest.param("laakso", "depth", 1.0, id="laakso-depth-1.0"),
+        pytest.param("choux", "fiber_depth", 1.9, id="choux-fiber_depth-1.9"),
+        pytest.param("choux", "gasket_level", "2", id="choux-gasket_level-2"),
+    ])
+    def test_zeta_terms_that_are_not_a_positive_integer_are_rejected(self, tmp_path, command,
+                                                                     field, value):
+        """Every integer field of a spec, zeta_terms among them, takes only a
+        JSON integer in its range.  The cut squared zeta_terms, so -100
+        acted as 100 and 0 wrote a table of zeros; int() ran mults 1.7 as 1,
+        refine 8.9 as 8, j [2.5] as [2] and fiber_depth 1.9 as 1; a string
+        depth of -1 dropped the last length and one past the lengths was
+        ignored."""
+        doc = {"string": {"lengths": [0.5, 0.25], "mults": [1, 1], "zeta_terms": 100},
+               "laakso": {"j": [2], "refine": 8},
+               "choux": {"fiber_depth": 1, "gasket_level": 2}}[command]
+        spec = write_spec(tmp_path, "spec.json", {**doc, field: value})
         out = tmp_path / "o"
-        assert cli.main(["string", "--spec", spec, "--out", str(out)]) == cli.EXIT_BAD_SPEC
-        assert not (out / "zeta.csv").exists()
+        assert cli.main([command, "--spec", spec, "--out", str(out)]) == cli.EXIT_BAD_SPEC
+        assert not out.exists()
 
     def test_nonpositive_lambda_max_rejected(self, tmp_path):
         spec = write_spec(tmp_path, "spec.json", {"lengths": [0.5], "mults": [1]})

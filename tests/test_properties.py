@@ -9,7 +9,8 @@ map of the vertex spectra must give the spectra of the mesh pencils in
 have one length.  The array
 builders of the Laakso and choux families must give the graphs, links,
 pencils and fiber maps of the loop builders in ``tests/family_reference.py``
-bit for bit, and every CLI subcommand run twice must write the same bytes.
+bit for bit, the stitched-string builder its graphs, labels and links, and
+every CLI subcommand run twice must write the same bytes.
 On every graph the NumPy vertex pencil must give the bits of the loop
 version in ``tests/mesh_reference.py``, the array checks of
 ``MetricGraph`` must agree with the union-find ones, and relabelling the
@@ -186,17 +187,22 @@ family_choux_specs = st.integers(0, 3).flatmap(
 )
 
 
-def assert_same_family(family, ref):
-    """Same vertex and edge counts, edges, marks and links."""
+def assert_same_array(a, b, name):
+    assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def assert_same_family(family, ref, labels=False):
+    """Same vertex and edge counts, edges, marks and links, dtypes included,
+    and with ``labels`` the same vertex labels."""
     assert len(family.graphs) == len(ref.graphs)
     for g, r in zip(family.graphs, ref.graphs):
         assert g.n_vertices == r.n_vertices
-        for name in ("ends", "length", "weight", "dirichlet"):
-            assert np.array_equal(getattr(g, name), getattr(r, name)), name
+        for name in ("ends", "length", "weight", "dirichlet", *(("labels",) if labels else ())):
+            assert_same_array(getattr(g, name), getattr(r, name), name)
     for link, ref_link in zip(family.links, ref.links, strict=True):
         assert link.level == ref_link.level
-        assert np.array_equal(link.vertex_parent, ref_link.vertex_parent)
-        assert np.array_equal(link.edge_parent, ref_link.edge_parent)
+        assert_same_array(link.vertex_parent, ref_link.vertex_parent, "vertex_parent")
+        assert_same_array(link.edge_parent, ref_link.edge_parent, "edge_parent")
 
 
 def assert_same_levels(ops, fibers, ref_ops, ref_fibers):
@@ -357,14 +363,24 @@ def test_spectrum_is_unchanged_by_relabelling_the_vertices(case):
 
 
 @st.composite
-def rationalized_string_specs(draw):
-    """A string of 1-5 lengths rationalized from random floats (so some
-    denominators come near the 10^6 bound and the lcm of the lengths in grid
-    units is large) and mults 1-4."""
-    floats = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5))
-    lengths = sorted(set(strings.rationalize(floats)[0]), reverse=True)
-    mults = draw(st.lists(st.integers(1, 4), min_size=len(lengths), max_size=len(lengths)))
+def rationalized_string_specs(draw, denominator_bound=10**6, max_mult=4):
+    """A string of 1-5 lengths rationalized from random floats (so at the
+    default bound some denominators come near 10^6 and the lcm of the
+    lengths in grid units is large) and mults 1-``max_mult``."""
+    floats = draw(st.lists(st.floats(max(0.01, 1 / denominator_bound), 1.0),
+                           min_size=1, max_size=5))
+    lengths = sorted(set(strings.rationalize(floats, denominator_bound)[0]), reverse=True)
+    mults = draw(st.lists(st.integers(1, max_mult), min_size=len(lengths), max_size=len(lengths)))
     return strings.StringSpec(lengths, mults)
+
+
+@SETTINGS
+@given(spec=rationalized_string_specs(denominator_bound=6, max_mult=3))
+def test_stitched_family_has_the_bits_of_the_loop_reference(spec):
+    """Lengths with denominators up to 6 keep the grid at most 60 cells
+    long, which the loop reference enumerates in well under a second."""
+    assert_same_family(strings.build_stitched(spec), family_reference.build_stitched(spec),
+                       labels=True)
 
 
 @st.composite
