@@ -78,13 +78,25 @@ def _integer(value, name: str, low: float = -math.inf, high: float = math.inf) -
     return value
 
 
+def _list(value, name: str) -> list:
+    """A spec field that must be a JSON list: iterating over anything else
+    fails with a TypeError, or walks the characters of a string."""
+    if type(value) is not list:
+        raise InvalidSpaceSpec(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def _run_meta(args, spec_doc: dict, **in_effect) -> dict:
     """run.json: the command, its spec and the settings the run used."""
     return {"command": args.command, "spec": spec_doc, **in_effect}
 
 
 def _lambda_max(args, doc: dict, default: float) -> float:
-    lam_max = float(doc.get("lambda_max", default)) if args.lambda_max is None else args.lambda_max
+    lam_max = doc.get("lambda_max", default) if args.lambda_max is None else args.lambda_max
+    # float() would take a JSON true as 1.0 and a numeric string
+    if type(lam_max) not in (int, float):
+        raise InvalidSpaceSpec(f"lambda_max must be a number, got {lam_max!r}")
+    lam_max = float(lam_max)
     if not 0 < lam_max < math.inf:  # an infinite cut never ends the analytic listing
         raise InvalidSpaceSpec(f"lambda_max must be positive and finite, got {lam_max}")
     return lam_max
@@ -109,7 +121,7 @@ def cmd_laakso(args) -> int:
     doc = _load_spec(args.spec)
     if "j" not in doc:
         raise InvalidSpaceSpec('laakso spec needs a "j" list')
-    j = [_integer(x, "j") for x in doc["j"]]
+    j = [_integer(x, "j") for x in _list(doc["j"], "j")]
     if "depth" in doc and _integer(doc["depth"], "depth") != len(j):
         raise InvalidSpaceSpec(f'depth {doc["depth"]} does not match len(j)={len(j)}')
     refine = _integer(doc.get("refine", 8), "refine") if args.refine is None else args.refine
@@ -206,15 +218,15 @@ def cmd_string(args) -> int:
     if "lengths" not in doc or "mults" not in doc:
         raise InvalidSpaceSpec('string spec needs "lengths" and "mults"')
     bound = _integer(doc.get("denominator_bound", 10**6), "denominator_bound")
-    rational, perturbation = strings.rationalize(doc["lengths"], bound)
+    rational, perturbation = strings.rationalize(_list(doc["lengths"], "lengths"), bound)
     if perturbation > 1e-9:
         raise NoCommonPitch(
             f"lengths have no common pitch at denominator bound {bound} "
             f"(relative perturbation {perturbation:.3e})"
         )
     refine = _integer(doc.get("refine", 8), "refine") if args.refine is None else args.refine
-    spec = strings.StringSpec(lengths=rational, mults=[_integer(m, "mults") for m in doc["mults"]],
-                              refine=refine)
+    mults = [_integer(m, "mults") for m in _list(doc["mults"], "mults")]
+    spec = strings.StringSpec(lengths=rational, mults=mults, refine=refine)
     if "depth" in doc:
         spec = spec.truncate(_integer(doc["depth"], "depth", 1, spec.depth))
     lam_max = _lambda_max(args, doc, 700.0)

@@ -4,13 +4,16 @@ The lumped mass matrix is diagonal, so the pencil A v = lambda M v reduces
 exactly to the standard symmetric problem S y = lambda y with
 S = M^{-1/2} A M^{-1/2}, y = M^{1/2} v.  Every eigenproblem goes through
 ``solve_below``, which returns the part of the spectrum below a cutoff and
-proves it complete: it first counts the eigenvalues below the cutoff exactly,
-from the Sylvester inertia of S - lambda_max I, then computes them with
-LAPACK (the whole spectrum when the count is n, the subset solver for other
-small problems) or with shift-invert ARPACK (``eigsh`` about a negative
-shift, started from a seeded vector) for large ones, and refuses any result
-whose length differs from the count.  No eigenvector is formed: the pipeline
-writes eigenvalues and multiplicities only.
+proves it complete: it first counts the eigenvalues below the cutoff
+exactly, then computes them and refuses any result whose length differs
+from the count.  A pencil of at most EIGSH_THRESHOLD unknowns is reduced
+once to a tridiagonal T orthogonally similar to S (LAPACK ``dsytrd``); the
+count is a Sturm count on T and the values come from T (``dsterf`` for the
+whole spectrum, ``dstebz`` bisection for a part).  A larger pencil is
+counted from the Sylvester inertia of a sparse LDL^T of S - lambda_max I and
+solved by shift-invert ARPACK (``eigsh`` about a negative shift, started
+from a seeded vector).  No eigenvector is formed: the pipeline writes
+eigenvalues and multiplicities only.
 """
 
 from __future__ import annotations
@@ -22,17 +25,18 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import MisalignedMeshes, NoConvergence, NotPositiveMass
 from .metric_graph import DiscreteOperator
 
 DEFAULT_SEED = 20260826
-#: solve_below takes LAPACK's subset solver up to this many unknowns and
-#: shift-invert ARPACK above it; on Laakso and string pencils the two break
-#: even between n = 250 and 500, and ARPACK is 2-8x faster from n = 1000 on
+#: solve_below counts and solves on the tridiagonal reduction up to this many
+#: unknowns and takes the sparse count and shift-invert ARPACK above it; on
+#: Laakso and string pencils LAPACK's subset solver and ARPACK break even
+#: between n = 250 and 500, and ARPACK is 2-8x faster from n = 1000 on
 EIGSH_THRESHOLD = 500
 #: eigenpairs asked of ARPACK beyond the inertia count, so that its run
 #: reaches past the cut
@@ -144,31 +148,118 @@ class SpectrumList:
 # -- solvers ----------------------------------------------------------------
 
 
-def _standard_form(d: DiscreteOperator):
+def _mass_scaling(d: DiscreteOperator) -> np.ndarray:
     if np.any(d.M <= 0):
         raise NotPositiveMass("mass diagonal must be positive")
-    ms = 1.0 / np.sqrt(d.M)
+    return 1.0 / np.sqrt(d.M)
+
+
+def _standard_form(d: DiscreteOperator):
+    ms = _mass_scaling(d)
     return d.A.multiply(ms[:, None]).multiply(ms[None, :]).tocsr()
 
 
-def _count_below(S, cut: float) -> int:
-    """Number of eigenvalues of the symmetric matrix S below ``cut``.
+def _lapack_info(info: int, routine: str) -> None:
+    if info != 0:
+        raise NoConvergence(0, f"LAPACK {routine} returned info {info}")
 
-    By Sylvester's law of inertia this is the number of negative pivots of
-    an LDL^T factorization of S - cut*I.  SuperLU in symmetric mode with
+
+def _tridiagonal(d: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the tridiagonal T = Q^T S Q.
+
+    S is formed densely and in place, with the bits of the sparse
+    ``_standard_form``, in Fortran order so that ``dsytrd`` reduces it in
+    place too.
+    """
+    ms = _mass_scaling(d)
+    S = d.A.toarray(order="F")
+    S *= ms[:, None]
+    S *= ms[None, :]
+    return _reduce(S)
+
+
+def _reduce(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK's ``dsytrd`` on the lower triangle of S, which it overwrites:
+    the reduction of a values-only ``eigh``."""
+    n = S.shape[0]
+    if n <= 1:
+        return S.diagonal().copy(), np.zeros(0)
+    lwork, info = lapack.dsytrd_lwork(n, lower=1)
+    _lapack_info(info, "dsytrd_lwork")
+    _, diag, off, _, info = lapack.dsytrd(S, lower=1, lwork=int(lwork), overwrite_a=1)
+    _lapack_info(info, "dsytrd")
+    return diag, off
+
+
+_SAFMIN = np.finfo(float).tiny
+_ULP = np.finfo(float).eps
+
+
+def _sturm_count(diag: np.ndarray, off: np.ndarray, cut: float) -> int:
+    """Number of eigenvalues <= ``cut`` of the symmetric tridiagonal T.
+
+    This is the number of pivots <= 0 of the LDL^T factorization of
+    T - cut*I, taken as LAPACK's ``dstebz`` takes it: an off-diagonal entry
+    negligible next to its two diagonal neighbours splits T, and a pivot
+    smaller than ``pivmin`` in magnitude is replaced by -pivmin.  The count
+    is backward stable (Kahan 1966), and by Sylvester's law of inertia it is
+    the count of every matrix orthogonally similar to T.
+    """
+    if not len(diag):
+        return 0
+    e2 = off * off
+    e2[np.abs(diag[1:] * diag[:-1]) * _ULP**2 + _SAFMIN > e2] = 0.0
+    pivmin = _SAFMIN * max(1.0, float(e2.max(initial=0.0)))
+    count = 0
+    pivot = 1.0
+    for d_j, e2_j in zip(diag.tolist(), [0.0, *e2.tolist()]):
+        pivot = d_j - e2_j / pivot - cut
+        if abs(pivot) < pivmin:
+            pivot = -pivmin
+        if pivot <= 0:
+            count += 1
+    return count
+
+
+def _tridiagonal_values(diag: np.ndarray, off: np.ndarray, cut: float, count: int) -> np.ndarray:
+    """The ``count`` eigenvalues of T up to ``cut``.
+
+    The whole spectrum comes from ``dsterf`` (the bits of
+    ``eigh(driver="ev")``): a value range sends LAPACK through bisection,
+    which moves the last bits of a full spectrum.  A part of it comes from
+    bisection over (-inf, cut] in ``dstebz`` (the bits of
+    ``eigh(driver="evx", subset_by_value=...)``).
+    """
+    if count == len(diag):
+        if count == 1:  # SciPy's dsterf wrapper refuses an empty off-diagonal
+            return diag.copy()
+        w, info = lapack.dsterf(diag, off)
+        _lapack_info(info, "dsterf")
+        return w
+    # range 1 selects by value, tolerance 0 takes LAPACK's default, order "E"
+    # sorts the values of all split blocks together
+    m, w, _, _, info = lapack.dstebz(diag, off, 1, -np.inf, cut, 0, 0, 0.0, "E")
+    _lapack_info(info, "dstebz")
+    return w[:m]
+
+
+def _count_below(S, cut: float) -> int:
+    """Number of eigenvalues of the sparse symmetric matrix S up to ``cut``.
+
+    Matrices of at most EIGSH_THRESHOLD rows are reduced to tridiagonal form
+    and counted by Sturm sequence (``_sturm_count``).  Larger ones are
+    counted by Sylvester's law of inertia from the negative pivots of an
+    LDL^T factorization of S - cut*I: SuperLU in symmetric mode with
     diagonal pivoting only gives one (U = D L^T, the same permutation on
     rows and columns).  Without off-diagonal pivoting the factorization of
     an indefinite matrix is not backward stable: a pivot near zero can flip
     the signs of later ones.  So the pivots are trusted only when the
     permutation stayed symmetric and the smallest |pivot| is at least
-    n*eps*||S - cut*I||_inf.  Otherwise matrices of at most EIGSH_THRESHOLD
-    rows are recounted from the dense Bunch-Kaufman factorization
-    (``scipy.linalg.ldl``), whose 1x1 and 2x2 diagonal blocks carry the
-    inertia stably, and larger ones are refused.
+    n*eps*||S - cut*I||_inf; otherwise the count is refused.
     """
     n = S.shape[0]
-    if n == 0:
-        return 0
+    if n <= EIGSH_THRESHOLD:
+        return _sturm_count(*_reduce(S.toarray(order="F")), cut)
     shifted = (S - cut * sp.identity(n, format="csr")).tocsc()
     try:
         lu = spla.splu(
@@ -183,44 +274,39 @@ def _count_below(S, cut: float) -> int:
         pivots = lu.U.diagonal()
         if np.abs(pivots).min() >= n * np.finfo(float).eps * spla.norm(shifted, np.inf):
             return int(np.count_nonzero(pivots < 0))
-    if n > EIGSH_THRESHOLD:
-        raise NoConvergence(0, f"inertia count at {cut!r}: the sparse factorization is not "
-                               f"trusted and {n} rows are too many for a dense recount")
-    _, D, _ = scipy.linalg.ldl(shifted.toarray())
-    return int(np.count_nonzero(np.linalg.eigvalsh(D) < 0))
+    raise NoConvergence(0, f"inertia count at {cut!r}: the sparse factorization of "
+                           f"{n} rows is not trusted")
 
 
 def solve_below(d: DiscreteOperator, lam_max: float, seed: int = DEFAULT_SEED) -> EigenPairs:
     """All eigenvalues <= lam_max, proven complete.
 
-    The exact count N(lam_max) comes first, from the inertia of S - cut*I.
-    When it is 0 the empty result is returned without an eigensolver call;
+    The exact count N(lam_max) comes first.  A pencil of at most
+    EIGSH_THRESHOLD unknowns is reduced to tridiagonal form once; the Sturm
+    count and the values both come from that reduction.  A larger one is
+    counted from the guarded sparse LDL^T of ``_count_below``.  When the
+    count is 0 the empty result is returned without an eigensolver call;
     when it is n (lam_max bounds the spectrum) LAPACK returns the whole
-    spectrum; otherwise pencils of at most EIGSH_THRESHOLD unknowns take
-    LAPACK's subset solver and larger ones take ARPACK in shift-invert mode
-    about a negative shift, started from a seeded vector and with k grown
-    until exactly the counted number of values lie below the cut (pencils
-    too small for that margin also go to LAPACK).  A result whose length
-    differs from the count (for instance one copy short of a repeated
-    eigenvalue) raises NoConvergence instead of being returned.
+    spectrum; otherwise small pencils take LAPACK's bisection below the cut
+    and larger ones take ARPACK in shift-invert mode about a negative
+    shift, started from a seeded vector and with k grown until exactly the
+    counted number of values lie below the cut (pencils too small for that
+    margin are reduced too).  A result whose length differs from the count
+    (for instance one copy short of a repeated eigenvalue) raises
+    NoConvergence instead of being returned.
     """
     n = d.n
-    S = _standard_form(d)
     cut = lam_max * (1 + 1e-12)
-    count = _count_below(S, cut)
+    if n <= EIGSH_THRESHOLD:
+        tri = _tridiagonal(d)
+        count = _sturm_count(*tri, cut)
+    else:
+        S = _standard_form(d)
+        count = _count_below(S, cut)
+        tri = _tridiagonal(d) if 0 < count and count + EIGSH_MARGIN >= n else None
     if count == 0:
         return EigenPairs(values=np.zeros(0), inertia_count=0)
-    # the dense branches hand LAPACK a Fortran-ordered array that it may
-    # overwrite (a C-ordered one it would copy first)
-    if count == n:
-        # no value range: a range sends LAPACK through bisection, which
-        # moves the last bits of a full spectrum
-        w = scipy.linalg.eigh(S.toarray(order="F"), overwrite_a=True, eigvals_only=True)
-    elif n <= EIGSH_THRESHOLD or count + EIGSH_MARGIN >= n:
-        w = scipy.linalg.eigh(S.toarray(order="F"), overwrite_a=True, eigvals_only=True,
-                              subset_by_value=(-np.inf, cut))
-    else:
-        w = _eigsh_below(S, cut, count, seed)
+    w = _eigsh_below(S, cut, count, seed) if tri is None else _tridiagonal_values(*tri, cut, count)
     if len(w) != count:
         raise NoConvergence(0, f"{len(w)} eigenvalues <= {lam_max!r} found, inertia counts {count}")
     return EigenPairs(values=w, inertia_count=count)
@@ -330,33 +416,39 @@ class NestingReport:
 def verify_nesting(lower: SpectrumList, upper: SpectrumList, tol: float = 1e-9) -> NestingReport:
     """Check sigma(lower) subset-of sigma(upper) with multiplicity growth.
 
-    Both lists must be numeric at the same pitch (the discrete nesting is
-    exact only for aligned meshes).
+    Each lower value is matched to the nearest upper value, the first one
+    among equally near ones, when it lies within ``tol`` (relative, floored
+    at 1).  Both lists must be numeric at the same pitch (the discrete
+    nesting is exact only for aligned meshes).
     """
     if lower.pitch is not None and upper.pitch is not None:
         if abs(lower.pitch - upper.pitch) > 1e-12 * max(lower.pitch, upper.pitch):
             raise MisalignedMeshes(f"pitches {lower.pitch} vs {upper.pitch}")
-    unmatched, surplus = [], []
-    mult_ok = True
-    max_dev = 0.0
-    used = [False] * len(upper.entries)
-    for le in lower.entries:
-        best, best_dev = None, None
-        for j, ue in enumerate(upper.entries):
-            dev = abs(ue.value - le.value)
-            if dev <= tol * max(1.0, abs(le.value)) and (best_dev is None or dev < best_dev):
-                best, best_dev = j, dev
-        if best is None:
-            unmatched.append(le.value)
-        else:
-            used[best] = True
-            max_dev = max(max_dev, best_dev / max(1.0, abs(le.value)))
-            if upper.entries[best].multiplicity < le.multiplicity:
-                mult_ok = False
-    for j, ue in enumerate(upper.entries):
-        if not used[j]:
-            surplus.append(ue.value)
-    return NestingReport(unmatched, surplus, mult_ok, max_dev)
+    low, up = lower.values(), upper.values()
+    if not len(up):
+        return NestingReport(low.tolist(), [], True, 0.0)
+    # upper values increase strictly, so the nearest is a neighbour of the
+    # insertion point; |u - x| is monotone in u, so equally near values
+    # further left can only tie the left neighbour
+    right = np.minimum(np.searchsorted(up, low), len(up) - 1)
+    left = np.maximum(right - 1, 0)
+    best = np.where(np.abs(up[right] - low) < np.abs(up[left] - low), right, left)
+    dev = np.abs(up[best] - low)
+    for i in np.flatnonzero((best > 0) & (np.abs(up[best - 1] - low) == dev)).tolist():
+        while best[i] > 0 and abs(up[best[i] - 1] - low[i]) == dev[i]:
+            best[i] -= 1
+    scale = np.maximum(1.0, np.abs(low))
+    hit = dev <= tol * scale
+    used = np.zeros(len(up), dtype=bool)
+    used[best[hit]] = True
+    mults = np.array([e.multiplicity for e in upper.entries])
+    need = np.array([e.multiplicity for e in lower.entries], dtype=int)
+    return NestingReport(
+        unmatched_lower=low[~hit].tolist(),
+        surplus=up[~used].tolist(),
+        multiplicity_ok=bool(np.all(mults[best[hit]] >= need[hit])),
+        max_deviation=float(np.max(dev[hit] / scale[hit], initial=0.0)),
+    )
 
 
 @dataclass

@@ -207,6 +207,12 @@ class TestString:
         pytest.param("laakso", "depth", 1.0, id="laakso-depth-1.0"),
         pytest.param("choux", "fiber_depth", 1.9, id="choux-fiber_depth-1.9"),
         pytest.param("choux", "gasket_level", "2", id="choux-gasket_level-2"),
+        pytest.param("laakso", "j", 2, id="laakso-j-2"),
+        pytest.param("string", "mults", 3, id="string-mults-3"),
+        pytest.param("string", "lengths", 0.5, id="string-lengths-0.5"),
+        pytest.param("string", "lambda_max", True, id="string-lambda_max-true"),
+        pytest.param("string", "lambda_max", "700", id="string-lambda_max-700"),
+        pytest.param("laakso", "lambda_max", True, id="laakso-lambda_max-true"),
     ])
     def test_zeta_terms_that_are_not_a_positive_integer_are_rejected(self, tmp_path, command,
                                                                      field, value):
@@ -215,7 +221,9 @@ class TestString:
         acted as 100 and 0 wrote a table of zeros; int() ran mults 1.7 as 1,
         refine 8.9 as 8, j [2.5] as [2] and fiber_depth 1.9 as 1; a string
         depth of -1 dropped the last length and one past the lengths was
-        ignored."""
+        ignored.  List fields take only a JSON list (a number ended in a
+        TypeError) and lambda_max only a JSON number (float() ran true as 1
+        and the string "700" as 700)."""
         doc = {"string": {"lengths": [0.5, 0.25], "mults": [1, 1], "zeta_terms": 100},
                "laakso": {"j": [2], "refine": 8},
                "choux": {"fiber_depth": 1, "gasket_level": 2}}[command]

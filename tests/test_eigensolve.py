@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -6,8 +7,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
-from fractal_spectra import eigensolve
+from fractal_spectra import cli, eigensolve
 from fractal_spectra.eigensolve import (
     FDModel,
     SpectrumEntry,
@@ -119,12 +121,46 @@ class TestDense:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_full_spectrum_is_lapacks_full_solve(self, m):
         """A cut above the spectrum returns all n values bit for bit as
-        LAPACK's full solver gives them (a value range would take bisection)."""
+        LAPACK's full values-only solver (dsytrd, then dsterf) gives them; a
+        value range would take bisection."""
         d = choux_levels(ChouxSpec(fiber_depth=0, gasket_level=m, boundary="dirichlet"))[0][0]
-        w = scipy.linalg.eigh(_standard_form(d).toarray(), eigvals_only=True)
+        w = scipy.linalg.eigh(_standard_form(d).toarray(), eigvals_only=True, driver="ev")
         pairs = solve_below(d, SPECTRAL_BOUND)
         assert pairs.inertia_count == len(pairs.values) == d.n
         assert np.array_equal(pairs.values, w)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("lam_max", [0.3, 0.7, 1.2])
+    def test_partial_spectrum_is_lapacks_subset_solve(self, m, lam_max):
+        """A cut inside the spectrum returns the values below it bit for bit
+        as LAPACK's values-only subset solver (dsytrd, then dstebz) gives
+        them on the same value range."""
+        d = choux_levels(ChouxSpec(fiber_depth=0, gasket_level=m, boundary="dirichlet"))[0][0]
+        cut = lam_max * (1 + 1e-12)
+        w = scipy.linalg.eigh(_standard_form(d).toarray(), eigvals_only=True, driver="evx",
+                              subset_by_value=(-np.inf, cut))
+        pairs = solve_below(d, lam_max)
+        assert 0 < pairs.inertia_count == len(pairs.values) == len(w) < d.n
+        assert np.array_equal(pairs.values, w)
+
+    @pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstebz"])
+    def test_lapack_failure_is_no_convergence(self, monkeypatch, tmp_path, routine):
+        """A nonzero LAPACK info is a solver failure, and the CLI exits 3."""
+        def fail(*args, _solver=getattr(lapack, routine), **kwargs):
+            *out, _ = _solver(*args, **kwargs)
+            return (*out, 1)
+
+        monkeypatch.setattr(lapack, routine, fail)
+        d = interval_pencil(1 / 16, NEUMANN)
+        lam_max = 30.0 if routine == "dstebz" else 2000.0  # a part, or the whole spectrum
+        with pytest.raises(NoConvergence, match=f"LAPACK {routine} returned info 1"):
+            solve_below(d, lam_max)
+        # choux solves whole spectra, laakso parts of its vertex spectra
+        command, doc = (("laakso", {"j": [2, 2, 2], "refine": 32, "lambda_max": 200.0})
+                        if routine == "dstebz" else ("choux", {"fiber_depth": 1, "gasket_level": 2}))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert cli.main([command, "--spec", str(spec), "--out", str(tmp_path / "o")]) == cli.EXIT_SOLVER
 
 
 class TestLanczos:
@@ -180,8 +216,8 @@ class TestLanczos:
         def refuse(*args, **kwargs):
             raise AssertionError("eigensolver called with nothing below the cut")
 
-        monkeypatch.setattr(eigensolve.scipy.linalg, "eigh", refuse)
-        monkeypatch.setattr(eigensolve.spla, "eigsh", refuse)
+        for module, name in ((lapack, "dsterf"), (lapack, "dstebz"), (spla, "eigsh")):
+            monkeypatch.setattr(module, name, refuse)
         d = interval_pencil(1 / 64, DIRICHLET)  # lowest value just below pi^2
         pairs = solve_below(d, 9.0)
         assert pairs.values.shape == (0,) and pairs.inertia_count == 0
@@ -222,7 +258,7 @@ class TestLanczos:
 
     @pytest.mark.parametrize(
         "module, name, threshold",
-        [(spla, "eigsh", 0), (scipy.linalg, "eigh", 10**6)],
+        [(spla, "eigsh", 0), (lapack, "dstebz", 10**6)],
         ids=["eigsh", "dense"],
     )
     def test_missing_copy_is_refused(self, monkeypatch, eigsh_threshold, module, name, threshold):
@@ -230,27 +266,43 @@ class TestLanczos:
         d, _ = random_pencil(200, 42, mult=4)
         solver = getattr(module, name)
 
-        def drop_a_copy(*args, **kwargs):
-            w = solver(*args, **kwargs)
+        def drop_a_copy(w):
             return np.delete(w, int(np.argmin(np.abs(w - 2.0))))
 
-        monkeypatch.setattr(module, name, drop_a_copy)
+        def drop_from_eigsh(*args, **kwargs):
+            return drop_a_copy(solver(*args, **kwargs))
+
+        def drop_from_stebz(*args, **kwargs):
+            m, w, *rest = solver(*args, **kwargs)
+            return (m - 1, drop_a_copy(w[:m]), *rest)
+
+        monkeypatch.setattr(module, name, drop_from_eigsh if name == "eigsh" else drop_from_stebz)
         eigsh_threshold(threshold)
         with pytest.raises(NoConvergence):
             solve_below(d, 4.5)
 
     def test_pipeline_asks_for_no_eigenvector(self, monkeypatch, eigsh_threshold):
         """solve_below forms no eigenvector, whoever calls it: from the level
-        pipeline, the gasket spectrum or directly, every LAPACK call passes
-        eigvals_only=True and every ARPACK call return_eigenvectors=False,
-        on the whole, subset and ARPACK routes."""
+        pipeline, the gasket spectrum or directly, the whole and subset
+        routes call only LAPACK's tridiagonal reduction (dsytrd), its
+        values-only QR (dsterf) and its bisection (dstebz), and every ARPACK
+        call passes return_eigenvectors=False."""
         calls = []
-        for module, name in ((eigensolve.scipy.linalg, "eigh"), (eigensolve.spla, "eigsh")):
-            def spy(*args, _solver=getattr(module, name), _name=name, **kwargs):
-                calls.append((_name, kwargs))
-                return _solver(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, spy)
+        class SpyLapack:
+            def __getattr__(self, name):
+                def spy(*args, **kwargs):
+                    calls.append((name, kwargs))
+                    return getattr(lapack, name)(*args, **kwargs)
+
+                return spy
+
+        def spy_eigsh(*args, _solver=spla.eigsh, **kwargs):
+            calls.append(("eigsh", kwargs))
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(eigensolve, "lapack", SpyLapack())
+        monkeypatch.setattr(spla, "eigsh", spy_eigsh)
         laakso_spec = LaaksoSpec(j=[2, 2], refine=8)
         string_spec = StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 2], refine=16)
         laakso_numeric_spectra(laakso_spec, 200.0)
@@ -266,12 +318,9 @@ class TestLanczos:
         stitched_numeric_spectra(
             StringSpec([Fraction(1, 2), Fraction(1, 4), Fraction(1, 16)], [1, 2, 1], refine=16), 200.0)
         solve_below(d, 5.5)
-        assert {name for name, _ in calls} == {"eigh", "eigsh"}
-        assert {"subset_by_value" in kwargs for name, kwargs in calls if name == "eigh"} == {True, False}
+        assert {name for name, _ in calls} == {"dsytrd_lwork", "dsytrd", "dsterf", "dstebz", "eigsh"}
         for name, kwargs in calls:
-            if name == "eigh":
-                assert kwargs.get("eigvals_only") is True, kwargs
-            else:
+            if name == "eigsh":
                 assert kwargs.get("return_eigenvectors") is False, kwargs
 
 
@@ -284,9 +333,11 @@ def choux_24_level(boundary, level):
 class TestInertiaGuard:
     """Gasket pencils sit at cuts where SuperLU's diagonal-pivot LDL^T goes
     wrong: its permutation leaves the diagonal, or a pivot falls near zero
-    and flips the signs after it.  Such counts are redone densely."""
+    and flips the signs after it.  The Sturm count on the tridiagonal
+    reduction counts them right; the sparse count, taken above
+    EIGSH_THRESHOLD, refuses them."""
 
-    def test_tiny_pivot_count_is_redone(self):
+    def test_tiny_pivot_count_is_redone(self, eigsh_threshold):
         """At the double just below 1/2 the sparse pivots of choux 2/4 level
         1 count 56, with the smallest |pivot| about 1.7e-16; the spectrum
         has 54 values there and none within 0.15 of the cut."""
@@ -294,6 +345,9 @@ class TestInertiaGuard:
         cut = 0.49999999999999994
         assert np.abs(dense - cut).min() > 0.15
         assert _count_below(S, cut) == np.count_nonzero(dense < cut) == 54
+        eigsh_threshold(0)
+        with pytest.raises(NoConvergence, match="not trusted"):
+            _count_below(S, cut)
 
     @pytest.mark.parametrize("boundary, level, cut",
                              [(None, 0, 0.5), ("dirichlet", 1, 0.25), (None, 2, 0.5)])
@@ -308,6 +362,20 @@ class TestInertiaGuard:
         S, dense = choux_24_level(boundary, level)
         cuts = [c for c in np.arange(0.05, 2.0, 0.05) if np.abs(dense - c).min() > 1e-6]
         assert [_count_below(S, c) for c in cuts] == [np.count_nonzero(dense < c) for c in cuts]
+
+    @pytest.mark.parametrize("boundary", [None, "dirichlet"])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_sparse_count_is_exact_or_refused(self, boundary, level, eigsh_threshold):
+        S, dense = choux_24_level(boundary, level)
+        cuts = [c for c in np.arange(0.05, 2.0, 0.05) if np.abs(dense - c).min() > 1e-6]
+        eigsh_threshold(0)
+        refused = 0
+        for c in cuts:
+            try:
+                assert _count_below(S, c) == np.count_nonzero(dense < c), c
+            except NoConvergence:
+                refused += 1
+        assert refused < len(cuts)
 
     def test_untrusted_count_too_large_to_redo_is_refused(self, eigsh_threshold):
         S, _ = choux_24_level(None, 0)  # 123 rows

@@ -19,8 +19,12 @@ spectrum must give the bits of the rational one in
 ``tests/strings_reference.py``; the per-string zeta sums must equal the
 sums over that rational spectrum and, with the integral bounds on their
 tails, bracket the closed-form limit pi^{-2s} zeta(2s) sum_i m_i l_i^{2s};
-the inertia count must equal the dense count at every cut clear of an
-eigenvalue; and spectrum lists must survive their CSV and JSON round trips.
+the Sturm count must equal the dense count at every cut clear of an
+eigenvalue, and the sparse count must equal it or refuse the cut;
+``solve_below`` must agree with LAPACK's generalized driver on both sides
+of its size threshold; ``verify_nesting`` must give the reports of the loop
+in ``tests/nesting_reference.py``; and spectrum lists must survive their
+CSV and JSON round trips.
 The example counts and the deadline keep the file to a few seconds;
 ``derandomize`` makes every run draw the same examples.
 """
@@ -41,6 +45,7 @@ from hypothesis import strategies as st
 
 import family_reference
 import mesh_reference
+import nesting_reference
 import strings_reference
 from fractal_spectra import cli, eigensolve, fiber, gasket, laakso, strings
 from fractal_spectra.eigensolve import (
@@ -49,8 +54,9 @@ from fractal_spectra.eigensolve import (
     _count_below,
     gap_runs,
     solve_below,
+    verify_nesting,
 )
-from fractal_spectra.errors import DisconnectedGraph
+from fractal_spectra.errors import DisconnectedGraph, NoConvergence
 from fractal_spectra.metric_graph import (
     DIRICHLET,
     DiscreteOperator,
@@ -475,6 +481,28 @@ def test_inertia_count_matches_dense_count_at_every_cut_clear_of_the_spectrum(S)
         assert _count_below(A, cut) == np.count_nonzero(w < cut), cut
 
 
+@SETTINGS
+@given(S=symmetric_matrices())
+def test_sparse_inertia_count_is_the_dense_count_or_refused(S):
+    """The same cuts with EIGSH_THRESHOLD 0, where the count comes from the
+    guarded sparse LDL^T: it may refuse a cut (NoConvergence) but never
+    returns a wrong count."""
+    w = np.linalg.eigvalsh(S)
+    scale = max(1.0, np.abs(w).max())
+    distinct = np.unique(w)
+    cuts = np.concatenate([(distinct[:-1] + distinct[1:]) / 2,
+                           w - 1e-9 * scale, w + 1e-9 * scale])
+    cuts = [c for c in cuts if np.abs(w - c).min() > 1e-10 * scale]
+    A = sp.csr_matrix(S)
+    with mock.patch.object(eigensolve, "EIGSH_THRESHOLD", 0):
+        for cut in cuts:
+            try:
+                count = _count_below(A, cut)
+            except NoConvergence:
+                continue
+            assert count == np.count_nonzero(w < cut), cut
+
+
 @st.composite
 def repeated_pencils(draw):
     """A pencil of 1-4 identical copies of a random weighted path Laplacian
@@ -508,6 +536,58 @@ def test_values_only_solve_matches_the_eigenpair_solve(case, arpack):
     values, _ = eigenpairs_below(op, cut)
     assert got.inertia_count == len(got.values) == len(values)
     assert np.all(np.abs(got.values - values) <= 1e-13 * np.maximum(1.0, np.abs(values)))
+
+
+@SETTINGS
+@given(case=repeated_pencils(), above=st.booleans())
+def test_solve_agrees_with_the_generalized_solver_on_both_sides_of_the_threshold(case, above):
+    """With EIGSH_THRESHOLD at n the pencil is counted and solved on its
+    tridiagonal reduction; at n - 1 it is counted by the sparse LDL^T and
+    solved by ARPACK, or on the reduction when the count leaves ARPACK no
+    margin.  Either way the values agree with LAPACK's generalized driver to
+    1e-13 relative (floored at 1), unless the sparse count is refused."""
+    op, cut = case
+    with mock.patch.object(eigensolve, "EIGSH_THRESHOLD", op.n - 1 if above else op.n):
+        try:
+            got = solve_below(op, cut)
+        except NoConvergence:
+            assert above
+            return
+    values, _ = eigenpairs_below(op, cut)
+    assert got.inertia_count == len(got.values) == len(values)
+    assert np.all(np.abs(got.values - values) <= 1e-13 * np.maximum(1.0, np.abs(values)))
+
+
+@st.composite
+def nesting_cases(draw):
+    """Two spectrum lists and a tolerance for verify_nesting: lower values
+    on, next to and halfway between upper ones (so that two upper values
+    are equally near), or anywhere, with magnitudes from 1e-17 to 1e300 so
+    that differences round and tie."""
+    value = st.one_of(st.floats(-1e6, 1e6), st.integers(-20, 20).map(float),
+                      st.sampled_from([-1e-17, 0.0, 1e-17, 0.1, 0.3, 1e300, -1e300]))
+    up = sorted(set(draw(st.lists(value, max_size=10))))
+    near = [*up, *((a + b) / 2 for a, b in zip(up, up[1:])),
+            *(u * (1 + 1e-10) for u in up), *(u + 1e-13 for u in up)]
+    low = sorted(set(draw(st.lists(st.one_of(value, st.sampled_from(near)) if near else value,
+                                   max_size=10))))
+
+    def spectrum(values):
+        return SpectrumList([SpectrumEntry(v, draw(st.integers(1, 3))) for v in values],
+                            "numeric(test)", math.inf, pitch=0.1)
+
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 0.5, 2.0, 1e3]))
+    return spectrum(low), spectrum(up), tol
+
+
+@settings(SETTINGS, max_examples=200)
+@given(case=nesting_cases())
+def test_nesting_report_is_the_loop_reference_report(case):
+    """The searchsorted nearest-neighbour match gives the report of the
+    loop over every pair in tests/nesting_reference.py, float for float."""
+    lower, upper, tol = case
+    got = json.dumps(verify_nesting(lower, upper, tol).to_dict())
+    assert got == json.dumps(nesting_reference.verify_nesting(lower, upper, tol).to_dict())
 
 
 @st.composite
