@@ -21,8 +21,7 @@ from fractal_spectra.laakso import (
 spec = LaaksoSpec(j=[2, 2], refine=32)
 print(f"Laakso space with fiber sequence j = {spec.j}, pitch = {spec.pitch}")
 
-family = build_laakso(spec)
-for i, g in enumerate(family.graphs):
+for i, g in enumerate(build_laakso(spec)):
     print(f"  level {i}: {g.n_vertices} vertices, {len(g.ends)} edges, "
           f"measure {g.total_measure():.6f}")
 

@@ -13,14 +13,7 @@ from .eigensolve import (
     solve_below,
     verify_nesting,
 )
-from .fiber import (
-    FiberStructure,
-    LevelFamily,
-    LevelLink,
-    contrast_basis,
-    graph_levels,
-    new_blocks,
-)
+from .fiber import LevelFamily
 from .gasket import (
     ChouxSpec,
     GasketGraph,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -83,9 +82,6 @@ class SpectrumList:
     def values(self) -> np.ndarray:
         return np.array([e.value for e in self.entries])
 
-    def total_multiplicity(self) -> int:
-        return sum(e.multiplicity for e in self.entries)
-
     # -- serialization -------------------------------------------------------
 
     def to_csv(self) -> str:
@@ -114,35 +110,6 @@ class SpectrumList:
         if truncation is None:
             truncation = entries[-1].value if entries else -np.inf
         return cls(entries=entries, origin=origin, truncation=truncation, pitch=pitch)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "origin": self.origin,
-                "truncation": self.truncation,
-                "pitch": self.pitch,
-                "meta": self.meta,
-                "entries": [
-                    {"value": repr(e.value), "multiplicity": e.multiplicity, "tag": e.tag}
-                    for e in self.entries
-                ],
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpectrumList":
-        doc = json.loads(text)
-        return cls(
-            entries=[
-                SpectrumEntry(float(d["value"]), d["multiplicity"], d["tag"])
-                for d in doc["entries"]
-            ],
-            origin=doc["origin"],
-            truncation=doc["truncation"],
-            pitch=doc["pitch"],
-            meta=doc.get("meta", {}),
-        )
 
 
 # -- solvers ----------------------------------------------------------------

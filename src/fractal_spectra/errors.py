@@ -33,14 +33,6 @@ class NoCommonPitch(FractalSpectraError):
     """No common rational pitch exists at the requested resolution."""
 
 
-class DimensionMismatch(FractalSpectraError):
-    """Vector length does not match the operator or mesh size."""
-
-
-class IncompatibleMesh(FractalSpectraError):
-    """Vector or mesh does not match the fiber structure."""
-
-
 class MisalignedMeshes(FractalSpectraError):
     """Spectra were computed at different pitches and cannot be nested."""
 
@@ -55,8 +47,3 @@ class NoConvergence(FractalSpectraError):
     def __init__(self, iterations: int, message: str = ""):
         self.iterations = iterations
         super().__init__(message or f"no convergence after {iterations} iterations")
-
-
-class BeyondTruncation(FractalSpectraError):
-    """Query point lies beyond the truncation of a spectrum list."""
-

@@ -1,95 +1,107 @@
-"""Fiber correspondences between consecutive approximation levels.
+"""Level spectra of projective-limit spaces from Dirichlet pieces of their
+base graph.
 
-Every builder outputs a LevelFamily: the graphs of levels 0..n on a common
-grid, plus LevelLinks recording which level-i vertex/edge covers which
-level-(i-1) vertex/edge.  The Laakso space and the pâte à choux are both a
-base graph times binary fibers, glued at base vertices by birth level, and
-share one array builder (``_binary_fiber_family``); the stitched strings,
-whose fibers are not binary and whose coordinates are free only on one
-sheet, copy each level from the one below (``strings.build_stitched``).
-From a link and two levels' vertex pencils we derive a
-FiberStructure, the node that each level-i node covers at level i-1, and
-from it the contrast basis of the fiber-mean-zero vectors.
+A level-n approximation is a base graph times fibers, and the fiber
+projector P of level l splits the level-l space into range(P), which
+carries the spectrum of level l - 1, and ker(P), whose eigenfunctions
+have mean zero over each fiber of coordinate l (on binary fibers: are odd
+in it) and vanish where that coordinate is collapsed (arXiv 1204.5207;
+Barlow & Evans, "Markov processes on vermiculated spaces", 2004).  So every eigenvalue new at level l is an eigenvalue of a
+piece of the level-0 graph with extra Dirichlet vertices, and no level
+above 0 is built to find it.  Every family hands the pipeline a
+LevelFamily, which lists those pieces:
 
-``level_spectra`` is the pipeline every family uses.  The fiber projector P
-splits the level-i space into range(P), which carries the level-(i-1)
-spectrum unchanged, and ker(P), which carries the eigenvalues new at level
-i; so it solves level 0 once and then only the ker(P) block of each level
-(``new_blocks``), and each eigenvalue's origin is known from where it was
-solved.  The Laakso and string levels, whose edges have one length, run it
-on their vertex pencils and map the values to the mesh by the Chebyshev
-rule (``equilateral_spectra``).  No eigenvector is formed.  The tests
-check both against the mesh pencils of ``tests/mesh_reference.py`` and an
-independent route (``tests/level_reference.py``): solve the whole level
-pencil with LAPACK's generalized driver and classify every eigenvector by
-the projectors of the levels below.
+- a base graph times the binary fibers {0,1}^l, with coordinate b collapsed
+  at the vertices born at level b (the Laakso space and the pâte à choux;
+  ``binary_family``): the values new at level l are those of the base
+  graph with Dirichlet marks at the vertices born at a level in S, for
+  every S in {1..l} with max S = l;
+- the stitched strings (``strings.stitched_family``): m_1 - 1 copies of the
+  base path at level 1, and m_k Dirichlet paths of l_k / g cells at
+  level k.
+
+Every family goes through one pipeline: solve each distinct connected
+component of the pieces once and tag each value with the level it is new
+at (``_level_values``), then cluster (``level_spectra``, which the pâte à
+choux uses).  The Laakso and string levels, whose edges have one length,
+map their vertex values to the mesh by the Chebyshev rule first, adding
+edge modes counted from |E_l| and |V_l| (``equilateral_spectra``).  No
+eigenvector is formed.
+
+The trade-off: the pipeline assumes the decomposition instead of checking
+it on every run.  The tests hold it to the whole level pencils, whose
+eigenvectors they classify by the fiber projectors of the levels below
+(``tests/level_reference.py``), and to the mesh pencils of
+``tests/mesh_reference.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .eigensolve import DEFAULT_SEED, SpectrumList, cluster, solve_below
-from .errors import IncompatibleMesh
 from .metric_graph import (
     DIRICHLET,
     SPECTRAL_BOUND,
     DiscreteOperator,
     EquilateralMesh,
     MetricGraph,
+    _laplacian,
+    _node_numbers,
     graph_operator,
     walk_kernels,
 )
 
-#: relative tolerance of the two checks that make the split of a level
-#: pencil by the fiber projector exact (see ``new_blocks``)
-SPLIT_RTOL = 1e-12
-
-
-@dataclass
-class LevelLink:
-    """Graph-level covering data from level ``level`` down to ``level - 1``:
-    the level-(i-1) vertex and edge that each level-i vertex and edge covers."""
-
-    level: int
-    vertex_parent: np.ndarray
-    edge_parent: np.ndarray
-
 
 @dataclass
 class LevelFamily:
-    """Graphs of levels 0..n plus the links between consecutive levels."""
+    """Levels 0..n of a space, given by its level-0 graph ``base``, whose
+    marked vertices are Dirichlet vertices, and for each level l >= 1 the
+    pieces that carry its new eigenvalues and its edge count |E_l|.
 
-    graphs: list[MetricGraph]
-    links: list[LevelLink]
-
-
-def _binary_fiber_family(base_ends, birth, depth: int, length: float, dirichlet,
-                         total_mass: float | None = None) -> LevelFamily:
-    """Levels 0..depth of a base graph times the binary fibers {0,1}^l, with
-    fiber coordinate b collapsed at the base vertices born at level b.
-
-    ``base_ends`` are the base graph's edges as (u, v) rows, ``birth[v]`` is
-    the level at which base vertex v is born (0 for a vertex that is never
-    collapsed), and ``dirichlet`` marks base vertices whose copies are
-    Dirichlet vertices.  At level l a vertex is the code ``v * 2^l + word``,
-    the word's first coordinate being its most significant bit, with bit
-    l - b cleared when 1 <= b = birth[v] <= l; so integer order is the order
-    of (base vertex, word) pairs.  Edges run word by word and, within a
-    word, base edge by base edge; each has ``length`` and the fiber measure
-    2^-l.  A vertex covers the vertex one level down that drops its last
-    coordinate, ``code >> 1`` (its word is canonical already), and an edge
-    covers its base edge under the shortened word.
+    ``pieces[l - 1]`` lists (marks, copies): level l gains the spectrum of
+    ``base`` with the extra Dirichlet vertices ``marks``, ``copies`` times.
     """
-    base_ends = np.asarray(base_ends, dtype=np.int64).reshape(-1, 2)
+
+    base: MetricGraph
+    pieces: list[list[tuple[np.ndarray, int]]] = field(default_factory=list)
+    n_edges: list[int] = field(default_factory=list)
+
+
+def binary_family(base: MetricGraph, birth, depth: int) -> LevelFamily:
+    """Levels 0..depth of ``base`` times the binary fibers {0,1}^l, with
+    fiber coordinate b collapsed at the base vertices born at level b
+    (``birth[v]``, 0 for a vertex that is never collapsed).
+
+    Level l has 2^l copies of every base edge, and its new values are those
+    of ``base`` with Dirichlet marks at the vertices born at a level in S,
+    for each of the 2^(l-1) sets S in {1..l} with max S = l; a set is a
+    bit mask, bit b - 1 standing for level b.
+    """
     birth = np.asarray(birth, dtype=np.int64)
-    dirichlet = np.asarray(dirichlet, dtype=bool)
-    n_edges = len(base_ends)
-    graphs, links = [], []
+    bit = np.where(birth >= 1, np.left_shift(1, np.maximum(birth - 1, 0)), 0)
+    pieces = [[((bit & (s | 1 << (level - 1))) != 0, 1) for s in range(1 << (level - 1))]
+              for level in range(1, depth + 1)]
+    return LevelFamily(base, pieces, [len(base.ends) << level for level in range(1, depth + 1)])
+
+
+def binary_graphs(base: MetricGraph, birth, depth: int,
+                  total_mass: float | None = None) -> list[MetricGraph]:
+    """The graphs of ``binary_family(base, birth, depth)``.
+
+    At level l a vertex is the code ``v * 2^l + word``, the word's first
+    coordinate being its most significant bit, with bit l - b cleared when
+    1 <= b = birth[v] <= l; so integer order is the order of (base vertex,
+    word) pairs.  Edges run word by word and, within a word, base edge by
+    base edge; each has its base length and its base weight times the
+    fiber measure 2^-l.
+    """
+    birth = np.asarray(birth, dtype=np.int64)
+    graphs = []
     for lvl in range(depth + 1):
         words = np.arange(2**lvl, dtype=np.int64)[:, None]
         # the word bit that each base vertex clears (0: none)
@@ -100,172 +112,91 @@ def _binary_fiber_family(base_ends, birth, depth: int, length: float, dirichlet,
 
         codes = np.sort(code(np.arange(len(birth))), axis=None)
         codes = codes[np.r_[True, codes[1:] != codes[:-1]]]  # np.unique, without its hash table
-        ends = np.searchsorted(codes, code(base_ends.ravel())).reshape(-1, 2)
-        graphs.append(MetricGraph(codes, ends, length, 0.5**lvl, dirichlet[codes >> lvl],
-                                  total_mass))
-        if lvl:
-            edge_parent = (words >> 1) * n_edges + np.arange(n_edges)
-            links.append(LevelLink(level=lvl,
-                                   vertex_parent=np.searchsorted(graphs[-2].labels, codes >> 1),
-                                   edge_parent=edge_parent.ravel()))
-    return LevelFamily(graphs=graphs, links=links)
+        ends = np.searchsorted(codes, code(base.ends.ravel())).reshape(-1, 2)
+        graphs.append(MetricGraph(codes, ends, np.tile(base.length, 2**lvl),
+                                  np.tile(base.weight * 0.5**lvl, 2**lvl),
+                                  base.dirichlet[codes >> lvl], total_mass))
+    return graphs
 
 
-@dataclass
-class FiberStructure:
-    """Node-level covering map from a level-i space to level i-1:
-    ``parent[j]`` is the lower-level node covered by node j.  Nodes over the
-    glued set are their own single copy."""
+def _distinct_components(A: sp.csr_matrix, M: np.ndarray, copies: np.ndarray):
+    """Yield (key, count) for each distinct connected component of the
+    pencil (A, M).  The key is the component's size n, its number of
+    entries z, its CSR data, indices and indptr and its masses, as the bytes
+    of one int64 row (the floats as their bits); ``count`` sums ``copies``,
+    given per row, over the first rows of the components equal to it.
 
-    level: int
-    n_low: int
-    n_high: int
-    parent: np.ndarray
-
-
-def contrast_basis(fs: FiberStructure) -> sp.csr_matrix:
-    """Euclidean-orthonormal basis of the fiber-mean-zero vectors: Helmert
-    contrasts on each fiber, ``n_high - n_low`` columns in all.
-
-    A fiber of copies c_0..c_{s-1} (ascending node order) gets s - 1 columns;
-    column k has 1/sqrt(k(k+1)) on c_0..c_{k-1} and -k/sqrt(k(k+1)) on c_k,
-    so two copies give (e_a - e_b)/sqrt(2).  Collapsed nodes get no column.
-    Columns run fiber by fiber in the order of the lower-level nodes.
+    Ordered component by component, each component's rows are a contiguous
+    run whose columns stay inside the run, so a component is a slice of the
+    CSR arrays; within a component the order is ascending, so every row
+    keeps the column order of A and the slices equal A[idx][:, idx] bit for
+    bit.  Components of one size and one number of entries are compared as
+    rows of one array, so no Python loop runs over the components.
     """
-    counts = np.bincount(fs.parent, minlength=fs.n_low)
-    members = np.argsort(fs.parent, kind="stable")  # fiber by fiber, ascending
-    first = np.cumsum(counts) - counts
-    first_col = np.cumsum(counts - 1) - (counts - 1)
-    rows, cols, vals = [], [], []
-    for s in np.unique(counts[counts > 1]):
-        fibers = np.flatnonzero(counts == s)
-        nodes = members[first[fibers, None] + np.arange(s)]  # (fibers, s)
-        k = np.arange(1, s)
-        helmert = np.triu(np.ones((s, s - 1))) * (1.0 / np.sqrt(k * (k + 1)))
-        helmert[k, k - 1] = -k / np.sqrt(k * (k + 1))
-        r, c = np.nonzero(helmert)
-        rows.append(nodes[:, r].ravel())
-        cols.append((first_col[fibers, None] + c).ravel())
-        vals.append(np.tile(helmert[r, c], len(fibers)))
-    shape = (fs.n_high, fs.n_high - fs.n_low)
-    if not rows:
-        return sp.csr_matrix(shape)
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
-    )
-
-
-def vertex_fiber_structure(
-    op_hi_keep: np.ndarray, op_lo_keep: np.ndarray, link: LevelLink
-) -> FiberStructure:
-    """Fiber structure on graph-Laplacian operators (vertex nodes only).
-
-    ``op_*_keep`` are the vertex indices retained by graph_operator, in
-    ascending order.
-    """
-    p = link.vertex_parent[op_hi_keep]
-    parent = np.searchsorted(op_lo_keep, p)
-    kept = parent < len(op_lo_keep)
-    kept[kept] = op_lo_keep[parent[kept]] == p[kept]
-    if not np.all(kept):
-        raise IncompatibleMesh("vertex maps onto an eliminated Dirichlet vertex")
-    return _finish(parent, len(op_lo_keep), link)
-
-
-def _finish(parent: np.ndarray, n_low: int, link: LevelLink) -> FiberStructure:
-    counts = np.bincount(parent, minlength=n_low)
-    if np.any(counts == 0):
-        raise IncompatibleMesh("some lower-level nodes are not covered")
-    return FiberStructure(level=link.level, n_low=n_low, n_high=len(parent), parent=parent)
-
-
-def graph_levels(family: LevelFamily, boundary: str | None = None):
-    """Graph-Laplacian pencils for every level plus vertex fiber structures."""
-    ops = [graph_operator(g, boundary) for g in family.graphs]
-    fibers = [
-        vertex_fiber_structure(ops[i + 1].kept_vertices, ops[i].kept_vertices, family.links[i])
-        for i in range(len(family.links))
-    ]
-    return ops, fibers
-
-
-def _components(op_hi: DiscreteOperator, op_lo: DiscreteOperator, fs: FiberStructure):
-    """Yield the connected components of the ker(P) block of ``op_hi`` as
-    ((data, indices, indptr) of the CSR block, mass diagonal); see
-    ``new_blocks``."""
-    n_hi = fs.n_high
-    if not n_hi:  # every vertex eliminated: nothing to split
+    if not len(M):
         return
-    U = sp.csr_matrix((np.ones(n_hi), (np.arange(n_hi), fs.parent)), shape=(n_hi, fs.n_low))
-    lhs = op_hi.A @ U
-    rhs = sp.diags(op_hi.M) @ U @ sp.diags(1.0 / op_lo.M) @ op_lo.A
-    scale = abs(lhs).max() if lhs.nnz else 0.0
-    if abs(lhs - rhs).max() > SPLIT_RTOL * scale:
-        raise IncompatibleMesh(f"level {fs.level}: the lift does not intertwine the level pencils")
-    counts = np.bincount(fs.parent, minlength=fs.n_low)
-    mean_mass = np.bincount(fs.parent, op_hi.M, fs.n_low) / counts
-    if np.max(np.abs(op_hi.M - mean_mass[fs.parent]) / op_hi.M) > SPLIT_RTOL:
-        raise IncompatibleMesh(f"level {fs.level}: copies in a fiber have unequal mass")
-    Q = contrast_basis(fs)
-    if not Q.shape[1]:
-        return
-    A = Q.T @ op_hi.A @ Q
-    A = (0.5 * (A + A.T)).tocsr()  # the two triangles may differ in their last bits
-    A.eliminate_zeros()
-    M = Q.multiply(Q).T @ op_hi.M
     n_comp, labels = connected_components(A, directed=False)
-    # ordered component by component, each component's rows are a contiguous
-    # run whose columns stay inside the run, so a block is a slice of the CSR
-    # arrays; within a component the order is ascending, so every row keeps
-    # the column order of A and the slices equal A[idx][:, idx] bit for bit
     order = np.argsort(labels, kind="stable")
-    A, M = A[order][:, order], M[order]
-    bounds = np.cumsum(np.bincount(labels, minlength=n_comp)).tolist()
-    for start, stop in zip([0, *bounds], bounds):
-        lo, hi = A.indptr[start], A.indptr[stop]
-        yield (A.data[lo:hi], A.indices[lo:hi] - start, A.indptr[start:stop + 1] - lo), M[start:stop]
+    A, M, copies = A[order][:, order], M[order], copies[order]
+    sizes = np.bincount(labels, minlength=n_comp)
+    stop = np.cumsum(sizes)
+    start = stop - sizes
+    lo = A.indptr[start]
+    nnz = A.indptr[stop] - lo
+    for n, z in sorted(set(zip(sizes.tolist(), nnz.tolist()))):
+        k = np.flatnonzero((sizes == n) & (nnz == z))
+        entries, nodes = lo[k, None] + np.arange(z), start[k, None] + np.arange(n + 1)
+        rows = np.concatenate([np.tile([n, z], (len(k), 1)), A.data.view(np.int64)[entries],
+                               A.indices[entries] - start[k, None], A.indptr[nodes] - lo[k, None],
+                               M.view(np.int64)[nodes[:, :-1]]], axis=1)
+        keys, inverse = np.unique(rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel(),
+                                  return_inverse=True)
+        counts = np.bincount(inverse, copies[start[k]], len(keys)).astype(np.int64)
+        yield from zip(keys.tolist(), counts.tolist())
 
 
-def _block(arrays, M: np.ndarray) -> DiscreteOperator:
-    return DiscreteOperator(A=sp.csr_matrix(arrays, shape=(len(M), len(M))), M=M)
+def _pencil(key: bytes) -> DiscreteOperator:
+    """The pencil of a ``_distinct_components`` key."""
+    row = np.frombuffer(key, dtype=np.int64)
+    n, z = row[:2]
+    data, indices, indptr, M = np.split(row[2:], [z, 2 * z, 2 * z + n + 1])
+    return DiscreteOperator(A=sp.csr_matrix((data.view(np.float64), indices, indptr), shape=(n, n)),
+                            M=M.view(np.float64))
 
 
-def new_blocks(op_hi: DiscreteOperator, op_lo: DiscreteOperator, fs: FiberStructure):
-    """The ker(P) block of the level pencil ``op_hi``, split into connected
-    components: the pencils whose eigenvalues are new at this level.
+def _level_values(family: LevelFamily, cut: float, seed: int):
+    """Eigenvalues <= ``cut`` new at each level, by ``solve_below``, whose
+    length is its inertia count, and the number of kept vertices of each
+    level: the sizes of its pieces and of those below, with their copies.
 
-    With Q = contrast_basis(fs) the block is (Q^T A Q, diag(Q^T M Q)).  The
-    split is exact when two things hold, and both are checked first:
-    the lift U intertwines the pencils, A_hi U = M_hi U M_lo^{-1} A_lo (so
-    range(U) is invariant and carries the spectrum of ``op_lo``), and all
-    copies in a fiber have equal mass (so Q^T M Q is diagonal and range(U)
-    is M-orthogonal to range(Q)).  Then S_hi is orthogonally similar to
-    S_lo plus the blocks, and their inertia counts add up.  Either check
-    failing raises IncompatibleMesh.
+    Level 0 is ``base`` itself.  A piece's pencil is the vertex pencil of
+    ``base`` (``graph_operator``) with its marks eliminated too.  The pieces
+    of a level are assembled as one disjoint union and split into connected
+    components, and only a component not seen before is solved: on
+    self-similar spaces most components repeat bit for bit, and the same
+    input to the same seeded LAPACK or ARPACK call gives the same bits.
     """
-    return [_block(*piece) for piece in _components(op_hi, op_lo, fs)]
-
-
-def _level_values(ops, fibers, cut: float, seed: int) -> list[np.ndarray]:
-    """Eigenvalues <= ``cut`` of level 0 and of the new blocks of each level
-    above it, by ``solve_below``, whose length is its inertia count.
-
-    A component is keyed on its CSR arrays and masses, and only a key not
-    seen before becomes a block and a solve: on self-similar spaces most
-    components repeat bit for bit, and the same input to the same seeded
-    LAPACK or ARPACK call gives the same bits.
-    """
-    solved: dict[tuple, np.ndarray] = {}
-    out = [solve_below(ops[0], cut, seed).values]
-    for level in range(1, len(ops)):
-        pieces = []
-        for arrays, M in _components(ops[level], ops[level - 1], fibers[level - 1]):
-            key = (*(a.tobytes() for a in arrays), M.tobytes())
+    base = family.base
+    n = base.n_vertices
+    solved: dict[bytes, np.ndarray] = {}
+    values, kept, size = [], [], 0
+    for pieces in [[(np.zeros(n, dtype=bool), 1)], *family.pieces]:
+        marks, copies = zip(*pieces)
+        drop = (base.dirichlet | np.stack(marks)).ravel()
+        pos = _node_numbers(drop)
+        ends = (n * np.arange(len(pieces))[:, None, None] + base.ends).reshape(-1, 2)
+        A, M = _laplacian(int(np.count_nonzero(~drop)), pos[ends[:, 0]], pos[ends[:, 1]],
+                          np.tile(base.weight, len(pieces)))
+        row_copies = np.asarray(copies)[np.flatnonzero(~drop) // n]
+        size += int(row_copies.sum())
+        new = []
+        for key, count in _distinct_components(A, M, row_copies):
             if key not in solved:
-                solved[key] = solve_below(_block(arrays, M), cut, seed).values
-            pieces.append(solved[key])
-        out.append(np.concatenate(pieces or [np.zeros(0)]))
-    return out
+                solved[key] = solve_below(_pencil(key), cut, seed).values
+            new.append(np.tile(solved[key], count))
+        values.append(np.concatenate(new or [np.zeros(0)]))
+        kept.append(size)
+    return values, kept
 
 
 def _cluster_levels(new: list[np.ndarray], origin: str, meta: dict,
@@ -285,55 +216,50 @@ def _cluster_levels(new: list[np.ndarray], origin: str, meta: dict,
     return out
 
 
-def level_spectra(
-    ops, fibers, lam_max: float, origin: str, meta: dict, seed: int = DEFAULT_SEED, **cluster_kw
-) -> list[SpectrumList]:
-    """Spectrum below ``lam_max`` of every level 0..n with origin tags.
-
-    Level 0 is solved whole and each level i >= 1 only through its
-    ``new_blocks``, each distinct component once (``_level_values``).  No
-    eigenvector is formed: the spectra need only the values.  Level i's
-    spectrum is the union of the level-0 values (tag "base") and the block
-    values of levels 1..i (tag "new@k"), clustered (``_cluster_levels``).
-    """
-    return _cluster_levels(_level_values(ops, fibers, lam_max, seed), origin, meta, **cluster_kw)
+def level_spectra(family: LevelFamily, lam_max: float, origin: str, meta: dict,
+                  seed: int = DEFAULT_SEED, **cluster_kw) -> list[SpectrumList]:
+    """Vertex-pencil spectrum below ``lam_max`` of every level 0..n with
+    origin tags: level i's spectrum is the union of the base values (tag
+    "base") and the piece values of levels 1..i (tag "new@k"), from
+    ``_level_values``, clustered (``_cluster_levels``)."""
+    return _cluster_levels(_level_values(family, lam_max, seed)[0], origin, meta, **cluster_kw)
 
 
 def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float, origin: str,
                         meta: dict, seed: int = DEFAULT_SEED) -> list[list[SpectrumList]]:
     """Finite-difference spectra below ``lam_max`` of every level of a family
     whose edges all have one length, cut into each of ``refines`` cells
-    (``EquilateralMesh``), from one solve of the vertex pencils
-    ``graph_levels(family, DIRICHLET)`` as in ``level_spectra``, at the
-    largest ``EquilateralMesh.vertex_cut``.
+    (``EquilateralMesh``), from one solve of the vertex pencils as in
+    ``level_spectra``, at the largest ``EquilateralMesh.vertex_cut``.
 
-    At each refinement the vertex values new at level i, less the
-    walk-kernel values 0 and 2 new there, map to their branch values, and
-    the edge modes join with the growth of their multiplicity at level i;
-    the levels are clustered as in ``level_spectra``, with ``meta`` plus the
-    refinement.  So each level's count is the mesh's inertia count at
-    lam_max.
+    At each refinement the vertex values map to their branch values, less
+    the walk-kernel values 0 and 2, and the edge modes join with the growth
+    of their multiplicity at level i.  The edge modes need |E_i|, the kept
+    |V_i| and the walk kernels of each level.  Every level has the kernels
+    of the base graph: they are 0 once a vertex is eliminated, and
+    otherwise the constants and, on a bipartite graph (whose levels all
+    map onto it), the +-1 colourings.  So the values 0 and 2, the smallest
+    and the largest, are new at level 0.  The levels are clustered as in
+    ``level_spectra``, with ``meta`` plus the refinement, so each level's
+    count is the mesh's inertia count at lam_max.
     """
-    ops, fibers = graph_levels(family, DIRICHLET)
-    meshes = [EquilateralMesh.of(family.graphs, refine) for refine in refines]
+    base = family.base
+    meshes = [EquilateralMesh.of([base], refine) for refine in refines]
     cut = max(mesh.vertex_cut(lam_max) for mesh in meshes)
-    kernels = [walk_kernels(g, op) for g, op in zip(family.graphs, ops)]
+    kernels = walk_kernels(base, graph_operator(base, DIRICHLET))
+    new, kept = _level_values(family, cut, seed)
     whole = cut == SPECTRAL_BOUND  # only a whole spectrum holds the vertex value 2
-    nu, low = [], (0, 0)
-    for values, (z, t) in zip(_level_values(ops, fibers, cut, seed), kernels):
-        # the walk-kernel values new at this level, 0 and 2, are the
-        # smallest and the largest ones
-        values = np.sort(values)
-        nu.append(values[z - low[0]:len(values) - (t - low[1]) * whole])
-        low = (z, t)
+    nu = np.sort(new[0])
+    nu = [nu[kernels[0]:len(nu) - kernels[1] * whole], *new[1:]]
+    n_edges = [len(base.ends), *family.n_edges]
     out = []
     for mesh in meshes:
-        new, low = [], 0
-        for values, g, op, kernel in zip(nu, family.graphs, ops, kernels):
-            modes, mult = mesh.edge_modes(len(g.ends), op.n, kernel, lam_max)
-            new.append(np.concatenate([mesh.branch_values(values, lam_max),
-                                       np.repeat(modes, mult - low)]))
+        levels, low = [], 0
+        for values, edges, n_kept in zip(nu, n_edges, kept):
+            modes, mult = mesh.edge_modes(edges, n_kept, kernels, lam_max)
+            levels.append(np.concatenate([mesh.branch_values(values, lam_max),
+                                          np.repeat(modes, mult - low)]))
             low = mult
-        out.append(_cluster_levels(new, origin, {**meta, "refine": mesh.refine},
+        out.append(_cluster_levels(levels, origin, {**meta, "refine": mesh.refine},
                                    truncation=lam_max, pitch=mesh.pitch))
     return out

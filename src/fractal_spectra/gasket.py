@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import InvalidSpaceSpec, ResolutionTooCoarse
 from .eigensolve import SpectrumList, cluster, solve_below
-from .fiber import LevelFamily, _binary_fiber_family, graph_levels, level_spectra
-from .metric_graph import DIRICHLET, NEUMANN, SPECTRAL_BOUND, graph_operator
+from .fiber import LevelFamily, binary_family, binary_graphs, level_spectra
+from .metric_graph import DIRICHLET, NEUMANN, SPECTRAL_BOUND, MetricGraph, graph_operator
 
 # corners of the gasket as (x, y / sqrt(3)) times 2, the scale of level 0
 _CORNERS = [(0, 0), (2, 0), (1, 1)]
@@ -84,12 +84,11 @@ def build_gasket(m: int) -> GasketGraph:
     return gasket_levels(m)[-1]
 
 
-def _fibered(g: GasketGraph, fiber_depth: int, boundary: str | None) -> LevelFamily:
-    """Fiber levels 0..fiber_depth over g: 2^i binary fiber copies glued at
-    V_k \\ V_{k-1} in coordinate k, the corners marked Dirichlet when
-    ``boundary`` is "dirichlet"."""
-    return _binary_fiber_family(g.edges, g.birth, fiber_depth, 1.0,
-                                (g.birth == 0) & (boundary == DIRICHLET))
+def _base(g: GasketGraph, boundary: str | None) -> MetricGraph:
+    """The graph of g, the corners marked Dirichlet when ``boundary`` is
+    "dirichlet"."""
+    return MetricGraph(np.arange(g.n_vertices), g.edges, 1.0, 1.0,
+                       (g.birth == 0) & (boundary == DIRICHLET))
 
 
 def gasket_graph_spectrum(g: GasketGraph, boundary: str | None = None) -> SpectrumList:
@@ -98,7 +97,7 @@ def gasket_graph_spectrum(g: GasketGraph, boundary: str | None = None) -> Spectr
     ``boundary="dirichlet"`` removes the three corner points.  The whole
     spectrum is solved.
     """
-    op = graph_operator(_fibered(g, 0, boundary).graphs[0], boundary)
+    op = graph_operator(_base(g, boundary), boundary)
     pairs = solve_below(op, SPECTRAL_BOUND)
     return cluster(pairs.values, origin=f"numeric(gasket,m={g.level})", truncation=np.inf,
                    meta={"gasket_level": g.level, "boundary": boundary,
@@ -171,24 +170,28 @@ class ChouxSpec:
             raise InvalidSpaceSpec(f"unknown boundary mode {self.boundary!r}")
 
 
-def build_choux(spec: ChouxSpec) -> LevelFamily:
-    """Fiber levels 0..i over the level-m gasket, with links."""
-    return _fibered(build_gasket(spec.gasket_level), spec.fiber_depth, spec.boundary)
+def choux_family(spec: ChouxSpec) -> LevelFamily:
+    """Fiber levels 0..i over the level-m gasket as the gasket and its
+    Dirichlet pieces (``fiber.binary_family``): 2^i binary fiber copies
+    glued at V_k \\ V_{k-1} in coordinate k."""
+    g = build_gasket(spec.gasket_level)
+    return binary_family(_base(g, spec.boundary), g.birth, spec.fiber_depth)
 
 
-def choux_levels(spec: ChouxSpec):
-    """Graph-Laplacian pencils of fiber levels 0..i from one build, plus the
-    fiber structures between them."""
-    return graph_levels(build_choux(spec), spec.boundary)
+def build_choux(spec: ChouxSpec) -> list[MetricGraph]:
+    """The graphs of fiber levels 0..i over the level-m gasket
+    (``fiber.binary_graphs``)."""
+    g = build_gasket(spec.gasket_level)
+    return binary_graphs(_base(g, spec.boundary), g.birth, spec.fiber_depth)
 
 
 def choux_numeric_spectra(spec: ChouxSpec) -> list[SpectrumList]:
     """Probabilistic Laplacian spectra of the glued space's fiber levels
     0..i with origin tags."""
-    ops, fibers = choux_levels(spec)
     meta = {"fiber_depth": spec.fiber_depth, "gasket_level": spec.gasket_level,
             "boundary": spec.boundary}
-    return level_spectra(ops, fibers, SPECTRAL_BOUND, "numeric(choux,i={})", meta, truncation=np.inf)
+    return level_spectra(choux_family(spec), SPECTRAL_BOUND, "numeric(choux,i={})", meta,
+                         truncation=np.inf)
 
 
 def hausdorff_dimension() -> float:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import InvalidSequence
 from .eigensolve import DEFAULT_SEED, SpectrumEntry, SpectrumList
-from .fiber import LevelFamily, _binary_fiber_family, equilateral_spectra
-from .metric_graph import DIRICHLET, NEUMANN
+from .fiber import LevelFamily, binary_family, binary_graphs, equilateral_spectra
+from .metric_graph import DIRICHLET, NEUMANN, MetricGraph
 
 
 @dataclass
@@ -76,8 +76,9 @@ def wormhole_table(spec: LaaksoSpec) -> dict[int, list[Fraction]]:
     return table
 
 
-def build_laakso(spec: LaaksoSpec) -> LevelFamily:
-    """All level graphs 0..n on the common grid, plus fiber links.
+def _base(spec: LaaksoSpec):
+    """The level-0 graph on the common grid and the birth level of each
+    grid point.
 
     The base graph is the path through the grid points k / d_n; grid point k
     is born at the first level m with k a multiple of d_n / d_m, where fiber
@@ -90,10 +91,21 @@ def build_laakso(spec: LaaksoSpec) -> LevelFamily:
     for m in range(n, 0, -1):
         birth[k % (D // d[m]) == 0] = m
     birth[[0, D]] = 0
-    ends = np.stack([k[:-1], k[1:]], axis=1)
     endpoint = (k == 0) | (k == D)
-    return _binary_fiber_family(ends, birth, n, 1.0 / D,
-                                endpoint & (spec.boundary == DIRICHLET), total_mass=1.0)
+    base = MetricGraph(k, np.stack([k[:-1], k[1:]], axis=1), 1.0 / D, 1.0,
+                       endpoint & (spec.boundary == DIRICHLET), total_mass=1.0)
+    return base, birth
+
+
+def laakso_family(spec: LaaksoSpec) -> LevelFamily:
+    """Levels 0..n as the base path and its Dirichlet pieces
+    (``fiber.binary_family``)."""
+    return binary_family(*_base(spec), spec.depth)
+
+
+def build_laakso(spec: LaaksoSpec) -> list[MetricGraph]:
+    """All level graphs 0..n on the common grid (``fiber.binary_graphs``)."""
+    return binary_graphs(*_base(spec), spec.depth, total_mass=1.0)
 
 
 def laakso_analytic_spectrum(spec: LaaksoSpec, lam_max: float) -> SpectrumList:
@@ -147,15 +159,15 @@ def laakso_analytic_spectrum(spec: LaaksoSpec, lam_max: float) -> SpectrumList:
 def laakso_refinement_spectra(spec: LaaksoSpec, lam_max: float, refines: list[int],
                               seed: int = DEFAULT_SEED) -> list[list[SpectrumList]]:
     """Numeric spectra of levels 0..n at each refinement of ``refines``, from
-    one build and one solve of the vertex pencils (``fiber.equilateral_spectra``).
+    one solve of the pieces of the base path (``fiber.equilateral_spectra``).
 
     Level-0 eigenvalues are tagged "base" and those new at level i, from the
-    fiber-mean-zero block of that level, "new@i"; multiplicities come from
-    gap clustering.  ``seed`` draws the start vector of the Krylov solver.
+    pieces of that level, "new@i"; multiplicities come from gap
+    clustering.  ``seed`` draws the start vector of the Krylov solver.
     """
     meta = {"j": spec.j, "boundary": spec.boundary,
             "zero_mode": "included, outside the analytic family listing"}
-    return equilateral_spectra(build_laakso(spec), refines, lam_max, "numeric(laakso,level={})",
+    return equilateral_spectra(laakso_family(spec), refines, lam_max, "numeric(laakso,level={})",
                                meta, seed)
 
 

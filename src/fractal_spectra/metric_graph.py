@@ -12,7 +12,6 @@ that pencil (``EquilateralMesh``), so the mesh itself is never built.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -81,19 +80,6 @@ class MetricGraph:
 
     def total_measure(self) -> float:
         return float(np.sum(self.length * self.weight))
-
-    # -- JSON round trip ---------------------------------------------------
-
-    def to_json(self) -> str:
-        doc = {"labels": self.labels.tolist(), "dirichlet": self.dirichlet.tolist(),
-               "ends": self.ends.tolist(), "length": self.length.tolist(),
-               "weight": self.weight.tolist()}
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricGraph":
-        doc = json.loads(text)
-        return cls(doc["labels"], doc["ends"], doc["length"], doc["weight"], doc["dirichlet"])
 
 
 def _node_numbers(drop: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """The loop builders of the Laakso space, the pâte à choux and the stitched
-strings, kept as an independent reference for ``fiber._binary_fiber_family``,
-the integer ``gasket.gasket_levels`` and the array
-``strings.build_stitched``.
+strings, kept as an independent reference for ``fiber.binary_graphs``, the
+integer ``gasket.gasket_levels`` and the array ``strings.build_stitched``,
+and as the source of the parent maps between levels (``LevelLink``) that
+the fiber projectors of ``tests/level_reference.py`` need.
 
 Each level is built key by key: every (position, word) pair of the full
 product of fiber sets is enumerated, a Python ``canon`` closure collapses
@@ -21,9 +22,26 @@ from itertools import product
 import numpy as np
 
 from fractal_spectra.errors import DisconnectedGraph
-from fractal_spectra.fiber import LevelFamily, LevelLink
 from fractal_spectra.metric_graph import DIRICHLET, REL_TOL, MetricGraph
 from fractal_spectra.strings import StringSpec
+
+
+@dataclass
+class LevelLink:
+    """Graph-level covering data from level ``level`` down to ``level - 1``:
+    the level-(i-1) vertex and edge that each level-i vertex and edge covers."""
+
+    level: int
+    vertex_parent: np.ndarray
+    edge_parent: np.ndarray
+
+
+@dataclass
+class LevelFamily:
+    """Graphs of levels 0..n plus the links between consecutive levels."""
+
+    graphs: list[MetricGraph]
+    links: list[LevelLink]
 
 
 def validate(labels: list, edges: list[tuple], total_mass: float | None = None) -> None:

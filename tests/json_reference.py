@@ -1,0 +1,46 @@
+"""JSON round trips of spectrum lists and metric graphs, which only the
+tests use: the package writes its spectra as CSV (``SpectrumList.to_csv``)."""
+
+import json
+
+from fractal_spectra.eigensolve import SpectrumEntry, SpectrumList
+from fractal_spectra.metric_graph import MetricGraph
+
+
+def spectrum_to_json(s: SpectrumList) -> str:
+    return json.dumps(
+        {
+            "origin": s.origin,
+            "truncation": s.truncation,
+            "pitch": s.pitch,
+            "meta": s.meta,
+            "entries": [
+                {"value": repr(e.value), "multiplicity": e.multiplicity, "tag": e.tag}
+                for e in s.entries
+            ],
+        },
+        sort_keys=True,
+    )
+
+
+def spectrum_from_json(text: str) -> SpectrumList:
+    doc = json.loads(text)
+    return SpectrumList(
+        entries=[SpectrumEntry(float(d["value"]), d["multiplicity"], d["tag"])
+                 for d in doc["entries"]],
+        origin=doc["origin"],
+        truncation=doc["truncation"],
+        pitch=doc["pitch"],
+        meta=doc.get("meta", {}),
+    )
+
+
+def graph_to_json(g: MetricGraph) -> str:
+    doc = {"labels": g.labels.tolist(), "dirichlet": g.dirichlet.tolist(),
+           "ends": g.ends.tolist(), "length": g.length.tolist(), "weight": g.weight.tolist()}
+    return json.dumps(doc, sort_keys=True)
+
+
+def graph_from_json(text: str) -> MetricGraph:
+    doc = json.loads(text)
+    return MetricGraph(doc["labels"], doc["ends"], doc["length"], doc["weight"], doc["dirichlet"])

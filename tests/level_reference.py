@@ -1,23 +1,209 @@
-"""The independent route to a level spectrum: solve the whole level pencil
-with LAPACK's generalized driver, classify every eigenvector by the fiber
-projectors of the levels below (``classify_levels``) and cluster.  The
-package solves only the new block of each level for its values
-(``fiber.level_spectra``); the tests hold it to this route, which uses
-neither ``level_spectra``, ``new_blocks`` nor ``solve_below``.
+"""The fiber-projector routes to a level spectrum, kept as references for the
+package's birth-set pieces (``fiber.level_spectra``), which never build a
+level above 0.
+
+Two routes run on the whole level pencils of the loop builders in
+``tests/family_reference.py``, which also give the parent maps between
+levels:
+
+- the independent route: solve the whole level pencil with LAPACK's
+  generalized driver, classify every eigenvector by the fiber projectors of
+  the levels below (``classify_levels``) and cluster
+  (``reference_spectrum``);
+- the block route the package took before: split each level pencil by the
+  Helmert contrast basis of its fibers into the ker(P) block
+  (``new_blocks``), after checking that the split is exact, and solve each
+  distinct connected component of it once (``block_spectra``).
 
 It also keeps the node-vector maps of a fiber structure (``lift``,
 ``project_down``, ``fiber_project``) and the small helpers only the tests
-call: the complement of the fiber projector, the counting function of a
-spectrum list and the deepest choux level's spectrum."""
+call: the complement of the fiber projector, the counting function and
+total multiplicity of a spectrum list and the deepest choux level's
+spectrum."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
-from fractal_spectra.eigensolve import SpectrumList, cluster, gap_runs
-from fractal_spectra.errors import BeyondTruncation, IncompatibleMesh
-from fractal_spectra.fiber import FiberStructure
+import family_reference
+from fractal_spectra.eigensolve import SpectrumList, cluster, gap_runs, solve_below
+from fractal_spectra.errors import FractalSpectraError
+from fractal_spectra.fiber import _cluster_levels
 from fractal_spectra.gasket import ChouxSpec, choux_numeric_spectra
+from fractal_spectra.metric_graph import DiscreteOperator, graph_operator
 from lapack_reference import eigenpairs_below
+
+#: relative tolerance of the two checks that make the split of a level
+#: pencil by the fiber projector exact (see ``new_blocks``)
+SPLIT_RTOL = 1e-12
+
+
+class IncompatibleMesh(FractalSpectraError):
+    """Vector or mesh does not match the fiber structure."""
+
+
+class BeyondTruncation(FractalSpectraError):
+    """Query point lies beyond the truncation of a spectrum list."""
+
+
+@dataclass
+class FiberStructure:
+    """Node-level covering map from a level-i space to level i-1:
+    ``parent[j]`` is the lower-level node covered by node j.  Nodes over the
+    glued set are their own single copy."""
+
+    level: int
+    n_low: int
+    n_high: int
+    parent: np.ndarray
+
+
+def contrast_basis(fs: FiberStructure) -> sp.csr_matrix:
+    """Euclidean-orthonormal basis of the fiber-mean-zero vectors: Helmert
+    contrasts on each fiber, ``n_high - n_low`` columns in all.
+
+    A fiber of copies c_0..c_{s-1} (ascending node order) gets s - 1 columns;
+    column k has 1/sqrt(k(k+1)) on c_0..c_{k-1} and -k/sqrt(k(k+1)) on c_k,
+    so two copies give (e_a - e_b)/sqrt(2).  Collapsed nodes get no column.
+    Columns run fiber by fiber in the order of the lower-level nodes.
+    """
+    counts = np.bincount(fs.parent, minlength=fs.n_low)
+    members = np.argsort(fs.parent, kind="stable")  # fiber by fiber, ascending
+    first = np.cumsum(counts) - counts
+    first_col = np.cumsum(counts - 1) - (counts - 1)
+    rows, cols, vals = [], [], []
+    for s in np.unique(counts[counts > 1]):
+        fibers = np.flatnonzero(counts == s)
+        nodes = members[first[fibers, None] + np.arange(s)]  # (fibers, s)
+        k = np.arange(1, s)
+        helmert = np.triu(np.ones((s, s - 1))) * (1.0 / np.sqrt(k * (k + 1)))
+        helmert[k, k - 1] = -k / np.sqrt(k * (k + 1))
+        r, c = np.nonzero(helmert)
+        rows.append(nodes[:, r].ravel())
+        cols.append((first_col[fibers, None] + c).ravel())
+        vals.append(np.tile(helmert[r, c], len(fibers)))
+    shape = (fs.n_high, fs.n_high - fs.n_low)
+    if not rows:
+        return sp.csr_matrix(shape)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
+    )
+
+
+def fiber_structure(parent: np.ndarray, n_low: int, link) -> FiberStructure:
+    """The fiber structure of a node-level parent map; every lower-level
+    node must be covered."""
+    counts = np.bincount(parent, minlength=n_low)
+    if np.any(counts == 0):
+        raise IncompatibleMesh("some lower-level nodes are not covered")
+    return FiberStructure(level=link.level, n_low=n_low, n_high=len(parent), parent=parent)
+
+
+def vertex_fiber_structure(op_hi_keep, op_lo_keep, link) -> FiberStructure:
+    """Fiber structure on graph-Laplacian operators (vertex nodes only).
+
+    ``op_*_keep`` are the vertex indices retained by graph_operator, in
+    ascending order.
+    """
+    op_hi_keep, op_lo_keep = np.asarray(op_hi_keep), np.asarray(op_lo_keep)
+    p = link.vertex_parent[op_hi_keep]
+    parent = np.searchsorted(op_lo_keep, p)
+    kept = parent < len(op_lo_keep)
+    kept[kept] = op_lo_keep[parent[kept]] == p[kept]
+    if not np.all(kept):
+        raise IncompatibleMesh("vertex maps onto an eliminated Dirichlet vertex")
+    return fiber_structure(parent, len(op_lo_keep), link)
+
+
+def graph_levels(family, boundary=None):
+    """Graph-Laplacian pencils for every level of a loop-built family plus
+    the vertex fiber structures between them."""
+    ops = [graph_operator(g, boundary) for g in family.graphs]
+    fibers = [
+        vertex_fiber_structure(ops[i + 1].kept_vertices, ops[i].kept_vertices, family.links[i])
+        for i in range(len(family.links))
+    ]
+    return ops, fibers
+
+
+def choux_levels(spec: ChouxSpec):
+    """Graph-Laplacian pencils and fiber structures of choux levels 0..i."""
+    return graph_levels(family_reference.build_choux(spec), spec.boundary)
+
+
+def _components(op_hi: DiscreteOperator, op_lo: DiscreteOperator, fs: FiberStructure):
+    """Yield the connected components of the ker(P) block of ``op_hi`` as
+    ((data, indices, indptr) of the CSR block, mass diagonal); see
+    ``new_blocks``."""
+    n_hi = fs.n_high
+    if not n_hi:  # every vertex eliminated: nothing to split
+        return
+    U = sp.csr_matrix((np.ones(n_hi), (np.arange(n_hi), fs.parent)), shape=(n_hi, fs.n_low))
+    lhs = op_hi.A @ U
+    rhs = sp.diags(op_hi.M) @ U @ sp.diags(1.0 / op_lo.M) @ op_lo.A
+    scale = abs(lhs).max() if lhs.nnz else 0.0
+    if abs(lhs - rhs).max() > SPLIT_RTOL * scale:
+        raise IncompatibleMesh(f"level {fs.level}: the lift does not intertwine the level pencils")
+    counts = np.bincount(fs.parent, minlength=fs.n_low)
+    mean_mass = np.bincount(fs.parent, op_hi.M, fs.n_low) / counts
+    if np.max(np.abs(op_hi.M - mean_mass[fs.parent]) / op_hi.M) > SPLIT_RTOL:
+        raise IncompatibleMesh(f"level {fs.level}: copies in a fiber have unequal mass")
+    Q = contrast_basis(fs)
+    if not Q.shape[1]:
+        return
+    A = Q.T @ op_hi.A @ Q
+    A = (0.5 * (A + A.T)).tocsr()  # the two triangles may differ in their last bits
+    A.eliminate_zeros()
+    M = Q.multiply(Q).T @ op_hi.M
+    n_comp, labels = connected_components(A, directed=False)
+    # component by component, each component's rows are a contiguous run
+    # whose columns stay inside it, so a block is a slice of the CSR arrays
+    order = np.argsort(labels, kind="stable")
+    A, M = A[order][:, order], M[order]
+    bounds = np.cumsum(np.bincount(labels, minlength=n_comp)).tolist()
+    for start, stop in zip([0, *bounds], bounds):
+        lo, hi = A.indptr[start], A.indptr[stop]
+        yield (A.data[lo:hi], A.indices[lo:hi] - start, A.indptr[start:stop + 1] - lo), M[start:stop]
+
+
+def _block(arrays, M: np.ndarray) -> DiscreteOperator:
+    return DiscreteOperator(A=sp.csr_matrix(arrays, shape=(len(M), len(M))), M=M)
+
+
+def new_blocks(op_hi: DiscreteOperator, op_lo: DiscreteOperator, fs: FiberStructure):
+    """The ker(P) block of the level pencil ``op_hi``, split into connected
+    components: the pencils whose eigenvalues are new at this level.
+
+    With Q = contrast_basis(fs) the block is (Q^T A Q, diag(Q^T M Q)).  The
+    split is exact when two things hold, and both are checked first:
+    the lift U intertwines the pencils, A_hi U = M_hi U M_lo^{-1} A_lo (so
+    range(U) is invariant and carries the spectrum of ``op_lo``), and all
+    copies in a fiber have equal mass (so Q^T M Q is diagonal and range(U)
+    is M-orthogonal to range(Q)).  Either check failing raises
+    IncompatibleMesh.
+    """
+    return [_block(*piece) for piece in _components(op_hi, op_lo, fs)]
+
+
+def block_spectra(ops, fibers, lam_max: float, origin: str, meta: dict,
+                  **cluster_kw) -> list[SpectrumList]:
+    """Spectrum below ``lam_max`` of every level 0..n with origin tags, by
+    the block route: level 0 solved whole, each level i >= 1 through its
+    ``new_blocks``, each distinct component once (keyed on its CSR arrays
+    and masses), clustered as the package clusters its levels."""
+    solved: dict[tuple, np.ndarray] = {}
+    new = [solve_below(ops[0], lam_max).values]
+    for level in range(1, len(ops)):
+        pieces = []
+        for arrays, M in _components(ops[level], ops[level - 1], fibers[level - 1]):
+            key = (*(a.tobytes() for a in arrays), M.tobytes())
+            if key not in solved:
+                solved[key] = solve_below(_block(arrays, M), lam_max).values
+            pieces.append(solved[key])
+        new.append(np.concatenate(pieces or [np.zeros(0)]))
+    return _cluster_levels(new, origin, meta, **cluster_kw)
 
 
 # The maps below take one node vector (n,) or a block of them (n, m), one
@@ -56,6 +242,11 @@ def fiber_project(fs: FiberStructure, v: np.ndarray) -> np.ndarray:
 def fiber_complement(fs: FiberStructure, v: np.ndarray) -> np.ndarray:
     """Mean-zero component v - P v; kernel of the fiber projector."""
     return np.asarray(v, dtype=float) - fiber_project(fs, v)
+
+
+def total_multiplicity(s: SpectrumList) -> int:
+    """The number of eigenvalues of a spectrum list, multiplicities included."""
+    return sum(e.multiplicity for e in s.entries)
 
 
 def counting_function(s: SpectrumList, lam: float) -> int:
@@ -143,15 +334,15 @@ def reference_spectrum(ops, fibers, level, lam_max, **cluster_kw):
     return cluster(values, tags=tags, **cluster_kw), len(values)
 
 
-def assert_matches_reference(per_level, ops, fibers, lam_max, rtol=1e-10):
+def assert_matches_reference(per_level, ops, fibers, lam_max, rtol=1e-10, floor=1.0):
     """Every spectrum of ``per_level`` (levels 0, 1, ...) agrees with the
-    independent route: values to ``rtol`` relative (floored at 1),
-    multiplicities, tags and counts exactly."""
+    independent route: values to ``rtol`` relative (the scale floored at
+    ``floor``), multiplicities, tags and counts exactly."""
     for level, got in enumerate(per_level):
         ref, count = reference_spectrum(ops, fibers, level, lam_max)
-        assert got.meta["inertia_count"] == count == got.total_multiplicity(), level
+        assert got.meta["inertia_count"] == count == total_multiplicity(got), level
         assert [(e.multiplicity, e.tag) for e in got.entries] == [
             (e.multiplicity, e.tag) for e in ref.entries
         ], level
         ours, theirs = got.values(), ref.values()
-        assert np.all(np.abs(ours - theirs) <= rtol * np.maximum(1.0, np.abs(theirs))), level
+        assert np.all(np.abs(ours - theirs) <= rtol * np.maximum(floor, np.abs(theirs))), level

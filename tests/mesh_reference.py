@@ -4,9 +4,10 @@ the package's Chebyshev route (``fiber.equilateral_spectra``) is held to.
 ``discretize`` cuts every edge at a common pitch and lumps the measure into
 node masses, ``assemble`` builds the pencil A v = lambda M v, and
 ``discretize_levels`` / ``laakso_levels`` / ``stitched_levels`` give the
-mesh pencils of every level of a family with their node-level fiber
-structures, on which ``fiber.level_spectra`` and the classifier of
-``tests/level_reference.py`` run.  Each walks the edges one at a time and
+mesh pencils of every level of a loop-built family
+(``tests/family_reference.py``) with their node-level fiber structures, on
+which the block route and the classifier of ``tests/level_reference.py``
+run.  Each walks the edges one at a time and
 accumulates in edge order.  ``graph_operator`` is the loop version of the
 package's vertex pencil, which must match it bit for bit
 (``tests/test_properties.py``).
@@ -19,21 +20,21 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from fractal_spectra.errors import (
-    DimensionMismatch,
-    IncompatibleMesh,
-    NonDividingPitch,
-    NotPositiveMass,
-)
-from fractal_spectra.fiber import FiberStructure, LevelFamily, LevelLink
-from fractal_spectra.laakso import LaaksoSpec, build_laakso
+from family_reference import LevelFamily, LevelLink, build_laakso, build_stitched
+from fractal_spectra.errors import FractalSpectraError, NonDividingPitch, NotPositiveMass
+from fractal_spectra.laakso import LaaksoSpec
 from fractal_spectra.metric_graph import (
     DIRICHLET,
     REL_TOL,
     DiscreteOperator,
     MetricGraph,
 )
-from fractal_spectra.strings import StringSpec, build_stitched
+from fractal_spectra.strings import StringSpec
+from level_reference import FiberStructure, IncompatibleMesh
+
+
+class DimensionMismatch(FractalSpectraError):
+    """Vector length does not match the operator or mesh size."""
 
 
 def edges(g: MetricGraph) -> list[tuple]:

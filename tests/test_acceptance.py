@@ -26,6 +26,7 @@ from fractal_spectra.metric_graph import MetricGraph
 from lapack_reference import eigenpairs_below
 from level_reference import (
     assert_matches_reference,
+    choux_levels,
     classify_levels,
     fiber_project,
     new_subspace_split,
@@ -97,7 +98,7 @@ def test_criterion_2_laakso_reproduction():
             for refine in (64, 32):
                 spec = laakso.LaaksoSpec(j=list(j), refine=refine)
                 fam = laakso.build_laakso(spec)
-                op = assemble(discretize(fam.graphs[-1], spec.pitch))
+                op = assemble(discretize(fam[-1], spec.pitch))
                 raw[refine] = solve_below(op, 230.0).values
             fine_pitch = laakso.LaaksoSpec(j=list(j), refine=64).pitch
             m = min(len(raw[64]), len(raw[32]))
@@ -124,7 +125,7 @@ def test_criterion_3_exact_nesting():
         lspec = laakso.LaaksoSpec(j=[2, 2, 2], refine=8)
         chains.append((laakso.laakso_numeric_spectra(lspec, 200.0), laakso_levels(lspec), 200.0))
         cspec = gasket.ChouxSpec(fiber_depth=2, gasket_level=2)
-        chains.append((gasket.choux_numeric_spectra(cspec), gasket.choux_levels(cspec),
+        chains.append((gasket.choux_numeric_spectra(cspec), choux_levels(cspec),
                        gasket.SPECTRAL_BOUND))
         sspec = strings.StringSpec(
             [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)], [1, 1, 1], refine=8
@@ -145,7 +146,7 @@ def test_criterion_4_fiber_decomposition():
         cases = []
         for (ops, fibers), lam_max in (
             (laakso_levels(laakso.LaaksoSpec(j=[2, 2], refine=8)), 200.0),
-            (gasket.choux_levels(gasket.ChouxSpec(fiber_depth=2, gasket_level=2)),
+            (choux_levels(gasket.ChouxSpec(fiber_depth=2, gasket_level=2)),
              gasket.SPECTRAL_BOUND),
             (stitched_levels(
                 strings.StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 1], refine=8)), 700.0),

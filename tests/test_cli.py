@@ -333,10 +333,14 @@ def test_tol_that_is_not_a_finite_nonnegative_number_is_rejected(laakso_run, tmp
 
 
 def test_each_run_builds_its_family_once(tmp_path, monkeypatch):
+    """Each run hands its family to the pipeline once, as the base graph and
+    its pieces, and builds no level graph (``build_laakso``,
+    ``build_stitched`` and ``build_choux`` are never called)."""
     calls = collections.Counter()
-    for module, name in ((laakso, "build_laakso"), (strings, "build_stitched"),
-                         (gasket, "build_choux"), (gasket, "gasket_levels"),
-                         (strings, "string_analytic_spectrum")):
+    for module, name in ((laakso, "laakso_family"), (strings, "stitched_family"),
+                         (gasket, "choux_family"), (laakso, "build_laakso"),
+                         (strings, "build_stitched"), (gasket, "build_choux"),
+                         (gasket, "gasket_levels"), (strings, "string_analytic_spectrum")):
         def counted(*args, _build=getattr(module, name), _name=name):
             calls[_name] += 1
             return _build(*args)
@@ -354,8 +358,8 @@ def test_each_run_builds_its_family_once(tmp_path, monkeypatch):
     # laakso maps one solve of its family to both pitches of its error
     # estimate; string lists the analytic spectrum once, to lambda_max (its
     # zeta table is summed string by string); choux subdivides the gasket
-    # once inside build_choux and once for the whole decimation chain
-    assert dict(calls) == {"build_laakso": 1, "build_stitched": 1, "build_choux": 1,
+    # once inside choux_family and once for the whole decimation chain
+    assert dict(calls) == {"laakso_family": 1, "stitched_family": 1, "choux_family": 1,
                            "gasket_levels": 2, "string_analytic_spectrum": 1}
 
 

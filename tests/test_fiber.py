@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,21 +7,29 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+import family_reference
 from fractal_spectra import fiber, gasket, laakso, strings
 from fractal_spectra.eigensolve import solve_below
-from fractal_spectra.errors import IncompatibleMesh
-from fractal_spectra.fiber import FiberStructure, contrast_basis, level_spectra, new_blocks
-from fractal_spectra.laakso import LaaksoSpec, build_laakso
+from fractal_spectra.laakso import LaaksoSpec
 from fractal_spectra.metric_graph import DiscreteOperator, graph_operator
 from lapack_reference import generalized_eigh
 from level_reference import (
+    FiberStructure,
+    IncompatibleMesh,
     assert_matches_reference,
+    block_spectra,
+    choux_levels,
     classify_levels,
+    contrast_basis,
     fiber_complement,
     fiber_project,
+    graph_levels,
     lift,
+    new_blocks,
     new_subspace_split,
     project_down,
+    total_multiplicity,
+    vertex_fiber_structure,
 )
 from mesh_reference import dirichlet_energy, discretize_levels, laakso_levels, stitched_levels
 
@@ -29,7 +38,7 @@ from mesh_reference import dirichlet_energy, discretize_levels, laakso_levels, s
 def level_pair():
     """Two-level family: interval and two sheets glued at x = 1/2."""
     spec = LaaksoSpec(j=[2], refine=4)
-    ops, fibers = discretize_levels(build_laakso(spec), spec.pitch)
+    ops, fibers = discretize_levels(family_reference.build_laakso(spec), spec.pitch)
     return ops, fibers[0]
 
 
@@ -93,11 +102,11 @@ class TestLiftProject:
             project_down(fs, np.zeros(shape))
 
     def test_vertex_onto_an_eliminated_dirichlet_vertex_rejected(self):
-        family = gasket.build_choux(gasket.ChouxSpec(1, 2, "dirichlet"))
+        family = family_reference.build_choux(gasket.ChouxSpec(1, 2, "dirichlet"))
         lo = graph_operator(family.graphs[0], "dirichlet")
         hi = graph_operator(family.graphs[1])  # keeps the corners that lo drops
         with pytest.raises(IncompatibleMesh, match="eliminated"):
-            fiber.vertex_fiber_structure(hi.kept_vertices, lo.kept_vertices, family.links[0])
+            vertex_fiber_structure(hi.kept_vertices, lo.kept_vertices, family.links[0])
 
 
 class TestFiberProjection:
@@ -195,6 +204,7 @@ class TestClassification:
 STRINGS_213 = strings.StringSpec([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)], [2, 1, 3], refine=8)
 THETA = strings.StringSpec([Fraction(1, 2)], [3], refine=8)  # three copies of one segment
 CHOUX_24D = gasket.ChouxSpec(fiber_depth=2, gasket_level=4, boundary="dirichlet")
+CHOUX_35D = gasket.ChouxSpec(fiber_depth=3, gasket_level=5, boundary="dirichlet")
 
 
 class TestContrastBasis:
@@ -239,7 +249,7 @@ class TestBlockRoute:
             (ops, fibers), numeric = laakso_levels(spec), laakso.laakso_numeric_spectra(spec, lam_max)
         elif case == "choux_24_dirichlet":
             lam_max = gasket.SPECTRAL_BOUND
-            (ops, fibers), numeric = gasket.choux_levels(CHOUX_24D), gasket.choux_numeric_spectra(CHOUX_24D)
+            (ops, fibers), numeric = choux_levels(CHOUX_24D), gasket.choux_numeric_spectra(CHOUX_24D)
         else:
             spec, lam_max = {"strings_213": STRINGS_213, "theta": THETA}[case], 700.0
             (ops, fibers), numeric = stitched_levels(spec), strings.stitched_numeric_spectra(spec, lam_max)
@@ -253,9 +263,9 @@ class TestBlockRoute:
         A[i, j] *= 1 + 1e-9
         A[j, i] = A[i, j]
         broken = ops[:2] + [replace(ops[2], A=A.tocsr())]
-        level_spectra(ops, fibers, 200.0, "{}", {})  # the unbroken levels pass
+        block_spectra(ops, fibers, 200.0, "{}", {})  # the unbroken levels pass
         with pytest.raises(IncompatibleMesh, match="intertwine"):
-            level_spectra(broken, fibers, 200.0, "{}", {})
+            block_spectra(broken, fibers, 200.0, "{}", {})
         with pytest.raises(IncompatibleMesh, match="intertwine"):
             new_blocks(broken[2], broken[1], fibers[1])
 
@@ -288,7 +298,7 @@ class TestBlockRoute:
         ops, fibers = {
             "laakso_j222": lambda: laakso_levels(LaaksoSpec(j=[2, 2, 2], refine=8)),
             "strings_213": lambda: stitched_levels(STRINGS_213),
-            "choux_24_dirichlet": lambda: gasket.choux_levels(CHOUX_24D),
+            "choux_24_dirichlet": lambda: choux_levels(CHOUX_24D),
         }[case]()
         for level in range(1, len(ops)):
             Q = contrast_basis(fibers[level - 1])
@@ -310,8 +320,8 @@ class TestBlockRoute:
 
 
 class TestSolveOnce:
-    """level_spectra solves each distinct piece once; identical blocks reuse
-    the values and inertia count of the first."""
+    """level_spectra solves each distinct component of the pieces once;
+    identical components reuse the values and inertia count of the first."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -325,18 +335,61 @@ class TestSolveOnce:
         return calls
 
     def test_laakso_krylov_spec(self, solves):
-        """j = [2]*5 at refine 8 has 217 blocks above level 0, 14 distinct."""
+        """j = [2]*5 at refine 8: 31 pieces above level 0 with 13 distinct
+        components, and level 0."""
         per_level = laakso.laakso_numeric_spectra(LaaksoSpec(j=[2] * 5, refine=8), 400.0)
-        assert len(solves) <= 15
+        assert len(solves) == 14
         assert [s.meta["inertia_count"] for s in per_level] == [7, 13, 26, 40, 40, 40]
 
     def test_laakso_cli_spec(self, solves):
-        """j = [2, 2, 2] at refine 32, solved on the vertex pencils: level 0
-        plus 7 distinct of 21 blocks (on the mesh pencils 8 of the 21 were)."""
+        """j = [2, 2, 2] at refine 32: level 0 plus 7 distinct of the 35
+        components of the 7 pieces above it; the block route split the same
+        levels into 21 blocks, 7 of them distinct too."""
         spec = LaaksoSpec(j=[2, 2, 2], refine=32)
         per_level = laakso.laakso_numeric_spectra(spec, 230.0)
         assert len(solves) == 8
-        ops, fibers = fiber.graph_levels(build_laakso(spec), "dirichlet")
+        ops, fibers = graph_levels(family_reference.build_laakso(spec), "dirichlet")
         assert sum(len(new_blocks(ops[i], ops[i - 1], fibers[i - 1])) for i in (1, 2, 3)) == 21
         for spectrum in per_level:
-            assert spectrum.total_multiplicity() == spectrum.meta["inertia_count"]
+            assert total_multiplicity(spectrum) == spectrum.meta["inertia_count"]
+
+
+class TestPieces:
+    """The pieces of each level carry the dimension of its whole pencil,
+    and the family's edge counts are those of the built levels."""
+
+    @pytest.mark.parametrize("case", ["laakso_j343", "laakso_j232_dirichlet", "choux_35",
+                                      "choux_35_dirichlet", "strings_213", "theta"])
+    def test_counts_are_those_of_the_built_levels(self, case):
+        family, graphs, boundary = {
+            "laakso_j343": lambda: (laakso.laakso_family(LaaksoSpec([3, 4, 3])),
+                                    laakso.build_laakso(LaaksoSpec([3, 4, 3])), "dirichlet"),
+            "laakso_j232_dirichlet": lambda: (
+                laakso.laakso_family(LaaksoSpec([2, 3, 2], boundary="dirichlet")),
+                laakso.build_laakso(LaaksoSpec([2, 3, 2], boundary="dirichlet")), "dirichlet"),
+            "choux_35": lambda: (gasket.choux_family(gasket.ChouxSpec(3, 5)),
+                                 gasket.build_choux(gasket.ChouxSpec(3, 5)), None),
+            "choux_35_dirichlet": lambda: (gasket.choux_family(CHOUX_35D),
+                                           gasket.build_choux(CHOUX_35D), "dirichlet"),
+            "strings_213": lambda: (strings.stitched_family(STRINGS_213),
+                                    strings.build_stitched(STRINGS_213), "dirichlet"),
+            "theta": lambda: (strings.stitched_family(THETA), strings.build_stitched(THETA),
+                              "dirichlet"),
+        }[case]()
+        _, kept = fiber._level_values(family, 0.0, 0)
+        assert kept == [graph_operator(g, boundary).n for g in graphs]
+        assert [len(family.base.ends), *family.n_edges] == [len(g.ends) for g in graphs]
+        assert len(family.pieces) == len(graphs) - 1
+
+    def test_binary_pieces_are_the_sets_with_their_level_on_top(self):
+        """Level l has a piece for each S in {1..l} with max S = l, marking
+        the vertices born at a level in S."""
+        spec = LaaksoSpec([2, 2, 2])
+        family = laakso.laakso_family(spec)
+        birth = np.array([0, 3, 2, 3, 1, 3, 2, 3, 0])
+        for level, pieces in enumerate(family.pieces, start=1):
+            sets = [frozenset(birth[marks].tolist()) for marks, copies in pieces]
+            assert all(copies == 1 for _, copies in pieces)
+            assert sorted(sets, key=sorted) == sorted(
+                (frozenset(s) | {level} for r in range(level) for s in
+                 itertools.combinations(range(1, level), r)), key=sorted)

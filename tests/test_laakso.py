@@ -18,7 +18,13 @@ from fractal_spectra.laakso import (
 )
 from fractal_spectra.strings import StringSpec, stitched_numeric_spectra
 from lapack_reference import eigenpairs_below
-from level_reference import assert_matches_reference, classify_levels, fiber_project
+from json_reference import graph_to_json
+from level_reference import (
+    assert_matches_reference,
+    classify_levels,
+    fiber_project,
+    total_multiplicity,
+)
 from mesh_reference import laakso_levels
 
 PI2 = math.pi**2
@@ -68,15 +74,13 @@ def quotient_counts(j):
 
 class TestBuild:
     def test_depth_one_hand_count(self):
-        fam = build_laakso(LaaksoSpec(j=[2]))
-        g = fam.graphs[1]
+        g = build_laakso(LaaksoSpec(j=[2]))[1]
         assert g.n_vertices == 5
         assert len(g.ends) == 4
         assert np.all((g.length == 0.5) & (g.weight == 0.5))
 
     def test_depth_two_counts_and_measure(self):
-        fam = build_laakso(LaaksoSpec(j=[2, 2]))
-        g = fam.graphs[2]
+        g = build_laakso(LaaksoSpec(j=[2, 2]))[2]
         # wormholes at 1/2 (level 1) and 1/4, 3/4 (level 2); total measure 1
         # forces 16 edges of length 1/4 and weight 1/4
         assert g.n_vertices == 14
@@ -84,15 +88,13 @@ class TestBuild:
         assert g.total_measure() == pytest.approx(1.0, abs=1e-15)
 
     def test_depth_zero_is_unit_interval(self):
-        fam = build_laakso(LaaksoSpec(j=[]))
-        g = fam.graphs[0]
+        g = build_laakso(LaaksoSpec(j=[]))[0]
         assert g.n_vertices == 2
         assert g.total_measure() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("j", [[2], [2, 2], [2, 3], [3, 3], [3, 4, 4], [2, 2, 3]])
     def test_counts_match_brute_force_quotient(self, j):
-        fam = build_laakso(LaaksoSpec(j=j))
-        g = fam.graphs[len(j)]
+        g = build_laakso(LaaksoSpec(j=j))[len(j)]
         assert (g.n_vertices, len(g.ends)) == quotient_counts(j)
         assert g.total_measure() == pytest.approx(1.0, abs=1e-12)
 
@@ -105,8 +107,8 @@ class TestBuild:
             LaaksoSpec(j=[2], refine=1)
 
     def test_build_is_deterministic(self):
-        a = build_laakso(LaaksoSpec(j=[2, 3])).graphs[2].to_json()
-        b = build_laakso(LaaksoSpec(j=[2, 3])).graphs[2].to_json()
+        a = graph_to_json(build_laakso(LaaksoSpec(j=[2, 3]))[2])
+        b = graph_to_json(build_laakso(LaaksoSpec(j=[2, 3]))[2])
         assert a == b
 
     def test_wormhole_table(self):
@@ -174,7 +176,7 @@ class TestNumericSpectrum:
         else:
             per_level = choux_numeric_spectra(ChouxSpec(fiber_depth=2, gasket_level=3))
         for numeric in per_level:
-            assert numeric.meta["inertia_count"] == numeric.total_multiplicity()
+            assert numeric.meta["inertia_count"] == total_multiplicity(numeric)
 
     def test_zero_mode_multiplicity_one(self, run):
         _, _, numeric = run

@@ -3,13 +3,15 @@ over random small metric graphs, random symmetric matrices and random
 spectrum lists.
 
 On every level the multiplicities must add up to the inertia count, and the
-block route must agree with the independent full-pencil route; the Chebyshev
+package's spectra must agree with the independent full-pencil route; the
+Dirichlet pieces of the base graph, from which the package solves every
+level, must give the spectra of the whole level pencils; the Chebyshev
 map of the vertex spectra must give the spectra of the mesh pencils in
 ``tests/mesh_reference.py``, level by level and on any graph whose edges all
 have one length.  The array
-builders of the Laakso and choux families must give the graphs, links,
-pencils and fiber maps of the loop builders in ``tests/family_reference.py``
-bit for bit, the stitched-string builder its graphs, labels and links, and
+builders of the Laakso and choux families must give the graphs and pencils
+of the loop builders in ``tests/family_reference.py`` bit for bit, the
+stitched-string builder its graphs and labels, and
 every CLI subcommand run twice must write the same bytes.
 On every graph the NumPy vertex pencil must give the bits of the loop
 version in ``tests/mesh_reference.py``, the array checks of
@@ -44,6 +46,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import family_reference
+import level_reference
 import mesh_reference
 import nesting_reference
 import strings_reference
@@ -59,12 +62,14 @@ from fractal_spectra.eigensolve import (
 from fractal_spectra.errors import DisconnectedGraph, NoConvergence
 from fractal_spectra.metric_graph import (
     DIRICHLET,
+    SPECTRAL_BOUND,
     DiscreteOperator,
     MetricGraph,
     graph_operator,
 )
+from json_reference import spectrum_from_json, spectrum_to_json
 from lapack_reference import eigenpairs_below, generalized_eigh
-from level_reference import assert_matches_reference
+from level_reference import assert_matches_reference, total_multiplicity
 
 SETTINGS = settings(max_examples=25, deadline=timedelta(seconds=20), derandomize=True,
                     database=None)
@@ -102,7 +107,7 @@ string_specs = st.lists(
 def check_levels(per_level, ops, fibers, lam_max):
     assert len(per_level) == len(ops)
     for spectrum in per_level:
-        assert spectrum.total_multiplicity() == spectrum.meta["inertia_count"]
+        assert total_multiplicity(spectrum) == spectrum.meta["inertia_count"]
     assert_matches_reference(per_level, ops, fibers, lam_max)
 
 
@@ -116,7 +121,7 @@ def test_laakso_levels_add_up_and_match_reference(spec, lam_max):
 @SETTINGS
 @given(spec=choux_specs)
 def test_choux_levels_add_up_and_match_reference(spec):
-    ops, fibers = gasket.choux_levels(spec)
+    ops, fibers = level_reference.choux_levels(spec)
     check_levels(gasket.choux_numeric_spectra(spec), ops, fibers, gasket.SPECTRAL_BOUND)
 
 
@@ -125,6 +130,66 @@ def test_choux_levels_add_up_and_match_reference(spec):
 def test_string_levels_add_up_and_match_reference(spec, lam_max):
     ops, fibers = mesh_reference.stitched_levels(spec)
     check_levels(strings.stitched_numeric_spectra(spec, lam_max), ops, fibers, lam_max)
+
+
+# The package solves every level from Dirichlet pieces of its base graph
+# and never builds a level above 0; these properties hold that
+# decomposition to the whole level pencils of the loop-built families,
+# classified eigenvector by eigenvector by the fiber projectors.
+
+piece_laakso_specs = st.builds(
+    lambda base, steps, boundary: laakso.LaaksoSpec([base + s for s in steps], 8, boundary),
+    st.sampled_from([2, 3]), st.lists(st.sampled_from([0, 1]), min_size=1, max_size=4),
+    st.sampled_from(["neumann", "dirichlet"]),
+).filter(lambda spec: spec.d[-1] <= 96)
+
+piece_choux_specs = st.integers(1, 3).flatmap(
+    lambda i: st.builds(
+        gasket.ChouxSpec,
+        fiber_depth=st.just(i),
+        gasket_level=st.integers(i, 4),
+        boundary=st.sampled_from([None, "neumann", "dirichlet"]),
+    )
+)
+
+#: vertex cuts inside the spectrum and above it
+vertex_cuts = st.sampled_from([0.0437, 0.731, SPECTRAL_BOUND])
+
+
+def assert_pieces_match_whole_levels(family, ref, cut):
+    """The piece spectra of ``family`` against the whole level pencils of
+    the loop-built ``ref``: multiplicities, tags and inertia counts exactly,
+    values to 1e-12 relative.  The scale is floored at 0.01, so a zero
+    eigenvalue, which both routes give as a few units in the last place of
+    the spectral bound 2, is held to 1e-14 absolute."""
+    per_level = fiber.level_spectra(family, cut, "{}", {})
+    ops, fibers = level_reference.graph_levels(ref, DIRICHLET)
+    assert len(per_level) == len(ops)
+    assert_matches_reference(per_level, ops, fibers, cut, rtol=1e-12, floor=1e-2)
+
+
+@settings(SETTINGS, max_examples=15)
+@given(spec=piece_laakso_specs, cut=vertex_cuts)
+def test_laakso_pieces_give_the_whole_level_spectra(spec, cut):
+    """{j, j+1} sequences up to depth 4 (d_n <= 96), both boundaries."""
+    assert_pieces_match_whole_levels(laakso.laakso_family(spec),
+                                     family_reference.build_laakso(spec), cut)
+
+
+@SETTINGS
+@given(spec=string_specs, cut=vertex_cuts)
+def test_string_pieces_give_the_whole_level_spectra(spec, cut):
+    assert_pieces_match_whole_levels(strings.stitched_family(spec),
+                                     family_reference.build_stitched(spec), cut)
+
+
+@settings(SETTINGS, max_examples=15)
+@given(spec=piece_choux_specs)
+def test_choux_pieces_give_the_whole_level_spectra(spec):
+    """Fiber depth up to 3 over gasket levels up to 4, the corners kept or
+    eliminated."""
+    assert_pieces_match_whole_levels(gasket.choux_family(spec),
+                                     family_reference.build_choux(spec), SPECTRAL_BOUND)
 
 
 def first_edge_mode(pitch, refine):
@@ -138,7 +203,7 @@ def assert_same_spectra(got, ref):
     inertia counts exactly."""
     assert len(got) == len(ref)
     for level, (g, r) in enumerate(zip(got, ref)):
-        assert g.meta["inertia_count"] == r.meta["inertia_count"] == g.total_multiplicity(), level
+        assert g.meta["inertia_count"] == r.meta["inertia_count"] == total_multiplicity(g), level
         assert [(e.multiplicity, e.tag) for e in g.entries] == [
             (e.multiplicity, e.tag) for e in r.entries], level
         theirs = r.values()
@@ -164,7 +229,7 @@ def test_laakso_vertex_route_matches_the_mesh_route(spec, factor):
     spectrum: that of the mesh pencils of ``tests/mesh_reference.py``
     solved block by block, as the package did before."""
     lam_max = factor * first_edge_mode(spec.pitch, spec.refine)
-    ref = fiber.level_spectra(*mesh_reference.laakso_levels(spec), lam_max, "{}", {})
+    ref = level_reference.block_spectra(*mesh_reference.laakso_levels(spec), lam_max, "{}", {})
     assert_same_spectra(laakso.laakso_numeric_spectra(spec, lam_max), ref)
 
 
@@ -172,7 +237,7 @@ def test_laakso_vertex_route_matches_the_mesh_route(spec, factor):
 @given(spec=string_specs, factor=edge_mode_factors)
 def test_string_vertex_route_matches_the_mesh_route(spec, factor):
     lam_max = factor * first_edge_mode(spec.pitch, spec.refine)
-    ref = fiber.level_spectra(*mesh_reference.stitched_levels(spec), lam_max, "{}", {})
+    ref = level_reference.block_spectra(*mesh_reference.stitched_levels(spec), lam_max, "{}", {})
     assert_same_spectra(strings.stitched_numeric_spectra(spec, lam_max), ref)
 
 
@@ -197,46 +262,43 @@ def assert_same_array(a, b, name):
     assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
-def assert_same_family(family, ref, labels=False):
-    """Same vertex and edge counts, edges, marks and links, dtypes included,
-    and with ``labels`` the same vertex labels."""
-    assert len(family.graphs) == len(ref.graphs)
-    for g, r in zip(family.graphs, ref.graphs):
+def assert_same_graphs(graphs, ref, labels=False):
+    """Same vertex and edge counts, edges and marks as the loop-built
+    family ``ref``, dtypes included, and with ``labels`` the same vertex
+    labels."""
+    assert len(graphs) == len(ref.graphs)
+    for g, r in zip(graphs, ref.graphs):
         assert g.n_vertices == r.n_vertices
         for name in ("ends", "length", "weight", "dirichlet", *(("labels",) if labels else ())):
             assert_same_array(getattr(g, name), getattr(r, name), name)
-    for link, ref_link in zip(family.links, ref.links, strict=True):
-        assert link.level == ref_link.level
-        assert_same_array(link.vertex_parent, ref_link.vertex_parent, "vertex_parent")
-        assert_same_array(link.edge_parent, ref_link.edge_parent, "edge_parent")
 
 
-def assert_same_levels(ops, fibers, ref_ops, ref_fibers):
-    """Bit-identical pencils, kept vertices and fiber maps."""
-    assert len(ops) == len(ref_ops) and len(fibers) == len(ref_fibers)
+def assert_same_pencils(ops, ref_ops):
+    """Bit-identical pencils and kept vertices."""
+    assert len(ops) == len(ref_ops)
     for op, ref in zip(ops, ref_ops):
         assert_same_bits(op, ref)
         assert np.array_equal(op.kept_vertices, ref.kept_vertices)
-    for fs, ref in zip(fibers, ref_fibers):
-        assert (fs.n_low, fs.n_high) == (ref.n_low, ref.n_high)
-        assert np.array_equal(fs.parent, ref.parent)
 
 
 @SETTINGS
 @given(spec=family_laakso_specs)
 def test_laakso_family_has_the_bits_of_the_loop_reference(spec):
     ref = family_reference.build_laakso(spec)
-    assert_same_family(laakso.build_laakso(spec), ref)
-    ops, ref_fibers = mesh_reference.discretize_levels(ref, spec.pitch)
-    assert_same_levels(*mesh_reference.laakso_levels(spec), ops, ref_fibers)
+    graphs = laakso.build_laakso(spec)
+    assert_same_graphs(graphs, ref)
+    mesh = [mesh_reference.assemble(mesh_reference.discretize(g, spec.pitch)) for g in graphs]
+    assert_same_pencils(mesh, mesh_reference.discretize_levels(ref, spec.pitch)[0])
 
 
 @SETTINGS
 @given(spec=family_choux_specs)
 def test_choux_family_has_the_bits_of_the_loop_reference(spec):
     ref = family_reference.build_choux(spec)
-    assert_same_family(gasket.build_choux(spec), ref)
-    assert_same_levels(*gasket.choux_levels(spec), *fiber.graph_levels(ref, spec.boundary))
+    graphs = gasket.build_choux(spec)
+    assert_same_graphs(graphs, ref)
+    assert_same_pencils([graph_operator(g, spec.boundary) for g in graphs],
+                        level_reference.graph_levels(ref, spec.boundary)[0])
     levels = gasket.gasket_levels(spec.gasket_level)
     ref_levels = family_reference.gasket_levels(spec.gasket_level)
     for g, r in zip(levels, ref_levels, strict=True):
@@ -316,8 +378,8 @@ def test_chebyshev_map_gives_the_mesh_spectrum_of_any_equal_edge_graph(case, ref
     distinct = values[[start for start, _ in gap_runs(values, 1e-9)]]
     cut = data.draw(st.sampled_from([*((distinct[:-1] + distinct[1:]) / 2), 5.0 / pitch**2]))
     ref = eigensolve.cluster(values[values <= cut], tags=["base"] * np.count_nonzero(values <= cut))
-    ref.meta = {"inertia_count": ref.total_multiplicity()}
-    got = fiber.equilateral_spectra(fiber.LevelFamily([g], []), [refine], cut, "{}", {})[0]
+    ref.meta = {"inertia_count": total_multiplicity(ref)}
+    got = fiber.equilateral_spectra(fiber.LevelFamily(g), [refine], cut, "{}", {})[0]
     assert_same_spectra(got, [ref])
 
 
@@ -385,7 +447,7 @@ def rationalized_string_specs(draw, denominator_bound=10**6, max_mult=4):
 def test_stitched_family_has_the_bits_of_the_loop_reference(spec):
     """Lengths with denominators up to 6 keep the grid at most 60 cells
     long, which the loop reference enumerates in well under a second."""
-    assert_same_family(strings.build_stitched(spec), family_reference.build_stitched(spec),
+    assert_same_graphs(strings.build_stitched(spec), family_reference.build_stitched(spec),
                        labels=True)
 
 
@@ -615,7 +677,7 @@ def spectrum_lists(draw):
 def test_spectrum_lists_survive_csv_and_json_round_trips(s):
     text = s.to_csv()
     assert SpectrumList.from_csv(text).to_csv() == text
-    back = SpectrumList.from_json(s.to_json())
+    back = spectrum_from_json(spectrum_to_json(s))
     assert back.entries == s.entries
     assert (back.origin, back.truncation, back.pitch, back.meta) == (s.origin, s.truncation, s.pitch, s.meta)
 

@@ -77,7 +77,7 @@ class TestAnalyticSpectrum:
 
 class TestBuilder:
     def test_theta_graph(self):
-        g = build_stitched(StringSpec([Fraction(1, 2)], [3])).graphs[1]
+        g = build_stitched(StringSpec([Fraction(1, 2)], [3]))[1]
         assert g.n_vertices == 2
         assert len(g.ends) == 3
         assert all(length == pytest.approx(0.5) for length in g.length)
@@ -85,7 +85,7 @@ class TestBuilder:
 
     def test_two_length_attachment(self):
         spec = StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 1])
-        g = build_stitched(spec).graphs[2]
+        g = build_stitched(spec)[2]
         # fiber measures are probabilities, so the total measure stays l_1
         assert g.total_measure() == pytest.approx(0.5)
         # a label row starts with the grid index of the vertex's position
@@ -107,7 +107,7 @@ class TestBuilder:
         fiber sets took 73 s on a 2-CPU machine for this top level of 604
         vertices; copying each level from the one below takes milliseconds."""
         start = time.perf_counter()
-        top = build_stitched(cantor_spec(6)).graphs[-1]
+        top = build_stitched(cantor_spec(6))[-1]
         elapsed = time.perf_counter() - start
         assert (top.n_vertices, len(top.ends)) == (604, 665)
         assert elapsed < 5.0
@@ -116,7 +116,7 @@ class TestBuilder:
         fam = build_stitched(StringSpec([Fraction(1, 2)], [1]))
         lower, upper = stitched_numeric_spectra(StringSpec([Fraction(1, 2)], [1]), 500.0)
         assert verify_nesting(lower, upper).surplus == []
-        assert fam.graphs[1].total_measure() == pytest.approx(0.5)
+        assert fam[1].total_measure() == pytest.approx(0.5)
 
     def test_increasing_lengths_rejected(self):
         with pytest.raises(InfeasibleNesting):
