@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from . import eigensolve, gasket, laakso, strings
+from . import gasket, laakso, strings
 from .eigensolve import FDModel, SpectrumList, compare_spectra, verify_nesting
 from .errors import (
     FractalSpectraError,
@@ -145,7 +145,7 @@ def cmd_laakso(args) -> int:
     if spec.refine % 2 == 0 and spec.refine >= 4:
         refines.append(spec.refine // 2)  # the coarse pitch gives the convergence order
     # one vertex solve serves both pitches
-    per_level, *coarse = laakso.laakso_refinement_spectra(spec, lam_max, refines, seed=args.seed)
+    per_level, *coarse = laakso.laakso_refinement_spectra(spec, lam_max, refines)
     numeric = per_level[-1]
     compare = compare_spectra(
         numeric,
@@ -160,7 +160,7 @@ def cmd_laakso(args) -> int:
     (out / "numeric.csv").write_text(numeric.to_csv())
     _dump_json(out / "compare.json", compare.to_dict())
     _dump_json(out / "run.json", _run_meta(args, doc, refine=spec.refine, lambda_max=lam_max,
-                                           boundary=spec.boundary, seed=args.seed, tol=args.tol))
+                                           boundary=spec.boundary, tol=args.tol))
     print(f"laakso: compare {'pass' if compare.ok else 'FAIL'}, "
           f"nesting {'pass' if nested else 'FAIL'} -> {out}")
     return EXIT_OK if compare.ok and nested else EXIT_SOLVER
@@ -238,7 +238,7 @@ def cmd_string(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     analytic = strings.string_analytic_spectrum(spec, lam_max)
-    per_level = strings.stitched_numeric_spectra(spec, lam_max, seed=args.seed)
+    per_level = strings.stitched_numeric_spectra(spec, lam_max)
     numeric = per_level[-1]
     iso = strings.isospectrality_report(numeric, analytic, FDModel(pitch=spec.pitch), lam_max)
     iso["length_perturbation"] = perturbation
@@ -256,7 +256,7 @@ def cmd_string(args) -> int:
     _dump_json(out / "isospectrality.json", iso)
     (out / "zeta.csv").write_text("\n".join(rows) + "\n")
     _dump_json(out / "run.json", _run_meta(args, doc, refine=spec.refine, lambda_max=lam_max,
-                                           seed=args.seed, tol=args.tol))
+                                           tol=args.tol))
     print(f"string: isospectrality {'pass' if iso['pass'] else 'FAIL'} -> {out}")
     return EXIT_OK if iso["pass"] and nested else EXIT_SOLVER
 
@@ -346,10 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in (laakso_p, choux_p, string_p):
         sp.add_argument("--spec", required=True, help="path to JSON spec")
         sp.add_argument("--tol", type=float, default=1e-9, help="nesting tolerance")
-        # choux asks for whole spectra, which LAPACK returns without a start
-        # vector; it keeps the flag so that one command line serves every
-        # solving subcommand
-        sp.add_argument("--seed", type=int, default=eigensolve.DEFAULT_SEED)
+        # no solver draws random numbers, so the seed has no effect; the flag
+        # is kept so that command lines that pass it keep working
+        sp.add_argument("--seed", type=int, default=None,
+                        help="accepted and ignored: every solve is deterministic")
     for sp in (laakso_p, string_p):
         sp.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
         sp.add_argument("--refine", type=int, default=None)

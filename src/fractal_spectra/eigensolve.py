@@ -2,18 +2,17 @@
 
 The lumped mass matrix is diagonal, so the pencil A v = lambda M v reduces
 exactly to the standard symmetric problem S y = lambda y with
-S = M^{-1/2} A M^{-1/2}, y = M^{1/2} v.  Every eigenproblem goes through
-``solve_below``, which returns the part of the spectrum below a cutoff and
-proves it complete: it first counts the eigenvalues below the cutoff
-exactly, then computes them and refuses any result whose length differs
-from the count.  A pencil of at most EIGSH_THRESHOLD unknowns is reduced
-once to a tridiagonal T orthogonally similar to S (LAPACK ``dsytrd``); the
-count is a Sturm count on T and the values come from T (``dsterf`` for the
-whole spectrum, ``dstebz`` bisection for a part).  A larger pencil is
-counted from the Sylvester inertia of a sparse LDL^T of S - lambda_max I and
-solved by shift-invert ARPACK (``eigsh`` about a negative shift, started
-from a seeded vector).  No eigenvector is formed: the pipeline writes
-eigenvalues and multiplicities only.
+S = M^{-1/2} A M^{-1/2}, y = M^{1/2} v.  Every eigenproblem is solved on a
+symmetric ``Tridiagonal`` T, by ``solve``, which returns the part of the
+spectrum below a cutoff and proves it complete: it first counts the
+eigenvalues below the cutoff exactly by a Sturm count on T, then computes
+them (``dsterf`` for the whole spectrum, ``dstebz`` bisection for a part)
+and refuses any result whose length differs from the count.  The pencil of
+a path in path order has a tridiagonal S, which goes to it directly
+(``fiber``); ``solve_below`` first reduces any other pencil densely to a T
+orthogonally similar to S (LAPACK ``dsytrd``).  That dense reduction holds
+n^2 floats: the level-7 gasket, n = 3282, takes 86 MB.  No eigenvector is
+formed: the pipeline writes eigenvalues and multiplicities only.
 """
 
 from __future__ import annotations
@@ -24,27 +23,22 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import MisalignedMeshes, NoConvergence, NotPositiveMass
 from .metric_graph import DiscreteOperator
 
-DEFAULT_SEED = 20260826
-#: solve_below counts and solves on the tridiagonal reduction up to this many
-#: unknowns and takes the sparse count and shift-invert ARPACK above it; on
-#: Laakso and string pencils LAPACK's subset solver and ARPACK break even
-#: between n = 250 and 500, and ARPACK is 2-8x faster from n = 1000 on
-EIGSH_THRESHOLD = 500
-#: eigenpairs asked of ARPACK beyond the inertia count, so that its run
-#: reaches past the cut
-EIGSH_MARGIN = 4
-#: the shift sits this fraction of the cut below zero.  ARPACK can miss a
-#: copy of a highly repeated eigenvalue (the 18-fold ones of Laakso level
-#: 3); over 210 such solves a shift of 0.1 cut missed one once, 0.01 and
-#: 1.0 cut missed 13 and 37 times
-EIGSH_SHIFT = 0.1
+@dataclass(frozen=True)
+class Tridiagonal:
+    """The symmetric tridiagonal matrix with diagonal ``diag`` and
+    off-diagonal ``off``."""
+
+    diag: np.ndarray
+    off: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.diag)
 
 
 @dataclass
@@ -115,15 +109,11 @@ class SpectrumList:
 # -- solvers ----------------------------------------------------------------
 
 
-def _mass_scaling(d: DiscreteOperator) -> np.ndarray:
-    if np.any(d.M <= 0):
+def _mass_scaling(M: np.ndarray) -> np.ndarray:
+    """M^{-1/2} of the mass diagonal M, which must be positive."""
+    if np.any(M <= 0):
         raise NotPositiveMass("mass diagonal must be positive")
-    return 1.0 / np.sqrt(d.M)
-
-
-def _standard_form(d: DiscreteOperator):
-    ms = _mass_scaling(d)
-    return d.A.multiply(ms[:, None]).multiply(ms[None, :]).tocsr()
+    return 1.0 / np.sqrt(M)
 
 
 def _lapack_info(info: int, routine: str) -> None:
@@ -131,18 +121,25 @@ def _lapack_info(info: int, routine: str) -> None:
         raise NoConvergence(0, f"LAPACK {routine} returned info {info}")
 
 
-def _tridiagonal(d: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the tridiagonal T = Q^T S Q.
+def _tridiagonal(d: DiscreteOperator) -> Tridiagonal:
+    """The tridiagonal T = Q^T S Q.
 
-    S is formed densely and in place, with the bits of the sparse
-    ``_standard_form``, in Fortran order so that ``dsytrd`` reduces it in
-    place too.
+    S is formed densely and in place, in Fortran order so that ``dsytrd``
+    reduces it in place too; an S that is already tridiagonal comes back
+    bit for bit.
     """
-    ms = _mass_scaling(d)
+    ms = _mass_scaling(d.M)
     S = d.A.toarray(order="F")
     S *= ms[:, None]
     S *= ms[None, :]
-    return _reduce(S)
+    return Tridiagonal(*_reduce(S))
+
+
+def tridiagonal_form(a: np.ndarray, b: np.ndarray, M: np.ndarray) -> Tridiagonal:
+    """S = M^{-1/2} A M^{-1/2} for the tridiagonal A with diagonal ``a`` and
+    off-diagonal ``b``, with the bits that ``_tridiagonal`` gives it."""
+    ms = _mass_scaling(M)
+    return Tridiagonal((a * ms) * ms, (b * ms[1:]) * ms[:-1])
 
 
 def _reduce(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,100 +207,31 @@ def _tridiagonal_values(diag: np.ndarray, off: np.ndarray, cut: float, count: in
     return w[:m]
 
 
-def _count_below(S, cut: float) -> int:
-    """Number of eigenvalues of the sparse symmetric matrix S up to ``cut``.
+def solve(t: Tridiagonal, lam_max: float) -> EigenPairs:
+    """All eigenvalues <= lam_max of the symmetric tridiagonal t, proven
+    complete.
 
-    Matrices of at most EIGSH_THRESHOLD rows are reduced to tridiagonal form
-    and counted by Sturm sequence (``_sturm_count``).  Larger ones are
-    counted by Sylvester's law of inertia from the negative pivots of an
-    LDL^T factorization of S - cut*I: SuperLU in symmetric mode with
-    diagonal pivoting only gives one (U = D L^T, the same permutation on
-    rows and columns).  Without off-diagonal pivoting the factorization of
-    an indefinite matrix is not backward stable: a pivot near zero can flip
-    the signs of later ones.  So the pivots are trusted only when the
-    permutation stayed symmetric and the smallest |pivot| is at least
-    n*eps*||S - cut*I||_inf; otherwise the count is refused.
+    The exact count N(lam_max) comes first (``_sturm_count``), at the cut
+    lam_max (1 + 1e-12), so that rounding drops no value on the cut.  When
+    the count is 0 the empty result is returned without an eigensolver
+    call; otherwise ``_tridiagonal_values`` returns the values.  A result
+    whose length differs from the count (for instance one copy short of a
+    repeated eigenvalue) raises NoConvergence instead of being returned.
     """
-    n = S.shape[0]
-    if n <= EIGSH_THRESHOLD:
-        return _sturm_count(*_reduce(S.toarray(order="F")), cut)
-    shifted = (S - cut * sp.identity(n, format="csr")).tocsc()
-    try:
-        lu = spla.splu(
-            shifted,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError:  # a zero pivot: the cut is on an eigenvalue, or the order is bad
-        lu = None
-    if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
-        pivots = lu.U.diagonal()
-        if np.abs(pivots).min() >= n * np.finfo(float).eps * spla.norm(shifted, np.inf):
-            return int(np.count_nonzero(pivots < 0))
-    raise NoConvergence(0, f"inertia count at {cut!r}: the sparse factorization of "
-                           f"{n} rows is not trusted")
-
-
-def solve_below(d: DiscreteOperator, lam_max: float, seed: int = DEFAULT_SEED) -> EigenPairs:
-    """All eigenvalues <= lam_max, proven complete.
-
-    The exact count N(lam_max) comes first.  A pencil of at most
-    EIGSH_THRESHOLD unknowns is reduced to tridiagonal form once; the Sturm
-    count and the values both come from that reduction.  A larger one is
-    counted from the guarded sparse LDL^T of ``_count_below``.  When the
-    count is 0 the empty result is returned without an eigensolver call;
-    when it is n (lam_max bounds the spectrum) LAPACK returns the whole
-    spectrum; otherwise small pencils take LAPACK's bisection below the cut
-    and larger ones take ARPACK in shift-invert mode about a negative
-    shift, started from a seeded vector and with k grown until exactly the
-    counted number of values lie below the cut (pencils too small for that
-    margin are reduced too).  A result whose length differs from the count
-    (for instance one copy short of a repeated eigenvalue) raises
-    NoConvergence instead of being returned.
-    """
-    n = d.n
     cut = lam_max * (1 + 1e-12)
-    if n <= EIGSH_THRESHOLD:
-        tri = _tridiagonal(d)
-        count = _sturm_count(*tri, cut)
-    else:
-        S = _standard_form(d)
-        count = _count_below(S, cut)
-        tri = _tridiagonal(d) if 0 < count and count + EIGSH_MARGIN >= n else None
+    count = _sturm_count(t.diag, t.off, cut)
     if count == 0:
         return EigenPairs(values=np.zeros(0), inertia_count=0)
-    w = _eigsh_below(S, cut, count, seed) if tri is None else _tridiagonal_values(*tri, cut, count)
+    w = _tridiagonal_values(t.diag, t.off, cut, count)
     if len(w) != count:
         raise NoConvergence(0, f"{len(w)} eigenvalues <= {lam_max!r} found, inertia counts {count}")
     return EigenPairs(values=w, inertia_count=count)
 
 
-def _eigsh_below(S, cut: float, count: int, seed: int) -> np.ndarray:
-    """Shift-invert ARPACK for the ``count`` eigenvalues of S below ``cut``.
-
-    The Krylov space grows with k, so a copy of a repeated eigenvalue that
-    one run missed (its count below the cut falls short) is sought again
-    with k doubled.  The result is accepted only when exactly ``count``
-    values lie below the cut and at least one above it, which shows that
-    the run reached past the cut.
-    """
-    n = S.shape[0]
-    v0 = np.random.default_rng(seed).standard_normal(n)
-    sigma = -max(abs(cut), 1.0) * EIGSH_SHIFT
-    k = count + EIGSH_MARGIN
-    while True:
-        try:
-            w = spla.eigsh(S, k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False)
-        except spla.ArpackNoConvergence:
-            pass
-        else:
-            w = np.sort(w)
-            if np.count_nonzero(w <= cut) == count and w[-1] > cut:
-                return w[:count]
-        if k == n - 1:
-            raise NoConvergence(k, f"eigsh did not find the {count} eigenvalues below {cut!r}")
-        k = min(2 * k, n - 1)
+def solve_below(d: DiscreteOperator, lam_max: float) -> EigenPairs:
+    """All eigenvalues <= lam_max of the pencil d, proven complete: its
+    dense tridiagonal reduction (``_tridiagonal``) solved by ``solve``."""
+    return solve(_tridiagonal(d), lam_max)
 
 
 # -- bookkeeping --------------------------------------------------------------

@@ -6,10 +6,11 @@ projector P of level l splits the level-l space into range(P), which
 carries the spectrum of level l - 1, and ker(P), whose eigenfunctions
 have mean zero over each fiber of coordinate l (on binary fibers: are odd
 in it) and vanish where that coordinate is collapsed (arXiv 1204.5207;
-Barlow & Evans, "Markov processes on vermiculated spaces", 2004).  So every eigenvalue new at level l is an eigenvalue of a
-piece of the level-0 graph with extra Dirichlet vertices, and no level
-above 0 is built to find it.  Every family hands the pipeline a
-LevelFamily, which lists those pieces:
+Barlow & Evans, "Markov processes on vermiculated spaces", 2004).  So
+every eigenvalue new at level l is an eigenvalue of a piece of the level-0
+graph with extra Dirichlet vertices, and no level above 0 is built to find
+it.  Every family hands the pipeline a LevelFamily, which lists those
+pieces:
 
 - a base graph times the binary fibers {0,1}^l, with coordinate b collapsed
   at the vertices born at level b (the Laakso space and the pâte à choux;
@@ -20,13 +21,18 @@ LevelFamily, which lists those pieces:
   base path at level 1, and m_k Dirichlet paths of l_k / g cells at
   level k.
 
-Every family goes through one pipeline: solve each distinct connected
-component of the pieces once and tag each value with the level it is new
-at (``_level_values``), then cluster (``level_spectra``, which the pâte à
-choux uses).  The Laakso and string levels, whose edges have one length,
-map their vertex values to the mesh by the Chebyshev rule first, adding
-edge modes counted from |E_l| and |V_l| (``equilateral_spectra``).  No
-eigenvector is formed.
+Every family goes through one pipeline: solve each distinct part of the
+pieces once and tag each value with the level it is new at
+(``_level_values``), then cluster (``level_spectra``, which the pâte à
+choux uses).  The Laakso and string bases are paths, so their pieces are
+runs of a path, keyed on their length and end types, whose pencils are
+tridiagonal in path order and go to the Sturm count and bisection as they
+are (Kahan 1966), in O(n) memory.  Any other base (the gasket of the pâte à
+choux) is split into connected components, each reduced densely by
+``solve_below``.  The Laakso and string levels, whose edges have one
+length, map their vertex values to the mesh by the Chebyshev rule first,
+adding edge modes counted from |E_l| and |V_l| (``equilateral_spectra``).
+No eigenvector is formed.
 
 The trade-off: the pipeline assumes the decomposition instead of checking
 it on every run.  The tests hold it to the whole level pencils, whose
@@ -43,16 +49,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .eigensolve import DEFAULT_SEED, SpectrumList, cluster, solve_below
+from .eigensolve import SpectrumList, Tridiagonal, cluster, solve, solve_below, tridiagonal_form
 from .metric_graph import (
-    DIRICHLET,
     SPECTRAL_BOUND,
     DiscreteOperator,
     EquilateralMesh,
     MetricGraph,
     _laplacian,
     _node_numbers,
-    graph_operator,
     walk_kernels,
 )
 
@@ -164,35 +168,83 @@ def _pencil(key: bytes) -> DiscreteOperator:
                             M=M.view(np.float64))
 
 
-def _level_values(family: LevelFamily, cut: float, seed: int):
-    """Eigenvalues <= ``cut`` new at each level, by ``solve_below``, whose
-    length is its inertia count, and the number of kept vertices of each
-    level: the sizes of its pieces and of those below, with their copies.
+def _path_weight(base: MetricGraph) -> float | None:
+    """The edge weight of ``base`` when it is a path in vertex order, edge k
+    joining vertices k and k + 1, with one weight on every edge; else
+    None."""
+    k = np.arange(base.n_vertices - 1)
+    if not len(k) or not np.array_equal(base.ends, np.stack([k, k + 1], axis=1)):
+        return None
+    w = base.weight[0]
+    return float(w) if np.all(base.weight == w) else None
+
+
+def _distinct_runs(drop: np.ndarray, copies: np.ndarray):
+    """Yield (key, count) for each distinct run of kept vertices of the
+    rows of ``drop``, the eliminated vertices of a path, one row per
+    piece.  A run of m vertices whose first (last) vertex is the first
+    (last) of the path, so a free path end, has the key
+    4 m + 2 [first free] + [last free]; ``count`` sums ``copies``, given
+    per row, over the runs with that key."""
+    edge = np.diff(np.pad(~drop, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    rows, start = np.nonzero(edge == 1)
+    stop = np.nonzero(edge == -1)[1]
+    keys, inverse = np.unique(4 * (stop - start) + 2 * (start == 0) + (stop == drop.shape[1]),
+                              return_inverse=True)
+    counts = np.bincount(inverse, copies[rows], len(keys)).astype(np.int64)
+    yield from zip(keys.tolist(), counts.tolist())
+
+
+def _run_tridiagonal(key: int, w: float) -> Tridiagonal:
+    """The standard form (``tridiagonal_form``) of the pencil of a
+    ``_distinct_runs`` key on a path of edge weight w: A is 2w on the
+    diagonal, w at a free path end, and -w off it, and M is the diagonal
+    of A, the weighted degree."""
+    m, first, last = key >> 2, key >> 1 & 1, key & 1
+    i = np.arange(m)
+    a = np.where((i == 0) & (first == 1) | (i == m - 1) & (last == 1), w, w + w)
+    return tridiagonal_form(a, np.full(m - 1, -w), a)
+
+
+def _level_values(family: LevelFamily, cut: float):
+    """Eigenvalues <= ``cut`` new at each level, each list as long as its
+    inertia count, and the number of kept vertices of each level: the sizes
+    of its pieces and of those below, with their copies.
 
     Level 0 is ``base`` itself.  A piece's pencil is the vertex pencil of
-    ``base`` (``graph_operator``) with its marks eliminated too.  The pieces
-    of a level are assembled as one disjoint union and split into connected
-    components, and only a component not seen before is solved: on
-    self-similar spaces most components repeat bit for bit, and the same
-    input to the same seeded LAPACK or ARPACK call gives the same bits.
+    ``base`` (``graph_operator``) with its marks eliminated too, and only a
+    piece not seen before is solved: on self-similar spaces most pieces
+    repeat, and the same input to the same LAPACK call gives the same bits.
+    On a path base (``_path_weight``) every piece is a set of runs of the
+    path, keyed on their length and end types (``_distinct_runs``), whose
+    tridiagonal pencils go to ``solve`` as they are.  On any other base the
+    pieces of a level are assembled as one disjoint union and split into
+    connected components (``_distinct_components``), each solved by
+    ``solve_below``.
     """
     base = family.base
     n = base.n_vertices
-    solved: dict[bytes, np.ndarray] = {}
+    w = _path_weight(base)
+    solved: dict = {}
     values, kept, size = [], [], 0
     for pieces in [[(np.zeros(n, dtype=bool), 1)], *family.pieces]:
         marks, copies = zip(*pieces)
-        drop = (base.dirichlet | np.stack(marks)).ravel()
-        pos = _node_numbers(drop)
-        ends = (n * np.arange(len(pieces))[:, None, None] + base.ends).reshape(-1, 2)
-        A, M = _laplacian(int(np.count_nonzero(~drop)), pos[ends[:, 0]], pos[ends[:, 1]],
-                          np.tile(base.weight, len(pieces)))
-        row_copies = np.asarray(copies)[np.flatnonzero(~drop) // n]
-        size += int(row_copies.sum())
+        drop = base.dirichlet | np.stack(marks)
+        copies = np.asarray(copies)
+        size += int(copies @ np.count_nonzero(~drop, axis=1))
+        if w is None:
+            pos = _node_numbers(drop.ravel())
+            ends = (n * np.arange(len(pieces))[:, None, None] + base.ends).reshape(-1, 2)
+            A, M = _laplacian(int(np.count_nonzero(~drop)), pos[ends[:, 0]], pos[ends[:, 1]],
+                              np.tile(base.weight, len(pieces)))
+            distinct = _distinct_components(A, M, np.repeat(copies, n)[~drop.ravel()])
+        else:
+            distinct = _distinct_runs(drop, copies)
         new = []
-        for key, count in _distinct_components(A, M, row_copies):
+        for key, count in distinct:
             if key not in solved:
-                solved[key] = solve_below(_pencil(key), cut, seed).values
+                solved[key] = (solve_below(_pencil(key), cut) if w is None
+                               else solve(_run_tridiagonal(key, w), cut)).values
             new.append(np.tile(solved[key], count))
         values.append(np.concatenate(new or [np.zeros(0)]))
         kept.append(size)
@@ -217,16 +269,16 @@ def _cluster_levels(new: list[np.ndarray], origin: str, meta: dict,
 
 
 def level_spectra(family: LevelFamily, lam_max: float, origin: str, meta: dict,
-                  seed: int = DEFAULT_SEED, **cluster_kw) -> list[SpectrumList]:
+                  **cluster_kw) -> list[SpectrumList]:
     """Vertex-pencil spectrum below ``lam_max`` of every level 0..n with
     origin tags: level i's spectrum is the union of the base values (tag
     "base") and the piece values of levels 1..i (tag "new@k"), from
     ``_level_values``, clustered (``_cluster_levels``)."""
-    return _cluster_levels(_level_values(family, lam_max, seed)[0], origin, meta, **cluster_kw)
+    return _cluster_levels(_level_values(family, lam_max)[0], origin, meta, **cluster_kw)
 
 
 def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float, origin: str,
-                        meta: dict, seed: int = DEFAULT_SEED) -> list[list[SpectrumList]]:
+                        meta: dict) -> list[list[SpectrumList]]:
     """Finite-difference spectra below ``lam_max`` of every level of a family
     whose edges all have one length, cut into each of ``refines`` cells
     (``EquilateralMesh``), from one solve of the vertex pencils as in
@@ -246,8 +298,8 @@ def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float,
     base = family.base
     meshes = [EquilateralMesh.of([base], refine) for refine in refines]
     cut = max(mesh.vertex_cut(lam_max) for mesh in meshes)
-    kernels = walk_kernels(base, graph_operator(base, DIRICHLET))
-    new, kept = _level_values(family, cut, seed)
+    kernels = walk_kernels(base)
+    new, kept = _level_values(family, cut)
     whole = cut == SPECTRAL_BOUND  # only a whole spectrum holds the vertex value 2
     nu = np.sort(new[0])
     nu = [nu[kernels[0]:len(nu) - kernels[1] * whole], *new[1:]]

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidSequence
-from .eigensolve import DEFAULT_SEED, SpectrumEntry, SpectrumList
+from .eigensolve import SpectrumEntry, SpectrumList
 from .fiber import LevelFamily, binary_family, binary_graphs, equilateral_spectra
 from .metric_graph import DIRICHLET, NEUMANN, MetricGraph
 
@@ -156,26 +156,26 @@ def laakso_analytic_spectrum(spec: LaaksoSpec, lam_max: float) -> SpectrumList:
     )
 
 
-def laakso_refinement_spectra(spec: LaaksoSpec, lam_max: float, refines: list[int],
-                              seed: int = DEFAULT_SEED) -> list[list[SpectrumList]]:
+def laakso_refinement_spectra(spec: LaaksoSpec, lam_max: float,
+                              refines: list[int]) -> list[list[SpectrumList]]:
     """Numeric spectra of levels 0..n at each refinement of ``refines``, from
     one solve of the pieces of the base path (``fiber.equilateral_spectra``).
 
     Level-0 eigenvalues are tagged "base" and those new at level i, from the
     pieces of that level, "new@i"; multiplicities come from gap
-    clustering.  ``seed`` draws the start vector of the Krylov solver.
+    clustering.
     """
     meta = {"j": spec.j, "boundary": spec.boundary,
             "zero_mode": "included, outside the analytic family listing"}
     return equilateral_spectra(laakso_family(spec), refines, lam_max, "numeric(laakso,level={})",
-                               meta, seed)
+                               meta)
 
 
-def laakso_numeric_spectra(spec: LaaksoSpec, lam_max: float, seed: int = DEFAULT_SEED) -> list[SpectrumList]:
+def laakso_numeric_spectra(spec: LaaksoSpec, lam_max: float) -> list[SpectrumList]:
     """Numeric spectra of levels 0..n at the spec's refinement."""
-    return laakso_refinement_spectra(spec, lam_max, [spec.refine], seed)[0]
+    return laakso_refinement_spectra(spec, lam_max, [spec.refine])[0]
 
 
-def laakso_numeric_spectrum(spec: LaaksoSpec, lam_max: float, seed: int = DEFAULT_SEED) -> SpectrumList:
+def laakso_numeric_spectrum(spec: LaaksoSpec, lam_max: float) -> SpectrumList:
     """Numeric spectrum of the deepest level; see laakso_numeric_spectra."""
-    return laakso_numeric_spectra(spec, lam_max, seed)[-1]
+    return laakso_numeric_spectra(spec, lam_max)[-1]

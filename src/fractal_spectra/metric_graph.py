@@ -139,18 +139,19 @@ def graph_operator(g: MetricGraph, boundary: str | None = None) -> DiscreteOpera
     return DiscreteOperator(A=A, M=deg, kept_vertices=np.flatnonzero(~drop))
 
 
-def walk_kernels(g: MetricGraph, op: DiscreteOperator) -> tuple[int, int]:
+def walk_kernels(g: MetricGraph) -> tuple[int, int]:
     """dim ker(P - I) and dim ker(P + I) for the walk P = I - M^{-1} A of
-    ``op``, the vertex pencil of the connected graph g.
+    the vertex pencil of the connected graph g with its Dirichlet vertices
+    eliminated (``graph_operator(g, DIRICHLET)``).
 
     A vector in either kernel has one |x| over g and vanishes next to an
     eliminated vertex, so with one eliminated both are 0.  Otherwise they
     hold the constants and the +-1 colourings, which exist when g is
     bipartite: when its double cover (u, v'), (u', v) has two components.
     """
-    n = g.n_vertices
-    if op.n < n:
+    if g.dirichlet.any():
         return 0, 0
+    n = g.n_vertices
     u, v = g.ends.T
     cover = sp.coo_matrix((np.ones(2 * len(u)), (np.r_[u, u + n], np.r_[v + n, v])),
                           shape=(2 * n, 2 * n))

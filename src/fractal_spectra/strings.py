@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InfeasibleNesting, NoCommonPitch
-from .eigensolve import DEFAULT_SEED, FDModel, SpectrumEntry, SpectrumList
+from .eigensolve import FDModel, SpectrumEntry, SpectrumList
 from .fiber import LevelFamily, equilateral_spectra
 from .metric_graph import MetricGraph
 
@@ -207,14 +207,13 @@ def stitched_family(spec: StringSpec) -> LevelFamily:
     return LevelFamily(base, pieces, (np.cumsum(added) + K).tolist())
 
 
-def stitched_numeric_spectra(spec: StringSpec, lam_max: float, seed: int = DEFAULT_SEED) -> list[SpectrumList]:
+def stitched_numeric_spectra(spec: StringSpec, lam_max: float) -> list[SpectrumList]:
     """Numeric spectra of the stitched levels 0..N at the spec's pitch, each
     value tagged with the level it is new at (see
-    ``fiber.equilateral_spectra``: every edge is one grid unit long);
-    ``seed`` draws the start vector of the Krylov solver."""
+    ``fiber.equilateral_spectra``: every edge is one grid unit long)."""
     meta = {"lengths": [str(l) for l in spec.lengths], "mults": spec.mults}
     return equilateral_spectra(stitched_family(spec), [spec.refine], lam_max,
-                               "numeric(string,level={})", meta, seed)[0]
+                               "numeric(string,level={})", meta)[0]
 
 
 def isospectrality_report(

@@ -24,3 +24,11 @@ def residuals(values, vectors, op) -> np.ndarray:
     """Residual norm |A v - lambda M v| of each pair (values[j], vectors[:, j])."""
     R = op.A @ vectors - (op.M[:, None] * vectors) * values[None, :]
     return np.linalg.norm(R, axis=0)
+
+
+def standard_form(op) -> np.ndarray:
+    """Dense S = M^{-1/2} A M^{-1/2}, entry (A_ij m_i) m_j with
+    m = M^{-1/2}: the matrix whose reduction the package solves, bit for
+    bit."""
+    ms = 1.0 / np.sqrt(op.M)
+    return op.A.toarray() * ms[:, None] * ms[None, :]

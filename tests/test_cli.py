@@ -99,7 +99,7 @@ class TestLaakso:
         run = json.loads((out / "run.json").read_text())
         assert run["refine"] == 32 and run["lambda_max"] == 120.0
         assert run["boundary"] == "neumann" and run["tol"] == 1e-9
-        assert run["seed"] == eigensolve.DEFAULT_SEED
+        assert "seed" not in run  # the seed has no effect, so the run does not record it
 
     def test_explicit_zero_refine_is_not_replaced(self, laakso_run, tmp_path):
         spec, _ = laakso_run
@@ -149,12 +149,20 @@ class TestChoux:
         assert cli.main(["choux", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
 
     def test_seed_is_accepted_and_has_no_effect(self, tmp_path):
-        spec = write_spec(tmp_path, "spec.json", {"fiber_depth": 1, "gasket_level": 2})
-        outs = [tmp_path / "seed1", tmp_path / "seed2"]
-        for seed, out in zip(("1", "2"), outs):
-            assert cli.main(["choux", "--spec", spec, "--out", str(out), "--seed", seed]) == 0
-        for f in sorted(outs[0].iterdir()):
-            assert filecmp.cmp(f, outs[1] / f.name, shallow=False), f.name
+        """Every solving subcommand takes --seed and writes the bytes it
+        writes without it."""
+        for command, doc in (("choux", {"fiber_depth": 1, "gasket_level": 2}),
+                             ("laakso", {"j": [2, 3], "refine": 8, "lambda_max": 200.0}),
+                             ("string", {"lengths": [0.5, 0.25], "mults": [1, 2],
+                                         "zeta_terms": 50})):
+            spec = write_spec(tmp_path, f"{command}.json", doc)
+            outs = [tmp_path / f"{command}_{seed}" for seed in ("1", "2", "none")]
+            for seed, out in zip(("1", "2"), outs):
+                assert cli.main([command, "--spec", spec, "--out", str(out), "--seed", seed]) == 0
+            assert cli.main([command, "--spec", spec, "--out", str(outs[2])]) == 0
+            for f in sorted(outs[0].iterdir()):
+                for other in outs[1:]:
+                    assert filecmp.cmp(f, other / f.name, shallow=False), (command, f.name)
 
     def test_unknown_boundary_in_spec_rejected(self, tmp_path):
         """A misspelt mode ran as Neumann and was written into run.json."""

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from fractal_spectra import cli, eigensolve
@@ -17,8 +16,10 @@ from fractal_spectra.eigensolve import (
     cluster,
     compare_spectra,
     gap_runs,
-    _count_below,
-    _standard_form,
+    _reduce,
+    _sturm_count,
+    Tridiagonal,
+    solve,
     solve_below,
     verify_nesting,
 )
@@ -46,7 +47,7 @@ from fractal_spectra.strings import (
     build_stitched,
     stitched_numeric_spectra,
 )
-from lapack_reference import eigenpairs_below, generalized_eigh, residuals
+from lapack_reference import eigenpairs_below, generalized_eigh, residuals, standard_form
 from json_reference import spectrum_from_json, spectrum_to_json
 from level_reference import (
     BeyondTruncation,
@@ -76,6 +77,25 @@ def random_pencil(n, seed, mult=1):
     M = rng.uniform(0.5, 2.0, n)
     A = sp.csr_matrix((np.sqrt(M)[:, None] * S) * np.sqrt(M)[None, :])
     return DiscreteOperator(A=A, M=M), vals
+
+
+def sturm_count(S, cut):
+    """The package's count of the eigenvalues <= cut of the dense symmetric
+    S: the Sturm count on its ``dsytrd`` reduction."""
+    return _sturm_count(*_reduce(np.array(S, order="F")), cut)
+
+
+def path_blocks(t, copies, seed):
+    """A random weighted path Laplacian of t vertices with random masses,
+    repeated ``copies`` times with zero couplings between the copies: its
+    tridiagonal standard form and its pencil."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 2.0, t - 1)
+    T = sp.diags([-w, np.r_[w, 0.0] + np.r_[0.0, w] + 0.5, -w], [-1, 0, 1])
+    op = DiscreteOperator(A=sp.kron(sp.identity(copies), T, format="csr"),
+                          M=np.tile(rng.uniform(0.5, 2.0, t), copies))
+    S = standard_form(op)
+    return Tridiagonal(S.diagonal().copy(), S.diagonal(-1).copy()), op
 
 
 def whole_spectrum(d):
@@ -128,7 +148,7 @@ class TestDense:
         LAPACK's full values-only solver (dsytrd, then dsterf) gives them; a
         value range would take bisection."""
         d = choux_levels(ChouxSpec(fiber_depth=0, gasket_level=m, boundary="dirichlet"))[0][0]
-        w = scipy.linalg.eigh(_standard_form(d).toarray(), eigvals_only=True, driver="ev")
+        w = scipy.linalg.eigh(standard_form(d), eigvals_only=True, driver="ev")
         pairs = solve_below(d, SPECTRAL_BOUND)
         assert pairs.inertia_count == len(pairs.values) == d.n
         assert np.array_equal(pairs.values, w)
@@ -141,7 +161,7 @@ class TestDense:
         them on the same value range."""
         d = choux_levels(ChouxSpec(fiber_depth=0, gasket_level=m, boundary="dirichlet"))[0][0]
         cut = lam_max * (1 + 1e-12)
-        w = scipy.linalg.eigh(_standard_form(d).toarray(), eigvals_only=True, driver="evx",
+        w = scipy.linalg.eigh(standard_form(d), eigvals_only=True, driver="evx",
                               subset_by_value=(-np.inf, cut))
         pairs = solve_below(d, lam_max)
         assert 0 < pairs.inertia_count == len(pairs.values) == len(w) < d.n
@@ -168,46 +188,60 @@ class TestDense:
 
 
 class TestLanczos:
-    """solve_below against LAPACK's generalized solver; an EIGSH_THRESHOLD of
-    0 forces shift-invert eigsh."""
+    """solve_below, and solve on tridiagonal input, against
+    LAPACK's generalized solver."""
 
-    def test_matches_dense_on_interval(self, eigsh_threshold):
+    def test_matches_dense_on_interval(self):
         d = interval_pencil(1 / 64, DIRICHLET)
         dense, _ = generalized_eigh(d)
         cut = 0.5 * (dense[11] + dense[12])
-        eigsh_threshold(0)
         lz = solve_below(d, cut)
         assert lz.values == pytest.approx(dense[:12], rel=1e-8)
 
-    def test_k1_neumann_zero(self, eigsh_threshold):
-        eigsh_threshold(0)
+    def test_k1_neumann_zero(self):
         pairs = solve_below(interval_pencil(1 / 16, NEUMANN), 1.0)
         assert len(pairs.values) == 1
         assert abs(pairs.values[0]) < 1e-10
 
     @pytest.mark.parametrize("seed", range(50))
-    def test_random_pencils_fifty_seeds(self, seed, eigsh_threshold):
+    def test_random_pencils_fifty_seeds(self, seed):
         d, _ = random_pencil(100, seed)
         dense, _ = generalized_eigh(d)
-        eigsh_threshold(0)
-        lz = solve_below(d, 10.5, seed=1000 + seed)
+        lz = solve_below(d, 10.5)
         assert lz.values == pytest.approx(dense[:10], rel=1e-8)
 
     @pytest.mark.parametrize("dense_route", [False, True])
-    def test_multiplicities_recovered(self, dense_route, eigsh_threshold):
-        d, vals = random_pencil(200, 42, mult=4)
-        dense, _ = generalized_eigh(d)
-        eigsh_threshold(10**6 if dense_route else 0)
-        lz = solve_below(d, 4.5)
-        assert lz.values == pytest.approx(dense[:16], rel=1e-8)
-        assert lz.values == pytest.approx(np.sort(vals)[:16], rel=1e-9)
+    def test_multiplicities_recovered(self, dense_route):
+        """Every copy of a value repeated 4 times: from the dense reduction
+        of a pencil with a 4-fold spectrum, and from a tridiagonal matrix
+        that splits into 4 equal blocks, handed to solve as it
+        is."""
+        if dense_route:
+            d, vals = random_pencil(200, 42, mult=4)
+            lz = solve_below(d, 4.5)
+            assert lz.values == pytest.approx(np.sort(vals)[:16], rel=1e-9)
+        else:
+            t, d = path_blocks(30, 4, 42)
+            lz = solve(t, 2.0)
+        dense, _ = eigenpairs_below(d, 4.5 if dense_route else 2.0)
+        assert lz.inertia_count == len(lz.values) == len(dense) > 0 and len(dense) % 4 == 0
+        assert lz.values == pytest.approx(dense, rel=1e-12)
 
-    def test_solve_dispatcher_routes_by_size(self, eigsh_threshold):
-        d, _ = random_pencil(60, 3)
-        via_dense = solve_below(d, 5.5)
-        eigsh_threshold(10)
-        via_eigsh = solve_below(d, 5.5)
-        assert via_eigsh.values == pytest.approx(via_dense.values, rel=1e-8)
+    def test_every_size_takes_the_dense_reduction(self, monkeypatch):
+        """Small and large pencils alike are reduced by dsytrd and solved on
+        the reduction; none takes another route."""
+        sizes = []
+
+        def spy(a, *args, _reduce=lapack.dsytrd, **kwargs):
+            sizes.append(a.shape[0])
+            return _reduce(a, *args, **kwargs)
+
+        monkeypatch.setattr(lapack, "dsytrd", spy)
+        for n in (60, 600):
+            d, _ = random_pencil(n, 3)
+            dense, _ = generalized_eigh(d)
+            assert solve_below(d, 5.5).values == pytest.approx(dense[:5], rel=1e-12)
+        assert sizes == [60, 600]
 
     def test_solve_below_collects_all(self):
         d = interval_pencil(1 / 64, DIRICHLET)
@@ -220,8 +254,8 @@ class TestLanczos:
         def refuse(*args, **kwargs):
             raise AssertionError("eigensolver called with nothing below the cut")
 
-        for module, name in ((lapack, "dsterf"), (lapack, "dstebz"), (spla, "eigsh")):
-            monkeypatch.setattr(module, name, refuse)
+        for name in ("dsterf", "dstebz"):
+            monkeypatch.setattr(lapack, name, refuse)
         d = interval_pencil(1 / 64, DIRICHLET)  # lowest value just below pi^2
         pairs = solve_below(d, 9.0)
         assert pairs.values.shape == (0,) and pairs.inertia_count == 0
@@ -232,10 +266,15 @@ class TestLanczos:
     def test_inertia_count_matches_dense(self, cut):
         d, _ = random_pencil(200, 42, mult=4)
         dense, _ = generalized_eigh(d)
-        assert _count_below(_standard_form(d), cut) == np.count_nonzero(dense <= cut)
+        assert sturm_count(standard_form(d), cut) == np.count_nonzero(dense <= cut)
+        assert solve_below(d, cut).inertia_count == np.count_nonzero(dense <= cut)
 
     @pytest.mark.parametrize("family", ["laakso", "string"])
-    def test_eigsh_matches_dense_subset_on_family_pencils(self, family, eigsh_threshold):
+    def test_eigsh_matches_dense_subset_on_family_pencils(self, family):
+        """The whole mesh pencil of the deepest level, solved below the cut:
+        as many values as LAPACK's generalized driver finds there, equal to
+        its values, and with its vectors they leave residuals at rounding
+        level."""
         if family == "laakso":
             spec = LaaksoSpec(j=[2, 2], refine=16)
             fam, lam_max = build_laakso(spec), 230.0
@@ -243,149 +282,127 @@ class TestLanczos:
             spec = StringSpec([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)], [1, 2, 1], refine=16)
             fam, lam_max = build_stitched(spec), 2000.0
         d = assemble(discretize(fam[-1], spec.pitch))
-        eigsh_threshold(10**6)
-        dense = solve_below(d, lam_max)
-        eigsh_threshold(0)
-        krylov = solve_below(d, lam_max)
-        assert krylov.inertia_count == dense.inertia_count == len(dense.values) == len(krylov.values)
-        assert np.all(np.abs(krylov.values - dense.values) <= 1e-9 * np.maximum(1.0, dense.values))
+        got = solve_below(d, lam_max)
         values, vectors = eigenpairs_below(d, lam_max)
-        assert len(values) == krylov.inertia_count
-        assert residuals(krylov.values, vectors, d).max() <= 1e-8 * lam_max
+        assert got.inertia_count == len(got.values) == len(values) > 0
+        assert np.all(np.abs(got.values - values) <= 1e-9 * np.maximum(1.0, values))
+        assert residuals(got.values, vectors, d).max() <= 1e-8 * lam_max
 
-    def test_same_seed_is_bit_identical(self, eigsh_threshold):
+    def test_repeated_solve_is_bit_identical(self):
         d, _ = random_pencil(200, 42, mult=4)
-        eigsh_threshold(0)
-        a = solve_below(d, 6.5, seed=7)
-        b = solve_below(d, 6.5, seed=7)
+        a = solve_below(d, 6.5)
+        b = solve_below(d, 6.5)
         assert np.array_equal(a.values, b.values)
+        t, _ = path_blocks(600, 1, 7)
+        assert np.array_equal(solve(t, 1.0).values, solve(t, 1.0).values)
 
     @pytest.mark.parametrize(
-        "module, name, threshold",
-        [(spla, "eigsh", 0), (lapack, "dstebz", 10**6)],
-        ids=["eigsh", "dense"],
+        "name, lam_max",
+        [("dsterf", 60.0), ("dstebz", 4.5)],
+        ids=["whole", "dense"],
     )
-    def test_missing_copy_is_refused(self, monkeypatch, eigsh_threshold, module, name, threshold):
-        """A result one copy short of a repeated eigenvalue is never returned."""
+    def test_missing_copy_is_refused(self, monkeypatch, name, lam_max):
+        """A result one copy short of a repeated eigenvalue is never
+        returned, from the whole spectrum (dsterf) or a part (dstebz)."""
         d, _ = random_pencil(200, 42, mult=4)
-        solver = getattr(module, name)
+        solver = getattr(lapack, name)
 
         def drop_a_copy(w):
             return np.delete(w, int(np.argmin(np.abs(w - 2.0))))
 
-        def drop_from_eigsh(*args, **kwargs):
-            return drop_a_copy(solver(*args, **kwargs))
+        def drop_from_sterf(*args, **kwargs):
+            w, info = solver(*args, **kwargs)
+            return drop_a_copy(w), info
 
         def drop_from_stebz(*args, **kwargs):
             m, w, *rest = solver(*args, **kwargs)
             return (m - 1, drop_a_copy(w[:m]), *rest)
 
-        monkeypatch.setattr(module, name, drop_from_eigsh if name == "eigsh" else drop_from_stebz)
-        eigsh_threshold(threshold)
+        monkeypatch.setattr(lapack, name, drop_from_sterf if name == "dsterf" else drop_from_stebz)
         with pytest.raises(NoConvergence):
-            solve_below(d, 4.5)
+            solve_below(d, lam_max)
 
-    def test_pipeline_asks_for_no_eigenvector(self, monkeypatch, eigsh_threshold):
-        """solve_below forms no eigenvector, whoever calls it: from the level
-        pipeline, the gasket spectrum or directly, the whole and subset
-        routes call only LAPACK's tridiagonal reduction (dsytrd), its
-        values-only QR (dsterf) and its bisection (dstebz), and every ARPACK
-        call passes return_eigenvectors=False."""
+    def test_pipeline_asks_for_no_eigenvector(self, monkeypatch):
+        """solve_below and solve form no eigenvector, whoever calls them:
+        from the level pipeline (whose path bases go straight to solve), the
+        gasket spectrum or directly, the whole and subset routes call only
+        LAPACK's tridiagonal reduction (dsytrd), its values-only QR (dsterf)
+        and its bisection (dstebz)."""
         calls = []
 
         class SpyLapack:
             def __getattr__(self, name):
                 def spy(*args, **kwargs):
-                    calls.append((name, kwargs))
+                    calls.append(name)
                     return getattr(lapack, name)(*args, **kwargs)
 
                 return spy
 
-        def spy_eigsh(*args, _solver=spla.eigsh, **kwargs):
-            calls.append(("eigsh", kwargs))
-            return _solver(*args, **kwargs)
-
         monkeypatch.setattr(eigensolve, "lapack", SpyLapack())
-        monkeypatch.setattr(spla, "eigsh", spy_eigsh)
-        laakso_spec = LaaksoSpec(j=[2, 2], refine=8)
-        string_spec = StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 2], refine=16)
-        laakso_numeric_spectra(laakso_spec, 200.0)
-        stitched_numeric_spectra(string_spec, 700.0)
+        laakso_numeric_spectra(LaaksoSpec(j=[2, 2], refine=8), 200.0)
+        # a base path of 513 vertices
+        laakso_numeric_spectra(LaaksoSpec(j=[2] * 9, refine=8), 400.0)
+        stitched_numeric_spectra(StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 2], refine=16), 700.0)
+        assert set(calls) == {"dsterf", "dstebz"}
         choux_numeric_spectra(ChouxSpec(fiber_depth=1, gasket_level=2))
         gasket_graph_spectrum(build_gasket(2), "dirichlet")
         d, _ = random_pencil(60, 3)
         whole_spectrum(d)
         solve_below(d, 5.5)
-        # vertex pencils large enough for ARPACK's margin below their cut
-        eigsh_threshold(0)
-        laakso_numeric_spectra(LaaksoSpec(j=[2, 2, 2], refine=8), 100.0)
-        stitched_numeric_spectra(
-            StringSpec([Fraction(1, 2), Fraction(1, 4), Fraction(1, 16)], [1, 2, 1], refine=16), 200.0)
-        solve_below(d, 5.5)
-        assert {name for name, _ in calls} == {"dsytrd_lwork", "dsytrd", "dsterf", "dstebz", "eigsh"}
-        for name, kwargs in calls:
-            if name == "eigsh":
-                assert kwargs.get("return_eigenvectors") is False, kwargs
+        assert set(calls) == {"dsytrd_lwork", "dsytrd", "dsterf", "dstebz"}
 
 
 def choux_24_level(boundary, level):
-    """Standard form of one fiber level of choux 2/4 and its dense spectrum."""
-    S = _standard_form(choux_levels(ChouxSpec(2, 4, boundary))[0][level])
-    return S, np.linalg.eigvalsh(S.toarray())
+    """One fiber level of choux 2/4, its dense standard form and its dense
+    spectrum."""
+    d = choux_levels(ChouxSpec(2, 4, boundary))[0][level]
+    S = standard_form(d)
+    return d, S, np.linalg.eigvalsh(S)
 
 
 class TestInertiaGuard:
-    """Gasket pencils sit at cuts where SuperLU's diagonal-pivot LDL^T goes
-    wrong: its permutation leaves the diagonal, or a pivot falls near zero
-    and flips the signs after it.  The Sturm count on the tridiagonal
-    reduction counts them right; the sparse count, taken above
-    EIGSH_THRESHOLD, refuses them."""
+    """Gasket pencils sit at cuts where a sparse LDL^T with diagonal
+    pivoting only (SuperLU in symmetric mode) goes wrong: its permutation
+    leaves the diagonal, or a pivot falls near zero and flips the signs
+    after it.  The Sturm count on the tridiagonal reduction counts them
+    right."""
 
-    def test_tiny_pivot_count_is_redone(self, eigsh_threshold):
+    def test_tiny_pivot_count_is_redone(self):
         """At the double just below 1/2 the sparse pivots of choux 2/4 level
         1 count 56, with the smallest |pivot| about 1.7e-16; the spectrum
         has 54 values there and none within 0.15 of the cut."""
-        S, dense = choux_24_level(None, 1)
+        d, S, dense = choux_24_level(None, 1)
         cut = 0.49999999999999994
         assert np.abs(dense - cut).min() > 0.15
-        assert _count_below(S, cut) == np.count_nonzero(dense < cut) == 54
-        eigsh_threshold(0)
-        with pytest.raises(NoConvergence, match="not trusted"):
-            _count_below(S, cut)
+        assert sturm_count(S, cut) == np.count_nonzero(dense < cut) == 54
+        assert solve_below(d, cut).inertia_count == 54
 
     @pytest.mark.parametrize("boundary, level, cut",
                              [(None, 0, 0.5), ("dirichlet", 1, 0.25), (None, 2, 0.5)])
     def test_off_diagonal_pivoting_is_recounted(self, boundary, level, cut):
-        S, dense = choux_24_level(boundary, level)
+        _, S, dense = choux_24_level(boundary, level)
         assert np.abs(dense - cut).min() > 5e-3
-        assert _count_below(S, cut) == np.count_nonzero(dense < cut)
+        assert sturm_count(S, cut) == np.count_nonzero(dense < cut)
 
     @pytest.mark.parametrize("boundary", [None, "dirichlet"])
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_cuts_off_the_spectrum_count_exactly(self, boundary, level):
-        S, dense = choux_24_level(boundary, level)
+        _, S, dense = choux_24_level(boundary, level)
         cuts = [c for c in np.arange(0.05, 2.0, 0.05) if np.abs(dense - c).min() > 1e-6]
-        assert [_count_below(S, c) for c in cuts] == [np.count_nonzero(dense < c) for c in cuts]
+        assert [sturm_count(S, c) for c in cuts] == [np.count_nonzero(dense < c) for c in cuts]
 
     @pytest.mark.parametrize("boundary", [None, "dirichlet"])
     @pytest.mark.parametrize("level", [0, 1, 2])
-    def test_sparse_count_is_exact_or_refused(self, boundary, level, eigsh_threshold):
-        S, dense = choux_24_level(boundary, level)
+    def test_sparse_count_is_exact_or_refused(self, boundary, level):
+        """solve_below on the sparse level pencil, at the same cuts: it
+        returns exactly the dense count of values, each within 1e-12 of the
+        dense one, or refuses the cut; on these pencils it refuses none."""
+        d, _, dense = choux_24_level(boundary, level)
         cuts = [c for c in np.arange(0.05, 2.0, 0.05) if np.abs(dense - c).min() > 1e-6]
-        eigsh_threshold(0)
-        refused = 0
         for c in cuts:
-            try:
-                assert _count_below(S, c) == np.count_nonzero(dense < c), c
-            except NoConvergence:
-                refused += 1
-        assert refused < len(cuts)
-
-    def test_untrusted_count_too_large_to_redo_is_refused(self, eigsh_threshold):
-        S, _ = choux_24_level(None, 0)  # 123 rows
-        eigsh_threshold(100)
-        with pytest.raises(NoConvergence, match="not trusted"):
-            _count_below(S, 0.5)
+            got = solve_below(d, c)
+            assert got.inertia_count == len(got.values) == np.count_nonzero(dense < c), c
+            assert np.abs(got.values - dense[:len(got.values)]).max(initial=0.0) <= 1e-12, c
 
 
 class TestCluster:

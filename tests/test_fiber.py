@@ -9,9 +9,9 @@ from scipy.sparse.csgraph import connected_components
 
 import family_reference
 from fractal_spectra import fiber, gasket, laakso, strings
-from fractal_spectra.eigensolve import solve_below
+from fractal_spectra.eigensolve import solve
 from fractal_spectra.laakso import LaaksoSpec
-from fractal_spectra.metric_graph import DiscreteOperator, graph_operator
+from fractal_spectra.metric_graph import SPECTRAL_BOUND, DiscreteOperator, graph_operator
 from lapack_reference import generalized_eigh
 from level_reference import (
     FiberStructure,
@@ -320,38 +320,63 @@ class TestBlockRoute:
 
 
 class TestSolveOnce:
-    """level_spectra solves each distinct component of the pieces once;
-    identical components reuse the values and inertia count of the first."""
+    """level_spectra solves each distinct run of the pieces of a path base
+    once; equal runs reuse the values and inertia count of the first."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
         calls = []
 
-        def counted(block, *args, **kwargs):
-            calls.append(block.n)
-            return solve_below(block, *args, **kwargs)
+        def counted(t, *args, **kwargs):
+            calls.append(t.n)
+            return solve(t, *args, **kwargs)
 
-        monkeypatch.setattr(fiber, "solve_below", counted)
+        monkeypatch.setattr(fiber, "solve", counted)
         return calls
 
     def test_laakso_krylov_spec(self, solves):
-        """j = [2]*5 at refine 8: 31 pieces above level 0 with 13 distinct
-        components, and level 0."""
+        """j = [2]*5 at refine 8: 31 pieces above level 0 with 14 distinct
+        runs, and level 0.  The one-vertex runs at the two ends of the path
+        are mirror images with one pencil, but they are keyed apart."""
         per_level = laakso.laakso_numeric_spectra(LaaksoSpec(j=[2] * 5, refine=8), 400.0)
-        assert len(solves) == 14
+        assert len(solves) == 15
         assert [s.meta["inertia_count"] for s in per_level] == [7, 13, 26, 40, 40, 40]
 
     def test_laakso_cli_spec(self, solves):
-        """j = [2, 2, 2] at refine 32: level 0 plus 7 distinct of the 35
-        components of the 7 pieces above it; the block route split the same
-        levels into 21 blocks, 7 of them distinct too."""
+        """j = [2, 2, 2] at refine 32: level 0 plus 8 distinct of the 35
+        runs of the 7 pieces above it; the block route split the same
+        levels into 21 blocks, 7 of them distinct."""
         spec = LaaksoSpec(j=[2, 2, 2], refine=32)
         per_level = laakso.laakso_numeric_spectra(spec, 230.0)
-        assert len(solves) == 8
+        assert len(solves) == 9
         ops, fibers = graph_levels(family_reference.build_laakso(spec), "dirichlet")
         assert sum(len(new_blocks(ops[i], ops[i - 1], fibers[i - 1])) for i in (1, 2, 3)) == 21
         for spectrum in per_level:
             assert total_multiplicity(spectrum) == spectrum.meta["inertia_count"]
+
+
+class TestPathPieces:
+    """The pencil of a run of m vertices of a path is the walk Laplacian of
+    the path with its free ends kept and every other end next to an
+    eliminated vertex.  Its values are 2 sin^2(theta_k / 2), k = 0..m-1,
+    with theta_k = k pi / (m - 1) for two free ends,
+    (2k + 1) pi / 2m for one and (k + 1) pi / (m + 1) for none."""
+
+    @pytest.mark.parametrize("m, first, last", [
+        (m, first, last) for m in (1, 2, 3, 17, 511, 1025)
+        for first, last in ((1, 1), (1, 0), (0, 1), (0, 0))
+        if m > 1 or not (first and last)  # two free ends need an edge
+    ])
+    @pytest.mark.parametrize("cut", [SPECTRAL_BOUND, 0.05])
+    def test_closed_form(self, m, first, last, cut):
+        k = np.arange(m)
+        theta = {2: k * np.pi / max(m - 1, 1), 1: (2 * k + 1) * np.pi / (2 * m),
+                 0: (k + 1) * np.pi / (m + 1)}[first + last]
+        exact = 2 * np.sin(theta / 2) ** 2
+        exact = exact[exact <= cut]  # no closed-form value lies within 1e-4 of 0.05
+        got = solve(fiber._run_tridiagonal(4 * m + 2 * first + last, 0.75), cut)
+        assert got.inertia_count == len(got.values) == len(exact)
+        assert np.abs(got.values - exact).max(initial=0.0) <= 1e-14
 
 
 class TestPieces:
@@ -376,7 +401,7 @@ class TestPieces:
             "theta": lambda: (strings.stitched_family(THETA), strings.build_stitched(THETA),
                               "dirichlet"),
         }[case]()
-        _, kept = fiber._level_values(family, 0.0, 0)
+        _, kept = fiber._level_values(family, 0.0)
         assert kept == [graph_operator(g, boundary).n for g in graphs]
         assert [len(family.base.ends), *family.n_edges] == [len(g.ends) for g in graphs]
         assert len(family.pieces) == len(graphs) - 1

@@ -165,7 +165,7 @@ class TestEquilateralMesh:
         g, h = interval(boundary), 1.0 / refine
         op = graph_operator(g, DIRICHLET)
         values, mult = EquilateralMesh.of([g], refine).edge_modes(len(g.ends), op.n,
-                                                             walk_kernels(g, op), 4 / h**2)
+                                                             walk_kernels(g), 4 / h**2)
         k = np.arange(refine + 1)
         assert values == pytest.approx((2 / h**2) * (1 - np.cos(k * np.pi / refine)), rel=1e-13)
         ends = 1 if boundary == NEUMANN else 0
@@ -180,9 +180,9 @@ class TestEquilateralMesh:
         square = MetricGraph(np.arange(4.0), [(0, 1), (1, 2), (2, 3), (3, 0)], 1.0, 1.0)
         triangle = MetricGraph(np.arange(3.0), [(0, 1), (1, 2), (2, 0)], 1.0, 1.0,
                                dirichlet=[True, False, False])
-        assert walk_kernels(square, graph_operator(square)) == (1, 1)  # bipartite
-        assert walk_kernels(triangle, graph_operator(triangle)) == (1, 0)
-        assert walk_kernels(triangle, graph_operator(triangle, DIRICHLET)) == (0, 0)
+        assert walk_kernels(square) == (1, 1)  # bipartite
+        assert walk_kernels(MetricGraph(triangle.labels, triangle.ends, 1.0, 1.0)) == (1, 0)
+        assert walk_kernels(triangle) == (0, 0)  # a Dirichlet vertex
 
     def test_vertex_cut(self):
         mesh = EquilateralMesh(pitch=1 / 8, refine=4)

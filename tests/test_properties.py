@@ -54,9 +54,12 @@ from fractal_spectra import cli, eigensolve, fiber, gasket, laakso, strings
 from fractal_spectra.eigensolve import (
     SpectrumEntry,
     SpectrumList,
-    _count_below,
+    _reduce,
+    _sturm_count,
     gap_runs,
+    solve,
     solve_below,
+    tridiagonal_form,
     verify_nesting,
 )
 from fractal_spectra.errors import DisconnectedGraph, NoConvergence
@@ -190,6 +193,75 @@ def test_choux_pieces_give_the_whole_level_spectra(spec):
     eliminated."""
     assert_pieces_match_whole_levels(gasket.choux_family(spec),
                                      family_reference.build_choux(spec), SPECTRAL_BOUND)
+
+
+# On a path base the package keys each piece's runs on their length and end
+# types and hands their tridiagonal pencils to the solver as they are; these
+# properties hold that route to the connected-component route, which every
+# other base takes, bit for bit.
+
+path_laakso_specs = st.builds(
+    lambda base, steps, boundary: laakso.LaaksoSpec([base + s for s in steps], 8, boundary),
+    st.sampled_from([2, 3]), st.lists(st.sampled_from([0, 1]), min_size=1, max_size=4),
+    st.sampled_from(["neumann", "dirichlet"]),
+)
+
+
+def assert_path_route_is_the_component_route(family, cut):
+    """Level by level, the sorted values and the kept vertex counts of the
+    path route equal those of the component route bit for bit."""
+    assert fiber._path_weight(family.base) is not None
+    values, kept = fiber._level_values(family, cut)
+    with mock.patch.object(fiber, "_path_weight", lambda base: None):
+        ref_values, ref_kept = fiber._level_values(family, cut)
+    assert kept == ref_kept and len(values) == len(ref_values)
+    for got, ref in zip(values, ref_values):
+        assert np.array_equal(np.sort(got), np.sort(ref))
+
+
+@SETTINGS
+@given(spec=path_laakso_specs, cut=vertex_cuts)
+def test_laakso_path_route_is_the_component_route(spec, cut):
+    """{j, j+1} sequences of depth 1-4, both boundaries."""
+    assert_path_route_is_the_component_route(laakso.laakso_family(spec), cut)
+
+
+@SETTINGS
+@given(spec=string_specs, cut=vertex_cuts)
+def test_string_path_route_is_the_component_route(spec, cut):
+    assert_path_route_is_the_component_route(strings.stitched_family(spec), cut)
+
+
+@st.composite
+def path_families(draw):
+    """A path in vertex order of 2-40 vertices with one edge weight, random
+    Dirichlet vertices (so runs that reach only one end of the path, and
+    their mirror images) and 1-3 levels of 1-4 pieces with random marks and
+    copies."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = np.arange(n)
+    base = MetricGraph(k, np.stack([k[:-1], k[1:]], axis=1), 1.0, draw(st.sampled_from([1.0, 0.375])),
+                       rng.random(n) < draw(st.sampled_from([0.0, 0.2])))
+    pieces = [[(rng.random(n) < 0.3, int(rng.integers(0, 4))) for _ in range(draw(st.integers(1, 4)))]
+              for _ in range(draw(st.integers(1, 3)))]
+    return fiber.LevelFamily(base, pieces, [n - 1] * len(pieces))
+
+
+@SETTINGS
+@given(family=path_families(), cut=vertex_cuts)
+def test_path_route_is_the_component_route_on_any_path_family(family, cut):
+    assert_path_route_is_the_component_route(family, cut)
+
+
+def test_path_route_is_the_component_route_on_bases_above_500_vertices():
+    """Laakso [2]*9 and [3]*6, whose base paths have 513 and 730 vertices,
+    both boundaries, at cuts inside the vertex spectrum and above it."""
+    for j in ([2] * 9, [3] * 6):
+        for boundary in ("neumann", "dirichlet"):
+            family = laakso.laakso_family(laakso.LaaksoSpec(j, 8, boundary))
+            for cut in (1e-3, 0.0437, SPECTRAL_BOUND):
+                assert_path_route_is_the_component_route(family, cut)
 
 
 def first_edge_mode(pitch, refine):
@@ -538,31 +610,29 @@ def test_inertia_count_matches_dense_count_at_every_cut_clear_of_the_spectrum(S)
     cuts = np.concatenate([(distinct[:-1] + distinct[1:]) / 2,
                            w - 1e-9 * scale, w + 1e-9 * scale])
     cuts = [c for c in cuts if np.abs(w - c).min() > 1e-10 * scale]
-    A = sp.csr_matrix(S)
     for cut in cuts:
-        assert _count_below(A, cut) == np.count_nonzero(w < cut), cut
+        assert _sturm_count(*_reduce(np.array(S, order="F")), cut) == np.count_nonzero(w < cut), cut
 
 
 @SETTINGS
 @given(S=symmetric_matrices())
 def test_sparse_inertia_count_is_the_dense_count_or_refused(S):
-    """The same cuts with EIGSH_THRESHOLD 0, where the count comes from the
-    guarded sparse LDL^T: it may refuse a cut (NoConvergence) but never
-    returns a wrong count."""
+    """The same cuts, through solve_below on S as a sparse pencil with unit
+    masses: it may refuse a cut (NoConvergence) but never returns a wrong
+    count, and it returns as many values as it counts."""
     w = np.linalg.eigvalsh(S)
     scale = max(1.0, np.abs(w).max())
     distinct = np.unique(w)
     cuts = np.concatenate([(distinct[:-1] + distinct[1:]) / 2,
                            w - 1e-9 * scale, w + 1e-9 * scale])
     cuts = [c for c in cuts if np.abs(w - c).min() > 1e-10 * scale]
-    A = sp.csr_matrix(S)
-    with mock.patch.object(eigensolve, "EIGSH_THRESHOLD", 0):
-        for cut in cuts:
-            try:
-                count = _count_below(A, cut)
-            except NoConvergence:
-                continue
-            assert count == np.count_nonzero(w < cut), cut
+    op = DiscreteOperator(A=sp.csr_matrix(S), M=np.ones(len(S)))
+    for cut in cuts:
+        try:
+            got = solve_below(op, cut)
+        except NoConvergence:
+            continue
+        assert got.inertia_count == len(got.values) == np.count_nonzero(w < cut), cut
 
 
 @st.composite
@@ -584,17 +654,22 @@ def repeated_pencils(draw):
     return op, draw(st.sampled_from(cuts))
 
 
+def path_form(op):
+    """The standard form of a pencil whose A is tridiagonal, from its
+    diagonals (``tridiagonal_form``), as the path route builds it."""
+    return tridiagonal_form(op.A.diagonal(), op.A.diagonal(-1), op.M)
+
+
 @SETTINGS
-@given(case=repeated_pencils(), arpack=st.booleans())
-def test_values_only_solve_matches_the_eigenpair_solve(case, arpack):
-    """On the LAPACK and the ARPACK route, solve_below's inertia count and
-    length are the number of eigenpairs of LAPACK's generalized driver below
-    the cut, and its values agree with theirs to 1e-13 relative (floored at
-    1)."""
+@given(case=repeated_pencils(), tridiagonal=st.booleans())
+def test_values_only_solve_matches_the_eigenpair_solve(case, tridiagonal):
+    """Through the dense reduction (solve_below) and through the tridiagonal
+    standard form handed to solve as it is, the inertia count
+    and length are the number of eigenpairs of LAPACK's generalized driver
+    below the cut, and the values agree with theirs to 1e-13 relative
+    (floored at 1)."""
     op, cut = case
-    threshold = 0 if arpack else eigensolve.EIGSH_THRESHOLD
-    with mock.patch.object(eigensolve, "EIGSH_THRESHOLD", threshold):
-        got = solve_below(op, cut)
+    got = solve(path_form(op), cut) if tridiagonal else solve_below(op, cut)
     values, _ = eigenpairs_below(op, cut)
     assert got.inertia_count == len(got.values) == len(values)
     assert np.all(np.abs(got.values - values) <= 1e-13 * np.maximum(1.0, np.abs(values)))
@@ -603,18 +678,17 @@ def test_values_only_solve_matches_the_eigenpair_solve(case, arpack):
 @SETTINGS
 @given(case=repeated_pencils(), above=st.booleans())
 def test_solve_agrees_with_the_generalized_solver_on_both_sides_of_the_threshold(case, above):
-    """With EIGSH_THRESHOLD at n the pencil is counted and solved on its
-    tridiagonal reduction; at n - 1 it is counted by the sparse LDL^T and
-    solved by ARPACK, or on the reduction when the count leaves ARPACK no
-    margin.  Either way the values agree with LAPACK's generalized driver to
-    1e-13 relative (floored at 1), unless the sparse count is refused."""
+    """Pencils of at most 500 unknowns and, repeated, of more: the dense
+    reduction of a tridiagonal pencil (``dsytrd``, blocked above its
+    crossover) leaves it as it is, so solve_below gives the bits of
+    solve on the tridiagonal standard form, and both agree with
+    LAPACK's generalized driver to 1e-13 relative (floored at 1)."""
     op, cut = case
-    with mock.patch.object(eigensolve, "EIGSH_THRESHOLD", op.n - 1 if above else op.n):
-        try:
-            got = solve_below(op, cut)
-        except NoConvergence:
-            assert above
-            return
+    if above:
+        reps = 500 // op.n + 1
+        op = DiscreteOperator(A=sp.block_diag([op.A] * reps, format="csr"), M=np.tile(op.M, reps))
+    got = solve_below(op, cut)
+    assert np.array_equal(got.values, solve(path_form(op), cut).values)
     values, _ = eigenpairs_below(op, cut)
     assert got.inertia_count == len(got.values) == len(values)
     assert np.all(np.abs(got.values - values) <= 1e-13 * np.maximum(1.0, np.abs(values)))
@@ -700,12 +774,9 @@ cli_runs = st.one_of(
 )
 
 
-@settings(SETTINGS, max_examples=9)
-@given(run=cli_runs)
-def check_cli_reruns_are_byte_identical(run):
+def assert_reruns_are_byte_identical(command, doc):
     """Two runs of one spec into two directories write the same files, with
     the same bytes, run.json included."""
-    command, doc = run
     with tempfile.TemporaryDirectory() as tmp:
         spec = f"{tmp}/spec.json"
         with open(spec, "w") as f:
@@ -719,12 +790,20 @@ def check_cli_reruns_are_byte_identical(run):
         assert sorted(os.listdir(outs[0])) == sorted(os.listdir(outs[1]))
 
 
+@settings(SETTINGS, max_examples=9)
+@given(run=cli_runs)
+def check_cli_reruns_are_byte_identical(run):
+    assert_reruns_are_byte_identical(*run)
+
+
 def test_cli_reruns_are_byte_identical():
     check_cli_reruns_are_byte_identical()
 
 
-def test_cli_reruns_are_byte_identical_on_the_arpack_route(eigsh_threshold):
-    """Every pencil that has something to solve goes through the seeded
-    shift-invert eigsh."""
-    eigsh_threshold(0)
-    check_cli_reruns_are_byte_identical()
+def test_cli_reruns_are_byte_identical_on_bases_above_500_vertices():
+    """Laakso runs whose base paths have 513 and 730 vertices, both
+    boundaries."""
+    for j in ([2] * 9, [3] * 6):
+        for boundary in ("neumann", "dirichlet"):
+            assert_reruns_are_byte_identical("laakso", {"j": j, "refine": 8, "lambda_max": 400,
+                                                        "boundary": boundary})
