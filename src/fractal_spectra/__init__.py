@@ -20,8 +20,10 @@ from .gasket import (
     build_choux,
     build_gasket,
     choux_numeric_spectra,
+    d3_maps,
     decimation_branch,
     decimation_check,
+    dirichlet_chain,
     gasket_graph_spectrum,
     gasket_levels,
     hausdorff_dimension,

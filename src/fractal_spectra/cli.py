@@ -181,16 +181,15 @@ def cmd_choux(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    per_level = gasket.choux_numeric_spectra(spec)
+    family = gasket.choux_family(spec)
+    per_level = gasket.choux_numeric_spectra(spec, family)
     for i, s in enumerate(per_level):
         (out / f"numeric_depth{i}.csv").write_text(s.to_csv())
     nested = _nesting(out, per_level, args.tol)
 
-    # gasket Dirichlet decimation chain up to the requested gasket level
-    dirichlet = [
-        gasket.gasket_graph_spectrum(g, boundary="dirichlet")
-        for g in gasket.gasket_levels(spec.gasket_level)[1:]
-    ]
+    # gasket Dirichlet decimation chain up to the requested gasket level, from
+    # the cells of the same gasket and the same solves
+    dirichlet = gasket.dirichlet_chain(family, spec.gasket_level)
     checks = [
         {"from_level": m + 1, "to_level": m + 2,
          **gasket.decimation_check(dirichlet[m], dirichlet[m + 1])}

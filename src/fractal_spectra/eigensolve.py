@@ -11,8 +11,14 @@ and refuses any result whose length differs from the count.  The pencil of
 a path in path order has a tridiagonal S, which goes to it directly
 (``fiber``); ``solve_below`` first reduces any other pencil densely to a T
 orthogonally similar to S (LAPACK ``dsytrd``).  That dense reduction holds
-n^2 floats: the level-7 gasket, n = 3282, takes 86 MB.  No eigenvector is
-formed: the pipeline writes eigenvalues and multiplicities only.
+n^2 floats.  A pencil invariant under the six symmetries of the gasket
+(the group D3, given as vertex maps) is reduced as the three blocks of its
+symmetry-adapted basis, A1, A2 and E, each through ``solve``; E's values
+count twice, and its block, about (n/3)^2 floats, is the largest array:
+the level-7 gasket, n = 3282, takes 9.6 MB instead of 86 MB.  No
+eigenvector is formed: the pipeline writes eigenvalues and multiplicities
+only.  Clustering sums the runs of one length as the rows of one array,
+with the bits of ``np.mean``.
 """
 
 from __future__ import annotations
@@ -228,13 +234,107 @@ def solve(t: Tridiagonal, lam_max: float) -> EigenPairs:
     return EigenPairs(values=w, inertia_count=count)
 
 
-def solve_below(d: DiscreteOperator, lam_max: float) -> EigenPairs:
+#: D3 = <r, s>, r a third of a turn and s a reflection, in the order of a
+#: ``maps`` array: e, r, r^2, s, rs, r^2 s.  ``_A2`` is its sign character;
+#: ``_E_ROW[g]`` is the second row of the matrix of g in its 2-dimensional
+#: irreducible representation E, with r a rotation and s = diag(-1, 1)
+_A2 = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+_H = np.sqrt(3.0) / 2
+_E_ROW = np.array([[0.0, 1.0], [_H, -0.5], [-_H, -0.5], [0.0, 1.0], [-_H, -0.5], [_H, -0.5]])
+
+
+def _symmetry_blocks(maps: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """The orthonormal symmetry-adapted basis of a D3 action whose rotations
+    fix no vertex, as (col, coef, size) for the blocks A2, A1 and E, in
+    order of size: basis vector ``col[v, t]`` of a block has the entry
+    ``coef[v, t]`` at vertex v.
+
+    A vertex orbit, represented by its smallest vertex v0, has 6 or 3
+    points.  A1 takes the sum of the orbit's points and A2 the sum
+    of g v0 weighted by the sign of g, which cancels on a 3-orbit (a
+    reflection fixes v0).  E takes the range of the projector
+    (1/3) sum_g E(g)_22 R_g on each orbit: the vectors
+    sum_g E(g)_2j e_{g v0}, j = 1, 2, on a 6-orbit, and for j = 2 alone on a
+    3-orbit, where the two are parallel and the j = 2 one is not zero.  Each
+    vector lives on one orbit and is normalized there.
+    """
+    n = maps.shape[1]
+    lowest = maps.min(axis=0)  # the smallest vertex of each vertex's orbit
+    reps = np.flatnonzero(lowest == np.arange(n))
+    orbit = np.searchsorted(reps, lowest)
+    points = maps[:, reps]
+    six = np.all(points[3:] != points[0], axis=0)  # no reflection fixes the representative
+    rank_six = np.cumsum(six) - 1
+
+    def vector(weights, keep):
+        """Per-vertex entries of sum_g weights[g] e_{g v0}, normalized on
+        each orbit in ``keep``, 0 on the others."""
+        x = np.bincount(points.ravel(), np.repeat(weights, len(reps)), n)
+        norm = np.sqrt(np.bincount(orbit, x * x, len(reps)))
+        return np.where(keep[orbit], x / np.where(keep, norm, 1.0)[orbit], 0.0)
+
+    everywhere = np.ones(len(reps), dtype=bool)
+    on_six = six[orbit]
+    e_col = np.stack([orbit, np.where(on_six, len(reps) + rank_six[orbit], 0)], axis=1)
+    e_coef = np.stack([vector(_E_ROW[:, 1], everywhere), vector(_E_ROW[:, 0], six)], axis=1)
+    return [(np.where(on_six, rank_six[orbit], 0)[:, None], vector(_A2, six)[:, None],
+             int(six.sum())),
+            (orbit[:, None], vector(np.ones(6), everywhere)[:, None], len(reps)),
+            (e_col, e_coef, len(reps) + int(six.sum()))]
+
+
+def _symmetric_values(d: DiscreteOperator, maps: np.ndarray, lam_max: float) -> EigenPairs:
+    """``solve_below`` of a pencil invariant under the D3 action ``maps``:
+    Q^T S Q block by block, from the entries of the sparse S, each block
+    solved by ``solve``; E's values count twice.
+
+    The blocks go smallest first.  On a 2-CPU machine with two OpenBLAS
+    threads, some processes take 12-17 ms for every reduction of about
+    80-160 unknowns, against 0.3-0.5 ms: 8 of 262 fresh processes whose
+    first reduction was E's (122 unknowns, the level-5 gasket), 2 of 330
+    with the single-threaded A2 and A1 reductions first."""
+    ms = _mass_scaling(d.M)
+    A = d.A.tocsr()
+    rows = np.repeat(np.arange(d.n), np.diff(A.indptr))
+    cols = A.indices
+    entries = (A.data * ms[rows]) * ms[cols]  # the bits of _tridiagonal's S
+    values, count = [], 0
+    for copies, (col, coef, k) in zip((1, 1, 2), _symmetry_blocks(maps)):
+        if not k:
+            continue
+        at = (col[rows][:, :, None] * k + col[cols][:, None, :]).ravel()
+        block = np.bincount(at, (coef[rows][:, :, None] * entries[:, None, None]
+                                 * coef[cols][:, None, :]).ravel(), k * k).reshape(k, k)
+        pairs = solve(Tridiagonal(*_reduce(block.T)), lam_max)
+        values += [pairs.values] * copies
+        count += copies * pairs.inertia_count
+    return EigenPairs(values=np.sort(np.concatenate(values)), inertia_count=count)
+
+
+def solve_below(d: DiscreteOperator, lam_max: float, maps: np.ndarray | None = None) -> EigenPairs:
     """All eigenvalues <= lam_max of the pencil d, proven complete: its
-    dense tridiagonal reduction (``_tridiagonal``) solved by ``solve``."""
+    dense tridiagonal reduction (``_tridiagonal``) solved by ``solve``.
+
+    ``maps``, a (6, n) array whose rows are vertex maps g -> g[v] of the
+    group D3 in the order of ``_A2``, each an automorphism of d
+    (``A[g][:, g] == A`` and ``M[g] == M``), the rotations fixing no
+    vertex, splits the reduction into the A1, A2 and E blocks of the
+    symmetry-adapted basis (``_symmetry_blocks``): E, about n/3 unknowns,
+    is solved once and counts twice, and no n x n array is formed.  Each
+    block keeps its own count check."""
+    if maps is not None:
+        return _symmetric_values(d, maps, lam_max)
     return solve(_tridiagonal(d), lam_max)
 
 
 # -- bookkeeping --------------------------------------------------------------
+
+
+def _run_bounds(v: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (start, stop) arrays of ``gap_runs``."""
+    joins = v[1:] - v[:-1] <= rtol * np.maximum(1.0, np.abs(v[1:]))
+    breaks = (~joins).nonzero()[0] + 1
+    return np.concatenate(([0], breaks)), np.concatenate((breaks, [len(v)]))
 
 
 def gap_runs(values, rtol: float) -> list[tuple[int, int]]:
@@ -243,9 +343,7 @@ def gap_runs(values, rtol: float) -> list[tuple[int, int]]:
     v = np.asarray(values, dtype=float)
     if not len(v):
         return []
-    joins = np.diff(v) <= rtol * np.maximum(1.0, np.abs(v[1:]))
-    bounds = [0, *(np.flatnonzero(~joins) + 1).tolist(), len(v)]
-    return list(zip(bounds[:-1], bounds[1:]))
+    return list(zip(*(b.tolist() for b in _run_bounds(v, rtol))))
 
 
 def cluster(
@@ -265,24 +363,41 @@ def cluster(
     ``rel_tol`` chain, so a run is also held to a width of at most
     ``rel_tol * max(1, |last value|)``; a wider run is a string of distinct
     close values, not copies of one, and raises ``NoConvergence``.
+
+    A cluster's value is ``np.mean`` of its run, bit for bit: the runs of
+    one length L are summed as the rows of one array, each row by the
+    pairwise sum that ``np.mean`` takes, and divided by L.
     """
     eigs = np.asarray(eigs, dtype=float)
-    if np.any(np.diff(eigs) < 0):
+    if (eigs[1:] < eigs[:-1]).any():
         raise ValueError("input eigenvalues must be sorted")
     entries = []
-    for i, j in gap_runs(eigs, rel_tol):
-        if eigs[j - 1] - eigs[i] > rel_tol * max(1.0, abs(eigs[j - 1])):
+    if len(eigs):
+        start, stop = _run_bounds(eigs, rel_tol)
+        last = eigs[stop - 1]
+        wide = last - eigs[start] > rel_tol * np.maximum(1.0, np.abs(last))
+        if wide.any():
+            k = int(wide.argmax())
+            i, j = int(start[k]), int(stop[k])
             raise NoConvergence(0, f"{j - i} eigenvalues from {eigs[i]!r} to {eigs[j - 1]!r} "
                                    f"chain into one cluster wider than rel_tol {rel_tol!r}")
-        val = float(np.mean(eigs[i:j]))
+        length = stop - start
+        means = eigs[start]  # np.mean of one value is the value
+        for size in set(length.tolist()) - {1}:
+            runs = length == size
+            means[runs] = np.add.reduce(eigs[start[runs, None] + np.arange(size)], axis=1) / size
+        labels = [""] * len(start)
         if tags is not None:
-            labels = {}
-            for t in tags[i:j]:
-                labels[t] = labels.get(t, 0) + 1
-            tag = ";".join(f"{t}x{c}" for t, c in sorted(labels.items()))
-        else:
-            tag = ""
-        entries.append(SpectrumEntry(val, j - i, tag))
+            names = sorted(set(tags))
+            code = dict(zip(names, range(len(names))))
+            counts = np.bincount(np.repeat(np.arange(len(start)) * len(names), length)
+                                 + np.array([code[t] for t in tags], dtype=np.int64),
+                                 minlength=len(start) * len(names)).reshape(len(start), len(names))
+            run, tag = np.nonzero(counts)
+            texts = [f"{names[t]}x{c}" for t, c in zip(tag.tolist(), counts[run, tag].tolist())]
+            cuts = [0, *((run[1:] != run[:-1]).nonzero()[0] + 1).tolist(), len(texts)]
+            labels = [";".join(texts[a:b]) for a, b in zip(cuts, cuts[1:])]
+        entries = [SpectrumEntry(*e) for e in zip(means.tolist(), length.tolist(), labels)]
     return SpectrumList(entries=entries, origin=origin, truncation=truncation, pitch=pitch,
                         meta={} if meta is None else meta)
 

@@ -29,10 +29,16 @@ runs of a path, keyed on their length and end types, whose pencils are
 tridiagonal in path order and go to the Sturm count and bisection as they
 are (Kahan 1966), in O(n) memory.  Any other base (the gasket of the pâte à
 choux) is split into connected components, each reduced densely by
-``solve_below``.  The Laakso and string levels, whose edges have one
-length, map their vertex values to the mesh by the Chebyshev rule first,
-adding edge modes counted from |E_l| and |V_l| (``equilateral_spectra``).
-No eigenvector is formed.
+``solve_below``.  A base with symmetries (``LevelFamily.maps``: the six of
+the gasket) has pieces that they carry onto themselves, so the components
+of a piece fall into orbits: one component per orbit is solved, counted
+orbit size times, and a component that is its own orbit is split into its
+symmetry blocks.  The solves of a family are cached on it for the run, so
+that other cuts of its base (the decimation chain's cells,
+``cell_values``) reuse them.  The Laakso and string levels, whose edges
+have one length, map their vertex values to the mesh by the Chebyshev rule
+first, adding edge modes counted from |E_l| and |V_l|
+(``equilateral_spectra``).  No eigenvector is formed.
 
 The trade-off: the pipeline assumes the decomposition instead of checking
 it on every run.  The tests hold it to the whole level pencils, whose
@@ -69,17 +75,28 @@ class LevelFamily:
 
     ``pieces[l - 1]`` lists (marks, copies): level l gains the spectrum of
     ``base`` with the extra Dirichlet vertices ``marks``, ``copies`` times.
+
+    ``maps``, when given, is a (6, n) array of vertex maps of ``base``
+    forming the group D3 (``eigensolve.solve_below``), each preserving its
+    edges, its weights, its Dirichlet marks and the marks of every piece.
+    ``solved`` holds the values of each distinct part of a piece solved so
+    far, keyed on (cut, key): the family of a run is built once, so it is
+    the run's solve cache.
     """
 
     base: MetricGraph
     pieces: list[list[tuple[np.ndarray, int]]] = field(default_factory=list)
     n_edges: list[int] = field(default_factory=list)
+    maps: np.ndarray | None = None
+    solved: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def binary_family(base: MetricGraph, birth, depth: int) -> LevelFamily:
+def binary_family(base: MetricGraph, birth, depth: int,
+                  maps: np.ndarray | None = None) -> LevelFamily:
     """Levels 0..depth of ``base`` times the binary fibers {0,1}^l, with
     fiber coordinate b collapsed at the base vertices born at level b
-    (``birth[v]``, 0 for a vertex that is never collapsed).
+    (``birth[v]``, 0 for a vertex that is never collapsed), with the
+    symmetries ``maps`` of ``base`` (see ``LevelFamily``).
 
     Level l has 2^l copies of every base edge, and its new values are those
     of ``base`` with Dirichlet marks at the vertices born at a level in S,
@@ -90,7 +107,8 @@ def binary_family(base: MetricGraph, birth, depth: int) -> LevelFamily:
     bit = np.where(birth >= 1, np.left_shift(1, np.maximum(birth - 1, 0)), 0)
     pieces = [[((bit & (s | 1 << (level - 1))) != 0, 1) for s in range(1 << (level - 1))]
               for level in range(1, depth + 1)]
-    return LevelFamily(base, pieces, [len(base.ends) << level for level in range(1, depth + 1)])
+    return LevelFamily(base, pieces, [len(base.ends) << level for level in range(1, depth + 1)],
+                       maps)
 
 
 def binary_graphs(base: MetricGraph, birth, depth: int,
@@ -123,12 +141,20 @@ def binary_graphs(base: MetricGraph, birth, depth: int,
     return graphs
 
 
-def _distinct_components(A: sp.csr_matrix, M: np.ndarray, copies: np.ndarray):
-    """Yield (key, count) for each distinct connected component of the
+def _distinct_components(A: sp.csr_matrix, M: np.ndarray, copies: np.ndarray,
+                         images: np.ndarray | None = None):
+    """Yield (key, count, maps) for each distinct connected component of the
     pencil (A, M).  The key is the component's size n, its number of
     entries z, its CSR data, indices and indptr and its masses, as the bytes
     of one int64 row (the floats as their bits); ``count`` sums ``copies``,
     given per row, over the first rows of the components equal to it.
+
+    ``images``, when given, holds the rows that six maps forming D3 send
+    each row to, maps that permute the components among themselves.  Then
+    each orbit of components is keyed once, on the component holding its
+    smallest row, with ``copies`` times the orbit's size; a component that
+    is its own orbit comes with its ``maps`` in its own numbering (for
+    ``solve_below``), any other with None.
 
     Ordered component by component, each component's rows are a contiguous
     run whose columns stay inside the run, so a component is a slice of the
@@ -145,18 +171,28 @@ def _distinct_components(A: sp.csr_matrix, M: np.ndarray, copies: np.ndarray):
     sizes = np.bincount(labels, minlength=n_comp)
     stop = np.cumsum(sizes)
     start = stop - sizes
+    weight, keep, local = copies[start], np.ones(n_comp, dtype=bool), {}
+    if images is not None:
+        first = order[start]  # the smallest row of each component
+        orbit = labels[images[:, first]]
+        keep = first[orbit].min(axis=0) == first
+        size = 1 + np.count_nonzero(np.diff(np.sort(orbit, axis=0), axis=0), axis=0)
+        weight = weight * size
+        for c in np.flatnonzero(size == 1).tolist():
+            rows = order[start[c]:stop[c]]
+            local[c] = np.searchsorted(rows, images[:, rows])
     lo = A.indptr[start]
     nnz = A.indptr[stop] - lo
-    for n, z in sorted(set(zip(sizes.tolist(), nnz.tolist()))):
-        k = np.flatnonzero((sizes == n) & (nnz == z))
+    for n, z in sorted(set(zip(sizes[keep].tolist(), nnz[keep].tolist()))):
+        k = np.flatnonzero(keep & (sizes == n) & (nnz == z))
         entries, nodes = lo[k, None] + np.arange(z), start[k, None] + np.arange(n + 1)
         rows = np.concatenate([np.tile([n, z], (len(k), 1)), A.data.view(np.int64)[entries],
                                A.indices[entries] - start[k, None], A.indptr[nodes] - lo[k, None],
                                M.view(np.int64)[nodes[:, :-1]]], axis=1)
-        keys, inverse = np.unique(rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel(),
-                                  return_inverse=True)
-        counts = np.bincount(inverse, copies[start[k]], len(keys)).astype(np.int64)
-        yield from zip(keys.tolist(), counts.tolist())
+        keys, index, inverse = np.unique(rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel(),
+                                         return_index=True, return_inverse=True)
+        counts = np.bincount(inverse, weight[k], len(keys)).astype(np.int64)
+        yield from zip(keys.tolist(), counts.tolist(), [local.get(c) for c in k[index].tolist()])
 
 
 def _pencil(key: bytes) -> DiscreteOperator:
@@ -166,6 +202,25 @@ def _pencil(key: bytes) -> DiscreteOperator:
     data, indices, indptr, M = np.split(row[2:], [z, 2 * z, 2 * z + n + 1])
     return DiscreteOperator(A=sp.csr_matrix((data.view(np.float64), indices, indptr), shape=(n, n)),
                             M=M.view(np.float64))
+
+
+def _components(family: LevelFamily, drop: np.ndarray, copies: np.ndarray):
+    """``_distinct_components`` of the pieces of ``family.base`` whose
+    eliminated vertices are the rows of ``drop``, each with its ``copies``,
+    assembled as one disjoint union; with ``family.maps``, one component per
+    D3 orbit."""
+    base = family.base
+    n = base.n_vertices
+    pos = _node_numbers(drop.ravel())
+    offset = n * np.arange(len(drop))[:, None]
+    ends = (offset[:, :, None] + base.ends).reshape(-1, 2)
+    A, M = _laplacian(int(np.count_nonzero(~drop)), pos[ends[:, 0]], pos[ends[:, 1]],
+                      np.tile(base.weight, len(drop)))
+    images = None
+    if family.maps is not None:
+        images = (offset + family.maps[:, None, :]).reshape(len(family.maps), -1)
+        images = pos[images[:, ~drop.ravel()]]
+    return _distinct_components(A, M, np.repeat(copies, n)[~drop.ravel()], images)
 
 
 def _path_weight(base: MetricGraph) -> float | None:
@@ -213,19 +268,18 @@ def _level_values(family: LevelFamily, cut: float):
 
     Level 0 is ``base`` itself.  A piece's pencil is the vertex pencil of
     ``base`` (``graph_operator``) with its marks eliminated too, and only a
-    piece not seen before is solved: on self-similar spaces most pieces
-    repeat, and the same input to the same LAPACK call gives the same bits.
-    On a path base (``_path_weight``) every piece is a set of runs of the
-    path, keyed on their length and end types (``_distinct_runs``), whose
-    tridiagonal pencils go to ``solve`` as they are.  On any other base the
-    pieces of a level are assembled as one disjoint union and split into
-    connected components (``_distinct_components``), each solved by
-    ``solve_below``.
+    part not seen before is solved (``_part_values``): on self-similar
+    spaces most pieces repeat, and the same input to the same LAPACK call
+    gives the same bits.  On a path base (``_path_weight``) every piece is a
+    set of runs of the path, keyed on their length and end types
+    (``_distinct_runs``), whose tridiagonal pencils go to ``solve`` as they
+    are.  On any other base the pieces of a level are assembled as one
+    disjoint union and split into connected components (``_components``),
+    one per orbit of ``family.maps``, each solved by ``solve_below``.
     """
     base = family.base
     n = base.n_vertices
     w = _path_weight(base)
-    solved: dict = {}
     values, kept, size = [], [], 0
     for pieces in [[(np.zeros(n, dtype=bool), 1)], *family.pieces]:
         marks, copies = zip(*pieces)
@@ -233,22 +287,46 @@ def _level_values(family: LevelFamily, cut: float):
         copies = np.asarray(copies)
         size += int(copies @ np.count_nonzero(~drop, axis=1))
         if w is None:
-            pos = _node_numbers(drop.ravel())
-            ends = (n * np.arange(len(pieces))[:, None, None] + base.ends).reshape(-1, 2)
-            A, M = _laplacian(int(np.count_nonzero(~drop)), pos[ends[:, 0]], pos[ends[:, 1]],
-                              np.tile(base.weight, len(pieces)))
-            distinct = _distinct_components(A, M, np.repeat(copies, n)[~drop.ravel()])
+            distinct = _components(family, drop, copies)
         else:
-            distinct = _distinct_runs(drop, copies)
-        new = []
-        for key, count in distinct:
-            if key not in solved:
-                solved[key] = (solve_below(_pencil(key), cut) if w is None
-                               else solve(_run_tridiagonal(key, w), cut)).values
-            new.append(np.tile(solved[key], count))
+            distinct = ((key, count, None) for key, count in _distinct_runs(drop, copies))
+        new = [np.tile(_part_values(family, key, cut, maps, w), count)
+               for key, count, maps in distinct]
         values.append(np.concatenate(new or [np.zeros(0)]))
         kept.append(size)
     return values, kept
+
+
+def _part_values(family: LevelFamily, key, cut: float, maps: np.ndarray | None = None,
+                 w: float | None = None) -> np.ndarray:
+    """The eigenvalues <= ``cut`` of the run (w given) or the component key
+    ``key``, solved once per family (``family.solved``)."""
+    if (cut, key) not in family.solved:
+        family.solved[cut, key] = (solve_below(_pencil(key), cut, maps) if w is None
+                                   else solve(_run_tridiagonal(key, w), cut)).values
+    return family.solved[cut, key]
+
+
+def cell_values(family: LevelFamily, marks: np.ndarray, cut: float) -> dict[int, np.ndarray]:
+    """The eigenvalues <= ``cut`` of a cell of ``family.base`` for each row
+    of ``marks``, keyed on the cell's size, for rows that each cut the base
+    (with its Dirichlet vertices) into equal connected components, as a
+    self-similar graph falls into its cells at the vertices of a coarser
+    level, each row's of its own size.
+
+    All rows are split at once (``_components``), and of the components of
+    one size only one is solved: the first one already in
+    ``family.solved``, else the first one."""
+    drop = family.base.dirichlet | marks
+    cells: dict[int, list] = {}
+    for key, _, maps in _components(family, drop, np.ones(len(drop), dtype=np.int64)):
+        size = int(np.frombuffer(key, dtype=np.int64, count=1)[0])  # a key starts with its size
+        cells.setdefault(size, []).append((key, maps))
+    values = {}
+    for size, found in cells.items():
+        key, maps = next((c for c in found if (cut, c[0]) in family.solved), found[0])
+        values[size] = _part_values(family, key, cut, maps)
+    return values
 
 
 def _cluster_levels(new: list[np.ndarray], origin: str, meta: dict,

@@ -6,6 +6,14 @@ the pencil (D - W, D); its continuum counterpart is defined by decimation
 limits, not by edge-wise finite differences, so no metric mesh is involved.
 One fiber level k glues the k-th binary coordinate over the new vertices
 V_k \\ V_{k-1}.
+
+The gasket has the six symmetries of its triangle, the group D3
+(``d3_maps``); births, Dirichlet corners and so every pâte à choux piece
+are invariant under them, which lets the pipeline solve one component per
+orbit and split an invariant pencil into its A1, A2 and E blocks (Bajorin
+et al., "Vibration modes of 3n-gaskets and other fractals", J. Phys. A,
+2008).  The Dirichlet decimation chain is read from the cells of the same
+level-m gasket (``dirichlet_chain``).
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidSpaceSpec, ResolutionTooCoarse
 from .eigensolve import SpectrumList, cluster, solve_below
-from .fiber import LevelFamily, binary_family, binary_graphs, level_spectra
+from .fiber import LevelFamily, binary_family, binary_graphs, cell_values, level_spectra
 from .metric_graph import DIRICHLET, NEUMANN, SPECTRAL_BOUND, MetricGraph, graph_operator
 
 # corners of the gasket as (x, y / sqrt(3)) times 2, the scale of level 0
@@ -84,6 +92,41 @@ def build_gasket(m: int) -> GasketGraph:
     return gasket_levels(m)[-1]
 
 
+def n_points(m: int) -> int:
+    """|V_m| = (3^(m+1) + 3) / 2: the vertices of the level-m gasket, which
+    are the first |V_m| vertices of every finer level."""
+    return (3 ** (m + 1) + 3) // 2
+
+
+#: the six symmetries of the gasket as permutations of the barycentric
+#: coordinates, in the order e, r, r^2, s, rs, r^2 s of
+#: ``eigensolve.solve_below``: r cycles the corners, s swaps the first two
+_D3_PERMUTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0))
+
+
+def d3_maps(g: GasketGraph) -> np.ndarray:
+    """The six symmetries of the gasket (the group D3) as a (6, n) array of
+    vertex maps, row g taking vertex v to ``maps[g, v]``.
+
+    A point (x, u) of level m has the integer barycentric coordinates
+    (W - x - u, x - u, 2u), W = 2^(m+1); a symmetry permutes them, and
+    ``searchsorted`` on the key x (W + 1) + u finds the image's index.  Each
+    map preserves the edges and the births, so also every Dirichlet piece of
+    the pâte à choux, and the rotations fix no vertex (none lies at the
+    centroid)."""
+    w = 2 ** (g.level + 1)
+    x, u = g.points.T
+    bary = np.stack([w - x - u, x - u, 2 * u])
+    key = x * (w + 1) + u
+    order = np.argsort(key)
+    maps = []
+    for perm in _D3_PERMUTATIONS:
+        b = bary[list(perm)]
+        image = (b[1] + b[2] // 2) * (w + 1) + b[2] // 2
+        maps.append(order[np.searchsorted(key, image, sorter=order)])
+    return np.stack(maps)
+
+
 def _base(g: GasketGraph, boundary: str | None) -> MetricGraph:
     """The graph of g, the corners marked Dirichlet when ``boundary`` is
     "dirichlet"."""
@@ -95,13 +138,34 @@ def gasket_graph_spectrum(g: GasketGraph, boundary: str | None = None) -> Spectr
     """Probabilistic graph-Laplacian spectrum of the level-m gasket.
 
     ``boundary="dirichlet"`` removes the three corner points.  The whole
-    spectrum is solved.
+    spectrum is solved, split by the symmetries of the gasket
+    (``d3_maps``).
     """
     op = graph_operator(_base(g, boundary), boundary)
-    pairs = solve_below(op, SPECTRAL_BOUND)
-    return cluster(pairs.values, origin=f"numeric(gasket,m={g.level})", truncation=np.inf,
-                   meta={"gasket_level": g.level, "boundary": boundary,
-                         "normalization": "probabilistic"})
+    maps = np.searchsorted(op.kept_vertices, d3_maps(g)[:, op.kept_vertices])
+    return _gasket_spectrum(solve_below(op, SPECTRAL_BOUND, maps).values, g.level, boundary)
+
+
+def _gasket_spectrum(values: np.ndarray, m: int, boundary: str | None) -> SpectrumList:
+    """The clustered whole spectrum ``values`` of the level-m gasket."""
+    return cluster(values, origin=f"numeric(gasket,m={m})", truncation=np.inf,
+                   meta={"gasket_level": m, "boundary": boundary, "normalization": "probabilistic"})
+
+
+def dirichlet_chain(family: LevelFamily, m: int) -> list[SpectrumList]:
+    """The Dirichlet spectra of the gaskets of levels 1..m, as
+    ``gasket_graph_spectrum`` gives them, from the pieces of ``family``,
+    whose base is the level-m gasket (``choux_family``).
+
+    The level-m gasket cut at V_(m-k) falls into 3^(m-k) cells, each a
+    level-k gasket with Dirichlet corners, pencil for pencil; so level k is
+    one such cell (``fiber.cell_values``), solved once per run with the
+    family's pieces: a cell that is already one of them is not solved
+    again."""
+    levels = range(1, m + 1)
+    cuts = np.arange(family.base.n_vertices) < np.array([n_points(m - k) for k in levels])[:, None]
+    cells = cell_values(family, cuts, SPECTRAL_BOUND)
+    return [_gasket_spectrum(cells[n_points(k) - 3], k, DIRICHLET) for k in levels]
 
 
 #: eigenvalues of the degree-normalized-times-4 Laplacian that have no
@@ -171,11 +235,12 @@ class ChouxSpec:
 
 
 def choux_family(spec: ChouxSpec) -> LevelFamily:
-    """Fiber levels 0..i over the level-m gasket as the gasket and its
-    Dirichlet pieces (``fiber.binary_family``): 2^i binary fiber copies
-    glued at V_k \\ V_{k-1} in coordinate k."""
+    """Fiber levels 0..i over the level-m gasket as the gasket, its
+    Dirichlet pieces and its symmetries (``fiber.binary_family``,
+    ``d3_maps``): 2^i binary fiber copies glued at V_k \\ V_{k-1} in
+    coordinate k."""
     g = build_gasket(spec.gasket_level)
-    return binary_family(_base(g, spec.boundary), g.birth, spec.fiber_depth)
+    return binary_family(_base(g, spec.boundary), g.birth, spec.fiber_depth, d3_maps(g))
 
 
 def build_choux(spec: ChouxSpec) -> list[MetricGraph]:
@@ -185,13 +250,14 @@ def build_choux(spec: ChouxSpec) -> list[MetricGraph]:
     return binary_graphs(_base(g, spec.boundary), g.birth, spec.fiber_depth)
 
 
-def choux_numeric_spectra(spec: ChouxSpec) -> list[SpectrumList]:
+def choux_numeric_spectra(spec: ChouxSpec, family: LevelFamily | None = None) -> list[SpectrumList]:
     """Probabilistic Laplacian spectra of the glued space's fiber levels
-    0..i with origin tags."""
+    0..i with origin tags, from ``family``, ``choux_family(spec)`` when not
+    given."""
     meta = {"fiber_depth": spec.fiber_depth, "gasket_level": spec.gasket_level,
             "boundary": spec.boundary}
-    return level_spectra(choux_family(spec), SPECTRAL_BOUND, "numeric(choux,i={})", meta,
-                         truncation=np.inf)
+    return level_spectra(choux_family(spec) if family is None else family, SPECTRAL_BOUND,
+                         "numeric(choux,i={})", meta, truncation=np.inf)
 
 
 def hausdorff_dimension() -> float:

@@ -366,9 +366,10 @@ def test_each_run_builds_its_family_once(tmp_path, monkeypatch):
     # laakso maps one solve of its family to both pitches of its error
     # estimate; string lists the analytic spectrum once, to lambda_max (its
     # zeta table is summed string by string); choux subdivides the gasket
-    # once inside choux_family and once for the whole decimation chain
+    # once, inside choux_family, and takes its decimation chain from the
+    # cells of that gasket
     assert dict(calls) == {"laakso_family": 1, "stitched_family": 1, "choux_family": 1,
-                           "gasket_levels": 2, "string_analytic_spectrum": 1}
+                           "gasket_levels": 1, "string_analytic_spectrum": 1}
 
 
 def test_zeta_table_keeps_the_values_on_its_cut(tmp_path):

@@ -325,7 +325,8 @@ class TestLanczos:
     def test_pipeline_asks_for_no_eigenvector(self, monkeypatch):
         """solve_below and solve form no eigenvector, whoever calls them:
         from the level pipeline (whose path bases go straight to solve), the
-        gasket spectrum or directly, the whole and subset routes call only
+        gasket spectrum (split into its symmetry blocks) or directly, the
+        whole and subset routes call only
         LAPACK's tridiagonal reduction (dsytrd), its values-only QR (dsterf)
         and its bisection (dstebz)."""
         calls = []
@@ -424,6 +425,29 @@ class TestCluster:
         assert gap_runs(chain, rel_tol) == [(0, 20)]
         with pytest.raises(NoConvergence, match="wider than rel_tol"):
             cluster(chain, rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_values_and_tags_are_those_of_a_loop_over_the_runs(self, seed):
+        """Runs of 1-3000 copies a few ulps apart, with random tags: each
+        value is ``np.mean`` of its run bit for bit, each tag counts the
+        run's labels in sorted order."""
+        rng = np.random.default_rng(seed)
+        lengths = rng.choice([1, 2, 3, 7, 8, 9, 16, 127, 128, 129, 257, 1000, 3000], 40)
+        centres = np.cumsum(rng.uniform(0.5, 2.0, len(lengths))) * 10.0 ** rng.integers(-3, 3)
+        eigs = np.concatenate([c * (1 + rng.integers(0, 64, n) * np.finfo(float).eps)
+                               for c, n in zip(centres, lengths)])
+        eigs.sort()
+        tags = rng.choice(["base", "new@1", "new@2", "new@10"], len(eigs)).tolist()
+        s = cluster(eigs, tags=tags)
+        ref = []
+        for i, j in gap_runs(eigs, 1e-7):
+            labels = {}
+            for t in tags[i:j]:
+                labels[t] = labels.get(t, 0) + 1
+            ref.append((float(np.mean(eigs[i:j])), j - i,
+                        ";".join(f"{t}x{c}" for t, c in sorted(labels.items()))))
+        assert [(e.value, e.multiplicity, e.tag) for e in s.entries] == ref
+        assert [e.multiplicity for e in s.entries] == lengths.tolist()
 
     def test_copies_a_few_ulps_apart_still_merge(self):
         copies = 4.0 + np.spacing(4.0) * np.arange(6)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from fractal_spectra.eigensolve import verify_nesting
+from fractal_spectra import eigensolve, fiber, gasket
+from fractal_spectra.eigensolve import solve_below, verify_nesting
 from fractal_spectra.errors import InvalidSpaceSpec, ResolutionTooCoarse
 from fractal_spectra.gasket import (
     DECIMATION_SCALE,
@@ -15,11 +16,17 @@ from fractal_spectra.gasket import (
     choux_numeric_spectra,
     decimation_branch,
     decimation_check,
+    choux_family,
+    d3_maps,
+    dirichlet_chain,
     gasket_graph_spectrum,
     hausdorff_dimension,
+    n_points,
 )
+from fractal_spectra.metric_graph import graph_operator
 from lapack_reference import eigenpairs_below
 from level_reference import (
+    assert_matches_reference,
     choux_levels,
     choux_numeric_spectrum,
     classify_levels,
@@ -54,6 +61,86 @@ class TestGasketGraph:
         mg = build_choux(ChouxSpec(fiber_depth=0, gasket_level=2))[0]
         d = graph_operator(mg)
         assert np.abs(d.A @ np.ones(d.n)).max() < 1e-12
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize("m", range(7))
+    def test_maps_are_automorphisms(self, m):
+        """Each of the six maps permutes the vertices, carries the pencil of
+        the gasket onto itself bit for bit, keeps every birth (so every
+        Dirichlet mark of a pâte à choux piece); the rotations fix no vertex
+        and the maps compose as e, r, r^2, s, rs, r^2 s."""
+        g = build_gasket(m)
+        maps = d3_maps(g)
+        A = graph_operator(gasket._base(g, None)).A.toarray()
+        assert maps.shape == (6, g.n_vertices)
+        assert np.array_equal(maps[0], np.arange(g.n_vertices))
+        for p in maps:
+            assert np.array_equal(np.sort(p), np.arange(g.n_vertices))
+            assert np.array_equal(A[p][:, p], A)
+            assert np.array_equal(g.birth[p], g.birth)
+            for boundary in (None, "dirichlet"):
+                marks = gasket._base(g, boundary).dirichlet
+                assert np.array_equal(marks[p], marks)
+        assert not np.any(maps[1:3] == np.arange(g.n_vertices))
+        r, r2, s, rs, r2s = maps[1:]
+        assert np.array_equal(r[r], r2) and np.array_equal(r[r2], maps[0])
+        assert np.array_equal(s[s], maps[0])
+        assert np.array_equal(r[s], rs) and np.array_equal(r2[s], r2s)
+
+    def test_orbits_of_the_level_five_gasket(self):
+        """n = 366 splits into blocks of 58 (A2), 64 (A1) and 122 (E)."""
+        maps = d3_maps(build_gasket(5))
+        assert [size for *_, size in eigensolve._symmetry_blocks(maps)] == [58, 64, 122]
+
+    @pytest.mark.parametrize("spec", [ChouxSpec(i, m, boundary)
+                                      for i, m in [(1, 2), (2, 3), (3, 4), (3, 5)]
+                                      for boundary in (None, "dirichlet")], ids=str)
+    def test_orbit_pieces_give_the_whole_level_spectra(self, spec):
+        """One component per D3 orbit, its copies times the orbit's size,
+        against the whole level pencils classified by the fiber projectors:
+        multiplicities, tags and counts exactly, values to 1e-12 relative
+        (a zero value to 1e-14 absolute)."""
+        ops, fibers = choux_levels(spec)
+        assert_matches_reference(choux_numeric_spectra(spec), ops, fibers, SPECTRAL_BOUND,
+                                 rtol=1e-12, floor=1e-2)
+
+    @pytest.mark.parametrize("spec", [ChouxSpec(i, m, boundary)
+                                      for i, m in [(0, 1), (1, 3), (3, 5), (2, 6)]
+                                      for boundary in (None, "dirichlet")], ids=str)
+    def test_chain_is_the_gasket_spectra(self, spec):
+        """The decimation chain, read from the cells of the family's gasket,
+        equals the spectra of the Dirichlet gaskets of levels 1..m."""
+        family = choux_family(spec)
+        choux_numeric_spectra(spec, family)
+        chain = dirichlet_chain(family, spec.gasket_level)
+        assert len(chain) == spec.gasket_level
+        for k, got in enumerate(chain, start=1):
+            ref = gasket_graph_spectrum(build_gasket(k), "dirichlet")
+            assert total_multiplicity(got) == n_points(k) - 3
+            assert [e.multiplicity for e in got.entries] == [e.multiplicity for e in ref.entries]
+            dev = np.abs(got.values() - ref.values())
+            assert np.all(dev <= 1e-12 * np.maximum(1.0, ref.values()))
+            assert (got.origin, got.meta) == (ref.origin, ref.meta)
+
+    def test_chain_takes_its_cells_from_the_pieces(self, monkeypatch):
+        """On the choux_cli spec the chain's gaskets of 12 and 39 unknowns
+        are cells of the pieces, and under the Dirichlet boundary its top
+        gasket is level 0 itself: they are not solved again."""
+        sizes = []
+
+        def counted(d, lam_max, maps=None, _solve=solve_below):
+            sizes.append(d.n)
+            return _solve(d, lam_max, maps)
+
+        monkeypatch.setattr(fiber, "solve_below", counted)
+        for boundary, chain_solves in ((None, [3, 120, 363]), ("dirichlet", [3])):
+            spec = ChouxSpec(3, 5, boundary)
+            family = choux_family(spec)
+            choux_numeric_spectra(spec, family)
+            sizes.clear()
+            dirichlet_chain(family, 5)
+            assert sorted(sizes) == chain_solves, boundary
 
 
 @pytest.fixture(scope="module")

@@ -195,6 +195,32 @@ def test_choux_pieces_give_the_whole_level_spectra(spec):
                                      family_reference.build_choux(spec), SPECTRAL_BOUND)
 
 
+# A pencil that the six symmetries of the gasket carry onto itself is solved
+# as its A1, A2 and E blocks; these hold that split to the one dense
+# reduction of the whole pencil.
+
+def gasket_pencil(m, boundary):
+    """The vertex pencil of the level-m gasket and its D3 maps in the
+    numbering of the kept vertices."""
+    g = gasket.build_gasket(m)
+    op = graph_operator(gasket._base(g, boundary), boundary)
+    return op, np.searchsorted(op.kept_vertices, gasket.d3_maps(g)[:, op.kept_vertices])
+
+
+@settings(SETTINGS, max_examples=40)
+@given(m=st.integers(1, 6), boundary=st.sampled_from([None, DIRICHLET]),
+       cut=st.one_of(st.sampled_from([SPECTRAL_BOUND, 1.5, 1.25, 0.5]), st.floats(0.01, 2.0)))
+def test_block_split_of_a_symmetric_gasket_is_the_dense_solve(m, boundary, cut):
+    """Whole gaskets of levels 1-6 under both boundaries, at cuts on values
+    and at random ones: counts exactly, values to 1e-12 relative (floored
+    at 1)."""
+    op, maps = gasket_pencil(m, boundary)
+    got, ref = solve_below(op, cut, maps), solve_below(op, cut)
+    assert got.inertia_count == ref.inertia_count == len(got.values) == len(ref.values)
+    assert np.all(np.abs(got.values - ref.values) <= 1e-12 * np.maximum(1.0, np.abs(ref.values)))
+    assert np.all(np.diff(got.values) >= 0)
+
+
 # On a path base the package keys each piece's runs on their length and end
 # types and hands their tridiagonal pencils to the solver as they are; these
 # properties hold that route to the connected-component route, which every
