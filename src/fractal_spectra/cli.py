@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from . import gasket, laakso, strings
 from .eigensolve import FDModel, SpectrumList, compare_spectra, verify_nesting
@@ -34,7 +33,7 @@ EXIT_BAD_SPEC = 2
 EXIT_SOLVER = 3
 EXIT_INCOMMENSURABLE = 4
 
-SOLVER_ERRORS = (NoConvergence, NotPositiveMass, scipy.linalg.LinAlgError)
+SOLVER_ERRORS = (NoConvergence, NotPositiveMass, np.linalg.LinAlgError)
 
 ZETA_S_GRID = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
 
@@ -369,12 +368,12 @@ def main(argv=None) -> int:
     except NoCommonPitch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMMENSURABLE
+    except SOLVER_ERRORS as exc:  # before ValueError: LinAlgError is one
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except (InvalidSpaceSpec, NonDividingPitch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
-    except SOLVER_ERRORS as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except FractalSpectraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -2,23 +2,24 @@
 
 The lumped mass matrix is diagonal, so the pencil A v = lambda M v reduces
 exactly to the standard symmetric problem S y = lambda y with
-S = M^{-1/2} A M^{-1/2}, y = M^{1/2} v.  Every eigenproblem is solved on a
-symmetric ``Tridiagonal`` T, by ``solve``, which returns the part of the
-spectrum below a cutoff and proves it complete: it first counts the
-eigenvalues below the cutoff exactly by a Sturm count on T, then computes
-them (``dsterf`` for the whole spectrum, ``dstebz`` bisection for a part)
-and refuses any result whose length differs from the count.  The pencil of
-a path in path order has a tridiagonal S, which goes to it directly
-(``fiber``); ``solve_below`` first reduces any other pencil densely to a T
-orthogonally similar to S (LAPACK ``dsytrd``).  That dense reduction holds
-n^2 floats.  A pencil invariant under the six symmetries of the gasket
-(the group D3, given as vertex maps) is reduced as the three blocks of its
-symmetry-adapted basis, A1, A2 and E, each through ``solve``; E's values
-count twice, and its block, about (n/3)^2 floats, is the largest array:
-the level-7 gasket, n = 3282, takes 9.6 MB instead of 86 MB.  No
-eigenvector is formed: the pipeline writes eigenvalues and multiplicities
-only.  Clustering sums the runs of one length as the rows of one array,
-with the bits of ``np.mean``.
+S = M^{-1/2} A M^{-1/2}, y = M^{1/2} v.  Every eigenproblem goes through
+one LAPACK solver, ``numpy.linalg.eigvalsh`` (``dsyevd``: the ``dsytrd``
+reduction to a tridiagonal T, then ``dsterf``), on a dense S, and keeps
+the values below a cutoff.  The pencil of a path in path order has a
+tridiagonal S, a ``Tridiagonal`` (``fiber``), which ``solve`` first counts
+below the cutoff exactly by a Sturm count, an independent check of the
+values; ``dsytrd`` leaves it bit for bit, so its whole spectrum has the
+bits of ``dsterf`` on it.  ``solve_below`` takes any other pencil, whose
+count is the number of its n values below the cutoff.  Both form S
+densely, n^2 floats: a base path of 4097 vertices takes 134 MB, and the
+level-7 gasket, n = 3282, would take 86 MB.  A pencil invariant under the
+six symmetries of the gasket (the group D3, given as vertex maps) is
+solved as the three blocks of its symmetry-adapted basis, A1, A2 and E;
+E's values count twice, and its block, about (n/3)^2 floats, is the
+largest array: the level-7 gasket takes 9.6 MB.  No eigenvector is formed:
+the pipeline writes eigenvalues and multiplicities only.  Clustering sums
+the runs of one length as the rows of one array, with the bits of
+``np.mean``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import MisalignedMeshes, NoConvergence, NotPositiveMass
 from .metric_graph import DiscreteOperator
@@ -49,10 +49,10 @@ class Tridiagonal:
 
 @dataclass
 class EigenPairs:
-    """Eigenvalues sorted ascending and their proven count."""
+    """Eigenvalues sorted ascending and their count."""
 
     values: np.ndarray
-    inertia_count: int  # N(lam_max) from the inertia of S - lam_max I
+    inertia_count: int  # N(lam_max): a Sturm count of S - lam_max I, or the number of values
 
 
 @dataclass(frozen=True)
@@ -122,43 +122,21 @@ def _mass_scaling(M: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(M)
 
 
-def _lapack_info(info: int, routine: str) -> None:
-    if info != 0:
-        raise NoConvergence(0, f"LAPACK {routine} returned info {info}")
-
-
-def _tridiagonal(d: DiscreteOperator) -> Tridiagonal:
-    """The tridiagonal T = Q^T S Q.
-
-    S is formed densely and in place, in Fortran order so that ``dsytrd``
-    reduces it in place too; an S that is already tridiagonal comes back
-    bit for bit.
-    """
+def _standard_form(d: DiscreteOperator) -> np.ndarray:
+    """The dense S = M^{-1/2} A M^{-1/2}, entry (A_ij m_i) m_j with
+    m = M^{-1/2}."""
     ms = _mass_scaling(d.M)
-    S = d.A.toarray(order="F")
-    S *= ms[:, None]
-    S *= ms[None, :]
-    return Tridiagonal(*_reduce(S))
+    rows = d.rows()
+    S = np.zeros((d.n, d.n))
+    S[rows, d.indices] = (d.data * ms[rows]) * ms[d.indices]
+    return S
 
 
 def tridiagonal_form(a: np.ndarray, b: np.ndarray, M: np.ndarray) -> Tridiagonal:
     """S = M^{-1/2} A M^{-1/2} for the tridiagonal A with diagonal ``a`` and
-    off-diagonal ``b``, with the bits that ``_tridiagonal`` gives it."""
+    off-diagonal ``b``, with the bits that ``_standard_form`` gives it."""
     ms = _mass_scaling(M)
     return Tridiagonal((a * ms) * ms, (b * ms[1:]) * ms[:-1])
-
-
-def _reduce(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK's ``dsytrd`` on the lower triangle of S, which it overwrites:
-    the reduction of a values-only ``eigh``."""
-    n = S.shape[0]
-    if n <= 1:
-        return S.diagonal().copy(), np.zeros(0)
-    lwork, info = lapack.dsytrd_lwork(n, lower=1)
-    _lapack_info(info, "dsytrd_lwork")
-    _, diag, off, _, info = lapack.dsytrd(S, lower=1, lwork=int(lwork), overwrite_a=1)
-    _lapack_info(info, "dsytrd")
-    return diag, off
 
 
 _SAFMIN = np.finfo(float).tiny
@@ -191,26 +169,17 @@ def _sturm_count(diag: np.ndarray, off: np.ndarray, cut: float) -> int:
     return count
 
 
-def _tridiagonal_values(diag: np.ndarray, off: np.ndarray, cut: float, count: int) -> np.ndarray:
-    """The ``count`` eigenvalues of T up to ``cut``.
-
-    The whole spectrum comes from ``dsterf`` (the bits of
-    ``eigh(driver="ev")``): a value range sends LAPACK through bisection,
-    which moves the last bits of a full spectrum.  A part of it comes from
-    bisection over (-inf, cut] in ``dstebz`` (the bits of
-    ``eigh(driver="evx", subset_by_value=...)``).
-    """
-    if count == len(diag):
-        if count == 1:  # SciPy's dsterf wrapper refuses an empty off-diagonal
-            return diag.copy()
-        w, info = lapack.dsterf(diag, off)
-        _lapack_info(info, "dsterf")
-        return w
-    # range 1 selects by value, tolerance 0 takes LAPACK's default, order "E"
-    # sorts the values of all split blocks together
-    m, w, _, _, info = lapack.dstebz(diag, off, 1, -np.inf, cut, 0, 0, 0.0, "E")
-    _lapack_info(info, "dstebz")
-    return w[:m]
+def _values_below(S: np.ndarray, cut: float) -> np.ndarray:
+    """The eigenvalues <= ``cut`` of the symmetric S, from its lower
+    triangle, ascending: ``numpy.linalg.eigvalsh``, which is LAPACK's
+    ``dsyevd``, the ``dsytrd`` reduction to a tridiagonal T and ``dsterf``
+    on T.  ``dsytrd`` leaves an S that is already tridiagonal bit for bit.
+    All n values must come back finite."""
+    w = np.linalg.eigvalsh(S)
+    finite = np.count_nonzero(np.isfinite(w))
+    if finite != len(S):
+        raise NoConvergence(0, f"{finite} finite eigenvalues of a matrix of order {len(S)}")
+    return w[w <= cut]
 
 
 def solve(t: Tridiagonal, lam_max: float) -> EigenPairs:
@@ -220,15 +189,17 @@ def solve(t: Tridiagonal, lam_max: float) -> EigenPairs:
     The exact count N(lam_max) comes first (``_sturm_count``), at the cut
     lam_max (1 + 1e-12), so that rounding drops no value on the cut.  When
     the count is 0 the empty result is returned without an eigensolver
-    call; otherwise ``_tridiagonal_values`` returns the values.  A result
-    whose length differs from the count (for instance one copy short of a
-    repeated eigenvalue) raises NoConvergence instead of being returned.
+    call; otherwise t is formed densely, n^2 floats, and its values up to
+    the cut come from ``_values_below``.  A result whose length differs
+    from the count raises NoConvergence instead of being returned.
     """
     cut = lam_max * (1 + 1e-12)
     count = _sturm_count(t.diag, t.off, cut)
     if count == 0:
         return EigenPairs(values=np.zeros(0), inertia_count=0)
-    w = _tridiagonal_values(t.diag, t.off, cut, count)
+    T = np.diag(t.diag)
+    T[np.arange(1, t.n), np.arange(t.n - 1)] = t.off
+    w = _values_below(T, cut)
     if len(w) != count:
         raise NoConvergence(0, f"{len(w)} eigenvalues <= {lam_max!r} found, inertia counts {count}")
     return EigenPairs(values=w, inertia_count=count)
@@ -283,48 +254,50 @@ def _symmetry_blocks(maps: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, int
             (e_col, e_coef, len(reps) + int(six.sum()))]
 
 
-def _symmetric_values(d: DiscreteOperator, maps: np.ndarray, lam_max: float) -> EigenPairs:
+def _symmetric_values(d: DiscreteOperator, maps: np.ndarray, cut: float) -> EigenPairs:
     """``solve_below`` of a pencil invariant under the D3 action ``maps``:
-    Q^T S Q block by block, from the entries of the sparse S, each block
-    solved by ``solve``; E's values count twice.
+    Q^T S Q block by block, from the entries of the sparse S, the values
+    <= ``cut`` of each block from ``_values_below``; E's values count
+    twice.
 
     The blocks go smallest first.  On a 2-CPU machine with two OpenBLAS
-    threads, some processes take 12-17 ms for every reduction of about
-    80-160 unknowns, against 0.3-0.5 ms: 8 of 262 fresh processes whose
-    first reduction was E's (122 unknowns, the level-5 gasket), 2 of 330
-    with the single-threaded A2 and A1 reductions first."""
+    threads, some processes take 12-17 ms for every solve of about 80-160
+    unknowns, against 0.5-0.9 ms: with SciPy's reduction, 8 of 262 fresh
+    processes whose first reduction was E's (122 unknowns, the level-5
+    gasket) and 2 of 330 with the single-threaded A2 and A1 first; with
+    ``eigvalsh``, 1 of 100."""
     ms = _mass_scaling(d.M)
-    A = d.A.tocsr()
-    rows = np.repeat(np.arange(d.n), np.diff(A.indptr))
-    cols = A.indices
-    entries = (A.data * ms[rows]) * ms[cols]  # the bits of _tridiagonal's S
-    values, count = [], 0
+    rows, cols = d.rows(), d.indices
+    entries = (d.data * ms[rows]) * ms[cols]  # the bits of _standard_form's S
+    values = []
     for copies, (col, coef, k) in zip((1, 1, 2), _symmetry_blocks(maps)):
         if not k:
             continue
         at = (col[rows][:, :, None] * k + col[cols][:, None, :]).ravel()
         block = np.bincount(at, (coef[rows][:, :, None] * entries[:, None, None]
                                  * coef[cols][:, None, :]).ravel(), k * k).reshape(k, k)
-        pairs = solve(Tridiagonal(*_reduce(block.T)), lam_max)
-        values += [pairs.values] * copies
-        count += copies * pairs.inertia_count
-    return EigenPairs(values=np.sort(np.concatenate(values)), inertia_count=count)
+        values += [_values_below(block.T, cut)] * copies
+    values = np.sort(np.concatenate(values))
+    return EigenPairs(values=values, inertia_count=len(values))
 
 
 def solve_below(d: DiscreteOperator, lam_max: float, maps: np.ndarray | None = None) -> EigenPairs:
-    """All eigenvalues <= lam_max of the pencil d, proven complete: its
-    dense tridiagonal reduction (``_tridiagonal``) solved by ``solve``.
+    """All eigenvalues <= lam_max of the pencil d: the values of its dense
+    standard form (``_standard_form``, n^2 floats) up to the cut
+    lam_max (1 + 1e-12), from ``_values_below``.  The count is the number
+    of values at most the cut, of n values that all came back finite.
 
     ``maps``, a (6, n) array whose rows are vertex maps g -> g[v] of the
     group D3 in the order of ``_A2``, each an automorphism of d
     (``A[g][:, g] == A`` and ``M[g] == M``), the rotations fixing no
-    vertex, splits the reduction into the A1, A2 and E blocks of the
-    symmetry-adapted basis (``_symmetry_blocks``): E, about n/3 unknowns,
-    is solved once and counts twice, and no n x n array is formed.  Each
-    block keeps its own count check."""
+    vertex, splits S into the A1, A2 and E blocks of the symmetry-adapted
+    basis (``_symmetry_blocks``): E, about n/3 unknowns, is solved once
+    and counts twice, and no n x n array is formed."""
+    cut = lam_max * (1 + 1e-12)
     if maps is not None:
-        return _symmetric_values(d, maps, lam_max)
-    return solve(_tridiagonal(d), lam_max)
+        return _symmetric_values(d, maps, cut)
+    values = _values_below(_standard_form(d), cut)
+    return EigenPairs(values=values, inertia_count=len(values))
 
 
 # -- bookkeeping --------------------------------------------------------------

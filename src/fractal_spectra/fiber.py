@@ -26,14 +26,15 @@ pieces once and tag each value with the level it is new at
 (``_level_values``), then cluster (``level_spectra``, which the pâte à
 choux uses).  The Laakso and string bases are paths, so their pieces are
 runs of a path, keyed on their length and end types, whose pencils are
-tridiagonal in path order and go to the Sturm count and bisection as they
-are (Kahan 1966), in O(n) memory.  Any other base (the gasket of the pâte à
-choux) is split into connected components, each reduced densely by
-``solve_below``.  A base with symmetries (``LevelFamily.maps``: the six of
-the gasket) has pieces that they carry onto themselves, so the components
-of a piece fall into orbits: one component per orbit is solved, counted
-orbit size times, and a component that is its own orbit is split into its
-symmetry blocks.  The solves of a family are cached on it for the run, so
+tridiagonal in path order and go to ``solve``: a Sturm count (Kahan 1966),
+then ``eigvalsh`` on the dense tridiagonal matrix, n^2 floats.  Any other
+base (the gasket of the pâte à choux) is split into connected components
+by label propagation over the NumPy CSR arrays of its pencil, each solved
+densely by ``solve_below``.  A base with symmetries
+(``LevelFamily.maps``: the six of the gasket) has pieces that they carry
+onto themselves, so the components of a piece fall into orbits: one
+component per orbit is solved, counted orbit size times, and a component
+that is its own orbit is split into its symmetry blocks.  The solves of a family are cached on it for the run, so
 that other cuts of its base (the decimation chain's cells,
 ``cell_values``) reuse them.  The Laakso and string levels, whose edges
 have one length, map their vertex values to the mesh by the Chebyshev rule
@@ -52,8 +53,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .eigensolve import SpectrumList, Tridiagonal, cluster, solve, solve_below, tridiagonal_form
 from .metric_graph import (
@@ -61,6 +60,7 @@ from .metric_graph import (
     DiscreteOperator,
     EquilateralMesh,
     MetricGraph,
+    _component_labels,
     _laplacian,
     _node_numbers,
     walk_kernels,
@@ -141,10 +141,10 @@ def binary_graphs(base: MetricGraph, birth, depth: int,
     return graphs
 
 
-def _distinct_components(A: sp.csr_matrix, M: np.ndarray, copies: np.ndarray,
+def _distinct_components(op: DiscreteOperator, copies: np.ndarray,
                          images: np.ndarray | None = None):
     """Yield (key, count, maps) for each distinct connected component of the
-    pencil (A, M).  The key is the component's size n, its number of
+    pencil ``op``.  The key is the component's size n, its number of
     entries z, its CSR data, indices and indptr and its masses, as the bytes
     of one int64 row (the floats as their bits); ``count`` sums ``copies``,
     given per row, over the first rows of the components equal to it.
@@ -156,18 +156,26 @@ def _distinct_components(A: sp.csr_matrix, M: np.ndarray, copies: np.ndarray,
     is its own orbit comes with its ``maps`` in its own numbering (for
     ``solve_below``), any other with None.
 
-    Ordered component by component, each component's rows are a contiguous
-    run whose columns stay inside the run, so a component is a slice of the
-    CSR arrays; within a component the order is ascending, so every row
-    keeps the column order of A and the slices equal A[idx][:, idx] bit for
-    bit.  Components of one size and one number of entries are compared as
-    rows of one array, so no Python loop runs over the components.
+    The rows are permuted component by component, so each component's rows
+    are a contiguous run whose columns stay inside the run, and a component
+    is a slice of the CSR arrays; within a component the order is
+    ascending, so every row keeps its column order.  Components of one size
+    and one number of entries are compared as rows of one array, so no
+    Python loop runs over the components.
     """
-    if not len(M):
+    if not op.n:
         return
-    n_comp, labels = connected_components(A, directed=False)
+    u, v = op.rows(), op.indices
+    coupled = u < v  # each coupling once
+    n_comp, labels = _component_labels(op.n, u[coupled], v[coupled])
     order = np.argsort(labels, kind="stable")
-    A, M, copies = A[order][:, order], M[order], copies[order]
+    place = np.empty_like(order)
+    place[order] = np.arange(op.n)
+    length = np.diff(op.indptr)[order]
+    indptr = np.r_[0, np.cumsum(length)]
+    source = np.repeat(op.indptr[order] - indptr[:-1], length) + np.arange(indptr[-1])
+    data, indices = op.data[source], place[op.indices[source]]
+    M, copies = op.M[order], copies[order]
     sizes = np.bincount(labels, minlength=n_comp)
     stop = np.cumsum(sizes)
     start = stop - sizes
@@ -181,13 +189,13 @@ def _distinct_components(A: sp.csr_matrix, M: np.ndarray, copies: np.ndarray,
         for c in np.flatnonzero(size == 1).tolist():
             rows = order[start[c]:stop[c]]
             local[c] = np.searchsorted(rows, images[:, rows])
-    lo = A.indptr[start]
-    nnz = A.indptr[stop] - lo
+    lo = indptr[start]
+    nnz = indptr[stop] - lo
     for n, z in sorted(set(zip(sizes[keep].tolist(), nnz[keep].tolist()))):
         k = np.flatnonzero(keep & (sizes == n) & (nnz == z))
         entries, nodes = lo[k, None] + np.arange(z), start[k, None] + np.arange(n + 1)
-        rows = np.concatenate([np.tile([n, z], (len(k), 1)), A.data.view(np.int64)[entries],
-                               A.indices[entries] - start[k, None], A.indptr[nodes] - lo[k, None],
+        rows = np.concatenate([np.tile([n, z], (len(k), 1)), data.view(np.int64)[entries],
+                               indices[entries] - start[k, None], indptr[nodes] - lo[k, None],
                                M.view(np.int64)[nodes[:, :-1]]], axis=1)
         keys, index, inverse = np.unique(rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel(),
                                          return_index=True, return_inverse=True)
@@ -200,8 +208,7 @@ def _pencil(key: bytes) -> DiscreteOperator:
     row = np.frombuffer(key, dtype=np.int64)
     n, z = row[:2]
     data, indices, indptr, M = np.split(row[2:], [z, 2 * z, 2 * z + n + 1])
-    return DiscreteOperator(A=sp.csr_matrix((data.view(np.float64), indices, indptr), shape=(n, n)),
-                            M=M.view(np.float64))
+    return DiscreteOperator(data.view(np.float64), indices, indptr, M.view(np.float64))
 
 
 def _components(family: LevelFamily, drop: np.ndarray, copies: np.ndarray):
@@ -214,13 +221,13 @@ def _components(family: LevelFamily, drop: np.ndarray, copies: np.ndarray):
     pos = _node_numbers(drop.ravel())
     offset = n * np.arange(len(drop))[:, None]
     ends = (offset[:, :, None] + base.ends).reshape(-1, 2)
-    A, M = _laplacian(int(np.count_nonzero(~drop)), pos[ends[:, 0]], pos[ends[:, 1]],
-                      np.tile(base.weight, len(drop)))
+    op = _laplacian(int(np.count_nonzero(~drop)), pos[ends[:, 0]], pos[ends[:, 1]],
+                    np.tile(base.weight, len(drop)))
     images = None
     if family.maps is not None:
         images = (offset + family.maps[:, None, :]).reshape(len(family.maps), -1)
         images = pos[images[:, ~drop.ravel()]]
-    return _distinct_components(A, M, np.repeat(copies, n)[~drop.ravel()], images)
+    return _distinct_components(op, np.repeat(copies, n)[~drop.ravel()], images)
 
 
 def _path_weight(base: MetricGraph) -> float | None:

@@ -4,7 +4,10 @@ spectrum of graphs whose edges all have one length.
 A finite-level approximation of a projective-limit fractal is represented as
 a weighted metric graph: edges carry a length and a measure density (the
 weight of the sheet they belong to).  ``graph_operator`` gives its vertex
-pencil I - P for the walk P.  The finite-difference pencil A v = lambda M v
+pencil I - P for the walk P, a ``DiscreteOperator`` that holds its
+stiffness matrix as NumPy CSR arrays; the package builds no SciPy sparse
+matrix and finds connected components by label propagation with pointer
+jumping over the edge arrays.  The finite-difference pencil A v = lambda M v
 of an equal-edge graph, with Kirchhoff (natural) conditions at unmarked
 vertices and eliminated rows at Dirichlet vertices, is a Chebyshev image of
 that pencil (``EquilateralMesh``), so the mesh itself is never built.
@@ -16,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DisconnectedGraph, NonDividingPitch
 
@@ -65,9 +66,7 @@ class MetricGraph:
             raise ValueError("edge lengths and weights must be positive")
         if np.any((self.ends < 0) | (self.ends >= n)):
             raise ValueError("edge endpoint out of range")
-        u, v = self.ends.T
-        adjacency = sp.coo_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
-        if n > 0 and connected_components(adjacency, directed=False)[0] != 1:
+        if n > 0 and _component_labels(n, *self.ends.T)[0] != 1:
             raise DisconnectedGraph("metric graph is not connected")
         if total_mass is not None:
             m = self.total_measure()
@@ -87,14 +86,44 @@ def _node_numbers(drop: np.ndarray) -> np.ndarray:
     return np.where(drop, -1, np.cumsum(~drop) - 1)
 
 
-def _laplacian(n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> tuple[int, np.ndarray]:
+    """The number of connected components of the graph on the vertices
+    0..n-1 with the edges (u[k], v[k]), and the component of each vertex,
+    numbered in the order of their smallest vertices (the labels of SciPy's
+    ``connected_components``).
+
+    Every vertex points at a vertex of its component no larger than itself.
+    The pointers are followed to their roots (pointer jumping), then every
+    edge between two roots hooks the larger root under the smaller, until
+    no edge joins two roots."""
+    root = np.arange(n)
+    while True:
+        while not np.array_equal(jump := root[root], root):
+            root = jump
+        ru, rv = root[u], root[v]
+        apart = ru != rv
+        if not apart.any():
+            break
+        np.minimum.at(root, np.maximum(ru, rv)[apart], np.minimum(ru, rv)[apart])
+    is_root = root == np.arange(n)
+    return int(np.count_nonzero(is_root)), (np.cumsum(is_root) - 1)[root]
+
+
+def _laplacian(n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> DiscreteOperator:
     """Weighted Laplacian of the node pairs (a[k], b[k]) with conductances
     c[k], where -1 marks an eliminated node whose couplings reach only the
-    diagonal.  Returns (A as CSR, its diagonal).
+    diagonal, with its diagonal as the mass.
 
-    ``np.add.at`` sums in index order, pair by pair and a before b, so the
-    bits are those of a loop over the pairs; the off-diagonal entries enter
-    the COO matrix in that order too.
+    ``np.add.at`` sums the diagonal in index order, pair by pair and a
+    before b, so the bits are those of a loop over the pairs.  The entries
+    are sorted stably by row and column, the copies of a parallel edge
+    summed in pair order and the diagonal added last, and an entry that
+    sums to 0 is dropped: the CSR arrays of SciPy's
+    ``(off.tocsr() + diags(diag)).tocsr()`` for the COO matrix ``off`` of
+    the off-diagonal entries in pair order, bit for bit wherever a row has
+    at most 16 entries before summing (SciPy sorts a longer row with an
+    unstable sort, so the copies of a parallel edge can sum in another
+    order there).
     """
     tips = np.stack([a, b], axis=1).ravel()
     conductance = np.repeat(c, 2)
@@ -102,23 +131,41 @@ def _laplacian(n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     diag = np.zeros(n)
     np.add.at(diag, tips[live], conductance[live])
     both = (a >= 0) & (b >= 0)
-    rows = np.stack([a[both], b[both]], axis=1).ravel()
-    cols = np.stack([b[both], a[both]], axis=1).ravel()
-    off = sp.coo_matrix((-np.repeat(c[both], 2), (rows, cols)), shape=(n, n))
-    return (off.tocsr() + sp.diags(diag)).tocsr(), diag
+    node = np.arange(n)
+    rows = np.concatenate([np.stack([a[both], b[both]], axis=1).ravel(), node])
+    cols = np.concatenate([np.stack([b[both], a[both]], axis=1).ravel(), node])
+    order = np.argsort(rows * n + cols, kind="stable")
+    rows, cols = rows[order], cols[order]
+    first = (np.diff(rows, prepend=-1) != 0) | (np.diff(cols, prepend=-1) != 0)
+    data = np.bincount(np.cumsum(first) - 1, np.r_[-np.repeat(c[both], 2), diag][order])
+    data = data.astype(float, copy=False)  # bincount of nothing is int64
+    keep = data != 0
+    indptr = np.r_[0, np.cumsum(np.bincount(rows[first][keep], minlength=n))]
+    return DiscreteOperator(data[keep], cols[first][keep], indptr, diag)
 
 
 @dataclass
 class DiscreteOperator:
-    """Stiffness/lumped-mass pencil (A, M) for A v = lambda M v."""
+    """Stiffness/lumped-mass pencil (A, M) for A v = lambda M v.
 
-    A: sp.csr_matrix
+    A is held as CSR arrays: row i has the entries
+    ``data[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending, each column once.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
     M: np.ndarray  # diagonal of the mass matrix
     kept_vertices: np.ndarray | None = None  # graph vertex of each row (graph_operator only)
 
     @property
     def n(self) -> int:
-        return self.A.shape[0]
+        return len(self.M)
+
+    def rows(self) -> np.ndarray:
+        """The row of each entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
 
 def graph_operator(g: MetricGraph, boundary: str | None = None) -> DiscreteOperator:
@@ -134,9 +181,9 @@ def graph_operator(g: MetricGraph, boundary: str | None = None) -> DiscreteOpera
     """
     drop = g.dirichlet & (boundary == DIRICHLET)
     pos = _node_numbers(drop)
-    A, deg = _laplacian(int(np.count_nonzero(~drop)), pos[g.ends[:, 0]], pos[g.ends[:, 1]],
-                        g.weight)
-    return DiscreteOperator(A=A, M=deg, kept_vertices=np.flatnonzero(~drop))
+    op = _laplacian(int(np.count_nonzero(~drop)), pos[g.ends[:, 0]], pos[g.ends[:, 1]], g.weight)
+    op.kept_vertices = np.flatnonzero(~drop)
+    return op
 
 
 def walk_kernels(g: MetricGraph) -> tuple[int, int]:
@@ -153,9 +200,7 @@ def walk_kernels(g: MetricGraph) -> tuple[int, int]:
         return 0, 0
     n = g.n_vertices
     u, v = g.ends.T
-    cover = sp.coo_matrix((np.ones(2 * len(u)), (np.r_[u, u + n], np.r_[v + n, v])),
-                          shape=(2 * n, 2 * n))
-    return 1, int(connected_components(cover, directed=False)[0] == 2)
+    return 1, int(_component_labels(2 * n, np.r_[u, u + n], np.r_[v + n, v])[0] == 2)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,33 @@
-"""Reference eigenpairs for the tests, independent of the package's solver."""
+"""Reference eigenpairs for the tests, independent of the package's solver,
+and the SciPy forms of its pencils."""
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+from scipy.linalg import lapack
+
+from fractal_spectra.metric_graph import DiscreteOperator
+
+
+def csr(op) -> sp.csr_matrix:
+    """The stiffness matrix A of the pencil ``op`` as a SciPy CSR matrix over
+    the pencil's own arrays."""
+    return sp.csr_matrix((op.data, op.indices, op.indptr), shape=(op.n, op.n))
+
+
+def operator(A, M, kept_vertices=None) -> DiscreteOperator:
+    """The pencil (A, M) of a SciPy sparse (or dense) A, its CSR arrays in
+    canonical form: sorted columns, each once."""
+    A = sp.csr_matrix(A, copy=True)
+    A.sum_duplicates()
+    return DiscreteOperator(A.data, A.indices, A.indptr, np.asarray(M, dtype=float), kept_vertices)
 
 
 def generalized_eigh(op):
     """All eigenpairs of the pencil A v = lambda M v from LAPACK's generalized
     driver, without the standard form M^{-1/2} A M^{-1/2}; the vectors come
     back M-orthonormal and the values ascending."""
-    return scipy.linalg.eigh(op.A.toarray(), np.diag(op.M))
+    return scipy.linalg.eigh(csr(op).toarray(), np.diag(op.M))
 
 
 def eigenpairs_below(op, lam_max):
@@ -22,13 +41,27 @@ def eigenpairs_below(op, lam_max):
 
 def residuals(values, vectors, op) -> np.ndarray:
     """Residual norm |A v - lambda M v| of each pair (values[j], vectors[:, j])."""
-    R = op.A @ vectors - (op.M[:, None] * vectors) * values[None, :]
+    R = csr(op) @ vectors - (op.M[:, None] * vectors) * values[None, :]
     return np.linalg.norm(R, axis=0)
 
 
 def standard_form(op) -> np.ndarray:
     """Dense S = M^{-1/2} A M^{-1/2}, entry (A_ij m_i) m_j with
-    m = M^{-1/2}: the matrix whose reduction the package solves, bit for
+    m = M^{-1/2}: the matrix whose values the package solves for, bit for
     bit."""
     ms = 1.0 / np.sqrt(op.M)
-    return op.A.toarray() * ms[:, None] * ms[None, :]
+    return csr(op).toarray() * ms[:, None] * ms[None, :]
+
+
+def tridiagonal_reduction(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, off) of LAPACK's ``dsytrd`` on the lower triangle of S: a
+    tridiagonal matrix orthogonally similar to S, whose Sturm count is
+    S's."""
+    n = len(S)
+    if n <= 1:
+        return np.diag(S).copy(), np.zeros(0)
+    lwork, info = lapack.dsytrd_lwork(n, lower=1)
+    assert info == 0
+    _, diag, off, _, info = lapack.dsytrd(np.array(S, order="F"), lower=1, lwork=int(lwork))
+    assert info == 0
+    return diag, off

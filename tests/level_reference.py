@@ -33,7 +33,7 @@ from fractal_spectra.errors import FractalSpectraError
 from fractal_spectra.fiber import _cluster_levels
 from fractal_spectra.gasket import ChouxSpec, choux_numeric_spectra
 from fractal_spectra.metric_graph import DiscreteOperator, graph_operator
-from lapack_reference import eigenpairs_below
+from lapack_reference import csr, eigenpairs_below, operator
 
 #: relative tolerance of the two checks that make the split of a level
 #: pencil by the fiber projector exact (see ``new_blocks``)
@@ -141,8 +141,8 @@ def _components(op_hi: DiscreteOperator, op_lo: DiscreteOperator, fs: FiberStruc
     if not n_hi:  # every vertex eliminated: nothing to split
         return
     U = sp.csr_matrix((np.ones(n_hi), (np.arange(n_hi), fs.parent)), shape=(n_hi, fs.n_low))
-    lhs = op_hi.A @ U
-    rhs = sp.diags(op_hi.M) @ U @ sp.diags(1.0 / op_lo.M) @ op_lo.A
+    lhs = csr(op_hi) @ U
+    rhs = sp.diags(op_hi.M) @ U @ sp.diags(1.0 / op_lo.M) @ csr(op_lo)
     scale = abs(lhs).max() if lhs.nnz else 0.0
     if abs(lhs - rhs).max() > SPLIT_RTOL * scale:
         raise IncompatibleMesh(f"level {fs.level}: the lift does not intertwine the level pencils")
@@ -153,7 +153,7 @@ def _components(op_hi: DiscreteOperator, op_lo: DiscreteOperator, fs: FiberStruc
     Q = contrast_basis(fs)
     if not Q.shape[1]:
         return
-    A = Q.T @ op_hi.A @ Q
+    A = Q.T @ csr(op_hi) @ Q
     A = (0.5 * (A + A.T)).tocsr()  # the two triangles may differ in their last bits
     A.eliminate_zeros()
     M = Q.multiply(Q).T @ op_hi.M
@@ -169,7 +169,7 @@ def _components(op_hi: DiscreteOperator, op_lo: DiscreteOperator, fs: FiberStruc
 
 
 def _block(arrays, M: np.ndarray) -> DiscreteOperator:
-    return DiscreteOperator(A=sp.csr_matrix(arrays, shape=(len(M), len(M))), M=M)
+    return operator(sp.csr_matrix(arrays, shape=(len(M), len(M))), M)
 
 
 def new_blocks(op_hi: DiscreteOperator, op_lo: DiscreteOperator, fs: FiberStructure):

@@ -30,6 +30,7 @@ from fractal_spectra.metric_graph import (
     MetricGraph,
 )
 from fractal_spectra.strings import StringSpec
+from lapack_reference import csr, operator
 from level_reference import FiberStructure, IncompatibleMesh
 
 
@@ -146,7 +147,7 @@ def assemble(m: Mesh) -> DiscreteOperator:
                 vals.extend((-c, -c))
     A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     A = A + sp.diags(diag)
-    return DiscreteOperator(A=A.tocsr(), M=m.masses.copy())
+    return operator(A, m.masses.copy())
 
 
 def graph_operator(g: MetricGraph, boundary: str | None = None) -> DiscreteOperator:
@@ -182,14 +183,15 @@ def graph_operator(g: MetricGraph, boundary: str | None = None) -> DiscreteOpera
             cols.extend((b, a))
             vals.extend((-weight, -weight))
     A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr() + sp.diags(diag)
-    return DiscreteOperator(A=A.tocsr(), M=deg, kept_vertices=keep)
+    return operator(A, deg, keep)
 
 
 def validate(d: DiscreteOperator) -> None:
     """Refuse a pencil with a non-positive mass or an unsymmetric stiffness."""
     if np.any(d.M <= 0):
         raise NotPositiveMass("mass matrix has non-positive entries")
-    asym = (d.A - d.A.T).tocoo()
+    A = csr(d)
+    asym = (A - A.T).tocoo()
     if len(asym.data) and np.max(np.abs(asym.data)) > 0:
         raise ValueError("stiffness matrix is not symmetric")
 
@@ -199,7 +201,7 @@ def dirichlet_energy(d: DiscreteOperator, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=float)
     if v.shape != (d.n,):
         raise DimensionMismatch(f"vector of length {v.shape} vs {d.n} nodes")
-    return float(v @ (d.A @ v))
+    return float(v @ (csr(d) @ v))
 
 
 def mesh_fiber_structure(mesh_hi: Mesh, mesh_lo: Mesh, link: LevelLink) -> FiberStructure:

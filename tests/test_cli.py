@@ -4,9 +4,15 @@ import collections
 import filecmp
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import fractal_spectra
 from fractal_spectra import cli, eigensolve, gasket, laakso, strings
 
 
@@ -388,3 +394,40 @@ def test_zeta_table_keeps_the_values_on_its_cut(tmp_path):
         explicit = math.fsum((math.pi * k / l) ** (-2 * s_val)
                              for l, n in ((0.5, 1000), (0.25, 500)) for k in range(1, n + 1))
         assert float(partial) == pytest.approx(explicit, rel=1e-13, abs=0.0)
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """With SciPy unimportable, laakso, choux and string run the
+    acceptance criterion-8 specs and verify their outputs with exit 0, and
+    no SciPy module is loaded afterwards: the package needs NumPy alone."""
+    script = textwrap.dedent("""
+        import json, sys
+        from pathlib import Path
+
+        sys.modules["scipy"] = None  # every import of SciPy or a submodule fails
+        from fractal_spectra import cli
+
+        tmp = Path(sys.argv[1])
+        specs = {
+            "laakso": {"j": [2], "refine": 16, "lambda_max": 100.0},
+            "string": {"lengths": [0.5, 0.25], "mults": [1, 1],
+                       "refine": 8, "lambda_max": 400.0, "zeta_terms": 100},
+            "choux": {"fiber_depth": 1, "gasket_level": 2},
+        }
+        codes = []
+        for command, doc in specs.items():
+            spec = tmp / f"{command}.json"
+            spec.write_text(json.dumps(doc))
+            out = str(tmp / command)
+            codes.append(cli.main([command, "--spec", str(spec), "--out", out]))
+            codes.append(cli.main(["verify", "--out", out]))
+        loaded = sorted(name for name, module in sys.modules.items()
+                        if name.split(".")[0] == "scipy" and module is not None)
+        print(json.dumps({"codes": codes, "scipy": loaded}))
+    """)
+    src = str(Path(fractal_spectra.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0] * 6, "scipy": []}

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg import lapack
 
-from fractal_spectra import cli, eigensolve
+from fractal_spectra import cli
 from fractal_spectra.eigensolve import (
     FDModel,
     SpectrumEntry,
@@ -16,7 +15,6 @@ from fractal_spectra.eigensolve import (
     cluster,
     compare_spectra,
     gap_runs,
-    _reduce,
     _sturm_count,
     Tridiagonal,
     solve,
@@ -39,7 +37,6 @@ from fractal_spectra.laakso import LaaksoSpec, build_laakso, laakso_numeric_spec
 from fractal_spectra.metric_graph import (
     DIRICHLET,
     NEUMANN,
-    DiscreteOperator,
     MetricGraph,
 )
 from fractal_spectra.strings import (
@@ -47,7 +44,15 @@ from fractal_spectra.strings import (
     build_stitched,
     stitched_numeric_spectra,
 )
-from lapack_reference import eigenpairs_below, generalized_eigh, residuals, standard_form
+from lapack_reference import (
+    csr,
+    eigenpairs_below,
+    generalized_eigh,
+    operator,
+    residuals,
+    standard_form,
+    tridiagonal_reduction,
+)
 from json_reference import spectrum_from_json, spectrum_to_json
 from level_reference import (
     BeyondTruncation,
@@ -75,14 +80,13 @@ def random_pencil(n, seed, mult=1):
     vals = np.repeat(np.arange(1, n // mult + 1, dtype=float), mult)[:n]
     S = (Q * vals) @ Q.T
     M = rng.uniform(0.5, 2.0, n)
-    A = sp.csr_matrix((np.sqrt(M)[:, None] * S) * np.sqrt(M)[None, :])
-    return DiscreteOperator(A=A, M=M), vals
+    return operator((np.sqrt(M)[:, None] * S) * np.sqrt(M)[None, :], M), vals
 
 
 def sturm_count(S, cut):
     """The package's count of the eigenvalues <= cut of the dense symmetric
     S: the Sturm count on its ``dsytrd`` reduction."""
-    return _sturm_count(*_reduce(np.array(S, order="F")), cut)
+    return _sturm_count(*tridiagonal_reduction(S), cut)
 
 
 def path_blocks(t, copies, seed):
@@ -92,8 +96,7 @@ def path_blocks(t, copies, seed):
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.5, 2.0, t - 1)
     T = sp.diags([-w, np.r_[w, 0.0] + np.r_[0.0, w] + 0.5, -w], [-1, 0, 1])
-    op = DiscreteOperator(A=sp.kron(sp.identity(copies), T, format="csr"),
-                          M=np.tile(rng.uniform(0.5, 2.0, t), copies))
+    op = operator(sp.kron(sp.identity(copies), T), np.tile(rng.uniform(0.5, 2.0, t), copies))
     S = standard_form(op)
     return Tridiagonal(S.diagonal().copy(), S.diagonal(-1).copy()), op
 
@@ -101,7 +104,7 @@ def path_blocks(t, copies, seed):
 def whole_spectrum(d):
     """solve_below with a cut above the spectrum: the Gershgorin bound of
     M^{-1} A, whose eigenvalues are those of the pencil."""
-    return solve_below(d, float(np.max(np.ravel(abs(d.A).sum(axis=1)) / d.M)))
+    return solve_below(d, float(np.max(np.ravel(abs(csr(d)).sum(axis=1)) / d.M)))
 
 
 class TestDense:
@@ -115,7 +118,7 @@ class TestDense:
         assert pairs.values == pytest.approx(fd_dirichlet(0.25), rel=1e-12)
 
     def test_one_by_one(self):
-        d = DiscreteOperator(A=sp.csr_matrix(np.array([[2.0]])), M=np.array([1.0]))
+        d = operator(np.array([[2.0]]), [1.0])
         assert whole_spectrum(d).values == pytest.approx([2.0])
 
     def test_neumann_zero_ground_state(self):
@@ -138,7 +141,7 @@ class TestDense:
         assert np.all(np.abs(pairs.values - values) <= 1e-10 * np.maximum(1.0, values))
 
     def test_nonpositive_mass_rejected(self):
-        d = DiscreteOperator(A=sp.identity(3, format="csr"), M=np.array([1.0, 0.0, 1.0]))
+        d = operator(sp.identity(3), [1.0, 0.0, 1.0])
         with pytest.raises(NotPositiveMass):
             solve_below(d, 2.0)
 
@@ -156,32 +159,40 @@ class TestDense:
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("lam_max", [0.3, 0.7, 1.2])
     def test_partial_spectrum_is_lapacks_subset_solve(self, m, lam_max):
-        """A cut inside the spectrum returns the values below it bit for bit
-        as LAPACK's values-only subset solver (dsytrd, then dstebz) gives
-        them on the same value range."""
+        """A cut inside the spectrum returns the values below it of LAPACK's
+        full values-only solver bit for bit, and they agree with its
+        values-only subset solver (dsytrd, then dstebz) on the same value
+        range to 1e-14 |S|."""
         d = choux_levels(ChouxSpec(fiber_depth=0, gasket_level=m, boundary="dirichlet"))[0][0]
         cut = lam_max * (1 + 1e-12)
-        w = scipy.linalg.eigh(standard_form(d), eigvals_only=True, driver="evx",
-                              subset_by_value=(-np.inf, cut))
+        S = standard_form(d)
+        whole = scipy.linalg.eigh(S, eigvals_only=True, driver="ev")
+        w = scipy.linalg.eigh(S, eigvals_only=True, driver="evx", subset_by_value=(-np.inf, cut))
         pairs = solve_below(d, lam_max)
         assert 0 < pairs.inertia_count == len(pairs.values) == len(w) < d.n
-        assert np.array_equal(pairs.values, w)
+        assert np.array_equal(pairs.values, whole[whole <= cut])
+        assert np.abs(pairs.values - w).max() <= 1e-14 * np.linalg.norm(S, 2)
 
-    @pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstebz"])
-    def test_lapack_failure_is_no_convergence(self, monkeypatch, tmp_path, routine):
-        """A nonzero LAPACK info is a solver failure, and the CLI exits 3."""
-        def fail(*args, _solver=getattr(lapack, routine), **kwargs):
-            *out, _ = _solver(*args, **kwargs)
-            return (*out, 1)
+    @pytest.mark.parametrize("failure", ["raise", "nan", "short"])
+    @pytest.mark.parametrize("whole", [False, True])
+    def test_lapack_failure_is_no_convergence(self, monkeypatch, tmp_path, failure, whole):
+        """A LAPACK failure (``eigvalsh`` raising LinAlgError), a value that
+        is not finite or a value missing is a solver failure, and the CLI
+        exits 3."""
+        def fail(a, *args, _solver=np.linalg.eigvalsh, **kwargs):
+            if failure == "raise":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            w = _solver(a, *args, **kwargs)
+            return np.r_[w[:-1], np.nan] if failure == "nan" else w[1:]
 
-        monkeypatch.setattr(lapack, routine, fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         d = interval_pencil(1 / 16, NEUMANN)
-        lam_max = 30.0 if routine == "dstebz" else 2000.0  # a part, or the whole spectrum
-        with pytest.raises(NoConvergence, match=f"LAPACK {routine} returned info 1"):
+        lam_max = 2000.0 if whole else 30.0
+        with pytest.raises(np.linalg.LinAlgError if failure == "raise" else NoConvergence):
             solve_below(d, lam_max)
         # choux solves whole spectra, laakso parts of its vertex spectra
-        command, doc = (("laakso", {"j": [2, 2, 2], "refine": 32, "lambda_max": 200.0})
-                        if routine == "dstebz" else ("choux", {"fiber_depth": 1, "gasket_level": 2}))
+        command, doc = (("choux", {"fiber_depth": 1, "gasket_level": 2}) if whole
+                        else ("laakso", {"j": [2, 2, 2], "refine": 32, "lambda_max": 200.0}))
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
         assert cli.main([command, "--spec", str(spec), "--out", str(tmp_path / "o")]) == cli.EXIT_SOLVER
@@ -228,15 +239,15 @@ class TestLanczos:
         assert lz.values == pytest.approx(dense, rel=1e-12)
 
     def test_every_size_takes_the_dense_reduction(self, monkeypatch):
-        """Small and large pencils alike are reduced by dsytrd and solved on
-        the reduction; none takes another route."""
+        """Small and large pencils alike are solved densely by ``eigvalsh``;
+        none takes another route."""
         sizes = []
 
-        def spy(a, *args, _reduce=lapack.dsytrd, **kwargs):
+        def spy(a, *args, _solver=np.linalg.eigvalsh, **kwargs):
             sizes.append(a.shape[0])
-            return _reduce(a, *args, **kwargs)
+            return _solver(a, *args, **kwargs)
 
-        monkeypatch.setattr(lapack, "dsytrd", spy)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         for n in (60, 600):
             d, _ = random_pencil(n, 3)
             dense, _ = generalized_eigh(d)
@@ -251,16 +262,20 @@ class TestLanczos:
         assert pairs.inertia_count == n_expected
 
     def test_nothing_below_the_cut_calls_no_eigensolver(self, monkeypatch):
+        """A tridiagonal matrix with a Sturm count of 0 below the cut is not
+        handed to ``eigvalsh``."""
         def refuse(*args, **kwargs):
             raise AssertionError("eigensolver called with nothing below the cut")
 
-        for name in ("dsterf", "dstebz"):
-            monkeypatch.setattr(lapack, name, refuse)
         d = interval_pencil(1 / 64, DIRICHLET)  # lowest value just below pi^2
-        pairs = solve_below(d, 9.0)
+        S = standard_form(d)
+        assert np.array_equal(S, np.diag(S.diagonal()) + np.diag(S.diagonal(-1), -1)
+                              + np.diag(S.diagonal(1), 1))  # the interior nodes in path order
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        pairs = solve(Tridiagonal(S.diagonal().copy(), S.diagonal(-1).copy()), 9.0)
         assert pairs.values.shape == (0,) and pairs.inertia_count == 0
         with pytest.raises(NotPositiveMass):
-            solve_below(DiscreteOperator(A=d.A, M=np.concatenate([[0.0], d.M[1:]])), 9.0)
+            solve_below(operator(csr(d), np.concatenate([[0.0], d.M[1:]])), 9.0)
 
     @pytest.mark.parametrize("cut", [0.5, 2.5, 10.5, 37.5, 7.0 + 1e-9, 7.0 - 1e-9, 50.0 + 1e-9])
     def test_inertia_count_matches_dense(self, cut):
@@ -296,69 +311,59 @@ class TestLanczos:
         t, _ = path_blocks(600, 1, 7)
         assert np.array_equal(solve(t, 1.0).values, solve(t, 1.0).values)
 
-    @pytest.mark.parametrize(
-        "name, lam_max",
-        [("dsterf", 60.0), ("dstebz", 4.5)],
-        ids=["whole", "dense"],
-    )
-    def test_missing_copy_is_refused(self, monkeypatch, name, lam_max):
+    @pytest.mark.parametrize("route, lam_max", [("whole", 60.0), ("part", 0.39), ("dense", 4.5)],
+                             ids=["whole", "part", "dense"])
+    def test_missing_copy_is_refused(self, monkeypatch, route, lam_max):
         """A result one copy short of a repeated eigenvalue is never
-        returned, from the whole spectrum (dsterf) or a part (dstebz)."""
-        d, _ = random_pencil(200, 42, mult=4)
-        solver = getattr(lapack, name)
+        returned: from a tridiagonal matrix, with all n values but one copy
+        of its lowest 4-fold value moved above the cut, which the Sturm
+        count refuses (part), or with one value fewer than its order (whole,
+        and dense pencils)."""
+        t, d = path_blocks(30, 4, 42)
+        if route == "dense":
+            d, _ = random_pencil(200, 42, mult=4)
+        solver = np.linalg.eigvalsh
 
-        def drop_a_copy(w):
-            return np.delete(w, int(np.argmin(np.abs(w - 2.0))))
+        def drop_a_copy(a, *args, **kwargs):
+            w = solver(a, *args, **kwargs)
+            if route == "part":
+                return np.sort(np.r_[w[1:], w[-1]])
+            return np.delete(w, int(np.argmin(np.abs(w - (2.0 if route == "dense" else w[0])))))
 
-        def drop_from_sterf(*args, **kwargs):
-            w, info = solver(*args, **kwargs)
-            return drop_a_copy(w), info
-
-        def drop_from_stebz(*args, **kwargs):
-            m, w, *rest = solver(*args, **kwargs)
-            return (m - 1, drop_a_copy(w[:m]), *rest)
-
-        monkeypatch.setattr(lapack, name, drop_from_sterf if name == "dsterf" else drop_from_stebz)
+        monkeypatch.setattr(np.linalg, "eigvalsh", drop_a_copy)
         with pytest.raises(NoConvergence):
-            solve_below(d, lam_max)
+            solve_below(d, lam_max) if route == "dense" else solve(t, lam_max)
 
     def test_pipeline_asks_for_no_eigenvector(self, monkeypatch):
         """solve_below and solve form no eigenvector, whoever calls them:
         from the level pipeline (whose path bases go straight to solve), the
-        gasket spectrum (split into its symmetry blocks) or directly, the
-        whole and subset routes call only
-        LAPACK's tridiagonal reduction (dsytrd), its values-only QR (dsterf)
-        and its bisection (dstebz)."""
+        gasket spectrum (split into its symmetry blocks) or directly, they
+        call only NumPy's values-only solver, ``eigvalsh``, of the
+        eigensolvers of ``numpy.linalg``."""
         calls = []
+        for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+            def spy(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _solver(*args, **kwargs)
 
-        class SpyLapack:
-            def __getattr__(self, name):
-                def spy(*args, **kwargs):
-                    calls.append(name)
-                    return getattr(lapack, name)(*args, **kwargs)
-
-                return spy
-
-        monkeypatch.setattr(eigensolve, "lapack", SpyLapack())
+            monkeypatch.setattr(np.linalg, name, spy)
         laakso_numeric_spectra(LaaksoSpec(j=[2, 2], refine=8), 200.0)
         # a base path of 513 vertices
         laakso_numeric_spectra(LaaksoSpec(j=[2] * 9, refine=8), 400.0)
         stitched_numeric_spectra(StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 2], refine=16), 700.0)
-        assert set(calls) == {"dsterf", "dstebz"}
         choux_numeric_spectra(ChouxSpec(fiber_depth=1, gasket_level=2))
         gasket_graph_spectrum(build_gasket(2), "dirichlet")
         d, _ = random_pencil(60, 3)
         whole_spectrum(d)
         solve_below(d, 5.5)
-        assert set(calls) == {"dsytrd_lwork", "dsytrd", "dsterf", "dstebz"}
+        assert calls and set(calls) == {"eigvalsh"}
 
 
 def choux_24_level(boundary, level):
-    """One fiber level of choux 2/4, its dense standard form and its dense
-    spectrum."""
+    """One fiber level of choux 2/4, its dense standard form and its
+    spectrum from LAPACK's generalized solver (``eigenpairs_below``)."""
     d = choux_levels(ChouxSpec(2, 4, boundary))[0][level]
-    S = standard_form(d)
-    return d, S, np.linalg.eigvalsh(S)
+    return d, standard_form(d), eigenpairs_below(d, np.inf)[0]
 
 
 class TestInertiaGuard:

@@ -1,18 +1,18 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
 
 import family_reference
 from fractal_spectra import fiber, gasket, laakso, strings
 from fractal_spectra.eigensolve import solve
 from fractal_spectra.laakso import LaaksoSpec
-from fractal_spectra.metric_graph import SPECTRAL_BOUND, DiscreteOperator, graph_operator
-from lapack_reference import generalized_eigh
+from fractal_spectra.metric_graph import SPECTRAL_BOUND, graph_operator
+from lapack_reference import csr, generalized_eigh, operator
 from level_reference import (
     FiberStructure,
     IncompatibleMesh,
@@ -75,7 +75,7 @@ class TestLiftProject:
         values, vectors = generalized_eigh(ops[0])
         for lam, u in zip(values, vectors.T):
             v = lift(fs, u)
-            res = np.linalg.norm(ops[1].A @ v - lam * ops[1].M * v)
+            res = np.linalg.norm(csr(ops[1]) @ v - lam * ops[1].M * v)
             assert res <= 1e-10 * max(1.0, np.linalg.norm(v))
 
     def test_mean_zero_projects_to_zero(self, level_pair):
@@ -169,7 +169,7 @@ class TestFiberProjection:
 
     def test_commutes_with_pencil(self, level_pair):
         ops, fs = level_pair
-        A, M = ops[1].A, ops[1].M
+        A, M = csr(ops[1]), ops[1].M
         for seed in range(100):
             v = rand(ops[1].n, seed)
             v /= np.linalg.norm(v)
@@ -257,12 +257,12 @@ class TestBlockRoute:
 
     def test_perturbed_stiffness_is_refused(self):
         ops, fibers = laakso_levels(LaaksoSpec(j=[2, 2], refine=4))
-        A = ops[2].A.tolil()
+        A = csr(ops[2]).tolil()
         i = 7
         j = A.rows[i][0] if A.rows[i][0] != i else A.rows[i][-1]
         A[i, j] *= 1 + 1e-9
         A[j, i] = A[i, j]
-        broken = ops[:2] + [replace(ops[2], A=A.tocsr())]
+        broken = ops[:2] + [operator(A, ops[2].M)]
         block_spectra(ops, fibers, 200.0, "{}", {})  # the unbroken levels pass
         with pytest.raises(IncompatibleMesh, match="intertwine"):
             block_spectra(broken, fibers, 200.0, "{}", {})
@@ -274,13 +274,13 @@ class TestBlockRoute:
         masses are, but only equal ones let the contrast block carry the new
         eigenvalue (with masses 1, 2 it is 1.5 w, the block would say 4/3 w)."""
         fs = FiberStructure(1, 1, 2, np.array([0, 0]))
-        low = DiscreteOperator(A=sp.csr_matrix((1, 1)), M=np.array([2.0]))
+        low = operator(sp.csr_matrix((1, 1)), [2.0])
         w = 3.0
-        A = sp.csr_matrix(np.array([[w, -w], [-w, w]]))
-        (block,) = new_blocks(DiscreteOperator(A=A, M=np.array([1.0, 1.0])), low, fs)
-        assert block.n == 1 and block.A[0, 0] / block.M[0] == pytest.approx(2 * w)
+        A = np.array([[w, -w], [-w, w]])
+        (block,) = new_blocks(operator(A, [1.0, 1.0]), low, fs)
+        assert block.n == 1 and csr(block)[0, 0] / block.M[0] == pytest.approx(2 * w)
         with pytest.raises(IncompatibleMesh, match="unequal mass"):
-            new_blocks(DiscreteOperator(A=A, M=np.array([1.0, 2.0])), low, fs)
+            new_blocks(operator(A, [1.0, 2.0]), low, fs)
 
     def test_blocks_are_connected_components(self):
         ops, fibers = laakso_levels(LaaksoSpec(j=[2, 2, 2], refine=8))
@@ -289,7 +289,7 @@ class TestBlockRoute:
             assert sum(b.n for b in blocks) == ops[level].n - ops[level - 1].n
             assert len(blocks) > 1
             for b in blocks:
-                assert sp.csgraph.connected_components(b.A, directed=False)[0] == 1
+                assert connected_components(csr(b), directed=False)[0] == 1
 
     @pytest.mark.parametrize("case", ["laakso_j222", "strings_213", "choux_24_dirichlet"])
     def test_blocks_are_the_fancy_indexed_components(self, case):
@@ -302,7 +302,7 @@ class TestBlockRoute:
         }[case]()
         for level in range(1, len(ops)):
             Q = contrast_basis(fibers[level - 1])
-            A = Q.T @ ops[level].A @ Q
+            A = Q.T @ csr(ops[level]) @ Q
             A = (0.5 * (A + A.T)).tocsr()
             A.eliminate_zeros()
             M = Q.multiply(Q).T @ ops[level].M
@@ -313,9 +313,9 @@ class TestBlockRoute:
                 idx = np.flatnonzero(labels == k)
                 expect = A[idx][:, idx]
                 for name in ("indptr", "indices", "data"):
-                    got, want = getattr(block.A, name), getattr(expect, name)
+                    got, want = getattr(block, name), getattr(expect, name)
                     assert got.dtype == want.dtype and np.array_equal(got, want), name
-                assert block.A.shape == expect.shape
+                assert csr(block).shape == expect.shape
                 assert np.array_equal(block.M, M[idx])
 
 
@@ -377,6 +377,35 @@ class TestPathPieces:
         got = solve(fiber._run_tridiagonal(4 * m + 2 * first + last, 0.75), cut)
         assert got.inertia_count == len(got.values) == len(exact)
         assert np.abs(got.values - exact).max(initial=0.0) <= 1e-14
+
+    @pytest.mark.parametrize("m", [2, 3, 9, 17, 100, 511, 1023])
+    @pytest.mark.parametrize("first, last", [(1, 1), (1, 0), (0, 0)])
+    def test_whole_spectrum_is_dsterfs(self, m, first, last):
+        """Above the spectrum a run's values are those of LAPACK's values-only
+        QR, ``dsterf``, on its (diag, off), bit for bit: the reduction of
+        ``eigvalsh`` leaves a tridiagonal matrix as it is."""
+        t = fiber._run_tridiagonal(4 * m + 2 * first + last, 0.75)
+        w, info = lapack.dsterf(t.diag, t.off)
+        assert info == 0
+        got = solve(t, SPECTRAL_BOUND)
+        assert got.inertia_count == m and np.array_equal(got.values, w)
+
+    @pytest.mark.parametrize("m", [2, 3, 9, 100, 1023])
+    @pytest.mark.parametrize("first, last", [(1, 1), (1, 0), (0, 0)])
+    @pytest.mark.parametrize("cut", [0.05, 0.7])
+    def test_part_agrees_with_dstebz(self, m, first, last, cut):
+        """Below a cut inside the spectrum a run's values agree with LAPACK's
+        bisection over (-inf, cut], ``dstebz``, to 1e-14 |T|, and there are
+        as many."""
+        t = fiber._run_tridiagonal(4 * m + 2 * first + last, 0.75)
+        # range 1 selects by value, tolerance 0 takes LAPACK's default, order
+        # "E" sorts the values of all split blocks together
+        k, w, _, _, info = lapack.dstebz(t.diag, t.off, 1, -np.inf, cut * (1 + 1e-12), 0, 0, 0.0, "E")
+        assert info == 0
+        got = solve(t, cut)
+        norm = np.abs(t.diag).max() + 2 * np.abs(t.off).max()  # bounds |T|
+        assert got.inertia_count == len(got.values) == k
+        assert np.abs(got.values - w[:k]).max(initial=0.0) <= 1e-14 * norm
 
 
 class TestPieces:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from fractal_spectra.errors import DisconnectedGraph, NonDividingPitch
 from fractal_spectra.metric_graph import (
@@ -8,10 +10,13 @@ from fractal_spectra.metric_graph import (
     NEUMANN,
     EquilateralMesh,
     MetricGraph,
+    _component_labels,
+    _laplacian,
     graph_operator,
     walk_kernels,
 )
 from json_reference import graph_from_json, graph_to_json
+from lapack_reference import csr
 from mesh_reference import DimensionMismatch, assemble, dirichlet_energy, discretize, validate
 
 
@@ -20,7 +25,7 @@ def interval(boundary=None):
 
 
 def pencil_eigs(d):
-    S = d.A.toarray() / np.sqrt(d.M)[:, None] / np.sqrt(d.M)[None, :]
+    S = csr(d).toarray() / np.sqrt(d.M)[:, None] / np.sqrt(d.M)[None, :]
     return np.sort(scipy.linalg.eigvalsh(S))
 
 
@@ -79,18 +84,19 @@ class TestAssemble:
         w = pencil_eigs(d)
         assert abs(w[0]) < 1e-12
         ones = np.ones(d.n)
-        assert np.linalg.norm(d.A @ ones) < 1e-12
+        assert np.linalg.norm(csr(d) @ ones) < 1e-12
 
     def test_row_sums_vanish_without_dirichlet(self):
         g = MetricGraph([0.0, 0.5, 1.0], [(0, 1), (1, 2), (0, 2)], [0.5, 0.5, 1.0],
                         [1.0, 2.0, 0.5])
         d = assemble(discretize(g, 0.25))
-        assert np.abs(d.A @ np.ones(d.n)).max() < 1e-13
+        assert np.abs(csr(d) @ np.ones(d.n)).max() < 1e-13
 
     def test_symmetry_and_validation(self):
         d = assemble(discretize(interval(NEUMANN), 0.25))
         validate(d)
-        assert (d.A != d.A.T).nnz == 0
+        A = csr(d)
+        assert (A != A.T).nnz == 0
 
 
 class TestEnergy:
@@ -199,3 +205,70 @@ class TestEquilateralMesh:
         g = MetricGraph([0.0, 0.5, 1.5], [(0, 1), (1, 2)], [0.5, 1.0], 1.0)
         with pytest.raises(NonDividingPitch):
             EquilateralMesh.of([g], 4)
+
+
+def random_multigraph(seed, max_row=16):
+    """n nodes and pairs (a[k], b[k]) with conductances c[k]: parallel copies
+    of a pair with unequal conductances, nodes marked eliminated (-1) and
+    nodes with no pair; no node is in more than ``max_row`` pairs."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    a, b = rng.integers(-1, n, (2, int(rng.integers(0, 3 * n))))
+    repeat = rng.integers(0, len(a), len(a) // 2) if len(a) else np.zeros(0, dtype=int)
+    a, b = np.r_[a, a[repeat], a[repeat]], np.r_[b, b[repeat], b[repeat]]
+    keep, seen = [], np.zeros(n, dtype=int)
+    for k, (u, v) in enumerate(zip(a.tolist(), b.tolist())):
+        if u != v and (u < 0 or seen[u] < max_row) and (v < 0 or seen[v] < max_row):
+            keep.append(k)
+            seen[[x for x in (u, v) if x >= 0]] += 1
+    a, b = a[keep], b[keep]
+    c = rng.choice([1.0, 0.5, 1 / 3, 0.1, 7.0], len(a)) * rng.uniform(0.5, 2.0, len(a))
+    return n, a, b, c
+
+
+class TestSparseArrays:
+    """The pencil's CSR arrays and the component labels, held to SciPy."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_laplacian_is_scipys_csr(self, seed):
+        """``_laplacian`` gives the arrays of SciPy's
+        ``(off.tocsr() + diags(diag)).tocsr()`` bit for bit, parallel edges
+        included: SciPy sorts a row of at most 16 entries stably, so the
+        copies of an edge sum in pair order."""
+        n, a, b, c = random_multigraph(seed)
+        diag = np.zeros(n)
+        for u, v, w in zip(a.tolist(), b.tolist(), c.tolist()):
+            for x in (u, v):
+                if x >= 0:
+                    diag[x] += w
+        both = (a >= 0) & (b >= 0)
+        off = sp.coo_matrix((-np.repeat(c[both], 2), (np.stack([a[both], b[both]], 1).ravel(),
+                                                      np.stack([b[both], a[both]], 1).ravel())),
+                            shape=(n, n))
+        ref = (off.tocsr() + sp.diags(diag)).tocsr()
+        op = _laplacian(n, a, b, c)
+        assert np.array_equal(op.indptr, ref.indptr) and np.array_equal(op.indices, ref.indices)
+        assert np.array_equal(op.data.view(np.int64), ref.data.view(np.int64))
+        assert np.array_equal(op.M.view(np.int64), diag.view(np.int64))
+        assert np.array_equal(op.rows(), np.repeat(np.arange(n), np.diff(ref.indptr)))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_component_labels_are_scipys(self, seed):
+        """``_component_labels`` finds SciPy's components on multigraphs with
+        isolated vertices, numbered in the order of their smallest vertex,
+        as ``connected_components`` numbers them (so up to relabelling
+        too)."""
+        n, a, b, _ = random_multigraph(seed)
+        u, v = a[(a >= 0) & (b >= 0)], b[(a >= 0) & (b >= 0)]
+        count, labels = _component_labels(n, u, v)
+        want, ref = connected_components(sp.coo_matrix((np.ones(len(u)), (u, v)), shape=(n, n)),
+                                         directed=False)
+        assert count == want == len(set(zip(labels.tolist(), ref.tolist())))
+        assert np.array_equal(labels, ref)
+
+    def test_component_labels_of_a_shuffled_path(self):
+        n = 4097
+        k, perm = np.arange(n - 1), np.random.default_rng(0).permutation(n)
+        count, labels = _component_labels(n, perm[k], perm[k + 1])
+        assert count == 1 and not labels.any()
+        assert _component_labels(0, k[:0], k[:0])[0] == 0

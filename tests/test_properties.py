@@ -54,7 +54,6 @@ from fractal_spectra import cli, eigensolve, fiber, gasket, laakso, strings
 from fractal_spectra.eigensolve import (
     SpectrumEntry,
     SpectrumList,
-    _reduce,
     _sturm_count,
     gap_runs,
     solve,
@@ -66,12 +65,11 @@ from fractal_spectra.errors import DisconnectedGraph, NoConvergence
 from fractal_spectra.metric_graph import (
     DIRICHLET,
     SPECTRAL_BOUND,
-    DiscreteOperator,
     MetricGraph,
     graph_operator,
 )
 from json_reference import spectrum_from_json, spectrum_to_json
-from lapack_reference import eigenpairs_below, generalized_eigh
+from lapack_reference import csr, eigenpairs_below, generalized_eigh, operator, tridiagonal_reduction
 from level_reference import assert_matches_reference, total_multiplicity
 
 SETTINGS = settings(max_examples=25, deadline=timedelta(seconds=20), derandomize=True,
@@ -443,11 +441,16 @@ def relabel(g, perm):
 
 
 def assert_same_bits(op, ref):
-    for name in ("indptr", "indices", "data"):
-        got, want = getattr(op.A, name), getattr(ref.A, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
-    assert op.A.shape == ref.A.shape
-    assert op.M.dtype == ref.M.dtype and np.array_equal(op.M, ref.M)
+    """The CSR arrays and the masses of op are those of ref: the index
+    arrays equal (the package's are int64, SciPy's int32), the floats bit
+    for bit."""
+    assert op.n == ref.n
+    for name in ("indptr", "indices"):
+        assert np.array_equal(getattr(op, name), getattr(ref, name)), name
+    for name in ("data", "M"):
+        got, want = getattr(op, name), getattr(ref, name)
+        assert got.dtype == want.dtype == np.float64, name
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
 
 
 @SETTINGS
@@ -637,7 +640,7 @@ def test_inertia_count_matches_dense_count_at_every_cut_clear_of_the_spectrum(S)
                            w - 1e-9 * scale, w + 1e-9 * scale])
     cuts = [c for c in cuts if np.abs(w - c).min() > 1e-10 * scale]
     for cut in cuts:
-        assert _sturm_count(*_reduce(np.array(S, order="F")), cut) == np.count_nonzero(w < cut), cut
+        assert _sturm_count(*tridiagonal_reduction(S), cut) == np.count_nonzero(w < cut), cut
 
 
 @SETTINGS
@@ -645,14 +648,16 @@ def test_inertia_count_matches_dense_count_at_every_cut_clear_of_the_spectrum(S)
 def test_sparse_inertia_count_is_the_dense_count_or_refused(S):
     """The same cuts, through solve_below on S as a sparse pencil with unit
     masses: it may refuse a cut (NoConvergence) but never returns a wrong
-    count, and it returns as many values as it counts."""
-    w = np.linalg.eigvalsh(S)
+    count, and it returns as many values as it counts.  The count it is
+    held to comes from LAPACK's generalized solver, not from the package's
+    ``eigvalsh``."""
+    op = operator(S, np.ones(len(S)))
+    w = generalized_eigh(op)[0]
     scale = max(1.0, np.abs(w).max())
     distinct = np.unique(w)
     cuts = np.concatenate([(distinct[:-1] + distinct[1:]) / 2,
                            w - 1e-9 * scale, w + 1e-9 * scale])
     cuts = [c for c in cuts if np.abs(w - c).min() > 1e-10 * scale]
-    op = DiscreteOperator(A=sp.csr_matrix(S), M=np.ones(len(S)))
     for cut in cuts:
         try:
             got = solve_below(op, cut)
@@ -672,8 +677,7 @@ def repeated_pencils(draw):
     w = rng.uniform(0.5, 2.0, t - 1)
     potential = rng.uniform(0.0, 1.0, t) * (rng.random(t) < 0.5)
     T = sp.diags([-w, np.r_[w, 0.0] + np.r_[0.0, w] + potential, -w], [-1, 0, 1])
-    op = DiscreteOperator(A=sp.kron(sp.identity(copies), T, format="csr"),
-                          M=np.tile(rng.uniform(0.5, 2.0, t), copies))
+    op = operator(sp.kron(sp.identity(copies), T), np.tile(rng.uniform(0.5, 2.0, t), copies))
     values = generalized_eigh(op)[0]
     distinct = values[[start for start, _ in gap_runs(values, 1e-9)]]
     cuts = [*((distinct[:-1] + distinct[1:]) / 2), 2.0 * values[-1] + 1.0]
@@ -683,7 +687,8 @@ def repeated_pencils(draw):
 def path_form(op):
     """The standard form of a pencil whose A is tridiagonal, from its
     diagonals (``tridiagonal_form``), as the path route builds it."""
-    return tridiagonal_form(op.A.diagonal(), op.A.diagonal(-1), op.M)
+    A = csr(op)
+    return tridiagonal_form(A.diagonal(), A.diagonal(-1), op.M)
 
 
 @SETTINGS
@@ -712,7 +717,7 @@ def test_solve_agrees_with_the_generalized_solver_on_both_sides_of_the_threshold
     op, cut = case
     if above:
         reps = 500 // op.n + 1
-        op = DiscreteOperator(A=sp.block_diag([op.A] * reps, format="csr"), M=np.tile(op.M, reps))
+        op = operator(sp.block_diag([csr(op)] * reps), np.tile(op.M, reps))
     got = solve_below(op, cut)
     assert np.array_equal(got.values, solve(path_form(op), cut).values)
     values, _ = eigenpairs_below(op, cut)
