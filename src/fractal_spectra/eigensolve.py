@@ -2,24 +2,22 @@
 
 The lumped mass matrix is diagonal, so the pencil A v = lambda M v reduces
 exactly to the standard symmetric problem S y = lambda y with
-S = M^{-1/2} A M^{-1/2}, y = M^{1/2} v.  Every eigenproblem goes through
-one LAPACK solver, ``numpy.linalg.eigvalsh`` (``dsyevd``: the ``dsytrd``
-reduction to a tridiagonal T, then ``dsterf``), on a dense S, and keeps
-the values below a cutoff.  The pencil of a path in path order has a
-tridiagonal S, a ``Tridiagonal`` (``fiber``), which ``solve`` first counts
-below the cutoff exactly by a Sturm count, an independent check of the
-values; ``dsytrd`` leaves it bit for bit, so its whole spectrum has the
-bits of ``dsterf`` on it.  ``solve_below`` takes any other pencil, whose
-count is the number of its n values below the cutoff.  Both form S
-densely, n^2 floats: a base path of 4097 vertices takes 134 MB, and the
-level-7 gasket, n = 3282, would take 86 MB.  A pencil invariant under the
-six symmetries of the gasket (the group D3, given as vertex maps) is
-solved as the three blocks of its symmetry-adapted basis, A1, A2 and E;
-E's values count twice, and its block, about (n/3)^2 floats, is the
-largest array: the level-7 gasket takes 9.6 MB.  No eigenvector is formed:
-the pipeline writes eigenvalues and multiplicities only.  Clustering sums
-the runs of one length as the rows of one array, with the bits of
-``np.mean``.
+S = M^{-1/2} A M^{-1/2}, y = M^{1/2} v.  Every eigenproblem that reaches
+this module goes through one LAPACK solver, ``numpy.linalg.eigvalsh``
+(``dsyevd``: the ``dsytrd`` reduction to a tridiagonal T, then
+``dsterf``), in ``solve_below``, on a dense S, and keeps the values below
+a cutoff; the count is the number of them, of n values that must all come
+back finite.  The pieces of a path base (the Laakso space and the
+strings) have their values in closed form and never come here
+(``fiber._run_values``); the pâte à choux and the gasket do.  S is dense,
+n^2 floats: the level-7 gasket, n = 3282, would take 86 MB.  A pencil
+invariant under the six symmetries of the gasket (the group D3, given as
+vertex maps) is solved as the three blocks of its symmetry-adapted basis,
+A1, A2 and E; E's values count twice, and its block, about (n/3)^2
+floats, is the largest array: the level-7 gasket takes 9.6 MB.  No
+eigenvector is formed: the pipeline writes eigenvalues and multiplicities
+only.  Clustering sums the runs of one length as the rows of one array,
+with the bits of ``np.mean``.
 """
 
 from __future__ import annotations
@@ -34,25 +32,12 @@ import numpy as np
 from .errors import MisalignedMeshes, NoConvergence, NotPositiveMass
 from .metric_graph import DiscreteOperator
 
-@dataclass(frozen=True)
-class Tridiagonal:
-    """The symmetric tridiagonal matrix with diagonal ``diag`` and
-    off-diagonal ``off``."""
-
-    diag: np.ndarray
-    off: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.diag)
-
 
 @dataclass
 class EigenPairs:
-    """Eigenvalues sorted ascending and their count."""
+    """Eigenvalues sorted ascending."""
 
     values: np.ndarray
-    inertia_count: int  # N(lam_max): a Sturm count of S - lam_max I, or the number of values
 
 
 @dataclass(frozen=True)
@@ -74,6 +59,8 @@ class SpectrumList:
 
     def __post_init__(self):
         vals = [e.value for e in self.entries]
+        if not np.all(np.isfinite(vals)):  # NaN would pass the comparisons below
+            raise ValueError("spectrum values must be finite")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("spectrum entries must be strictly increasing")
         if any(e.multiplicity < 1 for e in self.entries):
@@ -132,77 +119,16 @@ def _standard_form(d: DiscreteOperator) -> np.ndarray:
     return S
 
 
-def tridiagonal_form(a: np.ndarray, b: np.ndarray, M: np.ndarray) -> Tridiagonal:
-    """S = M^{-1/2} A M^{-1/2} for the tridiagonal A with diagonal ``a`` and
-    off-diagonal ``b``, with the bits that ``_standard_form`` gives it."""
-    ms = _mass_scaling(M)
-    return Tridiagonal((a * ms) * ms, (b * ms[1:]) * ms[:-1])
-
-
-_SAFMIN = np.finfo(float).tiny
-_ULP = np.finfo(float).eps
-
-
-def _sturm_count(diag: np.ndarray, off: np.ndarray, cut: float) -> int:
-    """Number of eigenvalues <= ``cut`` of the symmetric tridiagonal T.
-
-    This is the number of pivots <= 0 of the LDL^T factorization of
-    T - cut*I, taken as LAPACK's ``dstebz`` takes it: an off-diagonal entry
-    negligible next to its two diagonal neighbours splits T, and a pivot
-    smaller than ``pivmin`` in magnitude is replaced by -pivmin.  The count
-    is backward stable (Kahan 1966), and by Sylvester's law of inertia it is
-    the count of every matrix orthogonally similar to T.
-    """
-    if not len(diag):
-        return 0
-    e2 = off * off
-    e2[np.abs(diag[1:] * diag[:-1]) * _ULP**2 + _SAFMIN > e2] = 0.0
-    pivmin = _SAFMIN * max(1.0, float(e2.max(initial=0.0)))
-    count = 0
-    pivot = 1.0
-    for d_j, e2_j in zip(diag.tolist(), [0.0, *e2.tolist()]):
-        pivot = d_j - e2_j / pivot - cut
-        if abs(pivot) < pivmin:
-            pivot = -pivmin
-        if pivot <= 0:
-            count += 1
-    return count
-
-
 def _values_below(S: np.ndarray, cut: float) -> np.ndarray:
     """The eigenvalues <= ``cut`` of the symmetric S, from its lower
     triangle, ascending: ``numpy.linalg.eigvalsh``, which is LAPACK's
     ``dsyevd``, the ``dsytrd`` reduction to a tridiagonal T and ``dsterf``
-    on T.  ``dsytrd`` leaves an S that is already tridiagonal bit for bit.
-    All n values must come back finite."""
+    on T.  All n values must come back finite."""
     w = np.linalg.eigvalsh(S)
     finite = np.count_nonzero(np.isfinite(w))
     if finite != len(S):
         raise NoConvergence(0, f"{finite} finite eigenvalues of a matrix of order {len(S)}")
     return w[w <= cut]
-
-
-def solve(t: Tridiagonal, lam_max: float) -> EigenPairs:
-    """All eigenvalues <= lam_max of the symmetric tridiagonal t, proven
-    complete.
-
-    The exact count N(lam_max) comes first (``_sturm_count``), at the cut
-    lam_max (1 + 1e-12), so that rounding drops no value on the cut.  When
-    the count is 0 the empty result is returned without an eigensolver
-    call; otherwise t is formed densely, n^2 floats, and its values up to
-    the cut come from ``_values_below``.  A result whose length differs
-    from the count raises NoConvergence instead of being returned.
-    """
-    cut = lam_max * (1 + 1e-12)
-    count = _sturm_count(t.diag, t.off, cut)
-    if count == 0:
-        return EigenPairs(values=np.zeros(0), inertia_count=0)
-    T = np.diag(t.diag)
-    T[np.arange(1, t.n), np.arange(t.n - 1)] = t.off
-    w = _values_below(T, cut)
-    if len(w) != count:
-        raise NoConvergence(0, f"{len(w)} eigenvalues <= {lam_max!r} found, inertia counts {count}")
-    return EigenPairs(values=w, inertia_count=count)
 
 
 #: D3 = <r, s>, r a third of a turn and s a reflection, in the order of a
@@ -277,8 +203,7 @@ def _symmetric_values(d: DiscreteOperator, maps: np.ndarray, cut: float) -> Eige
         block = np.bincount(at, (coef[rows][:, :, None] * entries[:, None, None]
                                  * coef[cols][:, None, :]).ravel(), k * k).reshape(k, k)
         values += [_values_below(block.T, cut)] * copies
-    values = np.sort(np.concatenate(values))
-    return EigenPairs(values=values, inertia_count=len(values))
+    return EigenPairs(values=np.sort(np.concatenate(values)))
 
 
 def solve_below(d: DiscreteOperator, lam_max: float, maps: np.ndarray | None = None) -> EigenPairs:
@@ -296,8 +221,7 @@ def solve_below(d: DiscreteOperator, lam_max: float, maps: np.ndarray | None = N
     cut = lam_max * (1 + 1e-12)
     if maps is not None:
         return _symmetric_values(d, maps, cut)
-    values = _values_below(_standard_form(d), cut)
-    return EigenPairs(values=values, inertia_count=len(values))
+    return EigenPairs(values=_values_below(_standard_form(d), cut))
 
 
 # -- bookkeeping --------------------------------------------------------------

@@ -21,25 +21,26 @@ pieces:
   base path at level 1, and m_k Dirichlet paths of l_k / g cells at
   level k.
 
-Every family goes through one pipeline: solve each distinct part of the
-pieces once and tag each value with the level it is new at
+Every family goes through one pipeline: find the values of each distinct
+part of the pieces once and tag each value with the level it is new at
 (``_level_values``), then cluster (``level_spectra``, which the pâte à
 choux uses).  The Laakso and string bases are paths, so their pieces are
-runs of a path, keyed on their length and end types, whose pencils are
-tridiagonal in path order and go to ``solve``: a Sturm count (Kahan 1966),
-then ``eigvalsh`` on the dense tridiagonal matrix, n^2 floats.  Any other
-base (the gasket of the pâte à choux) is split into connected components
-by label propagation over the NumPy CSR arrays of its pencil, each solved
-densely by ``solve_below``.  A base with symmetries
-(``LevelFamily.maps``: the six of the gasket) has pieces that they carry
-onto themselves, so the components of a piece fall into orbits: one
-component per orbit is solved, counted orbit size times, and a component
-that is its own orbit is split into its symmetry blocks.  The solves of a family are cached on it for the run, so
-that other cuts of its base (the decimation chain's cells,
-``cell_values``) reuse them.  The Laakso and string levels, whose edges
-have one length, map their vertex values to the mesh by the Chebyshev rule
-first, adding edge modes counted from |E_l| and |V_l|
-(``equilateral_spectra``).  No eigenvector is formed.
+runs of a path, keyed on their length and end types, and the walk
+Laplacian of a run has its values in closed form (``_run_values``): no
+matrix is formed and no eigensolver called, and a run of m vertices lists
+its m values.  Any other base (the gasket of the pâte à choux) is split
+into connected components by label propagation over the NumPy CSR arrays
+of its pencil, each solved densely by ``solve_below``.  A base with
+symmetries (``LevelFamily.maps``: the six of the gasket) has pieces that
+they carry onto themselves, so the components of a piece fall into orbits:
+one component per orbit is solved, counted orbit size times, and a
+component that is its own orbit is split into its symmetry blocks.  The
+component solves of a family are cached on it for the run, so that other
+cuts of its base (the decimation chain's cells, ``cell_values``) reuse
+them.  The Laakso and string levels, whose edges have one length, map
+their vertex values to the mesh by the Chebyshev rule first, adding edge
+modes counted from |E_l| and |V_l| (``equilateral_spectra``).  No
+eigenvector is formed.
 
 The trade-off: the pipeline assumes the decomposition instead of checking
 it on every run.  The tests hold it to the whole level pencils, whose
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolve import SpectrumList, Tridiagonal, cluster, solve, solve_below, tridiagonal_form
+from .eigensolve import SpectrumList, cluster, solve_below
 from .metric_graph import (
     SPECTRAL_BOUND,
     DiscreteOperator,
@@ -79,9 +80,9 @@ class LevelFamily:
     ``maps``, when given, is a (6, n) array of vertex maps of ``base``
     forming the group D3 (``eigensolve.solve_below``), each preserving its
     edges, its weights, its Dirichlet marks and the marks of every piece.
-    ``solved`` holds the values of each distinct part of a piece solved so
-    far, keyed on (cut, key): the family of a run is built once, so it is
-    the run's solve cache.
+    ``solved`` holds the values of each distinct component of a piece
+    solved so far, keyed on (cut, key): the family of a run is built once,
+    so it is the run's solve cache.
     """
 
     base: MetricGraph
@@ -230,15 +231,12 @@ def _components(family: LevelFamily, drop: np.ndarray, copies: np.ndarray):
     return _distinct_components(op, np.repeat(copies, n)[~drop.ravel()], images)
 
 
-def _path_weight(base: MetricGraph) -> float | None:
-    """The edge weight of ``base`` when it is a path in vertex order, edge k
-    joining vertices k and k + 1, with one weight on every edge; else
-    None."""
+def _is_path(base: MetricGraph) -> bool:
+    """Whether ``base`` is a path in vertex order, edge k joining vertices k
+    and k + 1, with one weight on every edge."""
     k = np.arange(base.n_vertices - 1)
-    if not len(k) or not np.array_equal(base.ends, np.stack([k, k + 1], axis=1)):
-        return None
-    w = base.weight[0]
-    return float(w) if np.all(base.weight == w) else None
+    return (len(k) > 0 and np.array_equal(base.ends, np.stack([k, k + 1], axis=1))
+            and bool(np.all(base.weight == base.weight[0])))
 
 
 def _distinct_runs(drop: np.ndarray, copies: np.ndarray):
@@ -257,60 +255,69 @@ def _distinct_runs(drop: np.ndarray, copies: np.ndarray):
     yield from zip(keys.tolist(), counts.tolist())
 
 
-def _run_tridiagonal(key: int, w: float) -> Tridiagonal:
-    """The standard form (``tridiagonal_form``) of the pencil of a
-    ``_distinct_runs`` key on a path of edge weight w: A is 2w on the
-    diagonal, w at a free path end, and -w off it, and M is the diagonal
-    of A, the weighted degree."""
-    m, first, last = key >> 2, key >> 1 & 1, key & 1
-    i = np.arange(m)
-    a = np.where((i == 0) & (first == 1) | (i == m - 1) & (last == 1), w, w + w)
-    return tridiagonal_form(a, np.full(m - 1, -w), a)
+def _run_values(key: int, cut: float) -> np.ndarray:
+    """The eigenvalues <= cut (1 + 1e-12) of the pencil of a
+    ``_distinct_runs`` key, ascending.
+
+    The pencil of a run of m vertices is the walk Laplacian of the path
+    with its free ends kept and every other end next to an eliminated
+    vertex, whatever the edge weight; its values are 2 sin^2(theta_k / 2),
+    k = 0..m-1, with theta_k = k pi / (m - 1) for two free ends,
+    (2k + 1) pi / 2m for one and (k + 1) pi / (m + 1) for none (the
+    discrete cosine and sine transforms diagonalize it).  The sine keeps
+    the small values to a few units in their last place.  theta / pi is
+    taken as a reduced fraction, so equal angles of different runs give
+    equal bits."""
+    m, free = key >> 2, (key >> 1 & 1) + (key & 1)
+    k = np.arange(m)
+    p, q = {2: (k, m - 1), 1: (2 * k + 1, 2 * m), 0: (k + 1, m + 1)}[free]
+    g = np.gcd(p, q)
+    values = 2 * np.sin(np.pi * (p // g) / (2 * (q // g))) ** 2
+    return values[values <= cut * (1 + 1e-12)]
 
 
 def _level_values(family: LevelFamily, cut: float):
-    """Eigenvalues <= ``cut`` new at each level, each list as long as its
-    inertia count, and the number of kept vertices of each level: the sizes
-    of its pieces and of those below, with their copies.
+    """Eigenvalues <= ``cut`` new at each level, and the number of kept
+    vertices of each level: the sizes of its pieces and of those below,
+    with their copies.
 
     Level 0 is ``base`` itself.  A piece's pencil is the vertex pencil of
-    ``base`` (``graph_operator``) with its marks eliminated too, and only a
-    part not seen before is solved (``_part_values``): on self-similar
-    spaces most pieces repeat, and the same input to the same LAPACK call
-    gives the same bits.  On a path base (``_path_weight``) every piece is a
-    set of runs of the path, keyed on their length and end types
-    (``_distinct_runs``), whose tridiagonal pencils go to ``solve`` as they
-    are.  On any other base the pieces of a level are assembled as one
-    disjoint union and split into connected components (``_components``),
-    one per orbit of ``family.maps``, each solved by ``solve_below``.
+    ``base`` (``graph_operator``) with its marks eliminated too.  On a path
+    base (``_is_path``) every piece is a set of runs of the path, keyed on
+    their length and end types (``_distinct_runs``), whose values are in
+    closed form (``_run_values``).  On any other base the pieces of a level
+    are assembled as one disjoint union and split into connected
+    components (``_components``), one per orbit of ``family.maps``, and
+    only a component not seen before is solved (``_part_values``): on
+    self-similar spaces most pieces repeat, and the same input to the same
+    LAPACK call gives the same bits.
     """
     base = family.base
     n = base.n_vertices
-    w = _path_weight(base)
+    path = _is_path(base)
     values, kept, size = [], [], 0
     for pieces in [[(np.zeros(n, dtype=bool), 1)], *family.pieces]:
         marks, copies = zip(*pieces)
         drop = base.dirichlet | np.stack(marks)
         copies = np.asarray(copies)
         size += int(copies @ np.count_nonzero(~drop, axis=1))
-        if w is None:
-            distinct = _components(family, drop, copies)
+        if path:
+            new = [np.tile(_run_values(key, cut), count)
+                   for key, count in _distinct_runs(drop, copies)]
         else:
-            distinct = ((key, count, None) for key, count in _distinct_runs(drop, copies))
-        new = [np.tile(_part_values(family, key, cut, maps, w), count)
-               for key, count, maps in distinct]
+            new = [np.tile(_part_values(family, key, cut, maps), count)
+                   for key, count, maps in _components(family, drop, copies)]
         values.append(np.concatenate(new or [np.zeros(0)]))
         kept.append(size)
     return values, kept
 
 
-def _part_values(family: LevelFamily, key, cut: float, maps: np.ndarray | None = None,
-                 w: float | None = None) -> np.ndarray:
-    """The eigenvalues <= ``cut`` of the run (w given) or the component key
-    ``key``, solved once per family (``family.solved``)."""
+def _part_values(family: LevelFamily, key: bytes, cut: float,
+                 maps: np.ndarray | None = None) -> np.ndarray:
+    """The eigenvalues <= ``cut`` of the component key ``key``, solved once
+    per family (``family.solved``)."""
     if (cut, key) not in family.solved:
-        family.solved[cut, key] = (solve_below(_pencil(key), cut, maps) if w is None
-                                   else solve(_run_tridiagonal(key, w), cut)).values
+        family.solved[cut, key] = solve_below(_pencil(key), cut, maps).values
     return family.solved[cut, key]
 
 
@@ -340,7 +347,7 @@ def _cluster_levels(new: list[np.ndarray], origin: str, meta: dict,
                     **cluster_kw) -> list[SpectrumList]:
     """Level i's spectrum from the values ``new[0..i]``, new[0] tagged "base"
     and new[k] "new@k", gap-clustered by ``cluster`` with ``cluster_kw``; its
-    ``meta`` is ``meta`` plus the count of the values, ``inertia_count``.
+    ``meta`` is ``meta`` plus the number of the values, ``count``.
     ``origin`` is formatted with the level."""
     values, tags, out = np.zeros(0), [], []
     for level, fresh in enumerate(new):
@@ -349,7 +356,7 @@ def _cluster_levels(new: list[np.ndarray], origin: str, meta: dict,
         order = np.argsort(values, kind="stable")
         out.append(cluster(values[order], origin=origin.format(level),
                            tags=[tags[k] for k in order],
-                           meta={**meta, "inertia_count": len(values)}, **cluster_kw))
+                           meta={**meta, "count": len(values)}, **cluster_kw))
     return out
 
 
@@ -378,10 +385,10 @@ def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float,
     map onto it), the +-1 colourings.  So the values 0 and 2, the smallest
     and the largest, are new at level 0.  The levels are clustered as in
     ``level_spectra``, with ``meta`` plus the refinement, so each level's
-    count is the mesh's inertia count at lam_max.
+    count is the number of mesh eigenvalues <= lam_max.
     """
     base = family.base
-    meshes = [EquilateralMesh.of([base], refine) for refine in refines]
+    meshes = [EquilateralMesh.of(base, refine) for refine in refines]
     cut = max(mesh.vertex_cut(lam_max) for mesh in meshes)
     kernels = walk_kernels(base)
     new, kept = _level_values(family, cut)

@@ -159,7 +159,8 @@ def laakso_analytic_spectrum(spec: LaaksoSpec, lam_max: float) -> SpectrumList:
 def laakso_refinement_spectra(spec: LaaksoSpec, lam_max: float,
                               refines: list[int]) -> list[list[SpectrumList]]:
     """Numeric spectra of levels 0..n at each refinement of ``refines``, from
-    one solve of the pieces of the base path (``fiber.equilateral_spectra``).
+    the closed-form values of the pieces of the base path, taken once
+    (``fiber.equilateral_spectra``).
 
     Level-0 eigenvalues are tagged "base" and those new at level i, from the
     pieces of that level, "new@i"; multiplicities come from gap

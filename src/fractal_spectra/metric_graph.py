@@ -30,8 +30,7 @@ NEUMANN = "neumann"
 REL_TOL = 1e-12
 
 #: the walk Laplacian I - D^{-1} W of any graph has its spectrum in [0, 2],
-#: so solving below this bound returns every eigenvalue, with the inertia
-#: count proving the list complete
+#: so solving below this bound returns every eigenvalue
 SPECTRAL_BOUND = 2.0
 
 
@@ -226,10 +225,10 @@ class EquilateralMesh:
     refine: int
 
     @classmethod
-    def of(cls, graphs: list[MetricGraph], refine: int) -> "EquilateralMesh":
-        """``refine`` cells per edge on graphs whose edges all have one length."""
-        length = graphs[0].length[0]
-        if any(np.any(np.abs(g.length - length) > REL_TOL * length) for g in graphs):
+    def of(cls, g: MetricGraph, refine: int) -> "EquilateralMesh":
+        """``refine`` cells per edge on a graph whose edges all have one length."""
+        length = g.length[0]
+        if np.any(np.abs(g.length - length) > REL_TOL * length):
             raise NonDividingPitch("edges of unequal length have no common mesh")
         return cls(length / refine, refine)
 

@@ -4,7 +4,6 @@ and the SciPy forms of its pencils."""
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg import lapack
 
 from fractal_spectra.metric_graph import DiscreteOperator
 
@@ -53,15 +52,13 @@ def standard_form(op) -> np.ndarray:
     return csr(op).toarray() * ms[:, None] * ms[None, :]
 
 
-def tridiagonal_reduction(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(diag, off) of LAPACK's ``dsytrd`` on the lower triangle of S: a
-    tridiagonal matrix orthogonally similar to S, whose Sturm count is
-    S's."""
-    n = len(S)
-    if n <= 1:
-        return np.diag(S).copy(), np.zeros(0)
-    lwork, info = lapack.dsytrd_lwork(n, lower=1)
-    assert info == 0
-    _, diag, off, _, info = lapack.dsytrd(np.array(S, order="F"), lower=1, lwork=int(lwork))
-    assert info == 0
-    return diag, off
+def path_tridiagonal(m: int, first: int, last: int, w: float = 0.75):
+    """(diag, off) of the standard form M^{-1/2} A M^{-1/2} of the pencil of
+    a run of m vertices of a path of edge weight w, whose first (last)
+    vertex is a free end of the path when ``first`` (``last``) is 1: A is 2w
+    on the diagonal, w at a free end and -w off it, and M is the diagonal
+    of A, the weighted degree."""
+    i = np.arange(m)
+    a = np.where((i == 0) & (first == 1) | (i == m - 1) & (last == 1), w, w + w)
+    ms = 1.0 / np.sqrt(a)
+    return (a * ms) * ms, (np.full(m - 1, -w) * ms[1:]) * ms[:-1]

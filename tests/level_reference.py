@@ -340,7 +340,7 @@ def assert_matches_reference(per_level, ops, fibers, lam_max, rtol=1e-10, floor=
     ``floor``), multiplicities, tags and counts exactly."""
     for level, got in enumerate(per_level):
         ref, count = reference_spectrum(ops, fibers, level, lam_max)
-        assert got.meta["inertia_count"] == count == total_multiplicity(got), level
+        assert got.meta["count"] == count == total_multiplicity(got), level
         assert [(e.multiplicity, e.tag) for e in got.entries] == [
             (e.multiplicity, e.tag) for e in ref.entries
         ], level

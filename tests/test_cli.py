@@ -8,8 +8,10 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fractal_spectra
@@ -281,6 +283,22 @@ class TestVerify:
         path.write_text("\n".join(lines) + "\n")
         assert cli.main(["verify", "--out", str(out)]) == 1
 
+    @pytest.mark.parametrize("tol", [None, "1e-3"])
+    def test_nan_eigenvalue_fails(self, tmp_path, capsys, tol):
+        """NaN compares false both ways, so it passed the check that values
+        increase: a numeric.csv with one value edited to nan is reported,
+        with and without the --tol re-check."""
+        spec = write_spec(tmp_path, "spec.json", {"j": [2, 2, 2], "refine": 32, "lambda_max": 230.0})
+        out = tmp_path / "out"
+        assert cli.main(["laakso", "--spec", spec, "--out", str(out)]) == 0
+        path = out / "numeric.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = "nan," + lines[3].split(",", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["verify", "--out", str(out), *(["--tol", tol] if tol else [])]) == 1
+        assert "verify: FAIL numeric.csv: spectrum values must be finite" in capsys.readouterr().err
+
     def test_stored_failure_flag(self, tmp_path):
         (tmp_path / "run.json").write_text("{}")
         (tmp_path / "report.json").write_text('{"pass": false}')
@@ -376,6 +394,44 @@ def test_each_run_builds_its_family_once(tmp_path, monkeypatch):
     # cells of that gasket
     assert dict(calls) == {"laakso_family": 1, "stitched_family": 1, "choux_family": 1,
                            "gasket_levels": 1, "string_analytic_spectrum": 1}
+
+
+def nearest_fd_values(values, h, n_max):
+    """The value (4/h^2) sin^2(k pi / 2N), k and N <= n_max integers,
+    nearest to each of ``values``: the exact finite-difference eigenvalues
+    of intervals of N cells of pitch h with two Dirichlet or two free ends,
+    and of N / 2 cells with one of each."""
+    N = np.arange(1, n_max + 1)
+    theta = 2 * np.arcsin(h * np.sqrt(values) / 2)  # k pi / N
+    exact = (2 / h * np.sin(np.rint(theta[:, None] * N / np.pi) * np.pi / (2 * N))) ** 2
+    return exact[np.arange(len(values)), np.abs(exact - values[:, None]).argmin(axis=1)]
+
+
+CANTOR = {"lengths": [1 / 3**k for k in range(1, 7)], "mults": [2**k for k in range(6)],
+          "refine": 4, "lambda_max": 2000, "zeta_terms": 1000}
+
+
+@pytest.mark.parametrize("command, doc, h, cells", [
+    ("laakso", {"j": [2] * 10, "refine": 8, "lambda_max": 400, "boundary": "dirichlet"},
+     laakso.LaaksoSpec([2] * 10, 8).pitch, 2**13),
+    ("string", CANTOR, strings.StringSpec([Fraction(1, 3**k) for k in range(1, 7)],
+                                          CANTOR["mults"], 4).pitch, 3**5 * 4),
+], ids=["laakso_deep", "cantor"])
+def test_numeric_values_are_the_exact_finite_difference_values(tmp_path, command, doc, h, cells):
+    """Every piece of a Laakso or string level is an interval of the base
+    path, of at most ``cells`` cells, with Dirichlet or free ends, so each
+    value of numeric.csv is an exact finite-difference eigenvalue
+    (``nearest_fd_values``).  On Laakso [2]*10 (a 1023-vertex Dirichlet
+    run) and the depth-6 Cantor string the written values lie within
+    4e-15 relative of them; LAPACK's QR on the tridiagonal runs was
+    1.1e-10 and 4.7e-13 off."""
+    out = tmp_path / "out"
+    assert cli.main([command, "--spec", write_spec(tmp_path, "spec.json", doc),
+                     "--out", str(out)]) == 0
+    values = eigensolve.SpectrumList.from_csv((out / "numeric.csv").read_text()).values()
+    assert len(values) > 0
+    exact = nearest_fd_values(values, h, 2 * cells)
+    assert np.all(np.abs(values - exact) <= 4e-15 * exact)
 
 
 def test_zeta_table_keeps_the_values_on_its_cut(tmp_path):

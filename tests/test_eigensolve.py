@@ -15,9 +15,6 @@ from fractal_spectra.eigensolve import (
     cluster,
     compare_spectra,
     gap_runs,
-    _sturm_count,
-    Tridiagonal,
-    solve,
     solve_below,
     verify_nesting,
 )
@@ -51,7 +48,6 @@ from lapack_reference import (
     operator,
     residuals,
     standard_form,
-    tridiagonal_reduction,
 )
 from json_reference import spectrum_from_json, spectrum_to_json
 from level_reference import (
@@ -83,22 +79,14 @@ def random_pencil(n, seed, mult=1):
     return operator((np.sqrt(M)[:, None] * S) * np.sqrt(M)[None, :], M), vals
 
 
-def sturm_count(S, cut):
-    """The package's count of the eigenvalues <= cut of the dense symmetric
-    S: the Sturm count on its ``dsytrd`` reduction."""
-    return _sturm_count(*tridiagonal_reduction(S), cut)
-
-
 def path_blocks(t, copies, seed):
-    """A random weighted path Laplacian of t vertices with random masses,
-    repeated ``copies`` times with zero couplings between the copies: its
-    tridiagonal standard form and its pencil."""
+    """The pencil of a random weighted path Laplacian of t vertices with
+    random masses, repeated ``copies`` times with zero couplings between
+    the copies."""
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.5, 2.0, t - 1)
     T = sp.diags([-w, np.r_[w, 0.0] + np.r_[0.0, w] + 0.5, -w], [-1, 0, 1])
-    op = operator(sp.kron(sp.identity(copies), T), np.tile(rng.uniform(0.5, 2.0, t), copies))
-    S = standard_form(op)
-    return Tridiagonal(S.diagonal().copy(), S.diagonal(-1).copy()), op
+    return operator(sp.kron(sp.identity(copies), T), np.tile(rng.uniform(0.5, 2.0, t), copies))
 
 
 def whole_spectrum(d):
@@ -134,7 +122,7 @@ class TestDense:
         residuals at rounding level."""
         d = interval_pencil(1 / 32, NEUMANN)
         pairs = whole_spectrum(d)
-        assert len(pairs.values) == pairs.inertia_count == d.n
+        assert len(pairs.values) == d.n
         values, vectors = generalized_eigh(d)
         assert np.abs(vectors.T @ (d.M[:, None] * vectors) - np.eye(d.n)).max() < 1e-10
         assert residuals(pairs.values, vectors, d).max() < 1e-8
@@ -153,7 +141,7 @@ class TestDense:
         d = choux_levels(ChouxSpec(fiber_depth=0, gasket_level=m, boundary="dirichlet"))[0][0]
         w = scipy.linalg.eigh(standard_form(d), eigvals_only=True, driver="ev")
         pairs = solve_below(d, SPECTRAL_BOUND)
-        assert pairs.inertia_count == len(pairs.values) == d.n
+        assert len(pairs.values) == d.n
         assert np.array_equal(pairs.values, w)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -169,7 +157,7 @@ class TestDense:
         whole = scipy.linalg.eigh(S, eigvals_only=True, driver="ev")
         w = scipy.linalg.eigh(S, eigvals_only=True, driver="evx", subset_by_value=(-np.inf, cut))
         pairs = solve_below(d, lam_max)
-        assert 0 < pairs.inertia_count == len(pairs.values) == len(w) < d.n
+        assert 0 < len(pairs.values) == len(w) < d.n
         assert np.array_equal(pairs.values, whole[whole <= cut])
         assert np.abs(pairs.values - w).max() <= 1e-14 * np.linalg.norm(S, 2)
 
@@ -190,17 +178,17 @@ class TestDense:
         lam_max = 2000.0 if whole else 30.0
         with pytest.raises(np.linalg.LinAlgError if failure == "raise" else NoConvergence):
             solve_below(d, lam_max)
-        # choux solves whole spectra, laakso parts of its vertex spectra
-        command, doc = (("choux", {"fiber_depth": 1, "gasket_level": 2}) if whole
-                        else ("laakso", {"j": [2, 2, 2], "refine": 32, "lambda_max": 200.0}))
+        # choux solves whole spectra, each symmetric gasket as its three
+        # blocks; laakso takes its values in closed form and calls no LAPACK
+        doc = ({"fiber_depth": 1, "gasket_level": 2} if whole
+               else {"fiber_depth": 2, "gasket_level": 3, "boundary": "dirichlet"})
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
-        assert cli.main([command, "--spec", str(spec), "--out", str(tmp_path / "o")]) == cli.EXIT_SOLVER
+        assert cli.main(["choux", "--spec", str(spec), "--out", str(tmp_path / "o")]) == cli.EXIT_SOLVER
 
 
 class TestLanczos:
-    """solve_below, and solve on tridiagonal input, against
-    LAPACK's generalized solver."""
+    """solve_below against LAPACK's generalized solver."""
 
     def test_matches_dense_on_interval(self):
         d = interval_pencil(1 / 64, DIRICHLET)
@@ -224,18 +212,17 @@ class TestLanczos:
     @pytest.mark.parametrize("dense_route", [False, True])
     def test_multiplicities_recovered(self, dense_route):
         """Every copy of a value repeated 4 times: from the dense reduction
-        of a pencil with a 4-fold spectrum, and from a tridiagonal matrix
-        that splits into 4 equal blocks, handed to solve as it
-        is."""
+        of a pencil with a 4-fold spectrum, and of a tridiagonal pencil that
+        splits into 4 equal blocks."""
         if dense_route:
             d, vals = random_pencil(200, 42, mult=4)
             lz = solve_below(d, 4.5)
             assert lz.values == pytest.approx(np.sort(vals)[:16], rel=1e-9)
         else:
-            t, d = path_blocks(30, 4, 42)
-            lz = solve(t, 2.0)
+            d = path_blocks(30, 4, 42)
+            lz = solve_below(d, 2.0)
         dense, _ = eigenpairs_below(d, 4.5 if dense_route else 2.0)
-        assert lz.inertia_count == len(lz.values) == len(dense) > 0 and len(dense) % 4 == 0
+        assert len(lz.values) == len(dense) > 0 and len(dense) % 4 == 0
         assert lz.values == pytest.approx(dense, rel=1e-12)
 
     def test_every_size_takes_the_dense_reduction(self, monkeypatch):
@@ -259,30 +246,12 @@ class TestLanczos:
         pairs = solve_below(d, 30 * math.pi**2)
         n_expected = sum(1 for lam in fd_dirichlet(1 / 64) if lam <= 30 * math.pi**2)
         assert len(pairs.values) == n_expected
-        assert pairs.inertia_count == n_expected
-
-    def test_nothing_below_the_cut_calls_no_eigensolver(self, monkeypatch):
-        """A tridiagonal matrix with a Sturm count of 0 below the cut is not
-        handed to ``eigvalsh``."""
-        def refuse(*args, **kwargs):
-            raise AssertionError("eigensolver called with nothing below the cut")
-
-        d = interval_pencil(1 / 64, DIRICHLET)  # lowest value just below pi^2
-        S = standard_form(d)
-        assert np.array_equal(S, np.diag(S.diagonal()) + np.diag(S.diagonal(-1), -1)
-                              + np.diag(S.diagonal(1), 1))  # the interior nodes in path order
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        pairs = solve(Tridiagonal(S.diagonal().copy(), S.diagonal(-1).copy()), 9.0)
-        assert pairs.values.shape == (0,) and pairs.inertia_count == 0
-        with pytest.raises(NotPositiveMass):
-            solve_below(operator(csr(d), np.concatenate([[0.0], d.M[1:]])), 9.0)
 
     @pytest.mark.parametrize("cut", [0.5, 2.5, 10.5, 37.5, 7.0 + 1e-9, 7.0 - 1e-9, 50.0 + 1e-9])
     def test_inertia_count_matches_dense(self, cut):
         d, _ = random_pencil(200, 42, mult=4)
         dense, _ = generalized_eigh(d)
-        assert sturm_count(standard_form(d), cut) == np.count_nonzero(dense <= cut)
-        assert solve_below(d, cut).inertia_count == np.count_nonzero(dense <= cut)
+        assert len(solve_below(d, cut).values) == np.count_nonzero(dense <= cut)
 
     @pytest.mark.parametrize("family", ["laakso", "string"])
     def test_eigsh_matches_dense_subset_on_family_pencils(self, family):
@@ -299,7 +268,7 @@ class TestLanczos:
         d = assemble(discretize(fam[-1], spec.pitch))
         got = solve_below(d, lam_max)
         values, vectors = eigenpairs_below(d, lam_max)
-        assert got.inertia_count == len(got.values) == len(values) > 0
+        assert len(got.values) == len(values) > 0
         assert np.all(np.abs(got.values - values) <= 1e-9 * np.maximum(1.0, values))
         assert residuals(got.values, vectors, d).max() <= 1e-8 * lam_max
 
@@ -308,38 +277,32 @@ class TestLanczos:
         a = solve_below(d, 6.5)
         b = solve_below(d, 6.5)
         assert np.array_equal(a.values, b.values)
-        t, _ = path_blocks(600, 1, 7)
-        assert np.array_equal(solve(t, 1.0).values, solve(t, 1.0).values)
+        d = path_blocks(600, 1, 7)
+        assert np.array_equal(solve_below(d, 1.0).values, solve_below(d, 1.0).values)
 
-    @pytest.mark.parametrize("route, lam_max", [("whole", 60.0), ("part", 0.39), ("dense", 4.5)],
-                             ids=["whole", "part", "dense"])
+    @pytest.mark.parametrize("route, lam_max", [("whole", 60.0), ("dense", 4.5)],
+                             ids=["whole", "dense"])
     def test_missing_copy_is_refused(self, monkeypatch, route, lam_max):
         """A result one copy short of a repeated eigenvalue is never
-        returned: from a tridiagonal matrix, with all n values but one copy
-        of its lowest 4-fold value moved above the cut, which the Sturm
-        count refuses (part), or with one value fewer than its order (whole,
-        and dense pencils)."""
-        t, d = path_blocks(30, 4, 42)
-        if route == "dense":
-            d, _ = random_pencil(200, 42, mult=4)
+        returned: with one value fewer than its order, from a tridiagonal
+        pencil of 4 equal blocks (whole) and from a dense one (dense)."""
+        d = path_blocks(30, 4, 42) if route == "whole" else random_pencil(200, 42, mult=4)[0]
         solver = np.linalg.eigvalsh
 
         def drop_a_copy(a, *args, **kwargs):
             w = solver(a, *args, **kwargs)
-            if route == "part":
-                return np.sort(np.r_[w[1:], w[-1]])
             return np.delete(w, int(np.argmin(np.abs(w - (2.0 if route == "dense" else w[0])))))
 
         monkeypatch.setattr(np.linalg, "eigvalsh", drop_a_copy)
         with pytest.raises(NoConvergence):
-            solve_below(d, lam_max) if route == "dense" else solve(t, lam_max)
+            solve_below(d, lam_max)
 
     def test_pipeline_asks_for_no_eigenvector(self, monkeypatch):
-        """solve_below and solve form no eigenvector, whoever calls them:
-        from the level pipeline (whose path bases go straight to solve), the
-        gasket spectrum (split into its symmetry blocks) or directly, they
-        call only NumPy's values-only solver, ``eigvalsh``, of the
-        eigensolvers of ``numpy.linalg``."""
+        """No eigenvector is formed, whoever calls the solver: the level
+        pipeline (whose path bases take closed forms and call none), the
+        gasket spectrum (split into its symmetry blocks) or a direct call
+        of solve_below call only NumPy's values-only solver, ``eigvalsh``,
+        of the eigensolvers of ``numpy.linalg``."""
         calls = []
         for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
             def spy(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
@@ -360,54 +323,46 @@ class TestLanczos:
 
 
 def choux_24_level(boundary, level):
-    """One fiber level of choux 2/4, its dense standard form and its
-    spectrum from LAPACK's generalized solver (``eigenpairs_below``)."""
+    """One fiber level of choux 2/4 and its spectrum from LAPACK's
+    generalized solver (``eigenpairs_below``)."""
     d = choux_levels(ChouxSpec(2, 4, boundary))[0][level]
-    return d, standard_form(d), eigenpairs_below(d, np.inf)[0]
+    return d, eigenpairs_below(d, np.inf)[0]
 
 
 class TestInertiaGuard:
     """Gasket pencils sit at cuts where a sparse LDL^T with diagonal
     pivoting only (SuperLU in symmetric mode) goes wrong: its permutation
     leaves the diagonal, or a pivot falls near zero and flips the signs
-    after it.  The Sturm count on the tridiagonal reduction counts them
-    right."""
+    after it.  The values of the dense reduction count them right."""
 
     def test_tiny_pivot_count_is_redone(self):
         """At the double just below 1/2 the sparse pivots of choux 2/4 level
         1 count 56, with the smallest |pivot| about 1.7e-16; the spectrum
         has 54 values there and none within 0.15 of the cut."""
-        d, S, dense = choux_24_level(None, 1)
+        d, dense = choux_24_level(None, 1)
         cut = 0.49999999999999994
         assert np.abs(dense - cut).min() > 0.15
-        assert sturm_count(S, cut) == np.count_nonzero(dense < cut) == 54
-        assert solve_below(d, cut).inertia_count == 54
+        assert np.count_nonzero(dense < cut) == 54
+        assert len(solve_below(d, cut).values) == 54
 
     @pytest.mark.parametrize("boundary, level, cut",
                              [(None, 0, 0.5), ("dirichlet", 1, 0.25), (None, 2, 0.5)])
     def test_off_diagonal_pivoting_is_recounted(self, boundary, level, cut):
-        _, S, dense = choux_24_level(boundary, level)
+        d, dense = choux_24_level(boundary, level)
         assert np.abs(dense - cut).min() > 5e-3
-        assert sturm_count(S, cut) == np.count_nonzero(dense < cut)
-
-    @pytest.mark.parametrize("boundary", [None, "dirichlet"])
-    @pytest.mark.parametrize("level", [0, 1, 2])
-    def test_cuts_off_the_spectrum_count_exactly(self, boundary, level):
-        _, S, dense = choux_24_level(boundary, level)
-        cuts = [c for c in np.arange(0.05, 2.0, 0.05) if np.abs(dense - c).min() > 1e-6]
-        assert [sturm_count(S, c) for c in cuts] == [np.count_nonzero(dense < c) for c in cuts]
+        assert len(solve_below(d, cut).values) == np.count_nonzero(dense < cut)
 
     @pytest.mark.parametrize("boundary", [None, "dirichlet"])
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_sparse_count_is_exact_or_refused(self, boundary, level):
-        """solve_below on the sparse level pencil, at the same cuts: it
-        returns exactly the dense count of values, each within 1e-12 of the
+        """solve_below on the sparse level pencil, at the cuts 0.05 apart
+        that lie more than 1e-6 from every eigenvalue: it returns exactly the dense count of values, each within 1e-12 of the
         dense one, or refuses the cut; on these pencils it refuses none."""
-        d, _, dense = choux_24_level(boundary, level)
+        d, dense = choux_24_level(boundary, level)
         cuts = [c for c in np.arange(0.05, 2.0, 0.05) if np.abs(dense - c).min() > 1e-6]
         for c in cuts:
             got = solve_below(d, c)
-            assert got.inertia_count == len(got.values) == np.count_nonzero(dense < c), c
+            assert len(got.values) == np.count_nonzero(dense < c), c
             assert np.abs(got.values - dense[:len(got.values)]).max(initial=0.0) <= 1e-12, c
 
 

@@ -9,10 +9,9 @@ from scipy.sparse.csgraph import connected_components
 
 import family_reference
 from fractal_spectra import fiber, gasket, laakso, strings
-from fractal_spectra.eigensolve import solve
 from fractal_spectra.laakso import LaaksoSpec
 from fractal_spectra.metric_graph import SPECTRAL_BOUND, graph_operator
-from lapack_reference import csr, generalized_eigh, operator
+from lapack_reference import csr, generalized_eigh, operator, path_tridiagonal
 from level_reference import (
     FiberStructure,
     IncompatibleMesh,
@@ -320,39 +319,53 @@ class TestBlockRoute:
 
 
 class TestSolveOnce:
-    """level_spectra solves each distinct run of the pieces of a path base
-    once; equal runs reuse the values and inertia count of the first."""
+    """level_spectra evaluates the closed form of each distinct run of the
+    pieces of a level once; equal runs of a level reuse its values.  A run
+    that recurs at another level is evaluated there again: that costs O(m)
+    array work, not a solve."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
         calls = []
 
-        def counted(t, *args, **kwargs):
-            calls.append(t.n)
-            return solve(t, *args, **kwargs)
+        def counted(key, *args, _values=fiber._run_values, **kwargs):
+            calls.append(key)
+            return _values(key, *args, **kwargs)
 
-        monkeypatch.setattr(fiber, "solve", counted)
+        monkeypatch.setattr(fiber, "_run_values", counted)
         return calls
 
     def test_laakso_krylov_spec(self, solves):
-        """j = [2]*5 at refine 8: 31 pieces above level 0 with 14 distinct
-        runs, and level 0.  The one-vertex runs at the two ends of the path
-        are mirror images with one pencil, but they are keyed apart."""
+        """j = [2]*5 at refine 8: level 0 and 31 pieces above it, with
+        2, 4, 4, 4 and 3 distinct runs on levels 1-5 and 14 distinct runs
+        in all.  The one-vertex runs at the two ends of the path are mirror
+        images with one pencil, but they are keyed apart."""
         per_level = laakso.laakso_numeric_spectra(LaaksoSpec(j=[2] * 5, refine=8), 400.0)
-        assert len(solves) == 15
-        assert [s.meta["inertia_count"] for s in per_level] == [7, 13, 26, 40, 40, 40]
+        assert len(solves) == 1 + 2 + 4 + 4 + 4 + 3 and len(set(solves)) == 15
+        assert [s.meta["count"] for s in per_level] == [7, 13, 26, 40, 40, 40]
 
     def test_laakso_cli_spec(self, solves):
-        """j = [2, 2, 2] at refine 32: level 0 plus 8 distinct of the 35
-        runs of the 7 pieces above it; the block route split the same
-        levels into 21 blocks, 7 of them distinct."""
+        """j = [2, 2, 2] at refine 32: level 0 plus 2, 4 and 3 distinct runs
+        on levels 1-3, 8 distinct of the 35 runs of the 7 pieces above
+        level 0; the block route split the same levels into 21 blocks, 7 of
+        them distinct."""
         spec = LaaksoSpec(j=[2, 2, 2], refine=32)
         per_level = laakso.laakso_numeric_spectra(spec, 230.0)
-        assert len(solves) == 9
+        assert len(solves) == 1 + 2 + 4 + 3 and len(set(solves)) == 9
         ops, fibers = graph_levels(family_reference.build_laakso(spec), "dirichlet")
         assert sum(len(new_blocks(ops[i], ops[i - 1], fibers[i - 1])) for i in (1, 2, 3)) == 21
         for spectrum in per_level:
-            assert total_multiplicity(spectrum) == spectrum.meta["inertia_count"]
+            assert total_multiplicity(spectrum) == spectrum.meta["count"]
+
+    def test_path_bases_call_no_eigensolver(self, monkeypatch):
+        """The Laakso and string pieces are runs of a path, whose values are
+        in closed form: their pipelines call no LAPACK solver."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called on a path base")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        laakso.laakso_numeric_spectra(LaaksoSpec(j=[2] * 9, refine=8, boundary="dirichlet"), 400.0)
+        strings.stitched_numeric_spectra(STRINGS_213, 700.0)
 
 
 class TestPathPieces:
@@ -360,7 +373,9 @@ class TestPathPieces:
     the path with its free ends kept and every other end next to an
     eliminated vertex.  Its values are 2 sin^2(theta_k / 2), k = 0..m-1,
     with theta_k = k pi / (m - 1) for two free ends,
-    (2k + 1) pi / 2m for one and (k + 1) pi / (m + 1) for none."""
+    (2k + 1) pi / 2m for one and (k + 1) pi / (m + 1) for none.
+    ``fiber._run_values`` gives them in closed form; LAPACK's ``dsterf`` and
+    ``dstebz`` on the tridiagonal standard form are the reference."""
 
     @pytest.mark.parametrize("m, first, last", [
         (m, first, last) for m in (1, 2, 3, 17, 511, 1025)
@@ -374,21 +389,22 @@ class TestPathPieces:
                  0: (k + 1) * np.pi / (m + 1)}[first + last]
         exact = 2 * np.sin(theta / 2) ** 2
         exact = exact[exact <= cut]  # no closed-form value lies within 1e-4 of 0.05
-        got = solve(fiber._run_tridiagonal(4 * m + 2 * first + last, 0.75), cut)
-        assert got.inertia_count == len(got.values) == len(exact)
-        assert np.abs(got.values - exact).max(initial=0.0) <= 1e-14
+        got = fiber._run_values(4 * m + 2 * first + last, cut)
+        assert len(got) == len(exact) and np.all(np.diff(got) > 0)
+        assert np.abs(got - exact).max(initial=0.0) <= 1e-14
 
     @pytest.mark.parametrize("m", [2, 3, 9, 17, 100, 511, 1023])
     @pytest.mark.parametrize("first, last", [(1, 1), (1, 0), (0, 0)])
-    def test_whole_spectrum_is_dsterfs(self, m, first, last):
-        """Above the spectrum a run's values are those of LAPACK's values-only
-        QR, ``dsterf``, on its (diag, off), bit for bit: the reduction of
-        ``eigvalsh`` leaves a tridiagonal matrix as it is."""
-        t = fiber._run_tridiagonal(4 * m + 2 * first + last, 0.75)
-        w, info = lapack.dsterf(t.diag, t.off)
+    def test_whole_spectrum_agrees_with_dsterf(self, m, first, last):
+        """Above the spectrum a run's m values agree with LAPACK's
+        values-only QR, ``dsterf``, on its tridiagonal standard form, to
+        1e-14 |T|."""
+        diag, off = path_tridiagonal(m, first, last)
+        w, info = lapack.dsterf(diag, off)
         assert info == 0
-        got = solve(t, SPECTRAL_BOUND)
-        assert got.inertia_count == m and np.array_equal(got.values, w)
+        got = fiber._run_values(4 * m + 2 * first + last, SPECTRAL_BOUND)
+        norm = np.abs(diag).max() + 2 * np.abs(off).max()  # bounds |T|
+        assert len(got) == m and np.abs(got - w).max() <= 1e-14 * norm
 
     @pytest.mark.parametrize("m", [2, 3, 9, 100, 1023])
     @pytest.mark.parametrize("first, last", [(1, 1), (1, 0), (0, 0)])
@@ -397,15 +413,24 @@ class TestPathPieces:
         """Below a cut inside the spectrum a run's values agree with LAPACK's
         bisection over (-inf, cut], ``dstebz``, to 1e-14 |T|, and there are
         as many."""
-        t = fiber._run_tridiagonal(4 * m + 2 * first + last, 0.75)
+        diag, off = path_tridiagonal(m, first, last)
         # range 1 selects by value, tolerance 0 takes LAPACK's default, order
         # "E" sorts the values of all split blocks together
-        k, w, _, _, info = lapack.dstebz(t.diag, t.off, 1, -np.inf, cut * (1 + 1e-12), 0, 0, 0.0, "E")
+        k, w, _, _, info = lapack.dstebz(diag, off, 1, -np.inf, cut * (1 + 1e-12), 0, 0, 0.0, "E")
         assert info == 0
-        got = solve(t, cut)
-        norm = np.abs(t.diag).max() + 2 * np.abs(t.off).max()  # bounds |T|
-        assert got.inertia_count == len(got.values) == k
-        assert np.abs(got.values - w[:k]).max(initial=0.0) <= 1e-14 * norm
+        got = fiber._run_values(4 * m + 2 * first + last, cut)
+        norm = np.abs(diag).max() + 2 * np.abs(off).max()  # bounds |T|
+        assert len(got) == k
+        assert np.abs(got - w[:k]).max(initial=0.0) <= 1e-14 * norm
+
+    def test_equal_angles_have_equal_bits(self):
+        """theta / pi is reduced before the sine: theta = 13 pi / 39 of the
+        40-vertex run with two free ends has the bits of pi / 3 of the
+        4-vertex one and of the 2-vertex run with none, which the unreduced
+        fraction does not give."""
+        a, b, c = (fiber._run_values(key, SPECTRAL_BOUND) for key in (4 * 40 + 3, 4 * 4 + 3, 4 * 2))
+        assert a[13] == b[1] == c[0]
+        assert 2 * np.sin(np.pi * 13 / (2 * 39)) ** 2 != a[13]
 
 
 class TestPieces:

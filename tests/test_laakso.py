@@ -176,7 +176,7 @@ class TestNumericSpectrum:
         else:
             per_level = choux_numeric_spectra(ChouxSpec(fiber_depth=2, gasket_level=3))
         for numeric in per_level:
-            assert numeric.meta["inertia_count"] == total_multiplicity(numeric)
+            assert numeric.meta["count"] == total_multiplicity(numeric)
 
     def test_zero_mode_multiplicity_one(self, run):
         _, _, numeric = run

@@ -170,8 +170,8 @@ class TestEquilateralMesh:
         and k = 0 and k = r once more when the ends are kept."""
         g, h = interval(boundary), 1.0 / refine
         op = graph_operator(g, DIRICHLET)
-        values, mult = EquilateralMesh.of([g], refine).edge_modes(len(g.ends), op.n,
-                                                             walk_kernels(g), 4 / h**2)
+        values, mult = EquilateralMesh.of(g, refine).edge_modes(len(g.ends), op.n,
+                                                           walk_kernels(g), 4 / h**2)
         k = np.arange(refine + 1)
         assert values == pytest.approx((2 / h**2) * (1 - np.cos(k * np.pi / refine)), rel=1e-13)
         ends = 1 if boundary == NEUMANN else 0
@@ -204,7 +204,7 @@ class TestEquilateralMesh:
     def test_edges_must_have_one_length(self):
         g = MetricGraph([0.0, 0.5, 1.5], [(0, 1), (1, 2)], [0.5, 1.0], 1.0)
         with pytest.raises(NonDividingPitch):
-            EquilateralMesh.of([g], 4)
+            EquilateralMesh.of(g, 4)
 
 
 def random_multigraph(seed, max_row=16):

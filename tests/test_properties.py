@@ -2,7 +2,7 @@
 over random small metric graphs, random symmetric matrices and random
 spectrum lists.
 
-On every level the multiplicities must add up to the inertia count, and the
+On every level the multiplicities must add up to the count of values, and the
 package's spectra must agree with the independent full-pencil route; the
 Dirichlet pieces of the base graph, from which the package solves every
 level, must give the spectra of the whole level pencils; the Chebyshev
@@ -21,10 +21,10 @@ spectrum must give the bits of the rational one in
 ``tests/strings_reference.py``; the per-string zeta sums must equal the
 sums over that rational spectrum and, with the integral bounds on their
 tails, bracket the closed-form limit pi^{-2s} zeta(2s) sum_i m_i l_i^{2s};
-the Sturm count must equal the dense count at every cut clear of an
-eigenvalue, and the sparse count must equal it or refuse the cut;
-``solve_below`` must agree with LAPACK's generalized driver on both sides
-of its size threshold; ``verify_nesting`` must give the reports of the loop
+the number of values of ``solve_below`` must equal the dense count at
+every cut clear of an eigenvalue, or the cut be refused, and its values
+must agree with LAPACK's generalized driver on both sides of its size
+threshold; ``verify_nesting`` must give the reports of the loop
 in ``tests/nesting_reference.py``; and spectrum lists must survive their
 CSV and JSON round trips.
 The example counts and the deadline keep the file to a few seconds;
@@ -54,11 +54,8 @@ from fractal_spectra import cli, eigensolve, fiber, gasket, laakso, strings
 from fractal_spectra.eigensolve import (
     SpectrumEntry,
     SpectrumList,
-    _sturm_count,
     gap_runs,
-    solve,
     solve_below,
-    tridiagonal_form,
     verify_nesting,
 )
 from fractal_spectra.errors import DisconnectedGraph, NoConvergence
@@ -69,7 +66,7 @@ from fractal_spectra.metric_graph import (
     graph_operator,
 )
 from json_reference import spectrum_from_json, spectrum_to_json
-from lapack_reference import csr, eigenpairs_below, generalized_eigh, operator, tridiagonal_reduction
+from lapack_reference import csr, eigenpairs_below, generalized_eigh, operator
 from level_reference import assert_matches_reference, total_multiplicity
 
 SETTINGS = settings(max_examples=25, deadline=timedelta(seconds=20), derandomize=True,
@@ -108,7 +105,7 @@ string_specs = st.lists(
 def check_levels(per_level, ops, fibers, lam_max):
     assert len(per_level) == len(ops)
     for spectrum in per_level:
-        assert total_multiplicity(spectrum) == spectrum.meta["inertia_count"]
+        assert total_multiplicity(spectrum) == spectrum.meta["count"]
     assert_matches_reference(per_level, ops, fibers, lam_max)
 
 
@@ -159,7 +156,7 @@ vertex_cuts = st.sampled_from([0.0437, 0.731, SPECTRAL_BOUND])
 
 def assert_pieces_match_whole_levels(family, ref, cut):
     """The piece spectra of ``family`` against the whole level pencils of
-    the loop-built ``ref``: multiplicities, tags and inertia counts exactly,
+    the loop-built ``ref``: multiplicities, tags and counts exactly,
     values to 1e-12 relative.  The scale is floored at 0.01, so a zero
     eigenvalue, which both routes give as a few units in the last place of
     the spectral bound 2, is held to 1e-14 absolute."""
@@ -214,15 +211,15 @@ def test_block_split_of_a_symmetric_gasket_is_the_dense_solve(m, boundary, cut):
     at 1)."""
     op, maps = gasket_pencil(m, boundary)
     got, ref = solve_below(op, cut, maps), solve_below(op, cut)
-    assert got.inertia_count == ref.inertia_count == len(got.values) == len(ref.values)
+    assert len(got.values) == len(ref.values)
     assert np.all(np.abs(got.values - ref.values) <= 1e-12 * np.maximum(1.0, np.abs(ref.values)))
     assert np.all(np.diff(got.values) >= 0)
 
 
 # On a path base the package keys each piece's runs on their length and end
-# types and hands their tridiagonal pencils to the solver as they are; these
-# properties hold that route to the connected-component route, which every
-# other base takes, bit for bit.
+# types and takes their values in closed form; these properties hold that
+# route to the connected-component route, which every other base takes and
+# which solves each component with LAPACK.
 
 path_laakso_specs = st.builds(
     lambda base, steps, boundary: laakso.LaaksoSpec([base + s for s in steps], 8, boundary),
@@ -232,15 +229,17 @@ path_laakso_specs = st.builds(
 
 
 def assert_path_route_is_the_component_route(family, cut):
-    """Level by level, the sorted values and the kept vertex counts of the
-    path route equal those of the component route bit for bit."""
-    assert fiber._path_weight(family.base) is not None
+    """Level by level, the kept vertex counts and the numbers of values of
+    the path route equal those of the component route, and the sorted
+    values agree to 1e-14 absolute."""
+    assert fiber._is_path(family.base)
     values, kept = fiber._level_values(family, cut)
-    with mock.patch.object(fiber, "_path_weight", lambda base: None):
+    with mock.patch.object(fiber, "_is_path", lambda base: False):
         ref_values, ref_kept = fiber._level_values(family, cut)
     assert kept == ref_kept and len(values) == len(ref_values)
     for got, ref in zip(values, ref_values):
-        assert np.array_equal(np.sort(got), np.sort(ref))
+        assert len(got) == len(ref)
+        assert np.abs(np.sort(got) - np.sort(ref)).max(initial=0.0) <= 1e-14
 
 
 @SETTINGS
@@ -296,10 +295,10 @@ def first_edge_mode(pitch, refine):
 
 def assert_same_spectra(got, ref):
     """Values to 1e-10 relative (floored at 1), multiplicities, tags and
-    inertia counts exactly."""
+    counts exactly."""
     assert len(got) == len(ref)
     for level, (g, r) in enumerate(zip(got, ref)):
-        assert g.meta["inertia_count"] == r.meta["inertia_count"] == total_multiplicity(g), level
+        assert g.meta["count"] == r.meta["count"] == total_multiplicity(g), level
         assert [(e.multiplicity, e.tag) for e in g.entries] == [
             (e.multiplicity, e.tag) for e in r.entries], level
         theirs = r.values()
@@ -479,7 +478,7 @@ def test_chebyshev_map_gives_the_mesh_spectrum_of_any_equal_edge_graph(case, ref
     distinct = values[[start for start, _ in gap_runs(values, 1e-9)]]
     cut = data.draw(st.sampled_from([*((distinct[:-1] + distinct[1:]) / 2), 5.0 / pitch**2]))
     ref = eigensolve.cluster(values[values <= cut], tags=["base"] * np.count_nonzero(values <= cut))
-    ref.meta = {"inertia_count": total_multiplicity(ref)}
+    ref.meta = {"count": total_multiplicity(ref)}
     got = fiber.equilateral_spectra(fiber.LevelFamily(g), [refine], cut, "{}", {})[0]
     assert_same_spectra(got, [ref])
 
@@ -628,25 +627,11 @@ def symmetric_matrices(draw):
 
 @SETTINGS
 @given(S=symmetric_matrices())
-def test_inertia_count_matches_dense_count_at_every_cut_clear_of_the_spectrum(S):
-    """Cuts halfway between distinct eigenvalues and 1e-9 of the spectral
-    scale off each side of every eigenvalue.  A cut within 1e-10 of the
-    scale of an eigenvalue is dropped: there the dense count itself depends
-    on rounding (near-equal copies of one eigenvalue straddle it)."""
-    w = np.linalg.eigvalsh(S)
-    scale = max(1.0, np.abs(w).max())
-    distinct = np.unique(w)
-    cuts = np.concatenate([(distinct[:-1] + distinct[1:]) / 2,
-                           w - 1e-9 * scale, w + 1e-9 * scale])
-    cuts = [c for c in cuts if np.abs(w - c).min() > 1e-10 * scale]
-    for cut in cuts:
-        assert _sturm_count(*tridiagonal_reduction(S), cut) == np.count_nonzero(w < cut), cut
-
-
-@SETTINGS
-@given(S=symmetric_matrices())
 def test_sparse_inertia_count_is_the_dense_count_or_refused(S):
-    """The same cuts, through solve_below on S as a sparse pencil with unit
+    """Cuts halfway between distinct eigenvalues and 1e-9 of the spectral
+    scale off each side of every eigenvalue (a cut within 1e-10 of the
+    scale of an eigenvalue is dropped: there the dense count itself depends
+    on rounding), through solve_below on S as a sparse pencil with unit
     masses: it may refuse a cut (NoConvergence) but never returns a wrong
     count, and it returns as many values as it counts.  The count it is
     held to comes from LAPACK's generalized solver, not from the package's
@@ -663,7 +648,7 @@ def test_sparse_inertia_count_is_the_dense_count_or_refused(S):
             got = solve_below(op, cut)
         except NoConvergence:
             continue
-        assert got.inertia_count == len(got.values) == np.count_nonzero(w < cut), cut
+        assert len(got.values) == np.count_nonzero(w < cut), cut
 
 
 @st.composite
@@ -684,44 +669,33 @@ def repeated_pencils(draw):
     return op, draw(st.sampled_from(cuts))
 
 
-def path_form(op):
-    """The standard form of a pencil whose A is tridiagonal, from its
-    diagonals (``tridiagonal_form``), as the path route builds it."""
-    A = csr(op)
-    return tridiagonal_form(A.diagonal(), A.diagonal(-1), op.M)
-
-
 @SETTINGS
-@given(case=repeated_pencils(), tridiagonal=st.booleans())
-def test_values_only_solve_matches_the_eigenpair_solve(case, tridiagonal):
-    """Through the dense reduction (solve_below) and through the tridiagonal
-    standard form handed to solve as it is, the inertia count
-    and length are the number of eigenpairs of LAPACK's generalized driver
-    below the cut, and the values agree with theirs to 1e-13 relative
-    (floored at 1)."""
+@given(case=repeated_pencils())
+def test_values_only_solve_matches_the_eigenpair_solve(case):
+    """Through the dense reduction (solve_below) the number of values is
+    the number of eigenpairs of LAPACK's generalized driver below the cut,
+    and the values agree with theirs to 1e-13 relative (floored at 1)."""
     op, cut = case
-    got = solve(path_form(op), cut) if tridiagonal else solve_below(op, cut)
+    got = solve_below(op, cut)
     values, _ = eigenpairs_below(op, cut)
-    assert got.inertia_count == len(got.values) == len(values)
+    assert len(got.values) == len(values)
     assert np.all(np.abs(got.values - values) <= 1e-13 * np.maximum(1.0, np.abs(values)))
 
 
 @SETTINGS
 @given(case=repeated_pencils(), above=st.booleans())
 def test_solve_agrees_with_the_generalized_solver_on_both_sides_of_the_threshold(case, above):
-    """Pencils of at most 500 unknowns and, repeated, of more: the dense
-    reduction of a tridiagonal pencil (``dsytrd``, blocked above its
-    crossover) leaves it as it is, so solve_below gives the bits of
-    solve on the tridiagonal standard form, and both agree with
-    LAPACK's generalized driver to 1e-13 relative (floored at 1)."""
+    """Pencils of at most 500 unknowns and, repeated, of more (where
+    ``dsytrd`` reduces in blocks): solve_below agrees with LAPACK's
+    generalized driver to 1e-13 relative (floored at 1), with as many
+    values."""
     op, cut = case
     if above:
         reps = 500 // op.n + 1
         op = operator(sp.block_diag([csr(op)] * reps), np.tile(op.M, reps))
     got = solve_below(op, cut)
-    assert np.array_equal(got.values, solve(path_form(op), cut).values)
     values, _ = eigenpairs_below(op, cut)
-    assert got.inertia_count == len(got.values) == len(values)
+    assert len(got.values) == len(values)
     assert np.all(np.abs(got.values - values) <= 1e-13 * np.maximum(1.0, np.abs(values)))
 
 
