@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from fractal_spectra import cli
+from fractal_spectra import cli, fiber
 from fractal_spectra.eigensolve import (
     FDModel,
     SpectrumEntry,
@@ -27,6 +27,7 @@ from fractal_spectra.gasket import (
     SPECTRAL_BOUND,
     ChouxSpec,
     build_gasket,
+    choux_family,
     choux_numeric_spectra,
     gasket_graph_spectrum,
 )
@@ -247,6 +248,26 @@ class TestLanczos:
         n_expected = sum(1 for lam in fd_dirichlet(1 / 64) if lam <= 30 * math.pi**2)
         assert len(pairs.values) == n_expected
 
+    def test_nothing_below_the_cut_calls_no_eigensolver(self, monkeypatch):
+        """Below the lowest value of a Dirichlet interval: solve_below lists
+        no value, and the closed form of its interior path (a run with no
+        free end, whose walk values are h^2 / 2 times the pencil's) lists
+        none and calls no eigensolver.  A zero mass is refused before any
+        solve."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called with nothing below the cut")
+
+        h = 1 / 64
+        d = interval_pencil(h, DIRICHLET)  # lowest value just below pi^2
+        assert solve_below(d, 9.0).values.shape == (0,)
+        lowest = solve_below(d, 10.0).values
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert fiber._run_values(4 * d.n, 9.0 * h**2 / 2).shape == (0,)
+        walk = fiber._run_values(4 * d.n, 10.0 * h**2 / 2)
+        assert walk * (2 / h**2) == pytest.approx(lowest, rel=1e-12) and len(lowest) == 1
+        with pytest.raises(NotPositiveMass):
+            solve_below(operator(csr(d), np.concatenate([[0.0], d.M[1:]])), 9.0)
+
     @pytest.mark.parametrize("cut", [0.5, 2.5, 10.5, 37.5, 7.0 + 1e-9, 7.0 - 1e-9, 50.0 + 1e-9])
     def test_inertia_count_matches_dense(self, cut):
         d, _ = random_pencil(200, 42, mult=4)
@@ -354,9 +375,23 @@ class TestInertiaGuard:
 
     @pytest.mark.parametrize("boundary", [None, "dirichlet"])
     @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_cuts_off_the_spectrum_count_exactly(self, boundary, level):
+        """The package's level route (``fiber.level_spectra`` on the choux
+        family: its components, one per orbit, and the symmetry blocks of a
+        component that is its own orbit) counts exactly the dense count of
+        the level pencil at the cuts 0.05 apart that lie more than 1e-6
+        from every eigenvalue."""
+        _, dense = choux_24_level(boundary, level)
+        family = choux_family(ChouxSpec(2, 4, boundary))
+        cuts = [c for c in np.arange(0.05, 2.0, 0.05) if np.abs(dense - c).min() > 1e-6]
+        counts = [fiber.level_spectra(family, c, "{}", {})[level].meta["count"] for c in cuts]
+        assert counts == [np.count_nonzero(dense < c) for c in cuts]
+
+    @pytest.mark.parametrize("boundary", [None, "dirichlet"])
+    @pytest.mark.parametrize("level", [0, 1, 2])
     def test_sparse_count_is_exact_or_refused(self, boundary, level):
-        """solve_below on the sparse level pencil, at the cuts 0.05 apart
-        that lie more than 1e-6 from every eigenvalue: it returns exactly the dense count of values, each within 1e-12 of the
+        """solve_below on the sparse level pencil, at the same cuts: it
+        returns exactly the dense count of values, each within 1e-12 of the
         dense one, or refuses the cut; on these pencils it refuses none."""
         d, dense = choux_24_level(boundary, level)
         cuts = [c for c in np.arange(0.05, 2.0, 0.05) if np.abs(dense - c).min() > 1e-6]
