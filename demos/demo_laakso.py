@@ -1,33 +1,41 @@
-"""Walk through a Laakso-space spectrum: build, solve, compare, nest.
+"""Walk through a Laakso-space spectrum: levels, solve, compare, nest.
 
-Builds the depth-2 space with binary fibers (j = (2, 2)), solves the
-finite-difference pencil at a fine pitch, and checks the numeric spectrum
-against the closed-form eigenvalue families.  Run:
+Takes the depth-2 space with binary fibers (j = (2, 2)) as its base path
+and the Dirichlet pieces of each level, maps their vertex spectra to the
+finite-difference spectrum at a fine pitch, and checks the numeric
+spectrum against the closed-form eigenvalue families.  Run:
 
     python3 demos/demo_laakso.py
 """
 
 import math
+from fractions import Fraction
 
+import numpy as np
+
+from fractal_spectra import fiber
 from fractal_spectra.eigensolve import FDModel, compare_spectra, verify_nesting
 from fractal_spectra.laakso import (
     LaaksoSpec,
-    build_laakso,
+    _base,
     laakso_analytic_spectrum,
+    laakso_family,
     laakso_numeric_spectra,
-    wormhole_table,
 )
 
 spec = LaaksoSpec(j=[2, 2], refine=32)
 print(f"Laakso space with fiber sequence j = {spec.j}, pitch = {spec.pitch}")
 
-for i, g in enumerate(build_laakso(spec)):
-    print(f"  level {i}: {g.n_vertices} vertices, {len(g.ends)} edges, "
-          f"measure {g.total_measure():.6f}")
+family = laakso_family(spec)
+_, kept = fiber._level_values(family, 0.0)  # with Neumann ends every vertex is kept
+for i, edges in enumerate([len(family.base.ends), *family.n_edges]):
+    print(f"  level {i}: {kept[i]} vertices, {edges} edges")
 
 print("wormhole positions by level:")
-for level, points in wormhole_table(spec).items():
-    print(f"  level {level}: {[str(p) for p in points]}")
+base, birth = _base(spec)
+D = spec.d[-1]
+for level in range(1, spec.depth + 1):
+    print(f"  level {level}: {[str(Fraction(int(k), D)) for k in np.flatnonzero(birth == level)]}")
 
 lam_max = 200.0
 analytic = laakso_analytic_spectrum(spec, lam_max)

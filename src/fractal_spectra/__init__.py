@@ -17,7 +17,6 @@ from .fiber import LevelFamily
 from .gasket import (
     ChouxSpec,
     GasketGraph,
-    build_choux,
     build_gasket,
     choux_numeric_spectra,
     d3_maps,
@@ -30,12 +29,10 @@ from .gasket import (
 )
 from .laakso import (
     LaaksoSpec,
-    build_laakso,
     laakso_analytic_spectrum,
     laakso_numeric_spectra,
     laakso_numeric_spectrum,
     laakso_refinement_spectra,
-    wormhole_table,
 )
 from .metric_graph import (
     DiscreteOperator,
@@ -44,7 +41,6 @@ from .metric_graph import (
 )
 from .strings import (
     StringSpec,
-    build_stitched,
     isospectrality_report,
     rationalize,
     string_analytic_spectrum,

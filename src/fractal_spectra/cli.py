@@ -4,7 +4,9 @@ Each subcommand reads a JSON spec, writes CSV spectra and JSON reports into
 an output directory, and is deterministic: identical spec + flags produce
 byte-identical files (floats are serialized via shortest round-trip repr).
 
-Exit codes: 0 ok, 2 bad spec, 3 solver failure, 4 incommensurable lengths.
+Exit codes: 0 ok, 1 a check failed (compare, nesting, decimation,
+isospectrality or verify), 2 bad spec, 3 solver failure, 4 incommensurable
+lengths.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .errors import (
 )
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_BAD_SPEC = 2
 EXIT_SOLVER = 3
 EXIT_INCOMMENSURABLE = 4
@@ -162,7 +165,7 @@ def cmd_laakso(args) -> int:
                                            boundary=spec.boundary, tol=args.tol))
     print(f"laakso: compare {'pass' if compare.ok else 'FAIL'}, "
           f"nesting {'pass' if nested else 'FAIL'} -> {out}")
-    return EXIT_OK if compare.ok and nested else EXIT_SOLVER
+    return EXIT_OK if compare.ok and nested else EXIT_CHECK_FAILED
 
 
 # -- choux -------------------------------------------------------------------
@@ -205,7 +208,7 @@ def cmd_choux(args) -> int:
     decimated = all(c["pass"] for c in checks)
     print(f"choux: nesting {'pass' if nested else 'FAIL'}, "
           f"decimation {'pass' if decimated else 'FAIL'} -> {out}")
-    return EXIT_OK if nested and decimated else EXIT_SOLVER
+    return EXIT_OK if nested and decimated else EXIT_CHECK_FAILED
 
 
 # -- string ------------------------------------------------------------------
@@ -256,7 +259,7 @@ def cmd_string(args) -> int:
     _dump_json(out / "run.json", _run_meta(args, doc, refine=spec.refine, lambda_max=lam_max,
                                            tol=args.tol))
     print(f"string: isospectrality {'pass' if iso['pass'] else 'FAIL'} -> {out}")
-    return EXIT_OK if iso["pass"] and nested else EXIT_SOLVER
+    return EXIT_OK if iso["pass"] and nested else EXIT_CHECK_FAILED
 
 
 # -- verify ------------------------------------------------------------------
@@ -275,7 +278,7 @@ def cmd_verify(args) -> int:
     run_path = out / "run.json"
     if not run_path.exists():
         print(f"verify: no run.json in {out}", file=sys.stderr)
-        return 1
+        return EXIT_CHECK_FAILED
     failures, spectra = [], {}
 
     for csv_path in sorted(out.glob("*.csv")):
@@ -318,7 +321,7 @@ def cmd_verify(args) -> int:
     if failures:
         for f in failures:
             print(f"verify: FAIL {f}", file=sys.stderr)
-        return 1
+        return EXIT_CHECK_FAILED
     print(f"verify: pass ({out})")
     return EXIT_OK
 

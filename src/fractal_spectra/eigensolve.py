@@ -16,8 +16,8 @@ vertex maps) is solved as the three blocks of its symmetry-adapted basis,
 A1, A2 and E; E's values count twice, and its block, about (n/3)^2
 floats, is the largest array: the level-7 gasket takes 9.6 MB.  No
 eigenvector is formed: the pipeline writes eigenvalues and multiplicities
-only.  Clustering sums the runs of one length as the rows of one array,
-with the bits of ``np.mean``.
+only.  Clustering takes each value with its count, so copies of a value
+are never listed one by one.
 """
 
 from __future__ import annotations
@@ -251,21 +251,26 @@ def cluster(
     pitch: float | None = None,
     tags=None,
     meta: dict | None = None,
+    counts=None,
 ) -> SpectrumList:
-    """Gap-based multiplicity clustering of a sorted eigenvalue array.
+    """Gap-based multiplicity clustering of a sorted eigenvalue array, each
+    value counted ``counts`` times (positive integers; once each by
+    default).
 
-    ``tags`` optionally assigns a label per raw eigenvalue; a cluster's tag
-    lists the distinct labels with their counts.  ``meta`` becomes the
-    list's ``meta``.  Gaps of at most
-    ``rel_tol`` chain, so a run is also held to a width of at most
-    ``rel_tol * max(1, |last value|)``; a wider run is a string of distinct
-    close values, not copies of one, and raises ``NoConvergence``.
+    ``tags`` optionally assigns a label per value; a cluster's tag lists
+    the distinct labels with their counts.  ``meta`` becomes the list's
+    ``meta``.  Gaps of at most ``rel_tol`` chain, so a run is also held to
+    a width of at most ``rel_tol * max(1, |last value|)``; a wider run is a
+    string of distinct close values, not copies of one, and raises
+    ``NoConvergence``.
 
-    A cluster's value is ``np.mean`` of its run, bit for bit: the runs of
-    one length L are summed as the rows of one array, each row by the
-    pairwise sum that ``np.mean`` takes, and divided by L.
+    A cluster's multiplicity is the sum of its counts c_i, and its value
+    is v_0 + sum c_i (v_i - v_0) / sum c_i over its values v_i, v_0 the
+    first, the sum taken in order: a run of bit-identical values gives
+    exactly that value.
     """
     eigs = np.asarray(eigs, dtype=float)
+    counts = np.ones(len(eigs), dtype=np.int64) if counts is None else np.asarray(counts)
     if (eigs[1:] < eigs[:-1]).any():
         raise ValueError("input eigenvalues must be sorted")
     entries = []
@@ -278,23 +283,22 @@ def cluster(
             i, j = int(start[k]), int(stop[k])
             raise NoConvergence(0, f"{j - i} eigenvalues from {eigs[i]!r} to {eigs[j - 1]!r} "
                                    f"chain into one cluster wider than rel_tol {rel_tol!r}")
-        length = stop - start
-        means = eigs[start]  # np.mean of one value is the value
-        for size in set(length.tolist()) - {1}:
-            runs = length == size
-            means[runs] = np.add.reduce(eigs[start[runs, None] + np.arange(size)], axis=1) / size
+        run = np.repeat(np.arange(len(start)), stop - start)
+        mult = np.add.reduceat(counts, start)
+        values = eigs[start] + np.bincount(run, counts * (eigs - eigs[start[run]]),
+                                           len(start)) / mult
         labels = [""] * len(start)
         if tags is not None:
             names = sorted(set(tags))
             code = dict(zip(names, range(len(names))))
-            counts = np.bincount(np.repeat(np.arange(len(start)) * len(names), length)
-                                 + np.array([code[t] for t in tags], dtype=np.int64),
-                                 minlength=len(start) * len(names)).reshape(len(start), len(names))
-            run, tag = np.nonzero(counts)
-            texts = [f"{names[t]}x{c}" for t, c in zip(tag.tolist(), counts[run, tag].tolist())]
+            table = np.bincount(run * len(names) + np.array([code[t] for t in tags], dtype=np.int64),
+                                counts, len(start) * len(names))
+            table = table.astype(np.int64).reshape(len(start), len(names))
+            run, tag = np.nonzero(table)
+            texts = [f"{names[t]}x{c}" for t, c in zip(tag.tolist(), table[run, tag].tolist())]
             cuts = [0, *((run[1:] != run[:-1]).nonzero()[0] + 1).tolist(), len(texts)]
             labels = [";".join(texts[a:b]) for a, b in zip(cuts, cuts[1:])]
-        entries = [SpectrumEntry(*e) for e in zip(means.tolist(), length.tolist(), labels)]
+        entries = [SpectrumEntry(*e) for e in zip(values.tolist(), mult.tolist(), labels)]
     return SpectrumList(entries=entries, origin=origin, truncation=truncation, pitch=pitch,
                         meta={} if meta is None else meta)
 

@@ -9,28 +9,30 @@ in it) and vanish where that coordinate is collapsed (arXiv 1204.5207;
 Barlow & Evans, "Markov processes on vermiculated spaces", 2004).  So
 every eigenvalue new at level l is an eigenvalue of a piece of the level-0
 graph with extra Dirichlet vertices, and no level above 0 is built to find
-it.  Every family hands the pipeline a LevelFamily, which lists those
+it.  Every family hands the pipeline a LevelFamily, which describes those
 pieces:
 
 - a base graph times the binary fibers {0,1}^l, with coordinate b collapsed
-  at the vertices born at level b (the Laakso space and the pâte à choux;
-  ``binary_family``): the values new at level l are those of the base
-  graph with Dirichlet marks at the vertices born at a level in S, for
-  every S in {1..l} with max S = l;
+  at the vertices born at level b (the Laakso space and the pâte à choux):
+  the values new at level l are those of the base graph with Dirichlet
+  marks at the vertices born at a level in S, for every S in {1..l} with
+  max S = l.  On the gasket these pieces are listed (``binary_family``);
+  on the Laakso path only the runs of each length and end type that they
+  cut it into are counted, from the birth levels (``binary_path_family``);
 - the stitched strings (``strings.stitched_family``): m_1 - 1 copies of the
   base path at level 1, and m_k Dirichlet paths of l_k / g cells at
-  level k.
+  level k, one run per level (``path_family``).
 
 Every family goes through one pipeline: find the values of each distinct
-part of the pieces once and tag each value with the level it is new at
-(``_level_values``), then cluster (``level_spectra``, which the pâte à
-choux uses).  The Laakso and string bases are paths, so their pieces are
-runs of a path, keyed on their length and end types, and the walk
-Laplacian of a run has its values in closed form (``_run_values``): no
-matrix is formed and no eigensolver called, and a run of m vertices lists
-its m values.  Any other base (the gasket of the pâte à choux) is split
-into connected components by label propagation over the NumPy CSR arrays
-of its pencil, each solved densely by ``solve_below``.  A base with
+part of the pieces once, with the number of its copies, and tag each value
+with the level it is new at (``_level_values``), then cluster the values
+with their counts (``level_spectra``, which the pâte à choux uses); no
+value is listed once per copy.  The walk Laplacian of a run of a path has
+its values in closed form (``_run_values``): no matrix is formed and no
+eigensolver called, and a run of m vertices lists its m values.  Any other
+base (the gasket of the pâte à choux) is split into connected components
+by label propagation over the NumPy CSR arrays of its pencil, each solved
+densely by ``solve_below``.  A base with
 symmetries (``LevelFamily.maps``: the six of the gasket) has pieces that
 they carry onto themselves, so the components of a piece fall into orbits:
 one component per orbit is solved, counted orbit size times, and a
@@ -39,7 +41,7 @@ component solves of a family are cached on it for the run, so that other
 cuts of its base (the decimation chain's cells, ``cell_values``) reuse
 them.  The Laakso and string levels, whose edges have one length, map
 their vertex values to the mesh by the Chebyshev rule first, adding edge
-modes counted from |E_l| and |V_l| (``equilateral_spectra``).  No
+modes counted from |E_l| and |V_l| as counts (``equilateral_spectra``).  No
 eigenvector is formed.
 
 The trade-off: the pipeline assumes the decomposition instead of checking
@@ -76,6 +78,15 @@ class LevelFamily:
 
     ``pieces[l - 1]`` lists (marks, copies): level l gains the spectrum of
     ``base`` with the extra Dirichlet vertices ``marks``, ``copies`` times.
+    A base that is a path in vertex order, edge k joining vertices k and
+    k + 1, with one weight on every edge, gives its pieces as ``runs``
+    instead: ``runs[l]``, for l = 0..n, is the table (keys, counts) of the
+    runs of kept vertices of the pieces of level l, level 0 being ``base``
+    with its Dirichlet vertices, and level l gains the values of each run
+    ``count`` times.  A run of m vertices whose first (last) vertex is the
+    first (last) of the path, so a free path end, has the key
+    4 m + 2 [first free] + [last free] (``path_family``,
+    ``binary_path_family``).
 
     ``maps``, when given, is a (6, n) array of vertex maps of ``base``
     forming the group D3 (``eigensolve.solve_below``), each preserving its
@@ -89,6 +100,7 @@ class LevelFamily:
     pieces: list[list[tuple[np.ndarray, int]]] = field(default_factory=list)
     n_edges: list[int] = field(default_factory=list)
     maps: np.ndarray | None = None
+    runs: list[tuple[np.ndarray, np.ndarray]] | None = None
     solved: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -102,7 +114,8 @@ def binary_family(base: MetricGraph, birth, depth: int,
     Level l has 2^l copies of every base edge, and its new values are those
     of ``base`` with Dirichlet marks at the vertices born at a level in S,
     for each of the 2^(l-1) sets S in {1..l} with max S = l; a set is a
-    bit mask, bit b - 1 standing for level b.
+    bit mask, bit b - 1 standing for level b.  On a path base the pieces
+    are counted instead of listed (``binary_path_family``).
     """
     birth = np.asarray(birth, dtype=np.int64)
     bit = np.where(birth >= 1, np.left_shift(1, np.maximum(birth - 1, 0)), 0)
@@ -112,34 +125,76 @@ def binary_family(base: MetricGraph, birth, depth: int,
                        maps)
 
 
-def binary_graphs(base: MetricGraph, birth, depth: int,
-                  total_mass: float | None = None) -> list[MetricGraph]:
-    """The graphs of ``binary_family(base, birth, depth)``.
-
-    At level l a vertex is the code ``v * 2^l + word``, the word's first
-    coordinate being its most significant bit, with bit l - b cleared when
-    1 <= b = birth[v] <= l; so integer order is the order of (base vertex,
-    word) pairs.  Edges run word by word and, within a word, base edge by
-    base edge; each has its base length and its base weight times the
-    fiber measure 2^-l.
-    """
+def binary_path_family(base: MetricGraph, birth, depth: int) -> LevelFamily:
+    """``binary_family`` of a path base (see ``LevelFamily.runs``), each
+    level's pieces given by their run table (``_binary_runs``)."""
     birth = np.asarray(birth, dtype=np.int64)
-    graphs = []
-    for lvl in range(depth + 1):
-        words = np.arange(2**lvl, dtype=np.int64)[:, None]
-        # the word bit that each base vertex clears (0: none)
-        clear = np.where((birth >= 1) & (birth <= lvl), 1 << np.maximum(lvl - birth, 0), 0)
+    return LevelFamily(base, n_edges=[len(base.ends) << level for level in range(1, depth + 1)],
+                       runs=[_binary_runs(birth, base.dirichlet, level)
+                             for level in range(depth + 1)])
 
-        def code(v):  # one row per word
-            return (v << lvl) | (words & ~clear[v])
 
-        codes = np.sort(code(np.arange(len(birth))), axis=None)
-        codes = codes[np.r_[True, codes[1:] != codes[:-1]]]  # np.unique, without its hash table
-        ends = np.searchsorted(codes, code(base.ends.ravel())).reshape(-1, 2)
-        graphs.append(MetricGraph(codes, ends, np.tile(base.length, 2**lvl),
-                                  np.tile(base.weight * 0.5**lvl, 2**lvl),
-                                  base.dirichlet[codes >> lvl], total_mass))
-    return graphs
+def _binary_runs(birth: np.ndarray, dirichlet: np.ndarray, level: int):
+    """The run table of level ``level`` of ``binary_family`` on a path base,
+    counted without listing the 2^(level-1) pieces.
+
+    A run lies strictly between two marks u < w: the vertices born at a
+    level in 1..level, the Dirichlet vertices and the positions -1 and n
+    just outside the path.  Let b_u and b_w be the births of u and w, for
+    a mark born in 1..level, and I the set of births of the marks inside
+    the run.  The run is one of the piece of S exactly when S holds level,
+    b_u and b_w and misses I, and no Dirichlet vertex lies inside it; so it
+    comes with 2^(level - |{level, b_u, b_w} u I|) pieces, none when
+    {level, b_u, b_w} meets I.  Level 0 is the base, one piece.
+
+    The pairs (u, w) are taken by the number of marks inside them, one
+    step per mark, keeping the u whose inner marks miss level and b_u and
+    are not Dirichlet vertices: on nested births (the Laakso grid) a run
+    holds at most one coarser mark, so the walk ends after a few steps.
+    Sets of births are bit masks, bit b - 1 standing for level b.
+    """
+    n = len(birth)
+    at = np.flatnonzero(dirichlet | (birth >= 1) & (birth <= level))
+    pos = np.r_[-1, at, n]
+    bit = np.r_[0, np.where(dirichlet[at], 0, np.left_shift(1, birth[at]) >> 1), 0]
+    top = (1 << level) >> 1
+    u = np.arange(len(pos) - 1)
+    w, inner = u + 1, np.zeros_like(u)
+    keys, counts = [], []
+    while len(u):
+        need = top | bit[u] | bit[w]
+        m = pos[w] - pos[u] - 1
+        ok = ((inner & need) == 0) & (m > 0)
+        keys.append((4 * m + 2 * (u == 0) + (w == len(pos) - 1))[ok])
+        counts.append(np.left_shift(1, level - _popcount((need | inner)[ok])))
+        inner = inner | bit[w]
+        go = (bit[w] != 0) & ((inner & (top | bit[u])) == 0)
+        u, w, inner = u[go], w[go] + 1, inner[go]
+    keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    return keys, np.bincount(inverse, np.concatenate(counts), len(keys)).astype(np.int64)
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """The number of set bits of each entry of x >= 0 (``np.bitwise_count``
+    needs NumPy 2)."""
+    count = np.zeros_like(x)
+    while x.any():
+        count += x != 0
+        x = x & (x - 1)
+    return count
+
+
+def path_family(base: MetricGraph, spans, n_edges: list[int]) -> LevelFamily:
+    """Levels 0..n of a path base (see ``LevelFamily.runs``) whose level l
+    gains the values of the runs ``spans[l]``, each given as
+    (first, stop, copies): the kept vertices first..stop-1 of the base,
+    ``copies`` times."""
+    n = base.n_vertices
+    runs = []
+    for spans_l in spans:
+        first, stop, copies = np.array(spans_l, dtype=np.int64).reshape(-1, 3).T
+        runs.append((4 * (stop - first) + 2 * (first == 0) + (stop == n), copies))
+    return LevelFamily(base, n_edges=n_edges, runs=runs)
 
 
 def _distinct_components(op: DiscreteOperator, copies: np.ndarray,
@@ -231,30 +286,6 @@ def _components(family: LevelFamily, drop: np.ndarray, copies: np.ndarray):
     return _distinct_components(op, np.repeat(copies, n)[~drop.ravel()], images)
 
 
-def _is_path(base: MetricGraph) -> bool:
-    """Whether ``base`` is a path in vertex order, edge k joining vertices k
-    and k + 1, with one weight on every edge."""
-    k = np.arange(base.n_vertices - 1)
-    return (len(k) > 0 and np.array_equal(base.ends, np.stack([k, k + 1], axis=1))
-            and bool(np.all(base.weight == base.weight[0])))
-
-
-def _distinct_runs(drop: np.ndarray, copies: np.ndarray):
-    """Yield (key, count) for each distinct run of kept vertices of the
-    rows of ``drop``, the eliminated vertices of a path, one row per
-    piece.  A run of m vertices whose first (last) vertex is the first
-    (last) of the path, so a free path end, has the key
-    4 m + 2 [first free] + [last free]; ``count`` sums ``copies``, given
-    per row, over the runs with that key."""
-    edge = np.diff(np.pad(~drop, ((0, 0), (1, 1))).astype(np.int8), axis=1)
-    rows, start = np.nonzero(edge == 1)
-    stop = np.nonzero(edge == -1)[1]
-    keys, inverse = np.unique(4 * (stop - start) + 2 * (start == 0) + (stop == drop.shape[1]),
-                              return_inverse=True)
-    counts = np.bincount(inverse, copies[rows], len(keys)).astype(np.int64)
-    yield from zip(keys.tolist(), counts.tolist())
-
-
 def _run_values(key: int, cut: float) -> np.ndarray:
     """The eigenvalues <= cut (1 + 1e-12) of the pencil of a
     ``_distinct_runs`` key, ascending.
@@ -277,39 +308,43 @@ def _run_values(key: int, cut: float) -> np.ndarray:
 
 
 def _level_values(family: LevelFamily, cut: float):
-    """Eigenvalues <= ``cut`` new at each level, and the number of kept
-    vertices of each level: the sizes of its pieces and of those below,
-    with their copies.
+    """Eigenvalues <= ``cut`` new at each level, as the arrays (values,
+    counts): level l gains each of its values ``count`` times; and the
+    number of kept vertices of each level: the sizes of its pieces and of
+    those below, with their copies.
 
     Level 0 is ``base`` itself.  A piece's pencil is the vertex pencil of
     ``base`` (``graph_operator``) with its marks eliminated too.  On a path
-    base (``_is_path``) every piece is a set of runs of the path, keyed on
-    their length and end types (``_distinct_runs``), whose values are in
-    closed form (``_run_values``).  On any other base the pieces of a level
-    are assembled as one disjoint union and split into connected
-    components (``_components``), one per orbit of ``family.maps``, and
-    only a component not seen before is solved (``_part_values``): on
-    self-similar spaces most pieces repeat, and the same input to the same
-    LAPACK call gives the same bits.
+    base every piece is a set of runs of the path, counted in
+    ``family.runs``, whose values are in closed form (``_run_values``).
+    On any other base the pieces of a level are assembled as one disjoint
+    union and split into connected components (``_components``), one per
+    orbit of ``family.maps``, and only a component not seen before is
+    solved (``_part_values``): on self-similar spaces most pieces repeat,
+    and the same input to the same LAPACK call gives the same bits.
     """
     base = family.base
-    n = base.n_vertices
-    path = _is_path(base)
-    values, kept, size = [], [], 0
-    for pieces in [[(np.zeros(n, dtype=bool), 1)], *family.pieces]:
-        marks, copies = zip(*pieces)
-        drop = base.dirichlet | np.stack(marks)
-        copies = np.asarray(copies)
-        size += int(copies @ np.count_nonzero(~drop, axis=1))
+    path = family.runs is not None
+    new, kept, size = [], [], 0
+    for level in family.runs if path else [[(np.zeros(base.n_vertices, dtype=bool), 1)],
+                                           *family.pieces]:
         if path:
-            new = [np.tile(_run_values(key, cut), count)
-                   for key, count in _distinct_runs(drop, copies)]
+            keys, copies = level
+            size += int(copies @ (keys >> 2))
+            parts = [(_run_values(key, cut), count)
+                     for key, count in zip(keys.tolist(), copies.tolist())]
         else:
-            new = [np.tile(_part_values(family, key, cut, maps), count)
-                   for key, count, maps in _components(family, drop, copies)]
-        values.append(np.concatenate(new or [np.zeros(0)]))
+            marks, copies = zip(*level)
+            drop = base.dirichlet | np.stack(marks)
+            copies = np.asarray(copies)
+            size += int(copies @ np.count_nonzero(~drop, axis=1))
+            parts = [(_part_values(family, key, cut, maps), count)
+                     for key, count, maps in _components(family, drop, copies)]
+        new.append((np.concatenate([np.zeros(0), *(values for values, _ in parts)]),
+                    np.concatenate([np.zeros(0, dtype=np.int64),
+                                    *(np.full(len(values), count) for values, count in parts)])))
         kept.append(size)
-    return values, kept
+    return new, kept
 
 
 def _part_values(family: LevelFamily, key: bytes, cut: float,
@@ -343,20 +378,23 @@ def cell_values(family: LevelFamily, marks: np.ndarray, cut: float) -> dict[int,
     return values
 
 
-def _cluster_levels(new: list[np.ndarray], origin: str, meta: dict,
+def _cluster_levels(new: list[tuple[np.ndarray, np.ndarray]], origin: str, meta: dict,
                     **cluster_kw) -> list[SpectrumList]:
-    """Level i's spectrum from the values ``new[0..i]``, new[0] tagged "base"
-    and new[k] "new@k", gap-clustered by ``cluster`` with ``cluster_kw``; its
-    ``meta`` is ``meta`` plus the number of the values, ``count``.
+    """Level i's spectrum from the values and counts ``new[0..i]``, new[0]
+    tagged "base" and new[k] "new@k", gap-clustered by ``cluster`` with
+    ``cluster_kw``, values of count 0 left out; its ``meta`` is ``meta``
+    plus the number of the values with their counts, ``count``.
     ``origin`` is formatted with the level."""
-    values, tags, out = np.zeros(0), [], []
-    for level, fresh in enumerate(new):
-        values = np.concatenate([values, fresh])
-        tags += ["base" if level == 0 else f"new@{level}"] * len(fresh)
+    values, counts, tags, out = np.zeros(0), np.zeros(0, dtype=np.int64), [], []
+    for level, (fresh, copies) in enumerate(new):
+        listed = copies > 0
+        values = np.concatenate([values, fresh[listed]])
+        counts = np.concatenate([counts, copies[listed]])
+        tags += ["base" if level == 0 else f"new@{level}"] * int(np.count_nonzero(listed))
         order = np.argsort(values, kind="stable")
-        out.append(cluster(values[order], origin=origin.format(level),
+        out.append(cluster(values[order], counts=counts[order], origin=origin.format(level),
                            tags=[tags[k] for k in order],
-                           meta={**meta, "count": len(values)}, **cluster_kw))
+                           meta={**meta, "count": int(counts.sum())}, **cluster_kw))
     return out
 
 
@@ -376,9 +414,10 @@ def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float,
     (``EquilateralMesh``), from one solve of the vertex pencils as in
     ``level_spectra``, at the largest ``EquilateralMesh.vertex_cut``.
 
-    At each refinement the vertex values map to their branch values, less
-    the walk-kernel values 0 and 2, and the edge modes join with the growth
-    of their multiplicity at level i.  The edge modes need |E_i|, the kept
+    At each refinement the vertex values map to their branch values, each
+    with its count, less the walk-kernel values 0 and 2, and the edge
+    modes join with the growth of their multiplicity at level i as their
+    count.  The edge modes need |E_i|, the kept
     |V_i| and the walk kernels of each level.  Every level has the kernels
     of the base graph: they are 0 once a vertex is eliminated, and
     otherwise the constants and, on a bipartite graph (whose levels all
@@ -393,16 +432,23 @@ def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float,
     kernels = walk_kernels(base)
     new, kept = _level_values(family, cut)
     whole = cut == SPECTRAL_BOUND  # only a whole spectrum holds the vertex value 2
-    nu = np.sort(new[0])
-    nu = [nu[kernels[0]:len(nu) - kernels[1] * whole], *new[1:]]
+    values, counts = new[0]
+    order = np.argsort(values, kind="stable")
+    counts = counts[order]
+    # the kernels of the connected base are simple: its smallest value and,
+    # in a whole spectrum, its largest, each listed once
+    counts[:1] -= kernels[0]
+    counts[len(counts) - 1:] -= kernels[1] * whole
+    nu = [(values[order], counts), *new[1:]]
     n_edges = [len(base.ends), *family.n_edges]
     out = []
     for mesh in meshes:
         levels, low = [], 0
-        for values, edges, n_kept in zip(nu, n_edges, kept):
+        for (values, counts), edges, n_kept in zip(nu, n_edges, kept):
+            branch, source = mesh.branch_values(values, lam_max)
             modes, mult = mesh.edge_modes(edges, n_kept, kernels, lam_max)
-            levels.append(np.concatenate([mesh.branch_values(values, lam_max),
-                                          np.repeat(modes, mult - low)]))
+            levels.append((np.concatenate([branch, modes]),
+                           np.concatenate([counts[source], mult - low])))
             low = mult
         out.append(_cluster_levels(levels, origin, {**meta, "refine": mesh.refine},
                                    truncation=lam_max, pitch=mesh.pitch))

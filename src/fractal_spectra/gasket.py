@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidSpaceSpec, ResolutionTooCoarse
 from .eigensolve import SpectrumList, cluster, solve_below
-from .fiber import LevelFamily, binary_family, binary_graphs, cell_values, level_spectra
+from .fiber import LevelFamily, binary_family, cell_values, level_spectra
 from .metric_graph import DIRICHLET, NEUMANN, SPECTRAL_BOUND, MetricGraph, graph_operator
 
 # corners of the gasket as (x, y / sqrt(3)) times 2, the scale of level 0
@@ -241,13 +241,6 @@ def choux_family(spec: ChouxSpec) -> LevelFamily:
     coordinate k."""
     g = build_gasket(spec.gasket_level)
     return binary_family(_base(g, spec.boundary), g.birth, spec.fiber_depth, d3_maps(g))
-
-
-def build_choux(spec: ChouxSpec) -> list[MetricGraph]:
-    """The graphs of fiber levels 0..i over the level-m gasket
-    (``fiber.binary_graphs``)."""
-    g = build_gasket(spec.gasket_level)
-    return binary_graphs(_base(g, spec.boundary), g.birth, spec.fiber_depth)
 
 
 def choux_numeric_spectra(spec: ChouxSpec, family: LevelFamily | None = None) -> list[SpectrumList]:

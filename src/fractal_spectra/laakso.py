@@ -2,21 +2,21 @@
 
 Level n is the quotient of [0,1] x {0,1}^n by wormhole identifications: at a
 point of L_m \\ L_{m-1} (multiples of 1/d_m that are not multiples of any
-coarser d) the m-th fiber coordinate is collapsed.  All levels are built on
-the common grid of multiples of 1/d_n, so every edge has the length 1/d_n,
-meshes align exactly and the discrete nesting holds to machine precision.
+coarser d) the m-th fiber coordinate is collapsed.  All levels share the
+common grid of multiples of 1/d_n, so every edge has the length 1/d_n,
+meshes align exactly and the discrete nesting holds to machine precision;
+only the grid path and its birth levels are built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidSequence
 from .eigensolve import SpectrumEntry, SpectrumList
-from .fiber import LevelFamily, binary_family, binary_graphs, equilateral_spectra
+from .fiber import LevelFamily, binary_path_family, equilateral_spectra
 from .metric_graph import DIRICHLET, NEUMANN, MetricGraph
 
 
@@ -60,22 +60,6 @@ class LaaksoSpec:
         return 1.0 / (self.refine * self.d[self.depth])
 
 
-def wormhole_table(spec: LaaksoSpec) -> dict[int, list[Fraction]]:
-    """Positions L_m \\ L_{m-1} per level m (endpoints excluded)."""
-    d = spec.d
-    table: dict[int, list[Fraction]] = {}
-    seen: set[Fraction] = set()
-    for m in range(1, spec.depth + 1):
-        new = []
-        for i in range(1, d[m]):
-            x = Fraction(i, d[m])
-            if x not in seen:
-                seen.add(x)
-                new.append(x)
-        table[m] = new
-    return table
-
-
 def _base(spec: LaaksoSpec):
     """The level-0 graph on the common grid and the birth level of each
     grid point.
@@ -98,14 +82,9 @@ def _base(spec: LaaksoSpec):
 
 
 def laakso_family(spec: LaaksoSpec) -> LevelFamily:
-    """Levels 0..n as the base path and its Dirichlet pieces
-    (``fiber.binary_family``)."""
-    return binary_family(*_base(spec), spec.depth)
-
-
-def build_laakso(spec: LaaksoSpec) -> list[MetricGraph]:
-    """All level graphs 0..n on the common grid (``fiber.binary_graphs``)."""
-    return binary_graphs(*_base(spec), spec.depth, total_mass=1.0)
+    """Levels 0..n as the base path and the run tables of its Dirichlet
+    pieces, counted from the birth levels (``fiber.binary_path_family``)."""
+    return binary_path_family(*_base(spec), spec.depth)
 
 
 def laakso_analytic_spectrum(spec: LaaksoSpec, lam_max: float) -> SpectrumList:

@@ -16,7 +16,7 @@ that pencil (``EquilateralMesh``), so the mesh itself is never built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -181,8 +181,7 @@ def graph_operator(g: MetricGraph, boundary: str | None = None) -> DiscreteOpera
     drop = g.dirichlet & (boundary == DIRICHLET)
     pos = _node_numbers(drop)
     op = _laplacian(int(np.count_nonzero(~drop)), pos[g.ends[:, 0]], pos[g.ends[:, 1]], g.weight)
-    op.kept_vertices = np.flatnonzero(~drop)
-    return op
+    return replace(op, kept_vertices=np.flatnonzero(~drop))
 
 
 def walk_kernels(g: MetricGraph) -> tuple[int, int]:
@@ -250,10 +249,11 @@ class EquilateralMesh:
         cut = 2 * math.sin(phase / 2) ** 2
         return SPECTRAL_BOUND if phase >= math.pi or cut > SPECTRAL_BOUND - 1e-9 else cut
 
-    def branch_values(self, nu: np.ndarray, lam_max: float) -> np.ndarray:
+    def branch_values(self, nu: np.ndarray, lam_max: float) -> tuple[np.ndarray, np.ndarray]:
         """The mesh eigenvalues <= lam_max (with solve_below's slack) of the
-        vertex eigenvalues ``nu`` in (0, 2): theta = (b pi + theta0) / r on
-        even branches b and ((b + 1) pi - theta0) / r on odd ones, where
+        vertex eigenvalues ``nu`` in (0, 2), and the index in ``nu`` of the
+        vertex value of each: theta = (b pi + theta0) / r on even branches b
+        and ((b + 1) pi - theta0) / r on odd ones, where
         theta0 = 2 atan2(sqrt(nu), sqrt(2 - nu)) = arccos(1 - nu) stays
         accurate at both ends."""
         r = self.refine
@@ -261,7 +261,8 @@ class EquilateralMesh:
         theta0 = 2 * np.arctan2(np.sqrt(nu), np.sqrt(SPECTRAL_BOUND - nu))
         b = np.arange(min(r, int(r * self.theta(lam_max) / math.pi) + 1))
         lam = self._values(np.where(b % 2 == 0, b * math.pi + theta0, (b + 1) * math.pi - theta0) / r)
-        return lam[lam <= lam_max * (1 + 1e-12)]
+        source, branch = np.nonzero(lam <= lam_max * (1 + 1e-12))
+        return lam[source, branch], source
 
     def edge_modes(self, n_edges: int, n_kept: int, kernels: tuple[int, int],
                    lam_max: float) -> tuple[np.ndarray, np.ndarray]:

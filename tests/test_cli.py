@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import fractal_spectra
-from fractal_spectra import cli, eigensolve, gasket, laakso, strings
+from fractal_spectra import cli, eigensolve, fiber, gasket, laakso, strings
 
 
 def write_spec(tmp_path, name, doc):
@@ -317,7 +317,7 @@ class TestVerify:
         spec = write_spec(tmp_path, "spec.json",
                           {"j": [2], "refine": 8, "lambda_max": 9.85, "boundary": "dirichlet"})
         out = tmp_path / "out"
-        assert cli.main(["laakso", "--spec", spec, "--out", str(out)]) == cli.EXIT_SOLVER
+        assert cli.main(["laakso", "--spec", spec, "--out", str(out)]) == cli.EXIT_CHECK_FAILED
         assert (out / "analytic.csv").read_text().count("\n") == 1  # header only
         capsys.readouterr()
         assert cli.main(["verify", "--out", str(out), "--tol", "1e-3"]) == 1
@@ -366,13 +366,16 @@ def test_tol_that_is_not_a_finite_nonnegative_number_is_rejected(laakso_run, tmp
 
 def test_each_run_builds_its_family_once(tmp_path, monkeypatch):
     """Each run hands its family to the pipeline once, as the base graph and
-    its pieces, and builds no level graph (``build_laakso``,
-    ``build_stitched`` and ``build_choux`` are never called)."""
+    its pieces, and builds no level graph: the package has no level-graph
+    builder (the loop builders of ``tests/family_reference.py`` are the
+    only ones)."""
+    assert not [name for module, name in ((laakso, "build_laakso"), (strings, "build_stitched"),
+                                          (gasket, "build_choux"), (fiber, "binary_graphs"))
+                if hasattr(module, name)]
     calls = collections.Counter()
     for module, name in ((laakso, "laakso_family"), (strings, "stitched_family"),
-                         (gasket, "choux_family"), (laakso, "build_laakso"),
-                         (strings, "build_stitched"), (gasket, "build_choux"),
-                         (gasket, "gasket_levels"), (strings, "string_analytic_spectrum")):
+                         (gasket, "choux_family"), (gasket, "gasket_levels"),
+                         (strings, "string_analytic_spectrum")):
         def counted(*args, _build=getattr(module, name), _name=name):
             calls[_name] += 1
             return _build(*args)

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import family_reference
 from fractal_spectra import cli, fiber
 from fractal_spectra.eigensolve import (
     FDModel,
@@ -31,17 +32,13 @@ from fractal_spectra.gasket import (
     choux_numeric_spectra,
     gasket_graph_spectrum,
 )
-from fractal_spectra.laakso import LaaksoSpec, build_laakso, laakso_numeric_spectra
+from fractal_spectra.laakso import LaaksoSpec, laakso_numeric_spectra
 from fractal_spectra.metric_graph import (
     DIRICHLET,
     NEUMANN,
     MetricGraph,
 )
-from fractal_spectra.strings import (
-    StringSpec,
-    build_stitched,
-    stitched_numeric_spectra,
-)
+from fractal_spectra.strings import StringSpec, stitched_numeric_spectra
 from lapack_reference import (
     csr,
     eigenpairs_below,
@@ -282,10 +279,10 @@ class TestLanczos:
         level."""
         if family == "laakso":
             spec = LaaksoSpec(j=[2, 2], refine=16)
-            fam, lam_max = build_laakso(spec), 230.0
+            fam, lam_max = family_reference.build_laakso(spec).graphs, 230.0
         else:
             spec = StringSpec([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)], [1, 2, 1], refine=16)
-            fam, lam_max = build_stitched(spec), 2000.0
+            fam, lam_max = family_reference.build_stitched(spec).graphs, 2000.0
         d = assemble(discretize(fam[-1], spec.pitch))
         got = solve_below(d, lam_max)
         values, vectors = eigenpairs_below(d, lam_max)
@@ -423,31 +420,45 @@ class TestCluster:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_values_and_tags_are_those_of_a_loop_over_the_runs(self, seed):
-        """Runs of 1-3000 copies a few ulps apart, with random tags: each
-        value is ``np.mean`` of its run bit for bit, each tag counts the
-        run's labels in sorted order."""
+        """Runs of 1-3000 values a few ulps apart, each counted 1-5 times,
+        with random tags: each value is v_0 + sum c_i (v_i - v_0) / sum c_i
+        over its run, summed in order, bit for bit, its multiplicity the
+        sum of the counts, and each tag counts the run's labels with their
+        counts in sorted order."""
         rng = np.random.default_rng(seed)
         lengths = rng.choice([1, 2, 3, 7, 8, 9, 16, 127, 128, 129, 257, 1000, 3000], 40)
         centres = np.cumsum(rng.uniform(0.5, 2.0, len(lengths))) * 10.0 ** rng.integers(-3, 3)
         eigs = np.concatenate([c * (1 + rng.integers(0, 64, n) * np.finfo(float).eps)
                                for c, n in zip(centres, lengths)])
         eigs.sort()
+        counts = rng.integers(1, 6, len(eigs))
         tags = rng.choice(["base", "new@1", "new@2", "new@10"], len(eigs)).tolist()
-        s = cluster(eigs, tags=tags)
+        s = cluster(eigs, tags=tags, counts=counts)
         ref = []
         for i, j in gap_runs(eigs, 1e-7):
-            labels = {}
-            for t in tags[i:j]:
-                labels[t] = labels.get(t, 0) + 1
-            ref.append((float(np.mean(eigs[i:j])), j - i,
+            labels, shift = {}, 0.0
+            for t, c, v in zip(tags[i:j], counts[i:j].tolist(), eigs[i:j].tolist()):
+                labels[t] = labels.get(t, 0) + c
+                shift += c * (v - eigs[i])
+            mult = int(counts[i:j].sum())
+            ref.append((eigs[i] + shift / mult, mult,
                         ";".join(f"{t}x{c}" for t, c in sorted(labels.items()))))
         assert [(e.value, e.multiplicity, e.tag) for e in s.entries] == ref
-        assert [e.multiplicity for e in s.entries] == lengths.tolist()
+        assert len(s.entries) == len(lengths)
 
-    def test_copies_a_few_ulps_apart_still_merge(self):
-        copies = 4.0 + np.spacing(4.0) * np.arange(6)
-        s = cluster(np.array([1.0, *copies, 9.0]))
-        assert [e.multiplicity for e in s.entries] == [1, 6, 1]
+    @pytest.mark.parametrize("copies, exact", [
+        (4.0 + np.spacing(4.0) * np.arange(6), None),
+        # the 18 copies of laakso_cli's value 157.88196427564415, whose
+        # np.mean is 157.88196427564418
+        (np.full(18, 157.88196427564415), 157.88196427564415),
+    ])
+    def test_copies_a_few_ulps_apart_still_merge(self, copies, exact):
+        s = cluster(np.array([1.0, *copies, 900.0]))
+        assert [e.multiplicity for e in s.entries] == [1, len(copies), 1]
+        if exact is not None:
+            assert s.entries[1].value == exact
+            assert cluster(np.array([exact]), counts=[len(copies)]).entries == [
+                SpectrumEntry(exact, len(copies))]
 
     def test_gap_runs(self):
         v = [0.0, 1e-9, 1.0, 1.0 + 5e-8, 1.0 + 1e-7, 3.0, 300.0, 300.0 + 2e-5]

@@ -440,31 +440,30 @@ class TestPieces:
     @pytest.mark.parametrize("case", ["laakso_j343", "laakso_j232_dirichlet", "choux_35",
                                       "choux_35_dirichlet", "strings_213", "theta"])
     def test_counts_are_those_of_the_built_levels(self, case):
-        family, graphs, boundary = {
+        family, spec, boundary = {
             "laakso_j343": lambda: (laakso.laakso_family(LaaksoSpec([3, 4, 3])),
-                                    laakso.build_laakso(LaaksoSpec([3, 4, 3])), "dirichlet"),
+                                    LaaksoSpec([3, 4, 3]), "dirichlet"),
             "laakso_j232_dirichlet": lambda: (
                 laakso.laakso_family(LaaksoSpec([2, 3, 2], boundary="dirichlet")),
-                laakso.build_laakso(LaaksoSpec([2, 3, 2], boundary="dirichlet")), "dirichlet"),
+                LaaksoSpec([2, 3, 2], boundary="dirichlet"), "dirichlet"),
             "choux_35": lambda: (gasket.choux_family(gasket.ChouxSpec(3, 5)),
-                                 gasket.build_choux(gasket.ChouxSpec(3, 5)), None),
-            "choux_35_dirichlet": lambda: (gasket.choux_family(CHOUX_35D),
-                                           gasket.build_choux(CHOUX_35D), "dirichlet"),
-            "strings_213": lambda: (strings.stitched_family(STRINGS_213),
-                                    strings.build_stitched(STRINGS_213), "dirichlet"),
-            "theta": lambda: (strings.stitched_family(THETA), strings.build_stitched(THETA),
-                              "dirichlet"),
+                                 gasket.ChouxSpec(3, 5), None),
+            "choux_35_dirichlet": lambda: (gasket.choux_family(CHOUX_35D), CHOUX_35D, "dirichlet"),
+            "strings_213": lambda: (strings.stitched_family(STRINGS_213), STRINGS_213, "dirichlet"),
+            "theta": lambda: (strings.stitched_family(THETA), THETA, "dirichlet"),
         }[case]()
+        build = {laakso.LaaksoSpec: family_reference.build_laakso,
+                 gasket.ChouxSpec: family_reference.build_choux,
+                 strings.StringSpec: family_reference.build_stitched}[type(spec)]
+        graphs = build(spec).graphs
         _, kept = fiber._level_values(family, 0.0)
         assert kept == [graph_operator(g, boundary).n for g in graphs]
         assert [len(family.base.ends), *family.n_edges] == [len(g.ends) for g in graphs]
-        assert len(family.pieces) == len(graphs) - 1
 
     def test_binary_pieces_are_the_sets_with_their_level_on_top(self):
         """Level l has a piece for each S in {1..l} with max S = l, marking
         the vertices born at a level in S."""
-        spec = LaaksoSpec([2, 2, 2])
-        family = laakso.laakso_family(spec)
+        family = fiber.binary_family(*laakso._base(LaaksoSpec([2, 2, 2])), 3)
         birth = np.array([0, 3, 2, 3, 1, 3, 2, 3, 0])
         for level, pieces in enumerate(family.pieces, start=1):
             sets = [frozenset(birth[marks].tolist()) for marks, copies in pieces]

@@ -11,7 +11,6 @@ from fractal_spectra.gasket import (
     DECIMATION_SCALE,
     SPECTRAL_BOUND,
     ChouxSpec,
-    build_choux,
     build_gasket,
     choux_numeric_spectra,
     decimation_branch,
@@ -58,7 +57,7 @@ class TestGasketGraph:
     def test_constant_in_kernel(self):
         from fractal_spectra.metric_graph import graph_operator
 
-        mg = build_choux(ChouxSpec(fiber_depth=0, gasket_level=2))[0]
+        mg = choux_family(ChouxSpec(fiber_depth=0, gasket_level=2)).base
         d = graph_operator(mg)
         assert np.abs(csr(d) @ np.ones(d.n)).max() < 1e-12
 
@@ -210,19 +209,20 @@ def test_dirichlet_gasket_spectrum_is_the_decimation_spectrum(m):
 
 
 class TestChoux:
+    @staticmethod
+    def kept(spec):
+        """The vertex count of each level of a Neumann spec's family."""
+        return fiber._level_values(choux_family(spec), 0.0)[1]
+
     def test_fiber_depth_zero_is_plain_gasket(self):
-        fam = build_choux(ChouxSpec(fiber_depth=0, gasket_level=2))
-        assert len(fam) == 1
-        assert fam[0].n_vertices == 15
+        assert self.kept(ChouxSpec(fiber_depth=0, gasket_level=2)) == [15]
 
     def test_depth_one_hand_count(self):
-        fam = build_choux(ChouxSpec(fiber_depth=1, gasket_level=1))
         # two level-1 gasket sheets glued along the 3 midpoints
-        assert fam[1].n_vertices == 2 * 6 - 3
+        assert self.kept(ChouxSpec(fiber_depth=1, gasket_level=1))[1] == 2 * 6 - 3
 
     def test_depth_two_matches_quotient_enumeration(self):
         spec = ChouxSpec(fiber_depth=2, gasket_level=2)
-        fam = build_choux(spec)
         g = build_gasket(2)
         # brute-force quotient of V_2 x {0,1}^2 under coordinate collapse at
         # birth-level vertices
@@ -233,7 +233,7 @@ class TestChoux:
                 if 1 <= b <= 2:
                     w[b - 1] = 0
                 classes.add((vi, tuple(w)))
-        assert fam[2].n_vertices == len(classes)
+        assert self.kept(spec)[2] == len(classes)
 
     def test_resolution_too_coarse(self):
         with pytest.raises(ResolutionTooCoarse):

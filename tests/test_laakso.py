@@ -5,20 +5,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import family_reference
 from fractal_spectra.eigensolve import FDModel, compare_spectra, solve_below, verify_nesting
 from fractal_spectra.errors import InvalidSequence
 from fractal_spectra.gasket import ChouxSpec, choux_numeric_spectra
+from fractal_spectra import fiber
 from fractal_spectra.laakso import (
     LaaksoSpec,
-    build_laakso,
+    _base,
     laakso_analytic_spectrum,
+    laakso_family,
     laakso_numeric_spectra,
     laakso_numeric_spectrum,
-    wormhole_table,
 )
 from fractal_spectra.strings import StringSpec, stitched_numeric_spectra
 from lapack_reference import eigenpairs_below
-from json_reference import graph_to_json
 from level_reference import (
     assert_matches_reference,
     classify_levels,
@@ -72,30 +73,40 @@ def quotient_counts(j):
     return n_vertices, n_edges
 
 
+def level_sizes(spec):
+    """(vertices, edges) of each level of a Neumann spec's family: its kept
+    vertex counts and |E_l|."""
+    family = laakso_family(spec)
+    return list(zip(fiber._level_values(family, 0.0)[1], [len(family.base.ends), *family.n_edges]))
+
+
 class TestBuild:
+    """The level sizes of the family against hand counts and the
+    brute-force quotient, and the loop-built graphs of
+    ``tests/family_reference.py`` with them."""
+
     def test_depth_one_hand_count(self):
-        g = build_laakso(LaaksoSpec(j=[2]))[1]
-        assert g.n_vertices == 5
-        assert len(g.ends) == 4
+        spec = LaaksoSpec(j=[2])
+        g = family_reference.build_laakso(spec).graphs[1]
+        assert level_sizes(spec)[1] == (g.n_vertices, len(g.ends)) == (5, 4)
         assert np.all((g.length == 0.5) & (g.weight == 0.5))
 
     def test_depth_two_counts_and_measure(self):
-        g = build_laakso(LaaksoSpec(j=[2, 2]))[2]
+        spec = LaaksoSpec(j=[2, 2])
+        g = family_reference.build_laakso(spec).graphs[2]
         # wormholes at 1/2 (level 1) and 1/4, 3/4 (level 2); total measure 1
         # forces 16 edges of length 1/4 and weight 1/4
-        assert g.n_vertices == 14
-        assert len(g.ends) == 16
+        assert level_sizes(spec)[2] == (g.n_vertices, len(g.ends)) == (14, 16)
         assert g.total_measure() == pytest.approx(1.0, abs=1e-15)
 
     def test_depth_zero_is_unit_interval(self):
-        g = build_laakso(LaaksoSpec(j=[]))[0]
-        assert g.n_vertices == 2
-        assert g.total_measure() == pytest.approx(1.0)
+        assert level_sizes(LaaksoSpec(j=[])) == [(2, 1)]
+        assert laakso_family(LaaksoSpec(j=[])).base.total_measure() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("j", [[2], [2, 2], [2, 3], [3, 3], [3, 4, 4], [2, 2, 3]])
     def test_counts_match_brute_force_quotient(self, j):
-        g = build_laakso(LaaksoSpec(j=j))[len(j)]
-        assert (g.n_vertices, len(g.ends)) == quotient_counts(j)
+        g = family_reference.build_laakso(LaaksoSpec(j=j)).graphs[len(j)]
+        assert level_sizes(LaaksoSpec(j=j))[-1] == (g.n_vertices, len(g.ends)) == quotient_counts(j)
         assert g.total_measure() == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_sequences_rejected(self):
@@ -107,15 +118,17 @@ class TestBuild:
             LaaksoSpec(j=[2], refine=1)
 
     def test_build_is_deterministic(self):
-        a = graph_to_json(build_laakso(LaaksoSpec(j=[2, 3]))[2])
-        b = graph_to_json(build_laakso(LaaksoSpec(j=[2, 3]))[2])
-        assert a == b
+        a, b = (laakso_family(LaaksoSpec(j=[2, 3])).runs for _ in range(2))
+        assert all(np.array_equal(x, y) for ra, rb in zip(a, b, strict=True)
+                   for x, y in zip(ra, rb, strict=True))
 
-    def test_wormhole_table(self):
-        table = wormhole_table(LaaksoSpec(j=[2, 2]))
-        assert table[1] == [Fraction(1, 2)]
-        assert table[2] == [Fraction(1, 4), Fraction(3, 4)]
-        assert not set(table[1]) & set(table[2])
+    def test_wormhole_births(self):
+        """Grid point k / d_n is born at the first level m whose grid holds
+        it: the wormholes are at 1/2 at level 1 and at 1/4 and 3/4 at
+        level 2, and the endpoints are never collapsed."""
+        base, birth = _base(LaaksoSpec(j=[2, 2]))
+        assert base.labels.tolist() == [0, 1, 2, 3, 4]
+        assert birth.tolist() == [0, 2, 1, 2, 0]
 
 
 class TestAnalyticSpectrum:

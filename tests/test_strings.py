@@ -8,15 +8,17 @@ import pytest
 from fractal_spectra.eigensolve import FDModel, verify_nesting
 from fractal_spectra.cli import ZETA_S_GRID
 from fractal_spectra.errors import InfeasibleNesting
+from fractal_spectra import fiber
 from fractal_spectra.strings import (
     StringSpec,
-    build_stitched,
     isospectrality_report,
     rationalize,
+    stitched_family,
     stitched_numeric_spectra,
     string_analytic_spectrum,
     zeta_partial,
 )
+from family_reference import build_stitched
 from lapack_reference import eigenpairs_below
 from level_reference import classify_levels, counting_function
 from mesh_reference import stitched_levels
@@ -77,7 +79,11 @@ class TestAnalyticSpectrum:
 
 class TestBuilder:
     def test_theta_graph(self):
-        g = build_stitched(StringSpec([Fraction(1, 2)], [3]))[1]
+        spec = StringSpec([Fraction(1, 2)], [3])
+        g = build_stitched(spec).graphs[1]
+        family = stitched_family(spec)
+        # both vertices are Dirichlet ends, so the pieces keep none
+        assert fiber._level_values(family, 0.0)[1][1] == 0 and family.n_edges == [3]
         assert g.n_vertices == 2
         assert len(g.ends) == 3
         assert all(length == pytest.approx(0.5) for length in g.length)
@@ -85,7 +91,7 @@ class TestBuilder:
 
     def test_two_length_attachment(self):
         spec = StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 1])
-        g = build_stitched(spec)[2]
+        g = build_stitched(spec).graphs[2]
         # fiber measures are probabilities, so the total measure stays l_1
         assert g.total_measure() == pytest.approx(0.5)
         # a label row starts with the grid index of the vertex's position
@@ -105,15 +111,19 @@ class TestBuilder:
     def test_depth_six_cantor_string_builds_in_seconds(self):
         """Enumerating every (position, word) pair of the full product of
         fiber sets took 73 s on a 2-CPU machine for this top level of 604
-        vertices; copying each level from the one below takes milliseconds."""
+        vertices and 665 edges; its family, one run per level, gives the
+        sizes of every level in milliseconds, the kept vertices being all
+        but the two Dirichlet ends."""
         start = time.perf_counter()
-        top = build_stitched(cantor_spec(6))[-1]
+        family = stitched_family(cantor_spec(6))
+        kept = fiber._level_values(family, 0.0)[1]
         elapsed = time.perf_counter() - start
-        assert (top.n_vertices, len(top.ends)) == (604, 665)
+        assert [n + 2 for n in kept] == [244, 244, 404, 508, 572, 604, 604]
+        assert [len(family.base.ends), *family.n_edges] == [243, 243, 405, 513, 585, 633, 665]
         assert elapsed < 5.0
 
     def test_single_strand_is_plain_interval(self):
-        fam = build_stitched(StringSpec([Fraction(1, 2)], [1]))
+        fam = build_stitched(StringSpec([Fraction(1, 2)], [1])).graphs
         lower, upper = stitched_numeric_spectra(StringSpec([Fraction(1, 2)], [1]), 500.0)
         assert verify_nesting(lower, upper).surplus == []
         assert fam[1].total_measure() == pytest.approx(0.5)
