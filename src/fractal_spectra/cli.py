@@ -183,15 +183,15 @@ def cmd_choux(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    family = gasket.choux_family(spec)
-    per_level = gasket.choux_numeric_spectra(spec, family)
+    levels = gasket.gasket_levels(spec.gasket_level)
+    per_level = gasket.choux_numeric_spectra(spec, gasket.choux_family(spec, levels[-1]))
     for i, s in enumerate(per_level):
         (out / f"numeric_depth{i}.csv").write_text(s.to_csv())
     nested = _nesting(out, per_level, args.tol)
 
-    # gasket Dirichlet decimation chain up to the requested gasket level, from
-    # the cells of the same gasket and the same solves
-    dirichlet = gasket.dirichlet_chain(family, spec.gasket_level)
+    # gasket Dirichlet decimation chain up to the requested gasket level,
+    # solved densely: it checks the decimation that the pieces assume
+    dirichlet = gasket.dirichlet_chain(levels)
     checks = [
         {"from_level": m + 1, "to_level": m + 2,
          **gasket.decimation_check(dirichlet[m], dirichlet[m + 1])}

@@ -7,10 +7,13 @@ this module goes through one LAPACK solver, ``numpy.linalg.eigvalsh``
 (``dsyevd``: the ``dsytrd`` reduction to a tridiagonal T, then
 ``dsterf``), in ``solve_below``, on a dense S, and keeps the values below
 a cutoff; the count is the number of them, of n values that must all come
-back finite.  The pieces of a path base (the Laakso space and the
-strings) have their values in closed form and never come here
-(``fiber._run_values``); the pâte à choux and the gasket do.  S is dense,
-n^2 floats: the level-7 gasket, n = 3282, would take 86 MB.  A pencil
+back finite.  The pieces of every level family have their values in
+closed form and never come here: the runs of a path base (the Laakso
+space and the strings, ``fiber._run_values``) and the pâte à choux pieces,
+by spectral decimation (``gasket._piece_spectrum``).  The whole gaskets
+do (``gasket.gasket_graph_spectrum``, and the decimation chain that checks
+that decimation).  S is dense, n^2 floats: the level-7 gasket, n = 3282,
+would take 86 MB.  A pencil
 invariant under the six symmetries of the gasket (the group D3, given as
 vertex maps) is solved as the three blocks of its symmetry-adapted basis,
 A1, A2 and E; E's values count twice, and its block, about (n/3)^2

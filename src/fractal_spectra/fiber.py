@@ -9,134 +9,126 @@ in it) and vanish where that coordinate is collapsed (arXiv 1204.5207;
 Barlow & Evans, "Markov processes on vermiculated spaces", 2004).  So
 every eigenvalue new at level l is an eigenvalue of a piece of the level-0
 graph with extra Dirichlet vertices, and no level above 0 is built to find
-it.  Every family hands the pipeline a LevelFamily, which describes those
-pieces:
+it.  Every family hands the pipeline a LevelFamily: per level, the table
+of its distinct pieces with their counts, and the spectrum of a piece in
+closed form.
 
 - a base graph times the binary fibers {0,1}^l, with coordinate b collapsed
   at the vertices born at level b (the Laakso space and the pâte à choux):
   the values new at level l are those of the base graph with Dirichlet
   marks at the vertices born at a level in S, for every S in {1..l} with
-  max S = l.  On the gasket these pieces are listed (``binary_family``);
-  on the Laakso path only the runs of each length and end type that they
-  cut it into are counted, from the birth levels (``binary_path_family``);
+  max S = l.  On the Laakso path only the runs of each length and end type
+  that these pieces cut it into are counted, from the birth levels
+  (``binary_path_family``); on the gasket each piece is keyed on its kept
+  vertices of V_(l-1) and has its spectrum by spectral decimation
+  (``gasket.choux_family``);
 - the stitched strings (``strings.stitched_family``): m_1 - 1 copies of the
   base path at level 1, and m_k Dirichlet paths of l_k / g cells at
   level k, one run per level (``path_family``).
 
-Every family goes through one pipeline: find the values of each distinct
-part of the pieces once, with the number of its copies, and tag each value
+Every family goes through one pipeline: take the spectrum of each distinct
+piece of a level once, with the number of its copies, and tag each value
 with the level it is new at (``_level_values``), then cluster the values
 with their counts (``level_spectra``, which the pâte à choux uses); no
-value is listed once per copy.  The walk Laplacian of a run of a path has
-its values in closed form (``_run_values``): no matrix is formed and no
-eigensolver called, and a run of m vertices lists its m values.  Any other
-base (the gasket of the pâte à choux) is split into connected components
-by label propagation over the NumPy CSR arrays of its pencil, each solved
-densely by ``solve_below``.  A base with
-symmetries (``LevelFamily.maps``: the six of the gasket) has pieces that
-they carry onto themselves, so the components of a piece fall into orbits:
-one component per orbit is solved, counted orbit size times, and a
-component that is its own orbit is split into its symmetry blocks.  The
-component solves of a family are cached on it for the run, so that other
-cuts of its base (the decimation chain's cells, ``cell_values``) reuse
-them.  The Laakso and string levels, whose edges have one length, map
+value is listed once per copy, and no eigensolver is called.  The walk
+Laplacian of a run of a path has its values in closed form
+(``_run_values``): no matrix is formed, and a run of m vertices lists its
+m values.  The Laakso and string levels, whose edges have one length, map
 their vertex values to the mesh by the Chebyshev rule first, adding edge
 modes counted from |E_l| and |V_l| as counts (``equilateral_spectra``).  No
 eigenvector is formed.
 
-The trade-off: the pipeline assumes the decomposition instead of checking
-it on every run.  The tests hold it to the whole level pencils, whose
-eigenvectors they classify by the fiber projectors of the levels below
-(``tests/level_reference.py``), and to the mesh pencils of
+The trade-off: the pipeline assumes the decomposition and the closed forms
+instead of checking them on every run.  The tests hold them to the whole
+level pencils, whose eigenvectors they classify by the fiber projectors of
+the levels below (``tests/level_reference.py``), to a dense solve of every
+piece (``tests/piece_reference.py``) and to the mesh pencils of
 ``tests/mesh_reference.py``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolve import SpectrumList, cluster, solve_below
-from .metric_graph import (
-    SPECTRAL_BOUND,
-    DiscreteOperator,
-    EquilateralMesh,
-    MetricGraph,
-    _component_labels,
-    _laplacian,
-    _node_numbers,
-    walk_kernels,
-)
+from .eigensolve import SpectrumList, cluster
+from .metric_graph import SPECTRAL_BOUND, EquilateralMesh, MetricGraph, walk_kernels
+
+
+def _run_values(key: int, cut: float) -> np.ndarray:
+    """The eigenvalues <= cut (1 + 1e-12) of the pencil of a run key
+    (``LevelFamily``), ascending.
+
+    The pencil of a run of m vertices is the walk Laplacian of the path
+    with its free ends kept and every other end next to an eliminated
+    vertex, whatever the edge weight; its values are 2 sin^2(theta_k / 2),
+    k = 0..m-1, with theta_k = k pi / (m - 1) for two free ends,
+    (2k + 1) pi / 2m for one and (k + 1) pi / (m + 1) for none (the
+    discrete cosine and sine transforms diagonalize it).  The sine keeps
+    the small values to a few units in their last place.  theta / pi is
+    taken as a reduced fraction, so equal angles of different runs give
+    equal bits."""
+    m, free = key >> 2, (key >> 1 & 1) + (key & 1)
+    k = np.arange(m)
+    p, q = {2: (k, m - 1), 1: (2 * k + 1, 2 * m), 0: (k + 1, m + 1)}[free]
+    g = np.gcd(p, q)
+    values = 2 * np.sin(np.pi * (p // g) / (2 * (q // g))) ** 2
+    return values[values <= cut * (1 + 1e-12)]
+
+
+def _run_spectrum(level: int, key: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum of a run key at any level: its m values
+    (``_run_values``, all at most the spectral bound 2), each once."""
+    values = _run_values(key, SPECTRAL_BOUND)
+    return values, np.ones(len(values), dtype=np.int64)
 
 
 @dataclass
 class LevelFamily:
     """Levels 0..n of a space, given by its level-0 graph ``base``, whose
-    marked vertices are Dirichlet vertices, and for each level l >= 1 the
-    pieces that carry its new eigenvalues and its edge count |E_l|.
+    marked vertices are Dirichlet vertices, the table of the distinct pieces
+    of each level and, for each level l >= 1, its edge count |E_l|.
 
-    ``pieces[l - 1]`` lists (marks, copies): level l gains the spectrum of
-    ``base`` with the extra Dirichlet vertices ``marks``, ``copies`` times.
-    A base that is a path in vertex order, edge k joining vertices k and
-    k + 1, with one weight on every edge, gives its pieces as ``runs``
-    instead: ``runs[l]``, for l = 0..n, is the table (keys, counts) of the
-    runs of kept vertices of the pieces of level l, level 0 being ``base``
-    with its Dirichlet vertices, and level l gains the values of each run
-    ``count`` times.  A run of m vertices whose first (last) vertex is the
-    first (last) of the path, so a free path end, has the key
-    4 m + 2 [first free] + [last free] (``path_family``,
-    ``binary_path_family``).
+    ``runs[l]``, for l = 0..n, is the table (keys, counts) of the pieces of
+    level l, level 0 being ``base`` with its Dirichlet vertices: level l
+    gains the spectrum of each piece ``count`` times.  ``spectrum(l, key)``
+    gives the whole spectrum of the piece ``key`` of level l, as the arrays
+    (values, multiplicities) in any order; the multiplicities add up to its
+    number of kept vertices.
 
-    ``maps``, when given, is a (6, n) array of vertex maps of ``base``
-    forming the group D3 (``eigensolve.solve_below``), each preserving its
-    edges, its weights, its Dirichlet marks and the marks of every piece.
-    ``solved`` holds the values of each distinct component of a piece
-    solved so far, keyed on (cut, key): the family of a run is built once,
-    so it is the run's solve cache.
+    By default the base is a path in vertex order, edge k joining vertices
+    k and k + 1, with one weight on every edge, and the pieces are the runs
+    of kept vertices that the Dirichlet marks cut it into, hence the name
+    (``path_family``, ``binary_path_family``).  A run of m vertices whose
+    first (last) vertex is the first (last) of the path, so a free path
+    end, has the key 4 m + 2 [first free] + [last free], and its values in
+    closed form (``_run_values``).  The pâte à choux keys its gasket pieces
+    and gives their spectra itself (``gasket.choux_family``).
     """
 
     base: MetricGraph
-    pieces: list[list[tuple[np.ndarray, int]]] = field(default_factory=list)
+    runs: list[tuple[np.ndarray, np.ndarray]]
     n_edges: list[int] = field(default_factory=list)
-    maps: np.ndarray | None = None
-    runs: list[tuple[np.ndarray, np.ndarray]] | None = None
-    solved: dict = field(default_factory=dict, repr=False, compare=False)
-
-
-def binary_family(base: MetricGraph, birth, depth: int,
-                  maps: np.ndarray | None = None) -> LevelFamily:
-    """Levels 0..depth of ``base`` times the binary fibers {0,1}^l, with
-    fiber coordinate b collapsed at the base vertices born at level b
-    (``birth[v]``, 0 for a vertex that is never collapsed), with the
-    symmetries ``maps`` of ``base`` (see ``LevelFamily``).
-
-    Level l has 2^l copies of every base edge, and its new values are those
-    of ``base`` with Dirichlet marks at the vertices born at a level in S,
-    for each of the 2^(l-1) sets S in {1..l} with max S = l; a set is a
-    bit mask, bit b - 1 standing for level b.  On a path base the pieces
-    are counted instead of listed (``binary_path_family``).
-    """
-    birth = np.asarray(birth, dtype=np.int64)
-    bit = np.where(birth >= 1, np.left_shift(1, np.maximum(birth - 1, 0)), 0)
-    pieces = [[((bit & (s | 1 << (level - 1))) != 0, 1) for s in range(1 << (level - 1))]
-              for level in range(1, depth + 1)]
-    return LevelFamily(base, pieces, [len(base.ends) << level for level in range(1, depth + 1)],
-                       maps)
+    spectrum: Callable[[int, int], tuple[np.ndarray, np.ndarray]] = _run_spectrum
 
 
 def binary_path_family(base: MetricGraph, birth, depth: int) -> LevelFamily:
-    """``binary_family`` of a path base (see ``LevelFamily.runs``), each
-    level's pieces given by their run table (``_binary_runs``)."""
+    """Levels 0..depth of the path ``base`` times the binary fibers {0,1}^l,
+    with fiber coordinate b collapsed at the base vertices born at level b
+    (``birth[v]``, 0 for a vertex that is never collapsed), each level's
+    pieces given by their run table (``_binary_runs``).  Level l has 2^l
+    copies of every base edge."""
     birth = np.asarray(birth, dtype=np.int64)
-    return LevelFamily(base, n_edges=[len(base.ends) << level for level in range(1, depth + 1)],
-                       runs=[_binary_runs(birth, base.dirichlet, level)
-                             for level in range(depth + 1)])
+    return LevelFamily(base, [_binary_runs(birth, base.dirichlet, level)
+                              for level in range(depth + 1)],
+                       [len(base.ends) << level for level in range(1, depth + 1)])
 
 
 def _binary_runs(birth: np.ndarray, dirichlet: np.ndarray, level: int):
-    """The run table of level ``level`` of ``binary_family`` on a path base,
-    counted without listing the 2^(level-1) pieces.
+    """The run table of level ``level`` of ``binary_path_family``, counted
+    without listing the 2^(level-1) pieces.
 
     A run lies strictly between two marks u < w: the vertices born at a
     level in 1..level, the Dirichlet vertices and the positions -1 and n
@@ -194,188 +186,32 @@ def path_family(base: MetricGraph, spans, n_edges: list[int]) -> LevelFamily:
     for spans_l in spans:
         first, stop, copies = np.array(spans_l, dtype=np.int64).reshape(-1, 3).T
         runs.append((4 * (stop - first) + 2 * (first == 0) + (stop == n), copies))
-    return LevelFamily(base, n_edges=n_edges, runs=runs)
-
-
-def _distinct_components(op: DiscreteOperator, copies: np.ndarray,
-                         images: np.ndarray | None = None):
-    """Yield (key, count, maps) for each distinct connected component of the
-    pencil ``op``.  The key is the component's size n, its number of
-    entries z, its CSR data, indices and indptr and its masses, as the bytes
-    of one int64 row (the floats as their bits); ``count`` sums ``copies``,
-    given per row, over the first rows of the components equal to it.
-
-    ``images``, when given, holds the rows that six maps forming D3 send
-    each row to, maps that permute the components among themselves.  Then
-    each orbit of components is keyed once, on the component holding its
-    smallest row, with ``copies`` times the orbit's size; a component that
-    is its own orbit comes with its ``maps`` in its own numbering (for
-    ``solve_below``), any other with None.
-
-    The rows are permuted component by component, so each component's rows
-    are a contiguous run whose columns stay inside the run, and a component
-    is a slice of the CSR arrays; within a component the order is
-    ascending, so every row keeps its column order.  Components of one size
-    and one number of entries are compared as rows of one array, so no
-    Python loop runs over the components.
-    """
-    if not op.n:
-        return
-    u, v = op.rows(), op.indices
-    coupled = u < v  # each coupling once
-    n_comp, labels = _component_labels(op.n, u[coupled], v[coupled])
-    order = np.argsort(labels, kind="stable")
-    place = np.empty_like(order)
-    place[order] = np.arange(op.n)
-    length = np.diff(op.indptr)[order]
-    indptr = np.r_[0, np.cumsum(length)]
-    source = np.repeat(op.indptr[order] - indptr[:-1], length) + np.arange(indptr[-1])
-    data, indices = op.data[source], place[op.indices[source]]
-    M, copies = op.M[order], copies[order]
-    sizes = np.bincount(labels, minlength=n_comp)
-    stop = np.cumsum(sizes)
-    start = stop - sizes
-    weight, keep, local = copies[start], np.ones(n_comp, dtype=bool), {}
-    if images is not None:
-        first = order[start]  # the smallest row of each component
-        orbit = labels[images[:, first]]
-        keep = first[orbit].min(axis=0) == first
-        size = 1 + np.count_nonzero(np.diff(np.sort(orbit, axis=0), axis=0), axis=0)
-        weight = weight * size
-        for c in np.flatnonzero(size == 1).tolist():
-            rows = order[start[c]:stop[c]]
-            local[c] = np.searchsorted(rows, images[:, rows])
-    lo = indptr[start]
-    nnz = indptr[stop] - lo
-    for n, z in sorted(set(zip(sizes[keep].tolist(), nnz[keep].tolist()))):
-        k = np.flatnonzero(keep & (sizes == n) & (nnz == z))
-        entries, nodes = lo[k, None] + np.arange(z), start[k, None] + np.arange(n + 1)
-        rows = np.concatenate([np.tile([n, z], (len(k), 1)), data.view(np.int64)[entries],
-                               indices[entries] - start[k, None], indptr[nodes] - lo[k, None],
-                               M.view(np.int64)[nodes[:, :-1]]], axis=1)
-        keys, index, inverse = np.unique(rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel(),
-                                         return_index=True, return_inverse=True)
-        counts = np.bincount(inverse, weight[k], len(keys)).astype(np.int64)
-        yield from zip(keys.tolist(), counts.tolist(), [local.get(c) for c in k[index].tolist()])
-
-
-def _pencil(key: bytes) -> DiscreteOperator:
-    """The pencil of a ``_distinct_components`` key."""
-    row = np.frombuffer(key, dtype=np.int64)
-    n, z = row[:2]
-    data, indices, indptr, M = np.split(row[2:], [z, 2 * z, 2 * z + n + 1])
-    return DiscreteOperator(data.view(np.float64), indices, indptr, M.view(np.float64))
-
-
-def _components(family: LevelFamily, drop: np.ndarray, copies: np.ndarray):
-    """``_distinct_components`` of the pieces of ``family.base`` whose
-    eliminated vertices are the rows of ``drop``, each with its ``copies``,
-    assembled as one disjoint union; with ``family.maps``, one component per
-    D3 orbit."""
-    base = family.base
-    n = base.n_vertices
-    pos = _node_numbers(drop.ravel())
-    offset = n * np.arange(len(drop))[:, None]
-    ends = (offset[:, :, None] + base.ends).reshape(-1, 2)
-    op = _laplacian(int(np.count_nonzero(~drop)), pos[ends[:, 0]], pos[ends[:, 1]],
-                    np.tile(base.weight, len(drop)))
-    images = None
-    if family.maps is not None:
-        images = (offset + family.maps[:, None, :]).reshape(len(family.maps), -1)
-        images = pos[images[:, ~drop.ravel()]]
-    return _distinct_components(op, np.repeat(copies, n)[~drop.ravel()], images)
-
-
-def _run_values(key: int, cut: float) -> np.ndarray:
-    """The eigenvalues <= cut (1 + 1e-12) of the pencil of a
-    ``_distinct_runs`` key, ascending.
-
-    The pencil of a run of m vertices is the walk Laplacian of the path
-    with its free ends kept and every other end next to an eliminated
-    vertex, whatever the edge weight; its values are 2 sin^2(theta_k / 2),
-    k = 0..m-1, with theta_k = k pi / (m - 1) for two free ends,
-    (2k + 1) pi / 2m for one and (k + 1) pi / (m + 1) for none (the
-    discrete cosine and sine transforms diagonalize it).  The sine keeps
-    the small values to a few units in their last place.  theta / pi is
-    taken as a reduced fraction, so equal angles of different runs give
-    equal bits."""
-    m, free = key >> 2, (key >> 1 & 1) + (key & 1)
-    k = np.arange(m)
-    p, q = {2: (k, m - 1), 1: (2 * k + 1, 2 * m), 0: (k + 1, m + 1)}[free]
-    g = np.gcd(p, q)
-    values = 2 * np.sin(np.pi * (p // g) / (2 * (q // g))) ** 2
-    return values[values <= cut * (1 + 1e-12)]
+    return LevelFamily(base, runs, n_edges)
 
 
 def _level_values(family: LevelFamily, cut: float):
-    """Eigenvalues <= ``cut`` new at each level, as the arrays (values,
-    counts): level l gains each of its values ``count`` times; and the
-    number of kept vertices of each level: the sizes of its pieces and of
-    those below, with their copies.
+    """Eigenvalues <= ``cut`` (1 + 1e-12) new at each level, as the arrays
+    (values, counts): level l gains each of its values ``count`` times; and
+    the number of kept vertices of each level: the sizes of its pieces and
+    of those below, with their copies.
 
-    Level 0 is ``base`` itself.  A piece's pencil is the vertex pencil of
-    ``base`` (``graph_operator``) with its marks eliminated too.  On a path
-    base every piece is a set of runs of the path, counted in
-    ``family.runs``, whose values are in closed form (``_run_values``).
-    On any other base the pieces of a level are assembled as one disjoint
-    union and split into connected components (``_components``), one per
-    orbit of ``family.maps``, and only a component not seen before is
-    solved (``_part_values``): on self-similar spaces most pieces repeat,
-    and the same input to the same LAPACK call gives the same bits.
+    Each piece of ``family.runs`` is taken once per level, its spectrum
+    from ``family.spectrum``, and its values are counted its copies times:
+    on self-similar spaces most pieces repeat, and no value is listed once
+    per copy.
     """
-    base = family.base
-    path = family.runs is not None
     new, kept, size = [], [], 0
-    for level in family.runs if path else [[(np.zeros(base.n_vertices, dtype=bool), 1)],
-                                           *family.pieces]:
-        if path:
-            keys, copies = level
-            size += int(copies @ (keys >> 2))
-            parts = [(_run_values(key, cut), count)
-                     for key, count in zip(keys.tolist(), copies.tolist())]
-        else:
-            marks, copies = zip(*level)
-            drop = base.dirichlet | np.stack(marks)
-            copies = np.asarray(copies)
-            size += int(copies @ np.count_nonzero(~drop, axis=1))
-            parts = [(_part_values(family, key, cut, maps), count)
-                     for key, count, maps in _components(family, drop, copies)]
-        new.append((np.concatenate([np.zeros(0), *(values for values, _ in parts)]),
-                    np.concatenate([np.zeros(0, dtype=np.int64),
-                                    *(np.full(len(values), count) for values, count in parts)])))
+    for level, (keys, copies) in enumerate(family.runs):
+        values, counts = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
+        for key, copy in zip(keys.tolist(), copies.tolist()):
+            piece, mult = family.spectrum(level, key)
+            size += copy * int(mult.sum())
+            below = piece <= cut * (1 + 1e-12)
+            values.append(piece[below])
+            counts.append(copy * mult[below])
+        new.append((np.concatenate(values), np.concatenate(counts)))
         kept.append(size)
     return new, kept
-
-
-def _part_values(family: LevelFamily, key: bytes, cut: float,
-                 maps: np.ndarray | None = None) -> np.ndarray:
-    """The eigenvalues <= ``cut`` of the component key ``key``, solved once
-    per family (``family.solved``)."""
-    if (cut, key) not in family.solved:
-        family.solved[cut, key] = solve_below(_pencil(key), cut, maps).values
-    return family.solved[cut, key]
-
-
-def cell_values(family: LevelFamily, marks: np.ndarray, cut: float) -> dict[int, np.ndarray]:
-    """The eigenvalues <= ``cut`` of a cell of ``family.base`` for each row
-    of ``marks``, keyed on the cell's size, for rows that each cut the base
-    (with its Dirichlet vertices) into equal connected components, as a
-    self-similar graph falls into its cells at the vertices of a coarser
-    level, each row's of its own size.
-
-    All rows are split at once (``_components``), and of the components of
-    one size only one is solved: the first one already in
-    ``family.solved``, else the first one."""
-    drop = family.base.dirichlet | marks
-    cells: dict[int, list] = {}
-    for key, _, maps in _components(family, drop, np.ones(len(drop), dtype=np.int64)):
-        size = int(np.frombuffer(key, dtype=np.int64, count=1)[0])  # a key starts with its size
-        cells.setdefault(size, []).append((key, maps))
-    values = {}
-    for size, found in cells.items():
-        key, maps = next((c for c in found if (cut, c[0]) in family.solved), found[0])
-        values[size] = _part_values(family, key, cut, maps)
-    return values
 
 
 def _cluster_levels(new: list[tuple[np.ndarray, np.ndarray]], origin: str, meta: dict,
@@ -411,7 +247,7 @@ def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float,
                         meta: dict) -> list[list[SpectrumList]]:
     """Finite-difference spectra below ``lam_max`` of every level of a family
     whose edges all have one length, cut into each of ``refines`` cells
-    (``EquilateralMesh``), from one solve of the vertex pencils as in
+    (``EquilateralMesh``), from the vertex values of its pieces as in
     ``level_spectra``, at the largest ``EquilateralMesh.vertex_cut``.
 
     At each refinement the vertex values map to their branch values, each

@@ -7,25 +7,31 @@ limits, not by edge-wise finite differences, so no metric mesh is involved.
 One fiber level k glues the k-th binary coordinate over the new vertices
 V_k \\ V_{k-1}.
 
+Every pâte à choux piece has its spectrum in closed form by spectral
+decimation (Fukushima & Shima, Potential Anal., 1992; Strichartz,
+*Differential Equations on Fractals*, 2006, ch. 3), with exact
+multiplicities and no solve (``choux_family``, ``_piece_spectrum``).
+
 The gasket has the six symmetries of its triangle, the group D3
-(``d3_maps``); births, Dirichlet corners and so every pâte à choux piece
-are invariant under them, which lets the pipeline solve one component per
-orbit and split an invariant pencil into its A1, A2 and E blocks (Bajorin
-et al., "Vibration modes of 3n-gaskets and other fractals", J. Phys. A,
-2008).  The Dirichlet decimation chain is read from the cells of the same
-level-m gasket (``dirichlet_chain``).
+(``d3_maps``), which split its pencil into the A1, A2 and E blocks of
+``eigensolve.solve_below`` (Bajorin et al., "Vibration modes of 3n-gaskets
+and other fractals", J. Phys. A, 2008).  The Dirichlet decimation chain is
+the whole Dirichlet gasket of each level so split (``dirichlet_chain``):
+a dense solve, and so a check of the decimation that the pieces assume
+(``decimation_check``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import InvalidSpaceSpec, ResolutionTooCoarse
+from .errors import InvalidSpaceSpec, NoConvergence, ResolutionTooCoarse
 from .eigensolve import SpectrumList, cluster, solve_below
-from .fiber import LevelFamily, binary_family, cell_values, level_spectra
+from .fiber import LevelFamily, level_spectra
 from .metric_graph import DIRICHLET, NEUMANN, SPECTRAL_BOUND, MetricGraph, graph_operator
 
 # corners of the gasket as (x, y / sqrt(3)) times 2, the scale of level 0
@@ -143,29 +149,17 @@ def gasket_graph_spectrum(g: GasketGraph, boundary: str | None = None) -> Spectr
     """
     op = graph_operator(_base(g, boundary), boundary)
     maps = np.searchsorted(op.kept_vertices, d3_maps(g)[:, op.kept_vertices])
-    return _gasket_spectrum(solve_below(op, SPECTRAL_BOUND, maps).values, g.level, boundary)
+    return cluster(solve_below(op, SPECTRAL_BOUND, maps).values,
+                   origin=f"numeric(gasket,m={g.level})", truncation=np.inf,
+                   meta={"gasket_level": g.level, "boundary": boundary,
+                         "normalization": "probabilistic"})
 
 
-def _gasket_spectrum(values: np.ndarray, m: int, boundary: str | None) -> SpectrumList:
-    """The clustered whole spectrum ``values`` of the level-m gasket."""
-    return cluster(values, origin=f"numeric(gasket,m={m})", truncation=np.inf,
-                   meta={"gasket_level": m, "boundary": boundary, "normalization": "probabilistic"})
-
-
-def dirichlet_chain(family: LevelFamily, m: int) -> list[SpectrumList]:
-    """The Dirichlet spectra of the gaskets of levels 1..m, as
-    ``gasket_graph_spectrum`` gives them, from the pieces of ``family``,
-    whose base is the level-m gasket (``choux_family``).
-
-    The level-m gasket cut at V_(m-k) falls into 3^(m-k) cells, each a
-    level-k gasket with Dirichlet corners, pencil for pencil; so level k is
-    one such cell (``fiber.cell_values``), solved once per run with the
-    family's pieces: a cell that is already one of them is not solved
-    again."""
-    levels = range(1, m + 1)
-    cuts = np.arange(family.base.n_vertices) < np.array([n_points(m - k) for k in levels])[:, None]
-    cells = cell_values(family, cuts, SPECTRAL_BOUND)
-    return [_gasket_spectrum(cells[n_points(k) - 3], k, DIRICHLET) for k in levels]
+def dirichlet_chain(levels: list[GasketGraph]) -> list[SpectrumList]:
+    """The Dirichlet spectra of the gaskets ``levels[1:]``, of levels 1..m
+    from one ``gasket_levels`` pass, each solved whole in its D3 blocks
+    (``gasket_graph_spectrum``)."""
+    return [gasket_graph_spectrum(g, DIRICHLET) for g in levels[1:]]
 
 
 #: eigenvalues of the degree-normalized-times-4 Laplacian that have no
@@ -234,13 +228,83 @@ class ChouxSpec:
             raise InvalidSpaceSpec(f"unknown boundary mode {self.boundary!r}")
 
 
-def choux_family(spec: ChouxSpec) -> LevelFamily:
-    """Fiber levels 0..i over the level-m gasket as the gasket, its
-    Dirichlet pieces and its symmetries (``fiber.binary_family``,
-    ``d3_maps``): 2^i binary fiber copies glued at V_k \\ V_{k-1} in
-    coordinate k."""
-    g = build_gasket(spec.gasket_level)
-    return binary_family(_base(g, spec.boundary), g.birth, spec.fiber_depth, d3_maps(g))
+def _decimate(x: np.ndarray, c: np.ndarray, kept: int, born: int, new2: int):
+    """One step j -> j + 1 of spectral decimation: the spectrum (values x,
+    counts c) of a gasket piece on the level-j gasket, on which it keeps
+    ``kept`` vertices, to its spectrum on the level-(j + 1) gasket, which
+    adds ``born`` kept vertices; the values are in the variable
+    lambda = 4 mu.
+
+    Each value continues to both preimages psi_+(x) = (5 + sqrt(25 - 4x)) / 2
+    and psi_-(x) = 2x / (5 + sqrt(25 - 4x)) of phi(y) = y (5 - y) with its
+    count, but for the forbidden psi_+(0) = 5 and psi_-(6) = 2; 6 is new
+    ``kept`` times, 2 ``new2`` times, and 5 takes the rest of the
+    ``kept + born`` values.  A negative count for 5 or 2 raises
+    ``NoConvergence``.  0 and 6 are tested with ==: 6 is never a preimage,
+    and psi_-(0) = 0 exactly, whereas a tolerance would take the psi_-
+    chains of 4, a fifth smaller at each step, for 0."""
+    root = np.sqrt(25.0 - 4.0 * x)
+    plus, minus = x != 0.0, x != 6.0
+    new5 = born - int(c[plus].sum() + c[minus].sum()) - new2
+    if min(new5, new2) < 0:
+        raise NoConvergence(0, f"decimation counts {new5} for 5 and {new2} for 2 "
+                               f"of {kept + born} values")
+    x = np.concatenate([(5.0 + root[plus]) / 2, 2.0 * x[minus] / (5.0 + root[minus]),
+                        [6.0, 2.0, 5.0]])
+    c = np.concatenate([c[plus], c[minus], [kept, new2, new5]])
+    return x[c > 0], c[c > 0]
+
+
+def _piece_spectrum(m: int, level: int, key: int) -> tuple[np.ndarray, np.ndarray]:
+    """The whole spectrum of the piece ``key`` of level ``level`` of
+    ``choux_family`` over the level-m gasket (``fiber.LevelFamily``): its
+    walk-Laplacian values mu and their multiplicities, by spectral
+    decimation from the level-``level`` gasket (``_decimate``).
+
+    K_j, the number of kept vertices of V_j, is ``key`` at j = level - 1
+    (at j = 0 on level 0), and K_(j+1) = K_j + 3^(j+1) at j >= level, as
+    every vertex born above ``level`` is kept.  On the level-``level``
+    gasket, level >= 1, every kept vertex lies in V_(level-1), all its
+    neighbours are born at ``level`` and so eliminated: the pencil is
+    diagonal, lambda = 4 K_(level-1) times.  Level 0 is the triangle:
+    0 once and 6 twice, nothing with its corners eliminated.  2 is new
+    3^level - K_(level-1) times at the first step of a piece, or once at
+    the first of the whole gasket with eliminated corners, and never later.
+    """
+    if level:
+        x, c = np.array([4.0]), np.array([key])
+    elif key:
+        x, c = np.array([0.0, 6.0]), np.array([1, 2])
+    else:
+        x, c = np.zeros(0), np.zeros(0, dtype=np.int64)
+    kept, new2 = key, 3 ** level - key if level else int(key == 0)
+    for j in range(level, m):
+        x, c = _decimate(x, c, kept, 3 ** (j + 1), new2)
+        kept, new2 = kept + 3 ** (j + 1), 0
+    return x / DECIMATION_SCALE, c
+
+
+def choux_family(spec: ChouxSpec, g: GasketGraph | None = None) -> LevelFamily:
+    """Fiber levels 0..i over the level-m gasket ``g`` (built when not
+    given): 2^i binary fiber copies glued at V_k \\ V_{k-1} in coordinate k.
+
+    Level l >= 1 gains the spectrum of the gasket with Dirichlet marks at
+    the vertices born at a level in S, for each S in {1..l} with max S = l,
+    once.  Its spectrum depends only on K_(l-1), its number of kept
+    vertices of V_(l-1), which is |V_(l-1)| less the eliminated corners and
+    3^b for each b in S below l (``_piece_spectrum``); so each piece is
+    keyed on it, and no two pieces of a level share a key.  Level 0, the
+    gasket, is keyed on its kept corners, 3 or 0."""
+    g = build_gasket(spec.gasket_level) if g is None else g
+    corners = 3 * (spec.boundary != DIRICHLET)
+    runs = [(np.array([corners]), np.ones(1, dtype=np.int64))]
+    marked = np.zeros(1, dtype=np.int64)  # sum of 3^b over b in S below l, for every S
+    for level in range(1, spec.fiber_depth + 1):
+        runs.append((n_points(level - 1) - 3 + corners - marked, np.ones_like(marked)))
+        marked = np.r_[marked, marked + 3 ** level]
+    return LevelFamily(_base(g, spec.boundary), runs,
+                       [len(g.edges) << level for level in range(1, spec.fiber_depth + 1)],
+                       partial(_piece_spectrum, spec.gasket_level))
 
 
 def choux_numeric_spectra(spec: ChouxSpec, family: LevelFamily | None = None) -> list[SpectrumList]:

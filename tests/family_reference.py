@@ -26,7 +26,8 @@ from itertools import product
 
 import numpy as np
 
-from fractal_spectra import fiber, laakso, strings
+import piece_reference
+from fractal_spectra import laakso, strings
 from fractal_spectra.errors import DisconnectedGraph
 from fractal_spectra.metric_graph import DIRICHLET, REL_TOL, MetricGraph
 from fractal_spectra.strings import StringSpec
@@ -316,7 +317,7 @@ def build_stitched(spec: StringSpec) -> LevelFamily:
 def path_pieces(spec) -> list[list[tuple[np.ndarray, int]]]:
     """The pieces of levels 1..n of the path family of a ``LaaksoSpec`` or
     ``StringSpec`` as (marks, copies) rows over its base path: every birth
-    set of the Laakso grid (``fiber.binary_family``), and for the strings
+    set of the Laakso grid (``piece_reference.binary_pieces``), and for the strings
     the base path m_1 - 1 times and the right-end segment from a_k, m_k
     times."""
     if isinstance(spec, StringSpec):
@@ -324,7 +325,7 @@ def path_pieces(spec) -> list[list[tuple[np.ndarray, int]]]:
         p = np.arange(K + 1)
         return [[(np.zeros(K + 1, dtype=bool), spec.mults[0] - 1)],
                 *([(p <= a, m)] for a, m in zip(starts[1:], spec.mults[1:]))]
-    return fiber.binary_family(*laakso._base(spec), spec.depth).pieces
+    return piece_reference.binary_pieces(*laakso._base(spec), spec.depth)
 
 
 def distinct_runs(drop: np.ndarray, copies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -393,8 +393,8 @@ def test_each_run_builds_its_family_once(tmp_path, monkeypatch):
     # laakso maps one solve of its family to both pitches of its error
     # estimate; string lists the analytic spectrum once, to lambda_max (its
     # zeta table is summed string by string); choux subdivides the gasket
-    # once, inside choux_family, and takes its decimation chain from the
-    # cells of that gasket
+    # once, in one gasket_levels pass whose top level is its family's base
+    # and whose levels 1..m are its decimation chain
     assert dict(calls) == {"laakso_family": 1, "stitched_family": 1, "choux_family": 1,
                            "gasket_levels": 1, "string_analytic_spectrum": 1}
 

@@ -176,8 +176,9 @@ class TestDense:
         lam_max = 2000.0 if whole else 30.0
         with pytest.raises(np.linalg.LinAlgError if failure == "raise" else NoConvergence):
             solve_below(d, lam_max)
-        # choux solves whole spectra, each symmetric gasket as its three
-        # blocks; laakso takes its values in closed form and calls no LAPACK
+        # choux solves its decimation chain, each Dirichlet gasket whole as
+        # its three symmetry blocks; laakso and the choux pieces take their
+        # values in closed form and call no LAPACK
         doc = ({"fiber_depth": 1, "gasket_level": 2} if whole
                else {"fiber_depth": 2, "gasket_level": 3, "boundary": "dirichlet"})
         spec = tmp_path / "spec.json"
@@ -317,7 +318,7 @@ class TestLanczos:
 
     def test_pipeline_asks_for_no_eigenvector(self, monkeypatch):
         """No eigenvector is formed, whoever calls the solver: the level
-        pipeline (whose path bases take closed forms and call none), the
+        pipeline (whose pieces take closed forms and call none), the
         gasket spectrum (split into its symmetry blocks) or a direct call
         of solve_below call only NumPy's values-only solver, ``eigvalsh``,
         of the eigensolvers of ``numpy.linalg``."""
@@ -374,10 +375,9 @@ class TestInertiaGuard:
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_cuts_off_the_spectrum_count_exactly(self, boundary, level):
         """The package's level route (``fiber.level_spectra`` on the choux
-        family: its components, one per orbit, and the symmetry blocks of a
-        component that is its own orbit) counts exactly the dense count of
-        the level pencil at the cuts 0.05 apart that lie more than 1e-6
-        from every eigenvalue."""
+        family, whose pieces take their spectra by spectral decimation)
+        counts exactly the dense count of the level pencil at the cuts 0.05
+        apart that lie more than 1e-6 from every eigenvalue."""
         _, dense = choux_24_level(boundary, level)
         family = choux_family(ChouxSpec(2, 4, boundary))
         cuts = [c for c in np.arange(0.05, 2.0, 0.05) if np.abs(dense - c).min() > 1e-6]

@@ -8,6 +8,7 @@ from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
 
 import family_reference
+import piece_reference
 from fractal_spectra import fiber, gasket, laakso, strings
 from fractal_spectra.laakso import LaaksoSpec
 from fractal_spectra.metric_graph import SPECTRAL_BOUND, graph_operator
@@ -463,9 +464,9 @@ class TestPieces:
     def test_binary_pieces_are_the_sets_with_their_level_on_top(self):
         """Level l has a piece for each S in {1..l} with max S = l, marking
         the vertices born at a level in S."""
-        family = fiber.binary_family(*laakso._base(LaaksoSpec([2, 2, 2])), 3)
         birth = np.array([0, 3, 2, 3, 1, 3, 2, 3, 0])
-        for level, pieces in enumerate(family.pieces, start=1):
+        pieces_by_level = piece_reference.binary_pieces(*laakso._base(LaaksoSpec([2, 2, 2])), 3)
+        for level, pieces in enumerate(pieces_by_level, start=1):
             sets = [frozenset(birth[marks].tolist()) for marks, copies in pieces]
             assert all(copies == 1 for _, copies in pieces)
             assert sorted(sets, key=sorted) == sorted(

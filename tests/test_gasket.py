@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from fractal_spectra import eigensolve, fiber, gasket
+import piece_reference
+from fractal_spectra import cli, eigensolve, fiber, gasket
 from fractal_spectra.eigensolve import solve_below, verify_nesting
-from fractal_spectra.errors import InvalidSpaceSpec, ResolutionTooCoarse
+from fractal_spectra.errors import InvalidSpaceSpec, NoConvergence, ResolutionTooCoarse
 from fractal_spectra.gasket import (
     DECIMATION_SCALE,
     SPECTRAL_BOUND,
@@ -19,6 +20,7 @@ from fractal_spectra.gasket import (
     d3_maps,
     dirichlet_chain,
     gasket_graph_spectrum,
+    gasket_levels,
     hausdorff_dimension,
     n_points,
 )
@@ -95,25 +97,20 @@ class TestSymmetry:
     @pytest.mark.parametrize("spec", [ChouxSpec(i, m, boundary)
                                       for i, m in [(1, 2), (2, 3), (3, 4), (3, 5)]
                                       for boundary in (None, "dirichlet")], ids=str)
-    def test_orbit_pieces_give_the_whole_level_spectra(self, spec):
-        """One component per D3 orbit, its copies times the orbit's size,
-        against the whole level pencils classified by the fiber projectors:
-        multiplicities, tags and counts exactly, values to 1e-12 relative
-        (a zero value to 1e-14 absolute)."""
+    def test_pieces_give_the_whole_level_spectra(self, spec):
+        """The closed-form pieces against the whole level pencils classified
+        by the fiber projectors: multiplicities, tags and counts exactly,
+        values to 1e-12 relative (a zero value to 1e-14 absolute)."""
         ops, fibers = choux_levels(spec)
         assert_matches_reference(choux_numeric_spectra(spec), ops, fibers, SPECTRAL_BOUND,
                                  rtol=1e-12, floor=1e-2)
 
-    @pytest.mark.parametrize("spec", [ChouxSpec(i, m, boundary)
-                                      for i, m in [(0, 1), (1, 3), (3, 5), (2, 6)]
-                                      for boundary in (None, "dirichlet")], ids=str)
-    def test_chain_is_the_gasket_spectra(self, spec):
-        """The decimation chain, read from the cells of the family's gasket,
-        equals the spectra of the Dirichlet gaskets of levels 1..m."""
-        family = choux_family(spec)
-        choux_numeric_spectra(spec, family)
-        chain = dirichlet_chain(family, spec.gasket_level)
-        assert len(chain) == spec.gasket_level
+    @pytest.mark.parametrize("m", [1, 3, 5, 6])
+    def test_chain_is_the_gasket_spectra(self, m):
+        """The decimation chain, from one subdivision pass, equals the
+        spectra of the Dirichlet gaskets of levels 1..m."""
+        chain = dirichlet_chain(gasket_levels(m))
+        assert len(chain) == m
         for k, got in enumerate(chain, start=1):
             ref = gasket_graph_spectrum(build_gasket(k), "dirichlet")
             assert total_multiplicity(got) == n_points(k) - 3
@@ -122,24 +119,26 @@ class TestSymmetry:
             assert np.all(dev <= 1e-12 * np.maximum(1.0, ref.values()))
             assert (got.origin, got.meta) == (ref.origin, ref.meta)
 
-    def test_chain_takes_its_cells_from_the_pieces(self, monkeypatch):
-        """On the choux_cli spec the chain's gaskets of 12 and 39 unknowns
-        are cells of the pieces, and under the Dirichlet boundary its top
-        gasket is level 0 itself: they are not solved again."""
-        sizes = []
+    def test_chain_solves_each_level_whole_in_its_d3_blocks(self, monkeypatch):
+        """On the choux_cli spec the pieces call no eigensolver, and the
+        chain solves the Dirichlet gasket of each level 1..5 once, whole,
+        with its six symmetries."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called on a choux piece")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", refuse)
+            for boundary in (None, "dirichlet"):
+                choux_numeric_spectra(ChouxSpec(3, 5, boundary))
+        solves = []
 
         def counted(d, lam_max, maps=None, _solve=solve_below):
-            sizes.append(d.n)
+            solves.append((d.n, None if maps is None else maps.shape))
             return _solve(d, lam_max, maps)
 
-        monkeypatch.setattr(fiber, "solve_below", counted)
-        for boundary, chain_solves in ((None, [3, 120, 363]), ("dirichlet", [3])):
-            spec = ChouxSpec(3, 5, boundary)
-            family = choux_family(spec)
-            choux_numeric_spectra(spec, family)
-            sizes.clear()
-            dirichlet_chain(family, 5)
-            assert sorted(sizes) == chain_solves, boundary
+        monkeypatch.setattr(gasket, "solve_below", counted)
+        dirichlet_chain(gasket_levels(5))
+        assert solves == [(n_points(k) - 3, (6, n_points(k) - 3)) for k in range(1, 6)]
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +205,72 @@ def test_dirichlet_gasket_spectrum_is_the_decimation_spectrum(m):
     values = DECIMATION_SCALE * got.values()
     want = np.array([x for x, _ in exact])
     assert np.all(np.abs(values - want) <= 1e-10 * want)
+
+
+class TestClosedForm:
+    """Every pâte à choux piece takes its spectrum by spectral decimation
+    (``gasket._piece_spectrum``); the dense piece route of
+    ``tests/piece_reference.py``, one component per D3 orbit, is its
+    reference."""
+
+    @pytest.mark.parametrize("spec", [ChouxSpec(i, m, boundary) for m in range(7)
+                                      for i in range(m + 1)
+                                      for boundary in (None, "dirichlet")], ids=str)
+    def test_pieces_are_the_dense_piece_route(self, spec):
+        """Every i <= m <= 6 on both boundaries: tags, multiplicities and
+        counts exactly, values to 1e-12 relative; the scale is floored at
+        0.01, as the dense route gives the smallest values only to about
+        1e-16 absolute (1.2e-12 relative at gasket level 6)."""
+        piece_reference.assert_same_levels(choux_numeric_spectra(spec),
+                                           piece_reference.choux_spectra(spec))
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_whole_dirichlet_gasket_is_the_decimation_spectrum(self, m):
+        """Level 0 with its corners eliminated is the whole Dirichlet
+        gasket: value for value the bits of ``decimation_spectrum``."""
+        values, mult = gasket._piece_spectrum(m, 0, 0)
+        order = np.argsort(values)
+        got = list(zip((DECIMATION_SCALE * values[order]).tolist(), mult[order].tolist()))
+        assert got == decimation_spectrum(m)
+
+    def test_zero_and_six_are_told_by_equality(self):
+        """0 continues only to psi_-(0) = 0 and 6 only to psi_+(6) = 3, but
+        the psi_- chain of 4 at 30 steps, below 1e-20, is no zero: it
+        continues to both of its preimages, psi_+ rounding to 5."""
+        small = 4.0
+        for _ in range(30):
+            small = 2 * small / (5 + math.sqrt(25 - 4 * small))
+        x, c = gasket._decimate(np.array([0.0, 6.0, small]), np.array([1, 2, 1]), 3, 9, 0)
+        assert sorted(zip(x.tolist(), c.tolist())) == [
+            (0.0, 1), (2 * small / (5 + math.sqrt(25 - 4 * small)), 1), (3.0, 2), (5.0, 1),
+            (5.0, 9 - 5), (6.0, 3)]  # 5 takes the 9 born less the 5 continued
+        assert 0 < small < 1e-20
+
+    def test_neumann_zero_mode_is_exactly_zero(self):
+        spectrum = choux_numeric_spectra(ChouxSpec(3, 7))
+        for level in spectrum:
+            assert (level.entries[0].value, level.entries[0].multiplicity) == (0.0, 1)
+
+    def test_negative_count_is_no_convergence(self):
+        """Counts the gasket cannot hold: 4 five times continues to ten
+        values where nine vertices are born, leaving -1 for 5; and 2 asked
+        for -1 times."""
+        with pytest.raises(NoConvergence, match="-1 for 5"):
+            gasket._decimate(np.array([4.0]), np.array([5]), 5, 9, 0)
+        with pytest.raises(NoConvergence, match="-1 for 2"):
+            gasket._decimate(np.array([4.0]), np.array([1]), 1, 9, -1)
+
+    def test_doctored_count_exits_3(self, tmp_path, monkeypatch):
+        """A piece handed twice its counts at each step runs out of room
+        for 5, and the run exits with the solver code."""
+        def doctored(x, c, *args, _decimate=gasket._decimate):
+            return _decimate(x, 2 * c, *args)
+
+        monkeypatch.setattr(gasket, "_decimate", doctored)
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"fiber_depth": 1, "gasket_level": 3}')
+        assert cli.main(["choux", "--spec", str(spec), "--out", str(tmp_path / "o")]) == \
+            cli.EXIT_SOLVER
 
 
 class TestChoux:

@@ -48,6 +48,7 @@ import family_reference
 import level_reference
 import mesh_reference
 import nesting_reference
+import piece_reference
 import strings_reference
 from fractal_spectra import cli, eigensolve, fiber, gasket, laakso, strings
 from fractal_spectra.eigensolve import (
@@ -189,6 +190,17 @@ def test_choux_pieces_give_the_whole_level_spectra(spec):
                                      family_reference.build_choux(spec), SPECTRAL_BOUND)
 
 
+
+@SETTINGS
+@given(spec=st.integers(0, 5).flatmap(lambda m: st.builds(
+    gasket.ChouxSpec, fiber_depth=st.integers(0, m), gasket_level=st.just(m),
+    boundary=st.sampled_from([None, "neumann", "dirichlet"]))))
+def test_choux_closed_form_is_the_dense_piece_route(spec):
+    """Fiber depth i <= m over gasket levels m <= 5, every boundary: the
+    pieces by spectral decimation against each piece solved densely."""
+    piece_reference.assert_same_levels(gasket.choux_numeric_spectra(spec),
+                                       piece_reference.choux_spectra(spec))
+
 # A pencil that the six symmetries of the gasket carry onto itself is solved
 # as its A1, A2 and E blocks; these hold that split to the one dense
 # reduction of the whole pencil.
@@ -255,8 +267,7 @@ def assert_path_route_is_the_component_route(family, pieces, cut):
     counts of the path route equal those of the component route fed the
     pieces ``pieces`` of ``family``, the sorted values to 1e-14 absolute."""
     values, kept = fiber._level_values(family, cut)
-    ref_values, ref_kept = fiber._level_values(
-        fiber.LevelFamily(family.base, pieces, family.n_edges), cut)
+    ref_values, ref_kept = piece_reference.component_values(family.base, pieces, cut)
     assert kept == ref_kept and len(values) == len(ref_values)
     for got, ref in zip(values, ref_values):
         got, ref = expand(*got), expand(*ref)
@@ -484,7 +495,7 @@ def test_chebyshev_map_gives_the_mesh_spectrum_of_any_equal_edge_graph(case, ref
     cut = data.draw(st.sampled_from([*((distinct[:-1] + distinct[1:]) / 2), 5.0 / pitch**2]))
     ref = eigensolve.cluster(values[values <= cut], tags=["base"] * np.count_nonzero(values <= cut))
     ref.meta = {"count": total_multiplicity(ref)}
-    got = fiber.equilateral_spectra(fiber.LevelFamily(g), [refine], cut, "{}", {})[0]
+    got = fiber.equilateral_spectra(piece_reference.base_family(g), [refine], cut, "{}", {})[0]
     assert_same_spectra(got, [ref])
 
 
