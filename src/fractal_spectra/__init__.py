@@ -4,27 +4,20 @@ isospectral to fractal strings."""
 
 from . import errors
 from .eigensolve import (
-    EigenPairs,
     FDModel,
     SpectrumEntry,
     SpectrumList,
     cluster,
     compare_spectra,
-    solve_below,
     verify_nesting,
 )
 from .fiber import LevelFamily
 from .gasket import (
     ChouxSpec,
-    GasketGraph,
-    build_gasket,
     choux_numeric_spectra,
-    d3_maps,
     decimation_branch,
+    decimation_chain,
     decimation_check,
-    dirichlet_chain,
-    gasket_graph_spectrum,
-    gasket_levels,
     hausdorff_dimension,
 )
 from .laakso import (
@@ -34,11 +27,7 @@ from .laakso import (
     laakso_numeric_spectrum,
     laakso_refinement_spectra,
 )
-from .metric_graph import (
-    DiscreteOperator,
-    MetricGraph,
-    graph_operator,
-)
+from .metric_graph import MetricGraph
 from .strings import (
     StringSpec,
     isospectrality_report,

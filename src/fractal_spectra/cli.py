@@ -27,7 +27,6 @@ from .errors import (
     NoCommonPitch,
     NoConvergence,
     NonDividingPitch,
-    NotPositiveMass,
 )
 
 EXIT_OK = 0
@@ -35,8 +34,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_SPEC = 2
 EXIT_SOLVER = 3
 EXIT_INCOMMENSURABLE = 4
-
-SOLVER_ERRORS = (NoConvergence, NotPositiveMass, np.linalg.LinAlgError)
 
 ZETA_S_GRID = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
 
@@ -183,15 +180,14 @@ def cmd_choux(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    levels = gasket.gasket_levels(spec.gasket_level)
-    per_level = gasket.choux_numeric_spectra(spec, gasket.choux_family(spec, levels[-1]))
+    per_level = gasket.choux_numeric_spectra(spec)
     for i, s in enumerate(per_level):
         (out / f"numeric_depth{i}.csv").write_text(s.to_csv())
     nested = _nesting(out, per_level, args.tol)
 
-    # gasket Dirichlet decimation chain up to the requested gasket level,
-    # solved densely: it checks the decimation that the pieces assume
-    dirichlet = gasket.dirichlet_chain(levels)
+    # the Dirichlet decimation chain up to the requested gasket level, in
+    # closed form: the checks hold it to the decimation relation
+    dirichlet = gasket.decimation_chain(spec.gasket_level)
     checks = [
         {"from_level": m + 1, "to_level": m + 2,
          **gasket.decimation_check(dirichlet[m], dirichlet[m + 1])}
@@ -371,7 +367,7 @@ def main(argv=None) -> int:
     except NoCommonPitch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMMENSURABLE
-    except SOLVER_ERRORS as exc:  # before ValueError: LinAlgError is one
+    except NoConvergence as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (InvalidSpaceSpec, NonDividingPitch, ValueError) as exc:

@@ -1,26 +1,16 @@
-"""Generalized symmetric eigensolver and spectrum bookkeeping.
+"""Spectrum lists, the merge of eigenvalues into multiplicities, and the
+nesting and comparison reports.
 
-The lumped mass matrix is diagonal, so the pencil A v = lambda M v reduces
-exactly to the standard symmetric problem S y = lambda y with
-S = M^{-1/2} A M^{-1/2}, y = M^{1/2} v.  Every eigenproblem that reaches
-this module goes through one LAPACK solver, ``numpy.linalg.eigvalsh``
-(``dsyevd``: the ``dsytrd`` reduction to a tridiagonal T, then
-``dsterf``), in ``solve_below``, on a dense S, and keeps the values below
-a cutoff; the count is the number of them, of n values that must all come
-back finite.  The pieces of every level family have their values in
-closed form and never come here: the runs of a path base (the Laakso
-space and the strings, ``fiber._run_values``) and the pâte à choux pieces,
-by spectral decimation (``gasket._piece_spectrum``).  The whole gaskets
-do (``gasket.gasket_graph_spectrum``, and the decimation chain that checks
-that decimation).  S is dense, n^2 floats: the level-7 gasket, n = 3282,
-would take 86 MB.  A pencil
-invariant under the six symmetries of the gasket (the group D3, given as
-vertex maps) is solved as the three blocks of its symmetry-adapted basis,
-A1, A2 and E; E's values count twice, and its block, about (n/3)^2
-floats, is the largest array: the level-7 gasket takes 9.6 MB.  No
-eigenvector is formed: the pipeline writes eigenvalues and multiplicities
-only.  Clustering takes each value with its count, so copies of a value
-are never listed one by one.
+No eigensolver is called and no eigenvector is formed: every spectrum the
+package lists comes from a closed form.  The runs of a path base (the
+Laakso space and the strings) have theirs from the discrete sine and
+cosine transforms (``fiber._run_values``), the pâte à choux pieces and the
+whole Dirichlet gaskets of the decimation chain theirs by spectral
+decimation (``gasket._piece_spectrum``).  A closed form gives the copies
+of an eigenvalue the same bits, so ``cluster`` merges equal values
+exactly, each with its count, and never lists a value once per copy.  The
+dense eigensolver and the gap clustering that its values need are the
+tests' reference (``tests/dense_reference.py``).
 """
 
 from __future__ import annotations
@@ -32,15 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import MisalignedMeshes, NoConvergence, NotPositiveMass
-from .metric_graph import DiscreteOperator
-
-
-@dataclass
-class EigenPairs:
-    """Eigenvalues sorted ascending."""
-
-    values: np.ndarray
+from .errors import MisalignedMeshes
 
 
 @dataclass(frozen=True)
@@ -102,153 +84,8 @@ class SpectrumList:
         return cls(entries=entries, origin=origin, truncation=truncation, pitch=pitch)
 
 
-# -- solvers ----------------------------------------------------------------
-
-
-def _mass_scaling(M: np.ndarray) -> np.ndarray:
-    """M^{-1/2} of the mass diagonal M, which must be positive."""
-    if np.any(M <= 0):
-        raise NotPositiveMass("mass diagonal must be positive")
-    return 1.0 / np.sqrt(M)
-
-
-def _standard_form(d: DiscreteOperator) -> np.ndarray:
-    """The dense S = M^{-1/2} A M^{-1/2}, entry (A_ij m_i) m_j with
-    m = M^{-1/2}."""
-    ms = _mass_scaling(d.M)
-    rows = d.rows()
-    S = np.zeros((d.n, d.n))
-    S[rows, d.indices] = (d.data * ms[rows]) * ms[d.indices]
-    return S
-
-
-def _values_below(S: np.ndarray, cut: float) -> np.ndarray:
-    """The eigenvalues <= ``cut`` of the symmetric S, from its lower
-    triangle, ascending: ``numpy.linalg.eigvalsh``, which is LAPACK's
-    ``dsyevd``, the ``dsytrd`` reduction to a tridiagonal T and ``dsterf``
-    on T.  All n values must come back finite."""
-    w = np.linalg.eigvalsh(S)
-    finite = np.count_nonzero(np.isfinite(w))
-    if finite != len(S):
-        raise NoConvergence(0, f"{finite} finite eigenvalues of a matrix of order {len(S)}")
-    return w[w <= cut]
-
-
-#: D3 = <r, s>, r a third of a turn and s a reflection, in the order of a
-#: ``maps`` array: e, r, r^2, s, rs, r^2 s.  ``_A2`` is its sign character;
-#: ``_E_ROW[g]`` is the second row of the matrix of g in its 2-dimensional
-#: irreducible representation E, with r a rotation and s = diag(-1, 1)
-_A2 = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
-_H = np.sqrt(3.0) / 2
-_E_ROW = np.array([[0.0, 1.0], [_H, -0.5], [-_H, -0.5], [0.0, 1.0], [-_H, -0.5], [_H, -0.5]])
-
-
-def _symmetry_blocks(maps: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """The orthonormal symmetry-adapted basis of a D3 action whose rotations
-    fix no vertex, as (col, coef, size) for the blocks A2, A1 and E, in
-    order of size: basis vector ``col[v, t]`` of a block has the entry
-    ``coef[v, t]`` at vertex v.
-
-    A vertex orbit, represented by its smallest vertex v0, has 6 or 3
-    points.  A1 takes the sum of the orbit's points and A2 the sum
-    of g v0 weighted by the sign of g, which cancels on a 3-orbit (a
-    reflection fixes v0).  E takes the range of the projector
-    (1/3) sum_g E(g)_22 R_g on each orbit: the vectors
-    sum_g E(g)_2j e_{g v0}, j = 1, 2, on a 6-orbit, and for j = 2 alone on a
-    3-orbit, where the two are parallel and the j = 2 one is not zero.  Each
-    vector lives on one orbit and is normalized there.
-    """
-    n = maps.shape[1]
-    lowest = maps.min(axis=0)  # the smallest vertex of each vertex's orbit
-    reps = np.flatnonzero(lowest == np.arange(n))
-    orbit = np.searchsorted(reps, lowest)
-    points = maps[:, reps]
-    six = np.all(points[3:] != points[0], axis=0)  # no reflection fixes the representative
-    rank_six = np.cumsum(six) - 1
-
-    def vector(weights, keep):
-        """Per-vertex entries of sum_g weights[g] e_{g v0}, normalized on
-        each orbit in ``keep``, 0 on the others."""
-        x = np.bincount(points.ravel(), np.repeat(weights, len(reps)), n)
-        norm = np.sqrt(np.bincount(orbit, x * x, len(reps)))
-        return np.where(keep[orbit], x / np.where(keep, norm, 1.0)[orbit], 0.0)
-
-    everywhere = np.ones(len(reps), dtype=bool)
-    on_six = six[orbit]
-    e_col = np.stack([orbit, np.where(on_six, len(reps) + rank_six[orbit], 0)], axis=1)
-    e_coef = np.stack([vector(_E_ROW[:, 1], everywhere), vector(_E_ROW[:, 0], six)], axis=1)
-    return [(np.where(on_six, rank_six[orbit], 0)[:, None], vector(_A2, six)[:, None],
-             int(six.sum())),
-            (orbit[:, None], vector(np.ones(6), everywhere)[:, None], len(reps)),
-            (e_col, e_coef, len(reps) + int(six.sum()))]
-
-
-def _symmetric_values(d: DiscreteOperator, maps: np.ndarray, cut: float) -> EigenPairs:
-    """``solve_below`` of a pencil invariant under the D3 action ``maps``:
-    Q^T S Q block by block, from the entries of the sparse S, the values
-    <= ``cut`` of each block from ``_values_below``; E's values count
-    twice.
-
-    The blocks go smallest first.  On a 2-CPU machine with two OpenBLAS
-    threads, some processes take 12-17 ms for every solve of about 80-160
-    unknowns, against 0.5-0.9 ms: with SciPy's reduction, 8 of 262 fresh
-    processes whose first reduction was E's (122 unknowns, the level-5
-    gasket) and 2 of 330 with the single-threaded A2 and A1 first; with
-    ``eigvalsh``, 1 of 100."""
-    ms = _mass_scaling(d.M)
-    rows, cols = d.rows(), d.indices
-    entries = (d.data * ms[rows]) * ms[cols]  # the bits of _standard_form's S
-    values = []
-    for copies, (col, coef, k) in zip((1, 1, 2), _symmetry_blocks(maps)):
-        if not k:
-            continue
-        at = (col[rows][:, :, None] * k + col[cols][:, None, :]).ravel()
-        block = np.bincount(at, (coef[rows][:, :, None] * entries[:, None, None]
-                                 * coef[cols][:, None, :]).ravel(), k * k).reshape(k, k)
-        values += [_values_below(block.T, cut)] * copies
-    return EigenPairs(values=np.sort(np.concatenate(values)))
-
-
-def solve_below(d: DiscreteOperator, lam_max: float, maps: np.ndarray | None = None) -> EigenPairs:
-    """All eigenvalues <= lam_max of the pencil d: the values of its dense
-    standard form (``_standard_form``, n^2 floats) up to the cut
-    lam_max (1 + 1e-12), from ``_values_below``.  The count is the number
-    of values at most the cut, of n values that all came back finite.
-
-    ``maps``, a (6, n) array whose rows are vertex maps g -> g[v] of the
-    group D3 in the order of ``_A2``, each an automorphism of d
-    (``A[g][:, g] == A`` and ``M[g] == M``), the rotations fixing no
-    vertex, splits S into the A1, A2 and E blocks of the symmetry-adapted
-    basis (``_symmetry_blocks``): E, about n/3 unknowns, is solved once
-    and counts twice, and no n x n array is formed."""
-    cut = lam_max * (1 + 1e-12)
-    if maps is not None:
-        return _symmetric_values(d, maps, cut)
-    return EigenPairs(values=_values_below(_standard_form(d), cut))
-
-
-# -- bookkeeping --------------------------------------------------------------
-
-
-def _run_bounds(v: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The (start, stop) arrays of ``gap_runs``."""
-    joins = v[1:] - v[:-1] <= rtol * np.maximum(1.0, np.abs(v[1:]))
-    breaks = (~joins).nonzero()[0] + 1
-    return np.concatenate(([0], breaks)), np.concatenate((breaks, [len(v)]))
-
-
-def gap_runs(values, rtol: float) -> list[tuple[int, int]]:
-    """(start, stop) index runs of a sorted array: a value joins the run of
-    its predecessor when v[j] - v[j-1] <= rtol * max(1, |v[j]|)."""
-    v = np.asarray(values, dtype=float)
-    if not len(v):
-        return []
-    return list(zip(*(b.tolist() for b in _run_bounds(v, rtol))))
-
-
 def cluster(
     eigs,
-    rel_tol: float = 1e-7,
     origin: str = "numeric",
     truncation: float = np.inf,
     pitch: float | None = None,
@@ -256,21 +93,14 @@ def cluster(
     meta: dict | None = None,
     counts=None,
 ) -> SpectrumList:
-    """Gap-based multiplicity clustering of a sorted eigenvalue array, each
-    value counted ``counts`` times (positive integers; once each by
-    default).
+    """Multiplicities of a sorted eigenvalue array, each value counted
+    ``counts`` times (positive integers; once each by default): equal
+    values are one entry, whose multiplicity is the sum of their counts.
 
-    ``tags`` optionally assigns a label per value; a cluster's tag lists
+    ``tags`` optionally assigns a label per value; an entry's tag lists
     the distinct labels with their counts.  ``meta`` becomes the list's
-    ``meta``.  Gaps of at most ``rel_tol`` chain, so a run is also held to
-    a width of at most ``rel_tol * max(1, |last value|)``; a wider run is a
-    string of distinct close values, not copies of one, and raises
-    ``NoConvergence``.
-
-    A cluster's multiplicity is the sum of its counts c_i, and its value
-    is v_0 + sum c_i (v_i - v_0) / sum c_i over its values v_i, v_0 the
-    first, the sum taken in order: a run of bit-identical values gives
-    exactly that value.
+    ``meta``.  Values that differ stay apart however close they are: the
+    closed forms give every copy of an eigenvalue the same bits.
     """
     eigs = np.asarray(eigs, dtype=float)
     counts = np.ones(len(eigs), dtype=np.int64) if counts is None else np.asarray(counts)
@@ -278,20 +108,12 @@ def cluster(
         raise ValueError("input eigenvalues must be sorted")
     entries = []
     if len(eigs):
-        start, stop = _run_bounds(eigs, rel_tol)
-        last = eigs[stop - 1]
-        wide = last - eigs[start] > rel_tol * np.maximum(1.0, np.abs(last))
-        if wide.any():
-            k = int(wide.argmax())
-            i, j = int(start[k]), int(stop[k])
-            raise NoConvergence(0, f"{j - i} eigenvalues from {eigs[i]!r} to {eigs[j - 1]!r} "
-                                   f"chain into one cluster wider than rel_tol {rel_tol!r}")
-        run = np.repeat(np.arange(len(start)), stop - start)
+        first = np.r_[True, eigs[1:] != eigs[:-1]]
+        start = np.flatnonzero(first)
         mult = np.add.reduceat(counts, start)
-        values = eigs[start] + np.bincount(run, counts * (eigs - eigs[start[run]]),
-                                           len(start)) / mult
         labels = [""] * len(start)
         if tags is not None:
+            run = np.cumsum(first) - 1
             names = sorted(set(tags))
             code = dict(zip(names, range(len(names))))
             table = np.bincount(run * len(names) + np.array([code[t] for t in tags], dtype=np.int64),
@@ -301,7 +123,7 @@ def cluster(
             texts = [f"{names[t]}x{c}" for t, c in zip(tag.tolist(), table[run, tag].tolist())]
             cuts = [0, *((run[1:] != run[:-1]).nonzero()[0] + 1).tolist(), len(texts)]
             labels = [";".join(texts[a:b]) for a, b in zip(cuts, cuts[1:])]
-        entries = [SpectrumEntry(*e) for e in zip(values.tolist(), mult.tolist(), labels)]
+        entries = [SpectrumEntry(*e) for e in zip(eigs[start].tolist(), mult.tolist(), labels)]
     return SpectrumList(entries=entries, origin=origin, truncation=truncation, pitch=pitch,
                         meta={} if meta is None else meta)
 

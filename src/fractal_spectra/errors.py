@@ -37,12 +37,9 @@ class MisalignedMeshes(FractalSpectraError):
     """Spectra were computed at different pitches and cannot be nested."""
 
 
-class NotPositiveMass(FractalSpectraError):
-    """Mass matrix has a non-positive diagonal entry."""
-
-
 class NoConvergence(FractalSpectraError):
-    """Iterative eigensolver failed to converge."""
+    """A spectrum could not be completed: its decimation counts do not add
+    up (``gasket._decimate``), or a solver did not converge."""
 
     def __init__(self, iterations: int, message: str = ""):
         self.iterations = iterations

@@ -20,17 +20,17 @@ closed form.
   max S = l.  On the Laakso path only the runs of each length and end type
   that these pieces cut it into are counted, from the birth levels
   (``binary_path_family``); on the gasket each piece is keyed on its kept
-  vertices of V_(l-1) and has its spectrum by spectral decimation
-  (``gasket.choux_family``);
+  vertices of V_(l-1) and has its spectrum by spectral decimation, and no
+  graph of the gasket is built (``gasket.choux_family``);
 - the stitched strings (``strings.stitched_family``): m_1 - 1 copies of the
   base path at level 1, and m_k Dirichlet paths of l_k / g cells at
   level k, one run per level (``path_family``).
 
 Every family goes through one pipeline: take the spectrum of each distinct
 piece of a level once, with the number of its copies, and tag each value
-with the level it is new at (``_level_values``), then cluster the values
-with their counts (``level_spectra``, which the pâte à choux uses); no
-value is listed once per copy, and no eigensolver is called.  The walk
+with the level it is new at (``_level_values``), then merge the equal
+values with their counts (``level_spectra``, which the pâte à choux uses);
+no value is listed once per copy, and no eigensolver is called.  The walk
 Laplacian of a run of a path has its values in closed form
 (``_run_values``): no matrix is formed, and a run of m vertices lists its
 m values.  The Laakso and string levels, whose edges have one length, map
@@ -89,7 +89,9 @@ def _run_spectrum(level: int, key: int) -> tuple[np.ndarray, np.ndarray]:
 class LevelFamily:
     """Levels 0..n of a space, given by its level-0 graph ``base``, whose
     marked vertices are Dirichlet vertices, the table of the distinct pieces
-    of each level and, for each level l >= 1, its edge count |E_l|.
+    of each level and, for each level l >= 1, its edge count |E_l|.  A
+    family that takes no mesh (``equilateral_spectra``) may have no base,
+    as the pâte à choux has none.
 
     ``runs[l]``, for l = 0..n, is the table (keys, counts) of the pieces of
     level l, level 0 being ``base`` with its Dirichlet vertices: level l
@@ -108,7 +110,7 @@ class LevelFamily:
     and gives their spectra itself (``gasket.choux_family``).
     """
 
-    base: MetricGraph
+    base: MetricGraph | None
     runs: list[tuple[np.ndarray, np.ndarray]]
     n_edges: list[int] = field(default_factory=list)
     spectrum: Callable[[int, int], tuple[np.ndarray, np.ndarray]] = _run_spectrum
@@ -217,10 +219,10 @@ def _level_values(family: LevelFamily, cut: float):
 def _cluster_levels(new: list[tuple[np.ndarray, np.ndarray]], origin: str, meta: dict,
                     **cluster_kw) -> list[SpectrumList]:
     """Level i's spectrum from the values and counts ``new[0..i]``, new[0]
-    tagged "base" and new[k] "new@k", gap-clustered by ``cluster`` with
-    ``cluster_kw``, values of count 0 left out; its ``meta`` is ``meta``
-    plus the number of the values with their counts, ``count``.
-    ``origin`` is formatted with the level."""
+    tagged "base" and new[k] "new@k", its equal values merged by
+    ``cluster`` with ``cluster_kw``, values of count 0 left out; its
+    ``meta`` is ``meta`` plus the number of the values with their counts,
+    ``count``.  ``origin`` is formatted with the level."""
     values, counts, tags, out = np.zeros(0), np.zeros(0, dtype=np.int64), [], []
     for level, (fresh, copies) in enumerate(new):
         listed = copies > 0
@@ -239,7 +241,7 @@ def level_spectra(family: LevelFamily, lam_max: float, origin: str, meta: dict,
     """Vertex-pencil spectrum below ``lam_max`` of every level 0..n with
     origin tags: level i's spectrum is the union of the base values (tag
     "base") and the piece values of levels 1..i (tag "new@k"), from
-    ``_level_values``, clustered (``_cluster_levels``)."""
+    ``_level_values``, merged (``_cluster_levels``)."""
     return _cluster_levels(_level_values(family, lam_max)[0], origin, meta, **cluster_kw)
 
 
@@ -258,7 +260,7 @@ def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float,
     of the base graph: they are 0 once a vertex is eliminated, and
     otherwise the constants and, on a bipartite graph (whose levels all
     map onto it), the +-1 colourings.  So the values 0 and 2, the smallest
-    and the largest, are new at level 0.  The levels are clustered as in
+    and the largest, are new at level 0.  The levels are merged as in
     ``level_spectra``, with ``meta`` plus the refinement, so each level's
     count is the number of mesh eigenvalues <= lam_max.
     """

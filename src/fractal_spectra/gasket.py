@@ -1,5 +1,5 @@
-"""Sierpinski gasket graphs, spectral decimation, and gasket-with-fibers
-("pate a choux") builders.
+"""Spectral decimation on the Sierpinski gasket and the gasket-with-fibers
+("pate a choux") family.
 
 The gasket Laplacian here is the probabilistic graph Laplacian, realized as
 the pencil (D - W, D); its continuum counterpart is defined by decimation
@@ -10,15 +10,15 @@ V_k \\ V_{k-1}.
 Every pâte à choux piece has its spectrum in closed form by spectral
 decimation (Fukushima & Shima, Potential Anal., 1992; Strichartz,
 *Differential Equations on Fractals*, 2006, ch. 3), with exact
-multiplicities and no solve (``choux_family``, ``_piece_spectrum``).
-
-The gasket has the six symmetries of its triangle, the group D3
-(``d3_maps``), which split its pencil into the A1, A2 and E blocks of
-``eigensolve.solve_below`` (Bajorin et al., "Vibration modes of 3n-gaskets
-and other fractals", J. Phys. A, 2008).  The Dirichlet decimation chain is
-the whole Dirichlet gasket of each level so split (``dirichlet_chain``):
-a dense solve, and so a check of the decimation that the pieces assume
-(``decimation_check``).
+multiplicities and no solve (``choux_family``, ``_piece_spectrum``); so
+has the whole Dirichlet gasket of each level, level 0 of the pâte à choux
+with its corners eliminated, which makes up the decimation chain
+(``decimation_chain``) that ``decimation_check`` and ``decimation_branch``
+read.  No gasket graph is built: a piece's spectrum needs only its number
+of kept vertices of each V_j, |V_j| = (3^(j+1) + 3) / 2 less the
+eliminated ones, and the level-m gasket has 3^(m+1) edges.  The gasket
+graphs, their six symmetries and the dense solve of the whole gaskets are
+the tests' reference (``tests/dense_reference.py``).
 """
 
 from __future__ import annotations
@@ -30,136 +30,15 @@ from functools import partial
 import numpy as np
 
 from .errors import InvalidSpaceSpec, NoConvergence, ResolutionTooCoarse
-from .eigensolve import SpectrumList, cluster, solve_below
+from .eigensolve import SpectrumList, cluster
 from .fiber import LevelFamily, level_spectra
-from .metric_graph import DIRICHLET, NEUMANN, SPECTRAL_BOUND, MetricGraph, graph_operator
-
-# corners of the gasket as (x, y / sqrt(3)) times 2, the scale of level 0
-_CORNERS = [(0, 0), (2, 0), (1, 1)]
-
-
-@dataclass
-class GasketGraph:
-    """Level-m cell graph of the Sierpinski gasket.
-
-    ``points[i]`` is (x, y/sqrt(3)) times 2^(m+1), exact integers;
-    ``birth[i]`` is the level at which the vertex first appears (corners
-    have birth 0); ``edges`` are (u, v) index rows in sorted order.
-    """
-
-    level: int
-    points: np.ndarray
-    birth: np.ndarray
-    edges: np.ndarray
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.points)
-
-
-def gasket_levels(m: int) -> list[GasketGraph]:
-    """Gaskets of levels 0..m from one midpoint-subdivision pass; level k's
-    points (at its own scale) and births are the first entries of level m's.
-
-    Every cell (a, b, c) gives the midpoints of ab, bc and ca and the cells
-    (a, ab, ca), (ab, b, bc), (ca, bc, c); a midpoint is numbered where it
-    first appears in that cell order."""
-    if m < 0:
-        raise ValueError("gasket level must be >= 0")
-    points = np.array(_CORNERS, dtype=np.int64)
-    birth = np.zeros(3, dtype=np.int64)
-    cells = np.array([[0, 1, 2]], dtype=np.int64)
-
-    def graph(lvl):
-        edges = np.stack([cells, np.roll(cells, -1, axis=1)], axis=2).reshape(-1, 2)
-        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-        return GasketGraph(level=lvl, points=points, birth=birth, edges=edges)
-
-    out = [graph(0)]
-    for lvl in range(1, m + 1):
-        points = 2 * points  # the scale of level lvl, where every midpoint is whole
-        corner = points[cells]
-        mids = ((corner + np.roll(corner, -1, axis=1)) // 2).reshape(-1, 2)
-        key = mids[:, 0] * (2 ** (lvl + 1) + 1) + mids[:, 1]
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        rank = np.empty(len(first), dtype=np.int64)
-        rank[np.argsort(first)] = np.arange(len(first))
-        ab, bc, ca = (len(points) + rank[inverse.ravel()]).reshape(-1, 3).T
-        a, b, c = cells.T
-        cells = np.stack([a, ab, ca, ab, b, bc, ca, bc, c], axis=1).reshape(-1, 3)
-        points = np.concatenate([points, mids[np.sort(first)]])
-        birth = np.concatenate([birth, np.full(len(first), lvl)])
-        out.append(graph(lvl))
-    return out
-
-
-def build_gasket(m: int) -> GasketGraph:
-    """Vertices and edges of the level-m gasket via midpoint subdivision."""
-    return gasket_levels(m)[-1]
+from .metric_graph import DIRICHLET, NEUMANN, SPECTRAL_BOUND
 
 
 def n_points(m: int) -> int:
     """|V_m| = (3^(m+1) + 3) / 2: the vertices of the level-m gasket, which
     are the first |V_m| vertices of every finer level."""
     return (3 ** (m + 1) + 3) // 2
-
-
-#: the six symmetries of the gasket as permutations of the barycentric
-#: coordinates, in the order e, r, r^2, s, rs, r^2 s of
-#: ``eigensolve.solve_below``: r cycles the corners, s swaps the first two
-_D3_PERMUTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0))
-
-
-def d3_maps(g: GasketGraph) -> np.ndarray:
-    """The six symmetries of the gasket (the group D3) as a (6, n) array of
-    vertex maps, row g taking vertex v to ``maps[g, v]``.
-
-    A point (x, u) of level m has the integer barycentric coordinates
-    (W - x - u, x - u, 2u), W = 2^(m+1); a symmetry permutes them, and
-    ``searchsorted`` on the key x (W + 1) + u finds the image's index.  Each
-    map preserves the edges and the births, so also every Dirichlet piece of
-    the pâte à choux, and the rotations fix no vertex (none lies at the
-    centroid)."""
-    w = 2 ** (g.level + 1)
-    x, u = g.points.T
-    bary = np.stack([w - x - u, x - u, 2 * u])
-    key = x * (w + 1) + u
-    order = np.argsort(key)
-    maps = []
-    for perm in _D3_PERMUTATIONS:
-        b = bary[list(perm)]
-        image = (b[1] + b[2] // 2) * (w + 1) + b[2] // 2
-        maps.append(order[np.searchsorted(key, image, sorter=order)])
-    return np.stack(maps)
-
-
-def _base(g: GasketGraph, boundary: str | None) -> MetricGraph:
-    """The graph of g, the corners marked Dirichlet when ``boundary`` is
-    "dirichlet"."""
-    return MetricGraph(np.arange(g.n_vertices), g.edges, 1.0, 1.0,
-                       (g.birth == 0) & (boundary == DIRICHLET))
-
-
-def gasket_graph_spectrum(g: GasketGraph, boundary: str | None = None) -> SpectrumList:
-    """Probabilistic graph-Laplacian spectrum of the level-m gasket.
-
-    ``boundary="dirichlet"`` removes the three corner points.  The whole
-    spectrum is solved, split by the symmetries of the gasket
-    (``d3_maps``).
-    """
-    op = graph_operator(_base(g, boundary), boundary)
-    maps = np.searchsorted(op.kept_vertices, d3_maps(g)[:, op.kept_vertices])
-    return cluster(solve_below(op, SPECTRAL_BOUND, maps).values,
-                   origin=f"numeric(gasket,m={g.level})", truncation=np.inf,
-                   meta={"gasket_level": g.level, "boundary": boundary,
-                         "normalization": "probabilistic"})
-
-
-def dirichlet_chain(levels: list[GasketGraph]) -> list[SpectrumList]:
-    """The Dirichlet spectra of the gaskets ``levels[1:]``, of levels 1..m
-    from one ``gasket_levels`` pass, each solved whole in its D3 blocks
-    (``gasket_graph_spectrum``)."""
-    return [gasket_graph_spectrum(g, DIRICHLET) for g in levels[1:]]
 
 
 #: eigenvalues of the degree-normalized-times-4 Laplacian that have no
@@ -284,9 +163,11 @@ def _piece_spectrum(m: int, level: int, key: int) -> tuple[np.ndarray, np.ndarra
     return x / DECIMATION_SCALE, c
 
 
-def choux_family(spec: ChouxSpec, g: GasketGraph | None = None) -> LevelFamily:
-    """Fiber levels 0..i over the level-m gasket ``g`` (built when not
-    given): 2^i binary fiber copies glued at V_k \\ V_{k-1} in coordinate k.
+def choux_family(spec: ChouxSpec) -> LevelFamily:
+    """Fiber levels 0..i over the level-m gasket: 2^i binary fiber copies
+    glued at V_k \\ V_{k-1} in coordinate k, so level l has 2^l copies of
+    the 3^(m+1) edges of the gasket.  The family has no base graph: no
+    piece needs one.
 
     Level l >= 1 gains the spectrum of the gasket with Dirichlet marks at
     the vertices born at a level in S, for each S in {1..l} with max S = l,
@@ -295,26 +176,37 @@ def choux_family(spec: ChouxSpec, g: GasketGraph | None = None) -> LevelFamily:
     3^b for each b in S below l (``_piece_spectrum``); so each piece is
     keyed on it, and no two pieces of a level share a key.  Level 0, the
     gasket, is keyed on its kept corners, 3 or 0."""
-    g = build_gasket(spec.gasket_level) if g is None else g
     corners = 3 * (spec.boundary != DIRICHLET)
     runs = [(np.array([corners]), np.ones(1, dtype=np.int64))]
     marked = np.zeros(1, dtype=np.int64)  # sum of 3^b over b in S below l, for every S
     for level in range(1, spec.fiber_depth + 1):
         runs.append((n_points(level - 1) - 3 + corners - marked, np.ones_like(marked)))
         marked = np.r_[marked, marked + 3 ** level]
-    return LevelFamily(_base(g, spec.boundary), runs,
-                       [len(g.edges) << level for level in range(1, spec.fiber_depth + 1)],
+    return LevelFamily(None, runs,
+                       [3 ** (spec.gasket_level + 1) << level
+                        for level in range(1, spec.fiber_depth + 1)],
                        partial(_piece_spectrum, spec.gasket_level))
 
 
-def choux_numeric_spectra(spec: ChouxSpec, family: LevelFamily | None = None) -> list[SpectrumList]:
+def decimation_chain(m: int) -> list[SpectrumList]:
+    """The spectra of the Dirichlet gaskets of levels 1..m: level 0 of the
+    pâte à choux with its corners eliminated, in closed form
+    (``_piece_spectrum(l, 0, 0)``), with its multiplicities."""
+    out = []
+    for level in range(1, m + 1):
+        values, counts = _piece_spectrum(level, 0, 0)
+        order = np.argsort(values)
+        out.append(cluster(values[order], counts=counts[order]))
+    return out
+
+
+def choux_numeric_spectra(spec: ChouxSpec) -> list[SpectrumList]:
     """Probabilistic Laplacian spectra of the glued space's fiber levels
-    0..i with origin tags, from ``family``, ``choux_family(spec)`` when not
-    given."""
+    0..i with origin tags, from ``choux_family(spec)``."""
     meta = {"fiber_depth": spec.fiber_depth, "gasket_level": spec.gasket_level,
             "boundary": spec.boundary}
-    return level_spectra(choux_family(spec) if family is None else family, SPECTRAL_BOUND,
-                         "numeric(choux,i={})", meta, truncation=np.inf)
+    return level_spectra(choux_family(spec), SPECTRAL_BOUND, "numeric(choux,i={})", meta,
+                         truncation=np.inf)
 
 
 def hausdorff_dimension() -> float:

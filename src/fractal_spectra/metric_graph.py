@@ -1,22 +1,23 @@
-"""Weighted metric graphs, their vertex pencils and the finite-difference
-spectrum of graphs whose edges all have one length.
+"""Weighted metric graphs and the finite-difference spectrum of graphs
+whose edges all have one length.
 
 A finite-level approximation of a projective-limit fractal is represented as
 a weighted metric graph: edges carry a length and a measure density (the
-weight of the sheet they belong to).  ``graph_operator`` gives its vertex
-pencil I - P for the walk P, a ``DiscreteOperator`` that holds its
-stiffness matrix as NumPy CSR arrays; the package builds no SciPy sparse
-matrix and finds connected components by label propagation with pointer
-jumping over the edge arrays.  The finite-difference pencil A v = lambda M v
-of an equal-edge graph, with Kirchhoff (natural) conditions at unmarked
-vertices and eliminated rows at Dirichlet vertices, is a Chebyshev image of
-that pencil (``EquilateralMesh``), so the mesh itself is never built.
+weight of the sheet they belong to).  Its vertex pencil is I - P for the
+walk P; the package never assembles it, as every piece of a level has its
+spectrum in closed form, and finds connected components by label
+propagation with pointer jumping over the edge arrays.  The
+finite-difference pencil A v = lambda M v of an equal-edge graph, with
+Kirchhoff (natural) conditions at unmarked vertices and eliminated rows at
+Dirichlet vertices, is a Chebyshev image of that pencil
+(``EquilateralMesh``), so the mesh itself is never built.  The assembled
+vertex pencil is the tests' reference (``tests/dense_reference.py``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,11 +81,6 @@ class MetricGraph:
         return float(np.sum(self.length * self.weight))
 
 
-def _node_numbers(drop: np.ndarray) -> np.ndarray:
-    """Consecutive numbers for the entries not dropped, -1 for dropped ones."""
-    return np.where(drop, -1, np.cumsum(~drop) - 1)
-
-
 def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> tuple[int, np.ndarray]:
     """The number of connected components of the graph on the vertices
     0..n-1 with the edges (u[k], v[k]), and the component of each vertex,
@@ -108,86 +104,10 @@ def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> tuple[int, np.nda
     return int(np.count_nonzero(is_root)), (np.cumsum(is_root) - 1)[root]
 
 
-def _laplacian(n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> DiscreteOperator:
-    """Weighted Laplacian of the node pairs (a[k], b[k]) with conductances
-    c[k], where -1 marks an eliminated node whose couplings reach only the
-    diagonal, with its diagonal as the mass.
-
-    ``np.add.at`` sums the diagonal in index order, pair by pair and a
-    before b, so the bits are those of a loop over the pairs.  The entries
-    are sorted stably by row and column, the copies of a parallel edge
-    summed in pair order and the diagonal added last, and an entry that
-    sums to 0 is dropped: the CSR arrays of SciPy's
-    ``(off.tocsr() + diags(diag)).tocsr()`` for the COO matrix ``off`` of
-    the off-diagonal entries in pair order, bit for bit wherever a row has
-    at most 16 entries before summing (SciPy sorts a longer row with an
-    unstable sort, so the copies of a parallel edge can sum in another
-    order there).
-    """
-    tips = np.stack([a, b], axis=1).ravel()
-    conductance = np.repeat(c, 2)
-    live = tips >= 0
-    diag = np.zeros(n)
-    np.add.at(diag, tips[live], conductance[live])
-    both = (a >= 0) & (b >= 0)
-    node = np.arange(n)
-    rows = np.concatenate([np.stack([a[both], b[both]], axis=1).ravel(), node])
-    cols = np.concatenate([np.stack([b[both], a[both]], axis=1).ravel(), node])
-    order = np.argsort(rows * n + cols, kind="stable")
-    rows, cols = rows[order], cols[order]
-    first = (np.diff(rows, prepend=-1) != 0) | (np.diff(cols, prepend=-1) != 0)
-    data = np.bincount(np.cumsum(first) - 1, np.r_[-np.repeat(c[both], 2), diag][order])
-    data = data.astype(float, copy=False)  # bincount of nothing is int64
-    keep = data != 0
-    indptr = np.r_[0, np.cumsum(np.bincount(rows[first][keep], minlength=n))]
-    return DiscreteOperator(data[keep], cols[first][keep], indptr, diag)
-
-
-@dataclass
-class DiscreteOperator:
-    """Stiffness/lumped-mass pencil (A, M) for A v = lambda M v.
-
-    A is held as CSR arrays: row i has the entries
-    ``data[indptr[i]:indptr[i + 1]]`` in the columns
-    ``indices[indptr[i]:indptr[i + 1]]``, ascending, each column once.
-    """
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    M: np.ndarray  # diagonal of the mass matrix
-    kept_vertices: np.ndarray | None = None  # graph vertex of each row (graph_operator only)
-
-    @property
-    def n(self) -> int:
-        return len(self.M)
-
-    def rows(self) -> np.ndarray:
-        """The row of each entry."""
-        return np.repeat(np.arange(self.n), np.diff(self.indptr))
-
-
-def graph_operator(g: MetricGraph, boundary: str | None = None) -> DiscreteOperator:
-    """Weighted graph-Laplacian pencil on the vertices of g.
-
-    A is the weighted combinatorial Laplacian (edge lengths ignored), M the
-    weighted degree, so the pencil eigenvalues are those of the probabilistic
-    Laplacian I - D^{-1}W.  Used for the gasket-based spaces, whose continuum
-    Laplacian is defined by decimation limits rather than edge-wise FD.
-
-    ``boundary`` overrides vertex markings: "dirichlet" eliminates all marked
-    vertices, None keeps everything (Neumann).
-    """
-    drop = g.dirichlet & (boundary == DIRICHLET)
-    pos = _node_numbers(drop)
-    op = _laplacian(int(np.count_nonzero(~drop)), pos[g.ends[:, 0]], pos[g.ends[:, 1]], g.weight)
-    return replace(op, kept_vertices=np.flatnonzero(~drop))
-
-
 def walk_kernels(g: MetricGraph) -> tuple[int, int]:
     """dim ker(P - I) and dim ker(P + I) for the walk P = I - M^{-1} A of
     the vertex pencil of the connected graph g with its Dirichlet vertices
-    eliminated (``graph_operator(g, DIRICHLET)``).
+    eliminated.
 
     A vector in either kernel has one |x| over g and vanishes next to an
     eliminated vertex, so with one eliminated both are 0.  Otherwise they
@@ -211,7 +131,7 @@ class EquilateralMesh:
     subdivision, and each mesh eigenvalue is (4/h^2) sin^2(theta/2) with
     theta in [0, pi] (von Below, Linear Algebra Appl. 1985).  Where
     sin(r theta) != 0 the vertex values of an eigenvector are an
-    eigenvector of the vertex pencil (``graph_operator``) for
+    eigenvector of the vertex pencil for
     nu = 1 - cos(r theta): each vertex eigenvalue nu in (0, 2) gives one
     mesh eigenvalue, of its multiplicity, on each branch
     r theta in (b pi, (b + 1) pi), b = 0..r-1.  The rest are the edge modes
@@ -250,7 +170,7 @@ class EquilateralMesh:
         return SPECTRAL_BOUND if phase >= math.pi or cut > SPECTRAL_BOUND - 1e-9 else cut
 
     def branch_values(self, nu: np.ndarray, lam_max: float) -> tuple[np.ndarray, np.ndarray]:
-        """The mesh eigenvalues <= lam_max (with solve_below's slack) of the
+        """The mesh eigenvalues <= lam_max (1 + 1e-12) of the
         vertex eigenvalues ``nu`` in (0, 2), and the index in ``nu`` of the
         vertex value of each: theta = (b pi + theta0) / r on even branches b
         and ((b + 1) pi - theta0) / r on odd ones, where
@@ -269,7 +189,7 @@ class EquilateralMesh:
         """Values (4/h^2) sin^2(k pi / 2r), k = 0..r, of the edge modes of a
         graph of ``n_edges`` edges, ``n_kept`` kept vertices and
         ``walk_kernels`` ``kernels``, and their multiplicities, 0 above
-        lam_max (with solve_below's slack)."""
+        lam_max (1 + 1e-12)."""
         r = self.refine
         k = np.arange(r + 1)
         values = self._values(k * math.pi / r)

@@ -1,9 +1,9 @@
 """The loop builders of the Laakso space, the pâte à choux and the stitched
-strings, the tests' only level-graph builders: the reference for the level
-sizes of the package's families and for the integer
-``gasket.gasket_levels``, and the source of the parent maps between levels
-(``LevelLink``) that the fiber projectors of ``tests/level_reference.py``
-need.
+strings, the tests' only builders of the levels of a family: the reference
+for the level sizes of the package's families and for the integer gaskets
+of ``dense_reference.gasket_levels``, and the source of the parent maps
+between levels (``LevelLink``) that the fiber projectors of
+``tests/level_reference.py`` need.
 
 Each level is built key by key: every (position, word) pair of the full
 product of fiber sets is enumerated, a Python ``canon`` closure collapses

@@ -5,7 +5,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from fractal_spectra.metric_graph import DiscreteOperator
+from dense_reference import DiscreteOperator
 
 
 def csr(op) -> sp.csr_matrix:

@@ -8,7 +8,7 @@ levels:
 
 - the independent route: solve the whole level pencil with LAPACK's
   generalized driver, classify every eigenvector by the fiber projectors of
-  the levels below (``classify_levels``) and cluster
+  the levels below (``classify_levels``) and gap-cluster
   (``reference_spectrum``);
 - the block route the package took before: split each level pencil by the
   Helmert contrast basis of its fibers into the ker(P) block
@@ -28,11 +28,17 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 import family_reference
-from fractal_spectra.eigensolve import SpectrumList, cluster, gap_runs, solve_below
+from dense_reference import (
+    DiscreteOperator,
+    cluster_levels,
+    gap_cluster,
+    gap_runs,
+    graph_operator,
+    solve_below,
+)
+from fractal_spectra.eigensolve import SpectrumList
 from fractal_spectra.errors import FractalSpectraError
-from fractal_spectra.fiber import _cluster_levels
 from fractal_spectra.gasket import ChouxSpec, choux_numeric_spectra
-from fractal_spectra.metric_graph import DiscreteOperator, graph_operator
 from lapack_reference import csr, eigenpairs_below, operator
 
 #: relative tolerance of the two checks that make the split of a level
@@ -192,7 +198,8 @@ def block_spectra(ops, fibers, lam_max: float, origin: str, meta: dict,
     """Spectrum below ``lam_max`` of every level 0..n with origin tags, by
     the block route: level 0 solved whole, each level i >= 1 through its
     ``new_blocks``, each distinct component once (keyed on its CSR arrays
-    and masses), clustered as the package clusters its levels."""
+    and masses), gap-clustered level by level as the package merges its
+    levels (``dense_reference.cluster_levels``)."""
     solved: dict[tuple, np.ndarray] = {}
     new = [solve_below(ops[0], lam_max).values]
     for level in range(1, len(ops)):
@@ -203,8 +210,8 @@ def block_spectra(ops, fibers, lam_max: float, origin: str, meta: dict,
                 solved[key] = solve_below(_block(arrays, M), lam_max).values
             pieces.append(solved[key])
         new.append(np.concatenate(pieces or [np.zeros(0)]))
-    return _cluster_levels([(values, np.ones(len(values), dtype=np.int64)) for values in new],
-                           origin, meta, **cluster_kw)
+    return cluster_levels([(values, np.ones(len(values), dtype=np.int64)) for values in new],
+                          origin, meta, **cluster_kw)
 
 
 # The maps below take one node vector (n,) or a block of them (n, m), one
@@ -332,7 +339,7 @@ def reference_spectrum(ops, fibers, level, lam_max, **cluster_kw):
     values, vectors = eigenpairs_below(ops[level], lam_max)
     origins = classify_levels(values, vectors, ops[: level + 1], fibers[:level])
     tags = ["base" if o == 0 else f"new@{o}" for o in origins]
-    return cluster(values, tags=tags, **cluster_kw), len(values)
+    return gap_cluster(values, tags=tags, **cluster_kw), len(values)
 
 
 def assert_matches_reference(per_level, ops, fibers, lam_max, rtol=1e-10, floor=1.0):

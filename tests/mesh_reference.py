@@ -9,8 +9,8 @@ mesh pencils of every level of a loop-built family
 which the block route and the classifier of ``tests/level_reference.py``
 run.  Each walks the edges one at a time and
 accumulates in edge order.  ``graph_operator`` is the loop version of the
-package's vertex pencil, which must match it bit for bit
-(``tests/test_properties.py``).
+array vertex pencil of ``tests/dense_reference.py``, which must match it
+bit for bit (``tests/test_properties.py``).
 """
 
 from __future__ import annotations
@@ -20,15 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from dense_reference import DiscreteOperator, NotPositiveMass
 from family_reference import LevelFamily, LevelLink, build_laakso, build_stitched
-from fractal_spectra.errors import FractalSpectraError, NonDividingPitch, NotPositiveMass
+from fractal_spectra.errors import FractalSpectraError, NonDividingPitch
 from fractal_spectra.laakso import LaaksoSpec
-from fractal_spectra.metric_graph import (
-    DIRICHLET,
-    REL_TOL,
-    DiscreteOperator,
-    MetricGraph,
-)
+from fractal_spectra.metric_graph import DIRICHLET, REL_TOL, MetricGraph
 from fractal_spectra.strings import StringSpec
 from lapack_reference import csr, operator
 from level_reference import FiberStructure, IncompatibleMesh

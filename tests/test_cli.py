@@ -368,14 +368,15 @@ def test_each_run_builds_its_family_once(tmp_path, monkeypatch):
     """Each run hands its family to the pipeline once, as the base graph and
     its pieces, and builds no level graph: the package has no level-graph
     builder (the loop builders of ``tests/family_reference.py`` are the
-    only ones)."""
+    only ones) and no gasket graph (the gasket builder of
+    ``tests/dense_reference.py`` is the only one)."""
     assert not [name for module, name in ((laakso, "build_laakso"), (strings, "build_stitched"),
-                                          (gasket, "build_choux"), (fiber, "binary_graphs"))
+                                          (gasket, "build_choux"), (fiber, "binary_graphs"),
+                                          (gasket, "gasket_levels"), (gasket, "build_gasket"))
                 if hasattr(module, name)]
     calls = collections.Counter()
     for module, name in ((laakso, "laakso_family"), (strings, "stitched_family"),
-                         (gasket, "choux_family"), (gasket, "gasket_levels"),
-                         (strings, "string_analytic_spectrum")):
+                         (gasket, "choux_family"), (strings, "string_analytic_spectrum")):
         def counted(*args, _build=getattr(module, name), _name=name):
             calls[_name] += 1
             return _build(*args)
@@ -392,11 +393,9 @@ def test_each_run_builds_its_family_once(tmp_path, monkeypatch):
         assert cli.main([command, "--spec", spec, "--out", str(tmp_path / command)]) == 0
     # laakso maps one solve of its family to both pitches of its error
     # estimate; string lists the analytic spectrum once, to lambda_max (its
-    # zeta table is summed string by string); choux subdivides the gasket
-    # once, in one gasket_levels pass whose top level is its family's base
-    # and whose levels 1..m are its decimation chain
+    # zeta table is summed string by string)
     assert dict(calls) == {"laakso_family": 1, "stitched_family": 1, "choux_family": 1,
-                           "gasket_levels": 1, "string_analytic_spectrum": 1}
+                           "string_analytic_spectrum": 1}
 
 
 def nearest_fd_values(values, h, n_max):

@@ -8,6 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import family_reference
+from dense_reference import NotPositiveMass, gap_cluster, gap_runs, solve_below
 from fractal_spectra import cli, fiber
 from fractal_spectra.eigensolve import (
     FDModel,
@@ -15,30 +16,17 @@ from fractal_spectra.eigensolve import (
     SpectrumList,
     cluster,
     compare_spectra,
-    gap_runs,
-    solve_below,
     verify_nesting,
 )
-from fractal_spectra.errors import (
-    MisalignedMeshes,
-    NoConvergence,
-    NotPositiveMass,
-)
-from fractal_spectra.gasket import (
-    SPECTRAL_BOUND,
-    ChouxSpec,
-    build_gasket,
-    choux_family,
-    choux_numeric_spectra,
-    gasket_graph_spectrum,
-)
-from fractal_spectra.laakso import LaaksoSpec, laakso_numeric_spectra
+from fractal_spectra.errors import MisalignedMeshes, NoConvergence
+from fractal_spectra.gasket import SPECTRAL_BOUND, ChouxSpec, choux_family
+from fractal_spectra.laakso import LaaksoSpec
 from fractal_spectra.metric_graph import (
     DIRICHLET,
     NEUMANN,
     MetricGraph,
 )
-from fractal_spectra.strings import StringSpec, stitched_numeric_spectra
+from fractal_spectra.strings import StringSpec
 from lapack_reference import (
     csr,
     eigenpairs_below,
@@ -94,7 +82,8 @@ def whole_spectrum(d):
 
 
 class TestDense:
-    """solve_below with a cut above the spectrum returns every eigenvalue."""
+    """The dense reference solver (``dense_reference.solve_below``): with a
+    cut above the spectrum it returns every eigenvalue."""
 
     def test_three_node_dirichlet_path(self):
         d = interval_pencil(0.25, DIRICHLET)
@@ -161,10 +150,9 @@ class TestDense:
 
     @pytest.mark.parametrize("failure", ["raise", "nan", "short"])
     @pytest.mark.parametrize("whole", [False, True])
-    def test_lapack_failure_is_no_convergence(self, monkeypatch, tmp_path, failure, whole):
+    def test_lapack_failure_is_no_convergence(self, monkeypatch, failure, whole):
         """A LAPACK failure (``eigvalsh`` raising LinAlgError), a value that
-        is not finite or a value missing is a solver failure, and the CLI
-        exits 3."""
+        is not finite or a value missing is a solver failure."""
         def fail(a, *args, _solver=np.linalg.eigvalsh, **kwargs):
             if failure == "raise":
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -176,14 +164,6 @@ class TestDense:
         lam_max = 2000.0 if whole else 30.0
         with pytest.raises(np.linalg.LinAlgError if failure == "raise" else NoConvergence):
             solve_below(d, lam_max)
-        # choux solves its decimation chain, each Dirichlet gasket whole as
-        # its three symmetry blocks; laakso and the choux pieces take their
-        # values in closed form and call no LAPACK
-        doc = ({"fiber_depth": 1, "gasket_level": 2} if whole
-               else {"fiber_depth": 2, "gasket_level": 3, "boundary": "dirichlet"})
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(doc))
-        assert cli.main(["choux", "--spec", str(spec), "--out", str(tmp_path / "o")]) == cli.EXIT_SOLVER
 
 
 class TestLanczos:
@@ -316,29 +296,29 @@ class TestLanczos:
         with pytest.raises(NoConvergence):
             solve_below(d, lam_max)
 
-    def test_pipeline_asks_for_no_eigenvector(self, monkeypatch):
-        """No eigenvector is formed, whoever calls the solver: the level
-        pipeline (whose pieces take closed forms and call none), the
-        gasket spectrum (split into its symmetry blocks) or a direct call
-        of solve_below call only NumPy's values-only solver, ``eigvalsh``,
-        of the eigensolvers of ``numpy.linalg``."""
-        calls = []
-        for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
-            def spy(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
-                calls.append(_name)
-                return _solver(*args, **kwargs)
+    def test_pipeline_calls_no_linear_algebra(self, monkeypatch, tmp_path):
+        """No run calls a function of ``numpy.linalg``: the laakso, choux
+        (with its decimation chain) and string commands take every value in
+        closed form and exit 0 with each of them refusing."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called by a run")
 
-            monkeypatch.setattr(np.linalg, name, spy)
-        laakso_numeric_spectra(LaaksoSpec(j=[2, 2], refine=8), 200.0)
-        # a base path of 513 vertices
-        laakso_numeric_spectra(LaaksoSpec(j=[2] * 9, refine=8), 400.0)
-        stitched_numeric_spectra(StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 2], refine=16), 700.0)
-        choux_numeric_spectra(ChouxSpec(fiber_depth=1, gasket_level=2))
-        gasket_graph_spectrum(build_gasket(2), "dirichlet")
-        d, _ = random_pencil(60, 3)
-        whole_spectrum(d)
-        solve_below(d, 5.5)
-        assert calls and set(calls) == {"eigvalsh"}
+        for name in dir(np.linalg):
+            if callable(getattr(np.linalg, name)) and not name[0].isupper() and name[0] != "_":
+                monkeypatch.setattr(np.linalg, name, refuse)
+        with pytest.raises(AssertionError):
+            np.linalg.eigvalsh(np.eye(2))
+        runs = {
+            "laakso": {"j": [2, 3], "refine": 8, "lambda_max": 400, "boundary": "dirichlet"},
+            "choux": {"fiber_depth": 3, "gasket_level": 6, "boundary": "dirichlet"},
+            "string": {"lengths": [0.5, 0.25, 0.125, 0.0625], "mults": [1, 2, 1, 3],
+                       "refine": 16, "lambda_max": 2000},
+        }
+        for command, doc in runs.items():
+            spec = tmp_path / f"{command}.json"
+            spec.write_text(json.dumps(doc))
+            assert cli.main([command, "--spec", str(spec), "--out", str(tmp_path / command)]) == \
+                cli.EXIT_OK, command
 
 
 def choux_24_level(boundary, level):
@@ -399,10 +379,15 @@ class TestInertiaGuard:
 
 
 class TestCluster:
-    def test_near_duplicates_merge(self):
-        s = cluster(np.array([4.0, 4.0 + 1e-12, 9.0]))
-        assert [e.multiplicity for e in s.entries] == [2, 1]
-        assert [e.value for e in s.entries] == pytest.approx([4.0, 9.0], rel=1e-12)
+    def test_equal_values_merge(self):
+        s = cluster(np.array([4.0, 4.0, 9.0]))
+        assert [(e.value, e.multiplicity) for e in s.entries] == [(4.0, 2), (9.0, 1)]
+
+    def test_close_distinct_values_stay_apart(self):
+        """Values that differ are distinct eigenvalues however close they
+        are: 1e-12 apart, and one unit in the last place apart."""
+        s = cluster(np.array([4.0, 4.0 + 1e-12, np.nextafter(9.0, 0.0), 9.0]))
+        assert [e.multiplicity for e in s.entries] == [1, 1, 1, 1]
 
     def test_empty(self):
         assert cluster(np.array([])).entries == []
@@ -411,54 +396,56 @@ class TestCluster:
         s = cluster(np.array([4.0, 4.0, 9.0]), tags=["base", "new@1", "base"])
         assert s.entries[0].tag == "basex1;new@1x1"
 
-    def test_wide_chain_of_close_values_is_refused(self):
+    def test_wide_chain_of_close_values_is_listed_value_by_value(self):
+        """Twenty distinct values, each within the gap of the next: the gap
+        reference chains them into one cluster too wide to be copies of
+        one value and refuses it, and the exact merge lists all twenty."""
         rel_tol = 1e-7
         chain = 1.0 + 0.9 * rel_tol * np.arange(20)
         assert gap_runs(chain, rel_tol) == [(0, 20)]
         with pytest.raises(NoConvergence, match="wider than rel_tol"):
-            cluster(chain, rel_tol=rel_tol)
+            gap_cluster(chain, rel_tol=rel_tol)
+        assert [e.value for e in cluster(chain).entries] == chain.tolist()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_values_and_tags_are_those_of_a_loop_over_the_runs(self, seed):
-        """Runs of 1-3000 values a few ulps apart, each counted 1-5 times,
-        with random tags: each value is v_0 + sum c_i (v_i - v_0) / sum c_i
-        over its run, summed in order, bit for bit, its multiplicity the
-        sum of the counts, and each tag counts the run's labels with their
-        counts in sorted order."""
+        """Runs of 1-3000 equal values, a run's neighbours a few ulps away,
+        each value counted 1-5 times, with random tags: each entry is the
+        value of its run, its multiplicity the sum of the counts, and each
+        tag counts the run's labels with their counts in sorted order."""
         rng = np.random.default_rng(seed)
         lengths = rng.choice([1, 2, 3, 7, 8, 9, 16, 127, 128, 129, 257, 1000, 3000], 40)
         centres = np.cumsum(rng.uniform(0.5, 2.0, len(lengths))) * 10.0 ** rng.integers(-3, 3)
-        eigs = np.concatenate([c * (1 + rng.integers(0, 64, n) * np.finfo(float).eps)
-                               for c, n in zip(centres, lengths)])
-        eigs.sort()
+        centres[1::2] = np.nextafter(centres[:-1:2], np.inf)  # neighbours one ulp apart
+        eigs = np.repeat(centres, lengths)
         counts = rng.integers(1, 6, len(eigs))
         tags = rng.choice(["base", "new@1", "new@2", "new@10"], len(eigs)).tolist()
         s = cluster(eigs, tags=tags, counts=counts)
         ref = []
-        for i, j in gap_runs(eigs, 1e-7):
-            labels, shift = {}, 0.0
-            for t, c, v in zip(tags[i:j], counts[i:j].tolist(), eigs[i:j].tolist()):
+        for i, j in zip(np.cumsum(lengths) - lengths, np.cumsum(lengths)):
+            labels = {}
+            for t, c in zip(tags[i:j], counts[i:j].tolist()):
                 labels[t] = labels.get(t, 0) + c
-                shift += c * (v - eigs[i])
-            mult = int(counts[i:j].sum())
-            ref.append((eigs[i] + shift / mult, mult,
+            ref.append((eigs[i], int(counts[i:j].sum()),
                         ";".join(f"{t}x{c}" for t, c in sorted(labels.items()))))
         assert [(e.value, e.multiplicity, e.tag) for e in s.entries] == ref
         assert len(s.entries) == len(lengths)
 
-    @pytest.mark.parametrize("copies, exact", [
-        (4.0 + np.spacing(4.0) * np.arange(6), None),
-        # the 18 copies of laakso_cli's value 157.88196427564415, whose
-        # np.mean is 157.88196427564418
-        (np.full(18, 157.88196427564415), 157.88196427564415),
-    ])
-    def test_copies_a_few_ulps_apart_still_merge(self, copies, exact):
-        s = cluster(np.array([1.0, *copies, 900.0]))
-        assert [e.multiplicity for e in s.entries] == [1, len(copies), 1]
-        if exact is not None:
-            assert s.entries[1].value == exact
-            assert cluster(np.array([exact]), counts=[len(copies)]).entries == [
-                SpectrumEntry(exact, len(copies))]
+    def test_copies_a_few_ulps_apart_merge_only_in_the_gap_reference(self):
+        """Six values a few ulps apart are six entries of the exact merge
+        and one cluster of the gap reference; 18 equal copies (laakso_cli's
+        value 157.88196427564415, whose np.mean is 157.88196427564418) are
+        one entry of that value in both."""
+        near = 4.0 + np.spacing(4.0) * np.arange(6)
+        assert [e.multiplicity for e in cluster(np.array([1.0, *near, 900.0])).entries] == \
+            [1] * 8
+        assert [e.multiplicity for e in gap_cluster(np.array([1.0, *near, 900.0])).entries] == \
+            [1, 6, 1]
+        exact = 157.88196427564415
+        copies = np.array([1.0, *np.full(18, exact), 900.0])
+        for merge in (cluster, gap_cluster):
+            assert merge(copies).entries[1] == SpectrumEntry(exact, 18)
+        assert cluster(np.array([exact]), counts=[18]).entries == [SpectrumEntry(exact, 18)]
 
     def test_gap_runs(self):
         v = [0.0, 1e-9, 1.0, 1.0 + 5e-8, 1.0 + 1e-7, 3.0, 300.0, 300.0 + 2e-5]

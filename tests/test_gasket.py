@@ -1,30 +1,36 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+import dense_reference
 import piece_reference
-from fractal_spectra import cli, eigensolve, fiber, gasket
-from fractal_spectra.eigensolve import solve_below, verify_nesting
+from dense_reference import (
+    build_gasket,
+    d3_maps,
+    dirichlet_chain,
+    gasket_graph,
+    gasket_graph_spectrum,
+    gasket_levels,
+    graph_operator,
+)
+from fractal_spectra import cli, fiber, gasket
+from fractal_spectra.eigensolve import verify_nesting
 from fractal_spectra.errors import InvalidSpaceSpec, NoConvergence, ResolutionTooCoarse
 from fractal_spectra.gasket import (
     DECIMATION_SCALE,
     SPECTRAL_BOUND,
     ChouxSpec,
-    build_gasket,
+    choux_family,
     choux_numeric_spectra,
     decimation_branch,
+    decimation_chain,
     decimation_check,
-    choux_family,
-    d3_maps,
-    dirichlet_chain,
-    gasket_graph_spectrum,
-    gasket_levels,
     hausdorff_dimension,
     n_points,
 )
-from fractal_spectra.metric_graph import graph_operator
 from lapack_reference import csr, eigenpairs_below
 from level_reference import (
     assert_matches_reference,
@@ -36,10 +42,13 @@ from level_reference import (
 
 
 class TestGasketGraph:
+    """The reference gasket graphs of ``tests/dense_reference.py``."""
+
     @pytest.mark.parametrize("m", range(7))
     def test_closed_form_counts(self, m):
+        """|V_m| and |E_m|, which the choux family takes in closed form."""
         g = build_gasket(m)
-        assert len(g.points) == (3 ** (m + 1) + 3) // 2
+        assert len(g.points) == n_points(m) == (3 ** (m + 1) + 3) // 2
         assert len(g.edges) == 3 ** (m + 1)
 
     def test_vertex_sets_nested(self):
@@ -57,11 +66,15 @@ class TestGasketGraph:
         ]
 
     def test_constant_in_kernel(self):
-        from fractal_spectra.metric_graph import graph_operator
-
-        mg = choux_family(ChouxSpec(fiber_depth=0, gasket_level=2)).base
-        d = graph_operator(mg)
+        d = graph_operator(gasket_graph(build_gasket(2)))
         assert np.abs(csr(d) @ np.ones(d.n)).max() < 1e-12
+
+    def test_choux_family_has_no_base_graph(self):
+        """The family takes its edge counts from |E_m| = 3^(m+1) and
+        builds no graph of the gasket."""
+        family = choux_family(ChouxSpec(fiber_depth=3, gasket_level=5))
+        assert family.base is None
+        assert family.n_edges == [len(build_gasket(5).edges) << level for level in (1, 2, 3)]
 
 
 class TestSymmetry:
@@ -73,7 +86,7 @@ class TestSymmetry:
         and the maps compose as e, r, r^2, s, rs, r^2 s."""
         g = build_gasket(m)
         maps = d3_maps(g)
-        A = csr(graph_operator(gasket._base(g, None))).toarray()
+        A = csr(graph_operator(gasket_graph(g))).toarray()
         assert maps.shape == (6, g.n_vertices)
         assert np.array_equal(maps[0], np.arange(g.n_vertices))
         for p in maps:
@@ -81,7 +94,7 @@ class TestSymmetry:
             assert np.array_equal(A[p][:, p], A)
             assert np.array_equal(g.birth[p], g.birth)
             for boundary in (None, "dirichlet"):
-                marks = gasket._base(g, boundary).dirichlet
+                marks = gasket_graph(g, boundary).dirichlet
                 assert np.array_equal(marks[p], marks)
         assert not np.any(maps[1:3] == np.arange(g.n_vertices))
         r, r2, s, rs, r2s = maps[1:]
@@ -92,7 +105,7 @@ class TestSymmetry:
     def test_orbits_of_the_level_five_gasket(self):
         """n = 366 splits into blocks of 58 (A2), 64 (A1) and 122 (E)."""
         maps = d3_maps(build_gasket(5))
-        assert [size for *_, size in eigensolve._symmetry_blocks(maps)] == [58, 64, 122]
+        assert [size for *_, size in dense_reference._symmetry_blocks(maps)] == [58, 64, 122]
 
     @pytest.mark.parametrize("spec", [ChouxSpec(i, m, boundary)
                                       for i, m in [(1, 2), (2, 3), (3, 4), (3, 5)]
@@ -105,48 +118,57 @@ class TestSymmetry:
         assert_matches_reference(choux_numeric_spectra(spec), ops, fibers, SPECTRAL_BOUND,
                                  rtol=1e-12, floor=1e-2)
 
-    @pytest.mark.parametrize("m", [1, 3, 5, 6])
-    def test_chain_is_the_gasket_spectra(self, m):
-        """The decimation chain, from one subdivision pass, equals the
-        spectra of the Dirichlet gaskets of levels 1..m."""
-        chain = dirichlet_chain(gasket_levels(m))
-        assert len(chain) == m
-        for k, got in enumerate(chain, start=1):
-            ref = gasket_graph_spectrum(build_gasket(k), "dirichlet")
+    def test_chain_is_the_dense_gasket_spectra(self):
+        """The package's decimation chain, in closed form, equals the dense
+        reference chain of the Dirichlet gaskets of levels 1..7 solved in
+        their D3 blocks: multiplicities exactly, values to 1e-12 relative
+        (floored at 1)."""
+        chain, ref = decimation_chain(7), dirichlet_chain(gasket_levels(7))
+        assert len(chain) == len(ref) == 7
+        for k, (got, want) in enumerate(zip(chain, ref), start=1):
             assert total_multiplicity(got) == n_points(k) - 3
-            assert [e.multiplicity for e in got.entries] == [e.multiplicity for e in ref.entries]
-            dev = np.abs(got.values() - ref.values())
-            assert np.all(dev <= 1e-12 * np.maximum(1.0, ref.values()))
-            assert (got.origin, got.meta) == (ref.origin, ref.meta)
+            assert [e.multiplicity for e in got.entries] == [e.multiplicity for e in want.entries]
+            dev = np.abs(got.values() - want.values())
+            assert np.all(dev <= 1e-12 * np.maximum(1.0, want.values()))
 
-    def test_chain_solves_each_level_whole_in_its_d3_blocks(self, monkeypatch):
-        """On the choux_cli spec the pieces call no eigensolver, and the
-        chain solves the Dirichlet gasket of each level 1..5 once, whole,
-        with its six symmetries."""
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_neumann_gasket_is_the_dense_gasket_spectrum(self, m):
+        """Level 0 of the Neumann pâte à choux is the whole gasket with its
+        corners kept: the dense solve in D3 blocks gives its multiplicities
+        exactly and its values to 1e-12 relative (floored at 0.01)."""
+        values, mult = gasket._piece_spectrum(m, 0, 3)
+        order = np.argsort(values)
+        want = gasket_graph_spectrum(build_gasket(m))
+        assert mult[order].tolist() == [e.multiplicity for e in want.entries]
+        scale = np.maximum(np.abs(want.values()), 1e-2)
+        assert np.all(np.abs(values[order] - want.values()) <= 1e-12 * scale)
+
+    def test_dense_chain_solves_each_level_whole_in_its_d3_blocks(self, monkeypatch):
+        """On the choux_cli spec neither the pieces nor the decimation chain
+        call an eigensolver; the dense reference chain solves the Dirichlet
+        gasket of each level 1..5 once, whole, with its six symmetries."""
         def refuse(*args, **kwargs):
-            raise AssertionError("eigensolver called on a choux piece")
+            raise AssertionError("eigensolver called by the package")
 
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigvalsh", refuse)
             for boundary in (None, "dirichlet"):
                 choux_numeric_spectra(ChouxSpec(3, 5, boundary))
+            decimation_chain(5)
         solves = []
 
-        def counted(d, lam_max, maps=None, _solve=solve_below):
+        def counted(d, lam_max, maps=None, _solve=dense_reference.solve_below):
             solves.append((d.n, None if maps is None else maps.shape))
             return _solve(d, lam_max, maps)
 
-        monkeypatch.setattr(gasket, "solve_below", counted)
+        monkeypatch.setattr(dense_reference, "solve_below", counted)
         dirichlet_chain(gasket_levels(5))
         assert solves == [(n_points(k) - 3, (6, n_points(k) - 3)) for k in range(1, 6)]
 
 
 @pytest.fixture(scope="module")
 def dirichlet_spectra():
-    return [
-        gasket_graph_spectrum(build_gasket(m), boundary="dirichlet")
-        for m in range(1, 4)
-    ]
+    return decimation_chain(3)
 
 
 class TestDecimation:
@@ -194,10 +216,10 @@ def decimation_spectrum(m: int) -> list[tuple[float, int]]:
     return sorted(spectrum.items())
 
 
-@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("m", range(1, 8))
 def test_dirichlet_gasket_spectrum_is_the_decimation_spectrum(m):
-    """The values-only whole-spectrum solve against the exact spectrum:
-    values to 1e-10 relative, multiplicities exactly."""
+    """The dense reference's values-only whole-spectrum solve against the
+    exact spectrum: values to 1e-10 relative, multiplicities exactly."""
     exact = decimation_spectrum(m)
     got = gasket_graph_spectrum(build_gasket(m), "dirichlet")
     assert sum(mult for _, mult in exact) == total_multiplicity(got) == (3 ** (m + 1) - 3) // 2
@@ -272,6 +294,30 @@ class TestClosedForm:
         assert cli.main(["choux", "--spec", str(spec), "--out", str(tmp_path / "o")]) == \
             cli.EXIT_SOLVER
 
+
+    def test_level_eleven_lists_every_distinct_value(self):
+        """Choux 3/11 Dirichlet: the top level has one entry per distinct
+        closed-form value, 4991 of them (a merge by gaps of 1e-7 relative
+        joins some into 4986), and its multiplicities add up to the kept
+        count."""
+        spec = ChouxSpec(3, 11, "dirichlet")
+        top = choux_numeric_spectra(spec)[-1]
+        new, kept = fiber._level_values(choux_family(spec), SPECTRAL_BOUND)
+        distinct = np.unique(np.concatenate([values[counts > 0] for values, counts in new]))
+        assert len(top.entries) == len(distinct) == 4991
+        assert np.array_equal(top.values(), distinct)
+        assert total_multiplicity(top) == top.meta["count"] == kept[-1]
+
+    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
+    def test_level_twelve_runs_and_verifies(self, tmp_path, boundary):
+        """Choux 3/12 runs and passes ``verify`` under both boundaries: its
+        close distinct values are not chained into one cluster and refused
+        (``NoConvergence``), as a merge by gaps refused them."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"fiber_depth": 3, "gasket_level": 12, "boundary": boundary}))
+        out = tmp_path / "o"
+        assert cli.main(["choux", "--spec", str(spec), "--out", str(out)]) == cli.EXIT_OK
+        assert cli.main(["verify", "--out", str(out)]) == cli.EXIT_OK
 
 class TestChoux:
     @staticmethod

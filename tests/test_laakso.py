@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import family_reference
-from fractal_spectra.eigensolve import FDModel, compare_spectra, solve_below, verify_nesting
+from dense_reference import solve_below
+from fractal_spectra.eigensolve import FDModel, compare_spectra, verify_nesting
 from fractal_spectra.errors import InvalidSequence
 from fractal_spectra.gasket import ChouxSpec, choux_numeric_spectra
 from fractal_spectra import fiber

@@ -4,6 +4,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from dense_reference import _laplacian, graph_operator
 from fractal_spectra.errors import DisconnectedGraph, NonDividingPitch
 from fractal_spectra.metric_graph import (
     DIRICHLET,
@@ -11,8 +12,6 @@ from fractal_spectra.metric_graph import (
     EquilateralMesh,
     MetricGraph,
     _component_labels,
-    _laplacian,
-    graph_operator,
     walk_kernels,
 )
 from json_reference import graph_from_json, graph_to_json

@@ -38,33 +38,25 @@ import os
 import tempfile
 from datetime import timedelta
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dense_reference
 import family_reference
 import level_reference
 import mesh_reference
 import nesting_reference
 import piece_reference
 import strings_reference
-from fractal_spectra import cli, eigensolve, fiber, gasket, laakso, strings
-from fractal_spectra.eigensolve import (
-    SpectrumEntry,
-    SpectrumList,
-    gap_runs,
-    solve_below,
-    verify_nesting,
-)
+from dense_reference import gap_cluster, gap_runs, graph_operator, solve_below
+from fractal_spectra import cli, fiber, gasket, laakso, strings
+from fractal_spectra.eigensolve import SpectrumEntry, SpectrumList, verify_nesting
 from fractal_spectra.errors import DisconnectedGraph, NoConvergence
-from fractal_spectra.metric_graph import (
-    DIRICHLET,
-    SPECTRAL_BOUND,
-    MetricGraph,
-    graph_operator,
-)
+from fractal_spectra.metric_graph import DIRICHLET, SPECTRAL_BOUND, MetricGraph
 from json_reference import spectrum_from_json, spectrum_to_json
 from lapack_reference import csr, eigenpairs_below, generalized_eigh, operator
 from level_reference import assert_matches_reference, total_multiplicity
@@ -128,6 +120,66 @@ def test_choux_levels_add_up_and_match_reference(spec):
 def test_string_levels_add_up_and_match_reference(spec, lam_max):
     ops, fibers = mesh_reference.stitched_levels(spec)
     check_levels(strings.stitched_numeric_spectra(spec, lam_max), ops, fibers, lam_max)
+
+
+# Every value the package lists comes from a closed form that gives the
+# copies of an eigenvalue the same bits, so it merges equal values exactly;
+# these hold that merge to the gap clustering of the dense route, so that a
+# closed form that gives two copies different bits fails here.
+
+merge_laakso_specs = st.builds(
+    laakso.LaaksoSpec,
+    j=st.lists(st.sampled_from([2, 3]), min_size=0, max_size=5),
+    refine=st.sampled_from([4, 8, 16]),
+    boundary=st.sampled_from(["neumann", "dirichlet"]),
+)
+
+merge_choux_specs = st.integers(0, 3).flatmap(
+    lambda i: st.builds(
+        gasket.ChouxSpec,
+        fiber_depth=st.just(i),
+        gasket_level=st.integers(max(i, 1), 9),
+        boundary=st.sampled_from([None, "dirichlet"]),
+    )
+)
+
+
+def assert_exact_merge_is_the_gap_merge(spectra):
+    """``spectra()`` lists the same spectra, entry for entry and bit for
+    bit, with ``dense_reference.gap_cluster`` in place of the exact merge."""
+    got = spectra()
+    with mock.patch.object(fiber, "cluster", gap_cluster):
+        ref = spectra()
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert (a.entries, a.origin, a.truncation, a.pitch, a.meta) == \
+            (b.entries, b.origin, b.truncation, b.pitch, b.meta)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(spec=merge_laakso_specs, lam_max=st.sampled_from([40.0, 400.0, 2000.0]))
+def test_laakso_exact_merge_is_the_gap_merge(spec, lam_max):
+    """{j, j+1} sequences up to depth 5, refinements 4-16, cuts from below
+    the first edge mode to far above it."""
+    assert_exact_merge_is_the_gap_merge(lambda: laakso.laakso_numeric_spectra(spec, lam_max))
+
+
+@settings(SETTINGS, max_examples=60)
+@given(spec=string_specs, lam_max=st.sampled_from([200.0, 700.0, 2000.0]))
+def test_string_exact_merge_is_the_gap_merge(spec, lam_max):
+    assert_exact_merge_is_the_gap_merge(lambda: strings.stitched_numeric_spectra(spec, lam_max))
+
+
+@settings(SETTINGS, max_examples=40)
+@given(spec=merge_choux_specs)
+def test_choux_exact_merge_is_the_gap_merge(spec):
+    """Fiber depth up to 3 over gasket levels up to 9, and the decimation
+    chain of the gasket level."""
+    assert_exact_merge_is_the_gap_merge(lambda: gasket.choux_numeric_spectra(spec))
+    with mock.patch.object(gasket, "cluster", gap_cluster):
+        ref = gasket.decimation_chain(spec.gasket_level)
+    assert [s.entries for s in gasket.decimation_chain(spec.gasket_level)] == \
+        [s.entries for s in ref]
 
 
 # The package solves every level from Dirichlet pieces of its base graph
@@ -208,9 +260,9 @@ def test_choux_closed_form_is_the_dense_piece_route(spec):
 def gasket_pencil(m, boundary):
     """The vertex pencil of the level-m gasket and its D3 maps in the
     numbering of the kept vertices."""
-    g = gasket.build_gasket(m)
-    op = graph_operator(gasket._base(g, boundary), boundary)
-    return op, np.searchsorted(op.kept_vertices, gasket.d3_maps(g)[:, op.kept_vertices])
+    g = dense_reference.build_gasket(m)
+    op = graph_operator(dense_reference.gasket_graph(g, boundary), boundary)
+    return op, np.searchsorted(op.kept_vertices, dense_reference.d3_maps(g)[:, op.kept_vertices])
 
 
 @settings(SETTINGS, max_examples=40)
@@ -395,7 +447,9 @@ def assert_sizes_of_the_loop_reference(family, ref, boundary):
     those of the graphs of the loop-built ``ref``."""
     _, kept = fiber._level_values(family, 0.0)
     assert kept == [graph_operator(g, boundary).n for g in ref.graphs]
-    assert [len(family.base.ends), *family.n_edges] == [len(g.ends) for g in ref.graphs]
+    assert family.n_edges == [len(g.ends) for g in ref.graphs[1:]]
+    if family.base is not None:  # the pâte à choux has none
+        assert len(family.base.ends) == len(ref.graphs[0].ends)
 
 
 @SETTINGS
@@ -410,7 +464,7 @@ def test_laakso_family_has_the_sizes_of_the_loop_reference(spec):
 def test_choux_family_has_the_sizes_of_the_loop_reference(spec):
     assert_sizes_of_the_loop_reference(gasket.choux_family(spec),
                                        family_reference.build_choux(spec), spec.boundary)
-    levels = gasket.gasket_levels(spec.gasket_level)
+    levels = dense_reference.gasket_levels(spec.gasket_level)
     ref_levels = family_reference.gasket_levels(spec.gasket_level)
     for g, r in zip(levels, ref_levels, strict=True):
         scale = 2 ** (g.level + 1)
@@ -493,7 +547,7 @@ def test_chebyshev_map_gives_the_mesh_spectrum_of_any_equal_edge_graph(case, ref
     values = generalized_eigh(op)[0] if op.n else np.zeros(0)
     distinct = values[[start for start, _ in gap_runs(values, 1e-9)]]
     cut = data.draw(st.sampled_from([*((distinct[:-1] + distinct[1:]) / 2), 5.0 / pitch**2]))
-    ref = eigensolve.cluster(values[values <= cut], tags=["base"] * np.count_nonzero(values <= cut))
+    ref = gap_cluster(values[values <= cut], tags=["base"] * np.count_nonzero(values <= cut))
     ref.meta = {"count": total_multiplicity(ref)}
     got = fiber.equilateral_spectra(piece_reference.base_family(g), [refine], cut, "{}", {})[0]
     assert_same_spectra(got, [ref])
