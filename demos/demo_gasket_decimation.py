@@ -30,7 +30,7 @@ print("\ndecimation lambda' (5 - lambda') between consecutive levels:")
 for m, (lo, hi) in enumerate(zip(spectra, spectra[1:]), start=1):
     rep = decimation_check(lo, hi)
     print(f"  m={m} -> m={m + 1}: {100 * rep['fraction_explained']:.0f}% explained "
-          f"({len(rep['matched'])} matched, {len(rep['exceptional'])} exceptional)")
+          f"({rep['matched']} matched, {rep['exceptional']} exceptional)")
 
 branch = decimation_branch(spectra, [1, 2, 3, 4])
 print(f"\nground branch 5^m * lambda_min: {[f'{b:.4f}' for b in branch]}")

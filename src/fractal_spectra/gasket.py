@@ -13,8 +13,11 @@ decimation (Fukushima & Shima, Potential Anal., 1992; Strichartz,
 multiplicities and no solve (``choux_family``, ``_piece_spectrum``); so
 has the whole Dirichlet gasket of each level, level 0 of the pâte à choux
 with its corners eliminated, which makes up the decimation chain
-(``decimation_chain``) that ``decimation_check`` and ``decimation_branch``
-read.  No gasket graph is built: a piece's spectrum needs only its number
+(``decimation_chain``: m decimation steps in one pass for levels 1..m)
+that ``decimation_check`` and ``decimation_branch`` read.  The check
+matches each image lambda (5 - lambda) to its nearest lower value by one
+sorted search and reports counts, not a record per value.  No gasket
+graph is built: a piece's spectrum needs only its number
 of kept vertices of each V_j, |V_j| = (3^(j+1) + 3) / 2 less the
 eliminated ones, and the level-m gasket has 3^(m+1) edges.  The gasket
 graphs, their six symmetries and the dense solve of the whole gaskets are
@@ -23,6 +26,7 @@ the tests' reference (``tests/dense_reference.py``).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -54,27 +58,39 @@ def decimation_check(spec_m: SpectrumList, spec_m1: SpectrumList, tol: float = 1
     """Verify the decimation relation between consecutive Dirichlet spectra.
 
     Every level-(m+1) eigenvalue lambda' must either satisfy
-    lambda'(5 - lambda') = lambda for some level-m eigenvalue, or belong to
-    the exceptional set {2, 5, 6}.  Inputs are probabilistic spectra; the
-    check runs in the lambda = 4 mu variable.
+    lambda'(5 - lambda') = lambda for some level-m eigenvalue, within ``tol``
+    relative to max(1, |lambda'(5 - lambda')|), or belong to the exceptional
+    set {2, 5, 6}.  Inputs are probabilistic spectra; the check runs in the
+    lambda = 4 mu variable.  The report counts the matched and the
+    exceptional values, lists the unexplained ones, and gives the largest
+    relative deviation of a match.
     """
     lam_m = DECIMATION_SCALE * spec_m.values()
-    report = {"matched": [], "exceptional": [], "unexplained": []}
-    for e in spec_m1.entries:
-        lp = DECIMATION_SCALE * e.value
-        target = lp * (5.0 - lp)
-        dev = float(np.min(np.abs(lam_m - target))) if len(lam_m) else np.inf
-        if dev <= tol * max(1.0, abs(target)):
-            report["matched"].append({"level_m1": lp, "image": target, "dev": dev})
-        elif min(abs(lp - x) for x in EXCEPTIONAL) <= tol * max(1.0, lp):
-            report["exceptional"].append(lp)
-        else:
-            report["unexplained"].append(lp)
-    total = len(spec_m1.entries)
-    explained = total - len(report["unexplained"])
-    report["fraction_explained"] = explained / total if total else 1.0
-    report["pass"] = not report["unexplained"]
-    return report
+    lp = DECIMATION_SCALE * spec_m1.values()
+    image = lp * (5.0 - lp)
+    scale = np.maximum(1.0, np.abs(image))
+    if len(lam_m):
+        # lam_m increases strictly and |x - image| is monotone in x on each
+        # side of the image, so the nearest value is a neighbour of its
+        # insertion point
+        right = np.minimum(np.searchsorted(lam_m, image), len(lam_m) - 1)
+        dev = np.minimum(np.abs(lam_m[right] - image),
+                         np.abs(lam_m[np.maximum(right - 1, 0)] - image))
+    else:
+        dev = np.full(len(lp), np.inf)
+    matched = dev <= tol * scale
+    exceptional = ~matched & (np.abs(lp[:, None] - EXCEPTIONAL).min(axis=1)
+                              <= tol * np.maximum(1.0, lp))
+    unexplained = lp[~matched & ~exceptional].tolist()
+    total = len(lp)
+    return {
+        "matched": int(matched.sum()),
+        "exceptional": int(exceptional.sum()),
+        "unexplained": unexplained,
+        "max_deviation": float(np.max(dev[matched] / scale[matched], initial=0.0)),
+        "fraction_explained": (total - len(unexplained)) / total if total else 1.0,
+        "pass": not unexplained,
+    }
 
 
 def decimation_branch(spectra: list[SpectrumList], levels: list[int]) -> list[float]:
@@ -134,11 +150,11 @@ def _decimate(x: np.ndarray, c: np.ndarray, kept: int, born: int, new2: int):
     return x[c > 0], c[c > 0]
 
 
-def _piece_spectrum(m: int, level: int, key: int) -> tuple[np.ndarray, np.ndarray]:
-    """The whole spectrum of the piece ``key`` of level ``level`` of
-    ``choux_family`` over the level-m gasket (``fiber.LevelFamily``): its
-    walk-Laplacian values mu and their multiplicities, by spectral
-    decimation from the level-``level`` gasket (``_decimate``).
+def _decimations(level: int, key: int):
+    """The spectra of the piece ``key`` of level ``level`` of
+    ``choux_family`` on the gaskets of levels ``level``, ``level`` + 1, ...:
+    its values in the variable lambda = 4 mu and their multiplicities, each
+    one ``_decimate`` step from the one before.
 
     K_j, the number of kept vertices of V_j, is ``key`` at j = level - 1
     (at j = 0 on level 0), and K_(j+1) = K_j + 3^(j+1) at j >= level, as
@@ -157,9 +173,18 @@ def _piece_spectrum(m: int, level: int, key: int) -> tuple[np.ndarray, np.ndarra
     else:
         x, c = np.zeros(0), np.zeros(0, dtype=np.int64)
     kept, new2 = key, 3 ** level - key if level else int(key == 0)
-    for j in range(level, m):
+    for j in itertools.count(level):
+        yield x, c
         x, c = _decimate(x, c, kept, 3 ** (j + 1), new2)
         kept, new2 = kept + 3 ** (j + 1), 0
+
+
+def _piece_spectrum(m: int, level: int, key: int) -> tuple[np.ndarray, np.ndarray]:
+    """The whole spectrum of the piece ``key`` of level ``level`` of
+    ``choux_family`` over the level-m gasket (``fiber.LevelFamily``): its
+    walk-Laplacian values mu and their multiplicities, by spectral
+    decimation from the level-``level`` gasket (``_decimations``)."""
+    x, c = next(itertools.islice(_decimations(level, key), m - level, None))
     return x / DECIMATION_SCALE, c
 
 
@@ -190,11 +215,13 @@ def choux_family(spec: ChouxSpec) -> LevelFamily:
 
 def decimation_chain(m: int) -> list[SpectrumList]:
     """The spectra of the Dirichlet gaskets of levels 1..m: level 0 of the
-    pâte à choux with its corners eliminated, in closed form
-    (``_piece_spectrum(l, 0, 0)``), with its multiplicities."""
+    pâte à choux with its corners eliminated, in closed form, with its
+    multiplicities.  One pass of decimation steps gives every level
+    (``_decimations(0, 0)``), the iterates that ``_piece_spectrum(l, 0, 0)``
+    ends on."""
     out = []
-    for level in range(1, m + 1):
-        values, counts = _piece_spectrum(level, 0, 0)
+    for x, counts in itertools.islice(_decimations(0, 0), 1, m + 1):
+        values = x / DECIMATION_SCALE
         order = np.argsort(values)
         out.append(cluster(values[order], counts=counts[order]))
     return out

@@ -142,8 +142,9 @@ def laakso_refinement_spectra(spec: LaaksoSpec, lam_max: float,
     (``fiber.equilateral_spectra``).
 
     Level-0 eigenvalues are tagged "base" and those new at level i, from the
-    pieces of that level, "new@i"; multiplicities come from gap
-    clustering.
+    pieces of that level, "new@i"; a multiplicity is the number of copies
+    of a value, which the closed forms give the same bits
+    (``eigensolve.cluster`` merges equal values only).
     """
     meta = {"j": spec.j, "boundary": spec.boundary,
             "zero_mode": "included, outside the analytic family listing"}

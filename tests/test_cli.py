@@ -150,6 +150,12 @@ class TestChoux:
         dec = json.loads((out / "decimation.json").read_text())
         assert dec["pass"] is True
         assert dec["hausdorff_dimension"] == pytest.approx(2.584962500721156)
+        # every value of a check's upper level is counted once
+        chain = gasket.decimation_chain(3)
+        assert [(c["from_level"], c["to_level"]) for c in dec["checks"]] == [(1, 2), (2, 3)]
+        for c in dec["checks"]:
+            assert c["matched"] + c["exceptional"] + len(c["unexplained"]) == \
+                len(chain[c["to_level"] - 1].entries)
         assert cli.main(["verify", "--out", str(out)]) == 0
 
     def test_missing_key_rejected(self, tmp_path):

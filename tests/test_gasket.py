@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import decimation_reference
 import dense_reference
 import piece_reference
 from dense_reference import (
@@ -181,6 +182,18 @@ class TestDecimation:
             rep = decimation_check(lo, hi)
             assert rep["pass"]
             assert rep["fraction_explained"] == 1.0
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_one_pass_chain_is_the_level_by_level_chain(self, m):
+        """Each level l of the one-pass chain lists the entries of cluster
+        over the sorted _piece_spectrum(l, 0, 0), decimated afresh from
+        level 0, bit for bit."""
+        def bits(chain):
+            return [[(e.value.hex(), e.multiplicity, e.tag) for e in s.entries] for s in chain]
+
+        chain = decimation_chain(m)
+        assert len(chain) == m
+        assert bits(chain) == bits(decimation_reference.decimation_chain(m))
 
     def test_zero_is_a_fixed_point(self):
         # lambda' = 0 maps to lambda = 0 under lambda'(5 - lambda')

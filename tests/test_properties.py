@@ -25,12 +25,14 @@ the number of values of ``solve_below`` must equal the dense count at
 every cut clear of an eigenvalue, or the cut be refused, and its values
 must agree with LAPACK's generalized driver on both sides of its size
 threshold; ``verify_nesting`` must give the reports of the loop
-in ``tests/nesting_reference.py``; and spectrum lists must survive their
-CSV and JSON round trips.
+in ``tests/nesting_reference.py`` and ``decimation_check`` those of the
+loop in ``tests/decimation_reference.py``; and spectrum lists must survive
+their CSV and JSON round trips, their CSV text being csv.writer's.
 The example counts and the deadline keep the file to a few seconds;
 ``derandomize`` makes every run draw the same examples.
 """
 
+import csv
 import filecmp
 import json
 import math
@@ -38,6 +40,7 @@ import os
 import tempfile
 from datetime import timedelta
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -45,6 +48,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import decimation_reference
 import dense_reference
 import family_reference
 import level_reference
@@ -54,7 +58,7 @@ import piece_reference
 import strings_reference
 from dense_reference import gap_cluster, gap_runs, graph_operator, solve_below
 from fractal_spectra import cli, fiber, gasket, laakso, strings
-from fractal_spectra.eigensolve import SpectrumEntry, SpectrumList, verify_nesting
+from fractal_spectra.eigensolve import SpectrumEntry, SpectrumList, cluster, verify_nesting
 from fractal_spectra.errors import DisconnectedGraph, NoConvergence
 from fractal_spectra.metric_graph import DIRICHLET, SPECTRAL_BOUND, MetricGraph
 from json_reference import spectrum_from_json, spectrum_to_json
@@ -802,6 +806,52 @@ def test_nesting_report_is_the_loop_reference_report(case):
 
 
 @st.composite
+def decimation_cases(draw):
+    """Two consecutive levels and a tolerance for decimation_check, in the
+    variable lambda = 4 mu: upper values anywhere in [0, 6.25] or within a
+    few tolerances of 2, 5 and 6; lower values on the image
+    lambda (5 - lambda) of an upper value, off it by up to three
+    tolerances, a power of two to either side of it (so that two lower
+    values are equally near), or anywhere.  Either level may be empty."""
+    # at a power of two the shifts of one tolerance land on it exactly, and
+    # at 0 only the exceptional values themselves are exceptional
+    tol = draw(st.sampled_from([0.0, 1e-8, 2.0**-20, 1e-6, 1e-3]))
+    steps = st.sampled_from([-3.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0])
+    near = st.builds(lambda x, k: x * (1 + k * tol), st.sampled_from(gasket.EXCEPTIONAL), steps)
+    upper = sorted(set(draw(st.lists(st.one_of(st.floats(0.0, 6.25), near), max_size=12))))
+    lower = draw(st.lists(st.floats(-8.0, 6.25), max_size=4))
+    for lp in upper:
+        image = lp * (5.0 - lp)
+        scale = tol * max(1.0, abs(image))
+        kind = draw(st.sampled_from(["none", "image", "off", "tie"]))
+        if kind == "image":
+            lower.append(image)
+        elif kind == "off":
+            lower.append(image + draw(steps) * scale)
+        elif kind == "tie":
+            half = 2.0 ** (math.floor(math.log2(scale or 1e-12)) + draw(st.integers(-1, 1)))
+            lower += [image - half, image + half]
+
+    def spectrum(values):
+        return cluster(np.array(sorted(set(values))) / gasket.DECIMATION_SCALE)
+
+    return spectrum(lower), spectrum(upper), tol
+
+
+@settings(SETTINGS, max_examples=300)
+@given(case=decimation_cases())
+def test_decimation_check_is_the_loop_reference_report(case):
+    """The sorted-search decimation check gives the report of the loop over
+    every lower value in tests/decimation_reference.py: the same counts,
+    the same unexplained values in the same order and a bit-equal
+    max_deviation."""
+    lower, upper, tol = case
+    got = gasket.decimation_check(lower, upper, tol)
+    assert json.dumps(got) == json.dumps(decimation_reference.decimation_check(lower, upper, tol))
+    assert got["matched"] + got["exceptional"] + len(got["unexplained"]) == len(upper.entries)
+
+
+@st.composite
 def spectrum_lists(draw):
     """A spectrum list of up to 8 strictly increasing finite values (some
     drawn from subnormal and near-overflow ones), mults >= 1, tags and an
@@ -829,6 +879,27 @@ def test_spectrum_lists_survive_csv_and_json_round_trips(s):
     back = spectrum_from_json(spectrum_to_json(s))
     assert back.entries == s.entries
     assert (back.origin, back.truncation, back.pitch, back.meta) == (s.origin, s.truncation, s.pitch, s.meta)
+
+
+def csv_writer_text(s: SpectrumList) -> str:
+    r"""The CSV text of ``s`` as csv.writer writes it.  csv quotes a field
+    for the characters of its line terminator, not for every line break, so
+    rows are written with "\r\n", which quotes a "\r" as well as a "\n",
+    and each row's terminator is cut back to "\n"."""
+    rows: list[str] = []
+    w = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n")
+    w.writerow(["eigenvalue", "multiplicity", "tag", "source"])
+    for e in s.entries:
+        w.writerow([repr(e.value), e.multiplicity, e.tag, s.origin])
+    return "".join(row[:-2] + "\n" for row in rows)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(s=spectrum_lists())
+def test_csv_text_is_the_csv_writer_text(s):
+    r"""to_csv writes the bytes of csv.writer for tags and origins with
+    commas, quotes, "\r", "\n" and empty strings."""
+    assert s.to_csv() == csv_writer_text(s)
 
 
 cli_runs = st.one_of(
