@@ -18,20 +18,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import MisalignedMeshes
-
-
-def _csv_field(text: str) -> str:
-    r"""``text`` as a CSV field: quoted, with its quotes doubled, when it
-    holds a comma, a quote, a "\r" or a "\n".  csv.writer quotes only the
-    line breaks of its line terminator, so it leaves a "\r" bare under a
-    "\n" terminator, and a reader ends the row there."""
-    if any(ch in text for ch in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 @dataclass(frozen=True)
@@ -66,14 +57,17 @@ class SpectrumList:
     # -- serialization -------------------------------------------------------
 
     def to_csv(self) -> str:
-        # the bytes that csv.writer writes with rows ended by "\r\n", each
-        # row's cut back to "\n"; the origin and each distinct tag are
-        # quoted once
-        source = _csv_field(self.origin)
-        tags = {tag: _csv_field(tag) for tag in {e.tag for e in self.entries}}
-        return "".join(["eigenvalue,multiplicity,tag,source\n",
-                        *(f"{e.value!r},{e.multiplicity},{tags[e.tag]},{source}\n"
-                          for e in self.entries)])
+        # csv quotes a field for the characters of its line terminator, not
+        # for every line break, so a "\n" terminator leaves a "\r" in a tag
+        # bare and the reader ends the row there.  Rows are written with
+        # "\r\n" (the writer hands over one row per write) and each row's
+        # terminator is cut back to "\n".
+        rows: list[str] = []
+        w = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n")
+        w.writerow(["eigenvalue", "multiplicity", "tag", "source"])
+        for e in self.entries:
+            w.writerow([repr(e.value), e.multiplicity, e.tag, self.origin])
+        return "".join(row[:-2] + "\n" for row in rows)
 
     @classmethod
     def from_csv(cls, text: str, truncation: float | None = None, pitch=None) -> "SpectrumList":

@@ -1,12 +1,13 @@
-"""The loop versions of ``gasket.decimation_check`` and
-``gasket.decimation_chain``, kept as the references that the sorted-search
-check and the one-pass chain must reproduce report for report and bit for
-bit."""
+"""The loop versions of ``gasket.decimation_check``,
+``gasket._piece_spectrum`` and ``gasket.decimation_chain``, kept as the
+references that the sorted-search check and the one-pass decimation
+iterates must reproduce report for report and bit for bit.  They share
+only the single step ``gasket._decimate`` with the package."""
 
 import numpy as np
 
 from fractal_spectra.eigensolve import cluster
-from fractal_spectra.gasket import DECIMATION_SCALE, EXCEPTIONAL, _piece_spectrum
+from fractal_spectra.gasket import DECIMATION_SCALE, EXCEPTIONAL, _decimate
 
 
 def decimation_check(spec_m, spec_m1, tol: float = 1e-8) -> dict:
@@ -39,12 +40,29 @@ def decimation_check(spec_m, spec_m1, tol: float = 1e-8) -> dict:
     }
 
 
+def piece_spectrum(m: int, level: int, key: int):
+    """``gasket._piece_spectrum`` as an explicit loop of ``_decimate`` steps
+    from the level-``level`` gasket up to level m, run afresh for each
+    call: the values mu and their multiplicities."""
+    if level:
+        x, c = np.array([4.0]), np.array([key])
+    elif key:
+        x, c = np.array([0.0, 6.0]), np.array([1, 2])
+    else:
+        x, c = np.zeros(0), np.zeros(0, dtype=np.int64)
+    kept, new2 = key, 3 ** level - key if level else int(key == 0)
+    for j in range(level, m):
+        x, c = _decimate(x, c, kept, 3 ** (j + 1), new2)
+        kept, new2 = kept + 3 ** (j + 1), 0
+    return x / DECIMATION_SCALE, c
+
+
 def decimation_chain(m: int) -> list:
     """The Dirichlet gaskets of levels 1..m, each decimated afresh from
-    level 0 (``_piece_spectrum(l, 0, 0)``)."""
+    level 0 (``piece_spectrum(l, 0, 0)``)."""
     out = []
     for level in range(1, m + 1):
-        values, counts = _piece_spectrum(level, 0, 0)
+        values, counts = piece_spectrum(level, 0, 0)
         order = np.argsort(values)
         out.append(cluster(values[order], counts=counts[order]))
     return out

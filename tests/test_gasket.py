@@ -32,6 +32,7 @@ from fractal_spectra.gasket import (
     hausdorff_dimension,
     n_points,
 )
+from fractal_spectra.metric_graph import DIRICHLET, NEUMANN
 from lapack_reference import csr, eigenpairs_below
 from level_reference import (
     assert_matches_reference,
@@ -186,14 +187,28 @@ class TestDecimation:
     @pytest.mark.parametrize("m", range(1, 11))
     def test_one_pass_chain_is_the_level_by_level_chain(self, m):
         """Each level l of the one-pass chain lists the entries of cluster
-        over the sorted _piece_spectrum(l, 0, 0), decimated afresh from
-        level 0, bit for bit."""
+        over the sorted spectrum of an explicit loop of l decimation steps
+        from level 0, bit for bit."""
         def bits(chain):
             return [[(e.value.hex(), e.multiplicity, e.tag) for e in s.entries] for s in chain]
 
         chain = decimation_chain(m)
         assert len(chain) == m
         assert bits(chain) == bits(decimation_reference.decimation_chain(m))
+
+    @pytest.mark.parametrize("m", range(0, 8))
+    def test_piece_spectrum_is_the_explicit_loop(self, m):
+        """_piece_spectrum(m, level, key) ends on the iterate of the explicit
+        loop of m - level decimation steps, bit for bit, for every piece of
+        choux_family over the level-m gasket under both boundaries."""
+        for boundary in (DIRICHLET, NEUMANN):
+            family = choux_family(ChouxSpec(m, m, boundary))
+            for level, (keys, _) in enumerate(family.runs):
+                for key in keys.tolist():
+                    got = gasket._piece_spectrum(m, level, key)
+                    ref = decimation_reference.piece_spectrum(m, level, key)
+                    assert got[0].tobytes() == ref[0].tobytes()
+                    assert got[1].tolist() == ref[1].tolist()
 
     def test_zero_is_a_fixed_point(self):
         # lambda' = 0 maps to lambda = 0 under lambda'(5 - lambda')

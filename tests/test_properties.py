@@ -27,12 +27,11 @@ must agree with LAPACK's generalized driver on both sides of its size
 threshold; ``verify_nesting`` must give the reports of the loop
 in ``tests/nesting_reference.py`` and ``decimation_check`` those of the
 loop in ``tests/decimation_reference.py``; and spectrum lists must survive
-their CSV and JSON round trips, their CSV text being csv.writer's.
+their CSV and JSON round trips.
 The example counts and the deadline keep the file to a few seconds;
 ``derandomize`` makes every run draw the same examples.
 """
 
-import csv
 import filecmp
 import json
 import math
@@ -40,7 +39,6 @@ import os
 import tempfile
 from datetime import timedelta
 from fractions import Fraction
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -879,27 +877,6 @@ def test_spectrum_lists_survive_csv_and_json_round_trips(s):
     back = spectrum_from_json(spectrum_to_json(s))
     assert back.entries == s.entries
     assert (back.origin, back.truncation, back.pitch, back.meta) == (s.origin, s.truncation, s.pitch, s.meta)
-
-
-def csv_writer_text(s: SpectrumList) -> str:
-    r"""The CSV text of ``s`` as csv.writer writes it.  csv quotes a field
-    for the characters of its line terminator, not for every line break, so
-    rows are written with "\r\n", which quotes a "\r" as well as a "\n",
-    and each row's terminator is cut back to "\n"."""
-    rows: list[str] = []
-    w = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n")
-    w.writerow(["eigenvalue", "multiplicity", "tag", "source"])
-    for e in s.entries:
-        w.writerow([repr(e.value), e.multiplicity, e.tag, s.origin])
-    return "".join(row[:-2] + "\n" for row in rows)
-
-
-@settings(SETTINGS, max_examples=200)
-@given(s=spectrum_lists())
-def test_csv_text_is_the_csv_writer_text(s):
-    r"""to_csv writes the bytes of csv.writer for tags and origins with
-    commas, quotes, "\r", "\n" and empty strings."""
-    assert s.to_csv() == csv_writer_text(s)
 
 
 cli_runs = st.one_of(
