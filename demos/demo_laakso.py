@@ -11,8 +11,6 @@ spectrum against the closed-form eigenvalue families.  Run:
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from fractal_spectra import fiber
 from fractal_spectra.eigensolve import FDModel, compare_spectra, verify_nesting
 from fractal_spectra.laakso import (
@@ -35,7 +33,7 @@ print("wormhole positions by level:")
 base, birth = _base(spec)
 D = spec.d[-1]
 for level in range(1, spec.depth + 1):
-    print(f"  level {level}: {[str(Fraction(int(k), D)) for k in np.flatnonzero(birth == level)]}")
+    print(f"  level {level}: {[str(Fraction(k, D)) for k, b in enumerate(birth) if b == level]}")
 
 lam_max = 200.0
 analytic = laakso_analytic_spectrum(spec, lam_max)

@@ -17,8 +17,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import gasket, laakso, strings
 from .eigensolve import FDModel, SpectrumList, compare_spectra, verify_nesting
 from .errors import (
@@ -44,12 +42,6 @@ def _sanitize(obj):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
     return obj
@@ -308,7 +300,7 @@ def cmd_verify(args) -> int:
             if abs(e.value) <= 1e-9 and (not len(avals) or avals[0] > 1e-12):
                 continue
             # a value with no analytic value at all is off the set by inf
-            dev = float(np.min(np.abs(avals - e.value), initial=np.inf)) / max(1.0, abs(e.value))
+            dev = min((abs(a - e.value) for a in avals), default=math.inf) / max(1.0, abs(e.value))
             if dev > args.tol:
                 failures.append(
                     f"numeric {e.value!r} off the analytic set by {dev:.3e} > tol {args.tol}"

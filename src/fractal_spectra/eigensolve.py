@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from types import SimpleNamespace
-
-import numpy as np
 
 from .errors import MisalignedMeshes
 
@@ -43,16 +45,18 @@ class SpectrumList:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        vals = [e.value for e in self.entries]
-        if not np.all(np.isfinite(vals)):  # NaN would pass the comparisons below
-            raise ValueError("spectrum values must be finite")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ValueError("spectrum entries must be strictly increasing")
-        if any(e.multiplicity < 1 for e in self.entries):
-            raise ValueError("multiplicities must be >= 1")
+        last = -math.inf
+        for e in self.entries:
+            if not math.isfinite(e.value):  # NaN would pass the comparison below
+                raise ValueError("spectrum values must be finite")
+            if e.value <= last:
+                raise ValueError("spectrum entries must be strictly increasing")
+            if e.multiplicity < 1:
+                raise ValueError("multiplicities must be >= 1")
+            last = e.value
 
-    def values(self) -> np.ndarray:
-        return np.array([e.value for e in self.entries])
+    def values(self) -> list[float]:
+        return [e.value for e in self.entries]
 
     # -- serialization -------------------------------------------------------
 
@@ -80,50 +84,42 @@ class SpectrumList:
         entries = [SpectrumEntry(float(r[0]), int(r[1]), r[2]) for r in rows[1:]]
         origin = rows[1][3] if len(rows) > 1 else "unknown"
         if truncation is None:
-            truncation = entries[-1].value if entries else -np.inf
+            truncation = entries[-1].value if entries else -math.inf
         return cls(entries=entries, origin=origin, truncation=truncation, pitch=pitch)
 
 
 def cluster(
     eigs,
     origin: str = "numeric",
-    truncation: float = np.inf,
+    truncation: float = math.inf,
     pitch: float | None = None,
     tags=None,
     meta: dict | None = None,
     counts=None,
 ) -> SpectrumList:
-    """Multiplicities of a sorted eigenvalue array, each value counted
-    ``counts`` times (positive integers; once each by default): equal
-    values are one entry, whose multiplicity is the sum of their counts.
+    """Multiplicities of a sorted sequence of eigenvalues, each value
+    counted ``counts`` times (positive integers; once each by default):
+    equal values are one entry, whose multiplicity is the sum of their
+    counts.
 
     ``tags`` optionally assigns a label per value; an entry's tag lists
     the distinct labels with their counts.  ``meta`` becomes the list's
     ``meta``.  Values that differ stay apart however close they are: the
     closed forms give every copy of an eigenvalue the same bits.
     """
-    eigs = np.asarray(eigs, dtype=float)
-    counts = np.ones(len(eigs), dtype=np.int64) if counts is None else np.asarray(counts)
-    if (eigs[1:] < eigs[:-1]).any():
-        raise ValueError("input eigenvalues must be sorted")
-    entries = []
-    if len(eigs):
-        first = np.r_[True, eigs[1:] != eigs[:-1]]
-        start = np.flatnonzero(first)
-        mult = np.add.reduceat(counts, start)
-        labels = [""] * len(start)
-        if tags is not None:
-            run = np.cumsum(first) - 1
-            names = sorted(set(tags))
-            code = dict(zip(names, range(len(names))))
-            table = np.bincount(run * len(names) + np.array([code[t] for t in tags], dtype=np.int64),
-                                counts, len(start) * len(names))
-            table = table.astype(np.int64).reshape(len(start), len(names))
-            run, tag = np.nonzero(table)
-            texts = [f"{names[t]}x{c}" for t, c in zip(tag.tolist(), table[run, tag].tolist())]
-            cuts = [0, *((run[1:] != run[:-1]).nonzero()[0] + 1).tolist(), len(texts)]
-            labels = [";".join(texts[a:b]) for a, b in zip(cuts, cuts[1:])]
-        entries = [SpectrumEntry(*e) for e in zip(eigs[start].tolist(), mult.tolist(), labels)]
+    rows = zip(eigs, itertools.repeat(1) if counts is None else counts,
+               itertools.repeat("") if tags is None else tags)
+    entries, last = [], -math.inf
+    for value, run in itertools.groupby(rows, key=itemgetter(0)):
+        if value < last:
+            raise ValueError("input eigenvalues must be sorted")
+        tally: dict[str, int] = {}
+        for _, count, tag in run:
+            tally[tag] = tally.get(tag, 0) + count
+        text = ";".join(f"{tag}x{count}" for tag, count in sorted(tally.items()) if count)
+        entries.append(SpectrumEntry(float(value), int(sum(tally.values())),
+                                     "" if tags is None else text))
+        last = value
     return SpectrumList(entries=entries, origin=origin, truncation=truncation, pitch=pitch,
                         meta={} if meta is None else meta)
 
@@ -161,29 +157,31 @@ def verify_nesting(lower: SpectrumList, upper: SpectrumList, tol: float = 1e-9) 
         if abs(lower.pitch - upper.pitch) > 1e-12 * max(lower.pitch, upper.pitch):
             raise MisalignedMeshes(f"pitches {lower.pitch} vs {upper.pitch}")
     low, up = lower.values(), upper.values()
-    if not len(up):
-        return NestingReport(low.tolist(), [], True, 0.0)
-    # upper values increase strictly, so the nearest is a neighbour of the
-    # insertion point; |u - x| is monotone in u, so equally near values
-    # further left can only tie the left neighbour
-    right = np.minimum(np.searchsorted(up, low), len(up) - 1)
-    left = np.maximum(right - 1, 0)
-    best = np.where(np.abs(up[right] - low) < np.abs(up[left] - low), right, left)
-    dev = np.abs(up[best] - low)
-    for i in np.flatnonzero((best > 0) & (np.abs(up[best - 1] - low) == dev)).tolist():
-        while best[i] > 0 and abs(up[best[i] - 1] - low[i]) == dev[i]:
-            best[i] -= 1
-    scale = np.maximum(1.0, np.abs(low))
-    hit = dev <= tol * scale
-    used = np.zeros(len(up), dtype=bool)
-    used[best[hit]] = True
-    mults = np.array([e.multiplicity for e in upper.entries])
-    need = np.array([e.multiplicity for e in lower.entries], dtype=int)
+    if not up:
+        return NestingReport(low, [], True, 0.0)
+    unmatched, used, enough, worst = [], [False] * len(up), True, 0.0
+    for x, e in zip(low, lower.entries):
+        # upper values increase strictly, so the nearest is a neighbour of
+        # the insertion point; |u - x| is monotone in u, so equally near
+        # values further left can only tie the left neighbour
+        right = min(bisect_left(up, x), len(up) - 1)
+        left = max(right - 1, 0)
+        best = right if abs(up[right] - x) < abs(up[left] - x) else left
+        dev = abs(up[best] - x)
+        while best > 0 and abs(up[best - 1] - x) == dev:
+            best -= 1
+        scale = max(1.0, abs(x))
+        if dev <= tol * scale:
+            used[best] = True
+            enough = enough and upper.entries[best].multiplicity >= e.multiplicity
+            worst = max(worst, dev / scale)
+        else:
+            unmatched.append(x)
     return NestingReport(
-        unmatched_lower=low[~hit].tolist(),
-        surplus=up[~used].tolist(),
-        multiplicity_ok=bool(np.all(mults[best[hit]] >= need[hit])),
-        max_deviation=float(np.max(dev[hit] / scale[hit], initial=0.0)),
+        unmatched_lower=unmatched,
+        surplus=[u for u, hit in zip(up, used) if not hit],
+        multiplicity_ok=enough,
+        max_deviation=worst,
     )
 
 
@@ -240,42 +238,49 @@ def compare_spectra(
     values) is reported.
     """
     avals = analytic.values()
-    has_zero = len(avals) and abs(avals[0]) < 1e-12
+    has_zero = bool(avals) and abs(avals[0]) < 1e-12
     matched, unmatched_numeric = [], []
     max_dev = 0.0
-    hit = np.zeros(len(avals), dtype=bool)
+    hit = [False] * len(avals)
     for e in numeric.entries:
         if not has_zero and abs(e.value) <= 1e-9:
             continue
-        if len(avals) == 0:
+        if not avals:
             unmatched_numeric.append(e.value)
             continue
-        j = int(np.argmin(np.abs(avals - e.value)))
+        j = _nearest(avals, e.value)
         dev = abs(avals[j] - e.value) / max(1.0, abs(avals[j]))
         if dev <= model.rel_tol(avals[j]):
             hit[j] = True
             max_dev = max(max_dev, dev)
-            matched.append({"numeric": e.value, "analytic": float(avals[j]), "rel_dev": dev})
+            matched.append({"numeric": e.value, "analytic": avals[j], "rel_dev": dev})
         else:
             unmatched_numeric.append(e.value)
     unmatched_analytic = []
     if coverage_max is not None:
         for j, a in enumerate(avals):
             if a <= coverage_max and not hit[j] and a > 1e-12:
-                unmatched_analytic.append(float(a))
+                unmatched_analytic.append(a)
     order = None
     if numeric_coarse is not None:
         cvals = numeric_coarse.values()
         orders = []
         for m in matched:
             a = m["analytic"]
-            if abs(a) < 1e-12 or len(cvals) == 0:
+            if abs(a) < 1e-12 or not cvals:
                 continue
-            jc = int(np.argmin(np.abs(cvals - a)))
-            ec = abs(cvals[jc] - a)
+            ec = abs(cvals[_nearest(cvals, a)] - a)
             ef = abs(m["numeric"] - a)
             if ef > 1e-13 * abs(a) and ec > ef:
-                orders.append(np.log2(ec / ef))
+                orders.append(math.log2(ec / ef))
         if orders:
-            order = float(np.median(orders))
+            orders.sort()
+            half = len(orders) // 2
+            order = orders[half] if len(orders) % 2 else (orders[half - 1] + orders[half]) / 2
     return CompareReport(matched, unmatched_numeric, unmatched_analytic, max_dev, order)
+
+
+def _nearest(values: list[float], x: float) -> int:
+    """The index of the value nearest to x, the first among equally near ones."""
+    dev = [abs(v - x) for v in values]
+    return dev.index(min(dev))

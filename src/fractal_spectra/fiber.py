@@ -36,7 +36,8 @@ Laplacian of a run of a path has its values in closed form
 m values.  The Laakso and string levels, whose edges have one length, map
 their vertex values to the mesh by the Chebyshev rule first, adding edge
 modes counted from |E_l| and |V_l| as counts (``equilateral_spectra``).  No
-eigenvector is formed.
+eigenvector is formed, and no array: run tables, values and counts are
+lists of Python ints and floats, the values merged by a stable sort.
 
 The trade-off: the pipeline assumes the decomposition and the closed forms
 instead of checking them on every run.  The tests hold them to the whole
@@ -48,16 +49,16 @@ piece (``tests/piece_reference.py``) and to the mesh pencils of
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import itemgetter
 
 from .eigensolve import SpectrumList, cluster
 from .metric_graph import SPECTRAL_BOUND, EquilateralMesh, MetricGraph, walk_kernels
 
 
-def _run_values(key: int, cut: float) -> np.ndarray:
+def _run_values(key: int, cut: float) -> list[float]:
     """The eigenvalues <= cut (1 + 1e-12) of the pencil of a run key
     (``LevelFamily``), ascending.
 
@@ -71,18 +72,23 @@ def _run_values(key: int, cut: float) -> np.ndarray:
     taken as a reduced fraction, so equal angles of different runs give
     equal bits."""
     m, free = key >> 2, (key >> 1 & 1) + (key & 1)
-    k = np.arange(m)
-    p, q = {2: (k, m - 1), 1: (2 * k + 1, 2 * m), 0: (k + 1, m + 1)}[free]
-    g = np.gcd(p, q)
-    values = 2 * np.sin(np.pi * (p // g) / (2 * (q // g))) ** 2
-    return values[values <= cut * (1 + 1e-12)]
+    first, step, q = {2: (0, 1, m - 1), 1: (1, 2, 2 * m), 0: (1, 1, m + 1)}[free]
+    bound = cut * (1 + 1e-12)
+    values = []
+    for p in range(first, first + step * m, step):
+        g = math.gcd(p, q)
+        y = math.sin(math.pi * (p // g) / (2 * (q // g)))
+        value = 2 * (y * y)
+        if value <= bound:
+            values.append(value)
+    return values
 
 
-def _run_spectrum(level: int, key: int) -> tuple[np.ndarray, np.ndarray]:
+def _run_spectrum(level: int, key: int) -> tuple[list[float], list[int]]:
     """The spectrum of a run key at any level: its m values
     (``_run_values``, all at most the spectral bound 2), each once."""
     values = _run_values(key, SPECTRAL_BOUND)
-    return values, np.ones(len(values), dtype=np.int64)
+    return values, [1] * len(values)
 
 
 @dataclass
@@ -96,7 +102,7 @@ class LevelFamily:
     ``runs[l]``, for l = 0..n, is the table (keys, counts) of the pieces of
     level l, level 0 being ``base`` with its Dirichlet vertices: level l
     gains the spectrum of each piece ``count`` times.  ``spectrum(l, key)``
-    gives the whole spectrum of the piece ``key`` of level l, as the arrays
+    gives the whole spectrum of the piece ``key`` of level l, as the lists
     (values, multiplicities) in any order; the multiplicities add up to its
     number of kept vertices.
 
@@ -111,9 +117,9 @@ class LevelFamily:
     """
 
     base: MetricGraph | None
-    runs: list[tuple[np.ndarray, np.ndarray]]
+    runs: list[tuple[list[int], list[int]]]
     n_edges: list[int] = field(default_factory=list)
-    spectrum: Callable[[int, int], tuple[np.ndarray, np.ndarray]] = _run_spectrum
+    spectrum: Callable[[int, int], tuple[list[float], list[int]]] = _run_spectrum
 
 
 def binary_path_family(base: MetricGraph, birth, depth: int) -> LevelFamily:
@@ -122,15 +128,26 @@ def binary_path_family(base: MetricGraph, birth, depth: int) -> LevelFamily:
     (``birth[v]``, 0 for a vertex that is never collapsed), each level's
     pieces given by their run table (``_binary_runs``).  Level l has 2^l
     copies of every base edge."""
-    birth = np.asarray(birth, dtype=np.int64)
-    return LevelFamily(base, [_binary_runs(birth, base.dirichlet, level)
-                              for level in range(depth + 1)],
-                       [len(base.ends) << level for level in range(1, depth + 1)])
+    # the marks of level l: the Dirichlet vertices and the vertices born at
+    # a level in 1..l, each with its birth bit (bit b - 1 for level b, none
+    # for a Dirichlet vertex)
+    marks, born = [], [[] for _ in range(depth + 1)]
+    for v, (b, marked) in enumerate(zip(birth, base.dirichlet)):
+        if marked:
+            marks.append((v, 0))
+        elif 1 <= b <= depth:
+            born[b].append((v, 1 << b >> 1))
+    runs = []
+    for level in range(depth + 1):
+        marks = sorted(marks + born[level]) if level else marks
+        runs.append(_binary_runs(marks, base.n_vertices, level))
+    return LevelFamily(base, runs, [len(base.ends) << level for level in range(1, depth + 1)])
 
 
-def _binary_runs(birth: np.ndarray, dirichlet: np.ndarray, level: int):
-    """The run table of level ``level`` of ``binary_path_family``, counted
-    without listing the 2^(level-1) pieces.
+def _binary_runs(marks: list[tuple[int, int]], n: int, level: int):
+    """The run table of level ``level`` of ``binary_path_family`` on a path
+    of n vertices, from its ``marks`` (position, birth bit) in position
+    order, counted without listing the 2^(level-1) pieces.
 
     A run lies strictly between two marks u < w: the vertices born at a
     level in 1..level, the Dirichlet vertices and the positions -1 and n
@@ -141,41 +158,30 @@ def _binary_runs(birth: np.ndarray, dirichlet: np.ndarray, level: int):
     comes with 2^(level - |{level, b_u, b_w} u I|) pieces, none when
     {level, b_u, b_w} meets I.  Level 0 is the base, one piece.
 
-    The pairs (u, w) are taken by the number of marks inside them, one
-    step per mark, keeping the u whose inner marks miss level and b_u and
+    The pairs (u, w) are taken from each u by the number of marks inside
+    them, one step per mark, while the inner marks miss level and b_u and
     are not Dirichlet vertices: on nested births (the Laakso grid) a run
     holds at most one coarser mark, so the walk ends after a few steps.
     Sets of births are bit masks, bit b - 1 standing for level b.
     """
-    n = len(birth)
-    at = np.flatnonzero(dirichlet | (birth >= 1) & (birth <= level))
-    pos = np.r_[-1, at, n]
-    bit = np.r_[0, np.where(dirichlet[at], 0, np.left_shift(1, birth[at]) >> 1), 0]
+    pos = [-1, *(v for v, _ in marks), n]
+    bit = [0, *(b for _, b in marks), 0]
+    last = len(pos) - 1
     top = (1 << level) >> 1
-    u = np.arange(len(pos) - 1)
-    w, inner = u + 1, np.zeros_like(u)
-    keys, counts = [], []
-    while len(u):
-        need = top | bit[u] | bit[w]
-        m = pos[w] - pos[u] - 1
-        ok = ((inner & need) == 0) & (m > 0)
-        keys.append((4 * m + 2 * (u == 0) + (w == len(pos) - 1))[ok])
-        counts.append(np.left_shift(1, level - _popcount((need | inner)[ok])))
-        inner = inner | bit[w]
-        go = (bit[w] != 0) & ((inner & (top | bit[u])) == 0)
-        u, w, inner = u[go], w[go] + 1, inner[go]
-    keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-    return keys, np.bincount(inverse, np.concatenate(counts), len(keys)).astype(np.int64)
-
-
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """The number of set bits of each entry of x >= 0 (``np.bitwise_count``
-    needs NumPy 2)."""
-    count = np.zeros_like(x)
-    while x.any():
-        count += x != 0
-        x = x & (x - 1)
-    return count
+    table: dict[int, int] = {}
+    for u in range(last):
+        start, stop, inner, w = pos[u], top | bit[u], 0, u
+        while w < last:
+            w += 1
+            need = stop | bit[w]
+            if not inner & need and pos[w] - start > 1:
+                key = 4 * (pos[w] - start - 1) + 2 * (u == 0) + (w == last)
+                table[key] = table.get(key, 0) + (1 << (level - (need | inner).bit_count()))
+            inner |= bit[w]
+            if not bit[w] or inner & stop:
+                break
+    keys = sorted(table)
+    return keys, [table[key] for key in keys]
 
 
 def path_family(base: MetricGraph, spans, n_edges: list[int]) -> LevelFamily:
@@ -184,15 +190,13 @@ def path_family(base: MetricGraph, spans, n_edges: list[int]) -> LevelFamily:
     (first, stop, copies): the kept vertices first..stop-1 of the base,
     ``copies`` times."""
     n = base.n_vertices
-    runs = []
-    for spans_l in spans:
-        first, stop, copies = np.array(spans_l, dtype=np.int64).reshape(-1, 3).T
-        runs.append((4 * (stop - first) + 2 * (first == 0) + (stop == n), copies))
+    runs = [([4 * (stop - first) + 2 * (first == 0) + (stop == n) for first, stop, _ in spans_l],
+             [copies for *_, copies in spans_l]) for spans_l in spans]
     return LevelFamily(base, runs, n_edges)
 
 
 def _level_values(family: LevelFamily, cut: float):
-    """Eigenvalues <= ``cut`` (1 + 1e-12) new at each level, as the arrays
+    """Eigenvalues <= ``cut`` (1 + 1e-12) new at each level, as the lists
     (values, counts): level l gains each of its values ``count`` times; and
     the number of kept vertices of each level: the sizes of its pieces and
     of those below, with their copies.
@@ -203,36 +207,39 @@ def _level_values(family: LevelFamily, cut: float):
     per copy.
     """
     new, kept, size = [], [], 0
+    bound = cut * (1 + 1e-12)
     for level, (keys, copies) in enumerate(family.runs):
-        values, counts = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
-        for key, copy in zip(keys.tolist(), copies.tolist()):
+        values, counts = [], []
+        for key, copy in zip(keys, copies):
             piece, mult = family.spectrum(level, key)
-            size += copy * int(mult.sum())
-            below = piece <= cut * (1 + 1e-12)
-            values.append(piece[below])
-            counts.append(copy * mult[below])
-        new.append((np.concatenate(values), np.concatenate(counts)))
+            size += copy * sum(mult)
+            for value, count in zip(piece, mult):
+                if value <= bound:
+                    values.append(value)
+                    counts.append(copy * count)
+        new.append((values, counts))
         kept.append(size)
     return new, kept
 
 
-def _cluster_levels(new: list[tuple[np.ndarray, np.ndarray]], origin: str, meta: dict,
+def _cluster_levels(new: list[tuple[list[float], list[int]]], origin: str, meta: dict,
                     **cluster_kw) -> list[SpectrumList]:
     """Level i's spectrum from the values and counts ``new[0..i]``, new[0]
     tagged "base" and new[k] "new@k", its equal values merged by
     ``cluster`` with ``cluster_kw``, values of count 0 left out; its
     ``meta`` is ``meta`` plus the number of the values with their counts,
     ``count``.  ``origin`` is formatted with the level."""
-    values, counts, tags, out = np.zeros(0), np.zeros(0, dtype=np.int64), [], []
+    rows, total, out = [], 0, []
     for level, (fresh, copies) in enumerate(new):
-        listed = copies > 0
-        values = np.concatenate([values, fresh[listed]])
-        counts = np.concatenate([counts, copies[listed]])
-        tags += ["base" if level == 0 else f"new@{level}"] * int(np.count_nonzero(listed))
-        order = np.argsort(values, kind="stable")
-        out.append(cluster(values[order], counts=counts[order], origin=origin.format(level),
-                           tags=[tags[k] for k in order],
-                           meta={**meta, "count": int(counts.sum())}, **cluster_kw))
+        tag = "base" if level == 0 else f"new@{level}"
+        for value, count in zip(fresh, copies):
+            if count > 0:
+                rows.append((value, count, tag))
+                total += count
+        rows.sort(key=itemgetter(0))  # stable: equal values keep their order
+        values, counts, tags = zip(*rows) if rows else ((), (), ())
+        out.append(cluster(values, counts=counts, origin=origin.format(level), tags=tags,
+                           meta={**meta, "count": total}, **cluster_kw))
     return out
 
 
@@ -270,23 +277,23 @@ def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float,
     kernels = walk_kernels(base)
     new, kept = _level_values(family, cut)
     whole = cut == SPECTRAL_BOUND  # only a whole spectrum holds the vertex value 2
-    values, counts = new[0]
-    order = np.argsort(values, kind="stable")
-    counts = counts[order]
+    rows = sorted(zip(*new[0]), key=itemgetter(0))
+    values, counts = [value for value, _ in rows], [count for _, count in rows]
     # the kernels of the connected base are simple: its smallest value and,
     # in a whole spectrum, its largest, each listed once
-    counts[:1] -= kernels[0]
-    counts[len(counts) - 1:] -= kernels[1] * whole
-    nu = [(values[order], counts), *new[1:]]
+    if counts:
+        counts[0] -= kernels[0]
+        counts[-1] -= kernels[1] * whole
+    nu = [(values, counts), *new[1:]]
     n_edges = [len(base.ends), *family.n_edges]
     out = []
     for mesh in meshes:
-        levels, low = [], 0
+        levels, low = [], [0] * (mesh.refine + 1)
         for (values, counts), edges, n_kept in zip(nu, n_edges, kept):
             branch, source = mesh.branch_values(values, lam_max)
             modes, mult = mesh.edge_modes(edges, n_kept, kernels, lam_max)
-            levels.append((np.concatenate([branch, modes]),
-                           np.concatenate([counts[source], mult - low])))
+            levels.append((branch + modes,
+                           [counts[k] for k in source] + [m - b for m, b in zip(mult, low)]))
             low = mult
         out.append(_cluster_levels(levels, origin, {**meta, "refine": mesh.refine},
                                    truncation=lam_max, pitch=mesh.pitch))

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-
-import numpy as np
 
 from .errors import InvalidSpaceSpec, NoConvergence, ResolutionTooCoarse
 from .eigensolve import SpectrumList, cluster
@@ -65,29 +64,33 @@ def decimation_check(spec_m: SpectrumList, spec_m1: SpectrumList, tol: float = 1
     exceptional values, lists the unexplained ones, and gives the largest
     relative deviation of a match.
     """
-    lam_m = DECIMATION_SCALE * spec_m.values()
-    lp = DECIMATION_SCALE * spec_m1.values()
-    image = lp * (5.0 - lp)
-    scale = np.maximum(1.0, np.abs(image))
-    if len(lam_m):
-        # lam_m increases strictly and |x - image| is monotone in x on each
-        # side of the image, so the nearest value is a neighbour of its
-        # insertion point
-        right = np.minimum(np.searchsorted(lam_m, image), len(lam_m) - 1)
-        dev = np.minimum(np.abs(lam_m[right] - image),
-                         np.abs(lam_m[np.maximum(right - 1, 0)] - image))
-    else:
-        dev = np.full(len(lp), np.inf)
-    matched = dev <= tol * scale
-    exceptional = ~matched & (np.abs(lp[:, None] - EXCEPTIONAL).min(axis=1)
-                              <= tol * np.maximum(1.0, lp))
-    unexplained = lp[~matched & ~exceptional].tolist()
-    total = len(lp)
+    lam_m = [DECIMATION_SCALE * v for v in spec_m.values()]
+    matched = exceptional = 0
+    unexplained, worst = [], 0.0
+    for v in spec_m1.values():
+        lp = DECIMATION_SCALE * v
+        image = lp * (5.0 - lp)
+        scale = max(1.0, abs(image))
+        dev = math.inf
+        if lam_m:
+            # lam_m increases strictly and |x - image| is monotone in x on
+            # each side of the image, so the nearest value is a neighbour of
+            # its insertion point
+            right = min(bisect_left(lam_m, image), len(lam_m) - 1)
+            dev = min(abs(lam_m[right] - image), abs(lam_m[max(right - 1, 0)] - image))
+        if dev <= tol * scale:
+            matched += 1
+            worst = max(worst, dev / scale)
+        elif min(abs(lp - e) for e in EXCEPTIONAL) <= tol * max(1.0, lp):
+            exceptional += 1
+        else:
+            unexplained.append(lp)
+    total = matched + exceptional + len(unexplained)
     return {
-        "matched": int(matched.sum()),
-        "exceptional": int(exceptional.sum()),
+        "matched": matched,
+        "exceptional": exceptional,
         "unexplained": unexplained,
-        "max_deviation": float(np.max(dev[matched] / scale[matched], initial=0.0)),
+        "max_deviation": worst,
         "fraction_explained": (total - len(unexplained)) / total if total else 1.0,
         "pass": not unexplained,
     }
@@ -97,9 +100,8 @@ def decimation_branch(spectra: list[SpectrumList], levels: list[int]) -> list[fl
     """Renormalized ground-branch values 5^m * lambda_min per level."""
     out = []
     for s, m in zip(spectra, levels):
-        lam = DECIMATION_SCALE * s.values()
-        lam = lam[lam > 1e-12]
-        out.append(float(5.0**m * np.min(lam)))
+        lam = [DECIMATION_SCALE * v for v in s.values()]
+        out.append(5.0**m * min(x for x in lam if x > 1e-12))
     return out
 
 
@@ -123,7 +125,7 @@ class ChouxSpec:
             raise InvalidSpaceSpec(f"unknown boundary mode {self.boundary!r}")
 
 
-def _decimate(x: np.ndarray, c: np.ndarray, kept: int, born: int, new2: int):
+def _decimate(x: list[float], c: list[int], kept: int, born: int, new2: int):
     """One step j -> j + 1 of spectral decimation: the spectrum (values x,
     counts c) of a gasket piece on the level-j gasket, on which it keeps
     ``kept`` vertices, to its spectrum on the level-(j + 1) gasket, which
@@ -138,16 +140,15 @@ def _decimate(x: np.ndarray, c: np.ndarray, kept: int, born: int, new2: int):
     ``NoConvergence``.  0 and 6 are tested with ==: 6 is never a preimage,
     and psi_-(0) = 0 exactly, whereas a tolerance would take the psi_-
     chains of 4, a fifth smaller at each step, for 0."""
-    root = np.sqrt(25.0 - 4.0 * x)
-    plus, minus = x != 0.0, x != 6.0
-    new5 = born - int(c[plus].sum() + c[minus].sum()) - new2
+    twice = [5.0 + math.sqrt(25.0 - 4.0 * v) for v in x]  # 2 psi_+(x)
+    plus = [(t / 2, n) for v, t, n in zip(x, twice, c) if v != 0.0]
+    minus = [(2.0 * v / t, n) for v, t, n in zip(x, twice, c) if v != 6.0]
+    new5 = born - sum(n for _, n in plus) - sum(n for _, n in minus) - new2
     if min(new5, new2) < 0:
         raise NoConvergence(0, f"decimation counts {new5} for 5 and {new2} for 2 "
                                f"of {kept + born} values")
-    x = np.concatenate([(5.0 + root[plus]) / 2, 2.0 * x[minus] / (5.0 + root[minus]),
-                        [6.0, 2.0, 5.0]])
-    c = np.concatenate([c[plus], c[minus], [kept, new2, new5]])
-    return x[c > 0], c[c > 0]
+    out = [(v, n) for v, n in (*plus, *minus, (6.0, kept), (2.0, new2), (5.0, new5)) if n > 0]
+    return [v for v, _ in out], [n for _, n in out]
 
 
 def _decimations(level: int, key: int):
@@ -167,11 +168,11 @@ def _decimations(level: int, key: int):
     the first of the whole gasket with eliminated corners, and never later.
     """
     if level:
-        x, c = np.array([4.0]), np.array([key])
+        x, c = [4.0], [key]
     elif key:
-        x, c = np.array([0.0, 6.0]), np.array([1, 2])
+        x, c = [0.0, 6.0], [1, 2]
     else:
-        x, c = np.zeros(0), np.zeros(0, dtype=np.int64)
+        x, c = [], []
     kept, new2 = key, 3 ** level - key if level else int(key == 0)
     for j in itertools.count(level):
         yield x, c
@@ -179,13 +180,13 @@ def _decimations(level: int, key: int):
         kept, new2 = kept + 3 ** (j + 1), 0
 
 
-def _piece_spectrum(m: int, level: int, key: int) -> tuple[np.ndarray, np.ndarray]:
+def _piece_spectrum(m: int, level: int, key: int) -> tuple[list[float], list[int]]:
     """The whole spectrum of the piece ``key`` of level ``level`` of
     ``choux_family`` over the level-m gasket (``fiber.LevelFamily``): its
     walk-Laplacian values mu and their multiplicities, by spectral
     decimation from the level-``level`` gasket (``_decimations``)."""
     x, c = next(itertools.islice(_decimations(level, key), m - level, None))
-    return x / DECIMATION_SCALE, c
+    return [v / DECIMATION_SCALE for v in x], c
 
 
 def choux_family(spec: ChouxSpec) -> LevelFamily:
@@ -202,11 +203,11 @@ def choux_family(spec: ChouxSpec) -> LevelFamily:
     keyed on it, and no two pieces of a level share a key.  Level 0, the
     gasket, is keyed on its kept corners, 3 or 0."""
     corners = 3 * (spec.boundary != DIRICHLET)
-    runs = [(np.array([corners]), np.ones(1, dtype=np.int64))]
-    marked = np.zeros(1, dtype=np.int64)  # sum of 3^b over b in S below l, for every S
+    runs = [([corners], [1])]
+    marked = [0]  # sum of 3^b over b in S below l, for every S
     for level in range(1, spec.fiber_depth + 1):
-        runs.append((n_points(level - 1) - 3 + corners - marked, np.ones_like(marked)))
-        marked = np.r_[marked, marked + 3 ** level]
+        runs.append(([n_points(level - 1) - 3 + corners - k for k in marked], [1] * len(marked)))
+        marked += [k + 3 ** level for k in marked]
     return LevelFamily(None, runs,
                        [3 ** (spec.gasket_level + 1) << level
                         for level in range(1, spec.fiber_depth + 1)],
@@ -221,9 +222,8 @@ def decimation_chain(m: int) -> list[SpectrumList]:
     ends on."""
     out = []
     for x, counts in itertools.islice(_decimations(0, 0), 1, m + 1):
-        values = x / DECIMATION_SCALE
-        order = np.argsort(values)
-        out.append(cluster(values[order], counts=counts[order]))
+        rows = sorted(zip((v / DECIMATION_SCALE for v in x), counts))  # the values are distinct
+        out.append(cluster([v for v, _ in rows], counts=[n for _, n in rows]))
     return out
 
 
@@ -233,7 +233,7 @@ def choux_numeric_spectra(spec: ChouxSpec) -> list[SpectrumList]:
     meta = {"fiber_depth": spec.fiber_depth, "gasket_level": spec.gasket_level,
             "boundary": spec.boundary}
     return level_spectra(choux_family(spec), SPECTRAL_BOUND, "numeric(choux,i={})", meta,
-                         truncation=np.inf)
+                         truncation=math.inf)
 
 
 def hausdorff_dimension() -> float:

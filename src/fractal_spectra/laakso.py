@@ -10,9 +10,8 @@ only the grid path and its birth levels are built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InvalidSequence
 from .eigensolve import SpectrumEntry, SpectrumList
@@ -70,14 +69,15 @@ def _base(spec: LaaksoSpec):
     n = spec.depth
     d = spec.d
     D = d[n]
-    k = np.arange(D + 1)
-    birth = np.zeros(D + 1, dtype=np.int64)
+    birth = [0] * (D + 1)
     for m in range(n, 0, -1):
-        birth[k % (D // d[m]) == 0] = m
-    birth[[0, D]] = 0
-    endpoint = (k == 0) | (k == D)
-    base = MetricGraph(k, np.stack([k[:-1], k[1:]], axis=1), 1.0 / D, 1.0,
-                       endpoint & (spec.boundary == DIRICHLET), total_mass=1.0)
+        step = D // d[m]
+        birth[::step] = [m] * (D // step + 1)
+    birth[0] = birth[D] = 0
+    dirichlet = [False] * (D + 1)
+    dirichlet[0] = dirichlet[D] = spec.boundary == DIRICHLET
+    base = MetricGraph(range(D + 1), [(k, k + 1) for k in range(D)], 1.0 / D, 1.0, dirichlet,
+                       total_mass=1.0)
     return base, birth
 
 
@@ -98,7 +98,7 @@ def laakso_analytic_spectrum(spec: LaaksoSpec, lam_max: float) -> SpectrumList:
     the spec's depth.
     """
     d = spec.d
-    pi2 = np.pi**2
+    pi2 = math.pi**2
     cmax = lam_max / pi2
     sources: dict[int, list[str]] = {}
 

@@ -3,23 +3,23 @@ whose edges all have one length.
 
 A finite-level approximation of a projective-limit fractal is represented as
 a weighted metric graph: edges carry a length and a measure density (the
-weight of the sheet they belong to).  Its vertex pencil is I - P for the
-walk P; the package never assembles it, as every piece of a level has its
-spectrum in closed form, and finds connected components by label
-propagation with pointer jumping over the edge arrays.  The
-finite-difference pencil A v = lambda M v of an equal-edge graph, with
-Kirchhoff (natural) conditions at unmarked vertices and eliminated rows at
-Dirichlet vertices, is a Chebyshev image of that pencil
-(``EquilateralMesh``), so the mesh itself is never built.  The assembled
-vertex pencil is the tests' reference (``tests/dense_reference.py``).
+weight of the sheet they belong to), held in plain lists.  Its vertex
+pencil is I - P for the walk P; the package never assembles it, as every
+piece of a level has its spectrum in closed form, and finds connected
+components by union-find over the edge list.  The finite-difference pencil
+A v = lambda M v of an equal-edge graph, with Kirchhoff (natural)
+conditions at unmarked vertices and eliminated rows at Dirichlet vertices,
+is a Chebyshev image of that pencil (``EquilateralMesh``), so the mesh
+itself is never built.  The assembled vertex pencil is the tests'
+reference (``tests/dense_reference.py``).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-
-import numpy as np
+from numbers import Real
 
 from .errors import DisconnectedGraph, NonDividingPitch
 
@@ -37,36 +37,38 @@ SPECTRAL_BOUND = 2.0
 
 class MetricGraph:
     """Connected weighted metric graph (multigraph; parallel edges allowed),
-    held as arrays.
+    held as lists.
 
-    Edge k joins vertices ``ends[k, 0]`` and ``ends[k, 1]``; it has length
+    Edge k joins vertices ``ends[k][0]`` and ``ends[k][1]``; it has length
     ``length[k]`` and measure density ``weight[k]`` (a scalar length or
     weight applies to every edge).  ``labels`` names the vertices, one
-    distinct entry (or row) each; ``dirichlet`` marks the Dirichlet vertices.
+    distinct number each, or one distinct row of numbers each, held as a
+    tuple; ``dirichlet`` marks the Dirichlet vertices.
     """
 
     def __init__(self, labels, ends, length, weight, dirichlet=None, total_mass=None):
-        self.labels = np.asarray(labels)
-        self.ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
-        n_edges = len(self.ends)
-        self.length = np.broadcast_to(np.asarray(length, dtype=float), (n_edges,))
-        self.weight = np.broadcast_to(np.asarray(weight, dtype=float), (n_edges,))
+        self.labels = list(labels)
+        if self.labels and isinstance(self.labels[0], Iterable):
+            self.labels = [tuple(row) for row in self.labels]
+        self.ends = [(int(u), int(v)) for u, v in ends]
+        self.length = _per_edge(length, len(self.ends))
+        self.weight = _per_edge(weight, len(self.ends))
         n = len(self.labels)
-        self.dirichlet = (np.zeros(n, dtype=bool) if dirichlet is None
-                          else np.asarray(dirichlet, dtype=bool).reshape(n))
+        self.dirichlet = [False] * n if dirichlet is None else [bool(x) for x in dirichlet]
+        if len(self.dirichlet) != n:
+            raise ValueError(f"{len(self.dirichlet)} Dirichlet marks for {n} vertices")
         self._validate(total_mass)
 
     def _validate(self, total_mass):
         n = self.n_vertices
-        rows = self.labels if self.labels.ndim == 2 else self.labels[:, None]
-        ordered = rows[np.lexsort(rows.T)]
-        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
+        if len(set(self.labels)) != n:
             raise ValueError("duplicate vertex label")
-        if not (np.all(self.length > 0) and np.all(self.weight > 0)):
+        if not all(map((0.0).__lt__, self.length + self.weight)):  # NaN is refused too
             raise ValueError("edge lengths and weights must be positive")
-        if np.any((self.ends < 0) | (self.ends >= n)):
+        u, v = _columns(self.ends)
+        if self.ends and not (0 <= min(min(u), min(v)) and max(max(u), max(v)) < n):
             raise ValueError("edge endpoint out of range")
-        if n > 0 and _component_labels(n, *self.ends.T)[0] != 1:
+        if n > 0 and _component_labels(n, u, v)[0] != 1:
             raise DisconnectedGraph("metric graph is not connected")
         if total_mass is not None:
             m = self.total_measure()
@@ -78,30 +80,54 @@ class MetricGraph:
         return len(self.labels)
 
     def total_measure(self) -> float:
-        return float(np.sum(self.length * self.weight))
+        return math.fsum(l * w for l, w in zip(self.length, self.weight))
 
 
-def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> tuple[int, np.ndarray]:
+def _per_edge(value, n_edges: int) -> list[float]:
+    """A length or weight for each of ``n_edges`` edges: a number for all of
+    them, or one number each."""
+    values = [float(value)] * n_edges if isinstance(value, Real) else [float(x) for x in value]
+    if len(values) != n_edges:
+        raise ValueError(f"{len(values)} values for {n_edges} edges")
+    return values
+
+
+def _columns(ends: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """The first and the second ends of the edges ``ends``."""
+    return [u for u, _ in ends], [v for _, v in ends]
+
+
+def _component_labels(n: int, u, v) -> tuple[int, list[int]]:
     """The number of connected components of the graph on the vertices
     0..n-1 with the edges (u[k], v[k]), and the component of each vertex,
     numbered in the order of their smallest vertices (the labels of SciPy's
     ``connected_components``).
 
-    Every vertex points at a vertex of its component no larger than itself.
-    The pointers are followed to their roots (pointer jumping), then every
-    edge between two roots hooks the larger root under the smaller, until
-    no edge joins two roots."""
-    root = np.arange(n)
-    while True:
-        while not np.array_equal(jump := root[root], root):
-            root = jump
-        ru, rv = root[u], root[v]
-        apart = ru != rv
-        if not apart.any():
-            break
-        np.minimum.at(root, np.maximum(ru, rv)[apart], np.minimum(ru, rv)[apart])
-    is_root = root == np.arange(n)
-    return int(np.count_nonzero(is_root)), (np.cumsum(is_root) - 1)[root]
+    Union-find: every vertex points at a vertex of its component no larger
+    than itself, the root being the smallest; each edge halves the paths
+    from its ends to their roots and hooks the larger root under the
+    smaller.  So one pass in vertex order takes every vertex to its root."""
+    root = list(range(n))
+    for a, b in zip(u, v):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        while root[b] != b:
+            root[b] = root[root[b]]
+            b = root[b]
+        if a < b:
+            root[b] = a
+        elif b < a:
+            root[a] = b
+    labels, count = [], 0
+    for x in range(n):
+        r = root[x] = root[root[x]]
+        if r == x:
+            labels.append(count)
+            count += 1
+        else:
+            labels.append(labels[r])
+    return count, labels
 
 
 def walk_kernels(g: MetricGraph) -> tuple[int, int]:
@@ -114,11 +140,11 @@ def walk_kernels(g: MetricGraph) -> tuple[int, int]:
     hold the constants and the +-1 colourings, which exist when g is
     bipartite: when its double cover (u, v'), (u', v) has two components.
     """
-    if g.dirichlet.any():
+    if any(g.dirichlet):
         return 0, 0
     n = g.n_vertices
-    u, v = g.ends.T
-    return 1, int(_component_labels(2 * n, np.r_[u, u + n], np.r_[v + n, v])[0] == 2)
+    u, v = _columns(g.ends)
+    return 1, int(_component_labels(2 * n, u + [a + n for a in u], [b + n for b in v] + v)[0] == 2)
 
 
 @dataclass(frozen=True)
@@ -147,12 +173,13 @@ class EquilateralMesh:
     def of(cls, g: MetricGraph, refine: int) -> "EquilateralMesh":
         """``refine`` cells per edge on a graph whose edges all have one length."""
         length = g.length[0]
-        if np.any(np.abs(g.length - length) > REL_TOL * length):
+        if any(abs(l - length) > REL_TOL * length for l in g.length):
             raise NonDividingPitch("edges of unequal length have no common mesh")
         return cls(length / refine, refine)
 
-    def _values(self, theta):
-        return (2 / self.pitch * np.sin(theta / 2)) ** 2
+    def _value(self, theta: float) -> float:
+        y = 2 / self.pitch * math.sin(theta / 2)
+        return y * y
 
     def theta(self, lam: float) -> float:
         """theta of the mesh value lam; pi for any lam above the spectrum."""
@@ -169,30 +196,38 @@ class EquilateralMesh:
         cut = 2 * math.sin(phase / 2) ** 2
         return SPECTRAL_BOUND if phase >= math.pi or cut > SPECTRAL_BOUND - 1e-9 else cut
 
-    def branch_values(self, nu: np.ndarray, lam_max: float) -> tuple[np.ndarray, np.ndarray]:
+    def branch_values(self, nu, lam_max: float) -> tuple[list[float], list[int]]:
         """The mesh eigenvalues <= lam_max (1 + 1e-12) of the
         vertex eigenvalues ``nu`` in (0, 2), and the index in ``nu`` of the
-        vertex value of each: theta = (b pi + theta0) / r on even branches b
+        vertex value of each, in the order of ``nu`` and, for each, of the
+        branches: theta = (b pi + theta0) / r on even branches b
         and ((b + 1) pi - theta0) / r on odd ones, where
         theta0 = 2 atan2(sqrt(nu), sqrt(2 - nu)) = arccos(1 - nu) stays
         accurate at both ends."""
         r = self.refine
-        nu = np.clip(nu, 0.0, SPECTRAL_BOUND)[:, None]
-        theta0 = 2 * np.arctan2(np.sqrt(nu), np.sqrt(SPECTRAL_BOUND - nu))
-        b = np.arange(min(r, int(r * self.theta(lam_max) / math.pi) + 1))
-        lam = self._values(np.where(b % 2 == 0, b * math.pi + theta0, (b + 1) * math.pi - theta0) / r)
-        source, branch = np.nonzero(lam <= lam_max * (1 + 1e-12))
-        return lam[source, branch], source
+        branches = range(min(r, int(r * self.theta(lam_max) / math.pi) + 1))
+        bound = lam_max * (1 + 1e-12)
+        values, source = [], []
+        for i, x in enumerate(nu):
+            x = min(max(x, 0.0), SPECTRAL_BOUND)
+            theta0 = 2 * math.atan2(math.sqrt(x), math.sqrt(SPECTRAL_BOUND - x))
+            for b in branches:
+                value = self._value((b * math.pi + theta0 if b % 2 == 0
+                                     else (b + 1) * math.pi - theta0) / r)
+                if value <= bound:
+                    values.append(value)
+                    source.append(i)
+        return values, source
 
     def edge_modes(self, n_edges: int, n_kept: int, kernels: tuple[int, int],
-                   lam_max: float) -> tuple[np.ndarray, np.ndarray]:
+                   lam_max: float) -> tuple[list[float], list[int]]:
         """Values (4/h^2) sin^2(k pi / 2r), k = 0..r, of the edge modes of a
         graph of ``n_edges`` edges, ``n_kept`` kept vertices and
         ``walk_kernels`` ``kernels``, and their multiplicities, 0 above
         lam_max (1 + 1e-12)."""
         r = self.refine
-        k = np.arange(r + 1)
-        values = self._values(k * math.pi / r)
-        kernel = np.where(k % 2 == 0, *kernels)
-        mult = np.where((k > 0) & (k < r), n_edges - n_kept + 2 * kernel, kernel)
-        return values, np.where(values <= lam_max * (1 + 1e-12), mult, 0)
+        values = [self._value(k * math.pi / r) for k in range(r + 1)]
+        bound = lam_max * (1 + 1e-12)
+        mult = [n_edges - n_kept + 2 * kernels[k % 2] if 0 < k < r else kernels[k % 2]
+                for k in range(r + 1)]
+        return values, [m if value <= bound else 0 for value, m in zip(values, mult)]

@@ -19,11 +19,10 @@ geometric zeta function sum_i m_i l_i^{2s} times pi^{-2s} zeta(2s).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import InfeasibleNesting, NoCommonPitch
 from .eigensolve import FDModel, SpectrumEntry, SpectrumList
@@ -137,9 +136,8 @@ def _path(spec: StringSpec):
     l1 = spec.lengths[0]
     K = int(l1 / g)
     starts = [int((l1 - l) / g) for l in spec.lengths]
-    p = np.arange(K + 1)
-    base = MetricGraph(p[:, None], np.stack([p[:-1], p[1:]], axis=1), float(g), np.ones(K),
-                       dirichlet=(p == 0) | (p == K), total_mass=float(l1))
+    base = MetricGraph([(p,) for p in range(K + 1)], [(c, c + 1) for c in range(K)], float(g),
+                       1.0, dirichlet=[p in (0, K) for p in range(K + 1)], total_mass=float(l1))
     return K, starts, base
 
 
@@ -156,7 +154,7 @@ def stitched_family(spec: StringSpec) -> LevelFamily:
     spans = [[(1, K, 1)], [(1, K, spec.mults[0] - 1)],
              *([(a + 1, K, m)] for a, m in zip(starts[1:], spec.mults[1:]))]
     added = [K * (spec.mults[0] - 1), *(m * (K - a) for a, m in zip(starts[1:], spec.mults[1:]))]
-    return path_family(base, spans, (np.cumsum(added) + K).tolist())
+    return path_family(base, spans, [K + n for n in itertools.accumulate(added)])
 
 
 def stitched_numeric_spectra(spec: StringSpec, lam_max: float) -> list[SpectrumList]:
@@ -193,17 +191,49 @@ def isospectrality_report(
     return report
 
 
+#: below this many terms a string's zeta sum is summed term by term
+ZETA_DIRECT_TERMS = 50
+
+
+def _power_sum(a: float, n: int) -> float:
+    """sum_{k=1}^n k^{-a} for a > 0: the terms below ``ZETA_DIRECT_TERMS``
+    = N summed exactly rounded, and the rest by Euler-Maclaurin,
+    sum_{k=N}^n f(k) = int_N^n f + (f(N) + f(n)) / 2
+    + sum_j B_2j / (2j)! (f^(2j-1)(n) - f^(2j-1)(N)) with f(x) = x^{-a},
+    to B_6: the next term is below 1e-16 of the sum.  The integral
+    (N^{1-a} - n^{1-a}) / (a - 1) is taken as N^{1-a} L expm1(t) / t with
+    L = log(n / N) and t = (1 - a) L, which is N^{1-a} L, a log, at a = 1
+    and loses no digits near it."""
+    big = ZETA_DIRECT_TERMS
+    if n < big:
+        return math.fsum(k ** -a for k in range(1, n + 1))
+    log_ratio = math.log1p((n - big) / big)
+    t = (1 - a) * log_ratio
+    terms = [k ** -a for k in range(1, big)]
+    terms += [big ** (1 - a) * log_ratio * (math.expm1(t) / t if t else 1.0),
+              (big ** -a + n ** -a) / 2]
+    rising = a  # a (a + 1) ... (a + 2j - 2), so that f^(2j-1)(x) = -rising x^(-a-2j+1)
+    for j, bernoulli in enumerate((1 / 12, -1 / 720, 1 / 30240), start=1):
+        terms.append(bernoulli * rising * (big ** (1 - a - 2 * j) - n ** (1 - a - 2 * j)))
+        rising *= (a + 2 * j - 1) * (a + 2 * j)
+    return math.fsum(terms)
+
+
 def zeta_partial(spec: StringSpec, s_val: float, lam_max: float) -> float:
     """Partial sum of lambda^{-s} over the Dirichlet spectrum up to lam_max,
     with multiplicity, summed string by string: m_i sum_k (pi k / l_i)^{-2s}
     over the k with (pi k / l_i)^2 <= lam_max (1 + 1e-12), so that rounding
-    drops no value that lies on the cut."""
+    drops no value that lies on the cut.  Those k are 1..n_i, n_i at most
+    l_i sqrt(lam_max) / pi + 1, and each string's sum is
+    m_i (l_i / pi)^{2s} sum_{k <= n_i} k^{-2s} (``_power_sum``)."""
     if s_val <= 0:
         raise ValueError("exponent must be positive")
     cut = lam_max * (1 + 1e-12)
     total = 0.0
     for l, m in zip(spec.lengths, spec.mults):
-        n = int(float(l) * math.sqrt(cut) / math.pi) + 1
-        sqrt_lam = np.pi * np.arange(1, n + 1) / float(l)
-        total += m * float(np.sum(sqrt_lam[sqrt_lam * sqrt_lam <= cut] ** (-2 * s_val)))
+        length = float(l)
+        n = int(length * math.sqrt(cut) / math.pi) + 1
+        while n and (math.pi * n / length) * (math.pi * n / length) > cut:
+            n -= 1
+        total += m * (length / math.pi) ** (2 * s_val) * _power_sum(2 * s_val, n)
     return total

@@ -16,7 +16,7 @@ def decimation_check(spec_m, spec_m1, tol: float = 1e-8) -> dict:
     image is off by more than ``tol`` (relative, floored at 1) is
     exceptional when it lies within ``tol`` of 2, 5 or 6, and unexplained
     otherwise."""
-    lam_m = DECIMATION_SCALE * spec_m.values()
+    lam_m = DECIMATION_SCALE * np.asarray(spec_m.values())
     matched, exceptional, unexplained, max_dev = 0, 0, [], 0.0
     for e in spec_m1.entries:
         lp = DECIMATION_SCALE * e.value
@@ -54,7 +54,7 @@ def piece_spectrum(m: int, level: int, key: int):
     for j in range(level, m):
         x, c = _decimate(x, c, kept, 3 ** (j + 1), new2)
         kept, new2 = kept + 3 ** (j + 1), 0
-    return x / DECIMATION_SCALE, c
+    return np.asarray(x) / DECIMATION_SCALE, np.asarray(c)
 
 
 def decimation_chain(m: int) -> list:

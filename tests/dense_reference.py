@@ -113,9 +113,11 @@ def graph_operator(g: MetricGraph, boundary: str | None = None) -> DiscreteOpera
     ``boundary`` overrides vertex markings: "dirichlet" eliminates all marked
     vertices, None keeps everything (Neumann).
     """
-    drop = g.dirichlet & (boundary == DIRICHLET)
+    drop = np.asarray(g.dirichlet) & (boundary == DIRICHLET)
     pos = _node_numbers(drop)
-    op = _laplacian(int(np.count_nonzero(~drop)), pos[g.ends[:, 0]], pos[g.ends[:, 1]], g.weight)
+    ends = np.asarray(g.ends, dtype=np.int64).reshape(-1, 2)
+    op = _laplacian(int(np.count_nonzero(~drop)), pos[ends[:, 0]], pos[ends[:, 1]],
+                    np.asarray(g.weight))
     return replace(op, kept_vertices=np.flatnonzero(~drop))
 
 

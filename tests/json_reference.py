@@ -36,8 +36,8 @@ def spectrum_from_json(text: str) -> SpectrumList:
 
 
 def graph_to_json(g: MetricGraph) -> str:
-    doc = {"labels": g.labels.tolist(), "dirichlet": g.dirichlet.tolist(),
-           "ends": g.ends.tolist(), "length": g.length.tolist(), "weight": g.weight.tolist()}
+    doc = {"labels": g.labels, "dirichlet": g.dirichlet, "ends": g.ends, "length": g.length,
+           "weight": g.weight}
     return json.dumps(doc, sort_keys=True)
 
 

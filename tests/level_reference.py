@@ -352,5 +352,5 @@ def assert_matches_reference(per_level, ops, fibers, lam_max, rtol=1e-10, floor=
         assert [(e.multiplicity, e.tag) for e in got.entries] == [
             (e.multiplicity, e.tag) for e in ref.entries
         ], level
-        ours, theirs = got.values(), ref.values()
+        ours, theirs = np.asarray(got.values()), np.asarray(ref.values())
         assert np.all(np.abs(ours - theirs) <= rtol * np.maximum(floor, np.abs(theirs))), level

@@ -36,12 +36,11 @@ class DimensionMismatch(FractalSpectraError):
 
 def edges(g: MetricGraph) -> list[tuple]:
     """(u, v, length, weight) of every edge of g, in edge order."""
-    return list(zip(g.ends[:, 0].tolist(), g.ends[:, 1].tolist(), g.length.tolist(),
-                    g.weight.tolist()))
+    return [(u, v, length, weight) for (u, v), length, weight in zip(g.ends, g.length, g.weight)]
 
 
 def dirichlet_vertices(g: MetricGraph) -> set[int]:
-    return {vi for vi, marked in enumerate(g.dirichlet.tolist()) if marked}
+    return {vi for vi, marked in enumerate(g.dirichlet) if marked}
 
 
 @dataclass

@@ -65,6 +65,7 @@ def _distinct_components(op: DiscreteOperator, copies: np.ndarray,
     u, v = op.rows(), op.indices
     coupled = u < v  # each coupling once
     n_comp, labels = _component_labels(op.n, u[coupled], v[coupled])
+    labels = np.asarray(labels)
     order = np.argsort(labels, kind="stable")
     place = np.empty_like(order)
     place[order] = np.arange(op.n)
@@ -186,5 +187,5 @@ def assert_same_levels(got, ref):
         assert [(e.multiplicity, e.tag) for e in a.entries] == \
             [(e.multiplicity, e.tag) for e in b.entries]
         scale = np.maximum(np.abs(b.values()), 1e-2)
-        assert np.all(np.abs(a.values() - b.values()) <= 1e-12 * scale)
+        assert np.all(np.abs(np.asarray(a.values()) - b.values()) <= 1e-12 * scale)
 

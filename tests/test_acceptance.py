@@ -209,8 +209,8 @@ def test_criterion_6_zeta():
 
         base = strings.StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 2])
         scaled = strings.StringSpec([Fraction(1, 1), Fraction(1, 2)], [1, 2])
-        a = strings.string_analytic_spectrum(base, 4000.0).values()
-        b = strings.string_analytic_spectrum(scaled, 1000.0).values()
+        a = np.asarray(strings.string_analytic_spectrum(base, 4000.0).values())
+        b = np.asarray(strings.string_analytic_spectrum(scaled, 1000.0).values())
         assert len(a) == len(b) and np.array_equal(b, a / 4.0)
 
 

@@ -436,7 +436,7 @@ def test_numeric_values_are_the_exact_finite_difference_values(tmp_path, command
     out = tmp_path / "out"
     assert cli.main([command, "--spec", write_spec(tmp_path, "spec.json", doc),
                      "--out", str(out)]) == 0
-    values = eigensolve.SpectrumList.from_csv((out / "numeric.csv").read_text()).values()
+    values = np.asarray(eigensolve.SpectrumList.from_csv((out / "numeric.csv").read_text()).values())
     assert len(values) > 0
     exact = nearest_fd_values(values, h, 2 * cells)
     assert np.all(np.abs(values - exact) <= 4e-15 * exact)
@@ -460,15 +460,17 @@ def test_zeta_table_keeps_the_values_on_its_cut(tmp_path):
         assert float(partial) == pytest.approx(explicit, rel=1e-13, abs=0.0)
 
 
-def test_cli_runs_without_scipy(tmp_path):
-    """With SciPy unimportable, laakso, choux and string run the
+def test_cli_runs_without_numpy_or_scipy(tmp_path):
+    """With NumPy and SciPy unimportable, laakso, choux and string run the
     acceptance criterion-8 specs and verify their outputs with exit 0, and
-    no SciPy module is loaded afterwards: the package needs NumPy alone."""
+    no NumPy or SciPy module is loaded afterwards: the package needs the
+    standard library alone."""
     script = textwrap.dedent("""
         import json, sys
         from pathlib import Path
 
-        sys.modules["scipy"] = None  # every import of SciPy or a submodule fails
+        # every import of NumPy, SciPy or a submodule of either fails
+        sys.modules["numpy"] = sys.modules["scipy"] = None
         from fractal_spectra import cli
 
         tmp = Path(sys.argv[1])
@@ -486,12 +488,12 @@ def test_cli_runs_without_scipy(tmp_path):
             codes.append(cli.main([command, "--spec", str(spec), "--out", out]))
             codes.append(cli.main(["verify", "--out", out]))
         loaded = sorted(name for name, module in sys.modules.items()
-                        if name.split(".")[0] == "scipy" and module is not None)
-        print(json.dumps({"codes": codes, "scipy": loaded}))
+                        if name.split(".")[0] in ("numpy", "scipy") and module is not None)
+        print(json.dumps({"codes": codes, "loaded": loaded}))
     """)
     src = str(Path(fractal_spectra.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0] * 6, "scipy": []}
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0] * 6, "loaded": []}

@@ -240,8 +240,8 @@ class TestLanczos:
         assert solve_below(d, 9.0).values.shape == (0,)
         lowest = solve_below(d, 10.0).values
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        assert fiber._run_values(4 * d.n, 9.0 * h**2 / 2).shape == (0,)
-        walk = fiber._run_values(4 * d.n, 10.0 * h**2 / 2)
+        assert np.asarray(fiber._run_values(4 * d.n, 9.0 * h**2 / 2)).shape == (0,)
+        walk = np.asarray(fiber._run_values(4 * d.n, 10.0 * h**2 / 2))
         assert walk * (2 / h**2) == pytest.approx(lowest, rel=1e-12) and len(lowest) == 1
         with pytest.raises(NotPositiveMass):
             solve_below(operator(csr(d), np.concatenate([[0.0], d.M[1:]])), 9.0)
@@ -451,6 +451,29 @@ class TestCluster:
         v = [0.0, 1e-9, 1.0, 1.0 + 5e-8, 1.0 + 1e-7, 3.0, 300.0, 300.0 + 2e-5]
         assert gap_runs(v, 1e-7) == [(0, 2), (2, 5), (5, 6), (6, 8)]
         assert gap_runs([], 1e-7) == []
+
+
+class TestSpectrumListChecks:
+    """A spectrum list is checked in one pass over its entries: each value
+    finite, the values strictly increasing, each multiplicity >= 1."""
+
+    @pytest.mark.parametrize("entries, message", [
+        ([(1.0, 1), (math.nan, 1), (2.0, 1)], "finite"),
+        ([(1.0, 1), (math.inf, 1)], "finite"),
+        ([(-math.inf, 1), (1.0, 1)], "finite"),
+        ([(1.0, 1), (1.0, 2)], "strictly increasing"),
+        ([(2.0, 1), (1.0, 1)], "strictly increasing"),
+        ([(1.0, 1), (2.0, 0)], ">= 1"),
+    ], ids=["nan", "+inf", "-inf", "repeated", "decreasing", "multiplicity-0"])
+    def test_bad_entries_raise(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            SpectrumList([SpectrumEntry(v, m) for v, m in entries], "numeric", math.inf)
+
+    def test_good_entries_pass(self):
+        s = SpectrumList([SpectrumEntry(-1.0, 1), SpectrumEntry(0.0, 3), SpectrumEntry(2.5, 1)],
+                         "numeric", 3.0)
+        assert s.values() == [-1.0, 0.0, 2.5]
+        assert SpectrumList([], "numeric", 3.0).values() == []
 
 
 class TestNesting:

@@ -96,7 +96,7 @@ class TestSymmetry:
             assert np.array_equal(A[p][:, p], A)
             assert np.array_equal(g.birth[p], g.birth)
             for boundary in (None, "dirichlet"):
-                marks = gasket_graph(g, boundary).dirichlet
+                marks = np.asarray(gasket_graph(g, boundary).dirichlet)
                 assert np.array_equal(marks[p], marks)
         assert not np.any(maps[1:3] == np.arange(g.n_vertices))
         r, r2, s, rs, r2s = maps[1:]
@@ -130,7 +130,7 @@ class TestSymmetry:
         for k, (got, want) in enumerate(zip(chain, ref), start=1):
             assert total_multiplicity(got) == n_points(k) - 3
             assert [e.multiplicity for e in got.entries] == [e.multiplicity for e in want.entries]
-            dev = np.abs(got.values() - want.values())
+            dev = np.abs(np.asarray(got.values()) - want.values())
             assert np.all(dev <= 1e-12 * np.maximum(1.0, want.values()))
 
     @pytest.mark.parametrize("m", range(1, 8))
@@ -138,7 +138,7 @@ class TestSymmetry:
         """Level 0 of the Neumann pâte à choux is the whole gasket with its
         corners kept: the dense solve in D3 blocks gives its multiplicities
         exactly and its values to 1e-12 relative (floored at 0.01)."""
-        values, mult = gasket._piece_spectrum(m, 0, 3)
+        values, mult = map(np.asarray, gasket._piece_spectrum(m, 0, 3))
         order = np.argsort(values)
         want = gasket_graph_spectrum(build_gasket(m))
         assert mult[order].tolist() == [e.multiplicity for e in want.entries]
@@ -204,11 +204,11 @@ class TestDecimation:
         for boundary in (DIRICHLET, NEUMANN):
             family = choux_family(ChouxSpec(m, m, boundary))
             for level, (keys, _) in enumerate(family.runs):
-                for key in keys.tolist():
+                for key in np.asarray(keys).tolist():
                     got = gasket._piece_spectrum(m, level, key)
                     ref = decimation_reference.piece_spectrum(m, level, key)
-                    assert got[0].tobytes() == ref[0].tobytes()
-                    assert got[1].tolist() == ref[1].tolist()
+                    assert np.asarray(got[0]).tobytes() == ref[0].tobytes()
+                    assert np.asarray(got[1]).tolist() == ref[1].tolist()
 
     def test_zero_is_a_fixed_point(self):
         # lambda' = 0 maps to lambda = 0 under lambda'(5 - lambda')
@@ -252,7 +252,7 @@ def test_dirichlet_gasket_spectrum_is_the_decimation_spectrum(m):
     got = gasket_graph_spectrum(build_gasket(m), "dirichlet")
     assert sum(mult for _, mult in exact) == total_multiplicity(got) == (3 ** (m + 1) - 3) // 2
     assert [e.multiplicity for e in got.entries] == [mult for _, mult in exact]
-    values = DECIMATION_SCALE * got.values()
+    values = DECIMATION_SCALE * np.asarray(got.values())
     want = np.array([x for x, _ in exact])
     assert np.all(np.abs(values - want) <= 1e-10 * want)
 
@@ -278,7 +278,7 @@ class TestClosedForm:
     def test_whole_dirichlet_gasket_is_the_decimation_spectrum(self, m):
         """Level 0 with its corners eliminated is the whole Dirichlet
         gasket: value for value the bits of ``decimation_spectrum``."""
-        values, mult = gasket._piece_spectrum(m, 0, 0)
+        values, mult = map(np.asarray, gasket._piece_spectrum(m, 0, 0))
         order = np.argsort(values)
         got = list(zip((DECIMATION_SCALE * values[order]).tolist(), mult[order].tolist()))
         assert got == decimation_spectrum(m)
@@ -291,7 +291,7 @@ class TestClosedForm:
         for _ in range(30):
             small = 2 * small / (5 + math.sqrt(25 - 4 * small))
         x, c = gasket._decimate(np.array([0.0, 6.0, small]), np.array([1, 2, 1]), 3, 9, 0)
-        assert sorted(zip(x.tolist(), c.tolist())) == [
+        assert sorted(zip(np.asarray(x).tolist(), np.asarray(c).tolist())) == [
             (0.0, 1), (2 * small / (5 + math.sqrt(25 - 4 * small)), 1), (3.0, 2), (5.0, 1),
             (5.0, 9 - 5), (6.0, 3)]  # 5 takes the 9 born less the 5 continued
         assert 0 < small < 1e-20
@@ -314,7 +314,7 @@ class TestClosedForm:
         """A piece handed twice its counts at each step runs out of room
         for 5, and the run exits with the solver code."""
         def doctored(x, c, *args, _decimate=gasket._decimate):
-            return _decimate(x, 2 * c, *args)
+            return _decimate(x, 2 * np.asarray(c), *args)
 
         monkeypatch.setattr(gasket, "_decimate", doctored)
         spec = tmp_path / "spec.json"
@@ -331,7 +331,8 @@ class TestClosedForm:
         spec = ChouxSpec(3, 11, "dirichlet")
         top = choux_numeric_spectra(spec)[-1]
         new, kept = fiber._level_values(choux_family(spec), SPECTRAL_BOUND)
-        distinct = np.unique(np.concatenate([values[counts > 0] for values, counts in new]))
+        distinct = np.unique(np.concatenate([np.asarray(values)[np.asarray(counts) > 0]
+                                             for values, counts in new]))
         assert len(top.entries) == len(distinct) == 4991
         assert np.array_equal(top.values(), distinct)
         assert total_multiplicity(top) == top.meta["count"] == kept[-1]

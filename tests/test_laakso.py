@@ -90,7 +90,7 @@ class TestBuild:
         spec = LaaksoSpec(j=[2])
         g = family_reference.build_laakso(spec).graphs[1]
         assert level_sizes(spec)[1] == (g.n_vertices, len(g.ends)) == (5, 4)
-        assert np.all((g.length == 0.5) & (g.weight == 0.5))
+        assert np.all((np.asarray(g.length) == 0.5) & (np.asarray(g.weight) == 0.5))
 
     def test_depth_two_counts_and_measure(self):
         spec = LaaksoSpec(j=[2, 2])
@@ -128,8 +128,8 @@ class TestBuild:
         it: the wormholes are at 1/2 at level 1 and at 1/4 and 3/4 at
         level 2, and the endpoints are never collapsed."""
         base, birth = _base(LaaksoSpec(j=[2, 2]))
-        assert base.labels.tolist() == [0, 1, 2, 3, 4]
-        assert birth.tolist() == [0, 2, 1, 2, 0]
+        assert np.asarray(base.labels).tolist() == [0, 1, 2, 3, 4]
+        assert np.asarray(birth).tolist() == [0, 2, 1, 2, 0]
 
 
 class TestAnalyticSpectrum:

@@ -308,7 +308,8 @@ def test_laakso_run_tables_are_the_runs_of_every_piece(spec):
     ref = family_reference.run_tables(family.base, family_reference.path_pieces(spec))
     assert len(family.runs) == len(ref)
     for (keys, counts), (ref_keys, ref_counts) in zip(family.runs, ref):
-        assert keys.tolist() == ref_keys.tolist() and counts.tolist() == ref_counts.tolist()
+        assert np.asarray(keys).tolist() == ref_keys.tolist()
+        assert np.asarray(counts).tolist() == ref_counts.tolist()
 
 
 def expand(values, counts):
@@ -393,7 +394,8 @@ def assert_same_spectra(got, ref):
         assert [(e.multiplicity, e.tag) for e in g.entries] == [
             (e.multiplicity, e.tag) for e in r.entries], level
         theirs = r.values()
-        assert np.all(np.abs(g.values() - theirs) <= 1e-10 * np.maximum(1.0, np.abs(theirs))), level
+        assert np.all(np.abs(np.asarray(g.values()) - theirs)
+                      <= 1e-10 * np.maximum(1.0, np.abs(theirs))), level
 
 
 # cuts from below the first edge mode to past the top of the spectrum
@@ -543,7 +545,7 @@ def test_chebyshev_map_gives_the_mesh_spectrum_of_any_equal_edge_graph(case, ref
     pencil's spectrum up to a cut halfway between two of its distinct
     eigenvalues or above them all."""
     g, pitch, _ = case
-    dirichlet = g.dirichlet & data.draw(st.booleans())
+    dirichlet = np.asarray(g.dirichlet) & data.draw(st.booleans())
     g = MetricGraph(g.labels, g.ends, refine * pitch, g.weight, dirichlet)
     op = mesh_reference.assemble(mesh_reference.discretize(g, pitch))
     values = generalized_eigh(op)[0] if op.n else np.zeros(0)

@@ -10,6 +10,7 @@ from fractal_spectra.cli import ZETA_S_GRID
 from fractal_spectra.errors import InfeasibleNesting
 from fractal_spectra import fiber
 from fractal_spectra.strings import (
+    ZETA_DIRECT_TERMS,
     StringSpec,
     isospectrality_report,
     rationalize,
@@ -95,7 +96,7 @@ class TestBuilder:
         # fiber measures are probabilities, so the total measure stays l_1
         assert g.total_measure() == pytest.approx(0.5)
         # a label row starts with the grid index of the vertex's position
-        x = (g.labels[:, 0] * float(spec.grid_unit)).tolist()
+        x = (np.asarray(g.labels)[:, 0] * float(spec.grid_unit)).tolist()
         xs = sorted(set(x))
         assert 0.25 in xs  # the attachment point l_1 - l_2
         # the duplicated right-end strand shows as a parallel edge over the
@@ -223,6 +224,19 @@ class TestZeta:
             explicit = math.fsum((math.pi * k) ** (-2 * s_val) for k in range(1, 1001))
             z = zeta_partial(StringSpec([Fraction(1)], [1]), s_val, (math.pi * 1000) ** 2)
             assert z == pytest.approx(explicit, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("s_val", [*ZETA_S_GRID, 0.25, 0.5 + 1e-9, 3.0])
+    @pytest.mark.parametrize("terms", [1, ZETA_DIRECT_TERMS - 1, ZETA_DIRECT_TERMS,
+                                       ZETA_DIRECT_TERMS + 1, 10**5])
+    def test_sum_is_the_sum_over_every_term(self, terms, s_val):
+        """The unit string cut at its ``terms``-th value: below
+        ``ZETA_DIRECT_TERMS`` terms the sum is taken term by term, from there
+        on by Euler-Maclaurin, whose integral is a log at s = 1/2 and loses
+        no digits next to it; both within 1e-14 of an exactly rounded sum
+        over every term."""
+        explicit = math.fsum((math.pi * k) ** (-2 * s_val) for k in range(1, terms + 1))
+        z = zeta_partial(StringSpec([Fraction(1)], [1]), s_val, (math.pi * terms) ** 2)
+        assert z == pytest.approx(explicit, rel=1e-14, abs=0.0)
 
     def test_string_workload_matches_the_rational_reference(self):
         """At the zeta cut of the benchmark's string spec the per-string sums
