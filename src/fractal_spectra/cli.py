@@ -12,6 +12,7 @@ lengths.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -271,7 +272,11 @@ def cmd_verify(args) -> int:
 
     for csv_path in sorted(out.glob("*.csv")):
         if csv_path.name == "zeta.csv":
-            lines = csv_path.read_text().strip().splitlines()
+            try:
+                lines = csv_path.read_text().strip().splitlines()
+            except ValueError as exc:  # not UTF-8
+                failures.append(f"{csv_path.name}: {exc}")
+                continue
             if lines[:1] != ["s,partial_sum,lambda_max"]:
                 failures.append(f"{csv_path.name}: bad header")
             continue
@@ -285,7 +290,7 @@ def cmd_verify(args) -> int:
             continue
         try:
             doc = json.loads(json_path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             failures.append(f"{json_path.name}: {exc}")
             continue
         if isinstance(doc, dict) and doc.get("pass") is False:
@@ -338,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         # no solver draws random numbers, so the seed has no effect; the flag
         # is kept so that command lines that pass it keep working
         sp.add_argument("--seed", type=int, default=None,
-                        help="accepted and ignored: every solve is deterministic")
+                        help="accepted and ignored: no solver draws random numbers")
     for sp in (laakso_p, string_p):
         sp.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
         sp.add_argument("--refine", type=int, default=None)
@@ -348,8 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call: a run that calls
+    ``main`` again reuses it (``parse_args`` keeps no state between calls)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # NaN compares false both ways, so a NaN tolerance would pass or fail
         # every check; only finite values >= 0 are tolerances

@@ -221,13 +221,18 @@ class EquilateralMesh:
 
     def edge_modes(self, n_edges: int, n_kept: int, kernels: tuple[int, int],
                    lam_max: float) -> tuple[list[float], list[int]]:
-        """Values (4/h^2) sin^2(k pi / 2r), k = 0..r, of the edge modes of a
-        graph of ``n_edges`` edges, ``n_kept`` kept vertices and
-        ``walk_kernels`` ``kernels``, and their multiplicities, 0 above
-        lam_max (1 + 1e-12)."""
+        """Values (4/h^2) sin^2(k pi / 2r) <= lam_max (1 + 1e-12), k = 0..r,
+        of the edge modes of a graph of ``n_edges`` edges, ``n_kept`` kept
+        vertices and ``walk_kernels`` ``kernels``, and their multiplicities.
+        The values rise with k, so the listing stops at the first one above
+        the cut."""
         r = self.refine
-        values = [self._value(k * math.pi / r) for k in range(r + 1)]
         bound = lam_max * (1 + 1e-12)
-        mult = [n_edges - n_kept + 2 * kernels[k % 2] if 0 < k < r else kernels[k % 2]
-                for k in range(r + 1)]
-        return values, [m if value <= bound else 0 for value, m in zip(values, mult)]
+        values, mult = [], []
+        for k in range(r + 1):
+            value = self._value(k * math.pi / r)
+            if value > bound:
+                break
+            values.append(value)
+            mult.append(n_edges - n_kept + 2 * kernels[k % 2] if 0 < k < r else kernels[k % 2])
+        return values, mult

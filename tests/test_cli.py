@@ -316,6 +316,19 @@ class TestVerify:
         assert cli.main(["verify", "--out", str(tmp_path)]) == 1
         assert "verify: FAIL zeta.csv: bad header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, data", [("compare.json", b"\xff\xfe{"), ("zeta.csv", b"\xff")])
+    def test_file_that_is_not_utf8_fails(self, tmp_path, capsys, name, data):
+        """A report or zeta table that does not decode is a failed check
+        (exit 1), not a bad spec (exit 2), and the files after it are
+        still checked."""
+        (tmp_path / "run.json").write_text("{}")
+        (tmp_path / name).write_bytes(data)
+        (tmp_path / "report.json").write_text('{"pass": false}')
+        assert cli.main(["verify", "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILED
+        err = capsys.readouterr().err
+        assert f"verify: FAIL {name}: " in err
+        assert "verify: FAIL report.json: stored pass flag is false" in err
+
     def test_tol_recheck_without_analytic_values_fails(self, tmp_path, capsys):
         """Below pi^2 the Dirichlet interval has no analytic value but its FD
         ground state (9.8379) lies there: --tol reports that value as
@@ -329,6 +342,53 @@ class TestVerify:
         assert cli.main(["verify", "--out", str(out), "--tol", "1e-3"]) == 1
         fails = [line for line in capsys.readouterr().err.splitlines() if "off the analytic set" in line]
         assert len(fails) == 1 and fails[0].startswith("verify: FAIL numeric 9.83")
+
+
+def same_files(a: Path, b: Path) -> bool:
+    names = sorted(os.listdir(a))
+    return sorted(os.listdir(b)) == names and filecmp.cmpfiles(a, b, names, shallow=False)[0] == names
+
+
+class TestSharedParser:
+    """``main`` parses every call with one parser, built on its first call."""
+
+    def test_flags_do_not_carry_over(self, tmp_path):
+        spec = write_spec(tmp_path, "spec.json", {"j": [2], "refine": 8, "lambda_max": 60.0})
+        flagged = ["--boundary", "dirichlet", "--refine", "16", "--tol", "1e-6"]
+        assert cli.main(["laakso", "--spec", spec, "--out", str(tmp_path / "a"), *flagged]) == 0
+        assert cli.main(["laakso", "--spec", spec, "--out", str(tmp_path / "b")]) == 0
+        cli._parser.cache_clear()
+        assert cli.main(["laakso", "--spec", spec, "--out", str(tmp_path / "fresh")]) == 0
+        run = json.loads((tmp_path / "b" / "run.json").read_text())
+        assert (run["boundary"], run["refine"], run["tol"]) == ("neumann", 8, 1e-9)
+        assert same_files(tmp_path / "b", tmp_path / "fresh")
+
+    def test_rejected_call_leaves_the_next_unchanged(self, tmp_path):
+        spec = write_spec(tmp_path, "spec.json", {"fiber_depth": 1, "gasket_level": 2})
+        assert cli.main(["choux", "--spec", spec, "--out", str(tmp_path / "a")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["choux", "--spec", spec, "--out", str(tmp_path / "x"),
+                      "--boundary", "dirichlet", "--tol", "1e-3", "--refine", "4"])
+        assert exc.value.code == 2
+        assert cli.main(["choux", "--spec", spec, "--out", str(tmp_path / "b")]) == 0
+        assert same_files(tmp_path / "a", tmp_path / "b")
+
+    def test_main_builds_the_parser_once(self, laakso_run, monkeypatch):
+        builds = []
+
+        def counted(_build=cli.build_parser):
+            builds.append(1)
+            return _build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        for argv in (["verify", "--out", str(laakso_run[1])], ["verify", "--out", str(laakso_run[1])],
+                     ["verify", "--out", str(laakso_run[1]), "--tol", "0.05"]):
+            assert cli.main(argv) == 0
+        assert len(builds) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
 
 
 @pytest.mark.parametrize("command, flag, value", [

@@ -181,6 +181,18 @@ class TestEquilateralMesh:
             assert np.sort(np.repeat(values, mult)) == pytest.approx(pencil_eigs(mesh), rel=1e-12,
                                                                      abs=1e-9)
 
+    @pytest.mark.parametrize("boundary", [NEUMANN, DIRICHLET])
+    def test_edge_modes_stop_at_lambda_max(self, boundary):
+        """A cut strictly between the edge-mode values k = 3 and k = 4 keeps
+        the prefix k = 0..3 of the whole listing, with its multiplicities."""
+        g, refine = interval(boundary), 8
+        mesh = EquilateralMesh.of(g, refine)
+        args = (len(g.ends), graph_operator(g, DIRICHLET).n, walk_kernels(g))
+        values, mult = mesh.edge_modes(*args, 4 / mesh.pitch**2)
+        cut = (values[3] + values[4]) / 2
+        assert values[3] < cut < values[4]
+        assert mesh.edge_modes(*args, cut) == (values[:4], mult[:4])
+
     def test_walk_kernels(self):
         square = MetricGraph(np.arange(4.0), [(0, 1), (1, 2), (2, 3), (3, 0)], 1.0, 1.0)
         triangle = MetricGraph(np.arange(3.0), [(0, 1), (1, 2), (2, 0)], 1.0, 1.0,
