@@ -26,7 +26,7 @@ print(f"Laakso space with fiber sequence j = {spec.j}, pitch = {spec.pitch}")
 
 family = laakso_family(spec)
 _, kept = fiber._level_values(family, 0.0)  # with Neumann ends every vertex is kept
-for i, edges in enumerate([len(family.base.ends), *family.n_edges]):
+for i, edges in enumerate([family.base.n_vertices - 1, *family.n_edges]):
     print(f"  level {i}: {kept[i]} vertices, {edges} edges")
 
 print("wormhole positions by level:")

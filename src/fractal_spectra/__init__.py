@@ -27,7 +27,6 @@ from .laakso import (
     laakso_numeric_spectrum,
     laakso_refinement_spectra,
 )
-from .metric_graph import MetricGraph
 from .strings import (
     StringSpec,
     isospectrality_report,

@@ -20,13 +20,7 @@ from pathlib import Path
 
 from . import gasket, laakso, strings
 from .eigensolve import FDModel, SpectrumList, compare_spectra, verify_nesting
-from .errors import (
-    FractalSpectraError,
-    InvalidSpaceSpec,
-    NoCommonPitch,
-    NoConvergence,
-    NonDividingPitch,
-)
+from .errors import FractalSpectraError, InvalidSpaceSpec, NoCommonPitch, NoConvergence
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -83,15 +77,19 @@ def _run_meta(args, spec_doc: dict, **in_effect) -> dict:
     return {"command": args.command, "spec": spec_doc, **in_effect}
 
 
+def _number(value, name: str) -> float:
+    """A spec field that must be a positive, finite JSON number: ``float()``
+    would take a JSON true as 1.0 and a numeric string, an infinite cut
+    never ends the analytic listing and an infinite length has no grid,
+    and a JSON integer above the largest float has no float."""
+    if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
+        raise InvalidSpaceSpec(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
+
+
 def _lambda_max(args, doc: dict, default: float) -> float:
     lam_max = doc.get("lambda_max", default) if args.lambda_max is None else args.lambda_max
-    # float() would take a JSON true as 1.0 and a numeric string
-    if type(lam_max) not in (int, float):
-        raise InvalidSpaceSpec(f"lambda_max must be a number, got {lam_max!r}")
-    lam_max = float(lam_max)
-    if not 0 < lam_max < math.inf:  # an infinite cut never ends the analytic listing
-        raise InvalidSpaceSpec(f"lambda_max must be positive and finite, got {lam_max}")
-    return lam_max
+    return _number(lam_max, "lambda_max")
 
 
 def _nesting(out: Path, per_level: list[SpectrumList], tol: float) -> bool:
@@ -208,7 +206,8 @@ def cmd_string(args) -> int:
     if "lengths" not in doc or "mults" not in doc:
         raise InvalidSpaceSpec('string spec needs "lengths" and "mults"')
     bound = _integer(doc.get("denominator_bound", 10**6), "denominator_bound")
-    rational, perturbation = strings.rationalize(_list(doc["lengths"], "lengths"), bound)
+    lengths = [_number(l, "lengths") for l in _list(doc["lengths"], "lengths")]
+    rational, perturbation = strings.rationalize(lengths, bound)
     if perturbation > 1e-9:
         raise NoCommonPitch(
             f"lengths have no common pitch at denominator bound {bound} "
@@ -374,7 +373,7 @@ def main(argv=None) -> int:
     except NoConvergence as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (InvalidSpaceSpec, NonDividingPitch, ValueError) as exc:
+    except (InvalidSpaceSpec, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
     except FractalSpectraError as exc:

@@ -21,14 +21,6 @@ class InfeasibleNesting(InvalidSpaceSpec):
     """Fractal-string lengths are not strictly decreasing."""
 
 
-class DisconnectedGraph(FractalSpectraError):
-    """Graph is not connected."""
-
-
-class NonDividingPitch(FractalSpectraError):
-    """Mesh pitch does not divide every edge length."""
-
-
 class NoCommonPitch(FractalSpectraError):
     """No common rational pitch exists at the requested resolution."""
 

@@ -33,11 +33,14 @@ values with their counts (``level_spectra``, which the pâte à choux uses);
 no value is listed once per copy, and no eigensolver is called.  The walk
 Laplacian of a run of a path has its values in closed form
 (``_run_values``): no matrix is formed, and a run of m vertices lists its
-m values.  The Laakso and string levels, whose edges have one length, map
-their vertex values to the mesh by the Chebyshev rule first, adding edge
-modes counted from |E_l| and |V_l| as counts (``equilateral_spectra``).  No
-eigenvector is formed, and no array: run tables, values and counts are
-lists of Python ints and floats, the values merged by a stable sort.
+m values.  A path family's base is no graph either, only the three facts
+the pipeline reads of its path: the vertex count, the edge length and
+whether both ends are Dirichlet vertices (``PathBase``).  The Laakso and
+string levels, whose edges have one length, map their vertex values to the
+mesh by the Chebyshev rule first, adding edge modes counted from |E_l| and
+|V_l| as counts (``equilateral_spectra``).  No eigenvector is formed, and
+no array: run tables, values and counts are lists of Python ints and
+floats, the values merged by a stable sort.
 
 The trade-off: the pipeline assumes the decomposition and the closed forms
 instead of checking them on every run.  The tests hold them to the whole
@@ -55,7 +58,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .eigensolve import SpectrumList, cluster
-from .metric_graph import SPECTRAL_BOUND, EquilateralMesh, MetricGraph, walk_kernels
+from .metric_graph import SPECTRAL_BOUND, EquilateralMesh
 
 
 def _run_values(key: int, cut: float) -> list[float]:
@@ -91,13 +94,25 @@ def _run_spectrum(level: int, key: int) -> tuple[list[float], list[int]]:
     return values, [1] * len(values)
 
 
+@dataclass(frozen=True)
+class PathBase:
+    """The level-0 graph of a path family: ``n_vertices`` vertices in
+    order, edge k joining vertices k and k + 1, every edge of ``length`` and
+    one weight, and both ends Dirichlet vertices when ``dirichlet``, no
+    vertex otherwise."""
+
+    n_vertices: int
+    length: float
+    dirichlet: bool
+
+
 @dataclass
 class LevelFamily:
-    """Levels 0..n of a space, given by its level-0 graph ``base``, whose
-    marked vertices are Dirichlet vertices, the table of the distinct pieces
-    of each level and, for each level l >= 1, its edge count |E_l|.  A
-    family that takes no mesh (``equilateral_spectra``) may have no base,
-    as the pâte à choux has none.
+    """Levels 0..n of a space, given by its level-0 path ``base``, the
+    table of the distinct pieces of each level and, for each level l >= 1,
+    its edge count |E_l|.  A family that takes no mesh
+    (``equilateral_spectra``) may have no base, as the pâte à choux has
+    none.
 
     ``runs[l]``, for l = 0..n, is the table (keys, counts) of the pieces of
     level l, level 0 being ``base`` with its Dirichlet vertices: level l
@@ -106,42 +121,41 @@ class LevelFamily:
     (values, multiplicities) in any order; the multiplicities add up to its
     number of kept vertices.
 
-    By default the base is a path in vertex order, edge k joining vertices
-    k and k + 1, with one weight on every edge, and the pieces are the runs
-    of kept vertices that the Dirichlet marks cut it into, hence the name
-    (``path_family``, ``binary_path_family``).  A run of m vertices whose
+    By default the pieces are the runs of kept vertices that the Dirichlet
+    marks cut the base path into, hence the name (``path_family``,
+    ``binary_path_family``).  A run of m vertices whose
     first (last) vertex is the first (last) of the path, so a free path
     end, has the key 4 m + 2 [first free] + [last free], and its values in
     closed form (``_run_values``).  The pâte à choux keys its gasket pieces
     and gives their spectra itself (``gasket.choux_family``).
     """
 
-    base: MetricGraph | None
+    base: PathBase | None
     runs: list[tuple[list[int], list[int]]]
     n_edges: list[int] = field(default_factory=list)
     spectrum: Callable[[int, int], tuple[list[float], list[int]]] = _run_spectrum
 
 
-def binary_path_family(base: MetricGraph, birth, depth: int) -> LevelFamily:
+def binary_path_family(base: PathBase, birth, depth: int) -> LevelFamily:
     """Levels 0..depth of the path ``base`` times the binary fibers {0,1}^l,
     with fiber coordinate b collapsed at the base vertices born at level b
     (``birth[v]``, 0 for a vertex that is never collapsed), each level's
     pieces given by their run table (``_binary_runs``).  Level l has 2^l
     copies of every base edge."""
-    # the marks of level l: the Dirichlet vertices and the vertices born at
-    # a level in 1..l, each with its birth bit (bit b - 1 for level b, none
-    # for a Dirichlet vertex)
-    marks, born = [], [[] for _ in range(depth + 1)]
-    for v, (b, marked) in enumerate(zip(birth, base.dirichlet)):
-        if marked:
-            marks.append((v, 0))
-        elif 1 <= b <= depth:
+    # the marks of level l: the Dirichlet ends and the vertices born at a
+    # level in 1..l, each with its birth bit (bit b - 1 for level b, none
+    # for a Dirichlet end)
+    marks = [(0, 0), (base.n_vertices - 1, 0)] if base.dirichlet else []
+    born = [[] for _ in range(depth + 1)]
+    for v, b in enumerate(birth):
+        if 1 <= b <= depth:
             born[b].append((v, 1 << b >> 1))
     runs = []
     for level in range(depth + 1):
         marks = sorted(marks + born[level]) if level else marks
         runs.append(_binary_runs(marks, base.n_vertices, level))
-    return LevelFamily(base, runs, [len(base.ends) << level for level in range(1, depth + 1)])
+    return LevelFamily(base, runs,
+                       [(base.n_vertices - 1) << level for level in range(1, depth + 1)])
 
 
 def _binary_runs(marks: list[tuple[int, int]], n: int, level: int):
@@ -184,7 +198,7 @@ def _binary_runs(marks: list[tuple[int, int]], n: int, level: int):
     return keys, [table[key] for key in keys]
 
 
-def path_family(base: MetricGraph, spans, n_edges: list[int]) -> LevelFamily:
+def path_family(base: PathBase, spans, n_edges: list[int]) -> LevelFamily:
     """Levels 0..n of a path base (see ``LevelFamily.runs``) whose level l
     gains the values of the runs ``spans[l]``, each given as
     (first, stop, copies): the kept vertices first..stop-1 of the base,
@@ -264,17 +278,18 @@ def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float,
     modes join with the growth of their multiplicity at level i as their
     count.  The edge modes need |E_i|, the kept
     |V_i| and the walk kernels of each level.  Every level has the kernels
-    of the base graph: they are 0 once a vertex is eliminated, and
-    otherwise the constants and, on a bipartite graph (whose levels all
-    map onto it), the +-1 colourings.  So the values 0 and 2, the smallest
-    and the largest, are new at level 0.  The levels are merged as in
+    of the base path: they are 0 once a vertex is eliminated, and
+    otherwise the constants and the +-1 colourings, as every level maps
+    onto the bipartite path.  So the values 0 and 2, the smallest and the
+    largest, are new at level 0.  The levels are merged as in
     ``level_spectra``, with ``meta`` plus the refinement, so each level's
     count is the number of mesh eigenvalues <= lam_max.
     """
     base = family.base
-    meshes = [EquilateralMesh.of(base, refine) for refine in refines]
+    meshes = [EquilateralMesh(base.length / refine, refine) for refine in refines]
     cut = max(mesh.vertex_cut(lam_max) for mesh in meshes)
-    kernels = walk_kernels(base)
+    # a path is connected and bipartite, so only an eliminated end empties its kernels
+    kernels = (0, 0) if base.dirichlet else (1, 1)
     new, kept = _level_values(family, cut)
     whole = cut == SPECTRAL_BOUND  # only a whole spectrum holds the vertex value 2
     rows = sorted(zip(*new[0]), key=itemgetter(0))
@@ -285,7 +300,7 @@ def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float,
         counts[0] -= kernels[0]
         counts[-1] -= kernels[1] * whole
     nu = [(values, counts), *new[1:]]
-    n_edges = [len(base.ends), *family.n_edges]
+    n_edges = [base.n_vertices - 1, *family.n_edges]
     out = []
     for mesh in meshes:
         levels, low = [], [0] * (mesh.refine + 1)

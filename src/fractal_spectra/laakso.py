@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .errors import InvalidSequence
 from .eigensolve import SpectrumEntry, SpectrumList
-from .fiber import LevelFamily, binary_path_family, equilateral_spectra
-from .metric_graph import DIRICHLET, NEUMANN, MetricGraph
+from .fiber import LevelFamily, PathBase, binary_path_family, equilateral_spectra
+from .metric_graph import DIRICHLET, NEUMANN
 
 
 @dataclass
@@ -60,10 +60,11 @@ class LaaksoSpec:
 
 
 def _base(spec: LaaksoSpec):
-    """The level-0 graph on the common grid and the birth level of each
+    """The level-0 path on the common grid and the birth level of each
     grid point.
 
-    The base graph is the path through the grid points k / d_n; grid point k
+    The base is the path through the grid points k / d_n, both ends
+    Dirichlet vertices under the Dirichlet boundary; grid point k
     is born at the first level m with k a multiple of d_n / d_m, where fiber
     coordinate m is collapsed, and the endpoints are never collapsed."""
     n = spec.depth
@@ -74,11 +75,7 @@ def _base(spec: LaaksoSpec):
         step = D // d[m]
         birth[::step] = [m] * (D // step + 1)
     birth[0] = birth[D] = 0
-    dirichlet = [False] * (D + 1)
-    dirichlet[0] = dirichlet[D] = spec.boundary == DIRICHLET
-    base = MetricGraph(range(D + 1), [(k, k + 1) for k in range(D)], 1.0 / D, 1.0, dirichlet,
-                       total_mass=1.0)
-    return base, birth
+    return PathBase(D + 1, 1.0 / D, spec.boundary == DIRICHLET), birth
 
 
 def laakso_family(spec: LaaksoSpec) -> LevelFamily:

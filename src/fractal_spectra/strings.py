@@ -26,8 +26,7 @@ from fractions import Fraction
 
 from .errors import InfeasibleNesting, NoCommonPitch
 from .eigensolve import FDModel, SpectrumEntry, SpectrumList
-from .fiber import LevelFamily, equilateral_spectra, path_family
-from .metric_graph import MetricGraph
+from .fiber import LevelFamily, PathBase, equilateral_spectra, path_family
 
 
 def rationalize(lengths, denominator_bound: int = 10**6):
@@ -136,9 +135,7 @@ def _path(spec: StringSpec):
     l1 = spec.lengths[0]
     K = int(l1 / g)
     starts = [int((l1 - l) / g) for l in spec.lengths]
-    base = MetricGraph([(p,) for p in range(K + 1)], [(c, c + 1) for c in range(K)], float(g),
-                       1.0, dirichlet=[p in (0, K) for p in range(K + 1)], total_mass=float(l1))
-    return K, starts, base
+    return K, starts, PathBase(K + 1, float(g), True)
 
 
 def stitched_family(spec: StringSpec) -> LevelFamily:

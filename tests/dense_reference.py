@@ -5,6 +5,9 @@ The package takes every spectrum in closed form and merges equal values
 (``eigensolve.cluster``); no run calls an eigensolver.  This module keeps
 the route it took before:
 
+- the general metric graph (``MetricGraph``), the level-0 graph that a
+  path family's ``PathBase`` stands for (``path_graph``) and the kernels of
+  its walk (``walk_kernels``);
 - the vertex pencil of a metric graph (``graph_operator``: the weighted
   Laplacian with its degrees as the lumped mass, held as NumPy CSR arrays
   in a ``DiscreteOperator``);
@@ -23,17 +26,91 @@ the route it took before:
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from fractal_spectra.eigensolve import SpectrumEntry, SpectrumList
 from fractal_spectra.errors import FractalSpectraError, NoConvergence
-from fractal_spectra.metric_graph import DIRICHLET, SPECTRAL_BOUND, MetricGraph
+from fractal_spectra.fiber import PathBase
+from fractal_spectra.metric_graph import DIRICHLET, SPECTRAL_BOUND
+
+#: relative tolerance for the rational-pitch divisibility rule and for
+#: mass-conservation checks
+REL_TOL = 1e-12
 
 
 class NotPositiveMass(FractalSpectraError):
     """Mass matrix has a non-positive diagonal entry."""
+
+
+# -- graphs -------------------------------------------------------------------
+
+
+class MetricGraph:
+    """Weighted metric graph (multigraph; parallel edges allowed), held as
+    lists, with no checks of its own: ``family_reference.validate`` checks
+    the loop-built graphs.
+
+    Edge k joins vertices ``ends[k][0]`` and ``ends[k][1]``; it has length
+    ``length[k]`` and measure density ``weight[k]`` (a scalar length or
+    weight applies to every edge).  ``labels`` names the vertices, a number
+    or a tuple of numbers each; ``dirichlet`` marks the Dirichlet vertices.
+    """
+
+    def __init__(self, labels, ends, length, weight, dirichlet=None):
+        self.labels = [tuple(row) if isinstance(row, Iterable) else row for row in labels]
+        self.ends = [(int(u), int(v)) for u, v in ends]
+        self.length = _per_edge(length, len(self.ends))
+        self.weight = _per_edge(weight, len(self.ends))
+        self.dirichlet = ([False] * self.n_vertices if dirichlet is None
+                          else [bool(x) for x in dirichlet])
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.labels)
+
+    def total_measure(self) -> float:
+        return math.fsum(l * w for l, w in zip(self.length, self.weight))
+
+
+def _per_edge(value, n_edges: int) -> list[float]:
+    """A length or weight for each of ``n_edges`` edges: a number for all of
+    them, or one number each."""
+    return [float(value)] * n_edges if isinstance(value, Real) else [float(x) for x in value]
+
+
+def path_graph(base: PathBase) -> MetricGraph:
+    """The level-0 graph that the ``base`` of a path family stands for: its
+    vertices in order, edge k joining k and k + 1, every edge of its length
+    and weight 1, its two ends Dirichlet vertices when the base's are."""
+    n = base.n_vertices
+    return MetricGraph(range(n), [(k, k + 1) for k in range(n - 1)], base.length, 1.0,
+                       [base.dirichlet and v in (0, n - 1) for v in range(n)])
+
+
+def walk_kernels(g: MetricGraph) -> tuple[int, int]:
+    """dim ker(P - I) and dim ker(P + I) for the walk P = I - M^{-1} A of
+    the vertex pencil of the connected graph g with its Dirichlet vertices
+    eliminated.
+
+    A vector in either kernel has one |x| over g and vanishes next to an
+    eliminated vertex, so with one eliminated both are 0.  Otherwise they
+    hold the constants and the +-1 colourings, which exist when g is
+    bipartite: when its double cover (u, v'), (u', v) has two components.
+    """
+    if any(g.dirichlet):
+        return 0, 0
+    n = g.n_vertices
+    u, v = np.asarray(g.ends, dtype=np.int64).reshape(-1, 2).T
+    cover = sp.coo_matrix((np.ones(2 * len(u)), (np.r_[u, u + n], np.r_[v + n, v])),
+                          shape=(2 * n, 2 * n))
+    return 1, int(connected_components(cover, directed=False)[0] == 2)
 
 
 # -- pencils ------------------------------------------------------------------

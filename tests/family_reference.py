@@ -27,10 +27,15 @@ from itertools import product
 import numpy as np
 
 import piece_reference
+from dense_reference import REL_TOL, MetricGraph
 from fractal_spectra import laakso, strings
-from fractal_spectra.errors import DisconnectedGraph
-from fractal_spectra.metric_graph import DIRICHLET, REL_TOL, MetricGraph
+from fractal_spectra.errors import FractalSpectraError
+from fractal_spectra.metric_graph import DIRICHLET
 from fractal_spectra.strings import StringSpec
+
+
+class DisconnectedGraph(FractalSpectraError):
+    """Graph is not connected."""
 
 
 @dataclass
@@ -52,8 +57,10 @@ class LevelFamily:
 
 
 def validate(labels: list, edges: list[tuple], total_mass: float | None = None) -> None:
-    """The checks of ``MetricGraph`` on hashable vertex labels and
-    (u, v, length, weight) edges, with the errors it raises."""
+    """The checks of a loop-built graph on its hashable vertex labels and
+    (u, v, length, weight) edges: distinct labels, positive lengths and
+    weights, endpoints in range, connectivity by a union-find and the
+    declared mass."""
     n = len(labels)
     if len(set(labels)) != n:
         raise ValueError("duplicate vertex label")
@@ -98,7 +105,7 @@ def _family(keys_of_level, edges_of_level, n_levels, length, marked, canon, tota
         graphs.append(MetricGraph(
             np.array([(v, *w) for v, w in keys]).reshape(len(keys), -1),
             [(u, v) for u, v, _, _ in edges], length, weight,
-            dirichlet=[marked(v) for v, _ in keys], total_mass=total_mass,
+            dirichlet=[marked(v) for v, _ in keys],
         ))
         indices.append(idx)
         edge_indices.append(eidx)
@@ -235,8 +242,9 @@ def _fiber_sets(spec: StringSpec):
     return out
 
 
-def build_stitched(spec: StringSpec) -> LevelFamily:
-    """Levels 0..N of the stitched space on the common grid.
+def build_stitched(spec: StringSpec, top: int | None = None) -> LevelFamily:
+    """Levels 0..``top`` (by default 0..N) of the stitched space on the
+    common grid.
 
     Coordinate 1 is free on the whole open base interval; coordinate k >= 2
     is free only on the open right-end segment of length l_k of the sheet
@@ -274,8 +282,9 @@ def build_stitched(spec: StringSpec) -> LevelFamily:
                 distinguished = False
         return tuple(out)
 
+    top = spec.depth if top is None else top
     graphs, indices, edge_indices = [], [], []
-    for lvl in range(spec.depth + 1):
+    for lvl in range(top + 1):
         words = list(product(*fibers[:lvl])) if lvl else [()]
         vkeys = sorted({(p, canon_vertex(p, w)) for p in range(K + 1) for w in words})
         idx = {key: i for i, key in enumerate(vkeys)}
@@ -294,9 +303,10 @@ def build_stitched(spec: StringSpec) -> LevelFamily:
             ends.append((idx[(c, canon_vertex(c, w))], idx[(c + 1, canon_vertex(c + 1, w))]))
             weights.append(weight)
         labels = np.array([(p, *w) for (p, w) in vkeys])
+        validate([(p, *w) for (p, w) in vkeys],
+                 [(u, v, float(g), w) for (u, v), w in zip(ends, weights)], float(l1))
         graphs.append(MetricGraph(labels, ends, float(g), weights,
-                                  dirichlet=(labels[:, 0] == 0) | (labels[:, 0] == K),
-                                  total_mass=float(l1)))
+                                  dirichlet=(labels[:, 0] == 0) | (labels[:, 0] == K)))
         indices.append(idx)
         edge_indices.append(eidx)
 
@@ -309,7 +319,7 @@ def build_stitched(spec: StringSpec) -> LevelFamily:
             edge_parent=np.array([edge_indices[lvl - 1][(c, canon_cell(c, w[:-1]))]
                                   for (c, w) in edge_indices[lvl]], dtype=np.int64),
         )
-        for lvl in range(1, spec.depth + 1)
+        for lvl in range(1, top + 1)
     ]
     return LevelFamily(graphs=graphs, links=links)
 

@@ -3,8 +3,8 @@ tests use: the package writes its spectra as CSV (``SpectrumList.to_csv``)."""
 
 import json
 
+from dense_reference import MetricGraph
 from fractal_spectra.eigensolve import SpectrumEntry, SpectrumList
-from fractal_spectra.metric_graph import MetricGraph
 
 
 def spectrum_to_json(s: SpectrumList) -> str:

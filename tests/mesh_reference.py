@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from dense_reference import DiscreteOperator, NotPositiveMass
+from dense_reference import REL_TOL, DiscreteOperator, MetricGraph, NotPositiveMass
 from family_reference import LevelFamily, LevelLink, build_laakso, build_stitched
-from fractal_spectra.errors import FractalSpectraError, NonDividingPitch
+from fractal_spectra.errors import FractalSpectraError
 from fractal_spectra.laakso import LaaksoSpec
-from fractal_spectra.metric_graph import DIRICHLET, REL_TOL, MetricGraph
+from fractal_spectra.metric_graph import DIRICHLET
 from fractal_spectra.strings import StringSpec
 from lapack_reference import csr, operator
 from level_reference import FiberStructure, IncompatibleMesh
@@ -32,6 +32,10 @@ from level_reference import FiberStructure, IncompatibleMesh
 
 class DimensionMismatch(FractalSpectraError):
     """Vector length does not match the operator or mesh size."""
+
+
+class NonDividingPitch(FractalSpectraError):
+    """Mesh pitch does not divide every edge length."""
 
 
 def edges(g: MetricGraph) -> list[tuple]:

@@ -14,17 +14,29 @@ that they carry onto themselves, so the components of a piece fall into
 orbits: one component per orbit is solved, counted orbit size times, and
 a component that is its own orbit is split into its symmetry blocks.
 The levels are gap-clustered (``dense_reference.cluster_levels``).
+``equilateral_spectrum`` applies the Chebyshev map of ``EquilateralMesh``,
+which the package applies to paths only, to any graph whose edges all have
+one length, its vertex values from this route.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 import dense_reference
-from dense_reference import DiscreteOperator, _laplacian, _node_numbers, solve_below
+from dense_reference import (
+    DiscreteOperator,
+    MetricGraph,
+    _laplacian,
+    _node_numbers,
+    solve_below,
+    walk_kernels,
+)
 from fractal_spectra import fiber, gasket
 from fractal_spectra.eigensolve import SpectrumList
-from fractal_spectra.metric_graph import SPECTRAL_BOUND, MetricGraph, _component_labels
+from fractal_spectra.metric_graph import SPECTRAL_BOUND, EquilateralMesh
 
 
 def binary_pieces(base: MetricGraph, birth, depth: int) -> list[list[tuple[np.ndarray, int]]]:
@@ -64,8 +76,10 @@ def _distinct_components(op: DiscreteOperator, copies: np.ndarray,
         return
     u, v = op.rows(), op.indices
     coupled = u < v  # each coupling once
-    n_comp, labels = _component_labels(op.n, u[coupled], v[coupled])
-    labels = np.asarray(labels)
+    # numbered in the order of their smallest rows
+    n_comp, labels = connected_components(
+        sp.coo_matrix((np.ones(np.count_nonzero(coupled)), (u[coupled], v[coupled])),
+                      shape=(op.n, op.n)), directed=False)
     order = np.argsort(labels, kind="stable")
     place = np.empty_like(order)
     place[order] = np.arange(op.n)
@@ -166,16 +180,30 @@ def choux_spectra(spec: gasket.ChouxSpec) -> list[SpectrumList]:
     return dense_reference.cluster_levels(new, "numeric(choux,i={})", meta, truncation=np.inf)
 
 
-def base_family(base: MetricGraph) -> fiber.LevelFamily:
-    """The family of ``base`` alone, level 0 only, whose spectrum is that
-    of the dense piece route, gap-clustered so that the copies of a value
-    share its bits: any graph, which has no closed form."""
+def equilateral_spectrum(base: MetricGraph, refine: int, lam_max: float) -> SpectrumList:
+    """The finite-difference spectrum <= ``lam_max`` of the graph ``base``,
+    whose edges all have one length, at ``refine`` cells per edge, as
+    ``fiber.equilateral_spectra`` gives a path base's: the branch values of
+    its vertex values in (0, 2) and the edge modes of its edges, kept
+    vertices and walk kernels (``EquilateralMesh``), merged by
+    ``fiber._cluster_levels``.  The vertex values are those of the dense
+    piece route, gap-clustered so that the copies of a value share its
+    bits, less the kernel values 0 and 2, the smallest and the largest:
+    any graph, which has no closed form."""
+    mesh = EquilateralMesh(base.length[0] / refine, refine)
+    kernels = walk_kernels(base)
     values, counts = component_values(base, [], SPECTRAL_BOUND)[0][0]
     order = np.argsort(values, kind="stable")
     merged = dense_reference.gap_cluster(values[order], counts=counts[order])
-    spectrum = merged.values(), np.array([e.multiplicity for e in merged.entries], dtype=np.int64)
-    return fiber.LevelFamily(base, [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))],
-                             spectrum=lambda level, key: spectrum)
+    counts = [e.multiplicity for e in merged.entries]
+    n_kept = sum(counts)
+    if counts:
+        counts[0] -= kernels[0]
+        counts[-1] -= kernels[1]
+    branch, source = mesh.branch_values(merged.values(), lam_max)
+    modes, mult = mesh.edge_modes(len(base.ends), n_kept, kernels, lam_max)
+    return fiber._cluster_levels([(branch + modes, [counts[k] for k in source] + mult)], "{}", {},
+                                 truncation=lam_max, pitch=mesh.pitch)[0]
 
 
 def assert_same_levels(got, ref):

@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 
 import family_reference
-from dense_reference import build_gasket, gap_cluster, solve_below
+from dense_reference import MetricGraph, build_gasket, gap_cluster, solve_below
 from fractal_spectra import cli, gasket, laakso, strings
 from fractal_spectra.eigensolve import FDModel, compare_spectra, verify_nesting
-from fractal_spectra.metric_graph import MetricGraph
 from lapack_reference import csr, eigenpairs_below
 from level_reference import (
     assert_matches_reference,

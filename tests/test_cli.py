@@ -210,6 +210,19 @@ class TestString:
         })
         assert cli.main(["string", "--spec", spec, "--out", str(tmp_path / "o")]) == 4
 
+    @pytest.mark.parametrize("lengths", [[math.inf, 0.5], [True, 0.5], ["0.5", "0.25"],
+                                         [-0.5, 0.25]],
+                             ids=["infinity", "true", "strings", "negative"])
+    def test_lengths_that_are_not_positive_finite_numbers_are_rejected(self, tmp_path, lengths):
+        """Each length is a positive, finite JSON number, checked before the
+        output directory is made.  Infinity ended in an uncaught
+        OverflowError, true and numeric strings ran as the lengths 1 and
+        1/2, and a negative length exited 4, "not representable"."""
+        spec = write_spec(tmp_path, "spec.json", {"lengths": lengths, "mults": [1, 1]})
+        out = tmp_path / "o"
+        assert cli.main(["string", "--spec", spec, "--out", str(out)]) == cli.EXIT_BAD_SPEC
+        assert not (out / "run.json").exists()
+
     def test_increasing_lengths_rejected(self, tmp_path):
         spec = write_spec(tmp_path, "bad.json", {"lengths": [0.25, 0.5], "mults": [1, 1]})
         assert cli.main(["string", "--spec", spec, "--out", str(tmp_path / "o")]) == 2

@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import family_reference
-from dense_reference import NotPositiveMass, gap_cluster, gap_runs, solve_below
+from dense_reference import MetricGraph, NotPositiveMass, gap_cluster, gap_runs, solve_below
 from fractal_spectra import cli, fiber
 from fractal_spectra.eigensolve import (
     FDModel,
@@ -21,11 +21,7 @@ from fractal_spectra.eigensolve import (
 from fractal_spectra.errors import MisalignedMeshes, NoConvergence
 from fractal_spectra.gasket import SPECTRAL_BOUND, ChouxSpec, choux_family
 from fractal_spectra.laakso import LaaksoSpec
-from fractal_spectra.metric_graph import (
-    DIRICHLET,
-    NEUMANN,
-    MetricGraph,
-)
+from fractal_spectra.metric_graph import DIRICHLET, NEUMANN
 from fractal_spectra.strings import StringSpec
 from lapack_reference import (
     csr,

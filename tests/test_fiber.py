@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from scipy.sparse.csgraph import connected_components
 
 import family_reference
 import piece_reference
-from dense_reference import graph_operator
+from dense_reference import graph_operator, path_graph, walk_kernels
 from fractal_spectra import fiber, gasket, laakso, strings
 from fractal_spectra.laakso import LaaksoSpec
-from fractal_spectra.metric_graph import SPECTRAL_BOUND
+from fractal_spectra.metric_graph import SPECTRAL_BOUND, EquilateralMesh
 from lapack_reference import csr, generalized_eigh, operator, path_tridiagonal
 from level_reference import (
     FiberStructure,
@@ -462,7 +463,44 @@ class TestPieces:
         assert kept == [graph_operator(g, boundary).n for g in graphs]
         assert family.n_edges == [len(g.ends) for g in graphs[1:]]
         if family.base is not None:  # the pâte à choux has none
-            assert len(family.base.ends) == len(graphs[0].ends)
+            assert path_graph(family.base).ends == graphs[0].ends
+
+    @pytest.mark.parametrize("spec", [
+        *(LaaksoSpec(j, 4, boundary) for j in ([], [3], [2, 2], [3, 2, 3], [2, 3, 3, 2])
+          for boundary in ("neumann", "dirichlet")),
+        STRINGS_213, THETA,
+        strings.StringSpec([Fraction(1, 3**i) for i in range(1, 7)], [2**i for i in range(6)], 4),
+    ], ids=lambda spec: repr(spec.j if isinstance(spec, LaaksoSpec) else spec.mults))
+    def test_path_base_stands_for_the_level_0_graph(self, spec):
+        """The graph of a family's ``PathBase`` is level 0 of the loop-built
+        family: its vertices, edges, edge length, Dirichlet marks and total
+        measure (1 on the Laakso grid, l_1 on the strings); and its walk
+        kernels and edge count are those ``equilateral_spectra`` uses.  The
+        last string is the Cantor string of depth 6."""
+        if isinstance(spec, LaaksoSpec):
+            family = laakso.laakso_family(spec)
+            ref, measure = family_reference.build_laakso(spec).graphs[0], 1.0
+        else:
+            family = strings.stitched_family(spec)
+            ref = family_reference.build_stitched(spec, top=0).graphs[0]
+            measure = float(spec.lengths[0])
+        g = path_graph(family.base)
+        assert g.n_vertices == ref.n_vertices
+        assert g.ends == ref.ends
+        assert g.length == ref.length
+        assert g.dirichlet == ref.dirichlet
+        assert g.total_measure() == pytest.approx(ref.total_measure(), rel=1e-12)
+        assert g.total_measure() == pytest.approx(measure, rel=1e-12)
+        seen, edge_modes = [], EquilateralMesh.edge_modes
+
+        def spy(mesh, n_edges, n_kept, kernels, lam_max):
+            seen.append((n_edges, kernels))
+            return edge_modes(mesh, n_edges, n_kept, kernels, lam_max)
+
+        with mock.patch.object(EquilateralMesh, "edge_modes", spy):
+            fiber.equilateral_spectra(family, [2], 1.0, "{}", {})
+        assert seen[0] == (len(ref.ends), walk_kernels(ref))
+        assert {kernels for _, kernels in seen} == {walk_kernels(g)}
 
     def test_binary_pieces_are_the_sets_with_their_level_on_top(self):
         """Level l has a piece for each S in {1..l} with max S = l, marking

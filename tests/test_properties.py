@@ -14,9 +14,8 @@ Laakso path the runs of every one of its pieces listed as masks, and the
 path route the values of the component route fed those masks; and every
 CLI subcommand run twice must write the same bytes.
 On every graph the NumPy vertex pencil must give the bits of the loop
-version in ``tests/mesh_reference.py``, the array checks of
-``MetricGraph`` must agree with the union-find ones, and relabelling the
-vertices must leave the spectrum alone.  The integer-keyed analytic string
+version in ``tests/mesh_reference.py``, and relabelling the vertices must
+leave the spectrum alone.  The integer-keyed analytic string
 spectrum must give the bits of the rational one in
 ``tests/strings_reference.py``; the per-string zeta sums must equal the
 sums over that rational spectrum and, with the integral bounds on their
@@ -54,11 +53,18 @@ import mesh_reference
 import nesting_reference
 import piece_reference
 import strings_reference
-from dense_reference import gap_cluster, gap_runs, graph_operator, solve_below
+from dense_reference import (
+    MetricGraph,
+    gap_cluster,
+    gap_runs,
+    graph_operator,
+    path_graph,
+    solve_below,
+)
 from fractal_spectra import cli, fiber, gasket, laakso, strings
 from fractal_spectra.eigensolve import SpectrumEntry, SpectrumList, cluster, verify_nesting
-from fractal_spectra.errors import DisconnectedGraph, NoConvergence
-from fractal_spectra.metric_graph import DIRICHLET, SPECTRAL_BOUND, MetricGraph
+from fractal_spectra.errors import NoConvergence
+from fractal_spectra.metric_graph import DIRICHLET, SPECTRAL_BOUND
 from json_reference import spectrum_from_json, spectrum_to_json
 from lapack_reference import csr, eigenpairs_below, generalized_eigh, operator
 from level_reference import assert_matches_reference, total_multiplicity
@@ -305,7 +311,7 @@ def test_laakso_run_tables_are_the_runs_of_every_piece(spec):
     of every level has the keys and counts of the runs of its 2^(l-1)
     pieces, listed as masks."""
     family = laakso.laakso_family(spec)
-    ref = family_reference.run_tables(family.base, family_reference.path_pieces(spec))
+    ref = family_reference.run_tables(path_graph(family.base), family_reference.path_pieces(spec))
     assert len(family.runs) == len(ref)
     for (keys, counts), (ref_keys, ref_counts) in zip(family.runs, ref):
         assert np.asarray(keys).tolist() == ref_keys.tolist()
@@ -317,12 +323,14 @@ def expand(values, counts):
     return np.sort(np.repeat(values, counts))
 
 
-def assert_path_route_is_the_component_route(family, pieces, cut):
+def assert_path_route_is_the_component_route(family, pieces, cut, base=None):
     """Level by level, the kept vertex counts and the values with their
     counts of the path route equal those of the component route fed the
-    pieces ``pieces`` of ``family``, the sorted values to 1e-14 absolute."""
+    pieces ``pieces`` of ``family`` over the graph ``base``, by default the
+    graph of ``family.base``, the sorted values to 1e-14 absolute."""
     values, kept = fiber._level_values(family, cut)
-    ref_values, ref_kept = piece_reference.component_values(family.base, pieces, cut)
+    base = path_graph(family.base) if base is None else base
+    ref_values, ref_kept = piece_reference.component_values(base, pieces, cut)
     assert kept == ref_kept and len(values) == len(ref_values)
     for got, ref in zip(values, ref_values):
         got, ref = expand(*got), expand(*ref)
@@ -350,7 +358,8 @@ def path_families(draw):
     """A path in vertex order of 2-40 vertices with one edge weight, random
     Dirichlet vertices (so runs that reach only one end of the path, and
     their mirror images) and 1-3 levels of 1-4 pieces with random marks and
-    copies, as the family of their run tables and the pieces."""
+    copies, as the family of their run tables, the pieces and the path,
+    which no ``PathBase`` holds."""
     n = draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k = np.arange(n)
@@ -358,14 +367,15 @@ def path_families(draw):
                        rng.random(n) < draw(st.sampled_from([0.0, 0.2])))
     pieces = [[(rng.random(n) < 0.3, int(rng.integers(0, 4))) for _ in range(draw(st.integers(1, 4)))]
               for _ in range(draw(st.integers(1, 3)))]
-    return (fiber.LevelFamily(base, n_edges=[n - 1] * len(pieces),
-                              runs=family_reference.run_tables(base, pieces)), pieces)
+    return (fiber.LevelFamily(None, n_edges=[n - 1] * len(pieces),
+                              runs=family_reference.run_tables(base, pieces)), pieces, base)
 
 
 @SETTINGS
 @given(case=path_families(), cut=vertex_cuts)
 def test_path_route_is_the_component_route_on_any_path_family(case, cut):
-    assert_path_route_is_the_component_route(*case, cut)
+    family, pieces, base = case
+    assert_path_route_is_the_component_route(family, pieces, cut, base)
 
 
 def test_path_route_is_the_component_route_on_bases_above_500_vertices():
@@ -453,7 +463,7 @@ def assert_sizes_of_the_loop_reference(family, ref, boundary):
     assert kept == [graph_operator(g, boundary).n for g in ref.graphs]
     assert family.n_edges == [len(g.ends) for g in ref.graphs[1:]]
     if family.base is not None:  # the pâte à choux has none
-        assert len(family.base.ends) == len(ref.graphs[0].ends)
+        assert path_graph(family.base).ends == ref.graphs[0].ends
 
 
 @SETTINGS
@@ -553,41 +563,7 @@ def test_chebyshev_map_gives_the_mesh_spectrum_of_any_equal_edge_graph(case, ref
     cut = data.draw(st.sampled_from([*((distinct[:-1] + distinct[1:]) / 2), 5.0 / pitch**2]))
     ref = gap_cluster(values[values <= cut], tags=["base"] * np.count_nonzero(values <= cut))
     ref.meta = {"count": total_multiplicity(ref)}
-    got = fiber.equilateral_spectra(piece_reference.base_family(g), [refine], cut, "{}", {})[0]
-    assert_same_spectra(got, [ref])
-
-
-@st.composite
-def graph_inputs(draw):
-    """Vertex labels (sometimes repeated), (u, v, length, weight) edges
-    (sometimes out of range, of zero or negative length or weight, or
-    leaving the graph disconnected) and sometimes a declared total mass."""
-    nv = draw(st.integers(1, 8))
-    labels = draw(st.lists(st.integers(0, 3 * nv), min_size=nv, max_size=nv))
-    ends = st.integers(-1 if draw(st.booleans()) else 0, nv)
-    edges = draw(st.lists(st.tuples(ends, ends, st.sampled_from([1.0, 0.5, 0.25, 0.0, -0.5]),
-                                    st.sampled_from([1.0, 0.5, -1.0])), max_size=2 * nv))
-    total = draw(st.one_of(st.none(), st.just(sum(l * w for *_, l, w in edges)),
-                           st.floats(0.0, 4.0)))
-    return labels, edges, total
-
-
-def error_of(check):
-    try:
-        check()
-    except (ValueError, DisconnectedGraph) as exc:
-        return type(exc)
-    return None
-
-
-@SETTINGS
-@given(case=graph_inputs())
-def test_graph_checks_agree_with_the_union_find_reference(case):
-    labels, edges, total = case
-    ends = [(u, v) for u, v, _, _ in edges]
-    length, weight = [l for *_, l, _ in edges], [w for *_, w in edges]
-    assert error_of(lambda: MetricGraph(labels, ends, length, weight, total_mass=total)) is \
-        error_of(lambda: family_reference.validate(labels, edges, total))
+    assert_same_spectra([piece_reference.equilateral_spectrum(g, refine, cut)], [ref])
 
 
 @SETTINGS

@@ -19,6 +19,7 @@ from fractal_spectra.strings import (
     string_analytic_spectrum,
     zeta_partial,
 )
+from dense_reference import path_graph
 from family_reference import build_stitched
 from lapack_reference import eigenpairs_below
 from level_reference import classify_levels, counting_function
@@ -120,7 +121,8 @@ class TestBuilder:
         kept = fiber._level_values(family, 0.0)[1]
         elapsed = time.perf_counter() - start
         assert [n + 2 for n in kept] == [244, 244, 404, 508, 572, 604, 604]
-        assert [len(family.base.ends), *family.n_edges] == [243, 243, 405, 513, 585, 633, 665]
+        assert [len(path_graph(family.base).ends), *family.n_edges] == \
+            [243, 243, 405, 513, 585, 633, 665]
         assert elapsed < 5.0
 
     def test_single_strand_is_plain_interval(self):
