@@ -7,8 +7,8 @@ package's spectra must agree with the independent full-pencil route; the
 Dirichlet pieces of the base graph, from which the package solves every
 level, must give the spectra of the whole level pencils; the Chebyshev
 map of the vertex spectra must give the spectra of the mesh pencils in
-``tests/mesh_reference.py``, level by level and on any graph whose edges all
-have one length.  The families must have the level sizes of the loop
+``tests/mesh_reference.py``, level by level, on any graph whose edges all
+have one length and on the package's own path bases.  The families must have the level sizes of the loop
 builders in ``tests/family_reference.py``, the counted run tables of the
 Laakso path the runs of every one of its pieces listed as masks, and the
 path route the values of the component route fed those masks; and every
@@ -41,6 +41,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -564,6 +565,27 @@ def test_chebyshev_map_gives_the_mesh_spectrum_of_any_equal_edge_graph(case, ref
     ref = gap_cluster(values[values <= cut], tags=["base"] * np.count_nonzero(values <= cut))
     ref.meta = {"count": total_multiplicity(ref)}
     assert_same_spectra([piece_reference.equilateral_spectrum(g, refine, cut)], [ref])
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_chebyshev_map_gives_the_mesh_spectrum_of_a_path_base(seed):
+    """The package's own route on a ``PathBase`` of 2-12 vertices, its ends
+    Dirichlet vertices on odd seeds, with edges of ``refine`` pitches: the
+    level-0 spectrum of ``fiber.equilateral_spectra`` is the mesh pencil's
+    spectrum of the path's graph up to a cut halfway between two of its
+    distinct eigenvalues or above them all."""
+    rng = np.random.default_rng(seed)
+    n, refine = int(rng.integers(2, 13)), int(rng.integers(1, 5))
+    pitch = float(rng.choice([0.25, 0.1, 1 / 3]))
+    base = fiber.PathBase(n, refine * pitch, bool(seed % 2))
+    op = mesh_reference.assemble(mesh_reference.discretize(path_graph(base), pitch))
+    values = generalized_eigh(op)[0] if op.n else np.zeros(0)
+    distinct = values[[start for start, _ in gap_runs(values, 1e-9)]]
+    cut = float(rng.choice([*((distinct[:-1] + distinct[1:]) / 2), 5.0 / pitch**2]))
+    ref = gap_cluster(values[values <= cut], tags=["base"] * np.count_nonzero(values <= cut))
+    ref.meta = {"count": total_multiplicity(ref)}
+    family = fiber.binary_path_family(base, [0] * n, 0)
+    assert_same_spectra(fiber.equilateral_spectra(family, [refine], cut, "{}", {})[0], [ref])
 
 
 @SETTINGS
