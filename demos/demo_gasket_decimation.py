@@ -42,5 +42,5 @@ levels = choux_numeric_spectra(spec)
 print("\nPate a Choux fiber tower over the gasket, spectra nest exactly:")
 for i, (lo, hi) in enumerate(zip(levels, levels[1:])):
     rep = verify_nesting(lo, hi)
-    print(f"  level {i} in level {i + 1}: pass = {rep.ok}, "
+    print(f"  level {i} in level {i + 1}: pass = {rep['pass']}, "
           f"{len(hi.entries) - len(lo.entries)} new clusters")

@@ -44,10 +44,10 @@ for e in analytic.entries:
 
 report = compare_spectra(numeric, analytic, FDModel(pitch=spec.pitch),
                          coverage_max=0.75 * lam_max)
-print(f"\nnumeric vs analytic: {len(report.matched)} matched, "
-      f"max relative deviation {report.max_rel_deviation:.2e}, "
-      f"pass = {report.ok}")
+print(f"\nnumeric vs analytic: {len(report['matched'])} matched, "
+      f"max relative deviation {report['max_rel_deviation']:.2e}, "
+      f"pass = {report['pass']}")
 
 nest = verify_nesting(lower, numeric)
-print(f"level-1 spectrum nested in level-2: pass = {nest.ok}, "
-      f"max deviation {nest.max_deviation:.2e}")
+print(f"level-1 spectrum nested in level-2: pass = {nest['pass']}, "
+      f"max deviation {nest['max_deviation']:.2e}")

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import gasket, laakso, strings
-from .eigensolve import FDModel, SpectrumList, compare_spectra, verify_nesting
+from .eigensolve import FDModel, SpectrumList, _nearest, compare_spectra, verify_nesting
 from .errors import FractalSpectraError, InvalidSpaceSpec, NoCommonPitch, NoConvergence
 
 EXIT_OK = 0
@@ -96,7 +96,7 @@ def _nesting(out: Path, per_level: list[SpectrumList], tol: float) -> bool:
     """Check that each level's spectrum nests in the next one's; write
     nesting.json and return whether every check passed."""
     reports = [
-        {"lower_level": i, "upper_level": i + 1, **verify_nesting(lo, hi, tol=tol).to_dict()}
+        {"lower_level": i, "upper_level": i + 1, **verify_nesting(lo, hi, tol=tol)}
         for i, (lo, hi) in enumerate(zip(per_level, per_level[1:]))
     ]
     ok = all(r["pass"] for r in reports)
@@ -148,12 +148,12 @@ def cmd_laakso(args) -> int:
 
     (out / "analytic.csv").write_text(analytic.to_csv())
     (out / "numeric.csv").write_text(numeric.to_csv())
-    _dump_json(out / "compare.json", compare.to_dict())
+    _dump_json(out / "compare.json", compare)
     _dump_json(out / "run.json", _run_meta(args, doc, refine=spec.refine, lambda_max=lam_max,
                                            boundary=spec.boundary, tol=args.tol))
-    print(f"laakso: compare {'pass' if compare.ok else 'FAIL'}, "
+    print(f"laakso: compare {'pass' if compare['pass'] else 'FAIL'}, "
           f"nesting {'pass' if nested else 'FAIL'} -> {out}")
-    return EXIT_OK if compare.ok and nested else EXIT_CHECK_FAILED
+    return EXIT_OK if compare["pass"] and nested else EXIT_CHECK_FAILED
 
 
 # -- choux -------------------------------------------------------------------
@@ -185,14 +185,14 @@ def cmd_choux(args) -> int:
         for m in range(len(dirichlet) - 1)
     ]
     branch = gasket.decimation_branch(dirichlet, list(range(1, spec.gasket_level + 1)))
+    decimated = all(c["pass"] for c in checks)
     _dump_json(out / "decimation.json", {
         "checks": checks,
         "branch": branch,
         "hausdorff_dimension": gasket.hausdorff_dimension(),
-        "pass": all(c["pass"] for c in checks),
+        "pass": decimated,
     })
     _dump_json(out / "run.json", _run_meta(args, doc, boundary=spec.boundary, tol=args.tol))
-    decimated = all(c["pass"] for c in checks)
     print(f"choux: nesting {'pass' if nested else 'FAIL'}, "
           f"decimation {'pass' if decimated else 'FAIL'} -> {out}")
     return EXIT_OK if nested and decimated else EXIT_CHECK_FAILED
@@ -261,6 +261,27 @@ def _reread_csv(path: Path) -> SpectrumList:
     return spectrum
 
 
+def _false_passes(doc, where: str) -> list[str]:
+    """A failure naming the path of every ``pass`` key of a stored report,
+    at any depth of its dicts and lists, that is not true, in document
+    order.  The walk keeps its own stack: a report may nest as deep as the
+    JSON parser goes."""
+    found, stack = [], [(where, doc)]
+    while stack:
+        where, node = stack.pop()
+        if isinstance(node, dict):
+            if node.get("pass", True) is not True:
+                found.append(f"{where}: stored pass flag is "
+                             f"{'false' if node['pass'] is False else 'not true'}")
+            children = [(f"{where}.{key}", value) for key, value in node.items()]
+        elif isinstance(node, list):
+            children = [(f"{where}[{i}]", value) for i, value in enumerate(node)]
+        else:
+            continue
+        stack += reversed(children)
+    return found
+
+
 def cmd_verify(args) -> int:
     out = Path(args.out)
     run_path = out / "run.json"
@@ -289,11 +310,10 @@ def cmd_verify(args) -> int:
             continue
         try:
             doc = json.loads(json_path.read_text())
-        except ValueError as exc:  # not UTF-8, or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             failures.append(f"{json_path.name}: {exc}")
             continue
-        if isinstance(doc, dict) and doc.get("pass") is False:
-            failures.append(f"{json_path.name}: stored pass flag is false")
+        failures += _false_passes(doc, json_path.name)
 
     # optional re-check of numeric-vs-analytic matching at an overridden tol,
     # of files that read back
@@ -301,10 +321,11 @@ def cmd_verify(args) -> int:
         analytic, numeric = spectra["analytic.csv"], spectra["numeric.csv"]
         avals = analytic.values()
         for e in numeric.entries:
-            if abs(e.value) <= 1e-9 and (not len(avals) or avals[0] > 1e-12):
+            if abs(e.value) <= 1e-9 and (not avals or avals[0] > 1e-12):
                 continue
             # a value with no analytic value at all is off the set by inf
-            dev = min((abs(a - e.value) for a in avals), default=math.inf) / max(1.0, abs(e.value))
+            off = abs(avals[_nearest(avals, e.value)] - e.value) if avals else math.inf
+            dev = off / max(1.0, abs(e.value))
             if dev > args.tol:
                 failures.append(
                     f"numeric {e.value!r} off the analytic set by {dev:.3e} > tol {args.tol}"

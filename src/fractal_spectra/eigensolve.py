@@ -1,5 +1,5 @@
 """Spectrum lists, the merge of eigenvalues into multiplicities, and the
-nesting and comparison reports.
+nesting and comparison checks, each returning the dict that a run writes.
 
 No eigensolver is called and no eigenvector is formed: every spectrum the
 package lists comes from a closed form.  The runs of a path base (the
@@ -15,12 +15,12 @@ tests' reference (``tests/dense_reference.py``).
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import itertools
 import math
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -42,7 +42,6 @@ class SpectrumList:
     origin: str
     truncation: float
     pitch: float | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         last = -math.inf
@@ -74,18 +73,17 @@ class SpectrumList:
         return "".join(row[:-2] + "\n" for row in rows)
 
     @classmethod
-    def from_csv(cls, text: str, truncation: float | None = None, pitch=None) -> "SpectrumList":
+    def from_csv(cls, text: str) -> "SpectrumList":
         """Read a spectrum CSV.  The file does not store the truncation, so
-        without an explicit one the largest listed eigenvalue stands in: the
-        list is known to be complete only up to there."""
+        the largest listed eigenvalue stands in: the list is known to be
+        complete only up to there."""
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or rows[0] != ["eigenvalue", "multiplicity", "tag", "source"]:
             raise ValueError("bad spectrum CSV header")
         entries = [SpectrumEntry(float(r[0]), int(r[1]), r[2]) for r in rows[1:]]
         origin = rows[1][3] if len(rows) > 1 else "unknown"
-        if truncation is None:
-            truncation = entries[-1].value if entries else -math.inf
-        return cls(entries=entries, origin=origin, truncation=truncation, pitch=pitch)
+        return cls(entries=entries, origin=origin,
+                   truncation=entries[-1].value if entries else -math.inf)
 
 
 def cluster(
@@ -94,7 +92,6 @@ def cluster(
     truncation: float = math.inf,
     pitch: float | None = None,
     tags=None,
-    meta: dict | None = None,
     counts=None,
 ) -> SpectrumList:
     """Multiplicities of a sorted sequence of eigenvalues, each value
@@ -103,9 +100,9 @@ def cluster(
     counts.
 
     ``tags`` optionally assigns a label per value; an entry's tag lists
-    the distinct labels with their counts.  ``meta`` becomes the list's
-    ``meta``.  Values that differ stay apart however close they are: the
-    closed forms give every copy of an eigenvalue the same bits.
+    the distinct labels with their counts.  Values that differ stay apart
+    however close they are: the closed forms give every copy of an
+    eigenvalue the same bits.
     """
     rows = zip(eigs, itertools.repeat(1) if counts is None else counts,
                itertools.repeat("") if tags is None else tags)
@@ -120,105 +117,52 @@ def cluster(
         entries.append(SpectrumEntry(float(value), int(sum(tally.values())),
                                      "" if tags is None else text))
         last = value
-    return SpectrumList(entries=entries, origin=origin, truncation=truncation, pitch=pitch,
-                        meta={} if meta is None else meta)
+    return SpectrumList(entries=entries, origin=origin, truncation=truncation, pitch=pitch)
 
 
-@dataclass
-class NestingReport:
-    unmatched_lower: list
-    surplus: list
-    multiplicity_ok: bool
-    max_deviation: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.unmatched_lower and self.multiplicity_ok
-
-    def to_dict(self):
-        return {
-            "unmatched_lower": self.unmatched_lower,
-            "surplus": self.surplus,
-            "multiplicity_ok": self.multiplicity_ok,
-            "max_deviation": self.max_deviation,
-            "pass": self.ok,
-        }
-
-
-def verify_nesting(lower: SpectrumList, upper: SpectrumList, tol: float = 1e-9) -> NestingReport:
+def verify_nesting(lower: SpectrumList, upper: SpectrumList, tol: float = 1e-9) -> dict:
     """Check sigma(lower) subset-of sigma(upper) with multiplicity growth.
 
-    Each lower value is matched to the nearest upper value, the first one
-    among equally near ones, when it lies within ``tol`` (relative, floored
-    at 1).  Both lists must be numeric at the same pitch (the discrete
-    nesting is exact only for aligned meshes).
+    Each lower value is matched to the nearest upper value (``_nearest``)
+    when it lies within ``tol`` (relative, floored at 1).  Both lists must
+    be numeric at the same pitch (the discrete nesting is exact only for
+    aligned meshes).  The report lists the unmatched lower values and the
+    upper values no lower value matched; it passes when every lower value
+    is matched by an upper one of at least its multiplicity.
     """
     if lower.pitch is not None and upper.pitch is not None:
         if abs(lower.pitch - upper.pitch) > 1e-12 * max(lower.pitch, upper.pitch):
             raise MisalignedMeshes(f"pitches {lower.pitch} vs {upper.pitch}")
-    low, up = lower.values(), upper.values()
-    if not up:
-        return NestingReport(low, [], True, 0.0)
+    up = upper.values()
     unmatched, used, enough, worst = [], [False] * len(up), True, 0.0
-    for x, e in zip(low, lower.entries):
-        # upper values increase strictly, so the nearest is a neighbour of
-        # the insertion point; |u - x| is monotone in u, so equally near
-        # values further left can only tie the left neighbour
-        right = min(bisect_left(up, x), len(up) - 1)
-        left = max(right - 1, 0)
-        best = right if abs(up[right] - x) < abs(up[left] - x) else left
-        dev = abs(up[best] - x)
-        while best > 0 and abs(up[best - 1] - x) == dev:
-            best -= 1
-        scale = max(1.0, abs(x))
-        if dev <= tol * scale:
+    for e in lower.entries:
+        x, scale = e.value, max(1.0, abs(e.value))
+        best = _nearest(up, x) if up else None
+        if best is not None and abs(up[best] - x) <= tol * scale:
             used[best] = True
             enough = enough and upper.entries[best].multiplicity >= e.multiplicity
-            worst = max(worst, dev / scale)
+            worst = max(worst, abs(up[best] - x) / scale)
         else:
             unmatched.append(x)
-    return NestingReport(
-        unmatched_lower=unmatched,
-        surplus=[u for u, hit in zip(up, used) if not hit],
-        multiplicity_ok=enough,
-        max_deviation=worst,
-    )
+    return {
+        "unmatched_lower": unmatched,
+        "surplus": [u for u, hit in zip(up, used) if not hit],
+        "multiplicity_ok": enough,
+        "max_deviation": worst,
+        "pass": not unmatched and enough,
+    }
 
 
 @dataclass
 class FDModel:
     """Second-order finite-difference error model: relative error of an
-    eigenvalue lambda at pitch h is bounded by constant * lambda * h**2."""
+    eigenvalue lambda at pitch h is bounded by 10 * lambda * h**2."""
 
     pitch: float
-    constant: float = 10.0
 
     def rel_tol(self, lam: float) -> float:
         # absolute floor covers roundoff on near-zero modes
-        return max(self.constant * abs(lam) * self.pitch**2, 1e-9)
-
-
-@dataclass
-class CompareReport:
-    matched: list
-    unmatched_numeric: list
-    unmatched_analytic: list
-    max_rel_deviation: float
-    convergence_order: float | None = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.unmatched_numeric and not self.unmatched_analytic
-
-    def to_dict(self):
-        return {
-            "matched": self.matched,
-            "unmatched_numeric": self.unmatched_numeric,
-            "unmatched_analytic": self.unmatched_analytic,
-            "max_rel_deviation": self.max_rel_deviation,
-            "convergence_order": self.convergence_order,
-            "pass": self.ok,
-        }
+        return max(10.0 * abs(lam) * self.pitch**2, 1e-9)
 
 
 def compare_spectra(
@@ -227,15 +171,15 @@ def compare_spectra(
     model: FDModel,
     coverage_max: float | None = None,
     numeric_coarse: SpectrumList | None = None,
-) -> CompareReport:
+) -> dict:
     """Match numeric eigenvalues against an analytic list with FD-aware
-    tolerance.
+    tolerance, each to its nearest analytic value (``_nearest``).
 
     Every numeric value must be within model.rel_tol of some analytic value;
-    every nonzero analytic value <= coverage_max must be hit.  A numeric zero
-    mode is skipped when the analytic list omits it.  When a coarser-pitch
-    list is given, the observed convergence order (median over matched
-    values) is reported.
+    every nonzero analytic value <= coverage_max must be hit; the report
+    passes when both hold.  A numeric zero mode is skipped when the analytic
+    list omits it.  When a coarser-pitch list is given, the observed
+    convergence order (median over matched values) is reported.
     """
     avals = analytic.values()
     has_zero = bool(avals) and abs(avals[0]) < 1e-12
@@ -277,10 +221,25 @@ def compare_spectra(
             orders.sort()
             half = len(orders) // 2
             order = orders[half] if len(orders) % 2 else (orders[half - 1] + orders[half]) / 2
-    return CompareReport(matched, unmatched_numeric, unmatched_analytic, max_dev, order)
+    return {
+        "matched": matched,
+        "unmatched_numeric": unmatched_numeric,
+        "unmatched_analytic": unmatched_analytic,
+        "max_rel_deviation": max_dev,
+        "convergence_order": order,
+        "pass": not unmatched_numeric and not unmatched_analytic,
+    }
 
 
 def _nearest(values: list[float], x: float) -> int:
-    """The index of the value nearest to x, the first among equally near ones."""
-    dev = [abs(v - x) for v in values]
-    return dev.index(min(dev))
+    """The index of the value of the strictly increasing, nonempty
+    ``values`` nearest to x, the first among equally near ones."""
+    # the nearest is a neighbour of the insertion point; |v - x| is monotone
+    # in v, so equally near values further left can only tie the left one
+    right = min(bisect.bisect_left(values, x), len(values) - 1)
+    left = max(right - 1, 0)
+    best = right if abs(values[right] - x) < abs(values[left] - x) else left
+    dev = abs(values[best] - x)
+    while best > 0 and abs(values[best - 1] - x) == dev:
+        best -= 1
+    return best

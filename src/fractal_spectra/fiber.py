@@ -111,8 +111,8 @@ class LevelFamily:
     """Levels 0..n of a space, given by its level-0 path ``base``, the
     table of the distinct pieces of each level and, for each level l >= 1,
     its edge count |E_l|.  A family that takes no mesh
-    (``equilateral_spectra``) may have no base, as the pâte à choux has
-    none.
+    (``equilateral_spectra``) may have neither, as the pâte à choux has
+    neither.
 
     ``runs[l]``, for l = 0..n, is the table (keys, counts) of the pieces of
     level l, level 0 being ``base`` with its Dirichlet vertices: level l
@@ -236,38 +236,36 @@ def _level_values(family: LevelFamily, cut: float):
     return new, kept
 
 
-def _cluster_levels(new: list[tuple[list[float], list[int]]], origin: str, meta: dict,
+def _cluster_levels(new: list[tuple[list[float], list[int]]], origin: str,
                     **cluster_kw) -> list[SpectrumList]:
     """Level i's spectrum from the values and counts ``new[0..i]``, new[0]
     tagged "base" and new[k] "new@k", its equal values merged by
-    ``cluster`` with ``cluster_kw``, values of count 0 left out; its
-    ``meta`` is ``meta`` plus the number of the values with their counts,
-    ``count``.  ``origin`` is formatted with the level."""
-    rows, total, out = [], 0, []
+    ``cluster`` with ``cluster_kw``, values of count 0 left out.
+    ``origin`` is formatted with the level."""
+    rows, out = [], []
     for level, (fresh, copies) in enumerate(new):
         tag = "base" if level == 0 else f"new@{level}"
         for value, count in zip(fresh, copies):
             if count > 0:
                 rows.append((value, count, tag))
-                total += count
         rows.sort(key=itemgetter(0))  # stable: equal values keep their order
         values, counts, tags = zip(*rows) if rows else ((), (), ())
         out.append(cluster(values, counts=counts, origin=origin.format(level), tags=tags,
-                           meta={**meta, "count": total}, **cluster_kw))
+                           **cluster_kw))
     return out
 
 
-def level_spectra(family: LevelFamily, lam_max: float, origin: str, meta: dict,
+def level_spectra(family: LevelFamily, lam_max: float, origin: str,
                   **cluster_kw) -> list[SpectrumList]:
     """Vertex-pencil spectrum below ``lam_max`` of every level 0..n with
     origin tags: level i's spectrum is the union of the base values (tag
     "base") and the piece values of levels 1..i (tag "new@k"), from
     ``_level_values``, merged (``_cluster_levels``)."""
-    return _cluster_levels(_level_values(family, lam_max)[0], origin, meta, **cluster_kw)
+    return _cluster_levels(_level_values(family, lam_max)[0], origin, **cluster_kw)
 
 
-def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float, origin: str,
-                        meta: dict) -> list[list[SpectrumList]]:
+def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float,
+                        origin: str) -> list[list[SpectrumList]]:
     """Finite-difference spectra below ``lam_max`` of every level of a family
     whose edges all have one length, cut into each of ``refines`` cells
     (``EquilateralMesh``), from the vertex values of its pieces as in
@@ -282,8 +280,8 @@ def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float,
     otherwise the constants and the +-1 colourings, as every level maps
     onto the bipartite path.  So the values 0 and 2, the smallest and the
     largest, are new at level 0.  The levels are merged as in
-    ``level_spectra``, with ``meta`` plus the refinement, so each level's
-    count is the number of mesh eigenvalues <= lam_max.
+    ``level_spectra``, so each level's multiplicities add up to the number
+    of its mesh eigenvalues <= lam_max.
     """
     base = family.base
     meshes = [EquilateralMesh(base.length / refine, refine) for refine in refines]
@@ -310,6 +308,5 @@ def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float,
             levels.append((branch + modes,
                            [counts[k] for k in source] + [m - b for m, b in zip(mult, low)]))
             low = mult
-        out.append(_cluster_levels(levels, origin, {**meta, "refine": mesh.refine},
-                                   truncation=lam_max, pitch=mesh.pitch))
+        out.append(_cluster_levels(levels, origin, truncation=lam_max, pitch=mesh.pitch))
     return out

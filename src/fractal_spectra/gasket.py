@@ -15,25 +15,24 @@ has the whole Dirichlet gasket of each level, level 0 of the pâte à choux
 with its corners eliminated, which makes up the decimation chain
 (``decimation_chain``: m decimation steps in one pass for levels 1..m)
 that ``decimation_check`` and ``decimation_branch`` read.  The check
-matches each image lambda (5 - lambda) to its nearest lower value by one
-sorted search and reports counts, not a record per value.  No gasket
-graph is built: a piece's spectrum needs only its number
-of kept vertices of each V_j, |V_j| = (3^(j+1) + 3) / 2 less the
-eliminated ones, and the level-m gasket has 3^(m+1) edges.  The gasket
-graphs, their six symmetries and the dense solve of the whole gaskets are
-the tests' reference (``tests/dense_reference.py``).
+matches each image lambda (5 - lambda) to its nearest lower value by
+binary search (``eigensolve._nearest``) and reports counts, not a record
+per value.  No gasket graph is built: a piece's spectrum needs only its
+number of kept vertices of each V_j, |V_j| = (3^(j+1) + 3) / 2 less the
+eliminated ones.  The gasket graphs, their six symmetries and the dense
+solve of the whole gaskets are the tests' reference
+(``tests/dense_reference.py``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 
 from .errors import InvalidSpaceSpec, NoConvergence, ResolutionTooCoarse
-from .eigensolve import SpectrumList, cluster
+from .eigensolve import SpectrumList, _nearest, cluster
 from .fiber import LevelFamily, level_spectra
 from .metric_graph import DIRICHLET, NEUMANN, SPECTRAL_BOUND
 
@@ -71,13 +70,7 @@ def decimation_check(spec_m: SpectrumList, spec_m1: SpectrumList, tol: float = 1
         lp = DECIMATION_SCALE * v
         image = lp * (5.0 - lp)
         scale = max(1.0, abs(image))
-        dev = math.inf
-        if lam_m:
-            # lam_m increases strictly and |x - image| is monotone in x on
-            # each side of the image, so the nearest value is a neighbour of
-            # its insertion point
-            right = min(bisect_left(lam_m, image), len(lam_m) - 1)
-            dev = min(abs(lam_m[right] - image), abs(lam_m[max(right - 1, 0)] - image))
+        dev = abs(lam_m[_nearest(lam_m, image)] - image) if lam_m else math.inf
         if dev <= tol * scale:
             matched += 1
             worst = max(worst, dev / scale)
@@ -191,9 +184,8 @@ def _piece_spectrum(m: int, level: int, key: int) -> tuple[list[float], list[int
 
 def choux_family(spec: ChouxSpec) -> LevelFamily:
     """Fiber levels 0..i over the level-m gasket: 2^i binary fiber copies
-    glued at V_k \\ V_{k-1} in coordinate k, so level l has 2^l copies of
-    the 3^(m+1) edges of the gasket.  The family has no base graph: no
-    piece needs one.
+    glued at V_k \\ V_{k-1} in coordinate k.  The family has no base graph
+    and no edge counts: no piece needs them, and its levels take no mesh.
 
     Level l >= 1 gains the spectrum of the gasket with Dirichlet marks at
     the vertices born at a level in S, for each S in {1..l} with max S = l,
@@ -208,10 +200,7 @@ def choux_family(spec: ChouxSpec) -> LevelFamily:
     for level in range(1, spec.fiber_depth + 1):
         runs.append(([n_points(level - 1) - 3 + corners - k for k in marked], [1] * len(marked)))
         marked += [k + 3 ** level for k in marked]
-    return LevelFamily(None, runs,
-                       [3 ** (spec.gasket_level + 1) << level
-                        for level in range(1, spec.fiber_depth + 1)],
-                       partial(_piece_spectrum, spec.gasket_level))
+    return LevelFamily(None, runs, spectrum=partial(_piece_spectrum, spec.gasket_level))
 
 
 def decimation_chain(m: int) -> list[SpectrumList]:
@@ -230,9 +219,7 @@ def decimation_chain(m: int) -> list[SpectrumList]:
 def choux_numeric_spectra(spec: ChouxSpec) -> list[SpectrumList]:
     """Probabilistic Laplacian spectra of the glued space's fiber levels
     0..i with origin tags, from ``choux_family(spec)``."""
-    meta = {"fiber_depth": spec.fiber_depth, "gasket_level": spec.gasket_level,
-            "boundary": spec.boundary}
-    return level_spectra(choux_family(spec), SPECTRAL_BOUND, "numeric(choux,i={})", meta,
+    return level_spectra(choux_family(spec), SPECTRAL_BOUND, "numeric(choux,i={})",
                          truncation=math.inf)
 
 

@@ -124,12 +124,7 @@ def laakso_analytic_spectrum(spec: LaaksoSpec, lam_max: float) -> SpectrumList:
         entries.append(SpectrumEntry(0.0, 1, "constant(outside-family-listing)"))
     for c in sorted(sources):
         entries.append(SpectrumEntry(c * pi2, 1, ";".join(sources[c])))
-    return SpectrumList(
-        entries=entries,
-        origin="analytic(laakso)",
-        truncation=lam_max,
-        meta={"j": spec.j, "max_level": spec.depth, "boundary": spec.boundary},
-    )
+    return SpectrumList(entries=entries, origin="analytic(laakso)", truncation=lam_max)
 
 
 def laakso_refinement_spectra(spec: LaaksoSpec, lam_max: float,
@@ -143,10 +138,7 @@ def laakso_refinement_spectra(spec: LaaksoSpec, lam_max: float,
     of a value, which the closed forms give the same bits
     (``eigensolve.cluster`` merges equal values only).
     """
-    meta = {"j": spec.j, "boundary": spec.boundary,
-            "zero_mode": "included, outside the analytic family listing"}
-    return equilateral_spectra(laakso_family(spec), refines, lam_max, "numeric(laakso,level={})",
-                               meta)
+    return equilateral_spectra(laakso_family(spec), refines, lam_max, "numeric(laakso,level={})")
 
 
 def laakso_numeric_spectra(spec: LaaksoSpec, lam_max: float) -> list[SpectrumList]:

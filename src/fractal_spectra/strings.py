@@ -118,12 +118,7 @@ def string_analytic_spectrum(spec: StringSpec, lam_max: float) -> SpectrumList:
         mult = sum(m for (_, _, m) in sources)
         tag = ";".join(f"i={i},k={k},m={m}" for (i, k, m) in sources)
         entries.append(SpectrumEntry(q * q * num / den * pi2, mult, tag))
-    return SpectrumList(
-        entries=entries,
-        origin="analytic(string)",
-        truncation=lam_max,
-        meta={"lengths": [str(l) for l in spec.lengths], "mults": spec.mults},
-    )
+    return SpectrumList(entries=entries, origin="analytic(string)", truncation=lam_max)
 
 
 def _path(spec: StringSpec):
@@ -158,9 +153,8 @@ def stitched_numeric_spectra(spec: StringSpec, lam_max: float) -> list[SpectrumL
     """Numeric spectra of the stitched levels 0..N at the spec's pitch, each
     value tagged with the level it is new at (see
     ``fiber.equilateral_spectra``: every edge is one grid unit long)."""
-    meta = {"lengths": [str(l) for l in spec.lengths], "mults": spec.mults}
     return equilateral_spectra(stitched_family(spec), [spec.refine], lam_max,
-                               "numeric(string,level={})", meta)[0]
+                               "numeric(string,level={})")[0]
 
 
 def isospectrality_report(

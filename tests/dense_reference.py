@@ -344,7 +344,7 @@ def gap_runs(values, rtol: float) -> list[tuple[int, int]]:
 
 def gap_cluster(eigs, rel_tol: float = 1e-7, origin: str = "numeric",
                 truncation: float = np.inf, pitch: float | None = None, tags=None,
-                meta: dict | None = None, counts=None) -> SpectrumList:
+                counts=None) -> SpectrumList:
     """Gap-based multiplicity clustering of a sorted eigenvalue array, each
     value counted ``counts`` times (positive integers; once each by
     default); the other arguments are those of ``eigensolve.cluster``.
@@ -388,17 +388,14 @@ def gap_cluster(eigs, rel_tol: float = 1e-7, origin: str = "numeric",
             cuts = [0, *((run[1:] != run[:-1]).nonzero()[0] + 1).tolist(), len(texts)]
             labels = [";".join(texts[a:b]) for a, b in zip(cuts, cuts[1:])]
         entries = [SpectrumEntry(*e) for e in zip(values.tolist(), mult.tolist(), labels)]
-    return SpectrumList(entries=entries, origin=origin, truncation=truncation, pitch=pitch,
-                        meta={} if meta is None else meta)
+    return SpectrumList(entries=entries, origin=origin, truncation=truncation, pitch=pitch)
 
 
-def cluster_levels(new: list[tuple[np.ndarray, np.ndarray]], origin: str, meta: dict,
+def cluster_levels(new: list[tuple[np.ndarray, np.ndarray]], origin: str,
                    **cluster_kw) -> list[SpectrumList]:
     """``fiber._cluster_levels`` with ``gap_cluster`` in place of the exact
     merge: level i's spectrum from the values and counts ``new[0..i]``,
-    new[0] tagged "base" and new[k] "new@k", values of count 0 left out,
-    its ``meta`` ``meta`` plus the number of the values with their counts,
-    ``count``."""
+    new[0] tagged "base" and new[k] "new@k", values of count 0 left out."""
     values, counts, tags, out = np.zeros(0), np.zeros(0, dtype=np.int64), [], []
     for level, (fresh, copies) in enumerate(new):
         listed = copies > 0
@@ -407,8 +404,7 @@ def cluster_levels(new: list[tuple[np.ndarray, np.ndarray]], origin: str, meta: 
         tags += ["base" if level == 0 else f"new@{level}"] * int(np.count_nonzero(listed))
         order = np.argsort(values, kind="stable")
         out.append(gap_cluster(values[order], counts=counts[order], origin=origin.format(level),
-                               tags=[tags[k] for k in order],
-                               meta={**meta, "count": int(counts.sum())}, **cluster_kw))
+                               tags=[tags[k] for k in order], **cluster_kw))
     return out
 
 
@@ -524,9 +520,7 @@ def gasket_graph_spectrum(g: GasketGraph, boundary: str | None = None) -> Spectr
     op = graph_operator(gasket_graph(g, boundary), boundary)
     maps = np.searchsorted(op.kept_vertices, d3_maps(g)[:, op.kept_vertices])
     return gap_cluster(solve_below(op, SPECTRAL_BOUND, maps).values,
-                       origin=f"numeric(gasket,m={g.level})", truncation=np.inf,
-                       meta={"gasket_level": g.level, "boundary": boundary,
-                             "normalization": "probabilistic"})
+                       origin=f"numeric(gasket,m={g.level})", truncation=np.inf)
 
 
 def dirichlet_chain(levels: list[GasketGraph]) -> list[SpectrumList]:

@@ -13,7 +13,6 @@ def spectrum_to_json(s: SpectrumList) -> str:
             "origin": s.origin,
             "truncation": s.truncation,
             "pitch": s.pitch,
-            "meta": s.meta,
             "entries": [
                 {"value": repr(e.value), "multiplicity": e.multiplicity, "tag": e.tag}
                 for e in s.entries
@@ -31,7 +30,6 @@ def spectrum_from_json(text: str) -> SpectrumList:
         origin=doc["origin"],
         truncation=doc["truncation"],
         pitch=doc["pitch"],
-        meta=doc.get("meta", {}),
     )
 
 

@@ -193,8 +193,7 @@ def new_blocks(op_hi: DiscreteOperator, op_lo: DiscreteOperator, fs: FiberStruct
     return [_block(*piece) for piece in _components(op_hi, op_lo, fs)]
 
 
-def block_spectra(ops, fibers, lam_max: float, origin: str, meta: dict,
-                  **cluster_kw) -> list[SpectrumList]:
+def block_spectra(ops, fibers, lam_max: float, origin: str, **cluster_kw) -> list[SpectrumList]:
     """Spectrum below ``lam_max`` of every level 0..n with origin tags, by
     the block route: level 0 solved whole, each level i >= 1 through its
     ``new_blocks``, each distinct component once (keyed on its CSR arrays
@@ -211,7 +210,7 @@ def block_spectra(ops, fibers, lam_max: float, origin: str, meta: dict,
             pieces.append(solved[key])
         new.append(np.concatenate(pieces or [np.zeros(0)]))
     return cluster_levels([(values, np.ones(len(values), dtype=np.int64)) for values in new],
-                          origin, meta, **cluster_kw)
+                          origin, **cluster_kw)
 
 
 # The maps below take one node vector (n,) or a block of them (n, m), one
@@ -348,7 +347,7 @@ def assert_matches_reference(per_level, ops, fibers, lam_max, rtol=1e-10, floor=
     ``floor``), multiplicities, tags and counts exactly."""
     for level, got in enumerate(per_level):
         ref, count = reference_spectrum(ops, fibers, level, lam_max)
-        assert got.meta["count"] == count == total_multiplicity(got), level
+        assert total_multiplicity(got) == count, level
         assert [(e.multiplicity, e.tag) for e in got.entries] == [
             (e.multiplicity, e.tag) for e in ref.entries
         ], level

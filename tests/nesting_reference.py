@@ -1,10 +1,8 @@
 """The loop version of ``eigensolve.verify_nesting``, kept as the reference
-that the searchsorted version must reproduce report for report."""
-
-from fractal_spectra.eigensolve import NestingReport
+that the binary-search version must reproduce report for report."""
 
 
-def verify_nesting(lower, upper, tol: float = 1e-9) -> NestingReport:
+def verify_nesting(lower, upper, tol: float = 1e-9) -> dict:
     """Match each lower value to the nearest upper value within ``tol``
     (relative, floored at 1), the first one among equally near ones, by
     comparing it with every upper value."""
@@ -28,4 +26,5 @@ def verify_nesting(lower, upper, tol: float = 1e-9) -> NestingReport:
     for j, ue in enumerate(upper.entries):
         if not used[j]:
             surplus.append(ue.value)
-    return NestingReport(unmatched, surplus, mult_ok, max_dev)
+    return {"unmatched_lower": unmatched, "surplus": surplus, "multiplicity_ok": mult_ok,
+            "max_deviation": max_dev, "pass": not unmatched and mult_ok}

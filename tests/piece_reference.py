@@ -175,9 +175,7 @@ def choux_spectra(spec: gasket.ChouxSpec) -> list[SpectrumList]:
     base = dense_reference.gasket_graph(g, spec.boundary)
     new, _ = component_values(base, binary_pieces(base, g.birth, spec.fiber_depth),
                               SPECTRAL_BOUND, dense_reference.d3_maps(g))
-    meta = {"fiber_depth": spec.fiber_depth, "gasket_level": spec.gasket_level,
-            "boundary": spec.boundary}
-    return dense_reference.cluster_levels(new, "numeric(choux,i={})", meta, truncation=np.inf)
+    return dense_reference.cluster_levels(new, "numeric(choux,i={})", truncation=np.inf)
 
 
 def equilateral_spectrum(base: MetricGraph, refine: int, lam_max: float) -> SpectrumList:
@@ -202,16 +200,16 @@ def equilateral_spectrum(base: MetricGraph, refine: int, lam_max: float) -> Spec
         counts[-1] -= kernels[1]
     branch, source = mesh.branch_values(merged.values(), lam_max)
     modes, mult = mesh.edge_modes(len(base.ends), n_kept, kernels, lam_max)
-    return fiber._cluster_levels([(branch + modes, [counts[k] for k in source] + mult)], "{}", {},
+    return fiber._cluster_levels([(branch + modes, [counts[k] for k in source] + mult)], "{}",
                                  truncation=lam_max, pitch=mesh.pitch)[0]
 
 
 def assert_same_levels(got, ref):
-    """Level by level, the same tags, multiplicities, origin and meta, and
+    """Level by level, the same tags, multiplicities, origin and truncation, and
     values to 1e-12 relative to max(|value|, 0.01)."""
     assert len(got) == len(ref)
     for a, b in zip(got, ref):
-        assert (a.origin, a.meta, a.truncation) == (b.origin, b.meta, b.truncation)
+        assert (a.origin, a.truncation) == (b.origin, b.truncation)
         assert [(e.multiplicity, e.tag) for e in a.entries] == \
             [(e.multiplicity, e.tag) for e in b.entries]
         scale = np.maximum(np.abs(b.values()), 1e-2)

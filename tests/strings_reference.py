@@ -38,12 +38,7 @@ def string_analytic_spectrum(spec: StringSpec, lam_max: float) -> SpectrumList:
         mult = sum(m for (_, _, m) in sources)
         tag = ";".join(f"i={i},k={k},m={m}" for (i, k, m) in sources)
         entries.append(SpectrumEntry(float(c) * pi2, mult, tag))
-    return SpectrumList(
-        entries=entries,
-        origin="analytic(string)",
-        truncation=lam_max,
-        meta={"lengths": [str(l) for l in spec.lengths], "mults": spec.mults},
-    )
+    return SpectrumList(entries=entries, origin="analytic(string)", truncation=lam_max)
 
 
 def zeta_limit(spec: StringSpec, s_val: float) -> float:

@@ -323,6 +323,42 @@ class TestVerify:
         (tmp_path / "report.json").write_text('{"pass": false}')
         assert cli.main(["verify", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("name, key", [("nesting.json", "reports"),
+                                           ("decimation.json", "checks")])
+    def test_nested_false_flag_fails(self, tmp_path, capsys, name, key):
+        """A report whose own flag is true but one of whose checks has a
+        false flag fails verify, named by its path in the report."""
+        spec = write_spec(tmp_path, "spec.json", {"fiber_depth": 3, "gasket_level": 5})
+        out = tmp_path / "out"
+        assert cli.main(["choux", "--spec", spec, "--out", str(out)]) == 0
+        assert cli.main(["verify", "--out", str(out)]) == 0
+        doc = json.loads((out / name).read_text())
+        doc[key][0]["pass"] = False
+        assert doc["pass"] is True
+        (out / name).write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["verify", "--out", str(out)]) == cli.EXIT_CHECK_FAILED
+        assert f"verify: FAIL {name}.{key}[0]: stored pass flag is false" in capsys.readouterr().err
+
+    def test_flag_that_is_not_true_fails(self, tmp_path, capsys):
+        (tmp_path / "run.json").write_text("{}")
+        (tmp_path / "report.json").write_text('{"pass": null}')
+        assert cli.main(["verify", "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILED
+        assert "verify: FAIL report.json: stored pass flag is not true" in capsys.readouterr().err
+
+    def test_deeply_nested_reports_fail_without_a_traceback(self, tmp_path, capsys):
+        """A flag 600 lists deep is found, deeper than a recursive walk
+        of this stack would reach, and a report nested past the JSON
+        parser's recursion limit is a failed check, not an uncaught
+        RecursionError."""
+        (tmp_path / "run.json").write_text("{}")
+        (tmp_path / "deep.json").write_text("[" * 600 + '{"pass": false}' + "]" * 600)
+        (tmp_path / "deeper.json").write_text("[" * 100_000 + "]" * 100_000)
+        assert cli.main(["verify", "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILED
+        err = capsys.readouterr().err
+        assert f"verify: FAIL deep.json{'[0]' * 600}: stored pass flag is false" in err
+        assert "verify: FAIL deeper.json: maximum recursion depth exceeded" in err
+
     def test_empty_zeta_csv_fails(self, tmp_path, capsys):
         (tmp_path / "run.json").write_text("{}")
         (tmp_path / "zeta.csv").write_text("")

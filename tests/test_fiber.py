@@ -265,9 +265,9 @@ class TestBlockRoute:
         A[i, j] *= 1 + 1e-9
         A[j, i] = A[i, j]
         broken = ops[:2] + [operator(A, ops[2].M)]
-        block_spectra(ops, fibers, 200.0, "{}", {})  # the unbroken levels pass
+        block_spectra(ops, fibers, 200.0, "{}")  # the unbroken levels pass
         with pytest.raises(IncompatibleMesh, match="intertwine"):
-            block_spectra(broken, fibers, 200.0, "{}", {})
+            block_spectra(broken, fibers, 200.0, "{}")
         with pytest.raises(IncompatibleMesh, match="intertwine"):
             new_blocks(broken[2], broken[1], fibers[1])
 
@@ -345,7 +345,7 @@ class TestSolveOnce:
         images with one pencil, but they are keyed apart."""
         per_level = laakso.laakso_numeric_spectra(LaaksoSpec(j=[2] * 5, refine=8), 400.0)
         assert len(solves) == 1 + 2 + 4 + 4 + 4 + 3 and len(set(solves)) == 15
-        assert [s.meta["count"] for s in per_level] == [7, 13, 26, 40, 40, 40]
+        assert [total_multiplicity(s) for s in per_level] == [7, 13, 26, 40, 40, 40]
 
     def test_laakso_cli_spec(self, solves):
         """j = [2, 2, 2] at refine 32: level 0 plus 2, 4 and 3 distinct runs
@@ -353,12 +353,10 @@ class TestSolveOnce:
         level 0; the block route split the same levels into 21 blocks, 7 of
         them distinct."""
         spec = LaaksoSpec(j=[2, 2, 2], refine=32)
-        per_level = laakso.laakso_numeric_spectra(spec, 230.0)
+        laakso.laakso_numeric_spectra(spec, 230.0)
         assert len(solves) == 1 + 2 + 4 + 3 and len(set(solves)) == 9
         ops, fibers = graph_levels(family_reference.build_laakso(spec), "dirichlet")
         assert sum(len(new_blocks(ops[i], ops[i - 1], fibers[i - 1])) for i in (1, 2, 3)) == 21
-        for spectrum in per_level:
-            assert total_multiplicity(spectrum) == spectrum.meta["count"]
 
     def test_path_bases_call_no_eigensolver(self, monkeypatch):
         """The Laakso and string pieces are runs of a path, whose values are
@@ -461,8 +459,8 @@ class TestPieces:
         graphs = build(spec).graphs
         _, kept = fiber._level_values(family, 0.0)
         assert kept == [graph_operator(g, boundary).n for g in graphs]
-        assert family.n_edges == [len(g.ends) for g in graphs[1:]]
-        if family.base is not None:  # the pâte à choux has none
+        if family.base is not None:  # the pâte à choux has neither, as it takes no mesh
+            assert family.n_edges == [len(g.ends) for g in graphs[1:]]
             assert path_graph(family.base).ends == graphs[0].ends
 
     @pytest.mark.parametrize("spec", [
@@ -498,7 +496,7 @@ class TestPieces:
             return edge_modes(mesh, n_edges, n_kept, kernels, lam_max)
 
         with mock.patch.object(EquilateralMesh, "edge_modes", spy):
-            fiber.equilateral_spectra(family, [2], 1.0, "{}", {})
+            fiber.equilateral_spectra(family, [2], 1.0, "{}")
         assert seen[0] == (len(ref.ends), walk_kernels(ref))
         assert {kernels for _, kernels in seen} == {walk_kernels(g)}
 

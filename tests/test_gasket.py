@@ -72,11 +72,9 @@ class TestGasketGraph:
         assert np.abs(csr(d) @ np.ones(d.n)).max() < 1e-12
 
     def test_choux_family_has_no_base_graph(self):
-        """The family takes its edge counts from |E_m| = 3^(m+1) and
-        builds no graph of the gasket."""
+        """The family builds no graph of the gasket."""
         family = choux_family(ChouxSpec(fiber_depth=3, gasket_level=5))
         assert family.base is None
-        assert family.n_edges == [len(build_gasket(5).edges) << level for level in (1, 2, 3)]
 
 
 class TestSymmetry:
@@ -335,7 +333,7 @@ class TestClosedForm:
                                              for values, counts in new]))
         assert len(top.entries) == len(distinct) == 4991
         assert np.array_equal(top.values(), distinct)
-        assert total_multiplicity(top) == top.meta["count"] == kept[-1]
+        assert total_multiplicity(top) == kept[-1]
 
     @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
     def test_level_twelve_runs_and_verifies(self, tmp_path, boundary):
@@ -387,7 +385,7 @@ class TestChoux:
         spec = ChouxSpec(fiber_depth=1, gasket_level=2)
         s0, s1 = choux_numeric_spectra(spec)
         rep = verify_nesting(s0, s1)
-        assert rep.ok and rep.max_deviation <= 1e-9
+        assert rep["pass"] and rep["max_deviation"] <= 1e-9
 
     def test_zero_mode_multiplicity_one(self):
         s = choux_numeric_spectrum(ChouxSpec(fiber_depth=1, gasket_level=1))

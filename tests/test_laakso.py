@@ -1,6 +1,5 @@
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ import family_reference
 from dense_reference import path_graph, solve_below
 from fractal_spectra.eigensolve import FDModel, compare_spectra, verify_nesting
 from fractal_spectra.errors import InvalidSequence
-from fractal_spectra.gasket import ChouxSpec, choux_numeric_spectra
 from fractal_spectra import fiber
 from fractal_spectra.laakso import (
     LaaksoSpec,
@@ -19,14 +17,8 @@ from fractal_spectra.laakso import (
     laakso_numeric_spectra,
     laakso_numeric_spectrum,
 )
-from fractal_spectra.strings import StringSpec, stitched_numeric_spectra
 from lapack_reference import eigenpairs_below
-from level_reference import (
-    assert_matches_reference,
-    classify_levels,
-    fiber_project,
-    total_multiplicity,
-)
+from level_reference import assert_matches_reference, classify_levels, fiber_project
 from mesh_reference import laakso_levels
 
 PI2 = math.pi**2
@@ -175,24 +167,12 @@ class TestNumericSpectrum:
         analytic = laakso_analytic_spectrum(spec, lam_max)
         rep = compare_spectra(numeric, analytic, FDModel(pitch=spec.pitch),
                               coverage_max=0.8 * lam_max)
-        assert rep.ok
+        assert rep["pass"]
 
     def test_lowest_values(self, run):
         spec, _, numeric = run
         vals = [e.value / PI2 for e in numeric.entries if e.value > 1e-9][:4]
         assert vals == pytest.approx([1, 4, 9, 16], rel=1e-3)
-
-    @pytest.mark.parametrize("family", ["laakso", "string", "choux"])
-    def test_multiplicities_add_up_to_inertia_count(self, family):
-        if family == "laakso":
-            per_level = laakso_numeric_spectra(LaaksoSpec(j=[2], refine=64), 20 * PI2)
-        elif family == "string":
-            spec = StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 2], refine=8)
-            per_level = stitched_numeric_spectra(spec, 700.0)
-        else:
-            per_level = choux_numeric_spectra(ChouxSpec(fiber_depth=2, gasket_level=3))
-        for numeric in per_level:
-            assert numeric.meta["count"] == total_multiplicity(numeric)
 
     def test_zero_mode_multiplicity_one(self, run):
         _, _, numeric = run
@@ -222,7 +202,7 @@ class TestNumericSpectrum:
         levels = laakso_numeric_spectra(spec, 60 * PI2)
         for lo, hi in zip(levels, levels[1:]):
             rep = verify_nesting(lo, hi)
-            assert rep.ok and rep.max_deviation <= 1e-9
+            assert rep["pass"] and rep["max_deviation"] <= 1e-9
 
 
 def test_dirichlet_j23_cut_past_the_first_edge_mode():

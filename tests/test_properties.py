@@ -23,9 +23,11 @@ tails, bracket the closed-form limit pi^{-2s} zeta(2s) sum_i m_i l_i^{2s};
 the number of values of ``solve_below`` must equal the dense count at
 every cut clear of an eigenvalue, or the cut be refused, and its values
 must agree with LAPACK's generalized driver on both sides of its size
-threshold; ``verify_nesting`` must give the reports of the loop
-in ``tests/nesting_reference.py`` and ``decimation_check`` those of the
-loop in ``tests/decimation_reference.py``; and spectrum lists must survive
+threshold; the binary search of ``eigensolve._nearest`` must find the
+first nearest value of the linear scan, ``verify_nesting`` must give the
+reports of the loop in ``tests/nesting_reference.py`` and
+``decimation_check`` those of the loop in
+``tests/decimation_reference.py``; and spectrum lists must survive
 their CSV and JSON round trips.
 The example counts and the deadline keep the file to a few seconds;
 ``derandomize`` makes every run draw the same examples.
@@ -63,7 +65,13 @@ from dense_reference import (
     solve_below,
 )
 from fractal_spectra import cli, fiber, gasket, laakso, strings
-from fractal_spectra.eigensolve import SpectrumEntry, SpectrumList, cluster, verify_nesting
+from fractal_spectra.eigensolve import (
+    SpectrumEntry,
+    SpectrumList,
+    _nearest,
+    cluster,
+    verify_nesting,
+)
 from fractal_spectra.errors import NoConvergence
 from fractal_spectra.metric_graph import DIRICHLET, SPECTRAL_BOUND
 from json_reference import spectrum_from_json, spectrum_to_json
@@ -105,8 +113,6 @@ string_specs = st.lists(
 
 def check_levels(per_level, ops, fibers, lam_max):
     assert len(per_level) == len(ops)
-    for spectrum in per_level:
-        assert total_multiplicity(spectrum) == spectrum.meta["count"]
     assert_matches_reference(per_level, ops, fibers, lam_max)
 
 
@@ -161,8 +167,8 @@ def assert_exact_merge_is_the_gap_merge(spectra):
         ref = spectra()
     assert len(got) == len(ref)
     for a, b in zip(got, ref):
-        assert (a.entries, a.origin, a.truncation, a.pitch, a.meta) == \
-            (b.entries, b.origin, b.truncation, b.pitch, b.meta)
+        assert (a.entries, a.origin, a.truncation, a.pitch) == \
+            (b.entries, b.origin, b.truncation, b.pitch)
 
 
 @settings(SETTINGS, max_examples=60)
@@ -221,7 +227,7 @@ def assert_pieces_match_whole_levels(family, ref, cut):
     values to 1e-12 relative.  The scale is floored at 0.01, so a zero
     eigenvalue, which both routes give as a few units in the last place of
     the spectral bound 2, is held to 1e-14 absolute."""
-    per_level = fiber.level_spectra(family, cut, "{}", {})
+    per_level = fiber.level_spectra(family, cut, "{}")
     ops, fibers = level_reference.graph_levels(ref, DIRICHLET)
     assert len(per_level) == len(ops)
     assert_matches_reference(per_level, ops, fibers, cut, rtol=1e-12, floor=1e-2)
@@ -401,7 +407,7 @@ def assert_same_spectra(got, ref):
     counts exactly."""
     assert len(got) == len(ref)
     for level, (g, r) in enumerate(zip(got, ref)):
-        assert g.meta["count"] == r.meta["count"] == total_multiplicity(g), level
+        assert total_multiplicity(g) == total_multiplicity(r), level
         assert [(e.multiplicity, e.tag) for e in g.entries] == [
             (e.multiplicity, e.tag) for e in r.entries], level
         theirs = r.values()
@@ -428,7 +434,7 @@ def test_laakso_vertex_route_matches_the_mesh_route(spec, factor):
     spectrum: that of the mesh pencils of ``tests/mesh_reference.py``
     solved block by block, as the package did before."""
     lam_max = factor * first_edge_mode(spec.pitch, spec.refine)
-    ref = level_reference.block_spectra(*mesh_reference.laakso_levels(spec), lam_max, "{}", {})
+    ref = level_reference.block_spectra(*mesh_reference.laakso_levels(spec), lam_max, "{}")
     assert_same_spectra(laakso.laakso_numeric_spectra(spec, lam_max), ref)
 
 
@@ -436,7 +442,7 @@ def test_laakso_vertex_route_matches_the_mesh_route(spec, factor):
 @given(spec=string_specs, factor=edge_mode_factors)
 def test_string_vertex_route_matches_the_mesh_route(spec, factor):
     lam_max = factor * first_edge_mode(spec.pitch, spec.refine)
-    ref = level_reference.block_spectra(*mesh_reference.stitched_levels(spec), lam_max, "{}", {})
+    ref = level_reference.block_spectra(*mesh_reference.stitched_levels(spec), lam_max, "{}")
     assert_same_spectra(strings.stitched_numeric_spectra(spec, lam_max), ref)
 
 
@@ -458,12 +464,13 @@ family_choux_specs = st.integers(0, 3).flatmap(
 
 
 def assert_sizes_of_the_loop_reference(family, ref, boundary):
-    """The kept vertex counts and |E_l| of every level of ``family`` are
-    those of the graphs of the loop-built ``ref``."""
+    """The kept vertex counts of every level of ``family`` are those of the
+    graphs of the loop-built ``ref``, and so are the base and |E_l| of a
+    family that has them."""
     _, kept = fiber._level_values(family, 0.0)
     assert kept == [graph_operator(g, boundary).n for g in ref.graphs]
-    assert family.n_edges == [len(g.ends) for g in ref.graphs[1:]]
-    if family.base is not None:  # the pâte à choux has none
+    if family.base is not None:  # the pâte à choux has neither, as it takes no mesh
+        assert family.n_edges == [len(g.ends) for g in ref.graphs[1:]]
         assert path_graph(family.base).ends == ref.graphs[0].ends
 
 
@@ -563,7 +570,6 @@ def test_chebyshev_map_gives_the_mesh_spectrum_of_any_equal_edge_graph(case, ref
     distinct = values[[start for start, _ in gap_runs(values, 1e-9)]]
     cut = data.draw(st.sampled_from([*((distinct[:-1] + distinct[1:]) / 2), 5.0 / pitch**2]))
     ref = gap_cluster(values[values <= cut], tags=["base"] * np.count_nonzero(values <= cut))
-    ref.meta = {"count": total_multiplicity(ref)}
     assert_same_spectra([piece_reference.equilateral_spectrum(g, refine, cut)], [ref])
 
 
@@ -583,9 +589,8 @@ def test_chebyshev_map_gives_the_mesh_spectrum_of_a_path_base(seed):
     distinct = values[[start for start, _ in gap_runs(values, 1e-9)]]
     cut = float(rng.choice([*((distinct[:-1] + distinct[1:]) / 2), 5.0 / pitch**2]))
     ref = gap_cluster(values[values <= cut], tags=["base"] * np.count_nonzero(values <= cut))
-    ref.meta = {"count": total_multiplicity(ref)}
     family = fiber.binary_path_family(base, [0] * n, 0)
-    assert_same_spectra(fiber.equilateral_spectra(family, [refine], cut, "{}", {})[0], [ref])
+    assert_same_spectra(fiber.equilateral_spectra(family, [refine], cut, "{}")[0], [ref])
 
 
 @SETTINGS
@@ -796,11 +801,42 @@ def nesting_cases(draw):
 @settings(SETTINGS, max_examples=200)
 @given(case=nesting_cases())
 def test_nesting_report_is_the_loop_reference_report(case):
-    """The searchsorted nearest-neighbour match gives the report of the
+    """The binary-search nearest-neighbour match gives the report of the
     loop over every pair in tests/nesting_reference.py, float for float."""
     lower, upper, tol = case
-    got = json.dumps(verify_nesting(lower, upper, tol).to_dict())
-    assert got == json.dumps(nesting_reference.verify_nesting(lower, upper, tol).to_dict())
+    got = json.dumps(verify_nesting(lower, upper, tol))
+    assert got == json.dumps(nesting_reference.verify_nesting(lower, upper, tol))
+
+
+def ulp_steps(x: float, k: int) -> float:
+    """The float k representable values above x (below it for k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+#: floats near 0, 1 and 1e16, a few units in the last place apart
+near_anchors = st.builds(ulp_steps, st.sampled_from([0.0, 1.0, -1.0, 1e16]), st.integers(-4, 4))
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(SETTINGS, max_examples=400)
+@given(values=st.lists(st.one_of(near_anchors, finite_floats), min_size=1, max_size=12,
+                       unique=True).map(sorted),
+       data=st.data())
+def test_nearest_is_the_first_argmin_of_the_linear_scan(values, data):
+    """On a strictly increasing list, the binary search of ``_nearest``
+    (which ``verify_nesting``, ``compare_spectra``, ``decimation_check``
+    and ``verify --tol`` share) returns the index of the linear scan: the
+    first value of least distance.  Queries on the values, between two
+    neighbours, ulp-close to them or far outside them, where the
+    differences overflow, make rounding ties."""
+    mids = [a / 2 + b / 2 for a, b in zip(values, values[1:])]
+    x = data.draw(st.one_of(st.sampled_from(values + (mids or values)), near_anchors, finite_floats,
+                            st.sampled_from([-1.7976931348623157e308, -1e300, 1e300,
+                                             1.7976931348623157e308])))
+    dev = [abs(v - x) for v in values]
+    assert _nearest(values, x) == dev.index(min(dev))
 
 
 @st.composite
@@ -854,19 +890,16 @@ def spectrum_lists(draw):
     """A spectrum list of up to 8 strictly increasing finite values (some
     drawn from subnormal and near-overflow ones), mults >= 1, tags and an
     origin with commas, semicolons, quotes and line breaks, a finite or
-    infinite truncation, an optional pitch and a small JSON meta."""
+    infinite truncation and an optional pitch."""
     text = st.text(st.sampled_from('ab1 ,;"\n\r\t=@x'), max_size=12)
     values = draw(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                                      st.sampled_from([5e-324, 1e-310, 2.2e-308, 1e300,
                                                       1.7976931348623157e308])),
                            max_size=8, unique=True))
     entries = [SpectrumEntry(v, draw(st.integers(1, 10**6)), draw(text)) for v in sorted(values)]
-    meta = st.dictionaries(st.text(max_size=5), st.one_of(st.integers(), st.text(max_size=5),
-                                                          st.lists(st.integers(), max_size=3)),
-                           max_size=3)
     return SpectrumList(entries, draw(text),
                         draw(st.one_of(st.floats(allow_nan=False), st.just(math.inf))),
-                        draw(st.one_of(st.none(), st.floats(1e-6, 1.0))), draw(meta))
+                        draw(st.one_of(st.none(), st.floats(1e-6, 1.0))))
 
 
 @SETTINGS
@@ -876,7 +909,7 @@ def test_spectrum_lists_survive_csv_and_json_round_trips(s):
     assert SpectrumList.from_csv(text).to_csv() == text
     back = spectrum_from_json(spectrum_to_json(s))
     assert back.entries == s.entries
-    assert (back.origin, back.truncation, back.pitch, back.meta) == (s.origin, s.truncation, s.pitch, s.meta)
+    assert (back.origin, back.truncation, back.pitch) == (s.origin, s.truncation, s.pitch)
 
 
 cli_runs = st.one_of(

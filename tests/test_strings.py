@@ -128,7 +128,7 @@ class TestBuilder:
     def test_single_strand_is_plain_interval(self):
         fam = build_stitched(StringSpec([Fraction(1, 2)], [1])).graphs
         lower, upper = stitched_numeric_spectra(StringSpec([Fraction(1, 2)], [1]), 500.0)
-        assert verify_nesting(lower, upper).surplus == []
+        assert verify_nesting(lower, upper)["surplus"] == []
         assert fam[1].total_measure() == pytest.approx(0.5)
 
     def test_increasing_lengths_rejected(self):
@@ -176,7 +176,7 @@ class TestNumericSpectrum:
         levels = stitched_numeric_spectra(spec, 900.0)
         for lo, hi in zip(levels, levels[1:]):
             rep = verify_nesting(lo, hi)
-            assert rep.ok and rep.max_deviation <= 1e-9
+            assert rep["pass"] and rep["max_deviation"] <= 1e-9
 
     def test_new_vectors_vanish_at_attachments(self):
         spec = StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 1], refine=8)
