@@ -1,12 +1,13 @@
 """Command-line entry point for reproducible spectrum runs.
 
-Each subcommand reads a JSON spec, writes CSV spectra and JSON reports into
-an output directory, and is deterministic: identical spec + flags produce
-byte-identical files (floats are serialized via shortest round-trip repr).
+Each subcommand reads a JSON spec, the only source of its settings, writes
+CSV spectra and JSON reports into an output directory, and is deterministic:
+an identical spec produces byte-identical files (floats are serialized via
+shortest round-trip repr).
 
 Exit codes: 0 ok, 1 a check failed (compare, nesting, decimation,
-isospectrality or verify), 2 bad spec, 3 solver failure, 4 incommensurable
-lengths.
+isospectrality or verify), 2 bad spec, 3 a spectrum could not be completed
+(decimation counts that do not add up), 4 incommensurable lengths.
 """
 
 from __future__ import annotations
@@ -87,11 +88,6 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
-def _lambda_max(args, doc: dict, default: float) -> float:
-    lam_max = doc.get("lambda_max", default) if args.lambda_max is None else args.lambda_max
-    return _number(lam_max, "lambda_max")
-
-
 def _nesting(out: Path, per_level: list[SpectrumList], tol: float) -> bool:
     """Check that each level's spectrum nests in the next one's; write
     nesting.json and return whether every check passed."""
@@ -114,18 +110,9 @@ def cmd_laakso(args) -> int:
     j = [_integer(x, "j") for x in _list(doc["j"], "j")]
     if "depth" in doc and _integer(doc["depth"], "depth") != len(j):
         raise InvalidSpaceSpec(f'depth {doc["depth"]} does not match len(j)={len(j)}')
-    refine = _integer(doc.get("refine", 8), "refine") if args.refine is None else args.refine
-    boundary = doc.get("boundary", "neumann") if args.boundary is None else args.boundary
-    spec = laakso.LaaksoSpec(j=j, refine=refine, boundary=boundary)
-    if args.pitch is not None:
-        d_n = spec.d[spec.depth]
-        r = 1.0 / (args.pitch * d_n) if args.pitch > 0 else 0.0
-        if not math.isfinite(r) or abs(r - round(r)) > 1e-9 or round(r) < 2:
-            raise InvalidSpaceSpec(
-                f"pitch {args.pitch} is not 1/(r*{d_n}) for an integer refinement r >= 2"
-            )
-        spec = laakso.LaaksoSpec(j=j, refine=int(round(r)), boundary=boundary)
-    lam_max = _lambda_max(args, doc, 200.0)
+    spec = laakso.LaaksoSpec(j=j, refine=_integer(doc.get("refine", 8), "refine"),
+                             boundary=doc.get("boundary", "neumann"))
+    lam_max = _number(doc.get("lambda_max", 200.0), "lambda_max")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -166,7 +153,7 @@ def cmd_choux(args) -> int:
     spec = gasket.ChouxSpec(
         fiber_depth=_integer(doc["fiber_depth"], "fiber_depth"),
         gasket_level=_integer(doc["gasket_level"], "gasket_level"),
-        boundary=doc.get("boundary") if args.boundary is None else args.boundary,
+        boundary=doc.get("boundary"),
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -213,12 +200,12 @@ def cmd_string(args) -> int:
             f"lengths have no common pitch at denominator bound {bound} "
             f"(relative perturbation {perturbation:.3e})"
         )
-    refine = _integer(doc.get("refine", 8), "refine") if args.refine is None else args.refine
+    refine = _integer(doc.get("refine", 8), "refine")
     mults = [_integer(m, "mults") for m in _list(doc["mults"], "mults")]
     spec = strings.StringSpec(lengths=rational, mults=mults, refine=refine)
     if "depth" in doc:
         spec = spec.truncate(_integer(doc["depth"], "depth", 1, spec.depth))
-    lam_max = _lambda_max(args, doc, 700.0)
+    lam_max = _number(doc.get("lambda_max", 700.0), "lambda_max")
     # the zeta table sums every value up to the zeta_terms-th value of the
     # longest string
     n_terms = _integer(doc.get("zeta_terms", 10**4), "zeta_terms", 1)
@@ -261,6 +248,16 @@ def _reread_csv(path: Path) -> SpectrumList:
     return spectrum
 
 
+def _float_text(text: str) -> bool:
+    """Whether ``text`` is a finite float in the shortest round-trip form
+    the zeta table is written in."""
+    try:
+        value = float(text)
+    except ValueError:
+        return False
+    return math.isfinite(value) and repr(value) == text
+
+
 def _false_passes(doc, where: str) -> list[str]:
     """A failure naming the path of every ``pass`` key of a stored report,
     at any depth of its dicts and lists, that is not true, in document
@@ -297,8 +294,15 @@ def cmd_verify(args) -> int:
             except ValueError as exc:  # not UTF-8
                 failures.append(f"{csv_path.name}: {exc}")
                 continue
+            rows = [line.split(",") for line in lines[1:]]
             if lines[:1] != ["s,partial_sum,lambda_max"]:
                 failures.append(f"{csv_path.name}: bad header")
+            elif [r[0] for r in rows] != [repr(s) for s in ZETA_S_GRID]:
+                failures.append(f"{csv_path.name}: s column is not {list(ZETA_S_GRID)}")
+            else:
+                failures += [f"{csv_path.name}: row {i} is not three floats as written"
+                             for i, r in enumerate(rows, 1)
+                             if len(r) != 3 or not all(map(_float_text, r))]
             continue
         try:
             spectra[csv_path.name] = _reread_csv(csv_path)
@@ -345,7 +349,7 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fractal-spectra",
-        description="Finite-level fractal Laplacian spectra: build, solve, verify.",
+        description="Finite-level fractal Laplacian spectra in closed form: run, check, verify.",
     )
     sub = p.add_subparsers(dest="command", required=True)
     laakso_p, choux_p, string_p, verify_p = (
@@ -361,15 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--spec", required=True, help="path to JSON spec")
         sp.add_argument("--tol", type=float, default=1e-9, help="nesting tolerance")
         # no solver draws random numbers, so the seed has no effect; the flag
-        # is kept so that command lines that pass it keep working
+        # is kept because the benchmark's worker passes it to every run
         sp.add_argument("--seed", type=int, default=None,
                         help="accepted and ignored: no solver draws random numbers")
-    for sp in (laakso_p, string_p):
-        sp.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
-        sp.add_argument("--refine", type=int, default=None)
-    for sp in (laakso_p, choux_p):
-        sp.add_argument("--boundary", choices=("neumann", "dirichlet"), default=None)
-    laakso_p.add_argument("--pitch", type=float, default=None)
     return p
 
 

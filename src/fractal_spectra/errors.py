@@ -31,8 +31,5 @@ class MisalignedMeshes(FractalSpectraError):
 
 class NoConvergence(FractalSpectraError):
     """A spectrum could not be completed: its decimation counts do not add
-    up (``gasket._decimate``), or a solver did not converge."""
-
-    def __init__(self, iterations: int, message: str = ""):
-        self.iterations = iterations
-        super().__init__(message or f"no convergence after {iterations} iterations")
+    up (``gasket._decimate``).  No run calls a solver; the dense reference
+    of the tests raises it too, when its solver fails."""

@@ -138,8 +138,8 @@ def _decimate(x: list[float], c: list[int], kept: int, born: int, new2: int):
     minus = [(2.0 * v / t, n) for v, t, n in zip(x, twice, c) if v != 6.0]
     new5 = born - sum(n for _, n in plus) - sum(n for _, n in minus) - new2
     if min(new5, new2) < 0:
-        raise NoConvergence(0, f"decimation counts {new5} for 5 and {new2} for 2 "
-                               f"of {kept + born} values")
+        raise NoConvergence(f"decimation counts {new5} for 5 and {new2} for 2 "
+                            f"of {kept + born} values")
     out = [(v, n) for v, n in (*plus, *minus, (6.0, kept), (2.0, new2), (5.0, new5)) if n > 0]
     return [v for v, _ in out], [n for _, n in out]
 

@@ -233,7 +233,7 @@ def _values_below(S: np.ndarray, cut: float) -> np.ndarray:
     w = np.linalg.eigvalsh(S)
     finite = np.count_nonzero(np.isfinite(w))
     if finite != len(S):
-        raise NoConvergence(0, f"{finite} finite eigenvalues of a matrix of order {len(S)}")
+        raise NoConvergence(f"{finite} finite eigenvalues of a matrix of order {len(S)}")
     return w[w <= cut]
 
 
@@ -370,8 +370,8 @@ def gap_cluster(eigs, rel_tol: float = 1e-7, origin: str = "numeric",
         if wide.any():
             k = int(wide.argmax())
             i, j = int(start[k]), int(stop[k])
-            raise NoConvergence(0, f"{j - i} eigenvalues from {eigs[i]!r} to {eigs[j - 1]!r} "
-                                   f"chain into one cluster wider than rel_tol {rel_tol!r}")
+            raise NoConvergence(f"{j - i} eigenvalues from {eigs[i]!r} to {eigs[j - 1]!r} "
+                                f"chain into one cluster wider than rel_tol {rel_tol!r}")
         run = np.repeat(np.arange(len(start)), stop - start)
         mult = np.add.reduceat(counts, start)
         values = eigs[start] + np.bincount(run, counts * (eigs - eigs[start[run]]),

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: artifacts, determinism, exit codes."""
 
+import argparse
 import collections
 import filecmp
 import json
@@ -61,30 +62,6 @@ class TestLaakso:
         for name in ("analytic.csv", "numeric.csv", "compare.json", "nesting.json"):
             assert filecmp.cmp(out / name, out2 / name, shallow=False), name
 
-    def test_pitch_flag_matches_refine(self, laakso_run, tmp_path):
-        spec, out = laakso_run
-        out2 = tmp_path / "pitched"
-        # refine 32 at depth 1, cell width 1/2  ->  pitch = 1/64
-        code = cli.main(["laakso", "--spec", spec, "--out", str(out2), "--pitch", str(1 / 64)])
-        assert code == 0
-        assert filecmp.cmp(out / "numeric.csv", out2 / "numeric.csv", shallow=False)
-
-    def test_bad_pitch_rejected(self, laakso_run, tmp_path):
-        spec, _ = laakso_run
-        code = cli.main(
-            ["laakso", "--spec", spec, "--out", str(tmp_path / "x"), "--pitch", "0.013"]
-        )
-        assert code == 2
-
-    @pytest.mark.parametrize("value", ["0", "1e-320"])
-    def test_pitch_without_a_finite_refinement_rejected(self, laakso_run, tmp_path, capsys, value):
-        """Pitch 0 divided by zero and a subnormal pitch made an infinite
-        refinement; both are reported like any other invalid pitch."""
-        spec, _ = laakso_run
-        code = cli.main(["laakso", "--spec", spec, "--out", str(tmp_path / "x"), "--pitch", value])
-        assert code == 2
-        assert "for an integer refinement r >= 2" in capsys.readouterr().err
-
     def test_depth_mismatch_rejected(self, tmp_path):
         spec = write_spec(tmp_path, "bad.json", {"j": [2, 2], "depth": 3})
         assert cli.main(["laakso", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
@@ -109,12 +86,6 @@ class TestLaakso:
         assert run["boundary"] == "neumann" and run["tol"] == 1e-9
         assert "seed" not in run  # the seed has no effect, so the run does not record it
 
-    def test_explicit_zero_refine_is_not_replaced(self, laakso_run, tmp_path):
-        spec, _ = laakso_run
-        # refinement 0 is invalid; it must not fall back to the spec's 32
-        code = cli.main(["laakso", "--spec", spec, "--out", str(tmp_path / "o"), "--refine", "0"])
-        assert code == 2
-
     def test_explicit_zero_tol_is_not_replaced(self, laakso_run, tmp_path, monkeypatch):
         spec, _ = laakso_run
         tols = []
@@ -126,13 +97,6 @@ class TestLaakso:
         monkeypatch.setattr(cli, "verify_nesting", spy)
         cli.main(["laakso", "--spec", spec, "--out", str(tmp_path / "o"), "--tol", "0"])
         assert tols == [0.0]
-
-    @pytest.mark.parametrize("value", ["0", "-5"])
-    def test_nonpositive_lambda_max_flag_rejected(self, laakso_run, tmp_path, value):
-        spec, _ = laakso_run
-        code = cli.main(["laakso", "--spec", spec, "--out", str(tmp_path / "o"),
-                         "--lambda-max", value])
-        assert code == 2
 
     def test_nonpositive_lambda_max_in_spec_rejected(self, tmp_path):
         spec = write_spec(tmp_path, "bad.json", {"j": [2], "lambda_max": -5})
@@ -248,6 +212,9 @@ class TestString:
         pytest.param("string", "lambda_max", True, id="string-lambda_max-true"),
         pytest.param("string", "lambda_max", "700", id="string-lambda_max-700"),
         pytest.param("laakso", "lambda_max", True, id="laakso-lambda_max-true"),
+        *(pytest.param(command, field, value, id=f"{command}-{field}-{value}")
+          for command in ("laakso", "string")
+          for field, value in (("refine", 0), ("refine", 1), ("lambda_max", 0), ("lambda_max", -5))),
     ])
     def test_zeta_terms_that_are_not_a_positive_integer_are_rejected(self, tmp_path, command,
                                                                      field, value):
@@ -258,7 +225,8 @@ class TestString:
         depth of -1 dropped the last length and one past the lengths was
         ignored.  List fields take only a JSON list (a number ended in a
         TypeError) and lambda_max only a JSON number (float() ran true as 1
-        and the string "700" as 700)."""
+        and the string "700" as 700).  A refinement below 2 and a cut at or
+        below 0 are bad specs too: the spec is the only place to set them."""
         doc = {"string": {"lengths": [0.5, 0.25], "mults": [1, 1], "zeta_terms": 100},
                "laakso": {"j": [2], "refine": 8},
                "choux": {"fiber_depth": 1, "gasket_level": 2}}[command]
@@ -267,24 +235,15 @@ class TestString:
         assert cli.main([command, "--spec", spec, "--out", str(out)]) == cli.EXIT_BAD_SPEC
         assert not out.exists()
 
-    def test_nonpositive_lambda_max_rejected(self, tmp_path):
-        spec = write_spec(tmp_path, "spec.json", {"lengths": [0.5], "mults": [1]})
-        code = cli.main(["string", "--spec", spec, "--out", str(tmp_path / "o"),
-                         "--lambda-max", "-5"])
-        assert code == 2
-
 
 @pytest.mark.parametrize("command", ["laakso", "string"])
-@pytest.mark.parametrize("through", ["flag", "spec"])
-def test_infinite_lambda_max_is_rejected(tmp_path, command, through):
+def test_infinite_lambda_max_is_rejected(tmp_path, command):
     """An infinite cut never ended the analytic listing of laakso and string."""
     doc = {"laakso": {"j": [2], "refine": 8},
            "string": {"lengths": [0.5, 0.25], "mults": [1, 1], "refine": 8}}[command]
-    flag = ["--lambda-max", "inf"] if through == "flag" else []
-    if through == "spec":
-        doc = {**doc, "lambda_max": math.inf}  # written as Infinity, which json reads back
-    spec = write_spec(tmp_path, "spec.json", doc)
-    assert cli.main([command, "--spec", spec, "--out", str(tmp_path / "o"), *flag]) == cli.EXIT_BAD_SPEC
+    # written as Infinity, which json reads back
+    spec = write_spec(tmp_path, "spec.json", {**doc, "lambda_max": math.inf})
+    assert cli.main([command, "--spec", spec, "--out", str(tmp_path / "o")]) == cli.EXIT_BAD_SPEC
 
 
 class TestVerify:
@@ -359,6 +318,30 @@ class TestVerify:
         assert f"verify: FAIL deep.json{'[0]' * 600}: stored pass flag is false" in err
         assert "verify: FAIL deeper.json: maximum recursion depth exceeded" in err
 
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda rows: rows[:1] + ["0.5,garbage,"] + rows[2:], id="garbage_row"),
+        pytest.param(lambda rows: rows[:1] + ["0.5,0.10000000000000000555,1.0"] + rows[2:],
+                     id="not_shortest_form"),
+        pytest.param(lambda rows: rows[:3] + rows[4:], id="dropped_row"),
+        pytest.param(None, id="truncated"),
+    ])
+    def test_corrupted_zeta_csv_fails(self, tmp_path, capsys, corrupt):
+        """verify read only the header of zeta.csv: rows of garbage or a file
+        cut inside its first row passed.  The s column must be ZETA_S_GRID
+        and every field a finite float as repr writes it."""
+        doc = {"lengths": [0.5, 0.25], "mults": [1, 1], "refine": 8, "lambda_max": 400.0,
+               "zeta_terms": 100}
+        out = tmp_path / "out"
+        assert cli.main(["string", "--spec", write_spec(tmp_path, "spec.json", doc),
+                         "--out", str(out)]) == 0
+        assert cli.main(["verify", "--out", str(out)]) == 0
+        path = out / "zeta.csv"
+        text = path.read_text()
+        path.write_text(text[:40] if corrupt is None else "\n".join(corrupt(text.splitlines())) + "\n")
+        capsys.readouterr()
+        assert cli.main(["verify", "--out", str(out)]) == cli.EXIT_CHECK_FAILED
+        assert "verify: FAIL zeta.csv: " in capsys.readouterr().err
+
     def test_empty_zeta_csv_fails(self, tmp_path, capsys):
         (tmp_path / "run.json").write_text("{}")
         (tmp_path / "zeta.csv").write_text("")
@@ -403,7 +386,7 @@ class TestSharedParser:
 
     def test_flags_do_not_carry_over(self, tmp_path):
         spec = write_spec(tmp_path, "spec.json", {"j": [2], "refine": 8, "lambda_max": 60.0})
-        flagged = ["--boundary", "dirichlet", "--refine", "16", "--tol", "1e-6"]
+        flagged = ["--tol", "1e-6", "--seed", "3"]
         assert cli.main(["laakso", "--spec", spec, "--out", str(tmp_path / "a"), *flagged]) == 0
         assert cli.main(["laakso", "--spec", spec, "--out", str(tmp_path / "b")]) == 0
         cli._parser.cache_clear()
@@ -417,7 +400,7 @@ class TestSharedParser:
         assert cli.main(["choux", "--spec", spec, "--out", str(tmp_path / "a")]) == 0
         with pytest.raises(SystemExit) as exc:
             cli.main(["choux", "--spec", spec, "--out", str(tmp_path / "x"),
-                      "--boundary", "dirichlet", "--tol", "1e-3", "--refine", "4"])
+                      "--tol", "1e-3", "--seed", "3", "--refine", "4"])
         assert exc.value.code == 2
         assert cli.main(["choux", "--spec", spec, "--out", str(tmp_path / "b")]) == 0
         assert same_files(tmp_path / "a", tmp_path / "b")
@@ -441,6 +424,13 @@ class TestSharedParser:
 
 
 @pytest.mark.parametrize("command, flag, value", [
+    ("laakso", "--refine", "16"),
+    ("laakso", "--pitch", "0.015625"),
+    ("laakso", "--boundary", "dirichlet"),
+    ("laakso", "--lambda-max", "10"),
+    ("choux", "--boundary", "dirichlet"),
+    ("string", "--refine", "4"),
+    ("string", "--lambda-max", "10"),
     ("choux", "--pitch", "0.1"),
     ("choux", "--refine", "4"),
     ("choux", "--lambda-max", "10"),
@@ -453,12 +443,29 @@ class TestSharedParser:
     ("verify", "--seed", "1"),
 ])
 def test_flag_without_effect_is_rejected(tmp_path, command, flag, value):
+    """A run's settings come from its spec alone: a flag for one of them is
+    an unknown flag (exit 2), and nothing is written."""
     argv = [command, "--out", str(tmp_path / "o"), flag, value]
     if command != "verify":
-        argv += ["--spec", write_spec(tmp_path, "spec.json", {})]
+        argv += ["--spec", write_spec(tmp_path, "spec.json", {"j": [2], "fiber_depth": 1,
+                                                              "gasket_level": 2, "lengths": [0.5],
+                                                              "mults": [1]})]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_each_subcommand_registers_only_its_flags():
+    """laakso, choux and string take a spec, an output directory, the
+    nesting tolerance and the seed; verify an output directory and a
+    tolerance."""
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {name: sorted(a.option_strings[0] for a in parser._actions if a.dest != "help")
+             for name, parser in subparsers.choices.items()}
+    run = ["--out", "--seed", "--spec", "--tol"]
+    assert flags == {"laakso": run, "choux": run, "string": run, "verify": ["--out", "--tol"]}
 
 
 @pytest.mark.parametrize("command", ["laakso", "choux", "string", "verify"])
