@@ -11,11 +11,9 @@ spectrum against the closed-form eigenvalue families.  Run:
 import math
 from fractions import Fraction
 
-from fractal_spectra import fiber
 from fractal_spectra.eigensolve import FDModel, compare_spectra, verify_nesting
 from fractal_spectra.laakso import (
     LaaksoSpec,
-    _base,
     laakso_analytic_spectrum,
     laakso_family,
     laakso_numeric_spectra,
@@ -25,15 +23,18 @@ spec = LaaksoSpec(j=[2, 2], refine=32)
 print(f"Laakso space with fiber sequence j = {spec.j}, pitch = {spec.pitch}")
 
 family = laakso_family(spec)
-_, kept = fiber._level_values(family, 0.0)  # with Neumann ends every vertex is kept
-for i, edges in enumerate([family.base.n_vertices - 1, *family.n_edges]):
-    print(f"  level {i}: {kept[i]} vertices, {edges} edges")
+kept = 0  # a run of key k keeps k >> 2 vertices; with Neumann ends every vertex is kept
+for i, ((keys, copies), edges) in enumerate(zip(family.runs,
+                                                [family.base.n_vertices - 1, *family.n_edges])):
+    kept += sum(copy * (key >> 2) for key, copy in zip(keys, copies))
+    print(f"  level {i}: {kept} vertices, {edges} edges")
 
 print("wormhole positions by level:")
-base, birth = _base(spec)
-D = spec.d[-1]
+d = spec.d
 for level in range(1, spec.depth + 1):
-    print(f"  level {level}: {[str(Fraction(k, D)) for k, b in enumerate(birth) if b == level]}")
+    # born at level m: the multiples of 1/d_m that are not multiples of 1/d_(m-1)
+    born = [Fraction(k, d[level]) for k in range(1, d[level]) if k % spec.j[level - 1]]
+    print(f"  level {level}: {[str(x) for x in born]}")
 
 lam_max = 200.0
 analytic = laakso_analytic_spectrum(spec, lam_max)

@@ -47,13 +47,19 @@ def _dump_json(path: Path, obj) -> None:
     path.write_text(json.dumps(_sanitize(obj), sort_keys=True, indent=2) + "\n")
 
 
-def _load_spec(path: str) -> dict:
+def _load_spec(path: str, keys: tuple[str, ...]) -> dict:
+    """The JSON object of a spec file whose keys are among ``keys``, the
+    fields its command reads: a misspelt key would run on the default and
+    be written into run.json as if it were in effect."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidSpaceSpec(f"cannot read spec {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidSpaceSpec("spec file must contain a JSON object")
+    unknown = sorted(doc.keys() - set(keys))
+    if unknown:
+        raise InvalidSpaceSpec(f"spec keys {unknown} are not read; the keys are {list(keys)}")
     return doc
 
 
@@ -104,7 +110,7 @@ def _nesting(out: Path, per_level: list[SpectrumList], tol: float) -> bool:
 
 
 def cmd_laakso(args) -> int:
-    doc = _load_spec(args.spec)
+    doc = _load_spec(args.spec, ("j", "depth", "refine", "boundary", "lambda_max"))
     if "j" not in doc:
         raise InvalidSpaceSpec('laakso spec needs a "j" list')
     j = [_integer(x, "j") for x in _list(doc["j"], "j")]
@@ -147,7 +153,7 @@ def cmd_laakso(args) -> int:
 
 
 def cmd_choux(args) -> int:
-    doc = _load_spec(args.spec)
+    doc = _load_spec(args.spec, ("fiber_depth", "gasket_level", "boundary"))
     if "fiber_depth" not in doc or "gasket_level" not in doc:
         raise InvalidSpaceSpec('choux spec needs "fiber_depth" and "gasket_level"')
     spec = gasket.ChouxSpec(
@@ -189,7 +195,8 @@ def cmd_choux(args) -> int:
 
 
 def cmd_string(args) -> int:
-    doc = _load_spec(args.spec)
+    doc = _load_spec(args.spec, ("lengths", "mults", "denominator_bound", "refine", "depth",
+                                 "lambda_max", "zeta_terms"))
     if "lengths" not in doc or "mults" not in doc:
         raise InvalidSpaceSpec('string spec needs "lengths" and "mults"')
     bound = _integer(doc.get("denominator_bound", 10**6), "denominator_bound")
@@ -209,6 +216,11 @@ def cmd_string(args) -> int:
     # the zeta table sums every value up to the zeta_terms-th value of the
     # longest string
     n_terms = _integer(doc.get("zeta_terms", 10**4), "zeta_terms", 1)
+    try:
+        zeta_lam = (math.pi * n_terms / float(spec.lengths[0])) ** 2
+    except OverflowError:
+        raise InvalidSpaceSpec("zeta_terms puts the zeta cut (pi n / l_1)^2 past the largest "
+                               "float") from None
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -221,7 +233,6 @@ def cmd_string(args) -> int:
     nested = _nesting(out, per_level, args.tol)
 
     # zeta table, summed string by string
-    zeta_lam = (math.pi * n_terms / float(spec.lengths[0])) ** 2
     rows = ["s,partial_sum,lambda_max"]
     for s_val in ZETA_S_GRID:
         z = strings.zeta_partial(spec, s_val, zeta_lam)
@@ -233,7 +244,8 @@ def cmd_string(args) -> int:
     (out / "zeta.csv").write_text("\n".join(rows) + "\n")
     _dump_json(out / "run.json", _run_meta(args, doc, refine=spec.refine, lambda_max=lam_max,
                                            tol=args.tol))
-    print(f"string: isospectrality {'pass' if iso['pass'] else 'FAIL'} -> {out}")
+    print(f"string: isospectrality {'pass' if iso['pass'] else 'FAIL'}, "
+          f"nesting {'pass' if nested else 'FAIL'} -> {out}")
     return EXIT_OK if iso["pass"] and nested else EXIT_CHECK_FAILED
 
 
@@ -279,13 +291,39 @@ def _false_passes(doc, where: str) -> list[str]:
     return found
 
 
+# the files each command writes besides run.json; choux adds numeric_depth0..i.csv
+RUN_FILES = {
+    "laakso": ("analytic.csv", "numeric.csv", "compare.json", "nesting.json"),
+    "choux": ("nesting.json", "decimation.json"),
+    "string": ("analytic.csv", "numeric.csv", "isospectrality.json", "zeta.csv", "nesting.json"),
+}
+
+
+def _missing_files(out: Path) -> list[str]:
+    """A failure naming each file that the run recorded in run.json writes
+    and ``out`` lacks, by its command; of the numeric_depth files of a
+    choux run, the first that is missing."""
+    try:
+        meta = json.loads((out / "run.json").read_text())
+        names = RUN_FILES[meta["command"]]
+        levels = 0
+        if meta["command"] == "choux":
+            levels = _integer(meta["spec"]["fiber_depth"], "fiber_depth", 0) + 1
+    except (ValueError, RecursionError, KeyError, TypeError, InvalidSpaceSpec) as exc:
+        return [f"run.json: does not name the command and spec of a run ({exc!r})"]
+    csvs = (f"numeric_depth{i}.csv" for i in range(levels))
+    first = next((name for name in csvs if not (out / name).is_file()), None)
+    return [f"{name}: missing" for name in (*names, first)
+            if name and not (out / name).is_file()]
+
+
 def cmd_verify(args) -> int:
     out = Path(args.out)
     run_path = out / "run.json"
     if not run_path.exists():
         print(f"verify: no run.json in {out}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    failures, spectra = [], {}
+    failures, spectra = _missing_files(out), {}
 
     for csv_path in sorted(out.glob("*.csv")):
         if csv_path.name == "zeta.csv":

@@ -18,29 +18,34 @@ closed form.
   the values new at level l are those of the base graph with Dirichlet
   marks at the vertices born at a level in S, for every S in {1..l} with
   max S = l.  On the Laakso path only the runs of each length and end type
-  that these pieces cut it into are counted, from the birth levels
-  (``binary_path_family``); on the gasket each piece is keyed on its kept
-  vertices of V_(l-1) and has its spectrum by spectral decimation, and no
-  graph of the gasket is built (``gasket.choux_family``);
+  that these pieces cut it into are counted, in closed form from d_(l-1)
+  and d_l, at most four per level (``laakso.laakso_family``); on the
+  gasket each piece is keyed on its kept vertices of V_(l-1) and has its
+  spectrum by spectral decimation, and no graph of the gasket is built
+  (``gasket.choux_family``);
 - the stitched strings (``strings.stitched_family``): m_1 - 1 copies of the
   base path at level 1, and m_k Dirichlet paths of l_k / g cells at
-  level k, one run per level (``path_family``).
+  level k, one run per level.
+
+Both path families hand their runs to one constructor, as vertex spans with
+their copies (``path_family``).
 
 Every family goes through one pipeline: take the spectrum of each distinct
-piece of a level once, with the number of its copies, and tag each value
-with the level it is new at (``_level_values``), then merge the equal
-values with their counts (``level_spectra``, which the pâte à choux uses);
-no value is listed once per copy, and no eigensolver is called.  The walk
-Laplacian of a run of a path has its values in closed form
-(``_run_values``): no matrix is formed, and a run of m vertices lists its
-m values.  A path family's base is no graph either, only the three facts
-the pipeline reads of its path: the vertex count, the edge length and
-whether both ends are Dirichlet vertices (``PathBase``).  The Laakso and
-string levels, whose edges have one length, map their vertex values to the
-mesh by the Chebyshev rule first, adding edge modes counted from |E_l| and
-|V_l| as counts (``equilateral_spectra``).  No eigenvector is formed, and
-no array: run tables, values and counts are lists of Python ints and
-floats, the values merged by a stable sort.
+piece of a level once, up to the cut, with the number of its copies, and
+tag each value with the level it is new at (``_level_values``), then merge
+the equal values with their counts (``level_spectra``, which the pâte à
+choux uses); no value is listed once per copy, and no eigensolver is
+called.  The walk Laplacian of a run of a path has its values in closed
+form (``_run_values``): no matrix is formed, and a run lists its values in
+ascending order up to the first one above the cut.  A path family's base
+is no graph either, only the three facts the pipeline reads of its path:
+the vertex count, the edge length and whether both ends are Dirichlet
+vertices (``PathBase``).  The Laakso and string levels, whose edges have
+one length, map their vertex values to the mesh by the Chebyshev rule
+first, adding edge modes counted from |E_l| and |V_l| as counts
+(``equilateral_spectra``), |V_l| read from the run keys.  No eigenvector
+is formed, and no array: run tables, values and counts are lists of
+Python ints and floats, the values merged by a stable sort.
 
 The trade-off: the pipeline assumes the decomposition and the closed forms
 instead of checking them on every run.  The tests hold them to the whole
@@ -70,10 +75,11 @@ def _run_values(key: int, cut: float) -> list[float]:
     vertex, whatever the edge weight; its values are 2 sin^2(theta_k / 2),
     k = 0..m-1, with theta_k = k pi / (m - 1) for two free ends,
     (2k + 1) pi / 2m for one and (k + 1) pi / (m + 1) for none (the
-    discrete cosine and sine transforms diagonalize it).  The sine keeps
-    the small values to a few units in their last place.  theta / pi is
-    taken as a reduced fraction, so equal angles of different runs give
-    equal bits."""
+    discrete cosine and sine transforms diagonalize it).  The angles rise
+    with k below pi, so the listing stops at the first value above the
+    cut.  The sine keeps the small values to a few units in their last
+    place.  theta / pi is taken as a reduced fraction, so equal angles of
+    different runs give equal bits."""
     m, free = key >> 2, (key >> 1 & 1) + (key & 1)
     first, step, q = {2: (0, 1, m - 1), 1: (1, 2, 2 * m), 0: (1, 1, m + 1)}[free]
     bound = cut * (1 + 1e-12)
@@ -82,15 +88,17 @@ def _run_values(key: int, cut: float) -> list[float]:
         g = math.gcd(p, q)
         y = math.sin(math.pi * (p // g) / (2 * (q // g)))
         value = 2 * (y * y)
-        if value <= bound:
-            values.append(value)
+        if value > bound:
+            break
+        values.append(value)
     return values
 
 
-def _run_spectrum(level: int, key: int) -> tuple[list[float], list[int]]:
-    """The spectrum of a run key at any level: its m values
-    (``_run_values``, all at most the spectral bound 2), each once."""
-    values = _run_values(key, SPECTRAL_BOUND)
+def _run_spectrum(level: int, key: int, cut: float) -> tuple[list[float], list[int]]:
+    """The spectrum <= cut of a run key at level ``level``: its values
+    (``_run_values``), each once; a run has the same values at every
+    level."""
+    values = _run_values(key, cut)
     return values, [1] * len(values)
 
 
@@ -116,124 +124,60 @@ class LevelFamily:
 
     ``runs[l]``, for l = 0..n, is the table (keys, counts) of the pieces of
     level l, level 0 being ``base`` with its Dirichlet vertices: level l
-    gains the spectrum of each piece ``count`` times.  ``spectrum(l, key)``
-    gives the whole spectrum of the piece ``key`` of level l, as the lists
-    (values, multiplicities) in any order; the multiplicities add up to its
-    number of kept vertices.
+    gains the spectrum of each piece ``count`` times.
+    ``spectrum(l, key, cut)`` gives the spectrum <= cut (1 + 1e-12) of the
+    piece ``key`` of level l, as the lists (values, multiplicities) in any
+    order; at an infinite cut the multiplicities add up to its number of
+    kept vertices.
 
     By default the pieces are the runs of kept vertices that the Dirichlet
-    marks cut the base path into, hence the name (``path_family``,
-    ``binary_path_family``).  A run of m vertices whose
-    first (last) vertex is the first (last) of the path, so a free path
-    end, has the key 4 m + 2 [first free] + [last free], and its values in
-    closed form (``_run_values``).  The pâte à choux keys its gasket pieces
-    and gives their spectra itself (``gasket.choux_family``).
+    marks cut the base path into, hence the name (``path_family``).  A run
+    of m vertices whose first (last) vertex is the first (last) of the
+    path, so a free path end, has the key 4 m + 2 [first free] +
+    [last free], and its values in closed form (``_run_values``).  The
+    pâte à choux keys its gasket pieces and gives their spectra itself
+    (``gasket.choux_family``).
     """
 
     base: PathBase | None
     runs: list[tuple[list[int], list[int]]]
     n_edges: list[int] = field(default_factory=list)
-    spectrum: Callable[[int, int], tuple[list[float], list[int]]] = _run_spectrum
-
-
-def binary_path_family(base: PathBase, birth, depth: int) -> LevelFamily:
-    """Levels 0..depth of the path ``base`` times the binary fibers {0,1}^l,
-    with fiber coordinate b collapsed at the base vertices born at level b
-    (``birth[v]``, 0 for a vertex that is never collapsed), each level's
-    pieces given by their run table (``_binary_runs``).  Level l has 2^l
-    copies of every base edge."""
-    # the marks of level l: the Dirichlet ends and the vertices born at a
-    # level in 1..l, each with its birth bit (bit b - 1 for level b, none
-    # for a Dirichlet end)
-    marks = [(0, 0), (base.n_vertices - 1, 0)] if base.dirichlet else []
-    born = [[] for _ in range(depth + 1)]
-    for v, b in enumerate(birth):
-        if 1 <= b <= depth:
-            born[b].append((v, 1 << b >> 1))
-    runs = []
-    for level in range(depth + 1):
-        marks = sorted(marks + born[level]) if level else marks
-        runs.append(_binary_runs(marks, base.n_vertices, level))
-    return LevelFamily(base, runs,
-                       [(base.n_vertices - 1) << level for level in range(1, depth + 1)])
-
-
-def _binary_runs(marks: list[tuple[int, int]], n: int, level: int):
-    """The run table of level ``level`` of ``binary_path_family`` on a path
-    of n vertices, from its ``marks`` (position, birth bit) in position
-    order, counted without listing the 2^(level-1) pieces.
-
-    A run lies strictly between two marks u < w: the vertices born at a
-    level in 1..level, the Dirichlet vertices and the positions -1 and n
-    just outside the path.  Let b_u and b_w be the births of u and w, for
-    a mark born in 1..level, and I the set of births of the marks inside
-    the run.  The run is one of the piece of S exactly when S holds level,
-    b_u and b_w and misses I, and no Dirichlet vertex lies inside it; so it
-    comes with 2^(level - |{level, b_u, b_w} u I|) pieces, none when
-    {level, b_u, b_w} meets I.  Level 0 is the base, one piece.
-
-    The pairs (u, w) are taken from each u by the number of marks inside
-    them, one step per mark, while the inner marks miss level and b_u and
-    are not Dirichlet vertices: on nested births (the Laakso grid) a run
-    holds at most one coarser mark, so the walk ends after a few steps.
-    Sets of births are bit masks, bit b - 1 standing for level b.
-    """
-    pos = [-1, *(v for v, _ in marks), n]
-    bit = [0, *(b for _, b in marks), 0]
-    last = len(pos) - 1
-    top = (1 << level) >> 1
-    table: dict[int, int] = {}
-    for u in range(last):
-        start, stop, inner, w = pos[u], top | bit[u], 0, u
-        while w < last:
-            w += 1
-            need = stop | bit[w]
-            if not inner & need and pos[w] - start > 1:
-                key = 4 * (pos[w] - start - 1) + 2 * (u == 0) + (w == last)
-                table[key] = table.get(key, 0) + (1 << (level - (need | inner).bit_count()))
-            inner |= bit[w]
-            if not bit[w] or inner & stop:
-                break
-    keys = sorted(table)
-    return keys, [table[key] for key in keys]
+    spectrum: Callable[[int, int, float], tuple[list[float], list[int]]] = _run_spectrum
 
 
 def path_family(base: PathBase, spans, n_edges: list[int]) -> LevelFamily:
     """Levels 0..n of a path base (see ``LevelFamily.runs``) whose level l
     gains the values of the runs ``spans[l]``, each given as
     (first, stop, copies): the kept vertices first..stop-1 of the base,
-    ``copies`` times."""
+    ``copies`` times.  The runs of a level have distinct keys; its table
+    lists them by key, leaving out those with no vertex or no copy."""
     n = base.n_vertices
-    runs = [([4 * (stop - first) + 2 * (first == 0) + (stop == n) for first, stop, _ in spans_l],
-             [copies for *_, copies in spans_l]) for spans_l in spans]
+    runs = []
+    for spans_l in spans:
+        table = sorted((4 * (stop - first) + 2 * (first == 0) + (stop == n), copies)
+                       for first, stop, copies in spans_l if first < stop and copies)
+        runs.append(([key for key, _ in table], [copies for _, copies in table]))
     return LevelFamily(base, runs, n_edges)
 
 
-def _level_values(family: LevelFamily, cut: float):
+def _level_values(family: LevelFamily, cut: float) -> list[tuple[list[float], list[int]]]:
     """Eigenvalues <= ``cut`` (1 + 1e-12) new at each level, as the lists
-    (values, counts): level l gains each of its values ``count`` times; and
-    the number of kept vertices of each level: the sizes of its pieces and
-    of those below, with their copies.
+    (values, counts): level l gains each of its values ``count`` times.
 
-    Each piece of ``family.runs`` is taken once per level, its spectrum
-    from ``family.spectrum``, and its values are counted its copies times:
-    on self-similar spaces most pieces repeat, and no value is listed once
-    per copy.
+    Each piece of ``family.runs`` is taken once per level, its spectrum up
+    to the cut from ``family.spectrum``, and its values are counted its
+    copies times: on self-similar spaces most pieces repeat, and no value is
+    listed once per copy.
     """
-    new, kept, size = [], [], 0
-    bound = cut * (1 + 1e-12)
+    new = []
     for level, (keys, copies) in enumerate(family.runs):
         values, counts = [], []
         for key, copy in zip(keys, copies):
-            piece, mult = family.spectrum(level, key)
-            size += copy * sum(mult)
-            for value, count in zip(piece, mult):
-                if value <= bound:
-                    values.append(value)
-                    counts.append(copy * count)
+            piece, mult = family.spectrum(level, key, cut)
+            values += piece
+            counts += [copy * count for count in mult]
         new.append((values, counts))
-        kept.append(size)
-    return new, kept
+    return new
 
 
 def _cluster_levels(new: list[tuple[list[float], list[int]]], origin: str,
@@ -261,7 +205,7 @@ def level_spectra(family: LevelFamily, lam_max: float, origin: str,
     origin tags: level i's spectrum is the union of the base values (tag
     "base") and the piece values of levels 1..i (tag "new@k"), from
     ``_level_values``, merged (``_cluster_levels``)."""
-    return _cluster_levels(_level_values(family, lam_max)[0], origin, **cluster_kw)
+    return _cluster_levels(_level_values(family, lam_max), origin, **cluster_kw)
 
 
 def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float,
@@ -288,7 +232,7 @@ def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float,
     cut = max(mesh.vertex_cut(lam_max) for mesh in meshes)
     # a path is connected and bipartite, so only an eliminated end empties its kernels
     kernels = (0, 0) if base.dirichlet else (1, 1)
-    new, kept = _level_values(family, cut)
+    new = _level_values(family, cut)
     whole = cut == SPECTRAL_BOUND  # only a whole spectrum holds the vertex value 2
     rows = sorted(zip(*new[0]), key=itemgetter(0))
     values, counts = [value for value, _ in rows], [count for _, count in rows]
@@ -299,6 +243,10 @@ def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float,
         counts[-1] -= kernels[1] * whole
     nu = [(values, counts), *new[1:]]
     n_edges = [base.n_vertices - 1, *family.n_edges]
+    kept, size = [], 0  # a run of key k keeps k >> 2 vertices
+    for keys, copies in family.runs:
+        size += sum(copy * (key >> 2) for key, copy in zip(keys, copies))
+        kept.append(size)
     out = []
     for mesh in meshes:
         levels, low = [], [0] * (mesh.refine + 1)

@@ -173,13 +173,17 @@ def _decimations(level: int, key: int):
         kept, new2 = kept + 3 ** (j + 1), 0
 
 
-def _piece_spectrum(m: int, level: int, key: int) -> tuple[list[float], list[int]]:
-    """The whole spectrum of the piece ``key`` of level ``level`` of
-    ``choux_family`` over the level-m gasket (``fiber.LevelFamily``): its
-    walk-Laplacian values mu and their multiplicities, by spectral
-    decimation from the level-``level`` gasket (``_decimations``)."""
+def _piece_spectrum(m: int, level: int, key: int,
+                    cut: float) -> tuple[list[float], list[int]]:
+    """The spectrum <= cut (1 + 1e-12) of the piece ``key`` of level
+    ``level`` of ``choux_family`` over the level-m gasket
+    (``fiber.LevelFamily``): its walk-Laplacian values mu and their
+    multiplicities, by spectral decimation from the level-``level`` gasket
+    (``_decimations``), which takes the whole spectrum."""
     x, c = next(itertools.islice(_decimations(level, key), m - level, None))
-    return [v / DECIMATION_SCALE for v in x], c
+    values = [v / DECIMATION_SCALE for v in x]
+    keep = [v <= cut * (1 + 1e-12) for v in values]
+    return list(itertools.compress(values, keep)), list(itertools.compress(c, keep))
 
 
 def choux_family(spec: ChouxSpec) -> LevelFamily:
@@ -207,8 +211,8 @@ def decimation_chain(m: int) -> list[SpectrumList]:
     """The spectra of the Dirichlet gaskets of levels 1..m: level 0 of the
     pâte à choux with its corners eliminated, in closed form, with its
     multiplicities.  One pass of decimation steps gives every level
-    (``_decimations(0, 0)``), the iterates that ``_piece_spectrum(l, 0, 0)``
-    ends on."""
+    (``_decimations(0, 0)``), the iterates that
+    ``_piece_spectrum(l, 0, 0, inf)`` ends on."""
     out = []
     for x, counts in itertools.islice(_decimations(0, 0), 1, m + 1):
         rows = sorted(zip((v / DECIMATION_SCALE for v in x), counts))  # the values are distinct

@@ -5,7 +5,8 @@ point of L_m \\ L_{m-1} (multiples of 1/d_m that are not multiples of any
 coarser d) the m-th fiber coordinate is collapsed.  All levels share the
 common grid of multiples of 1/d_n, so every edge has the length 1/d_n,
 meshes align exactly and the discrete nesting holds to machine precision;
-only the grid path and its birth levels are built.
+only the grid path is described, and the runs of each level are counted
+from d_(l-1) and d_l.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidSequence
 from .eigensolve import SpectrumEntry, SpectrumList
-from .fiber import LevelFamily, PathBase, binary_path_family, equilateral_spectra
+from .fiber import LevelFamily, PathBase, equilateral_spectra, path_family
 from .metric_graph import DIRICHLET, NEUMANN
 
 
@@ -59,29 +60,33 @@ class LaaksoSpec:
         return 1.0 / (self.refine * self.d[self.depth])
 
 
-def _base(spec: LaaksoSpec):
-    """The level-0 path on the common grid and the birth level of each
-    grid point.
-
-    The base is the path through the grid points k / d_n, both ends
-    Dirichlet vertices under the Dirichlet boundary; grid point k
-    is born at the first level m with k a multiple of d_n / d_m, where fiber
-    coordinate m is collapsed, and the endpoints are never collapsed."""
-    n = spec.depth
-    d = spec.d
-    D = d[n]
-    birth = [0] * (D + 1)
-    for m in range(n, 0, -1):
-        step = D // d[m]
-        birth[::step] = [m] * (D // step + 1)
-    birth[0] = birth[D] = 0
-    return PathBase(D + 1, 1.0 / D, spec.boundary == DIRICHLET), birth
-
-
 def laakso_family(spec: LaaksoSpec) -> LevelFamily:
     """Levels 0..n as the base path and the run tables of its Dirichlet
-    pieces, counted from the birth levels (``fiber.binary_path_family``)."""
-    return binary_path_family(*_base(spec), spec.depth)
+    pieces, in closed form (``fiber.path_family``).
+
+    The base is the path through the grid points k / d_n, both ends
+    Dirichlet vertices under the Dirichlet boundary; level 0 is the whole
+    path.  Fiber coordinate m is collapsed at the points born at level m,
+    the multiples of 1/d_m that are not multiples of 1/d_(m-1).  Level
+    l >= 1 has a piece for each of the t = 2^(l-1) sets S in {1..l} with
+    max S = l, marked at the points born at a level in S: at every inner
+    multiple of 1/d_l except the C = d_(l-1) - 1 multiples of 1/d_(l-1),
+    each of which is marked in half of the pieces.  With u = d_n / d_l, the
+    d_l cells of a piece are runs of u - 1 points, save that an unmarked
+    coarser point joins its two cells into a run of 2u - 1 and that under
+    Neumann (e = 1) the two end cells are runs of u points with a free end.
+    So level l has t (d_l - C - 2e) runs of u - 1 points, t C / 2 of
+    2u - 1 and, under Neumann, t of u at each end."""
+    d = spec.d
+    D = d[-1]
+    free = spec.boundary != DIRICHLET  # the path ends are kept
+    spans = [[(1 - free, D + free, 1)]]
+    for level in range(1, spec.depth + 1):
+        u, coarse, t = D // d[level], d[level - 1] - 1, 1 << level >> 1
+        spans.append([(1, u, t * (d[level] - coarse - 2 * free)), (1, 2 * u, t * coarse // 2),
+                      *[(0, u, t), (D + 1 - u, D + 1, t)] * free])
+    return path_family(PathBase(D + 1, 1.0 / D, not free), spans,
+                       [D << level for level in range(1, spec.depth + 1)])
 
 
 def laakso_analytic_spectrum(spec: LaaksoSpec, lam_max: float) -> SpectrumList:

@@ -12,10 +12,13 @@ word, the gasket is subdivided in ``Fraction`` arithmetic and the graph is
 checked one vertex and edge at a time, connectivity by a union-find.
 
 The pieces of the path families, listed as masks and cut into runs one
-mask at a time (``path_pieces``, ``distinct_runs``, ``run_tables``), are
-the reference for the run tables that ``fiber`` counts, and the input of
-the component route that the path route is held to
-(``tests/test_properties.py``).
+mask at a time (``path_pieces``, ``distinct_runs``, ``run_tables``), and
+the walk over the marks of the Laakso birth levels (``laakso_births``,
+``binary_run_tables``) are the references for the run tables that the
+families count; the masks are also the input of the component route that
+the path route is held to (``tests/test_properties.py``).  ``kept_counts``
+gives the kept vertex count of each level from the whole spectra of a
+family's pieces.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 import piece_reference
 from dense_reference import REL_TOL, MetricGraph
-from fractal_spectra import laakso, strings
+from fractal_spectra import strings
 from fractal_spectra.errors import FractalSpectraError
 from fractal_spectra.metric_graph import DIRICHLET
 from fractal_spectra.strings import StringSpec
@@ -122,27 +125,31 @@ def _family(keys_of_level, edges_of_level, n_levels, length, marked, canon, tota
     return LevelFamily(graphs=graphs, links=links)
 
 
+def laakso_births(spec) -> list[int]:
+    """The birth level of each grid point k / d_n of a ``LaaksoSpec``: the
+    first level m >= 1 whose grid of multiples of 1 / d_m holds it, where
+    fiber coordinate m is collapsed; 0 at the endpoints, which are never
+    collapsed."""
+    d = spec.d
+    D = d[-1]
+    birth = [0] * (D + 1)
+    for m in range(spec.depth, 0, -1):
+        birth[::D // d[m]] = [m] * (d[m] + 1)
+    birth[0] = birth[D] = 0
+    return birth
+
+
 def build_laakso(spec) -> LevelFamily:
     """All level graphs 0..n of a ``LaaksoSpec`` on the common grid."""
     n = spec.depth
-    d = spec.d
-    D = d[n]
-
-    def birth_level(k):
-        if k == 0 or k == D:
-            return None
-        for m in range(1, n + 1):
-            if (k * d[m]) % D == 0:
-                return m
-        raise AssertionError("grid point has no level")
-
-    birth = [birth_level(k) for k in range(D + 1)]
+    D = spec.d[n]
+    birth = laakso_births(spec)
 
     def canon(k, w):
         """Collapse coordinate m of a word at a wormhole born at level
         m <= len(w), the word's level."""
         m = birth[k]
-        if m is not None and m <= len(w):
+        if 0 < m <= len(w):
             w = w[: m - 1] + (0,) + w[m:]
         return w
 
@@ -335,7 +342,7 @@ def path_pieces(spec) -> list[list[tuple[np.ndarray, int]]]:
         p = np.arange(K + 1)
         return [[(np.zeros(K + 1, dtype=bool), spec.mults[0] - 1)],
                 *([(p <= a, m)] for a, m in zip(starts[1:], spec.mults[1:]))]
-    return piece_reference.binary_pieces(*laakso._base(spec), spec.depth)
+    return piece_reference.binary_pieces(laakso_births(spec), spec.depth)
 
 
 def distinct_runs(drop: np.ndarray, copies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -359,3 +366,78 @@ def run_tables(base: MetricGraph, pieces) -> list[tuple[np.ndarray, np.ndarray]]
         marks, copies = zip(*level)
         tables.append(distinct_runs(base.dirichlet | np.stack(marks), np.asarray(copies)))
     return tables
+
+
+def kept_counts(family) -> list[int]:
+    """The number of kept vertices of each level of a package family
+    (``fiber.LevelFamily``): the sizes of its pieces and of those below,
+    with their copies, a piece's size being the sum of the multiplicities
+    of its whole spectrum."""
+    kept, size = [], 0
+    for level, (keys, copies) in enumerate(family.runs):
+        size += sum(copy * sum(family.spectrum(level, key, float("inf"))[1])
+                    for key, copy in zip(keys, copies))
+        kept.append(size)
+    return kept
+
+
+def binary_run_tables(spec) -> list[tuple[list[int], list[int]]]:
+    """The run tables of levels 0..n of the Laakso path of ``spec``, walked
+    mark by mark from the birth levels (``laakso_births``,
+    ``_binary_runs``): the route the package took before it counted them in
+    closed form, and the reference for ``laakso.laakso_family``."""
+    birth = laakso_births(spec)
+    n = len(birth)
+    # the marks of level l: the Dirichlet ends and the vertices born at a
+    # level in 1..l, each with its birth bit (bit b - 1 for level b, none
+    # for a Dirichlet end)
+    marks = [(0, 0), (n - 1, 0)] if spec.boundary == DIRICHLET else []
+    born = [[] for _ in range(spec.depth + 1)]
+    for v, b in enumerate(birth):
+        if b:
+            born[b].append((v, 1 << b >> 1))
+    tables = []
+    for level in range(spec.depth + 1):
+        marks = sorted(marks + born[level]) if level else marks
+        tables.append(_binary_runs(marks, n, level))
+    return tables
+
+
+def _binary_runs(marks: list[tuple[int, int]], n: int, level: int):
+    """The run table of level ``level`` on a path of n vertices, from its
+    ``marks`` (position, birth bit) in position order, counted without
+    listing the 2^(level-1) pieces.
+
+    A run lies strictly between two marks u < w: the vertices born at a
+    level in 1..level, the Dirichlet vertices and the positions -1 and n
+    just outside the path.  Let b_u and b_w be the births of u and w, for
+    a mark born in 1..level, and I the set of births of the marks inside
+    the run.  The run is one of the piece of S exactly when S holds level,
+    b_u and b_w and misses I, and no Dirichlet vertex lies inside it; so it
+    comes with 2^(level - |{level, b_u, b_w} u I|) pieces, none when
+    {level, b_u, b_w} meets I.  Level 0 is the base, one piece.
+
+    The pairs (u, w) are taken from each u by the number of marks inside
+    them, one step per mark, while the inner marks miss level and b_u and
+    are not Dirichlet vertices: on nested births (the Laakso grid) a run
+    holds at most one coarser mark, so the walk ends after a few steps.
+    Sets of births are bit masks, bit b - 1 standing for level b.
+    """
+    pos = [-1, *(v for v, _ in marks), n]
+    bit = [0, *(b for _, b in marks), 0]
+    last = len(pos) - 1
+    top = (1 << level) >> 1
+    table: dict[int, int] = {}
+    for u in range(last):
+        start, stop, inner, w = pos[u], top | bit[u], 0, u
+        while w < last:
+            w += 1
+            need = stop | bit[w]
+            if not inner & need and pos[w] - start > 1:
+                key = 4 * (pos[w] - start - 1) + 2 * (u == 0) + (w == last)
+                table[key] = table.get(key, 0) + (1 << (level - (need | inner).bit_count()))
+            inner |= bit[w]
+            if not bit[w] or inner & stop:
+                break
+    keys = sorted(table)
+    return keys, [table[key] for key in keys]

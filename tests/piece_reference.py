@@ -39,8 +39,8 @@ from fractal_spectra.eigensolve import SpectrumList
 from fractal_spectra.metric_graph import SPECTRAL_BOUND, EquilateralMesh
 
 
-def binary_pieces(base: MetricGraph, birth, depth: int) -> list[list[tuple[np.ndarray, int]]]:
-    """The pieces of levels 1..depth of ``base`` times the binary fibers
+def binary_pieces(birth, depth: int) -> list[list[tuple[np.ndarray, int]]]:
+    """The pieces of levels 1..depth of a base graph times the binary fibers
     {0,1}^l, fiber coordinate b collapsed at the vertices born at level b
     (``birth[v]``, 0 for a vertex never collapsed), as (marks, copies)
     rows: level l has a piece for each of the 2^(l-1) sets S in {1..l} with
@@ -173,7 +173,7 @@ def choux_spectra(spec: gasket.ChouxSpec) -> list[SpectrumList]:
     orbit, the levels gap-clustered."""
     g = dense_reference.build_gasket(spec.gasket_level)
     base = dense_reference.gasket_graph(g, spec.boundary)
-    new, _ = component_values(base, binary_pieces(base, g.birth, spec.fiber_depth),
+    new, _ = component_values(base, binary_pieces(g.birth, spec.fiber_depth),
                               SPECTRAL_BOUND, dense_reference.d3_maps(g))
     return dense_reference.cluster_levels(new, "numeric(choux,i={})", truncation=np.inf)
 

@@ -152,13 +152,14 @@ class TestChoux:
 
 
 class TestString:
-    def test_run_and_verify(self, tmp_path):
+    def test_run_and_verify(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "spec.json", {
             "lengths": [0.5, 0.25], "mults": [1, 2],
             "refine": 16, "lambda_max": 900.0, "zeta_terms": 200,
         })
         out = tmp_path / "out"
         assert cli.main(["string", "--spec", spec, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"string: isospectrality pass, nesting pass -> {out}\n"
         iso = json.loads((out / "isospectrality.json").read_text())
         assert iso["pass"] is True
         assert iso["length_perturbation"] == 0.0
@@ -194,6 +195,8 @@ class TestString:
     @pytest.mark.parametrize("command, field, value", [
         *(pytest.param("string", "zeta_terms", terms, id=str(terms))
           for terms in (-100, 0, 2.5, "100", True)),
+        pytest.param("string", "zeta_terms", 10**155, id="10**155"),
+        pytest.param("string", "zeta_terms", 10**400, id="10**400"),
         pytest.param("string", "mults", [1.7, 1], id="string-mults-1.7"),
         pytest.param("string", "refine", 8.9, id="string-refine-8.9"),
         pytest.param("string", "depth", -1, id="string-depth--1"),
@@ -226,7 +229,9 @@ class TestString:
         ignored.  List fields take only a JSON list (a number ended in a
         TypeError) and lambda_max only a JSON number (float() ran true as 1
         and the string "700" as 700).  A refinement below 2 and a cut at or
-        below 0 are bad specs too: the spec is the only place to set them."""
+        below 0 are bad specs too: the spec is the only place to set them.
+        A zeta_terms whose cut (pi n / l_1)^2 has no float ended in an
+        OverflowError traceback, exit 1 and an empty output directory."""
         doc = {"string": {"lengths": [0.5, 0.25], "mults": [1, 1], "zeta_terms": 100},
                "laakso": {"j": [2], "refine": 8},
                "choux": {"fiber_depth": 1, "gasket_level": 2}}[command]
@@ -234,6 +239,23 @@ class TestString:
         out = tmp_path / "o"
         assert cli.main([command, "--spec", spec, "--out", str(out)]) == cli.EXIT_BAD_SPEC
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, doc", [
+    pytest.param("laakso", {"j": [2], "boundry": "dirichlet", "lamda_max": 30}, id="laakso"),
+    pytest.param("choux", {"fiber_depth": 1, "gasket_level": 2, "refine": 8}, id="choux"),
+    pytest.param("string", {"lengths": [0.5, 0.25], "mults": [1, 1], "boundary": "dirichlet"},
+                 id="string"),
+])
+def test_spec_key_the_command_does_not_read_is_rejected(tmp_path, capsys, command, doc):
+    """A misspelt or foreign key exits 2 and writes nothing: the Laakso spec
+    ran Neumann at lambda_max 200 and recorded its two ignored keys in
+    run.json as if they were in effect."""
+    spec = write_spec(tmp_path, "spec.json", doc)
+    out = tmp_path / "o"
+    assert cli.main([command, "--spec", spec, "--out", str(out)]) == cli.EXIT_BAD_SPEC
+    assert not out.exists()
+    assert "are not read" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["laakso", "string"])
@@ -249,6 +271,39 @@ def test_infinite_lambda_max_is_rejected(tmp_path, command):
 class TestVerify:
     def test_missing_run_json(self, tmp_path):
         assert cli.main(["verify", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("command, doc, names", [
+        pytest.param("laakso", {"j": [2], "refine": 8, "lambda_max": 60.0},
+                     ["analytic.csv", "numeric.csv", "compare.json", "nesting.json"], id="laakso"),
+        pytest.param("choux", {"fiber_depth": 2, "gasket_level": 3},
+                     ["numeric_depth0.csv", "numeric_depth1.csv", "numeric_depth2.csv",
+                      "nesting.json", "decimation.json"], id="choux"),
+        pytest.param("string", {"lengths": [0.5, 0.25], "mults": [1, 1], "zeta_terms": 50},
+                     ["analytic.csv", "numeric.csv", "isospectrality.json", "zeta.csv",
+                      "nesting.json"], id="string"),
+    ])
+    def test_missing_run_file_fails(self, tmp_path, capsys, command, doc, names):
+        """Each file the command of run.json writes must be there: a
+        directory holding only run.json verified.  Each is deleted in turn
+        from a copy of a passing run."""
+        out = tmp_path / "out"
+        assert cli.main([command, "--spec", write_spec(tmp_path, "spec.json", doc),
+                         "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted([*names, "run.json"])
+        assert cli.main(["verify", "--out", str(out)]) == 0
+        for name in names:
+            cut = tmp_path / f"without_{name}"
+            cut.mkdir()
+            for p in out.iterdir():
+                if p.name != name:
+                    (cut / p.name).write_bytes(p.read_bytes())
+            capsys.readouterr()
+            assert cli.main(["verify", "--out", str(cut)]) == cli.EXIT_CHECK_FAILED, name
+            assert f"verify: FAIL {name}: missing" in capsys.readouterr().err
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        (alone / "run.json").write_bytes((out / "run.json").read_bytes())
+        assert cli.main(["verify", "--out", str(alone)]) == cli.EXIT_CHECK_FAILED
 
     def test_corrupted_csv_fails(self, tmp_path):
         spec = write_spec(tmp_path, "spec.json", {"j": [2], "refine": 8, "lambda_max": 60.0})

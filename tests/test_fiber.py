@@ -424,6 +424,24 @@ class TestPathPieces:
         assert len(got) == k
         assert np.abs(got - w[:k]).max(initial=0.0) <= 1e-14 * norm
 
+    @pytest.mark.parametrize("m, first, last", [
+        (m, first, last) for m in (1, 2, 3, 17, 100)
+        for first, last in ((1, 1), (1, 0), (0, 0))
+        if m > 1 or not (first and last)  # two free ends need an edge
+    ])
+    def test_cut_lists_the_prefix_of_the_whole_list(self, m, first, last):
+        """The listing stops at the first value above the cut: at every cut
+        that lies on a value, between two values, below them all or above
+        them all, it is the prefix of the whole list <= cut (1 + 1e-12)."""
+        key = 4 * m + 2 * first + last
+        whole = fiber._run_values(key, float("inf"))
+        assert len(whole) == m and whole == sorted(whole)
+        mids = [(a + b) / 2 for a, b in zip(whole, whole[1:])]
+        for cut in [*whole, *mids, whole[0] / 2, 1e-300, SPECTRAL_BOUND, 3.0]:
+            got = fiber._run_values(key, cut)
+            assert got == [value for value in whole if value <= cut * (1 + 1e-12)]
+            assert got == whole[:len(got)]
+
     def test_equal_angles_have_equal_bits(self):
         """theta / pi is reduced before the sine: theta = 13 pi / 39 of the
         40-vertex run with two free ends has the bits of pi / 3 of the
@@ -457,7 +475,7 @@ class TestPieces:
                  gasket.ChouxSpec: family_reference.build_choux,
                  strings.StringSpec: family_reference.build_stitched}[type(spec)]
         graphs = build(spec).graphs
-        _, kept = fiber._level_values(family, 0.0)
+        kept = family_reference.kept_counts(family)
         assert kept == [graph_operator(g, boundary).n for g in graphs]
         if family.base is not None:  # the pâte à choux has neither, as it takes no mesh
             assert family.n_edges == [len(g.ends) for g in graphs[1:]]
@@ -504,7 +522,7 @@ class TestPieces:
         """Level l has a piece for each S in {1..l} with max S = l, marking
         the vertices born at a level in S."""
         birth = np.array([0, 3, 2, 3, 1, 3, 2, 3, 0])
-        pieces_by_level = piece_reference.binary_pieces(*laakso._base(LaaksoSpec([2, 2, 2])), 3)
+        pieces_by_level = piece_reference.binary_pieces(birth, 3)
         for level, pieces in enumerate(pieces_by_level, start=1):
             sets = [frozenset(birth[marks].tolist()) for marks, copies in pieces]
             assert all(copies == 1 for _, copies in pieces)

@@ -136,7 +136,7 @@ class TestSymmetry:
         """Level 0 of the Neumann pâte à choux is the whole gasket with its
         corners kept: the dense solve in D3 blocks gives its multiplicities
         exactly and its values to 1e-12 relative (floored at 0.01)."""
-        values, mult = map(np.asarray, gasket._piece_spectrum(m, 0, 3))
+        values, mult = map(np.asarray, gasket._piece_spectrum(m, 0, 3, math.inf))
         order = np.argsort(values)
         want = gasket_graph_spectrum(build_gasket(m))
         assert mult[order].tolist() == [e.multiplicity for e in want.entries]
@@ -196,14 +196,14 @@ class TestDecimation:
 
     @pytest.mark.parametrize("m", range(0, 8))
     def test_piece_spectrum_is_the_explicit_loop(self, m):
-        """_piece_spectrum(m, level, key) ends on the iterate of the explicit
+        """_piece_spectrum(m, level, key, inf) ends on the iterate of the explicit
         loop of m - level decimation steps, bit for bit, for every piece of
         choux_family over the level-m gasket under both boundaries."""
         for boundary in (DIRICHLET, NEUMANN):
             family = choux_family(ChouxSpec(m, m, boundary))
             for level, (keys, _) in enumerate(family.runs):
                 for key in np.asarray(keys).tolist():
-                    got = gasket._piece_spectrum(m, level, key)
+                    got = gasket._piece_spectrum(m, level, key, math.inf)
                     ref = decimation_reference.piece_spectrum(m, level, key)
                     assert np.asarray(got[0]).tobytes() == ref[0].tobytes()
                     assert np.asarray(got[1]).tolist() == ref[1].tolist()
@@ -276,7 +276,7 @@ class TestClosedForm:
     def test_whole_dirichlet_gasket_is_the_decimation_spectrum(self, m):
         """Level 0 with its corners eliminated is the whole Dirichlet
         gasket: value for value the bits of ``decimation_spectrum``."""
-        values, mult = map(np.asarray, gasket._piece_spectrum(m, 0, 0))
+        values, mult = map(np.asarray, gasket._piece_spectrum(m, 0, 0, math.inf))
         order = np.argsort(values)
         got = list(zip((DECIMATION_SCALE * values[order]).tolist(), mult[order].tolist()))
         assert got == decimation_spectrum(m)
@@ -324,16 +324,16 @@ class TestClosedForm:
     def test_level_eleven_lists_every_distinct_value(self):
         """Choux 3/11 Dirichlet: the top level has one entry per distinct
         closed-form value, 4991 of them (a merge by gaps of 1e-7 relative
-        joins some into 4986), and its multiplicities add up to the kept
-        count."""
+        joins some into 4986), and its multiplicities add up to the number
+        of values of its pieces."""
         spec = ChouxSpec(3, 11, "dirichlet")
         top = choux_numeric_spectra(spec)[-1]
-        new, kept = fiber._level_values(choux_family(spec), SPECTRAL_BOUND)
+        new = fiber._level_values(choux_family(spec), SPECTRAL_BOUND)
         distinct = np.unique(np.concatenate([np.asarray(values)[np.asarray(counts) > 0]
                                              for values, counts in new]))
         assert len(top.entries) == len(distinct) == 4991
         assert np.array_equal(top.values(), distinct)
-        assert total_multiplicity(top) == kept[-1]
+        assert total_multiplicity(top) == sum(sum(counts) for _, counts in new)
 
     @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
     def test_level_twelve_runs_and_verifies(self, tmp_path, boundary):
@@ -349,8 +349,9 @@ class TestClosedForm:
 class TestChoux:
     @staticmethod
     def kept(spec):
-        """The vertex count of each level of a Neumann spec's family."""
-        return fiber._level_values(choux_family(spec), 0.0)[1]
+        """The vertex count of each level of a Neumann spec's family: the
+        multiplicities of the level's whole spectrum add up to it."""
+        return [total_multiplicity(s) for s in choux_numeric_spectra(spec)]
 
     def test_fiber_depth_zero_is_plain_gasket(self):
         assert self.kept(ChouxSpec(fiber_depth=0, gasket_level=2)) == [15]

@@ -8,10 +8,8 @@ import family_reference
 from dense_reference import path_graph, solve_below
 from fractal_spectra.eigensolve import FDModel, compare_spectra, verify_nesting
 from fractal_spectra.errors import InvalidSequence
-from fractal_spectra import fiber
 from fractal_spectra.laakso import (
     LaaksoSpec,
-    _base,
     laakso_analytic_spectrum,
     laakso_family,
     laakso_numeric_spectra,
@@ -71,7 +69,7 @@ def level_sizes(spec):
     vertex counts and |E_l|."""
     family = laakso_family(spec)
     edges = [len(path_graph(family.base).ends), *family.n_edges]
-    return list(zip(fiber._level_values(family, 0.0)[1], edges))
+    return list(zip(family_reference.kept_counts(family), edges))
 
 
 class TestBuild:
@@ -121,9 +119,10 @@ class TestBuild:
         """Grid point k / d_n is born at the first level m whose grid holds
         it: the wormholes are at 1/2 at level 1 and at 1/4 and 3/4 at
         level 2, and the endpoints are never collapsed."""
-        base, birth = _base(LaaksoSpec(j=[2, 2]))
+        spec = LaaksoSpec(j=[2, 2])
+        base = laakso_family(spec).base
         assert (base.n_vertices, base.length) == (5, 0.25)  # the grid points k / 4
-        assert np.asarray(birth).tolist() == [0, 2, 1, 2, 0]
+        assert family_reference.laakso_births(spec) == [0, 2, 1, 2, 0]
 
 
 class TestAnalyticSpectrum:

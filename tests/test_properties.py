@@ -10,7 +10,8 @@ map of the vertex spectra must give the spectra of the mesh pencils in
 ``tests/mesh_reference.py``, level by level, on any graph whose edges all
 have one length and on the package's own path bases.  The families must have the level sizes of the loop
 builders in ``tests/family_reference.py``, the counted run tables of the
-Laakso path the runs of every one of its pieces listed as masks, and the
+Laakso path the runs of every one of its pieces listed as masks and
+the tables of the mark walk over its birth levels, and the
 path route the values of the component route fed those masks; and every
 CLI subcommand run twice must write the same bytes.
 On every graph the NumPy vertex pencil must give the bits of the loop
@@ -325,6 +326,29 @@ def test_laakso_run_tables_are_the_runs_of_every_piece(spec):
         assert np.asarray(counts).tolist() == ref_counts.tolist()
 
 
+def grid_specs(j):
+    """{j, j+1} sequences of the deepest grid under 10^5 points, as often as
+    of any depth up to it, under both boundaries."""
+    top = {2: 10, 3: 8, 4: 7}[j]
+    return st.builds(
+        laakso.LaaksoSpec,
+        st.one_of(st.just(top), st.integers(0, top)).flatmap(
+            lambda depth: st.lists(st.sampled_from([j, j + 1]), min_size=depth, max_size=depth)),
+        st.just(8), st.sampled_from(["neumann", "dirichlet"]),
+    )
+
+
+@settings(SETTINGS, max_examples=60)
+@given(spec=st.sampled_from([2, 3, 4]).flatmap(grid_specs))
+def test_laakso_closed_form_run_tables_are_the_mark_walk(spec):
+    """{j, j+1} sequences, j in {2, 3, 4}, both boundaries, of depth up to
+    10 on j = 2 and as deep as keeps the grid under 10^5 points on j = 3
+    and 4: the run tables that ``laakso.laakso_family`` counts from d_l
+    are those of the mark walk over the birth levels
+    (``family_reference.binary_run_tables``), keys and counts alike."""
+    assert laakso.laakso_family(spec).runs == family_reference.binary_run_tables(spec)
+
+
 def expand(values, counts):
     """The sorted values of a (values, counts) table, each listed count times."""
     return np.sort(np.repeat(values, counts))
@@ -335,7 +359,7 @@ def assert_path_route_is_the_component_route(family, pieces, cut, base=None):
     counts of the path route equal those of the component route fed the
     pieces ``pieces`` of ``family`` over the graph ``base``, by default the
     graph of ``family.base``, the sorted values to 1e-14 absolute."""
-    values, kept = fiber._level_values(family, cut)
+    values, kept = fiber._level_values(family, cut), family_reference.kept_counts(family)
     base = path_graph(family.base) if base is None else base
     ref_values, ref_kept = piece_reference.component_values(base, pieces, cut)
     assert kept == ref_kept and len(values) == len(ref_values)
@@ -467,7 +491,7 @@ def assert_sizes_of_the_loop_reference(family, ref, boundary):
     """The kept vertex counts of every level of ``family`` are those of the
     graphs of the loop-built ``ref``, and so are the base and |E_l| of a
     family that has them."""
-    _, kept = fiber._level_values(family, 0.0)
+    kept = family_reference.kept_counts(family)
     assert kept == [graph_operator(g, boundary).n for g in ref.graphs]
     if family.base is not None:  # the pâte à choux has neither, as it takes no mesh
         assert family.n_edges == [len(g.ends) for g in ref.graphs[1:]]
@@ -589,7 +613,7 @@ def test_chebyshev_map_gives_the_mesh_spectrum_of_a_path_base(seed):
     distinct = values[[start for start, _ in gap_runs(values, 1e-9)]]
     cut = float(rng.choice([*((distinct[:-1] + distinct[1:]) / 2), 5.0 / pitch**2]))
     ref = gap_cluster(values[values <= cut], tags=["base"] * np.count_nonzero(values <= cut))
-    family = fiber.binary_path_family(base, [0] * n, 0)
+    family = fiber.path_family(base, [[(int(base.dirichlet), n - base.dirichlet, 1)]], [])
     assert_same_spectra(fiber.equilateral_spectra(family, [refine], cut, "{}")[0], [ref])
 
 

@@ -8,7 +8,6 @@ import pytest
 from fractal_spectra.eigensolve import FDModel, verify_nesting
 from fractal_spectra.cli import ZETA_S_GRID
 from fractal_spectra.errors import InfeasibleNesting
-from fractal_spectra import fiber
 from fractal_spectra.strings import (
     ZETA_DIRECT_TERMS,
     StringSpec,
@@ -20,7 +19,7 @@ from fractal_spectra.strings import (
     zeta_partial,
 )
 from dense_reference import path_graph
-from family_reference import build_stitched
+from family_reference import build_stitched, kept_counts
 from lapack_reference import eigenpairs_below
 from level_reference import classify_levels, counting_function
 from mesh_reference import stitched_levels
@@ -85,7 +84,7 @@ class TestBuilder:
         g = build_stitched(spec).graphs[1]
         family = stitched_family(spec)
         # both vertices are Dirichlet ends, so the pieces keep none
-        assert fiber._level_values(family, 0.0)[1][1] == 0 and family.n_edges == [3]
+        assert kept_counts(family)[1] == 0 and family.n_edges == [3]
         assert g.n_vertices == 2
         assert len(g.ends) == 3
         assert all(length == pytest.approx(0.5) for length in g.length)
@@ -118,7 +117,7 @@ class TestBuilder:
         but the two Dirichlet ends."""
         start = time.perf_counter()
         family = stitched_family(cantor_spec(6))
-        kept = fiber._level_values(family, 0.0)[1]
+        kept = kept_counts(family)
         elapsed = time.perf_counter() - start
         assert [n + 2 for n in kept] == [244, 244, 404, 508, 572, 604, 604]
         assert [len(path_graph(family.base).ends), *family.n_edges] == \
