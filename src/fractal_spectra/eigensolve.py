@@ -7,10 +7,13 @@ Laakso space and the strings) have theirs from the discrete sine and
 cosine transforms (``fiber._run_values``), the pâte à choux pieces and the
 whole Dirichlet gaskets of the decimation chain theirs by spectral
 decimation (``gasket._piece_spectrum``).  A closed form gives the copies
-of an eigenvalue the same bits, so ``cluster`` merges equal values
-exactly, each with its count, and never lists a value once per copy.  The
-dense eigensolver and the gap clustering that its values need are the
-tests' reference (``tests/dense_reference.py``).
+of an eigenvalue the same bits, so equal values merge exactly, each with
+its count, and no value is listed once per copy: the levels of a family
+merge each level into the one below (``fiber._cluster_levels``), and
+``cluster`` merges any sorted sequence.  For the same reason the nesting
+check finds a lower value in the upper list by its bits before it
+searches.  The dense eigensolver and the gap clustering that its values
+need are the tests' reference (``tests/dense_reference.py``).
 """
 
 from __future__ import annotations
@@ -62,15 +65,26 @@ class SpectrumList:
     def to_csv(self) -> str:
         # csv quotes a field for the characters of its line terminator, not
         # for every line break, so a "\n" terminator leaves a "\r" in a tag
-        # bare and the reader ends the row there.  Rows are written with
-        # "\r\n" (the writer hands over one row per write) and each row's
-        # terminator is cut back to "\n".
+        # bare and the reader ends the row there.  Fields are quoted with
+        # "\r\n" (the writer hands over one row per write), each distinct
+        # tag and the origin once, and the rows end in "\n".  A field is
+        # quoted as the first of a two-field row, as the writer quotes a
+        # lone empty field.
         rows: list[str] = []
         w = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n")
-        w.writerow(["eigenvalue", "multiplicity", "tag", "source"])
+
+        def quoted(field: str) -> str:
+            w.writerow([field, ""])
+            return rows.pop()[:-3]
+
+        source, tags = quoted(self.origin), {}
+        lines = ["eigenvalue,multiplicity,tag,source\n"]
         for e in self.entries:
-            w.writerow([repr(e.value), e.multiplicity, e.tag, self.origin])
-        return "".join(row[:-2] + "\n" for row in rows)
+            tag = tags.get(e.tag)
+            if tag is None:
+                tag = tags[e.tag] = quoted(e.tag)
+            lines.append(f"{e.value!r},{e.multiplicity},{tag},{source}\n")
+        return "".join(lines)
 
     @classmethod
     def from_csv(cls, text: str) -> "SpectrumList":
@@ -123,30 +137,37 @@ def cluster(
 def verify_nesting(lower: SpectrumList, upper: SpectrumList, tol: float = 1e-9) -> dict:
     """Check sigma(lower) subset-of sigma(upper) with multiplicity growth.
 
-    Each lower value is matched to the nearest upper value (``_nearest``)
-    when it lies within ``tol`` (relative, floored at 1).  Both lists must
-    be numeric at the same pitch (the discrete nesting is exact only for
-    aligned meshes).  The report lists the unmatched lower values and the
-    upper values no lower value matched; it passes when every lower value
-    is matched by an upper one of at least its multiplicity.
+    Each lower value is matched to the nearest upper value when it lies
+    within ``tol`` (relative, floored at 1): a value the upper list holds
+    bit for bit, as every value of a level is a value of the level above,
+    is its own nearest, found by one dict lookup; any other value is
+    searched for (``_nearest``).  Both lists must be numeric at the same
+    pitch (the discrete nesting is exact only for aligned meshes).  The
+    report lists the unmatched lower values and counts the upper values no
+    lower value matched (``surplus``); it passes when every lower value is
+    matched by an upper one of at least its multiplicity.
     """
     if lower.pitch is not None and upper.pitch is not None:
         if abs(lower.pitch - upper.pitch) > 1e-12 * max(lower.pitch, upper.pitch):
             raise MisalignedMeshes(f"pitches {lower.pitch} vs {upper.pitch}")
     up = upper.values()
+    index = {value: j for j, value in enumerate(up)}
     unmatched, used, enough, worst = [], [False] * len(up), True, 0.0
     for e in lower.entries:
-        x, scale = e.value, max(1.0, abs(e.value))
-        best = _nearest(up, x) if up else None
-        if best is not None and abs(up[best] - x) <= tol * scale:
-            used[best] = True
-            enough = enough and upper.entries[best].multiplicity >= e.multiplicity
-            worst = max(worst, abs(up[best] - x) / scale)
-        else:
+        x = e.value
+        best = index.get(x)
+        if best is None and up:
+            near, scale = _nearest(up, x), max(1.0, abs(x))
+            if abs(up[near] - x) <= tol * scale:
+                best, worst = near, max(worst, abs(up[near] - x) / scale)
+        if best is None:
             unmatched.append(x)
+            continue
+        used[best] = True
+        enough = enough and upper.entries[best].multiplicity >= e.multiplicity
     return {
         "unmatched_lower": unmatched,
-        "surplus": [u for u, hit in zip(up, used) if not hit],
+        "surplus": used.count(False),
         "multiplicity_ok": enough,
         "max_deviation": worst,
         "pass": not unmatched and enough,

@@ -45,7 +45,9 @@ one length, map their vertex values to the mesh by the Chebyshev rule
 first, adding edge modes counted from |E_l| and |V_l| as counts
 (``equilateral_spectra``), |V_l| read from the run keys.  No eigenvector
 is formed, and no array: run tables, values and counts are lists of
-Python ints and floats, the values merged by a stable sort.
+Python ints and floats.  Each level is the level below with its own new
+values merged in, in one pass that sorts only those and rebuilds only the
+entries that gain a count (``_cluster_levels``), as the spaces nest.
 
 The trade-off: the pipeline assumes the decomposition and the closed forms
 instead of checking them on every run.  The tests hold them to the whole
@@ -57,12 +59,13 @@ piece (``tests/piece_reference.py``) and to the mesh pencils of
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .eigensolve import SpectrumList, cluster
+from .eigensolve import SpectrumEntry, SpectrumList
 from .metric_graph import SPECTRAL_BOUND, EquilateralMesh
 
 
@@ -180,32 +183,69 @@ def _level_values(family: LevelFamily, cut: float) -> list[tuple[list[float], li
     return new
 
 
+def _with_tag(text: str, tag: str, count: int) -> str:
+    """The tag list ``text`` (items "<name>x<count>" joined by ";", in the
+    order of their names) with the item of ``tag``, which it lacks, added
+    in its place: at the end while ``tag`` sorts last, but "new@10" sorts
+    before "new@2"."""
+    item = f"{tag}x{count}"
+    if text.rpartition(";")[2].rpartition("x")[0] < tag:
+        return f"{text};{item}"
+    items = text.split(";")
+    items.insert(bisect.bisect([i.rpartition("x")[0] for i in items], tag), item)
+    return ";".join(items)
+
+
 def _cluster_levels(new: list[tuple[list[float], list[int]]], origin: str,
-                    **cluster_kw) -> list[SpectrumList]:
+                    truncation: float = math.inf,
+                    pitch: float | None = None) -> list[SpectrumList]:
     """Level i's spectrum from the values and counts ``new[0..i]``, new[0]
-    tagged "base" and new[k] "new@k", its equal values merged by
-    ``cluster`` with ``cluster_kw``, values of count 0 left out.
-    ``origin`` is formatted with the level."""
-    rows, out = [], []
+    tagged "base" and new[k] "new@k", values of count 0 left out: each
+    entry's multiplicity is the sum of the counts of its value, and its tag
+    lists each level's count as "<tag>x<count>", joined by ";" in the order
+    of the tags.  ``origin`` is formatted with the level.
+
+    Level l is level l - 1 with the values new at l merged in, in one pass:
+    equal values of level l are grouped first, their counts summed, and
+    only these are sorted; each is then found in the level below by binary
+    search, and the entries between two of them are copied by slice.  An
+    entry that gains no count is the entry of the level below, unchanged
+    (entries are frozen), and one that gains a count keeps its value and
+    adds the count and its tag (``_with_tag``)."""
+    entries: list[SpectrumEntry] = []
+    out = []
     for level, (fresh, copies) in enumerate(new):
         tag = "base" if level == 0 else f"new@{level}"
+        tally: dict[float, int] = {}
         for value, count in zip(fresh, copies):
             if count > 0:
-                rows.append((value, count, tag))
-        rows.sort(key=itemgetter(0))  # stable: equal values keep their order
-        values, counts, tags = zip(*rows) if rows else ((), (), ())
-        out.append(cluster(values, counts=counts, origin=origin.format(level), tags=tags,
-                           **cluster_kw))
+                tally[value] = tally.get(value, 0) + count
+        values = [e.value for e in entries]
+        merged, start = [], 0
+        for value in sorted(tally):
+            count = tally[value]
+            at = bisect.bisect_left(values, value, start)
+            merged += entries[start:at]
+            if at < len(values) and values[at] == value:
+                old = entries[at]
+                merged.append(SpectrumEntry(old.value, int(old.multiplicity + count),
+                                            _with_tag(old.tag, tag, count)))
+                start = at + 1
+            else:
+                merged.append(SpectrumEntry(float(value), int(count), f"{tag}x{count}"))
+                start = at
+        entries = merged + entries[start:]
+        out.append(SpectrumList(entries, origin.format(level), truncation, pitch))
     return out
 
 
-def level_spectra(family: LevelFamily, lam_max: float, origin: str,
-                  **cluster_kw) -> list[SpectrumList]:
+def level_spectra(family: LevelFamily, lam_max: float, origin: str) -> list[SpectrumList]:
     """Vertex-pencil spectrum below ``lam_max`` of every level 0..n with
     origin tags: level i's spectrum is the union of the base values (tag
     "base") and the piece values of levels 1..i (tag "new@k"), from
-    ``_level_values``, merged (``_cluster_levels``)."""
-    return _cluster_levels(_level_values(family, lam_max), origin, **cluster_kw)
+    ``_level_values``, each level merged into the one below
+    (``_cluster_levels``)."""
+    return _cluster_levels(_level_values(family, lam_max), origin)
 
 
 def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float,

@@ -10,11 +10,13 @@ V_k \\ V_{k-1}.
 Every pâte à choux piece has its spectrum in closed form by spectral
 decimation (Fukushima & Shima, Potential Anal., 1992; Strichartz,
 *Differential Equations on Fractals*, 2006, ch. 3), with exact
-multiplicities and no solve (``choux_family``, ``_piece_spectrum``); so
-has the whole Dirichlet gasket of each level, level 0 of the pâte à choux
-with its corners eliminated, which makes up the decimation chain
-(``decimation_chain``: m decimation steps in one pass for levels 1..m)
-that ``decimation_check`` and ``decimation_branch`` read.  The check
+multiplicities and no solve (``choux_family``, ``_piece_spectrum``), and
+each fiber level is the level below with its new values merged in
+(``fiber.level_spectra``); so has the whole Dirichlet gasket of each
+level, level 0 of the pâte à choux with its corners eliminated, which
+makes up the decimation chain (``decimation_chain``: m decimation steps in
+one pass for levels 1..m, whose distinct values need no merge) that
+``decimation_check`` and ``decimation_branch`` read.  The check
 matches each image lambda (5 - lambda) to its nearest lower value by
 binary search (``eigensolve._nearest``) and reports counts, not a record
 per value.  No gasket graph is built: a piece's spectrum needs only its
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import InvalidSpaceSpec, NoConvergence, ResolutionTooCoarse
-from .eigensolve import SpectrumList, _nearest, cluster
+from .eigensolve import SpectrumEntry, SpectrumList, _nearest
 from .fiber import LevelFamily, level_spectra
 from .metric_graph import DIRICHLET, NEUMANN, SPECTRAL_BOUND
 
@@ -212,19 +214,20 @@ def decimation_chain(m: int) -> list[SpectrumList]:
     pâte à choux with its corners eliminated, in closed form, with its
     multiplicities.  One pass of decimation steps gives every level
     (``_decimations(0, 0)``), the iterates that
-    ``_piece_spectrum(l, 0, 0, inf)`` ends on."""
+    ``_piece_spectrum(l, 0, 0, inf)`` ends on.  A step's values are
+    distinct, so each sorted value is one entry with its count, untagged;
+    ``SpectrumList`` refuses a value listed twice."""
     out = []
     for x, counts in itertools.islice(_decimations(0, 0), 1, m + 1):
-        rows = sorted(zip((v / DECIMATION_SCALE for v in x), counts))  # the values are distinct
-        out.append(cluster([v for v, _ in rows], counts=[n for _, n in rows]))
+        rows = sorted(zip((v / DECIMATION_SCALE for v in x), counts))
+        out.append(SpectrumList([SpectrumEntry(v, n) for v, n in rows], "numeric", math.inf))
     return out
 
 
 def choux_numeric_spectra(spec: ChouxSpec) -> list[SpectrumList]:
     """Probabilistic Laplacian spectra of the glued space's fiber levels
     0..i with origin tags, from ``choux_family(spec)``."""
-    return level_spectra(choux_family(spec), SPECTRAL_BOUND, "numeric(choux,i={})",
-                         truncation=math.inf)
+    return level_spectra(choux_family(spec), SPECTRAL_BOUND, "numeric(choux,i={})")
 
 
 def hausdorff_dimension() -> float:

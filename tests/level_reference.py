@@ -19,9 +19,13 @@ It also keeps the node-vector maps of a fiber structure (``lift``,
 ``project_down``, ``fiber_project``) and the small helpers only the tests
 call: the complement of the fiber projector, the counting function and
 total multiplicity of a spectrum list and the deepest choux level's
-spectrum."""
+spectrum.  The merge of the levels that the package took before it merged
+each level into the one below, sorting the rows of every level again at
+each level, is the reference for ``fiber._cluster_levels``
+(``sorted_levels``)."""
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +40,7 @@ from dense_reference import (
     graph_operator,
     solve_below,
 )
-from fractal_spectra.eigensolve import SpectrumList
+from fractal_spectra.eigensolve import SpectrumList, cluster
 from fractal_spectra.errors import FractalSpectraError
 from fractal_spectra.gasket import ChouxSpec, choux_numeric_spectra
 from lapack_reference import csr, eigenpairs_below, operator
@@ -261,6 +265,26 @@ def counting_function(s: SpectrumList, lam: float) -> int:
     if lam > s.truncation * (1 + 1e-12):
         raise BeyondTruncation(f"lambda={lam} beyond truncation {s.truncation}")
     return int(sum(e.multiplicity for e in s.entries if e.value <= lam * (1 + 1e-12)))
+
+
+def sorted_levels(new, origin: str, **cluster_kw) -> list[SpectrumList]:
+    """``fiber._cluster_levels`` as it was before each level was merged
+    into the one below: level i's spectrum from the values and counts
+    ``new[0..i]``, new[0] tagged "base" and new[k] "new@k", the rows of
+    every level up to i sorted again at level i (stably, so equal values
+    keep their order) and merged by ``cluster`` with ``cluster_kw``, values
+    of count 0 left out.  ``origin`` is formatted with the level."""
+    rows, out = [], []
+    for level, (fresh, copies) in enumerate(new):
+        tag = "base" if level == 0 else f"new@{level}"
+        for value, count in zip(fresh, copies):
+            if count > 0:
+                rows.append((value, count, tag))
+        rows.sort(key=itemgetter(0))
+        values, counts, tags = zip(*rows) if rows else ((), (), ())
+        out.append(cluster(values, counts=counts, origin=origin.format(level), tags=tags,
+                           **cluster_kw))
+    return out
 
 
 def choux_numeric_spectrum(spec: ChouxSpec) -> SpectrumList:

@@ -28,8 +28,11 @@ threshold; the binary search of ``eigensolve._nearest`` must find the
 first nearest value of the linear scan, ``verify_nesting`` must give the
 reports of the loop in ``tests/nesting_reference.py`` and
 ``decimation_check`` those of the loop in
-``tests/decimation_reference.py``; and spectrum lists must survive
-their CSV and JSON round trips.
+``tests/decimation_reference.py``; merging each level into the one below
+must give the spectrum lists of sorting and clustering every level again
+(``level_reference.sorted_levels``); and spectrum lists must survive
+their CSV and JSON round trips, their CSV the bytes of the row-by-row
+``csv.writer`` in ``tests/csv_reference.py``.
 The example counts and the deadline keep the file to a few seconds;
 ``derandomize`` makes every run draw the same examples.
 """
@@ -49,6 +52,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import csv_reference
 import decimation_reference
 import dense_reference
 import family_reference
@@ -162,9 +166,12 @@ merge_choux_specs = st.integers(0, 3).flatmap(
 
 def assert_exact_merge_is_the_gap_merge(spectra):
     """``spectra()`` lists the same spectra, entry for entry and bit for
-    bit, with ``dense_reference.gap_cluster`` in place of the exact merge."""
+    bit, with the levels sorted again and merged by
+    ``dense_reference.gap_cluster`` (``level_reference.sorted_levels``) in
+    place of the exact merge of each level into the one below."""
     got = spectra()
-    with mock.patch.object(fiber, "cluster", gap_cluster):
+    with mock.patch.object(fiber, "_cluster_levels", level_reference.sorted_levels), \
+            mock.patch.object(level_reference, "cluster", gap_cluster):
         ref = spectra()
     assert len(got) == len(ref)
     for a, b in zip(got, ref):
@@ -192,8 +199,8 @@ def test_choux_exact_merge_is_the_gap_merge(spec):
     """Fiber depth up to 3 over gasket levels up to 9, and the decimation
     chain of the gasket level."""
     assert_exact_merge_is_the_gap_merge(lambda: gasket.choux_numeric_spectra(spec))
-    with mock.patch.object(gasket, "cluster", gap_cluster):
-        ref = gasket.decimation_chain(spec.gasket_level)
+    with mock.patch.object(decimation_reference, "cluster", gap_cluster):
+        ref = decimation_reference.decimation_chain(spec.gasket_level)
     assert [s.entries for s in gasket.decimation_chain(spec.gasket_level)] == \
         [s.entries for s in ref]
 
@@ -805,9 +812,10 @@ def nesting_cases(draw):
     """Two spectrum lists and a tolerance for verify_nesting: lower values
     on, next to and halfway between upper ones (so that two upper values
     are equally near), or anywhere, with magnitudes from 1e-17 to 1e300 so
-    that differences round and tie."""
+    that differences round and tie, and zeros of either sign, which the
+    exact-key match takes for one another."""
     value = st.one_of(st.floats(-1e6, 1e6), st.integers(-20, 20).map(float),
-                      st.sampled_from([-1e-17, 0.0, 1e-17, 0.1, 0.3, 1e300, -1e300]))
+                      st.sampled_from([-1e-17, -0.0, 0.0, 1e-17, 0.1, 0.3, 1e300, -1e300]))
     up = sorted(set(draw(st.lists(value, max_size=10))))
     near = [*up, *((a + b) / 2 for a, b in zip(up, up[1:])),
             *(u * (1 + 1e-10) for u in up), *(u + 1e-13 for u in up)]
@@ -825,11 +833,66 @@ def nesting_cases(draw):
 @settings(SETTINGS, max_examples=200)
 @given(case=nesting_cases())
 def test_nesting_report_is_the_loop_reference_report(case):
-    """The binary-search nearest-neighbour match gives the report of the
-    loop over every pair in tests/nesting_reference.py, float for float."""
+    """The exact-key and binary-search nearest-neighbour match gives the
+    report of the loop over every pair in tests/nesting_reference.py, float
+    for float, its surplus as the number of the values the loop lists."""
     lower, upper, tol = case
-    got = json.dumps(verify_nesting(lower, upper, tol))
-    assert got == json.dumps(nesting_reference.verify_nesting(lower, upper, tol))
+    got = verify_nesting(lower, upper, tol)
+    ref = nesting_reference.verify_nesting(lower, upper, tol)
+    assert got["surplus"] == len(ref["surplus"])
+    assert json.dumps({**got, "surplus": ref["surplus"]}) == json.dumps(ref)
+
+
+@st.composite
+def level_tables(draw):
+    """Values and counts new at each of 0 to 14 levels, as ``_level_values``
+    hands them to ``fiber._cluster_levels``, with the keywords that
+    ``equilateral_spectra`` passes or none: values drawn from a small pool,
+    so that they repeat within a level and across levels, zeros of either
+    sign among them, zero counts and empty levels.  Twelve levels or more
+    let a value be new at levels 2 and 10, whose tags sort "new@10"
+    first."""
+    pool = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5))
+    value = st.one_of(st.sampled_from([*pool, 0.0, -0.0]), st.floats(-1e3, 1e3))
+    n_levels = draw(st.one_of(st.integers(0, 3), st.integers(12, 14)))
+    new = []
+    for _ in range(n_levels):
+        fresh = draw(st.lists(value, max_size=6))
+        new.append((fresh, draw(st.lists(st.integers(0, 4), min_size=len(fresh),
+                                          max_size=len(fresh)))))
+    kw = draw(st.one_of(st.just({}), st.builds(lambda lam, pitch: {"truncation": lam,
+                                                                   "pitch": pitch},
+                                               st.floats(1.0, 1e3), st.floats(1e-3, 1.0))))
+    return new, kw
+
+
+def spectrum_fields(s: SpectrumList):
+    """Everything a spectrum list holds, its values by their bits."""
+    return ([(repr(e.value), type(e.value), e.multiplicity, type(e.multiplicity), e.tag)
+             for e in s.entries], s.origin, s.truncation, s.pitch)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(case=level_tables())
+def test_level_merge_is_the_sort_and_cluster_reference(case):
+    """Merging each level into the one below gives the spectrum lists of
+    sorting every row up to each level again and clustering them
+    (``level_reference.sorted_levels``): entries, their value bits, tags,
+    origin, truncation and pitch."""
+    new, kw = case
+    got = fiber._cluster_levels(new, "level {}", **kw)
+    ref = level_reference.sorted_levels(new, "level {}", **kw)
+    assert [spectrum_fields(s) for s in got] == [spectrum_fields(s) for s in ref]
+
+
+def test_level_merge_puts_new_at_10_before_new_at_2():
+    """A value new at levels 0, 2, 10 and 11 lists its tags in string
+    order, as the reference does."""
+    new = [([1.0], [1]), *[([1.0], [level]) if level in (2, 10, 11) else ([], [])
+                          for level in range(1, 12)]]
+    got = fiber._cluster_levels(new, "{}")
+    assert got[-1].entries == [SpectrumEntry(1.0, 24, "basex1;new@10x10;new@11x11;new@2x2")]
+    assert got == level_reference.sorted_levels(new, "{}")
 
 
 def ulp_steps(x: float, k: int) -> float:
@@ -912,15 +975,17 @@ def test_decimation_check_is_the_loop_reference_report(case):
 @st.composite
 def spectrum_lists(draw):
     """A spectrum list of up to 8 strictly increasing finite values (some
-    drawn from subnormal and near-overflow ones), mults >= 1, tags and an
-    origin with commas, semicolons, quotes and line breaks, a finite or
-    infinite truncation and an optional pitch."""
-    text = st.text(st.sampled_from('ab1 ,;"\n\r\t=@x'), max_size=12)
+    drawn from subnormal and near-overflow ones), mults >= 1, tags (some
+    repeated) and an origin with commas, semicolons, quotes, line breaks
+    and non-ASCII text, or empty, a finite or infinite truncation and an
+    optional pitch."""
+    text = st.text(st.sampled_from('ab1 ,;"\n\r\t=@xé∂'), max_size=12)
     values = draw(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                                      st.sampled_from([5e-324, 1e-310, 2.2e-308, 1e300,
                                                       1.7976931348623157e308])),
                            max_size=8, unique=True))
-    entries = [SpectrumEntry(v, draw(st.integers(1, 10**6)), draw(text)) for v in sorted(values)]
+    tags = st.one_of(text, st.sampled_from(draw(st.lists(text, min_size=1, max_size=3))))
+    entries = [SpectrumEntry(v, draw(st.integers(1, 10**6)), draw(tags)) for v in sorted(values)]
     return SpectrumList(entries, draw(text),
                         draw(st.one_of(st.floats(allow_nan=False), st.just(math.inf))),
                         draw(st.one_of(st.none(), st.floats(1e-6, 1.0))))
@@ -934,6 +999,20 @@ def test_spectrum_lists_survive_csv_and_json_round_trips(s):
     back = spectrum_from_json(spectrum_to_json(s))
     assert back.entries == s.entries
     assert (back.origin, back.truncation, back.pitch) == (s.origin, s.truncation, s.pitch)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(s=spectrum_lists())
+def test_csv_is_the_row_by_row_csv_writer(s):
+    """The CSV quoting each distinct tag and the origin once has the bytes
+    of writing every row through ``csv.writer``
+    (``tests/csv_reference.py``), and reads back to the same entries and,
+    when it has a row, the same origin."""
+    text = s.to_csv()
+    assert text == csv_reference.spectrum_to_csv(s)
+    back = SpectrumList.from_csv(text)
+    assert back.entries == s.entries
+    assert back.origin == (s.origin if s.entries else "unknown")
 
 
 cli_runs = st.one_of(

@@ -127,7 +127,7 @@ class TestBuilder:
     def test_single_strand_is_plain_interval(self):
         fam = build_stitched(StringSpec([Fraction(1, 2)], [1])).graphs
         lower, upper = stitched_numeric_spectra(StringSpec([Fraction(1, 2)], [1]), 500.0)
-        assert verify_nesting(lower, upper)["surplus"] == []
+        assert verify_nesting(lower, upper)["surplus"] == 0
         assert fam[1].total_measure() == pytest.approx(0.5)
 
     def test_increasing_lengths_rejected(self):
