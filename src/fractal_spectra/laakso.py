@@ -141,7 +141,7 @@ def laakso_refinement_spectra(spec: LaaksoSpec, lam_max: float,
     Level-0 eigenvalues are tagged "base" and those new at level i, from the
     pieces of that level, "new@i"; a multiplicity is the number of copies
     of a value, which the closed forms give the same bits
-    (``eigensolve.cluster`` merges equal values only).
+    (``fiber._cluster_levels`` merges equal values only).
     """
     return equilateral_spectra(laakso_family(spec), refines, lam_max, "numeric(laakso,level={})")
 
