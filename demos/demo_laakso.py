@@ -1,9 +1,9 @@
 """Walk through a Laakso-space spectrum: levels, solve, compare, nest.
 
 Takes the depth-2 space with binary fibers (j = (2, 2)) as its base path
-and the Dirichlet pieces of each level, maps their vertex spectra to the
-finite-difference spectrum at a fine pitch, and checks the numeric
-spectrum against the closed-form eigenvalue families.  Run:
+and the Dirichlet pieces of each level, refines their runs of vertices into
+runs of mesh nodes for the finite-difference spectrum at a fine pitch, and
+checks the numeric spectrum against the closed-form eigenvalue families.  Run:
 
     python3 demos/demo_laakso.py
 """
@@ -23,10 +23,13 @@ spec = LaaksoSpec(j=[2, 2], refine=32)
 print(f"Laakso space with fiber sequence j = {spec.j}, pitch = {spec.pitch}")
 
 family = laakso_family(spec)
-kept = 0  # a run of key k keeps k >> 2 vertices; with Neumann ends every vertex is kept
-for i, ((keys, copies), edges) in enumerate(zip(family.runs,
-                                                [family.base.n_vertices - 1, *family.n_edges])):
-    kept += sum(copy * (key >> 2) for key, copy in zip(keys, copies))
+kept = edges = 0
+for i, (keys, copies) in enumerate(family.runs):
+    for key, copy in zip(keys, copies):
+        # a run of m vertices with f free ends spans m + 1 - f edges
+        m, free = key >> 2, (key >> 1 & 1) + (key & 1)
+        kept += copy * m
+        edges += copy * (m + 1 - free)
     print(f"  level {i}: {kept} vertices, {edges} edges")
 
 print("wormhole positions by level:")

@@ -7,7 +7,6 @@ from .eigensolve import (
     FDModel,
     SpectrumEntry,
     SpectrumList,
-    cluster,
     compare_spectra,
     verify_nesting,
 )

@@ -94,6 +94,19 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _check_pitch(spec) -> None:
+    """Refuse a refine whose mesh pitch h, or the scale 2 / h^2 of the
+    mesh values, is no finite positive float: the run would end in an
+    OverflowError after its output directory was made."""
+    try:
+        fine = 2 / (spec.pitch * spec.pitch) < math.inf
+    except (OverflowError, ZeroDivisionError):
+        fine = False
+    if not fine:
+        raise InvalidSpaceSpec(f"refine {spec.refine} puts the mesh pitch h or 2 / h^2 "
+                               "past the floats")
+
+
 def _nesting(out: Path, per_level: list[SpectrumList], tol: float) -> bool:
     """Check that each level's spectrum nests in the next one's; write
     nesting.json and return whether every check passed."""
@@ -118,6 +131,7 @@ def cmd_laakso(args) -> int:
         raise InvalidSpaceSpec(f'depth {doc["depth"]} does not match len(j)={len(j)}')
     spec = laakso.LaaksoSpec(j=j, refine=_integer(doc.get("refine", 8), "refine"),
                              boundary=doc.get("boundary", "neumann"))
+    _check_pitch(spec)
     lam_max = _number(doc.get("lambda_max", 200.0), "lambda_max")
 
     out = Path(args.out)
@@ -212,6 +226,7 @@ def cmd_string(args) -> int:
     spec = strings.StringSpec(lengths=rational, mults=mults, refine=refine)
     if "depth" in doc:
         spec = spec.truncate(_integer(doc["depth"], "depth", 1, spec.depth))
+    _check_pitch(spec)
     lam_max = _number(doc.get("lambda_max", 700.0), "lambda_max")
     # the zeta table sums every value up to the zeta_terms-th value of the
     # longest string

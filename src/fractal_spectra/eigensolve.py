@@ -9,8 +9,8 @@ whole Dirichlet gaskets of the decimation chain theirs by spectral
 decimation (``gasket._piece_spectrum``).  A closed form gives the copies
 of an eigenvalue the same bits, so equal values merge exactly, each with
 its count, and no value is listed once per copy: the levels of a family
-merge each level into the one below (``fiber._cluster_levels``), and
-``cluster`` merges any sorted sequence.  For the same reason the nesting
+merge each level into the one below (``fiber._cluster_levels``).  For the
+same reason the nesting
 check finds a lower value in the upper list by its bits before it
 searches.  The dense eigensolver and the gap clustering that its values
 need are the tests' reference (``tests/dense_reference.py``).
@@ -21,10 +21,8 @@ from __future__ import annotations
 import bisect
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from types import SimpleNamespace
 
 from .errors import MisalignedMeshes
@@ -98,40 +96,6 @@ class SpectrumList:
         origin = rows[1][3] if len(rows) > 1 else "unknown"
         return cls(entries=entries, origin=origin,
                    truncation=entries[-1].value if entries else -math.inf)
-
-
-def cluster(
-    eigs,
-    origin: str = "numeric",
-    truncation: float = math.inf,
-    pitch: float | None = None,
-    tags=None,
-    counts=None,
-) -> SpectrumList:
-    """Multiplicities of a sorted sequence of eigenvalues, each value
-    counted ``counts`` times (positive integers; once each by default):
-    equal values are one entry, whose multiplicity is the sum of their
-    counts.
-
-    ``tags`` optionally assigns a label per value; an entry's tag lists
-    the distinct labels with their counts.  Values that differ stay apart
-    however close they are: the closed forms give every copy of an
-    eigenvalue the same bits.
-    """
-    rows = zip(eigs, itertools.repeat(1) if counts is None else counts,
-               itertools.repeat("") if tags is None else tags)
-    entries, last = [], -math.inf
-    for value, run in itertools.groupby(rows, key=itemgetter(0)):
-        if value < last:
-            raise ValueError("input eigenvalues must be sorted")
-        tally: dict[str, int] = {}
-        for _, count, tag in run:
-            tally[tag] = tally.get(tag, 0) + count
-        text = ";".join(f"{tag}x{count}" for tag, count in sorted(tally.items()) if count)
-        entries.append(SpectrumEntry(float(value), int(sum(tally.values())),
-                                     "" if tags is None else text))
-        last = value
-    return SpectrumList(entries=entries, origin=origin, truncation=truncation, pitch=pitch)
 
 
 def verify_nesting(lower: SpectrumList, upper: SpectrumList, tol: float = 1e-9) -> dict:

@@ -38,16 +38,17 @@ choux uses); no value is listed once per copy, and no eigensolver is
 called.  The walk Laplacian of a run of a path has its values in closed
 form (``_run_values``): no matrix is formed, and a run lists its values in
 ascending order up to the first one above the cut.  A path family's base
-is no graph either, only the three facts the pipeline reads of its path:
-the vertex count, the edge length and whether both ends are Dirichlet
-vertices (``PathBase``).  The Laakso and string levels, whose edges have
-one length, map their vertex values to the mesh by the Chebyshev rule
-first, adding edge modes counted from |E_l| and |V_l| as counts
-(``equilateral_spectra``), |V_l| read from the run keys.  No eigenvector
-is formed, and no array: run tables, values and counts are lists of
-Python ints and floats.  Each level is the level below with its own new
-values merged in, in one pass that sorts only those and rebuilds only the
-entries that gain a count (``_cluster_levels``), as the spaces nest.
+is no graph either, only the two facts the pipeline reads of its path: the
+vertex count and the edge length (``PathBase``).  The Laakso and string
+levels, whose edges have one length, take their finite-difference mesh
+the same way: the mesh nodes inside an edge are never collapsed, so each
+run of vertices is a run of mesh nodes, only finer, and M^{-1} A of the
+mesh is (2 / h^2) times its walk Laplacian (``equilateral_spectra``).  No
+eigenvector is formed, and no array: run tables, values and counts are
+lists of Python ints and floats.  Each level is the level below with its
+own new values merged in, in one pass that sorts only those and rebuilds
+only the entries that gain a count (``_cluster_levels``), as the spaces
+nest.
 
 The trade-off: the pipeline assumes the decomposition and the closed forms
 instead of checking them on every run.  The tests hold them to the whole
@@ -62,11 +63,9 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import dataclass
 
 from .eigensolve import SpectrumEntry, SpectrumList
-from .metric_graph import SPECTRAL_BOUND, EquilateralMesh
 
 
 def _run_values(key: int, cut: float) -> list[float]:
@@ -109,21 +108,19 @@ def _run_spectrum(level: int, key: int, cut: float) -> tuple[list[float], list[i
 class PathBase:
     """The level-0 graph of a path family: ``n_vertices`` vertices in
     order, edge k joining vertices k and k + 1, every edge of ``length`` and
-    one weight, and both ends Dirichlet vertices when ``dirichlet``, no
-    vertex otherwise."""
+    one weight.  Which vertices are Dirichlet vertices the runs of each
+    level say (``LevelFamily``)."""
 
     n_vertices: int
     length: float
-    dirichlet: bool
 
 
 @dataclass
 class LevelFamily:
-    """Levels 0..n of a space, given by its level-0 path ``base``, the
-    table of the distinct pieces of each level and, for each level l >= 1,
-    its edge count |E_l|.  A family that takes no mesh
-    (``equilateral_spectra``) may have neither, as the pâte à choux has
-    neither.
+    """Levels 0..n of a space, given by its level-0 path ``base`` and the
+    table of the distinct pieces of each level.  A family that takes no
+    mesh (``equilateral_spectra``) may have no base, as the pâte à choux
+    has none.
 
     ``runs[l]``, for l = 0..n, is the table (keys, counts) of the pieces of
     level l, level 0 being ``base`` with its Dirichlet vertices: level l
@@ -137,30 +134,34 @@ class LevelFamily:
     marks cut the base path into, hence the name (``path_family``).  A run
     of m vertices whose first (last) vertex is the first (last) of the
     path, so a free path end, has the key 4 m + 2 [first free] +
-    [last free], and its values in closed form (``_run_values``).  The
-    pâte à choux keys its gasket pieces and gives their spectra itself
+    [last free], and its values in closed form (``_run_values``).  A run
+    may have no vertex: an edge between two Dirichlet vertices, key 0,
+    which has no vertex value but has mesh nodes.  The pâte à choux keys
+    its gasket pieces and gives their spectra itself
     (``gasket.choux_family``).
     """
 
     base: PathBase | None
     runs: list[tuple[list[int], list[int]]]
-    n_edges: list[int] = field(default_factory=list)
     spectrum: Callable[[int, int, float], tuple[list[float], list[int]]] = _run_spectrum
 
 
-def path_family(base: PathBase, spans, n_edges: list[int]) -> LevelFamily:
+def path_family(base: PathBase, spans) -> LevelFamily:
     """Levels 0..n of a path base (see ``LevelFamily.runs``) whose level l
     gains the values of the runs ``spans[l]``, each given as
     (first, stop, copies): the kept vertices first..stop-1 of the base,
-    ``copies`` times.  The runs of a level have distinct keys; its table
-    lists them by key, leaving out those with no vertex or no copy."""
+    ``copies`` times, between two Dirichlet vertices save at a path end.
+    The runs of a level have distinct keys; its table lists them by key,
+    leaving out those with no copy.  A run with no vertex (first == stop)
+    is the edge between two Dirichlet vertices and stays: its mesh nodes
+    carry values."""
     n = base.n_vertices
     runs = []
     for spans_l in spans:
         table = sorted((4 * (stop - first) + 2 * (first == 0) + (stop == n), copies)
-                       for first, stop, copies in spans_l if first < stop and copies)
+                       for first, stop, copies in spans_l if copies)
         runs.append(([key for key, _ in table], [copies for _, copies in table]))
-    return LevelFamily(base, runs, n_edges)
+    return LevelFamily(base, runs)
 
 
 def _level_values(family: LevelFamily, cut: float) -> list[tuple[list[float], list[int]]]:
@@ -248,53 +249,42 @@ def level_spectra(family: LevelFamily, lam_max: float, origin: str) -> list[Spec
     return _cluster_levels(_level_values(family, lam_max), origin)
 
 
+def _mesh_key(key: int, refine: int) -> int:
+    """The run key of the mesh nodes of the run ``key`` at ``refine`` cells
+    per edge: a run of m vertices with f free ends spans m + 1 - f edges,
+    whose mesh has (m + 1 - f) r + f - 1 nodes, (m + 1) r - 1, m r or
+    (m - 1) r + 1, and the same free ends."""
+    m, free = key >> 2, (key >> 1 & 1) + (key & 1)
+    return ((m + 1 - free) * refine + free - 1) << 2 | key & 3
+
+
 def equilateral_spectra(family: LevelFamily, refines: list[int], lam_max: float,
                         origin: str) -> list[list[SpectrumList]]:
-    """Finite-difference spectra below ``lam_max`` of every level of a family
-    whose edges all have one length, cut into each of ``refines`` cells
-    (``EquilateralMesh``), from the vertex values of its pieces as in
-    ``level_spectra``, at the largest ``EquilateralMesh.vertex_cut``.
+    """Finite-difference spectra below ``lam_max`` of every level of a path
+    family whose edges all have one length, cut into each of ``refines``
+    cells at the pitch h = length / refine: r cells per edge, the measure
+    lumped into the nodes, Dirichlet vertices eliminated.
 
-    At each refinement the vertex values map to their branch values, each
-    with its count, less the walk-kernel values 0 and 2, and the edge
-    modes join with the growth of their multiplicity at level i as their
-    count.  The edge modes need |E_i|, the kept
-    |V_i| and the walk kernels of each level.  Every level has the kernels
-    of the base path: they are 0 once a vertex is eliminated, and
-    otherwise the constants and the +-1 colourings, as every level maps
-    onto the bipartite path.  So the values 0 and 2, the smallest and the
-    largest, are new at level 0.  The levels are merged as in
+    Then M^{-1} A = (2 / h^2)(I - P_r) for the walk P_r on the r-fold
+    subdivision (von Below, Linear Algebra Appl. 1985), and the nodes
+    inside an edge are never collapsed, so the mesh of a level splits into
+    the runs of its vertices, each refined (``_mesh_key``): its values are
+    those of ``level_spectra`` on the refined runs, at the walk cut
+    lam_max h^2 / 2, times 2 / h^2.  A value is kept when it is
+    <= lam_max (1 + 1e-12), and the levels are merged as in
     ``level_spectra``, so each level's multiplicities add up to the number
     of its mesh eigenvalues <= lam_max.
     """
-    base = family.base
-    meshes = [EquilateralMesh(base.length / refine, refine) for refine in refines]
-    cut = max(mesh.vertex_cut(lam_max) for mesh in meshes)
-    # a path is connected and bipartite, so only an eliminated end empties its kernels
-    kernels = (0, 0) if base.dirichlet else (1, 1)
-    new = _level_values(family, cut)
-    whole = cut == SPECTRAL_BOUND  # only a whole spectrum holds the vertex value 2
-    rows = sorted(zip(*new[0]), key=itemgetter(0))
-    values, counts = [value for value, _ in rows], [count for _, count in rows]
-    # the kernels of the connected base are simple: its smallest value and,
-    # in a whole spectrum, its largest, each listed once
-    if counts:
-        counts[0] -= kernels[0]
-        counts[-1] -= kernels[1] * whole
-    nu = [(values, counts), *new[1:]]
-    n_edges = [base.n_vertices - 1, *family.n_edges]
-    kept, size = [], 0  # a run of key k keeps k >> 2 vertices
-    for keys, copies in family.runs:
-        size += sum(copy * (key >> 2) for key, copy in zip(keys, copies))
-        kept.append(size)
+    bound = lam_max * (1 + 1e-12)
     out = []
-    for mesh in meshes:
-        levels, low = [], [0] * (mesh.refine + 1)
-        for (values, counts), edges, n_kept in zip(nu, n_edges, kept):
-            branch, source = mesh.branch_values(values, lam_max)
-            modes, mult = mesh.edge_modes(edges, n_kept, kernels, lam_max)
-            levels.append((branch + modes,
-                           [counts[k] for k in source] + [m - b for m, b in zip(mult, low)]))
-            low = mult
-        out.append(_cluster_levels(levels, origin, truncation=lam_max, pitch=mesh.pitch))
+    for refine in refines:
+        pitch = family.base.length / refine
+        scale = 2 / (pitch * pitch)
+        mesh = LevelFamily(family.base, [([_mesh_key(key, refine) for key in keys], copies)
+                                         for keys, copies in family.runs])
+        levels = []
+        for values, counts in _level_values(mesh, lam_max / scale):
+            kept = [k for k, value in enumerate(values) if scale * value <= bound]
+            levels.append(([scale * values[k] for k in kept], [counts[k] for k in kept]))
+        out.append(_cluster_levels(levels, origin, truncation=lam_max, pitch=pitch))
     return out

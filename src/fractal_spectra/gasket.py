@@ -190,8 +190,8 @@ def _piece_spectrum(m: int, level: int, key: int,
 
 def choux_family(spec: ChouxSpec) -> LevelFamily:
     """Fiber levels 0..i over the level-m gasket: 2^i binary fiber copies
-    glued at V_k \\ V_{k-1} in coordinate k.  The family has no base graph
-    and no edge counts: no piece needs them, and its levels take no mesh.
+    glued at V_k \\ V_{k-1} in coordinate k.  The family has no base graph:
+    no piece needs one, and its levels take no mesh.
 
     Level l >= 1 gains the spectrum of the gasket with Dirichlet marks at
     the vertices born at a level in S, for each S in {1..l} with max S = l,

@@ -76,7 +76,8 @@ def laakso_family(spec: LaaksoSpec) -> LevelFamily:
     coarser point joins its two cells into a run of 2u - 1 and that under
     Neumann (e = 1) the two end cells are runs of u points with a free end.
     So level l has t (d_l - C - 2e) runs of u - 1 points, t C / 2 of
-    2u - 1 and, under Neumann, t of u at each end."""
+    2u - 1 and, under Neumann, t of u at each end.  At l = n, u = 1: a run
+    of no point is one cell between two marks, which has mesh nodes."""
     d = spec.d
     D = d[-1]
     free = spec.boundary != DIRICHLET  # the path ends are kept
@@ -85,8 +86,7 @@ def laakso_family(spec: LaaksoSpec) -> LevelFamily:
         u, coarse, t = D // d[level], d[level - 1] - 1, 1 << level >> 1
         spans.append([(1, u, t * (d[level] - coarse - 2 * free)), (1, 2 * u, t * coarse // 2),
                       *[(0, u, t), (D + 1 - u, D + 1, t)] * free])
-    return path_family(PathBase(D + 1, 1.0 / D, not free), spans,
-                       [D << level for level in range(1, spec.depth + 1)])
+    return path_family(PathBase(D + 1, 1.0 / D), spans)
 
 
 def laakso_analytic_spectrum(spec: LaaksoSpec, lam_max: float) -> SpectrumList:
@@ -135,8 +135,8 @@ def laakso_analytic_spectrum(spec: LaaksoSpec, lam_max: float) -> SpectrumList:
 def laakso_refinement_spectra(spec: LaaksoSpec, lam_max: float,
                               refines: list[int]) -> list[list[SpectrumList]]:
     """Numeric spectra of levels 0..n at each refinement of ``refines``, from
-    the closed-form values of the pieces of the base path, taken once
-    (``fiber.equilateral_spectra``).
+    the closed-form values of the runs of the pieces of the base path,
+    refined into runs of mesh nodes (``fiber.equilateral_spectra``).
 
     Level-0 eigenvalues are tagged "base" and those new at level i, from the
     pieces of that level, "new@i"; a multiplicity is the number of copies

@@ -19,7 +19,6 @@ geometric zeta function sum_i m_i l_i^{2s} times pi^{-2s} zeta(2s).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,7 +129,7 @@ def _path(spec: StringSpec):
     l1 = spec.lengths[0]
     K = int(l1 / g)
     starts = [int((l1 - l) / g) for l in spec.lengths]
-    return K, starts, PathBase(K + 1, float(g), True)
+    return K, starts, PathBase(K + 1, float(g))
 
 
 def stitched_family(spec: StringSpec) -> LevelFamily:
@@ -140,13 +139,13 @@ def stitched_family(spec: StringSpec) -> LevelFamily:
     Level 0 is the base path, its points 1..K-1 kept; the new values of
     level 1 are those of m_1 - 1 copies of it, and those of level k >= 2
     are those of m_k copies of its right-end segment, the l_k / g cells
-    from a_k to K with Dirichlet ends, its points a_k + 1..K-1 kept; each
-    copy adds its cells to |E_k|."""
+    from a_k to K with Dirichlet ends, its points a_k + 1..K-1 kept (none
+    when l_k is one grid unit: the run is one cell, which has mesh
+    nodes)."""
     K, starts, base = _path(spec)
     spans = [[(1, K, 1)], [(1, K, spec.mults[0] - 1)],
              *([(a + 1, K, m)] for a, m in zip(starts[1:], spec.mults[1:]))]
-    added = [K * (spec.mults[0] - 1), *(m * (K - a) for a, m in zip(starts[1:], spec.mults[1:]))]
-    return path_family(base, spans, [K + n for n in itertools.accumulate(added)])
+    return path_family(base, spans)
 
 
 def stitched_numeric_spectra(spec: StringSpec, lam_max: float) -> list[SpectrumList]:

@@ -6,8 +6,8 @@ only the single step ``gasket._decimate`` with the package."""
 
 import numpy as np
 
-from fractal_spectra.eigensolve import cluster
 from fractal_spectra.gasket import DECIMATION_SCALE, EXCEPTIONAL, _decimate
+from level_reference import cluster
 
 
 def decimation_check(spec_m, spec_m1, tol: float = 1e-8) -> dict:

@@ -2,12 +2,12 @@
 reference that the package's closed forms and exact merge are held to.
 
 The package takes every spectrum in closed form and merges equal values
-(``eigensolve.cluster``); no run calls an eigensolver.  This module keeps
+(``fiber._cluster_levels``); no run calls an eigensolver.  This module keeps
 the route it took before:
 
 - the general metric graph (``MetricGraph``), the level-0 graph that a
-  path family's ``PathBase`` stands for (``path_graph``) and the kernels of
-  its walk (``walk_kernels``);
+  path family stands for (``path_graph``) and the kernels of its walk
+  (``walk_kernels``);
 - the vertex pencil of a metric graph (``graph_operator``: the weighted
   Laplacian with its degrees as the lumped mass, held as NumPy CSR arrays
   in a ``DiscreteOperator``);
@@ -37,7 +37,7 @@ from scipy.sparse.csgraph import connected_components
 
 from fractal_spectra.eigensolve import SpectrumEntry, SpectrumList
 from fractal_spectra.errors import FractalSpectraError, NoConvergence
-from fractal_spectra.fiber import PathBase
+from fractal_spectra.fiber import LevelFamily
 from fractal_spectra.metric_graph import DIRICHLET, SPECTRAL_BOUND
 
 #: relative tolerance for the rational-pitch divisibility rule and for
@@ -85,13 +85,15 @@ def _per_edge(value, n_edges: int) -> list[float]:
     return [float(value)] * n_edges if isinstance(value, Real) else [float(x) for x in value]
 
 
-def path_graph(base: PathBase) -> MetricGraph:
-    """The level-0 graph that the ``base`` of a path family stands for: its
-    vertices in order, edge k joining k and k + 1, every edge of its length
-    and weight 1, its two ends Dirichlet vertices when the base's are."""
-    n = base.n_vertices
-    return MetricGraph(range(n), [(k, k + 1) for k in range(n - 1)], base.length, 1.0,
-                       [base.dirichlet and v in (0, n - 1) for v in range(n)])
+def path_graph(family: LevelFamily) -> MetricGraph:
+    """The level-0 graph that a path family stands for: the vertices of its
+    ``base`` in order, edge k joining k and k + 1, every edge of its length
+    and weight 1, and an end a Dirichlet vertex where the one run of level
+    0, the path less its Dirichlet vertices, has no free end."""
+    n = family.base.n_vertices
+    (key,), _ = family.runs[0]
+    return MetricGraph(range(n), [(k, k + 1) for k in range(n - 1)], family.base.length, 1.0,
+                       [v == 0 and not key & 2 or v == n - 1 and not key & 1 for v in range(n)])
 
 
 def walk_kernels(g: MetricGraph) -> tuple[int, int]:

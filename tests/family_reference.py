@@ -18,7 +18,8 @@ the walk over the marks of the Laakso birth levels (``laakso_births``,
 families count; the masks are also the input of the component route that
 the path route is held to (``tests/test_properties.py``).  ``kept_counts``
 gives the kept vertex count of each level from the whole spectra of a
-family's pieces.
+family's pieces, and ``edge_counts`` the edge count of each level of a
+path family from its run keys.
 """
 
 from __future__ import annotations
@@ -349,13 +350,15 @@ def distinct_runs(drop: np.ndarray, copies: np.ndarray) -> tuple[np.ndarray, np.
     """The run table (keys ascending, counts) of the rows of ``drop``, the
     eliminated vertices of a path, one row per piece, each row counted
     ``copies`` times (``fiber.LevelFamily.runs``): every run of every row
-    is listed, keyed and counted."""
+    is listed, keyed and counted, an edge between two eliminated vertices
+    as a run of none, key 0."""
     edge = np.diff(np.pad(~drop, ((0, 0), (1, 1))).astype(np.int8), axis=1)
     rows, start = np.nonzero(edge == 1)
     stop = np.nonzero(edge == -1)[1]
-    keys, inverse = np.unique(4 * (stop - start) + 2 * (start == 0) + (stop == drop.shape[1]),
-                              return_inverse=True)
-    return keys, np.bincount(inverse, copies[rows], len(keys)).astype(np.int64)
+    empty = np.nonzero(drop[:, :-1] & drop[:, 1:])[0]
+    keys, inverse = np.unique(np.r_[4 * (stop - start) + 2 * (start == 0) + (stop == drop.shape[1]),
+                                    np.zeros(len(empty), dtype=np.int64)], return_inverse=True)
+    return keys, np.bincount(inverse, copies[np.r_[rows, empty]], len(keys)).astype(np.int64)
 
 
 def run_tables(base: MetricGraph, pieces) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -379,6 +382,19 @@ def kept_counts(family) -> list[int]:
                     for key, copy in zip(keys, copies))
         kept.append(size)
     return kept
+
+
+def edge_counts(family) -> list[int]:
+    """The number of edges of each level of a path family
+    (``fiber.LevelFamily``): the edges spanned by its runs and those below,
+    with their copies, m + 1 - f for a run of m vertices with f free ends.
+    The runs tile the edges only with the runs of no vertex listed."""
+    edges, size = [], 0
+    for keys, copies in family.runs:
+        size += sum(copy * ((key >> 2) + 1 - (key >> 1 & 1) - (key & 1))
+                    for key, copy in zip(keys, copies))
+        edges.append(size)
+    return edges
 
 
 def binary_run_tables(spec) -> list[tuple[list[int], list[int]]]:
@@ -410,12 +426,14 @@ def _binary_runs(marks: list[tuple[int, int]], n: int, level: int):
 
     A run lies strictly between two marks u < w: the vertices born at a
     level in 1..level, the Dirichlet vertices and the positions -1 and n
-    just outside the path.  Let b_u and b_w be the births of u and w, for
-    a mark born in 1..level, and I the set of births of the marks inside
-    the run.  The run is one of the piece of S exactly when S holds level,
-    b_u and b_w and misses I, and no Dirichlet vertex lies inside it; so it
-    comes with 2^(level - |{level, b_u, b_w} u I|) pieces, none when
-    {level, b_u, b_w} meets I.  Level 0 is the base, one piece.
+    just outside the path.  It may hold no vertex, an edge between two marks
+    on the path, but not at a position outside it.  Let b_u and b_w be the
+    births of u and w, for a mark born in 1..level, and I the set of births
+    of the marks inside the run.  The run is one of the piece of S exactly
+    when S holds level, b_u and b_w and misses I, and no Dirichlet vertex
+    lies inside it; so it comes with 2^(level - |{level, b_u, b_w} u I|)
+    pieces, none when {level, b_u, b_w} meets I.  Level 0 is the base, one
+    piece.
 
     The pairs (u, w) are taken from each u by the number of marks inside
     them, one step per mark, while the inner marks miss level and b_u and
@@ -433,7 +451,7 @@ def _binary_runs(marks: list[tuple[int, int]], n: int, level: int):
         while w < last:
             w += 1
             need = stop | bit[w]
-            if not inner & need and pos[w] - start > 1:
+            if not inner & need and pos[w] - start > (u == 0 or w == last):
                 key = 4 * (pos[w] - start - 1) + 2 * (u == 0) + (w == last)
                 table[key] = table.get(key, 0) + (1 << (level - (need | inner).bit_count()))
             inner |= bit[w]

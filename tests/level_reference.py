@@ -22,8 +22,12 @@ total multiplicity of a spectrum list and the deepest choux level's
 spectrum.  The merge of the levels that the package took before it merged
 each level into the one below, sorting the rows of every level again at
 each level, is the reference for ``fiber._cluster_levels``
-(``sorted_levels``)."""
+(``sorted_levels``), with the merge of one sorted sequence that it calls
+(``cluster``), which the decimation chain's reference calls too
+(``tests/decimation_reference.py``)."""
 
+import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -40,7 +44,7 @@ from dense_reference import (
     graph_operator,
     solve_below,
 )
-from fractal_spectra.eigensolve import SpectrumList, cluster
+from fractal_spectra.eigensolve import SpectrumEntry, SpectrumList
 from fractal_spectra.errors import FractalSpectraError
 from fractal_spectra.gasket import ChouxSpec, choux_numeric_spectra
 from lapack_reference import csr, eigenpairs_below, operator
@@ -265,6 +269,40 @@ def counting_function(s: SpectrumList, lam: float) -> int:
     if lam > s.truncation * (1 + 1e-12):
         raise BeyondTruncation(f"lambda={lam} beyond truncation {s.truncation}")
     return int(sum(e.multiplicity for e in s.entries if e.value <= lam * (1 + 1e-12)))
+
+
+def cluster(
+    eigs,
+    origin: str = "numeric",
+    truncation: float = math.inf,
+    pitch: float | None = None,
+    tags=None,
+    counts=None,
+) -> SpectrumList:
+    """Multiplicities of a sorted sequence of eigenvalues, each value
+    counted ``counts`` times (positive integers; once each by default):
+    equal values are one entry, whose multiplicity is the sum of their
+    counts.
+
+    ``tags`` optionally assigns a label per value; an entry's tag lists
+    the distinct labels with their counts.  Values that differ stay apart
+    however close they are: the closed forms give every copy of an
+    eigenvalue the same bits.
+    """
+    rows = zip(eigs, itertools.repeat(1) if counts is None else counts,
+               itertools.repeat("") if tags is None else tags)
+    entries, last = [], -math.inf
+    for value, run in itertools.groupby(rows, key=itemgetter(0)):
+        if value < last:
+            raise ValueError("input eigenvalues must be sorted")
+        tally: dict[str, int] = {}
+        for _, count, tag in run:
+            tally[tag] = tally.get(tag, 0) + count
+        text = ";".join(f"{tag}x{count}" for tag, count in sorted(tally.items()) if count)
+        entries.append(SpectrumEntry(float(value), int(sum(tally.values())),
+                                     "" if tags is None else text))
+        last = value
+    return SpectrumList(entries=entries, origin=origin, truncation=truncation, pitch=pitch)
 
 
 def sorted_levels(new, origin: str, **cluster_kw) -> list[SpectrumList]:

@@ -1,5 +1,5 @@
 """The finite-difference mesh of a metric graph, kept as the reference that
-the package's Chebyshev route (``fiber.equilateral_spectra``) is held to.
+the package's refined runs (``fiber.equilateral_spectra``) are held to.
 
 ``discretize`` cuts every edge at a common pitch and lumps the measure into
 node masses, ``assemble`` builds the pencil A v = lambda M v, and
@@ -10,11 +10,17 @@ which the block route and the classifier of ``tests/level_reference.py``
 run.  Each walks the edges one at a time and
 accumulates in edge order.  ``graph_operator`` is the loop version of the
 array vertex pencil of ``tests/dense_reference.py``, which must match it
-bit for bit (``tests/test_properties.py``).
+bit for bit (``tests/test_properties.py``).  ``interval_pencil`` is the
+mesh pencil of the interval of one run of a path, which the package
+refines instead of building it.  ``EquilateralMesh`` takes the mesh values
+of any graph whose edges all have one length from its vertex values, by a
+Chebyshev map, with the edge modes counted apart
+(``piece_reference.equilateral_spectrum``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +30,7 @@ from dense_reference import REL_TOL, DiscreteOperator, MetricGraph, NotPositiveM
 from family_reference import LevelFamily, LevelLink, build_laakso, build_stitched
 from fractal_spectra.errors import FractalSpectraError
 from fractal_spectra.laakso import LaaksoSpec
-from fractal_spectra.metric_graph import DIRICHLET
+from fractal_spectra.metric_graph import DIRICHLET, SPECTRAL_BOUND
 from fractal_spectra.strings import StringSpec
 from lapack_reference import csr, operator
 from level_reference import FiberStructure, IncompatibleMesh
@@ -185,6 +191,18 @@ def graph_operator(g: MetricGraph, boundary: str | None = None) -> DiscreteOpera
     return operator(A, deg, keep)
 
 
+def interval_pencil(key: int, refine: int, pitch: float) -> DiscreteOperator:
+    """The mesh pencil at ``pitch`` of the interval of the run ``key`` of a
+    path (``fiber.LevelFamily``): its m vertices in a path of edges
+    ``refine * pitch`` long, with one more edge to an eliminated Dirichlet
+    vertex at each end that is not free."""
+    m, first, last = key >> 2, key >> 1 & 1, key & 1
+    n = m + 2 - first - last
+    g = MetricGraph(range(n), [(k, k + 1) for k in range(n - 1)], refine * pitch, 1.0,
+                    [v == 0 and not first or v == n - 1 and not last for v in range(n)])
+    return assemble(discretize(g, pitch))
+
+
 def validate(d: DiscreteOperator) -> None:
     """Refuse a pencil with a non-positive mass or an unsymmetric stiffness."""
     if np.any(d.M <= 0):
@@ -245,3 +263,77 @@ def laakso_levels(spec: LaaksoSpec):
 def stitched_levels(spec: StringSpec):
     """Mesh pencils and fiber structures of stitched levels 0..N at the spec's pitch."""
     return discretize_levels(build_stitched(spec), spec.pitch)
+
+
+@dataclass(frozen=True)
+class EquilateralMesh:
+    """Finite differences at ``pitch`` on a graph whose edges all have the
+    length ``refine * pitch``: r cells per edge, measure lumped into the
+    nodes, Dirichlet vertices eliminated.
+
+    Then M^{-1} A = (2/h^2)(I - P_r) for the walk P_r on the r-fold
+    subdivision, and each mesh eigenvalue is (4/h^2) sin^2(theta/2) with
+    theta in [0, pi] (von Below, Linear Algebra Appl. 1985).  Where
+    sin(r theta) != 0 the vertex values of an eigenvector are an
+    eigenvector of the vertex pencil for
+    nu = 1 - cos(r theta): each vertex eigenvalue nu in (0, 2) gives one
+    mesh eigenvalue, of its multiplicity, on each branch
+    r theta in (b pi, (b + 1) pi), b = 0..r-1.  The rest are the edge modes
+    theta = k pi / r, of multiplicity |E| - |V| + 2 dim ker(P - (-1)^k I)
+    for 0 < k < r and dim ker(P - (-1)^k I) at k = 0 and r, |V| counting
+    the kept vertices; so the vertex values 0 and 2 are not mapped.
+    """
+
+    pitch: float
+    refine: int
+
+    def _value(self, theta: float) -> float:
+        y = 2 / self.pitch * math.sin(theta / 2)
+        return y * y
+
+    def theta(self, lam: float) -> float:
+        """theta of the mesh value lam; pi for any lam above the spectrum."""
+        x = self.pitch * math.sqrt(lam) / 2
+        return math.pi if x >= 1 else 2 * math.asin(x)
+
+    def branch_values(self, nu, lam_max: float) -> tuple[list[float], list[int]]:
+        """The mesh eigenvalues <= lam_max (1 + 1e-12) of the
+        vertex eigenvalues ``nu`` in (0, 2), and the index in ``nu`` of the
+        vertex value of each, in the order of ``nu`` and, for each, of the
+        branches: theta = (b pi + theta0) / r on even branches b
+        and ((b + 1) pi - theta0) / r on odd ones, where
+        theta0 = 2 atan2(sqrt(nu), sqrt(2 - nu)) = arccos(1 - nu) stays
+        accurate at both ends."""
+        r = self.refine
+        branches = range(min(r, int(r * self.theta(lam_max) / math.pi) + 1))
+        bound = lam_max * (1 + 1e-12)
+        values, source = [], []
+        for i, x in enumerate(nu):
+            x = min(max(x, 0.0), SPECTRAL_BOUND)
+            theta0 = 2 * math.atan2(math.sqrt(x), math.sqrt(SPECTRAL_BOUND - x))
+            for b in branches:
+                value = self._value((b * math.pi + theta0 if b % 2 == 0
+                                     else (b + 1) * math.pi - theta0) / r)
+                if value <= bound:
+                    values.append(value)
+                    source.append(i)
+        return values, source
+
+    def edge_modes(self, n_edges: int, n_kept: int, kernels: tuple[int, int],
+                   lam_max: float) -> tuple[list[float], list[int]]:
+        """Values (4/h^2) sin^2(k pi / 2r) <= lam_max (1 + 1e-12), k = 0..r,
+        of the edge modes of a graph of ``n_edges`` edges, ``n_kept`` kept
+        vertices and the walk kernels ``kernels``, dim ker(P - I) and
+        dim ker(P + I), and their multiplicities.
+        The values rise with k, so the listing stops at the first one above
+        the cut."""
+        r = self.refine
+        bound = lam_max * (1 + 1e-12)
+        values, mult = [], []
+        for k in range(r + 1):
+            value = self._value(k * math.pi / r)
+            if value > bound:
+                break
+            values.append(value)
+            mult.append(n_edges - n_kept + 2 * kernels[k % 2] if 0 < k < r else kernels[k % 2])
+        return values, mult

@@ -14,9 +14,10 @@ that they carry onto themselves, so the components of a piece fall into
 orbits: one component per orbit is solved, counted orbit size times, and
 a component that is its own orbit is split into its symmetry blocks.
 The levels are gap-clustered (``dense_reference.cluster_levels``).
-``equilateral_spectrum`` applies the Chebyshev map of ``EquilateralMesh``,
-which the package applies to paths only, to any graph whose edges all have
-one length, its vertex values from this route.
+``equilateral_spectrum`` applies the Chebyshev map of
+``mesh_reference.EquilateralMesh`` to any graph whose edges all have one
+length, its vertex values from this route; the package takes the mesh
+values of its paths from their refined runs instead.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dense_reference import (
 )
 from fractal_spectra import fiber, gasket
 from fractal_spectra.eigensolve import SpectrumList
-from fractal_spectra.metric_graph import SPECTRAL_BOUND, EquilateralMesh
+from fractal_spectra.metric_graph import SPECTRAL_BOUND
 
 
 def binary_pieces(birth, depth: int) -> list[list[tuple[np.ndarray, int]]]:
@@ -188,6 +189,9 @@ def equilateral_spectrum(base: MetricGraph, refine: int, lam_max: float) -> Spec
     piece route, gap-clustered so that the copies of a value share its
     bits, less the kernel values 0 and 2, the smallest and the largest:
     any graph, which has no closed form."""
+    # mesh_reference imports family_reference, which imports this module
+    from mesh_reference import EquilateralMesh
+
     mesh = EquilateralMesh(base.length[0] / refine, refine)
     kernels = walk_kernels(base)
     values, counts = component_values(base, [], SPECTRAL_BOUND)[0][0]

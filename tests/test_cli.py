@@ -268,6 +268,33 @@ def test_infinite_lambda_max_is_rejected(tmp_path, command):
     assert cli.main([command, "--spec", spec, "--out", str(tmp_path / "o")]) == cli.EXIT_BAD_SPEC
 
 
+@pytest.mark.parametrize("command", ["laakso", "string"])
+@pytest.mark.parametrize("refine", [10**160, 10**400], ids=["scale", "pitch"])
+def test_refine_whose_mesh_has_no_float_scale_is_rejected(tmp_path, capsys, command, refine):
+    """A refine whose pitch h (10**400) or scale 2 / h^2 (10**160) has no
+    float exits 2 before the output directory is made: it ended in an
+    OverflowError traceback, exit 1 and an empty output directory."""
+    doc = {"laakso": {"j": [2]}, "string": {"lengths": [0.5, 0.25], "mults": [1, 1]}}[command]
+    spec = write_spec(tmp_path, "spec.json", {**doc, "refine": refine})
+    out = tmp_path / "o"
+    assert cli.main([command, "--spec", spec, "--out", str(out)]) == cli.EXIT_BAD_SPEC
+    assert not out.exists()
+    assert "past the floats" in capsys.readouterr().err
+
+
+def test_refine_of_10_to_the_11_runs(tmp_path):
+    """The mesh of each level is its runs refined, so a run costs its
+    values below the cut, not its nodes: the count of the edge modes kept a
+    list of refine + 1 ints, which ended in a MemoryError at refine 10**11."""
+    spec = write_spec(tmp_path, "spec.json", {"j": [2], "refine": 10**11, "lambda_max": 100.0})
+    out = tmp_path / "o"
+    assert cli.main(["laakso", "--spec", spec, "--out", str(out)]) == cli.EXIT_OK
+    numeric = eigensolve.SpectrumList.from_csv((out / "numeric.csv").read_text())
+    assert [e.multiplicity for e in numeric.entries] == [1, 3, 1, 3]
+    assert numeric.values() == pytest.approx([0.0, *(np.pi**2 * k * k for k in (1, 2, 3))],
+                                             rel=1e-12, abs=1e-12)
+
+
 class TestVerify:
     def test_missing_run_json(self, tmp_path):
         assert cli.main(["verify", "--out", str(tmp_path)]) == 1

@@ -8,13 +8,12 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import family_reference
-from dense_reference import MetricGraph, NotPositiveMass, gap_cluster, gap_runs, solve_below
+from dense_reference import MetricGraph, NotPositiveMass, solve_below
 from fractal_spectra import cli, fiber
 from fractal_spectra.eigensolve import (
     FDModel,
     SpectrumEntry,
     SpectrumList,
-    cluster,
     compare_spectra,
     verify_nesting,
 )
@@ -36,6 +35,7 @@ from json_reference import spectrum_from_json, spectrum_to_json
 from level_reference import (
     BeyondTruncation,
     choux_levels,
+    cluster,
     counting_function,
     total_multiplicity,
 )
@@ -373,81 +373,6 @@ class TestInertiaGuard:
             got = solve_below(d, c)
             assert len(got.values) == np.count_nonzero(dense < c), c
             assert np.abs(got.values - dense[:len(got.values)]).max(initial=0.0) <= 1e-12, c
-
-
-class TestCluster:
-    def test_equal_values_merge(self):
-        s = cluster(np.array([4.0, 4.0, 9.0]))
-        assert [(e.value, e.multiplicity) for e in s.entries] == [(4.0, 2), (9.0, 1)]
-
-    def test_close_distinct_values_stay_apart(self):
-        """Values that differ are distinct eigenvalues however close they
-        are: 1e-12 apart, and one unit in the last place apart."""
-        s = cluster(np.array([4.0, 4.0 + 1e-12, np.nextafter(9.0, 0.0), 9.0]))
-        assert [e.multiplicity for e in s.entries] == [1, 1, 1, 1]
-
-    def test_empty(self):
-        assert cluster(np.array([])).entries == []
-
-    def test_tag_counts(self):
-        s = cluster(np.array([4.0, 4.0, 9.0]), tags=["base", "new@1", "base"])
-        assert s.entries[0].tag == "basex1;new@1x1"
-
-    def test_wide_chain_of_close_values_is_listed_value_by_value(self):
-        """Twenty distinct values, each within the gap of the next: the gap
-        reference chains them into one cluster too wide to be copies of
-        one value and refuses it, and the exact merge lists all twenty."""
-        rel_tol = 1e-7
-        chain = 1.0 + 0.9 * rel_tol * np.arange(20)
-        assert gap_runs(chain, rel_tol) == [(0, 20)]
-        with pytest.raises(NoConvergence, match="wider than rel_tol"):
-            gap_cluster(chain, rel_tol=rel_tol)
-        assert [e.value for e in cluster(chain).entries] == chain.tolist()
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_values_and_tags_are_those_of_a_loop_over_the_runs(self, seed):
-        """Runs of 1-3000 equal values, a run's neighbours a few ulps away,
-        each value counted 1-5 times, with random tags: each entry is the
-        value of its run, its multiplicity the sum of the counts, and each
-        tag counts the run's labels with their counts in sorted order."""
-        rng = np.random.default_rng(seed)
-        lengths = rng.choice([1, 2, 3, 7, 8, 9, 16, 127, 128, 129, 257, 1000, 3000], 40)
-        centres = np.cumsum(rng.uniform(0.5, 2.0, len(lengths))) * 10.0 ** rng.integers(-3, 3)
-        centres[1::2] = np.nextafter(centres[:-1:2], np.inf)  # neighbours one ulp apart
-        eigs = np.repeat(centres, lengths)
-        counts = rng.integers(1, 6, len(eigs))
-        tags = rng.choice(["base", "new@1", "new@2", "new@10"], len(eigs)).tolist()
-        s = cluster(eigs, tags=tags, counts=counts)
-        ref = []
-        for i, j in zip(np.cumsum(lengths) - lengths, np.cumsum(lengths)):
-            labels = {}
-            for t, c in zip(tags[i:j], counts[i:j].tolist()):
-                labels[t] = labels.get(t, 0) + c
-            ref.append((eigs[i], int(counts[i:j].sum()),
-                        ";".join(f"{t}x{c}" for t, c in sorted(labels.items()))))
-        assert [(e.value, e.multiplicity, e.tag) for e in s.entries] == ref
-        assert len(s.entries) == len(lengths)
-
-    def test_copies_a_few_ulps_apart_merge_only_in_the_gap_reference(self):
-        """Six values a few ulps apart are six entries of the exact merge
-        and one cluster of the gap reference; 18 equal copies (laakso_cli's
-        value 157.88196427564415, whose np.mean is 157.88196427564418) are
-        one entry of that value in both."""
-        near = 4.0 + np.spacing(4.0) * np.arange(6)
-        assert [e.multiplicity for e in cluster(np.array([1.0, *near, 900.0])).entries] == \
-            [1] * 8
-        assert [e.multiplicity for e in gap_cluster(np.array([1.0, *near, 900.0])).entries] == \
-            [1, 6, 1]
-        exact = 157.88196427564415
-        copies = np.array([1.0, *np.full(18, exact), 900.0])
-        for merge in (cluster, gap_cluster):
-            assert merge(copies).entries[1] == SpectrumEntry(exact, 18)
-        assert cluster(np.array([exact]), counts=[18]).entries == [SpectrumEntry(exact, 18)]
-
-    def test_gap_runs(self):
-        v = [0.0, 1e-9, 1.0, 1.0 + 5e-8, 1.0 + 1e-7, 3.0, 300.0, 300.0 + 2e-5]
-        assert gap_runs(v, 1e-7) == [(0, 2), (2, 5), (5, 6), (6, 8)]
-        assert gap_runs([], 1e-7) == []
 
 
 class TestSpectrumListChecks:

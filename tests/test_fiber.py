@@ -1,6 +1,5 @@
 import itertools
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,10 +9,12 @@ from scipy.sparse.csgraph import connected_components
 
 import family_reference
 import piece_reference
-from dense_reference import graph_operator, path_graph, walk_kernels
+from dense_reference import gap_cluster, gap_runs, graph_operator, path_graph
 from fractal_spectra import fiber, gasket, laakso, strings
+from fractal_spectra.eigensolve import SpectrumEntry
+from fractal_spectra.errors import NoConvergence
 from fractal_spectra.laakso import LaaksoSpec
-from fractal_spectra.metric_graph import SPECTRAL_BOUND, EquilateralMesh
+from fractal_spectra.metric_graph import SPECTRAL_BOUND
 from lapack_reference import csr, generalized_eigh, operator, path_tridiagonal
 from level_reference import (
     FiberStructure,
@@ -22,6 +23,7 @@ from level_reference import (
     block_spectra,
     choux_levels,
     classify_levels,
+    cluster,
     contrast_basis,
     fiber_complement,
     fiber_project,
@@ -33,7 +35,13 @@ from level_reference import (
     total_multiplicity,
     vertex_fiber_structure,
 )
-from mesh_reference import dirichlet_energy, discretize_levels, laakso_levels, stitched_levels
+from mesh_reference import (
+    dirichlet_energy,
+    discretize_levels,
+    interval_pencil,
+    laakso_levels,
+    stitched_levels,
+)
 
 
 @pytest.fixture(scope="module")
@@ -340,21 +348,23 @@ class TestSolveOnce:
 
     def test_laakso_krylov_spec(self, solves):
         """j = [2]*5 at refine 8: level 0 and 31 pieces above it, with
-        2, 4, 4, 4 and 3 distinct runs on levels 1-5 and 14 distinct runs
-        in all.  The one-vertex runs at the two ends of the path are mirror
-        images with one pencil, but they are keyed apart."""
+        2, 4, 4, 4 and 4 distinct runs on levels 1-5 and 15 distinct runs
+        in all, the edge between two marks of level 5 among them.  The
+        one-vertex runs at the two ends of the path are mirror images with
+        one pencil, but they are keyed apart."""
         per_level = laakso.laakso_numeric_spectra(LaaksoSpec(j=[2] * 5, refine=8), 400.0)
-        assert len(solves) == 1 + 2 + 4 + 4 + 4 + 3 and len(set(solves)) == 15
+        assert len(solves) == 1 + 2 + 4 + 4 + 4 + 4 and len(set(solves)) == 16
         assert [total_multiplicity(s) for s in per_level] == [7, 13, 26, 40, 40, 40]
 
     def test_laakso_cli_spec(self, solves):
-        """j = [2, 2, 2] at refine 32: level 0 plus 2, 4 and 3 distinct runs
-        on levels 1-3, 8 distinct of the 35 runs of the 7 pieces above
-        level 0; the block route split the same levels into 21 blocks, 7 of
-        them distinct."""
+        """j = [2, 2, 2] at refine 32: level 0 plus 2, 4 and 4 distinct runs
+        on levels 1-3, 9 distinct of the 35 runs of the 7 pieces above
+        level 0, the edge between two marks of level 3 among them; the
+        block route split the same levels into 21 blocks, 7 of them
+        distinct."""
         spec = LaaksoSpec(j=[2, 2, 2], refine=32)
         laakso.laakso_numeric_spectra(spec, 230.0)
-        assert len(solves) == 1 + 2 + 4 + 3 and len(set(solves)) == 9
+        assert len(solves) == 1 + 2 + 4 + 4 and len(set(solves)) == 10
         ops, fibers = graph_levels(family_reference.build_laakso(spec), "dirichlet")
         assert sum(len(new_blocks(ops[i], ops[i - 1], fibers[i - 1])) for i in (1, 2, 3)) == 21
 
@@ -452,9 +462,54 @@ class TestPathPieces:
         assert 2 * np.sin(np.pi * 13 / (2 * 39)) ** 2 != a[13]
 
 
+class TestRefinedRuns:
+    """The mesh of a run of m vertices with f free ends, at r cells per
+    edge, is a run of (m + 1) r - 1, m r or (m - 1) r + 1 nodes
+    (``fiber._mesh_key``), whose values times 2 / h^2 are those of the mesh
+    pencil of the run's interval (``mesh_reference.interval_pencil``)."""
+
+    @pytest.mark.parametrize("r", range(2, 9))
+    @pytest.mark.parametrize("m, first, last", [
+        (m, first, last) for m in range(7) for first, last in ((0, 0), (1, 0), (0, 1), (1, 1))
+        if m >= first + last  # a free end is a vertex of the run
+    ])
+    def test_refined_run_is_the_mesh_pencil_of_its_interval(self, m, first, last, r):
+        """m = 0..6 vertices, every end type, r = 2..8: as many values as
+        mesh nodes, to 1e-13 of the top of the spectrum 4 / h^2.  Key 0, an
+        edge between two Dirichlet vertices, has r - 1 nodes and no vertex."""
+        key, pitch = 4 * m + 2 * first + last, 0.125
+        mesh = fiber._mesh_key(key, r)
+        assert mesh & 3 == key & 3
+        assert mesh >> 2 == {0: (m + 1) * r - 1, 1: m * r, 2: (m - 1) * r + 1}[first + last]
+        op = interval_pencil(key, r, pitch)
+        assert op.n == mesh >> 2
+        scale = 2 / pitch**2
+        got = scale * np.asarray(fiber._run_values(mesh, float("inf")))
+        ref = generalized_eigh(op)[0] if op.n else np.zeros(0)
+        assert len(got) == len(ref)
+        assert np.abs(got - ref).max(initial=0.0) <= 1e-13 * 2 * scale
+
+    @pytest.mark.parametrize("spec", [LaaksoSpec([2, 3], 8, "dirichlet"), LaaksoSpec([3, 4], 4),
+                                      STRINGS_213], ids=["laakso_23d", "laakso_34n", "strings"])
+    def test_lambda_max_on_a_mesh_eigenvalue_keeps_it(self, spec):
+        """A cut placed exactly on a listed mesh eigenvalue keeps it with its
+        multiplicity and tags, and every entry below; a cut 1e-11 below it
+        drops it."""
+        family = (laakso.laakso_family(spec) if isinstance(spec, LaaksoSpec)
+                  else strings.stitched_family(spec))
+        whole = fiber.equilateral_spectra(family, [spec.refine], 2000.0, "{}")[0][-1].entries
+        for k in range(1, len(whole), 3):
+            lam = whole[k].value
+            assert fiber.equilateral_spectra(family, [spec.refine], lam, "{}")[0][-1].entries == \
+                whole[:k + 1]
+            below = fiber.equilateral_spectra(family, [spec.refine], lam * (1 - 1e-11), "{}")
+            assert below[0][-1].entries == whole[:k]
+
+
 class TestPieces:
     """The pieces of each level carry the dimension of its whole pencil,
-    and the family's edge counts are those of the built levels."""
+    and the edges that the runs of a path family span are those of the
+    built levels."""
 
     @pytest.mark.parametrize("case", ["laakso_j343", "laakso_j232_dirichlet", "choux_35",
                                       "choux_35_dirichlet", "strings_213", "theta"])
@@ -477,9 +532,9 @@ class TestPieces:
         graphs = build(spec).graphs
         kept = family_reference.kept_counts(family)
         assert kept == [graph_operator(g, boundary).n for g in graphs]
-        if family.base is not None:  # the pâte à choux has neither, as it takes no mesh
-            assert family.n_edges == [len(g.ends) for g in graphs[1:]]
-            assert path_graph(family.base).ends == graphs[0].ends
+        if family.base is not None:  # the pâte à choux has no base, as it takes no mesh
+            assert family_reference.edge_counts(family) == [len(g.ends) for g in graphs]
+            assert path_graph(family).ends == graphs[0].ends
 
     @pytest.mark.parametrize("spec", [
         *(LaaksoSpec(j, 4, boundary) for j in ([], [3], [2, 2], [3, 2, 3], [2, 3, 3, 2])
@@ -488,11 +543,10 @@ class TestPieces:
         strings.StringSpec([Fraction(1, 3**i) for i in range(1, 7)], [2**i for i in range(6)], 4),
     ], ids=lambda spec: repr(spec.j if isinstance(spec, LaaksoSpec) else spec.mults))
     def test_path_base_stands_for_the_level_0_graph(self, spec):
-        """The graph of a family's ``PathBase`` is level 0 of the loop-built
-        family: its vertices, edges, edge length, Dirichlet marks and total
-        measure (1 on the Laakso grid, l_1 on the strings); and its walk
-        kernels and edge count are those ``equilateral_spectra`` uses.  The
-        last string is the Cantor string of depth 6."""
+        """The graph of a family's ``PathBase`` and level-0 run is level 0 of
+        the loop-built family: its vertices, edges, edge length, Dirichlet
+        marks and total measure (1 on the Laakso grid, l_1 on the strings).
+        The last string is the Cantor string of depth 6."""
         if isinstance(spec, LaaksoSpec):
             family = laakso.laakso_family(spec)
             ref, measure = family_reference.build_laakso(spec).graphs[0], 1.0
@@ -500,23 +554,13 @@ class TestPieces:
             family = strings.stitched_family(spec)
             ref = family_reference.build_stitched(spec, top=0).graphs[0]
             measure = float(spec.lengths[0])
-        g = path_graph(family.base)
+        g = path_graph(family)
         assert g.n_vertices == ref.n_vertices
         assert g.ends == ref.ends
         assert g.length == ref.length
         assert g.dirichlet == ref.dirichlet
         assert g.total_measure() == pytest.approx(ref.total_measure(), rel=1e-12)
         assert g.total_measure() == pytest.approx(measure, rel=1e-12)
-        seen, edge_modes = [], EquilateralMesh.edge_modes
-
-        def spy(mesh, n_edges, n_kept, kernels, lam_max):
-            seen.append((n_edges, kernels))
-            return edge_modes(mesh, n_edges, n_kept, kernels, lam_max)
-
-        with mock.patch.object(EquilateralMesh, "edge_modes", spy):
-            fiber.equilateral_spectra(family, [2], 1.0, "{}")
-        assert seen[0] == (len(ref.ends), walk_kernels(ref))
-        assert {kernels for _, kernels in seen} == {walk_kernels(g)}
 
     def test_binary_pieces_are_the_sets_with_their_level_on_top(self):
         """Level l has a piece for each S in {1..l} with max S = l, marking
@@ -529,3 +573,78 @@ class TestPieces:
             assert sorted(sets, key=sorted) == sorted(
                 (frozenset(s) | {level} for r in range(level) for s in
                  itertools.combinations(range(1, level), r)), key=sorted)
+
+
+class TestCluster:
+    def test_equal_values_merge(self):
+        s = cluster(np.array([4.0, 4.0, 9.0]))
+        assert [(e.value, e.multiplicity) for e in s.entries] == [(4.0, 2), (9.0, 1)]
+
+    def test_close_distinct_values_stay_apart(self):
+        """Values that differ are distinct eigenvalues however close they
+        are: 1e-12 apart, and one unit in the last place apart."""
+        s = cluster(np.array([4.0, 4.0 + 1e-12, np.nextafter(9.0, 0.0), 9.0]))
+        assert [e.multiplicity for e in s.entries] == [1, 1, 1, 1]
+
+    def test_empty(self):
+        assert cluster(np.array([])).entries == []
+
+    def test_tag_counts(self):
+        s = cluster(np.array([4.0, 4.0, 9.0]), tags=["base", "new@1", "base"])
+        assert s.entries[0].tag == "basex1;new@1x1"
+
+    def test_wide_chain_of_close_values_is_listed_value_by_value(self):
+        """Twenty distinct values, each within the gap of the next: the gap
+        reference chains them into one cluster too wide to be copies of
+        one value and refuses it, and the exact merge lists all twenty."""
+        rel_tol = 1e-7
+        chain = 1.0 + 0.9 * rel_tol * np.arange(20)
+        assert gap_runs(chain, rel_tol) == [(0, 20)]
+        with pytest.raises(NoConvergence, match="wider than rel_tol"):
+            gap_cluster(chain, rel_tol=rel_tol)
+        assert [e.value for e in cluster(chain).entries] == chain.tolist()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_values_and_tags_are_those_of_a_loop_over_the_runs(self, seed):
+        """Runs of 1-3000 equal values, a run's neighbours a few ulps away,
+        each value counted 1-5 times, with random tags: each entry is the
+        value of its run, its multiplicity the sum of the counts, and each
+        tag counts the run's labels with their counts in sorted order."""
+        rng = np.random.default_rng(seed)
+        lengths = rng.choice([1, 2, 3, 7, 8, 9, 16, 127, 128, 129, 257, 1000, 3000], 40)
+        centres = np.cumsum(rng.uniform(0.5, 2.0, len(lengths))) * 10.0 ** rng.integers(-3, 3)
+        centres[1::2] = np.nextafter(centres[:-1:2], np.inf)  # neighbours one ulp apart
+        eigs = np.repeat(centres, lengths)
+        counts = rng.integers(1, 6, len(eigs))
+        tags = rng.choice(["base", "new@1", "new@2", "new@10"], len(eigs)).tolist()
+        s = cluster(eigs, tags=tags, counts=counts)
+        ref = []
+        for i, j in zip(np.cumsum(lengths) - lengths, np.cumsum(lengths)):
+            labels = {}
+            for t, c in zip(tags[i:j], counts[i:j].tolist()):
+                labels[t] = labels.get(t, 0) + c
+            ref.append((eigs[i], int(counts[i:j].sum()),
+                        ";".join(f"{t}x{c}" for t, c in sorted(labels.items()))))
+        assert [(e.value, e.multiplicity, e.tag) for e in s.entries] == ref
+        assert len(s.entries) == len(lengths)
+
+    def test_copies_a_few_ulps_apart_merge_only_in_the_gap_reference(self):
+        """Six values a few ulps apart are six entries of the exact merge
+        and one cluster of the gap reference; 18 equal copies (laakso_cli's
+        value 157.88196427564415, whose np.mean is 157.88196427564418) are
+        one entry of that value in both."""
+        near = 4.0 + np.spacing(4.0) * np.arange(6)
+        assert [e.multiplicity for e in cluster(np.array([1.0, *near, 900.0])).entries] == \
+            [1] * 8
+        assert [e.multiplicity for e in gap_cluster(np.array([1.0, *near, 900.0])).entries] == \
+            [1, 6, 1]
+        exact = 157.88196427564415
+        copies = np.array([1.0, *np.full(18, exact), 900.0])
+        for merge in (cluster, gap_cluster):
+            assert merge(copies).entries[1] == SpectrumEntry(exact, 18)
+        assert cluster(np.array([exact]), counts=[18]).entries == [SpectrumEntry(exact, 18)]
+
+    def test_gap_runs(self):
+        v = [0.0, 1e-9, 1.0, 1.0 + 5e-8, 1.0 + 1e-7, 3.0, 300.0, 300.0 + 2e-5]
+        assert gap_runs(v, 1e-7) == [(0, 2), (2, 5), (5, 6), (6, 8)]
+        assert gap_runs([], 1e-7) == []

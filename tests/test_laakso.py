@@ -66,10 +66,9 @@ def quotient_counts(j):
 
 def level_sizes(spec):
     """(vertices, edges) of each level of a Neumann spec's family: its kept
-    vertex counts and |E_l|."""
+    vertex counts and the edges its runs span."""
     family = laakso_family(spec)
-    edges = [len(path_graph(family.base).ends), *family.n_edges]
-    return list(zip(family_reference.kept_counts(family), edges))
+    return list(zip(family_reference.kept_counts(family), family_reference.edge_counts(family)))
 
 
 class TestBuild:
@@ -93,7 +92,7 @@ class TestBuild:
 
     def test_depth_zero_is_unit_interval(self):
         assert level_sizes(LaaksoSpec(j=[])) == [(2, 1)]
-        assert path_graph(laakso_family(LaaksoSpec(j=[])).base).total_measure() == \
+        assert path_graph(laakso_family(LaaksoSpec(j=[]))).total_measure() == \
             pytest.approx(1.0)
 
     @pytest.mark.parametrize("j", [[2], [2, 2], [2, 3], [3, 3], [3, 4, 4], [2, 2, 3]])

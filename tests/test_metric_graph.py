@@ -4,11 +4,12 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from dense_reference import MetricGraph, _laplacian, graph_operator, walk_kernels
-from fractal_spectra.metric_graph import DIRICHLET, NEUMANN, EquilateralMesh
+from fractal_spectra.metric_graph import DIRICHLET, NEUMANN
 from json_reference import graph_from_json, graph_to_json
 from lapack_reference import csr
 from mesh_reference import (
     DimensionMismatch,
+    EquilateralMesh,
     NonDividingPitch,
     assemble,
     dirichlet_energy,
@@ -187,16 +188,15 @@ class TestEquilateralMesh:
         assert walk_kernels(MetricGraph(triangle.labels, triangle.ends, 1.0, 1.0)) == (1, 0)
         assert walk_kernels(triangle) == (0, 0)  # a Dirichlet vertex
 
-    def test_vertex_cut(self):
+    def test_theta(self):
         mesh = EquilateralMesh(pitch=1 / 8, refine=4)
 
         def value(theta):
             return (2 / mesh.pitch * np.sin(theta / 2)) ** 2
 
         assert mesh.theta(value(0.3)) == pytest.approx(0.3, rel=1e-14)
-        assert mesh.vertex_cut(value(0.3)) == pytest.approx(1 - np.cos(1.2), rel=1e-12)
-        assert mesh.vertex_cut(value(0.9)) == 2.0  # r theta > pi: all of branch 0
-        assert mesh.vertex_cut(1e9) == 2.0  # above the spectrum
+        assert mesh.theta(value(np.pi)) == np.pi
+        assert mesh.theta(1e9) == np.pi  # above the spectrum
 
 
 def random_multigraph(seed, max_row=16):

@@ -74,14 +74,13 @@ from fractal_spectra.eigensolve import (
     SpectrumEntry,
     SpectrumList,
     _nearest,
-    cluster,
     verify_nesting,
 )
 from fractal_spectra.errors import NoConvergence
 from fractal_spectra.metric_graph import DIRICHLET, SPECTRAL_BOUND
 from json_reference import spectrum_from_json, spectrum_to_json
 from lapack_reference import csr, eigenpairs_below, generalized_eigh, operator
-from level_reference import assert_matches_reference, total_multiplicity
+from level_reference import assert_matches_reference, cluster, total_multiplicity
 
 SETTINGS = settings(max_examples=25, deadline=timedelta(seconds=20), derandomize=True,
                     database=None)
@@ -326,7 +325,7 @@ def test_laakso_run_tables_are_the_runs_of_every_piece(spec):
     of every level has the keys and counts of the runs of its 2^(l-1)
     pieces, listed as masks."""
     family = laakso.laakso_family(spec)
-    ref = family_reference.run_tables(path_graph(family.base), family_reference.path_pieces(spec))
+    ref = family_reference.run_tables(path_graph(family), family_reference.path_pieces(spec))
     assert len(family.runs) == len(ref)
     for (keys, counts), (ref_keys, ref_counts) in zip(family.runs, ref):
         assert np.asarray(keys).tolist() == ref_keys.tolist()
@@ -367,7 +366,7 @@ def assert_path_route_is_the_component_route(family, pieces, cut, base=None):
     pieces ``pieces`` of ``family`` over the graph ``base``, by default the
     graph of ``family.base``, the sorted values to 1e-14 absolute."""
     values, kept = fiber._level_values(family, cut), family_reference.kept_counts(family)
-    base = path_graph(family.base) if base is None else base
+    base = path_graph(family) if base is None else base
     ref_values, ref_kept = piece_reference.component_values(base, pieces, cut)
     assert kept == ref_kept and len(values) == len(ref_values)
     for got, ref in zip(values, ref_values):
@@ -405,8 +404,7 @@ def path_families(draw):
                        rng.random(n) < draw(st.sampled_from([0.0, 0.2])))
     pieces = [[(rng.random(n) < 0.3, int(rng.integers(0, 4))) for _ in range(draw(st.integers(1, 4)))]
               for _ in range(draw(st.integers(1, 3)))]
-    return (fiber.LevelFamily(None, n_edges=[n - 1] * len(pieces),
-                              runs=family_reference.run_tables(base, pieces)), pieces, base)
+    return (fiber.LevelFamily(None, runs=family_reference.run_tables(base, pieces)), pieces, base)
 
 
 @SETTINGS
@@ -428,8 +426,8 @@ def test_path_route_is_the_component_route_on_bases_above_500_vertices():
 
 
 def first_edge_mode(pitch, refine):
-    """(4/h^2) sin^2(pi / 2r): the smallest mesh eigenvalue that is not
-    mapped from a vertex eigenvalue."""
+    """(4/h^2) sin^2(pi / 2r): the smallest mesh eigenvalue of an edge
+    between two Dirichlet vertices, a run of no vertex."""
     return (2 / pitch * math.sin(math.pi / (2 * refine))) ** 2
 
 
@@ -460,10 +458,10 @@ equilateral_laakso_specs = st.builds(
 
 @SETTINGS
 @given(spec=equilateral_laakso_specs, factor=edge_mode_factors)
-def test_laakso_vertex_route_matches_the_mesh_route(spec, factor):
-    """The Chebyshev map of the vertex spectra gives every level's mesh
-    spectrum: that of the mesh pencils of ``tests/mesh_reference.py``
-    solved block by block, as the package did before."""
+def test_laakso_refined_runs_match_the_mesh_route(spec, factor):
+    """The refined runs give every level's mesh spectrum: that of the mesh
+    pencils of ``tests/mesh_reference.py`` solved block by block, as the
+    package did before."""
     lam_max = factor * first_edge_mode(spec.pitch, spec.refine)
     ref = level_reference.block_spectra(*mesh_reference.laakso_levels(spec), lam_max, "{}")
     assert_same_spectra(laakso.laakso_numeric_spectra(spec, lam_max), ref)
@@ -471,7 +469,7 @@ def test_laakso_vertex_route_matches_the_mesh_route(spec, factor):
 
 @SETTINGS
 @given(spec=string_specs, factor=edge_mode_factors)
-def test_string_vertex_route_matches_the_mesh_route(spec, factor):
+def test_string_refined_runs_match_the_mesh_route(spec, factor):
     lam_max = factor * first_edge_mode(spec.pitch, spec.refine)
     ref = level_reference.block_spectra(*mesh_reference.stitched_levels(spec), lam_max, "{}")
     assert_same_spectra(strings.stitched_numeric_spectra(spec, lam_max), ref)
@@ -496,13 +494,13 @@ family_choux_specs = st.integers(0, 3).flatmap(
 
 def assert_sizes_of_the_loop_reference(family, ref, boundary):
     """The kept vertex counts of every level of ``family`` are those of the
-    graphs of the loop-built ``ref``, and so are the base and |E_l| of a
-    family that has them."""
+    graphs of the loop-built ``ref``, and so are the base and the edges
+    that the runs of each level span on a path family."""
     kept = family_reference.kept_counts(family)
     assert kept == [graph_operator(g, boundary).n for g in ref.graphs]
-    if family.base is not None:  # the pâte à choux has neither, as it takes no mesh
-        assert family.n_edges == [len(g.ends) for g in ref.graphs[1:]]
-        assert path_graph(family.base).ends == ref.graphs[0].ends
+    if family.base is not None:  # the pâte à choux has no base, as it takes no mesh
+        assert family_reference.edge_counts(family) == [len(g.ends) for g in ref.graphs]
+        assert path_graph(family).ends == ref.graphs[0].ends
 
 
 @SETTINGS
@@ -605,22 +603,23 @@ def test_chebyshev_map_gives_the_mesh_spectrum_of_any_equal_edge_graph(case, ref
 
 
 @pytest.mark.parametrize("seed", range(60))
-def test_chebyshev_map_gives_the_mesh_spectrum_of_a_path_base(seed):
+def test_refined_runs_give_the_mesh_spectrum_of_a_path_base(seed):
     """The package's own route on a ``PathBase`` of 2-12 vertices, its ends
-    Dirichlet vertices on odd seeds, with edges of ``refine`` pitches: the
-    level-0 spectrum of ``fiber.equilateral_spectra`` is the mesh pencil's
-    spectrum of the path's graph up to a cut halfway between two of its
-    distinct eigenvalues or above them all."""
+    Dirichlet vertices on odd seeds (a run of no vertex on two), with edges
+    of ``refine`` pitches: the level-0 spectrum of
+    ``fiber.equilateral_spectra`` is the mesh pencil's spectrum of the
+    path's graph up to a cut halfway between two of its distinct
+    eigenvalues or above them all."""
     rng = np.random.default_rng(seed)
     n, refine = int(rng.integers(2, 13)), int(rng.integers(1, 5))
     pitch = float(rng.choice([0.25, 0.1, 1 / 3]))
-    base = fiber.PathBase(n, refine * pitch, bool(seed % 2))
-    op = mesh_reference.assemble(mesh_reference.discretize(path_graph(base), pitch))
+    ends = seed % 2
+    family = fiber.path_family(fiber.PathBase(n, refine * pitch), [[(ends, n - ends, 1)]])
+    op = mesh_reference.assemble(mesh_reference.discretize(path_graph(family), pitch))
     values = generalized_eigh(op)[0] if op.n else np.zeros(0)
     distinct = values[[start for start, _ in gap_runs(values, 1e-9)]]
     cut = float(rng.choice([*((distinct[:-1] + distinct[1:]) / 2), 5.0 / pitch**2]))
     ref = gap_cluster(values[values <= cut], tags=["base"] * np.count_nonzero(values <= cut))
-    family = fiber.path_family(base, [[(int(base.dirichlet), n - base.dirichlet, 1)]], [])
     assert_same_spectra(fiber.equilateral_spectra(family, [refine], cut, "{}")[0], [ref])
 
 

@@ -18,8 +18,7 @@ from fractal_spectra.strings import (
     string_analytic_spectrum,
     zeta_partial,
 )
-from dense_reference import path_graph
-from family_reference import build_stitched, kept_counts
+from family_reference import build_stitched, edge_counts, kept_counts
 from lapack_reference import eigenpairs_below
 from level_reference import classify_levels, counting_function
 from mesh_reference import stitched_levels
@@ -83,8 +82,9 @@ class TestBuilder:
         spec = StringSpec([Fraction(1, 2)], [3])
         g = build_stitched(spec).graphs[1]
         family = stitched_family(spec)
-        # both vertices are Dirichlet ends, so the pieces keep none
-        assert kept_counts(family)[1] == 0 and family.n_edges == [3]
+        # both vertices are Dirichlet ends, so the pieces keep none, and
+        # each edge is a run of no vertex
+        assert kept_counts(family)[1] == 0 and edge_counts(family) == [1, 3]
         assert g.n_vertices == 2
         assert len(g.ends) == 3
         assert all(length == pytest.approx(0.5) for length in g.length)
@@ -120,8 +120,7 @@ class TestBuilder:
         kept = kept_counts(family)
         elapsed = time.perf_counter() - start
         assert [n + 2 for n in kept] == [244, 244, 404, 508, 572, 604, 604]
-        assert [len(path_graph(family.base).ends), *family.n_edges] == \
-            [243, 243, 405, 513, 585, 633, 665]
+        assert edge_counts(family) == [243, 243, 405, 513, 585, 633, 665]
         assert elapsed < 5.0
 
     def test_single_strand_is_plain_interval(self):
