@@ -11,10 +11,9 @@ multiplicity three.  Run:
 import math
 from fractions import Fraction
 
-from fractal_spectra.eigensolve import FDModel
+from fractal_spectra.eigensolve import compare_spectra
 from fractal_spectra.strings import (
     StringSpec,
-    isospectrality_report,
     stitched_numeric_spectra,
     string_analytic_spectrum,
     zeta_partial,
@@ -31,7 +30,7 @@ for e in analytic.entries:
     merged = "  <-- merged branches" if e.multiplicity > 1 else ""
     print(f"  {e.value / pi2:8.3f}  x{e.multiplicity}{merged}")
 
-iso = isospectrality_report(numeric, analytic, FDModel(pitch=spec.pitch), lam_max)
+iso = compare_spectra(numeric, analytic, spec.pitch, lam_max)
 print(f"numeric matches with exact multiplicities: pass = {iso['pass']} "
       f"({len(iso['matched'])} entries)")
 

@@ -4,7 +4,6 @@ isospectral to fractal strings."""
 
 from . import errors
 from .eigensolve import (
-    FDModel,
     SpectrumEntry,
     SpectrumList,
     compare_spectra,
@@ -22,13 +21,13 @@ from .gasket import (
 from .laakso import (
     LaaksoSpec,
     laakso_analytic_spectrum,
+    laakso_family,
     laakso_numeric_spectra,
     laakso_numeric_spectrum,
     laakso_refinement_spectra,
 )
 from .strings import (
     StringSpec,
-    isospectrality_report,
     rationalize,
     string_analytic_spectrum,
     stitched_numeric_spectra,

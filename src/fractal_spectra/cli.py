@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import gasket, laakso, strings
-from .eigensolve import FDModel, SpectrumList, _nearest, compare_spectra, verify_nesting
+from .eigensolve import SpectrumList, _nearest, compare_spectra, verify_nesting
 from .errors import FractalSpectraError, InvalidSpaceSpec, NoCommonPitch, NoConvergence
 
 EXIT_OK = 0
@@ -122,6 +122,21 @@ def _nesting(out: Path, per_level: list[SpectrumList], tol: float) -> bool:
 # -- laakso ------------------------------------------------------------------
 
 
+def _convergence_order(fine: dict, coarse: dict) -> float | None:
+    """The median of log2(e_2h / e_h) over the ranks matched in the compare
+    reports at both pitches, e = |numeric - analytic|, or None when no rank
+    counts.  A rank counts when its fine error is at least 1e-10 relative,
+    above the roundoff of the closed forms, and below its coarse error."""
+    orders = []
+    for f, c in zip(fine["matched"], coarse["matched"]):
+        a = f["analytic"]
+        ef, ec = abs(f["numeric"] - a), abs(c["numeric"] - a)
+        if a == c["analytic"] and ef >= 1e-10 * a and ec > ef:
+            orders.append(math.log2(ec / ef))
+    orders.sort()
+    return (orders[(len(orders) - 1) // 2] + orders[len(orders) // 2]) / 2 if orders else None
+
+
 def cmd_laakso(args) -> int:
     doc = _load_spec(args.spec, ("j", "depth", "refine", "boundary", "lambda_max"))
     if "j" not in doc:
@@ -137,20 +152,18 @@ def cmd_laakso(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    analytic = laakso.laakso_analytic_spectrum(spec, lam_max)
+    family = laakso.laakso_family(spec)
+    analytic = laakso.laakso_analytic_spectrum(family, lam_max)
     refines = [spec.refine]
     if spec.refine % 2 == 0 and spec.refine >= 4:
         refines.append(spec.refine // 2)  # the coarse pitch gives the convergence order
     # one set of vertex values serves both pitches
-    per_level, *coarse = laakso.laakso_refinement_spectra(spec, lam_max, refines)
+    per_level, *coarse = laakso.laakso_refinement_spectra(family, lam_max, refines)
     numeric = per_level[-1]
-    compare = compare_spectra(
-        numeric,
-        analytic,
-        FDModel(pitch=spec.pitch),
-        coverage_max=0.75 * lam_max,
-        numeric_coarse=coarse[0][-1] if coarse else None,
-    )
+    compare = compare_spectra(numeric, analytic, spec.pitch, lam_max)
+    compare["convergence_order"] = _convergence_order(
+        compare, compare_spectra(coarse[0][-1], analytic, 2 * spec.pitch, lam_max)
+    ) if coarse else None
     nested = _nesting(out, per_level, args.tol)
 
     (out / "analytic.csv").write_text(analytic.to_csv())
@@ -243,7 +256,7 @@ def cmd_string(args) -> int:
     analytic = strings.string_analytic_spectrum(spec, lam_max)
     per_level = strings.stitched_numeric_spectra(spec, lam_max)
     numeric = per_level[-1]
-    iso = strings.isospectrality_report(numeric, analytic, FDModel(pitch=spec.pitch), lam_max)
+    iso = compare_spectra(numeric, analytic, spec.pitch, lam_max)
     iso["length_perturbation"] = perturbation
     nested = _nesting(out, per_level, args.tol)
 

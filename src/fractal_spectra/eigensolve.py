@@ -10,10 +10,12 @@ decimation (``gasket._piece_spectrum``).  A closed form gives the copies
 of an eigenvalue the same bits, so equal values merge exactly, each with
 its count, and no value is listed once per copy: the levels of a family
 merge each level into the one below (``fiber._cluster_levels``).  For the
-same reason the nesting
-check finds a lower value in the upper list by its bits before it
-searches.  The dense eigensolver and the gap clustering that its values
-need are the tests' reference (``tests/dense_reference.py``).
+same reason the nesting check finds a lower value in the upper list by its
+bits before it searches, and one compare serves both path families: the
+k-th mesh entry pairs with the k-th continuum entry under the exact
+finite-difference bound (``compare_spectra``).  The dense eigensolver and
+the gap clustering that its values need are the tests' reference
+(``tests/dense_reference.py``).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import bisect
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -138,82 +141,39 @@ def verify_nesting(lower: SpectrumList, upper: SpectrumList, tol: float = 1e-9) 
     }
 
 
-@dataclass
-class FDModel:
-    """Second-order finite-difference error model: relative error of an
-    eigenvalue lambda at pitch h is bounded by 10 * lambda * h**2."""
-
-    pitch: float
-
-    def rel_tol(self, lam: float) -> float:
-        # absolute floor covers roundoff on near-zero modes
-        return max(10.0 * abs(lam) * self.pitch**2, 1e-9)
+#: the relative slack of the finite-difference bound, for the roundings of the closed forms
+ULP_SLACK = 16 * sys.float_info.epsilon
 
 
-def compare_spectra(
-    numeric: SpectrumList,
-    analytic: SpectrumList,
-    model: FDModel,
-    coverage_max: float | None = None,
-    numeric_coarse: SpectrumList | None = None,
-) -> dict:
-    """Match numeric eigenvalues against an analytic list with FD-aware
-    tolerance, each to its nearest analytic value (``_nearest``).
-
-    Every numeric value must be within model.rel_tol of some analytic value;
-    every nonzero analytic value <= coverage_max must be hit; the report
-    passes when both hold.  A numeric zero mode is skipped when the analytic
-    list omits it.  When a coarser-pitch list is given, the observed
-    convergence order (median over matched values) is reported.
-    """
-    avals = analytic.values()
-    has_zero = bool(avals) and abs(avals[0]) < 1e-12
-    matched, unmatched_numeric = [], []
-    max_dev = 0.0
-    hit = [False] * len(avals)
-    for e in numeric.entries:
-        if not has_zero and abs(e.value) <= 1e-9:
-            continue
-        if not avals:
-            unmatched_numeric.append(e.value)
-            continue
-        j = _nearest(avals, e.value)
-        dev = abs(avals[j] - e.value) / max(1.0, abs(avals[j]))
-        if dev <= model.rel_tol(avals[j]):
-            hit[j] = True
-            max_dev = max(max_dev, dev)
-            matched.append({"numeric": e.value, "analytic": avals[j], "rel_dev": dev})
-        else:
-            unmatched_numeric.append(e.value)
-    unmatched_analytic = []
-    if coverage_max is not None:
-        for j, a in enumerate(avals):
-            if a <= coverage_max and not hit[j] and a > 1e-12:
-                unmatched_analytic.append(a)
-    order = None
-    if numeric_coarse is not None:
-        cvals = numeric_coarse.values()
-        orders = []
-        for m in matched:
-            a = m["analytic"]
-            if abs(a) < 1e-12 or not cvals:
-                continue
-            ec = abs(cvals[_nearest(cvals, a)] - a)
-            ef = abs(m["numeric"] - a)
-            if ef > 1e-13 * abs(a) and ec > ef:
-                orders.append(math.log2(ec / ef))
-        if orders:
-            orders.sort()
-            half = len(orders) // 2
-            order = orders[half] if len(orders) % 2 else (orders[half - 1] + orders[half]) / 2
-    return {
-        "matched": matched,
-        "unmatched_numeric": unmatched_numeric,
-        "unmatched_analytic": unmatched_analytic,
-        "max_rel_deviation": max_dev,
-        "convergence_order": order,
-        "pass": not unmatched_numeric and not unmatched_analytic,
-    }
+def compare_spectra(numeric: SpectrumList, analytic: SpectrumList, pitch: float,
+                    cut: float) -> dict:
+    """Pair the k-th numeric entry with the k-th analytic entry <= c =
+    min(cut, (pi / h)^2 (1 - 1e-12)) and hold each pair to the exact
+    finite-difference bound lambda (1 - lambda h^2 / 12) <= lambda_h <= lambda
+    (y - y^3 / 6 <= sin y <= y for lambda_h = lambda (sin y / y)^2,
+    y = sqrt(lambda) h / 2, which rises with lambda below (pi / h)^2), with
+    ``ULP_SLACK``, and to equal multiplicities: else the pair is
+    ``mismatched``.  At (pi / h)^2 a Dirichlet run end has a value with no
+    mesh value, and two free ends the mesh value 4 / h^2 with no continuum
+    value below.  ``count_mismatch`` counts the analytic entries left
+    unpaired and the numeric ones left over at or below c (1 - c h^2 / 12),
+    below the mesh value of every value above c."""
+    top = min(cut, (math.pi / pitch) ** 2 * (1 - 1e-12))
+    kept = analytic.entries[:bisect.bisect_right(analytic.values(), top)]
+    twelfth = pitch * pitch / 12
+    report = {"matched": [], "mismatched": []}
+    for a, n in zip(kept, numeric.entries):
+        lam, value = a.value, n.value
+        item = {"analytic": lam, "numeric": value, "rel_dev": abs(value - lam) / max(1.0, lam),
+                "mult_analytic": a.multiplicity, "mult_numeric": n.multiplicity}
+        fits = lam * (1 - lam * twelfth) * (1 - ULP_SLACK) <= value <= lam * (1 + ULP_SLACK)
+        report["matched" if fits and a.multiplicity == n.multiplicity
+               else "mismatched"].append(item)
+    floor = top * (1 - top * twelfth) * (1 - ULP_SLACK)
+    report["count_mismatch"] = (max(len(kept) - len(numeric.entries), 0)
+                                + sum(e.value <= floor for e in numeric.entries[len(kept):]))
+    report["pass"] = not report["mismatched"] and not report["count_mismatch"]
+    return report
 
 
 def _nearest(values: list[float], x: float) -> int:

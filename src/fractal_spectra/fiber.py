@@ -43,7 +43,10 @@ vertex count and the edge length (``PathBase``).  The Laakso and string
 levels, whose edges have one length, take their finite-difference mesh
 the same way: the mesh nodes inside an edge are never collapsed, so each
 run of vertices is a run of mesh nodes, only finer, and M^{-1} A of the
-mesh is (2 / h^2) times its walk Laplacian (``equilateral_spectra``).  No
+mesh is (2 / h^2) times its walk Laplacian (``equilateral_spectra``); as
+intervals of the quantum graph the runs give the continuum spectrum,
+whose values the mesh values approximate rank by rank
+(``continuum_spectra``).  No
 eigenvector is formed, and no array: run tables, values and counts are
 lists of Python ints and floats.  Each level is the level below with its
 own new values merged in, in one pass that sorts only those and rebuilds
@@ -68,6 +71,13 @@ from dataclasses import dataclass
 from .eigensolve import SpectrumEntry, SpectrumList
 
 
+def _angles(key: int) -> tuple[int, int, int]:
+    """(first, step, q) of a run key (``LevelFamily``): the k-th angle of
+    the run is theta_k = pi (first + k step) / q."""
+    m, free = key >> 2, (key >> 1 & 1) + (key & 1)
+    return {2: (0, 1, m - 1), 1: (1, 2, 2 * m), 0: (1, 1, m + 1)}[free]
+
+
 def _run_values(key: int, cut: float) -> list[float]:
     """The eigenvalues <= cut (1 + 1e-12) of the pencil of a run key
     (``LevelFamily``), ascending.
@@ -82,11 +92,10 @@ def _run_values(key: int, cut: float) -> list[float]:
     cut.  The sine keeps the small values to a few units in their last
     place.  theta / pi is taken as a reduced fraction, so equal angles of
     different runs give equal bits."""
-    m, free = key >> 2, (key >> 1 & 1) + (key & 1)
-    first, step, q = {2: (0, 1, m - 1), 1: (1, 2, 2 * m), 0: (1, 1, m + 1)}[free]
+    first, step, q = _angles(key)
     bound = cut * (1 + 1e-12)
     values = []
-    for p in range(first, first + step * m, step):
+    for p in range(first, first + step * (key >> 2), step):
         g = math.gcd(p, q)
         y = math.sin(math.pi * (p // g) / (2 * (q // g)))
         value = 2 * (y * y)
@@ -247,6 +256,32 @@ def level_spectra(family: LevelFamily, lam_max: float, origin: str) -> list[Spec
     ``_level_values``, each level merged into the one below
     (``_cluster_levels``)."""
     return _cluster_levels(_level_values(family, lam_max), origin)
+
+
+def continuum_spectra(family: LevelFamily, lam_max: float, origin: str) -> list[SpectrumList]:
+    """Spectrum below ``lam_max`` of every level of a path family with edges
+    of the base's length l, as a quantum graph: a run of m vertices with f
+    free ends is an interval of c = m + 1, m or m - 1 edges for f = 0, 1 or
+    2, whose values are (pi x / l)^2 for x = p / c, p = 1, 2, ...,
+    1/2, 3/2, ... or 0, 1, ...: the walk angles over pi (``_angles``) and
+    those above.  x is a reduced fraction before the float, so equal values
+    have equal bits; levels are merged and tagged as in ``level_spectra``."""
+    scale = math.pi / family.base.length
+
+    def spectrum(level: int, key: int, cut: float) -> tuple[list[float], list[int]]:
+        first, step, q = _angles(key)
+        bound = cut * (1 + 1e-12)
+        values, p = [], first
+        while True:
+            g = math.gcd(p, q)
+            value = (scale * ((p // g) / (q // g))) ** 2
+            if value > bound:
+                return values, [1] * len(values)
+            values.append(value)
+            p += step
+
+    continuum = LevelFamily(family.base, family.runs, spectrum)
+    return _cluster_levels(_level_values(continuum, lam_max), origin, truncation=lam_max)
 
 
 def _mesh_key(key: int, refine: int) -> int:

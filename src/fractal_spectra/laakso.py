@@ -6,17 +6,17 @@ coarser d) the m-th fiber coordinate is collapsed.  All levels share the
 common grid of multiples of 1/d_n, so every edge has the length 1/d_n,
 meshes align exactly and the discrete nesting holds to machine precision;
 only the grid path is described, and the runs of each level are counted
-from d_(l-1) and d_l.
+from d_(l-1) and d_l: they give the mesh spectra and, as intervals of the
+quantum graph, the analytic one with its multiplicities.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import InvalidSequence
-from .eigensolve import SpectrumEntry, SpectrumList
-from .fiber import LevelFamily, PathBase, equilateral_spectra, path_family
+from .eigensolve import SpectrumList
+from .fiber import LevelFamily, PathBase, continuum_spectra, equilateral_spectra, path_family
 from .metric_graph import DIRICHLET, NEUMANN
 
 
@@ -89,50 +89,14 @@ def laakso_family(spec: LaaksoSpec) -> LevelFamily:
     return path_family(PathBase(D + 1, 1.0 / D), spans)
 
 
-def laakso_analytic_spectrum(spec: LaaksoSpec, lam_max: float) -> SpectrumList:
-    """Eigenvalue set of the limit Laplacian, truncated at lam_max.
-
-    Three generating families, each contributing integer multiples of pi^2:
-    k^2 d_n^2 (n >= 0), 4 k^2 d_n^2 (n >= 2) and 4 (2k+1)^2 d_n^2 (n >= 1).
-    Entries are de-duplicated exactly on the integer coefficient; the tag
-    lists every (family, n, k) source.  Multiplicities are not claimed: each
-    entry carries multiplicity 1 and its source count.  Levels n run up to
-    the spec's depth.
-    """
-    d = spec.d
-    pi2 = math.pi**2
-    cmax = lam_max / pi2
-    sources: dict[int, list[str]] = {}
-
-    def add(c: int, tag: str):
-        sources.setdefault(c, []).append(tag)
-
-    for nn in range(spec.depth + 1):
-        dn2 = d[nn] ** 2
-        k = 1
-        while k * k * dn2 <= cmax:
-            add(k * k * dn2, f"f1(n={nn},k={k})")
-            k += 1
-        if nn >= 2:
-            k = 1
-            while 4 * k * k * dn2 <= cmax:
-                add(4 * k * k * dn2, f"f2(n={nn},k={k})")
-                k += 1
-        if nn >= 1:
-            k = 0
-            while 4 * (2 * k + 1) ** 2 * dn2 <= cmax:
-                add(4 * (2 * k + 1) ** 2 * dn2, f"f3(n={nn},k={k})")
-                k += 1
-
-    entries = []
-    if spec.boundary == NEUMANN:
-        entries.append(SpectrumEntry(0.0, 1, "constant(outside-family-listing)"))
-    for c in sorted(sources):
-        entries.append(SpectrumEntry(c * pi2, 1, ";".join(sources[c])))
-    return SpectrumList(entries=entries, origin="analytic(laakso)", truncation=lam_max)
+def laakso_analytic_spectrum(family: LevelFamily, lam_max: float) -> SpectrumList:
+    """Spectrum below ``lam_max`` of the deepest level of a Laakso family
+    (``laakso_family``) as a quantum graph, from the runs of its levels,
+    with exact multiplicities and tags (``fiber.continuum_spectra``)."""
+    return continuum_spectra(family, lam_max, "analytic(laakso)")[-1]
 
 
-def laakso_refinement_spectra(spec: LaaksoSpec, lam_max: float,
+def laakso_refinement_spectra(family: LevelFamily, lam_max: float,
                               refines: list[int]) -> list[list[SpectrumList]]:
     """Numeric spectra of levels 0..n at each refinement of ``refines``, from
     the closed-form values of the runs of the pieces of the base path,
@@ -143,12 +107,12 @@ def laakso_refinement_spectra(spec: LaaksoSpec, lam_max: float,
     of a value, which the closed forms give the same bits
     (``fiber._cluster_levels`` merges equal values only).
     """
-    return equilateral_spectra(laakso_family(spec), refines, lam_max, "numeric(laakso,level={})")
+    return equilateral_spectra(family, refines, lam_max, "numeric(laakso,level={})")
 
 
 def laakso_numeric_spectra(spec: LaaksoSpec, lam_max: float) -> list[SpectrumList]:
     """Numeric spectra of levels 0..n at the spec's refinement."""
-    return laakso_refinement_spectra(spec, lam_max, [spec.refine])[0]
+    return laakso_refinement_spectra(laakso_family(spec), lam_max, [spec.refine])[0]
 
 
 def laakso_numeric_spectrum(spec: LaaksoSpec, lam_max: float) -> SpectrumList:

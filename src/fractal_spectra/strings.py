@@ -11,7 +11,8 @@ per level (``stitched_family``), so no level above 0 is built.  The
 analytic spectrum is merged on integers: every length is a whole number of
 grid units, so every k^2 / l_i^2 is an integer square over one common
 denominator, and one correctly rounded int/int division gives the float of
-each value.
+each value; the numeric spectrum pairs with it by rank
+(``eigensolve.compare_spectra``).
 The partial sums of the spectral zeta function need no merge: they are
 summed string by string, m_i sum_k (pi k / l_i)^{-2s}, whose limit is the
 geometric zeta function sum_i m_i l_i^{2s} times pi^{-2s} zeta(2s).
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleNesting, NoCommonPitch
-from .eigensolve import FDModel, SpectrumEntry, SpectrumList
+from .eigensolve import SpectrumEntry, SpectrumList
 from .fiber import LevelFamily, PathBase, equilateral_spectra, path_family
 
 
@@ -154,31 +155,6 @@ def stitched_numeric_spectra(spec: StringSpec, lam_max: float) -> list[SpectrumL
     ``fiber.equilateral_spectra``: every edge is one grid unit long)."""
     return equilateral_spectra(stitched_family(spec), [spec.refine], lam_max,
                                "numeric(string,level={})")[0]
-
-
-def isospectrality_report(
-    numeric: SpectrumList, analytic: SpectrumList, model: FDModel, lam_max_check: float
-) -> dict:
-    """Value (FD tolerance) and multiplicity (exact) match below a cutoff."""
-    report = {"matched": [], "mismatched": []}
-    nvals = [e for e in numeric.entries if e.value <= lam_max_check and e.value > 1e-12]
-    avals = [e for e in analytic.entries if e.value <= lam_max_check]
-    for ae, ne in zip(avals, nvals):
-        dev = abs(ne.value - ae.value) / max(1.0, ae.value)
-        item = {
-            "analytic": ae.value,
-            "numeric": ne.value,
-            "rel_dev": dev,
-            "mult_analytic": ae.multiplicity,
-            "mult_numeric": ne.multiplicity,
-        }
-        if dev <= model.rel_tol(ae.value) and ae.multiplicity == ne.multiplicity:
-            report["matched"].append(item)
-        else:
-            report["mismatched"].append(item)
-    report["count_mismatch"] = abs(len(avals) - len(nvals))
-    report["pass"] = not report["mismatched"] and len(avals) == len(nvals)
-    return report
 
 
 #: below this many terms a string's zeta sum is summed term by term

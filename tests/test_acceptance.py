@@ -17,7 +17,7 @@ import pytest
 import family_reference
 from dense_reference import MetricGraph, build_gasket, gap_cluster, solve_below
 from fractal_spectra import cli, gasket, laakso, strings
-from fractal_spectra.eigensolve import FDModel, compare_spectra, verify_nesting
+from fractal_spectra.eigensolve import compare_spectra, verify_nesting
 from lapack_reference import csr, eigenpairs_below
 from level_reference import (
     assert_matches_reference,
@@ -102,12 +102,15 @@ def test_criterion_2_laakso_reproduction():
             numeric = gap_cluster(extrap, origin="richardson", truncation=200.0,
                                   pitch=fine_pitch)
             analytic = laakso.laakso_analytic_spectrum(
-                laakso.LaaksoSpec(j=list(j), refine=64), 200.0
+                laakso.laakso_family(laakso.LaaksoSpec(j=list(j), refine=64)), 200.0
             )
-            report = compare_spectra(
-                numeric, analytic, FDModel(pitch=fine_pitch), coverage_max=150.0
-            )
-            assert report["pass"], (j, report)
+            # paired by rank with exact multiplicities, each value within
+            # 10 lambda h^2 relative (floored at 1e-9) at the fine pitch
+            assert len(numeric.entries) == len(analytic.entries), j
+            for n, a in zip(numeric.entries, analytic.entries):
+                tol = max(10.0 * a.value * fine_pitch**2, 1e-9)
+                assert n.multiplicity == a.multiplicity, (j, n, a)
+                assert abs(n.value - a.value) / max(1.0, a.value) <= tol, (j, n, a)
         assert time.perf_counter() - t0 < 60.0
 
 
@@ -173,9 +176,7 @@ def test_criterion_5_string_isospectrality():
         spec = strings.StringSpec([Fraction(1, 2), Fraction(1, 4)], [1, 1], refine=16)
         analytic = strings.string_analytic_spectrum(spec, 700.0)
         numeric = strings.stitched_numeric_spectra(spec, 700.0)[-1]
-        iso = strings.isospectrality_report(
-            numeric, analytic, FDModel(pitch=spec.pitch), 700.0
-        )
+        iso = compare_spectra(numeric, analytic, spec.pitch, 700.0)
         assert iso["pass"], iso["mismatched"]
         for coincidence in (16 * pi2, 64 * pi2):
             (ae,) = [e for e in analytic.entries
@@ -188,14 +189,13 @@ def test_criterion_5_string_isospectrality():
         theta = strings.StringSpec([Fraction(1, 2)], [3], refine=16)
         t_analytic = strings.string_analytic_spectrum(theta, 700.0)
         t_numeric = strings.stitched_numeric_spectra(theta, 700.0)[-1]
-        t_iso = strings.isospectrality_report(
-            t_numeric, t_analytic, FDModel(pitch=theta.pitch), 700.0
-        )
+        t_iso = compare_spectra(t_numeric, t_analytic, theta.pitch, 700.0)
         assert t_iso["pass"], t_iso["mismatched"]
         assert [e.multiplicity for e in t_analytic.entries if e.value > 1e-12] == [3, 3, 3, 3]
         first = next(e for e in t_numeric.entries if e.value > 1e-12)
-        tol = FDModel(pitch=theta.pitch).rel_tol(4 * pi2) * 4 * pi2
-        assert first.multiplicity == 3 and abs(first.value - 4 * pi2) <= tol
+        # the finite-difference value lies within lambda^2 h^2 / 12 below lambda
+        tol = (4 * pi2) ** 2 * theta.pitch**2 / 12
+        assert first.multiplicity == 3 and 0 <= 4 * pi2 - first.value <= tol
 
         assert time.perf_counter() - t0 < 10.0
 

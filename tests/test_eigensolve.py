@@ -11,7 +11,6 @@ import family_reference
 from dense_reference import MetricGraph, NotPositiveMass, solve_below
 from fractal_spectra import cli, fiber
 from fractal_spectra.eigensolve import (
-    FDModel,
     SpectrumEntry,
     SpectrumList,
     compare_spectra,
@@ -449,32 +448,94 @@ class TestCompare:
         ]
         return SpectrumList(entries, "analytic(interval)", lam_max)
 
+    def _pair(self, lam, value, mult=1):
+        """A one-entry analytic list and a one-entry numeric list."""
+        return (SpectrumList([SpectrumEntry(value, mult)], "numeric(test)", 1e3),
+                SpectrumList([SpectrumEntry(lam, 1)], "analytic(test)", 1e3))
+
     def test_analytic_vs_itself(self):
         a = self._analytic_interval(1000.0)
-        rep = compare_spectra(a, a, FDModel(pitch=1e-6), coverage_max=900.0)
-        assert rep["pass"] and rep["max_rel_deviation"] < 1e-15
+        rep = compare_spectra(a, a, 1e-6, 900.0)
+        assert rep["pass"] and max(m["rel_dev"] for m in rep["matched"]) == 0.0
+        assert len(rep["matched"]) == 9 and rep["count_mismatch"] == 0
 
     def test_interval_fd_match(self):
         h = 1 / 64
         num = cluster(fd_dirichlet(h, kmax=8), pitch=h, truncation=700.0)
-        rep = compare_spectra(num, self._analytic_interval(700.0), FDModel(pitch=h))
+        rep = compare_spectra(num, self._analytic_interval(700.0), h, 700.0)
         assert rep["pass"]
-        # FD error of mode k is below (k pi h)^2 / 10 relative... actually
-        # lambda h^2 / 12; the stated model bound is much looser
+        # the FD error of lambda is at most lambda^2 h^2 / 12
         for m in rep["matched"]:
-            assert m["rel_dev"] <= (math.sqrt(m["analytic"]) * h) ** 2 / 10
+            assert m["rel_dev"] <= m["analytic"] * h * h / 12
+            assert m["mult_analytic"] == m["mult_numeric"] == 1
+
+    def test_pair_bound_is_exact(self):
+        """A pair passes between lambda (1 - lambda h^2 / 12) and lambda,
+        and fails a little outside either end."""
+        h, lam = 0.1, 10.0
+        low = lam * (1 - lam * h * h / 12)
+        for value, ok in ((lam, True), (low, True), (lam * (1 + 1e-14), False),
+                          (low * (1 - 1e-14), False)):
+            assert compare_spectra(*self._pair(lam, value), h, 100.0)["pass"] is ok, value
+
+    def test_multiplicities_must_be_equal(self):
+        rep = compare_spectra(*self._pair(10.0, 10.0, mult=2), 0.1, 100.0)
+        assert not rep["pass"] and rep["mismatched"][0]["mult_numeric"] == 2
+
+    def test_pairs_strictly_below_pi_over_h_squared(self):
+        """An analytic value at (pi / h)^2 is not paired: at pitch 1 the
+        free-free mesh value 4 has no partner there, and is left over above
+        the floor c (1 - c / 12)."""
+        h = 1.0
+        numeric = SpectrumList([SpectrumEntry(0.0, 1), SpectrumEntry(4.0, 1)], "n", 20.0)
+        analytic = SpectrumList([SpectrumEntry(0.0, 1), SpectrumEntry(math.pi**2, 1)], "a", 20.0)
+        rep = compare_spectra(numeric, analytic, h, 20.0)
+        assert rep["pass"] and [m["analytic"] for m in rep["matched"]] == [0.0]
+
+    def test_leftover_below_the_floor_fails_the_count(self):
+        """Analytic values above the cut pair no numeric value at or below
+        c (1 - c h^2 / 12); one left over there fails the count, as does an
+        analytic value with no numeric one."""
+        h, cut = 0.1, 50.0
+        analytic = self._analytic_interval(cut)  # pi^2, 4 pi^2
+        floor = cut * (1 - cut * h * h / 12)
+        extra = cluster(np.array([*fd_dirichlet(h, kmax=2), floor * (1 - 1e-9)]), pitch=h,
+                        truncation=cut)
+        rep = compare_spectra(extra, analytic, h, cut)
+        assert rep["count_mismatch"] == 1 and not rep["pass"]
+        above = cluster(np.array([*fd_dirichlet(h, kmax=2), floor * (1 + 1e-9)]), pitch=h,
+                        truncation=cut)
+        assert compare_spectra(above, analytic, h, cut)["pass"]
+        short = cluster(fd_dirichlet(h, kmax=1), pitch=h, truncation=cut)
+        rep = compare_spectra(short, analytic, h, cut)
+        assert rep["count_mismatch"] == 1 and not rep["pass"]
 
     def test_order_two_convergence(self):
         h = 1 / 32
         fine = cluster(fd_dirichlet(h / 2, kmax=6), pitch=h / 2, truncation=400.0)
         coarse = cluster(fd_dirichlet(h, kmax=6), pitch=h, truncation=400.0)
-        rep = compare_spectra(fine, self._analytic_interval(400.0), FDModel(pitch=h / 2),
-                              numeric_coarse=coarse)
-        assert rep["convergence_order"] == pytest.approx(2.0, abs=0.2)
+        analytic = self._analytic_interval(400.0)
+        order = cli._convergence_order(compare_spectra(fine, analytic, h / 2, 400.0),
+                                       compare_spectra(coarse, analytic, h, 400.0))
+        assert order == pytest.approx(2.0, abs=0.2)
         # deviation ratio per mode in [3.6, 4.4]
         exact = np.array([(k * math.pi) ** 2 for k in range(1, 7)])
         ratio = (fd_dirichlet(h, kmax=6) - exact) / (fd_dirichlet(h / 2, kmax=6) - exact)
         assert np.all((3.6 <= np.abs(ratio)) & (np.abs(ratio) <= 4.4))
+
+    def test_order_counts_no_error_below_1e_10(self):
+        """A fine error under 1e-10 relative is roundoff, not a
+        finite-difference error: with no other rank the order is None."""
+        a, h = self._analytic_interval(400.0), 1 / 32
+
+        def report(shift, pitch):
+            numeric = [SpectrumEntry(e.value * (1 - shift), 1) for e in a.entries]
+            return compare_spectra(SpectrumList(numeric, "n", 400.0), a, pitch, 400.0)
+
+        coarse = report(4e-5, h)
+        assert coarse["pass"] and len(coarse["matched"]) == 6
+        assert cli._convergence_order(report(5e-11, h / 2), coarse) is None
+        assert cli._convergence_order(report(1e-5, h / 2), coarse) == pytest.approx(2.0)
 
 
 class TestSerialization:

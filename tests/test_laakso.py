@@ -6,7 +6,8 @@ import pytest
 
 import family_reference
 from dense_reference import path_graph, solve_below
-from fractal_spectra.eigensolve import FDModel, compare_spectra, verify_nesting
+from handfit_reference import handfit_laakso_spectrum
+from fractal_spectra.eigensolve import compare_spectra, verify_nesting
 from fractal_spectra.errors import InvalidSequence
 from fractal_spectra.laakso import (
     LaaksoSpec,
@@ -124,17 +125,24 @@ class TestBuild:
         assert family_reference.laakso_births(spec) == [0, 2, 1, 2, 0]
 
 
+def analytic(spec, lam_max):
+    return laakso_analytic_spectrum(laakso_family(spec), lam_max)
+
+
 class TestAnalyticSpectrum:
     def test_entries_below_twenty_pi_squared(self):
-        s = laakso_analytic_spectrum(LaaksoSpec(j=[2, 2]), 20 * PI2)
-        nonzero = [e for e in s.entries if e.value > 1e-12]
-        assert [round(e.value / PI2) for e in nonzero] == [1, 4, 9, 16]
-        # 16 pi^2 arises from several families at once
-        tag16 = nonzero[-1].tag
-        assert "f1(n=2,k=1)" in tag16 and "f3(n=1,k=0)" in tag16
+        """Level 0 of [2, 2] is the free path of 4 edges, (pi k)^2; level 1
+        adds its two end runs of 2 edges with one free end, (pi (2k+1))^2,
+        and level 2 the end runs of one edge with one free end, the middle
+        run of 2 edges and two single edges with Dirichlet ends."""
+        s = analytic(LaaksoSpec(j=[2, 2]), 20 * PI2)
+        assert [round(e.value / PI2, 12) for e in s.entries] == [0, 1, 4, 9, 16]
+        assert [(e.multiplicity, e.tag) for e in s.entries] == [
+            (1, "basex1"), (3, "basex1;new@1x2"), (6, "basex1;new@2x5"), (3, "basex1;new@1x2"),
+            (4, "basex1;new@2x3")]
 
     def test_all_perfect_squares_for_constant_two(self):
-        s = laakso_analytic_spectrum(LaaksoSpec(j=[2, 2, 2]), 2000 * PI2)
+        s = analytic(LaaksoSpec(j=[2, 2, 2]), 2000 * PI2)
         for e in s.entries:
             if e.value < 1e-12:
                 continue
@@ -143,12 +151,38 @@ class TestAnalyticSpectrum:
             assert abs(r * r - c) < 1e-6 * c
 
     def test_truncation_below_first_entry(self):
-        neumann = laakso_analytic_spectrum(LaaksoSpec(j=[2]), 0.5 * PI2)
+        neumann = analytic(LaaksoSpec(j=[2]), 0.5 * PI2)
         assert [e.value for e in neumann.entries] == [0.0]
-        dirichlet = laakso_analytic_spectrum(
-            LaaksoSpec(j=[2], boundary="dirichlet"), 0.5 * PI2
-        )
+        dirichlet = analytic(LaaksoSpec(j=[2], boundary="dirichlet"), 0.5 * PI2)
         assert dirichlet.entries == []
+
+    def test_a_value_on_the_cut_is_kept(self):
+        s = analytic(LaaksoSpec(j=[2, 2]), 16 * PI2)
+        assert s.entries[-1].value == pytest.approx(16 * PI2, rel=1e-15)
+        assert analytic(LaaksoSpec(j=[2, 2]), 16 * PI2 * (1 - 1e-11)).entries[-1].multiplicity == 3
+
+    @pytest.mark.parametrize("j, boundary", [
+        ([2, 3], "neumann"), ([2, 3], "dirichlet"), ([2, 2, 2], "neumann"),
+        ([2] * 6, "dirichlet"), ([3, 4], "dirichlet"), ([4, 5], "neumann")])
+    def test_value_set_of_the_hand_fit_families(self, j, boundary):
+        """On these specs the hand-fit families of ``handfit_reference``
+        list the values of the closed form, each once, up to 10^5."""
+        spec = LaaksoSpec(j=j, boundary=boundary)
+        ours = [e.value / PI2 for e in analytic(spec, 1e5).entries]
+        fitted = [e.value / PI2 for e in handfit_laakso_spectrum(spec, 1e5).entries]
+        assert ours == pytest.approx(fitted, rel=1e-13, abs=1e-13)
+
+    def test_hand_fit_families_miss_the_half_integer_runs(self):
+        """Neumann [3]: the end runs of one edge with one free end have
+        (3 pi / 2)^2, which no hand-fit family lists."""
+        spec = LaaksoSpec(j=[3])
+        ours = [e.value / PI2 for e in analytic(spec, 50.0).entries]
+        assert ours[:3] == pytest.approx([0, 1, 2.25], abs=1e-13)
+        assert 2.25 not in [round(e.value / PI2, 9) for e in handfit_laakso_spectrum(spec, 50.0).entries]
+
+    def test_hand_fit_tags_name_every_family(self):
+        tag16 = handfit_laakso_spectrum(LaaksoSpec(j=[2, 2]), 20 * PI2).entries[-1].tag
+        assert "f1(n=2,k=1)" in tag16 and "f3(n=1,k=0)" in tag16
 
 
 @pytest.fixture(scope="module")
@@ -162,10 +196,8 @@ class TestNumericSpectrum:
 
     def test_matches_analytic_set(self, run):
         spec, lam_max, numeric = run
-        analytic = laakso_analytic_spectrum(spec, lam_max)
-        rep = compare_spectra(numeric, analytic, FDModel(pitch=spec.pitch),
-                              coverage_max=0.8 * lam_max)
-        assert rep["pass"]
+        rep = compare_spectra(numeric, analytic(spec, lam_max), spec.pitch, lam_max)
+        assert rep["pass"] and rep["matched"]
 
     def test_lowest_values(self, run):
         spec, _, numeric = run

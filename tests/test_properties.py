@@ -74,6 +74,7 @@ from fractal_spectra.eigensolve import (
     SpectrumEntry,
     SpectrumList,
     _nearest,
+    compare_spectra,
     verify_nesting,
 )
 from fractal_spectra.errors import NoConvergence
@@ -473,6 +474,35 @@ def test_string_refined_runs_match_the_mesh_route(spec, factor):
     lam_max = factor * first_edge_mode(spec.pitch, spec.refine)
     ref = level_reference.block_spectra(*mesh_reference.stitched_levels(spec), lam_max, "{}")
     assert_same_spectra(strings.stitched_numeric_spectra(spec, lam_max), ref)
+
+
+# every {j, j+1} sequence to depth 4, j = 2..5
+closed_form_specs = st.builds(
+    lambda base, steps, refine, boundary: laakso.LaaksoSpec([base + s for s in steps], refine,
+                                                            boundary),
+    st.integers(2, 5), st.lists(st.sampled_from([0, 1]), max_size=4), st.integers(2, 16),
+    st.sampled_from(["neumann", "dirichlet"]),
+)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(spec=closed_form_specs, exponent=st.floats(0.0, 1.0))
+def test_laakso_mesh_spectrum_pairs_with_the_closed_form_by_rank(spec, exponent):
+    """From below the first positive value, pi^2, to twice (pi / h)^2, the
+    k-th mesh entry is the mesh value of the k-th entry of the closed form
+    below (pi / h)^2: every pair meets the finite-difference bound with
+    equal multiplicities and the tags of numeric.csv, and no entry is left
+    without its partner (``compare_spectra``)."""
+    low, high = math.pi**2 / 2, 2 * (math.pi / spec.pitch) ** 2
+    lam_max = low * (high / low) ** exponent
+    analytic = laakso.laakso_analytic_spectrum(laakso.laakso_family(spec), lam_max)
+    numeric = laakso.laakso_numeric_spectrum(spec, lam_max)
+    report = compare_spectra(numeric, analytic, spec.pitch, lam_max)
+    assert report["pass"], (report["mismatched"][:3], report["count_mismatch"])
+    top = min(lam_max, (math.pi / spec.pitch) ** 2 * (1 - 1e-12))
+    paired = [e for e in analytic.entries if e.value <= top]
+    assert len(report["matched"]) == len(paired)
+    assert [e.tag for e in paired] == [e.tag for e in numeric.entries[:len(paired)]]
 
 
 family_laakso_specs = st.builds(

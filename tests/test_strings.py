@@ -5,13 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fractal_spectra.eigensolve import FDModel, verify_nesting
+from fractal_spectra.eigensolve import compare_spectra, verify_nesting
 from fractal_spectra.cli import ZETA_S_GRID
 from fractal_spectra.errors import InfeasibleNesting
 from fractal_spectra.strings import (
     ZETA_DIRECT_TERMS,
     StringSpec,
-    isospectrality_report,
     rationalize,
     stitched_family,
     stitched_numeric_spectra,
@@ -150,7 +149,7 @@ class TestNumericSpectrum:
         ):
             numeric = stitched_numeric_spectra(spec, lam)[-1]
             analytic = string_analytic_spectrum(spec, lam)
-            rep = isospectrality_report(numeric, analytic, FDModel(pitch=spec.pitch), lam)
+            rep = compare_spectra(numeric, analytic, spec.pitch, lam)
             assert rep["pass"], rep["mismatched"]
 
     def test_merged_multiplicities(self):
