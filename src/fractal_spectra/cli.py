@@ -5,6 +5,9 @@ CSV spectra and JSON reports into an output directory, and is deterministic:
 an identical spec produces byte-identical files (floats are serialized via
 shortest round-trip repr).
 
+Each command imports the module of its own family when it runs, so a run
+loads neither of the other two.
+
 Exit codes: 0 ok, 1 a check failed (compare, nesting, decimation,
 isospectrality or verify), 2 bad spec, 3 a spectrum could not be completed
 (decimation counts that do not add up), 4 incommensurable lengths.
@@ -19,7 +22,6 @@ import math
 import sys
 from pathlib import Path
 
-from . import gasket, laakso, strings
 from .eigensolve import SpectrumList, _nearest, compare_spectra, verify_nesting
 from .errors import FractalSpectraError, InvalidSpaceSpec, NoCommonPitch, NoConvergence
 
@@ -138,6 +140,8 @@ def _convergence_order(fine: dict, coarse: dict) -> float | None:
 
 
 def cmd_laakso(args) -> int:
+    from . import laakso
+
     doc = _load_spec(args.spec, ("j", "depth", "refine", "boundary", "lambda_max"))
     if "j" not in doc:
         raise InvalidSpaceSpec('laakso spec needs a "j" list')
@@ -180,6 +184,8 @@ def cmd_laakso(args) -> int:
 
 
 def cmd_choux(args) -> int:
+    from . import gasket
+
     doc = _load_spec(args.spec, ("fiber_depth", "gasket_level", "boundary"))
     if "fiber_depth" not in doc or "gasket_level" not in doc:
         raise InvalidSpaceSpec('choux spec needs "fiber_depth" and "gasket_level"')
@@ -222,6 +228,8 @@ def cmd_choux(args) -> int:
 
 
 def cmd_string(args) -> int:
+    from . import strings
+
     doc = _load_spec(args.spec, ("lengths", "mults", "denominator_bound", "refine", "depth",
                                  "lambda_max", "zeta_terms"))
     if "lengths" not in doc or "mults" not in doc:
@@ -386,7 +394,8 @@ def cmd_verify(args) -> int:
         failures += _false_passes(doc, json_path.name)
 
     # optional re-check of numeric-vs-analytic matching at an overridden tol,
-    # of files that read back
+    # of files that read back: each numeric value must lie within tol of its
+    # nearest analytic value and carry that value's multiplicity
     if args.tol is not None and {"analytic.csv", "numeric.csv"} <= spectra.keys():
         analytic, numeric = spectra["analytic.csv"], spectra["numeric.csv"]
         avals = analytic.values()
@@ -394,12 +403,16 @@ def cmd_verify(args) -> int:
             if abs(e.value) <= 1e-9 and (not avals or avals[0] > 1e-12):
                 continue
             # a value with no analytic value at all is off the set by inf
-            off = abs(avals[_nearest(avals, e.value)] - e.value) if avals else math.inf
+            near = analytic.entries[_nearest(avals, e.value)] if avals else None
+            off = abs(near.value - e.value) if avals else math.inf
             dev = off / max(1.0, abs(e.value))
             if dev > args.tol:
                 failures.append(
                     f"numeric {e.value!r} off the analytic set by {dev:.3e} > tol {args.tol}"
                 )
+            elif near.multiplicity != e.multiplicity:
+                failures.append(f"numeric {e.value!r} has multiplicity {e.multiplicity}, its "
+                                f"nearest analytic value {near.value!r} has {near.multiplicity}")
 
     if failures:
         for f in failures:

@@ -25,31 +25,30 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .errors import MisalignedMeshes
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     value: float
     multiplicity: int
     tag: str = ""
 
 
-@dataclass
 class SpectrumList:
-    """Sorted eigenvalues with multiplicities, analytic or numeric."""
+    """Sorted eigenvalues with multiplicities, analytic or numeric; two
+    lists are equal when their fields are."""
 
-    entries: list[SpectrumEntry]
-    origin: str
-    truncation: float
-    pitch: float | None = None
-
-    def __post_init__(self):
+    def __init__(self, entries: list[SpectrumEntry], origin: str, truncation: float,
+                 pitch: float | None = None):
+        self.entries = entries
+        self.origin = origin
+        self.truncation = truncation
+        self.pitch = pitch
         last = -math.inf
-        for e in self.entries:
+        for e in entries:
             if not math.isfinite(e.value):  # NaN would pass the comparison below
                 raise ValueError("spectrum values must be finite")
             if e.value <= last:
@@ -57,6 +56,9 @@ class SpectrumList:
             if e.multiplicity < 1:
                 raise ValueError("multiplicities must be >= 1")
             last = e.value
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
     def values(self) -> list[float]:
         return [e.value for e in self.entries]

@@ -66,7 +66,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .eigensolve import SpectrumEntry, SpectrumList
 
@@ -113,8 +113,7 @@ def _run_spectrum(level: int, key: int, cut: float) -> tuple[list[float], list[i
     return values, [1] * len(values)
 
 
-@dataclass(frozen=True)
-class PathBase:
+class PathBase(NamedTuple):
     """The level-0 graph of a path family: ``n_vertices`` vertices in
     order, edge k joining vertices k and k + 1, every edge of ``length`` and
     one weight.  Which vertices are Dirichlet vertices the runs of each
@@ -124,8 +123,7 @@ class PathBase:
     length: float
 
 
-@dataclass
-class LevelFamily:
+class LevelFamily(NamedTuple):
     """Levels 0..n of a space, given by its level-0 path ``base`` and the
     table of the distinct pieces of each level.  A family that takes no
     mesh (``equilateral_spectra``) may have no base, as the pâte à choux

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import partial
 
 from .errors import InvalidSpaceSpec, NoConvergence, ResolutionTooCoarse
@@ -100,16 +99,14 @@ def decimation_branch(spectra: list[SpectrumList], levels: list[int]) -> list[fl
     return out
 
 
-@dataclass
 class ChouxSpec:
     """Fiber depth i over a level-m gasket; needs m >= i so every gluing set
     V_k \\ V_{k-1}, k <= i, is resolved."""
 
-    fiber_depth: int
-    gasket_level: int
-    boundary: str | None = None
-
-    def __post_init__(self):
+    def __init__(self, fiber_depth: int, gasket_level: int, boundary: str | None = None):
+        self.fiber_depth = fiber_depth
+        self.gasket_level = gasket_level
+        self.boundary = boundary
         if self.fiber_depth < 0 or self.gasket_level < 0:
             raise ResolutionTooCoarse("depths must be nonnegative")
         if self.gasket_level < self.fiber_depth:

@@ -12,15 +12,12 @@ quantum graph, the analytic one with its multiplicities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidSequence
 from .eigensolve import SpectrumList
 from .fiber import LevelFamily, PathBase, continuum_spectra, equilateral_spectra, path_family
 from .metric_graph import DIRICHLET, NEUMANN
 
 
-@dataclass
 class LaaksoSpec:
     """Subdivision sequence {j_l}, refinement and boundary mode.
 
@@ -28,12 +25,10 @@ class LaaksoSpec:
     sequence length.  The mesh pitch is 1/(refine * d_n).
     """
 
-    j: list[int]
-    refine: int = 8
-    boundary: str = NEUMANN
-
-    def __post_init__(self):
-        self.j = [int(x) for x in self.j]
+    def __init__(self, j: list[int], refine: int = 8, boundary: str = NEUMANN):
+        self.j = [int(x) for x in j]
+        self.refine = refine
+        self.boundary = boundary
         if self.j:
             base = min(self.j)
             if base < 2 or max(self.j) > base + 1:

@@ -21,7 +21,6 @@ geometric zeta function sum_i m_i l_i^{2s} times pi^{-2s} zeta(2s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleNesting, NoCommonPitch
@@ -43,17 +42,14 @@ def rationalize(lengths, denominator_bound: int = 10**6):
     return fracs, worst
 
 
-@dataclass
 class StringSpec:
-    """Strictly decreasing lengths with multiplicities, truncated at depth N."""
+    """Strictly decreasing lengths with multiplicities, truncated at depth N;
+    ``grid_unit`` is the largest rational dividing every length."""
 
-    lengths: list[Fraction]
-    mults: list[int]
-    refine: int = 8
-
-    def __post_init__(self):
-        self.lengths = [Fraction(l) for l in self.lengths]
-        self.mults = [int(m) for m in self.mults]
+    def __init__(self, lengths: list[Fraction], mults: list[int], refine: int = 8):
+        self.lengths = [Fraction(l) for l in lengths]
+        self.mults = [int(m) for m in mults]
+        self.refine = refine
         if len(self.lengths) != len(self.mults) or not self.lengths:
             raise InfeasibleNesting("lengths and multiplicities must be nonempty and aligned")
         if any(l <= 0 for l in self.lengths) or any(m < 1 for m in self.mults):
@@ -62,21 +58,13 @@ class StringSpec:
             raise InfeasibleNesting("lengths must be strictly decreasing")
         if self.refine < 2:
             raise InfeasibleNesting("refinement must be >= 2")
+        den = math.lcm(*(l.denominator for l in self.lengths))
+        self.grid_unit = Fraction(math.gcd(*(l.numerator * (den // l.denominator)
+                                             for l in self.lengths)), den)
 
     @property
     def depth(self) -> int:
         return len(self.lengths)
-
-    @property
-    def grid_unit(self) -> Fraction:
-        """Largest rational dividing every length."""
-        den = 1
-        for l in self.lengths:
-            den = den * l.denominator // math.gcd(den, l.denominator)
-        num = 0
-        for l in self.lengths:
-            num = math.gcd(num, int(l * den))
-        return Fraction(num, den)
 
     @property
     def pitch(self) -> float:
@@ -161,9 +149,10 @@ def stitched_numeric_spectra(spec: StringSpec, lam_max: float) -> list[SpectrumL
 ZETA_DIRECT_TERMS = 50
 
 
-def _power_sum(a: float, n: int) -> float:
-    """sum_{k=1}^n k^{-a} for a > 0: the terms below ``ZETA_DIRECT_TERMS``
-    = N summed exactly rounded, and the rest by Euler-Maclaurin,
+def _power_sum(a: float, n: int, direct: list[float]) -> float:
+    """sum_{k=1}^n k^{-a} for a > 0, given ``direct``, the terms k^{-a} below
+    ``ZETA_DIRECT_TERMS`` = N: those summed exactly rounded, and the rest by
+    Euler-Maclaurin,
     sum_{k=N}^n f(k) = int_N^n f + (f(N) + f(n)) / 2
     + sum_j B_2j / (2j)! (f^(2j-1)(n) - f^(2j-1)(N)) with f(x) = x^{-a},
     to B_6: the next term is below 1e-16 of the sum.  The integral
@@ -172,12 +161,11 @@ def _power_sum(a: float, n: int) -> float:
     and loses no digits near it."""
     big = ZETA_DIRECT_TERMS
     if n < big:
-        return math.fsum(k ** -a for k in range(1, n + 1))
+        return math.fsum(direct[:n])
     log_ratio = math.log1p((n - big) / big)
     t = (1 - a) * log_ratio
-    terms = [k ** -a for k in range(1, big)]
-    terms += [big ** (1 - a) * log_ratio * (math.expm1(t) / t if t else 1.0),
-              (big ** -a + n ** -a) / 2]
+    terms = direct + [big ** (1 - a) * log_ratio * (math.expm1(t) / t if t else 1.0),
+                      (big ** -a + n ** -a) / 2]
     rising = a  # a (a + 1) ... (a + 2j - 2), so that f^(2j-1)(x) = -rising x^(-a-2j+1)
     for j, bernoulli in enumerate((1 / 12, -1 / 720, 1 / 30240), start=1):
         terms.append(bernoulli * rising * (big ** (1 - a - 2 * j) - n ** (1 - a - 2 * j)))
@@ -191,15 +179,17 @@ def zeta_partial(spec: StringSpec, s_val: float, lam_max: float) -> float:
     over the k with (pi k / l_i)^2 <= lam_max (1 + 1e-12), so that rounding
     drops no value that lies on the cut.  Those k are 1..n_i, n_i at most
     l_i sqrt(lam_max) / pi + 1, and each string's sum is
-    m_i (l_i / pi)^{2s} sum_{k <= n_i} k^{-2s} (``_power_sum``)."""
+    m_i (l_i / pi)^{2s} sum_{k <= n_i} k^{-2s} (``_power_sum``), whose
+    direct terms are taken once for all strings."""
     if s_val <= 0:
         raise ValueError("exponent must be positive")
     cut = lam_max * (1 + 1e-12)
+    direct = [k ** -(2 * s_val) for k in range(1, ZETA_DIRECT_TERMS)]
     total = 0.0
     for l, m in zip(spec.lengths, spec.mults):
         length = float(l)
         n = int(length * math.sqrt(cut) / math.pi) + 1
         while n and (math.pi * n / length) * (math.pi * n / length) > cut:
             n -= 1
-        total += m * (length / math.pi) ** (2 * s_val) * _power_sum(2 * s_val, n)
+        total += m * (length / math.pi) ** (2 * s_val) * _power_sum(2 * s_val, n, direct)
     return total

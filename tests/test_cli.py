@@ -496,6 +496,25 @@ class TestVerify:
         fails = [line for line in capsys.readouterr().err.splitlines() if "off the analytic set" in line]
         assert len(fails) == 1 and fails[0].startswith("verify: FAIL numeric 9.83")
 
+    def test_tol_recheck_checks_multiplicities(self, tmp_path, capsys):
+        """A numeric value within tol of its nearest analytic value must also
+        carry that value's multiplicity: the criterion-8 run with the
+        multiplicity 3 of its value near pi^2 edited to 5 fails --tol 1e-2,
+        which the run as written passes."""
+        spec = write_spec(tmp_path, "spec.json", {"j": [2], "refine": 16, "lambda_max": 100.0})
+        out = tmp_path / "out"
+        assert cli.main(["laakso", "--spec", spec, "--out", str(out)]) == cli.EXIT_OK
+        assert cli.main(["verify", "--out", str(out), "--tol", "1e-2"]) == cli.EXIT_OK
+        path = out / "numeric.csv"
+        text = path.read_text()
+        assert "\n9.861679775340777,3," in text
+        path.write_text(text.replace("\n9.861679775340777,3,", "\n9.861679775340777,5,"))
+        capsys.readouterr()
+        assert cli.main(["verify", "--out", str(out), "--tol", "1e-2"]) == cli.EXIT_CHECK_FAILED
+        assert capsys.readouterr().err.splitlines() == [
+            "verify: FAIL numeric 9.861679775340777 has multiplicity 5, its nearest analytic "
+            f"value {math.pi ** 2!r} has 3"]
+
 
 def same_files(a: Path, b: Path) -> bool:
     names = sorted(os.listdir(a))
@@ -697,12 +716,68 @@ def test_zeta_table_keeps_the_values_on_its_cut(tmp_path):
         assert float(partial) == pytest.approx(explicit, rel=1e-13, abs=0.0)
 
 
+def run_fresh(script: str, *args: str) -> str:
+    """The last line that ``script`` prints, run in a fresh interpreter with
+    the package's source directory on its path."""
+    src = str(Path(fractal_spectra.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script), *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+FAMILY_MODULES = ("fractal_spectra.gasket", "fractal_spectra.laakso", "fractal_spectra.strings")
+
+
+def test_cli_import_loads_no_dataclasses_and_no_family():
+    """Importing the CLI loads neither ``dataclasses`` nor ``inspect``, which
+    it pulls in, nor a family module: each command imports its own."""
+    loaded = run_fresh(f"""
+        import sys
+        import fractal_spectra.cli
+        print(sorted(set(sys.modules) & {{"dataclasses", "inspect", *{FAMILY_MODULES!r}}}))
+    """)
+    assert loaded == "[]"
+
+
+@pytest.mark.parametrize("command, family, doc", [
+    ("laakso", "laakso", {"j": [2], "refine": 16, "lambda_max": 100.0}),
+    ("choux", "gasket", {"fiber_depth": 1, "gasket_level": 2}),
+    ("string", "strings", {"lengths": [0.5, 0.25], "mults": [1, 1], "refine": 8,
+                           "lambda_max": 400.0, "zeta_terms": 100}),
+])
+def test_run_loads_only_its_own_family(tmp_path, command, family, doc):
+    """A run through ``cli.main`` in a fresh interpreter loads the module of
+    its own family and neither of the other two."""
+    spec = write_spec(tmp_path, "spec.json", doc)
+    loaded = run_fresh(f"""
+        import sys
+        from fractal_spectra import cli
+        code = cli.main([{command!r}, "--spec", sys.argv[1], "--out", sys.argv[2]])
+        print(code, sorted(set(sys.modules) & set({FAMILY_MODULES!r})))
+    """, spec, str(tmp_path / "out"))
+    assert loaded == f"0 ['fractal_spectra.{family}']"
+
+
+@pytest.mark.parametrize("make, field", [(lambda: eigensolve.SpectrumEntry(1.5, 2, "base"), "value"),
+                                         (lambda: fiber.PathBase(5, 0.25), "length")])
+def test_entries_and_path_bases_are_immutable_and_hashable(make, field):
+    """Spectrum entries and path bases refuse attribute assignment, and two
+    built alike hash alike."""
+    frozen = make()
+    with pytest.raises(AttributeError):
+        setattr(frozen, field, 0)
+    assert getattr(frozen, field) != 0
+    assert {frozen: 1}[make()] == 1
+
+
 def test_cli_runs_without_numpy_or_scipy(tmp_path):
     """With NumPy and SciPy unimportable, laakso, choux and string run the
     acceptance criterion-8 specs and verify their outputs with exit 0, and
     no NumPy or SciPy module is loaded afterwards: the package needs the
     standard library alone."""
-    script = textwrap.dedent("""
+    last = run_fresh("""
         import json, sys
         from pathlib import Path
 
@@ -727,10 +802,5 @@ def test_cli_runs_without_numpy_or_scipy(tmp_path):
         loaded = sorted(name for name, module in sys.modules.items()
                         if name.split(".")[0] in ("numpy", "scipy") and module is not None)
         print(json.dumps({"codes": codes, "loaded": loaded}))
-    """)
-    src = str(Path(fractal_spectra.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0] * 6, "loaded": []}
+    """, str(tmp_path))
+    assert json.loads(last) == {"codes": [0] * 6, "loaded": []}
